@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,25 +87,23 @@ def _log_dicts(log) -> list[dict]:
     } for rec in log]
 
 
-def _cmd_qkd(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _run_session(cfg: ScenarioConfig) -> list[qkd.SiftedKeyRecord]:
     settings = cfg.qkd_settings()
-    records = qkd.run_session(
+    return qkd.run_session(
         cfg.resolved["duration_s"], cfg.seed, cfg.source(), cfg.channel(),
         cfg.detector(), cfg.packet(), window_s=settings.window_s,
         pulses_per_window=settings.pulses_per_window,
         phase_noise_rad=settings.phase_noise_rad)
+
+
+def _cmd_qkd(args) -> int:
+    cfg = _load_config(args)
+    out = _out_dir(args, cfg)
+    records = _run_session(cfg)
     summary = qkd.session_summary(records)
-    write_columns(out / "qber_windows.csv",
-                  ["window_start_s", "pulses_sent", "clicks_reflected",
-                   "clicks_transmitted", "sifted_bits", "errors",
-                   "qber_estimate", "raw_rate_bps"],
-                  [[getattr(r, f) for r in records]
-                   for f in ("window_start_s", "pulses_sent",
-                             "clicks_reflected", "clicks_transmitted",
-                             "sifted_bits", "errors", "qber_estimate",
-                             "raw_rate_bps")])
+    names = [f.name for f in fields(qkd.SiftedKeyRecord)]
+    write_columns(out / "qber_windows.csv", names,
+                  [[getattr(r, name) for r in records] for name in names])
     report = _base_report(cfg)
     report["qkd_windows"] = _record_dicts(records)
     report["summary"] = summary
@@ -116,42 +114,20 @@ def _cmd_qkd(args) -> int:
     return 0
 
 
-def _sweep_grid(settings) -> np.ndarray:
-    return np.arange(settings.scan_min_hz,
-                     settings.scan_max_hz + settings.scan_step_hz,
-                     settings.scan_step_hz)
-
-
-def _perceive_dynamic(cfg, event, out, args) -> dict:
+def _perceive_dynamic(cfg, event, out) -> dict:
     settings = cfg.perception_settings()
-    channel = replace(cfg.channel(), bias_phase_rad=settings.bias_phase_rad)
+    data = perception.acquire(event, cfg.channel(), settings, cfg.seed)
     extras: dict = {}
-    if event.kind.value == "pzt":
-        sweep = perception.frequency_sweep(
-            event, channel, _sweep_grid(settings),
-            duration_s=settings.sweep_duration_s,
-            sample_rate_hz=settings.sample_rate_hz,
-            noise_sigma=settings.noise_sigma,
-            input_power_w=settings.input_power_w, seed=cfg.seed)
+    if isinstance(data, perception.FrequencySweep):
         write_columns(out / "amplitude_vs_frequency.csv",
                       ["frequency_hz", "amplitude_w"],
-                      [sweep.frequencies_hz, sweep.amplitudes])
-        nulls = perception.find_null_frequencies(
-            sweep, settings.max_harmonics,
-            depth_threshold_db=settings.notch_depth_db)
+                      [data.frequencies_hz, data.amplitudes])
     else:
-        duration = max(settings.sense_duration_s,
-                       32.0 * event.params.width_s + 4e-3)
-        trace = perception.synthesize_trace(
-            event, channel, duration, settings.sample_rate_hz,
-            settings.noise_sigma, seed=cfg.seed,
-            input_power_w=settings.input_power_w,
-            start_s=event.start_s - duration / 2.0)
-        write_trace(out / "trace.txt", trace)
+        write_trace(out / "trace.txt", data)
         extras["trace_file"] = "trace.txt"
-        nulls = perception.find_null_frequencies(
-            trace, settings.max_harmonics,
-            depth_threshold_db=settings.notch_depth_db)
+    nulls = perception.find_null_frequencies(
+        data, settings.max_harmonics,
+        depth_threshold_db=settings.notch_depth_db)
     if nulls:
         report = perception.localization_report(
             nulls, cfg.channel(), settings.freq_resolution_hz)
@@ -173,13 +149,12 @@ def _cmd_perceive(args) -> int:
     event = events[0]
     report = _base_report(cfg)
     if event.is_dynamic:
-        report.update(_perceive_dynamic(cfg, event, out, args))
+        report.update(_perceive_dynamic(cfg, event, out))
     else:
         settings = cfg.perception_settings()
-        channel = replace(cfg.channel(),
-                          bias_phase_rad=settings.bias_phase_rad)
         trace = perception.synthesize_trace(
-            event, channel, settings.sense_duration_s,
+            event, settings.sense_channel(cfg.channel()),
+            settings.sense_duration_s,
             settings.sample_rate_hz, settings.noise_sigma, seed=cfg.seed,
             input_power_w=settings.input_power_w)
         write_trace(out / "trace.txt", trace)
@@ -232,8 +207,10 @@ def _cmd_wm(args) -> int:
                                "values"])
     else:
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
+    # The WM analyzer works at its own bias phase, not the key channel's.
+    channel = replace(cfg.channel(), bias_phase_rad=settings.delta_bias_rad)
     readings = wm.pressure_staircase(
-        masses, settings.pressure, cfg.channel(), cfg.packet(),
+        masses, settings.pressure, channel, cfg.packet(),
         settings.delta_epsilon_rad, settings.input_power_w,
         noise_sigma=settings.noise_sigma,
         samples_per_reading=settings.samples_per_reading, seed=cfg.seed)
@@ -310,15 +287,8 @@ def _cmd_sweep(args) -> int:
     for value in values:
         resolved = cfg.echo()
         _set_by_path(resolved, args.key, value)
-        point = parse_config_dict(resolved)
-        settings = point.qkd_settings()
-        records = qkd.run_session(
-            point.resolved["duration_s"], point.seed, point.source(),
-            point.channel(), point.detector(), point.packet(),
-            window_s=settings.window_s,
-            pulses_per_window=settings.pulses_per_window,
-            phase_noise_rad=settings.phase_noise_rad)
-        summary = qkd.session_summary(records)
+        summary = qkd.session_summary(
+            _run_session(parse_config_dict(resolved)))
         rows.append((value, summary["qber_pooled"],
                      summary["mean_raw_rate_bps"], summary["sifted_bits"]))
     write_columns(out / "sweep.csv",

@@ -14,12 +14,12 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import perception, qkd
-from .controller import (PerceptionSettings, QkdSettings, ScenarioScript,
-                         WmSettings)
+from .controller import QkdSettings, ScenarioScript, WmSettings
 from .disturbance import (DisturbanceEvent, ImpactParams, PressureParams,
                           PztParams)
 from .errors import ConfigError
 from .optics import (DEFAULT_WAVELENGTH_M, LoopChannel, SpectralPacket)
+from .perception import PerceptionSettings
 from .qkd import DetectorModel, SourceModel
 
 _POSITIVE = "positive"

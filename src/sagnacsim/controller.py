@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,7 @@ from .disturbance import (DisturbanceEvent, DisturbanceKind, PressureParams,
                           pressure_delay)
 from .errors import InsufficientDataError, ProtocolViolationError
 from .optics import LoopChannel, SpectralPacket
+from .perception import PerceptionSettings
 from .qkd import DetectorModel, SourceModel
 
 MAX_SEED = 2**31
@@ -93,30 +94,6 @@ class QkdSettings:
             raise ValueError("qber_threshold must lie in (0, 1)")
         if self.window_s <= 0 or self.pulses_per_window <= 0:
             raise ValueError("window_s and pulses_per_window must be positive")
-
-
-@dataclass(frozen=True)
-class PerceptionSettings:
-    sample_rate_hz: float = perception.DEFAULT_SAMPLE_RATE_HZ
-    sense_duration_s: float = 0.05
-    sweep_duration_s: float = 0.01
-    noise_sigma: float = perception.DEFAULT_NOISE_SIGMA
-    input_power_w: float = perception.DEFAULT_INPUT_POWER_W
-    bias_phase_rad: float = 0.5 * math.pi
-    significance_threshold: float = 10.0
-    scan_min_hz: float = 2000.0
-    scan_max_hz: float = 75000.0
-    scan_step_hz: float = 250.0
-    max_harmonics: int = 3
-    notch_depth_db: float = 10.0
-    freq_resolution_hz: float = perception.DEFAULT_FREQ_RESOLUTION_HZ
-    switch_dead_time_s: float = 1.0
-
-    def __post_init__(self):
-        if self.significance_threshold <= 0:
-            raise ValueError("significance_threshold must be positive")
-        if self.scan_min_hz >= self.scan_max_hz:
-            raise ValueError("scan_min_hz must be below scan_max_hz")
 
 
 @dataclass(frozen=True)
@@ -230,10 +207,6 @@ class _ScenarioRunner:
         self.log.append(LogRecord(time_s=self.t, mode=self.mode, event=event))
         self.mode = step(self.mode, event)
 
-    def sense_channel(self) -> LoopChannel:
-        return replace(self.script.channel,
-                       bias_phase_rad=self.script.perception.bias_phase_rad)
-
     def run(self) -> ScenarioResult:
         script = self.script
         while self.t < script.duration_s - 1e-9:
@@ -307,35 +280,12 @@ class _ScenarioRunner:
     def _wm_poll(self) -> None:
         script = self.script
         delay = _active_pressure_delay(script.events, self.t)
-        noise = script.wm.noise_sigma
-        reads = script.wm.samples_per_reading
-
-        def measure(value: float) -> float:
-            if noise <= 0.0:
-                return value
-            draws = value * (1.0 + noise * self.rng.standard_normal(reads))
-            return float(np.mean(draws))
-
-        i1 = measure(wm.offset_intensity(
-            self.wm_cal, script.wm.delta_epsilon_rad, script.packet,
-            script.channel))
-        i_d = measure(wm.disturbed_intensity(
+        reading = wm.read(
             self.wm_cal, script.wm.delta_epsilon_rad, delay, script.packet,
-            script.channel))
-        imin = measure(self.wm_cal.min_intensity_w)
-        icr = wm.contrast_ratio(i1, i_d, imin)
-        inversion = wm.infer_delay(icr, script.wm.delta_epsilon_rad,
-                                   script.packet.omega0)
-        self.wm_readings.append({
-            "time_s": self.t,
-            "offset_intensity_w": i1,
-            "disturbed_intensity_w": i_d,
-            "contrast_ratio": icr,
-            "inferred_delay_s": inversion.delay_s,
-            "inferred_mass_kg": wm.mass_from_delay(inversion.delay_s,
-                                                   script.wm.pressure),
-            "true_delay_s": delay,
-        })
+            script.channel, script.wm.pressure, script.wm.noise_sigma,
+            script.wm.samples_per_reading, self.rng)
+        self.wm_readings.append({"time_s": self.t, **asdict(reading),
+                                 "true_delay_s": delay})
 
     def _sense(self) -> None:
         script = self.script
@@ -349,7 +299,7 @@ class _ScenarioRunner:
                 event.kind is DisturbanceKind.TRANSIENT_IMPACT:
             start = event.start_s - 0.5 * cfg.sense_duration_s
         trace = perception.synthesize_trace(
-            event, self.sense_channel(), cfg.sense_duration_s,
+            event, cfg.sense_channel(script.channel), cfg.sense_duration_s,
             cfg.sample_rate_hz, cfg.noise_sigma,
             seed=int(self.rng.integers(0, MAX_SEED)),
             input_power_w=cfg.input_power_w, start_s=start)
@@ -374,30 +324,10 @@ class _ScenarioRunner:
         if event is None:
             raise InsufficientDataError(
                 "localization requested but no dynamic disturbance is active")
-        if event.kind is DisturbanceKind.PZT_SINUSOID:
-            grid = np.arange(cfg.scan_min_hz, cfg.scan_max_hz + cfg.scan_step_hz,
-                             cfg.scan_step_hz)
-            sweep = perception.frequency_sweep(
-                event, self.sense_channel(), grid,
-                duration_s=cfg.sweep_duration_s,
-                sample_rate_hz=cfg.sample_rate_hz,
-                noise_sigma=cfg.noise_sigma,
-                input_power_w=cfg.input_power_w,
-                seed=int(self.rng.integers(0, MAX_SEED)))
-            nulls = perception.find_null_frequencies(
-                sweep, cfg.max_harmonics,
-                depth_threshold_db=cfg.notch_depth_db)
-        else:
-            duration = max(cfg.sense_duration_s,
-                           32.0 * event.params.width_s + 4e-3)
-            trace = perception.synthesize_trace(
-                event, self.sense_channel(), duration, cfg.sample_rate_hz,
-                cfg.noise_sigma, seed=int(self.rng.integers(0, MAX_SEED)),
-                input_power_w=cfg.input_power_w,
-                start_s=event.start_s - duration / 2.0)
-            nulls = perception.find_null_frequencies(
-                trace, cfg.max_harmonics,
-                depth_threshold_db=cfg.notch_depth_db)
+        data = perception.acquire(event, script.channel, cfg,
+                                  int(self.rng.integers(0, MAX_SEED)))
+        nulls = perception.find_null_frequencies(
+            data, cfg.max_harmonics, depth_threshold_db=cfg.notch_depth_db)
         if not nulls:
             raise InsufficientDataError(
                 "perception flagged a significant disturbance but no null "

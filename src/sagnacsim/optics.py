@@ -149,30 +149,44 @@ def _clip_unit(p: float) -> float:
     return min(p, 1.0) if p <= 1.0 + 1e-12 else p
 
 
+def port_powers(tau_s: float, packet: SpectralPacket, angle_rad: float,
+                bias_phase_rad: float, scale: float) -> tuple[float, float]:
+    """Reflected and transmitted port outputs after path and polarization
+    post-selection.
+
+    With global phase difference ``d``, birefringence delay ``tau``,
+    ``phi = omega0 * tau`` and analyzer angle ``eps``::
+
+        S   = 1 - exp(-(sigma*tau)^2) * cos(2*(phi - eps))
+        P_R = scale * (1 + cos d)/4 * S
+        P_T = scale * (1 - cos d)/4 * S
+
+    ``scale = 1`` gives per-photon probabilities; an input power gives
+    output powers.
+    """
+    phi = packet.omega0 * tau_s
+    envelope = math.exp(-((packet.sigma * tau_s) ** 2))
+    spectral = 1.0 - envelope * math.cos(2.0 * (phi - angle_rad))
+    cos_d = math.cos(bias_phase_rad)
+    return (0.25 * scale * (1.0 + cos_d) * spectral,
+            0.25 * scale * (1.0 - cos_d) * spectral)
+
+
 def post_selection_probabilities(channel: LoopChannel, packet: SpectralPacket,
                                  ps: PostSelection) -> PortProbabilities:
     """Per-photon success probabilities after path and polarization
     post-selection.
 
-    With global phase difference ``d``, total delay ``tau`` and analyzer
-    angle ``eps``::
-
-        P_R = (1 + cos d)/4 * (1 - exp(-(sigma*tau)^2) * cos(2*(phi - eps)))
-        P_T = (1 - cos d)/4 * (same spectral factor)
-
-    where ``phi`` is :func:`relative_phase`.  These are conditional
+    :func:`port_powers` at the channel's total delay and bias phase, so
+    ``phi`` is :func:`relative_phase`.  These are conditional
     probabilities per photon entering the loop; source statistics, loss and
     detector efficiency are applied downstream by the key-distribution
     engine.
     """
-    tau = channel.total_delay_s
-    phi = packet.omega0 * tau
-    envelope = math.exp(-((packet.sigma * tau) ** 2))
-    spectral = 1.0 - envelope * math.cos(2.0 * (phi - ps.angle_rad))
-    cos_d = math.cos(channel.bias_phase_rad)
-    p_r = _clip_unit(0.25 * (1.0 + cos_d) * spectral)
-    p_t = _clip_unit(0.25 * (1.0 - cos_d) * spectral)
-    return PortProbabilities(reflected=p_r, transmitted=p_t)
+    p_r, p_t = port_powers(channel.total_delay_s, packet, ps.angle_rad,
+                           channel.bias_phase_rad, 1.0)
+    return PortProbabilities(reflected=_clip_unit(p_r),
+                             transmitted=_clip_unit(p_t))
 
 
 def visibility_and_qber(p: PortProbabilities) -> tuple[float, float]:

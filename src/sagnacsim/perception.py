@@ -43,6 +43,34 @@ DEFAULT_FREQ_RESOLUTION_HZ = 500.0
 
 
 @dataclass(frozen=True)
+class PerceptionSettings:
+    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
+    sense_duration_s: float = 0.05
+    sweep_duration_s: float = 0.01
+    noise_sigma: float = DEFAULT_NOISE_SIGMA
+    input_power_w: float = DEFAULT_INPUT_POWER_W
+    bias_phase_rad: float = 0.5 * math.pi
+    significance_threshold: float = 10.0
+    scan_min_hz: float = 2000.0
+    scan_max_hz: float = 75000.0
+    scan_step_hz: float = 250.0
+    max_harmonics: int = 3
+    notch_depth_db: float = 10.0
+    freq_resolution_hz: float = DEFAULT_FREQ_RESOLUTION_HZ
+    switch_dead_time_s: float = 1.0
+
+    def __post_init__(self):
+        if self.significance_threshold <= 0:
+            raise ValueError("significance_threshold must be positive")
+        if self.scan_min_hz >= self.scan_max_hz:
+            raise ValueError("scan_min_hz must be below scan_max_hz")
+
+    def sense_channel(self, channel: LoopChannel) -> LoopChannel:
+        """The loop as perception sees it: biased to the sensing phase."""
+        return replace(channel, bias_phase_rad=self.bias_phase_rad)
+
+
+@dataclass(frozen=True)
 class InterferenceTrace:
     """Uniformly sampled detector intensity with acquisition metadata."""
 
@@ -278,6 +306,34 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
                           noise_floor_amplitude=floor)
 
 
+def acquire(event: DisturbanceEvent, channel: LoopChannel,
+            settings: PerceptionSettings,
+            seed: Optional[int]) -> Union[FrequencySweep, InterferenceTrace]:
+    """Record a dynamic disturbance for null-frequency localization.
+
+    A sinusoidal drive is swept over the scan grid; a transient is captured
+    in one trace centred on its onset, long enough (32 pulse widths plus
+    4 ms, at least the sensing window) for the spectral notches to resolve.
+    Both see the loop through :meth:`PerceptionSettings.sense_channel`.
+    """
+    sense = settings.sense_channel(channel)
+    if isinstance(event.params, PztParams):
+        grid = np.arange(settings.scan_min_hz,
+                         settings.scan_max_hz + settings.scan_step_hz,
+                         settings.scan_step_hz)
+        return frequency_sweep(
+            event, sense, grid, duration_s=settings.sweep_duration_s,
+            sample_rate_hz=settings.sample_rate_hz,
+            noise_sigma=settings.noise_sigma,
+            input_power_w=settings.input_power_w, seed=seed)
+    duration = max(settings.sense_duration_s,
+                   32.0 * event.params.width_s + 4e-3)
+    return synthesize_trace(
+        event, sense, duration, settings.sample_rate_hz, settings.noise_sigma,
+        seed=seed, input_power_w=settings.input_power_w,
+        start_s=event.start_s - duration / 2.0)
+
+
 def _parabolic_vertex(x_left: float, x_mid: float, x_right: float,
                       y_left: float, y_mid: float, y_right: float) -> float:
     """Vertex abscissa of the parabola through three equally spaced points."""
@@ -372,21 +428,29 @@ def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
                              tolerance_hz=2.0 * spacing)
 
 
+#: Number of 50 %-overlapping Hann segments in the averaged spectrum.
+_WELCH_SEGMENTS = 8
+
+
+def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged Hann-windowed power spectrum of a trace."""
+    n = trace.samples.size
+    nperseg = max(64, 2 ** int(math.log2(2 * n / (_WELCH_SEGMENTS + 1))))
+    nperseg = min(nperseg, n)
+    return welch(trace.samples, fs=trace.sample_rate_hz, window="hann",
+                 nperseg=nperseg, noverlap=nperseg // 2, detrend="constant")
+
+
 def _nulls_from_trace(trace: InterferenceTrace, max_k: int,
                       depth_threshold_db: float,
                       lowest_expected_null_hz: Optional[float],
-                      segments: int = 8) -> list[NullFrequency]:
+                      ) -> list[NullFrequency]:
     if lowest_expected_null_hz is not None:
         if trace.duration_s < 4.0 / lowest_expected_null_hz:
             raise InsufficientDataError(
                 "trace shorter than four periods of the lowest expected "
                 "null")
-    n = trace.samples.size
-    nperseg = max(64, 2 ** int(math.log2(2 * n / (segments + 1))))
-    nperseg = min(nperseg, n)
-    freqs, psd = welch(trace.samples, fs=trace.sample_rate_hz,
-                       window="hann", nperseg=nperseg,
-                       noverlap=nperseg // 2, detrend="constant")
+    freqs, psd = _welch_psd(trace)
     # Skip DC and window-leakage bins.
     lo = 3
     log_psd = np.full_like(psd, -np.inf)
@@ -530,12 +594,7 @@ def significance(trace: InterferenceTrace,
     Returns ``(candidate_frequency_hz, peak_to_floor_ratio)`` where the
     floor is the median spectral power away from DC.
     """
-    n = trace.samples.size
-    nperseg = max(64, 2 ** int(math.log2(max(4, 2 * n / 9))))
-    nperseg = min(nperseg, n)
-    freqs, psd = welch(trace.samples, fs=trace.sample_rate_hz, window="hann",
-                       nperseg=nperseg, noverlap=nperseg // 2,
-                       detrend="constant")
+    freqs, psd = _welch_psd(trace)
     band = freqs >= min_frequency_hz
     if not np.any(band):
         raise InsufficientDataError("trace too short for a spectral estimate")

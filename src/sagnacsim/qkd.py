@@ -2,10 +2,11 @@
 
 One party modulates the clockwise pulse, the other the counterclockwise
 pulse; the bit travels in the global phase difference between them.  The
-session runner draws basis and bit choices, applies the interference
-statistics from :mod:`sagnacsim.optics`, folds in source attenuation,
-detector efficiency and dark counts, and accounts sifted bits and errors in
-fixed windows of simulated time.
+session runner draws basis and bit choices, splits the detected rate
+between the two ports by interference in that phase difference (one click
+model, :func:`_click_model`, with the analyzer parked at the bright working
+point), folds in source attenuation, detector efficiency and dark counts,
+and accounts sifted bits and errors in fixed windows of simulated time.
 
 Desk-scale accounting: a window simulates ``pulses_per_window`` rounds that
 stand in for a full second of 100 MHz operation; rates extrapolate as
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .optics import (LoopChannel, PostSelection, SpectralPacket,
-                     post_selection_probabilities, relative_phase)
+from .optics import LoopChannel, SpectralPacket
 
 #: One-pass loss budget (dB) that reproduces the reference 22.4 kbps sifted
 #: rate at mu = 0.1, 20 % detector efficiency and 100 MHz repetition.
@@ -135,31 +135,25 @@ def _signal_rate(source: SourceModel, channel: LoopChannel,
     return source.mean_photon_number * transmittance * detector.efficiency
 
 
-def click_probabilities(alice_phase_rad: float, bob_phase_rad: float,
-                        source: SourceModel, channel: LoopChannel,
-                        detector: DetectorModel,
-                        packet: SpectralPacket | None = None,
-                        ) -> tuple[float, float]:
-    """Per-pulse click probability at the reflected and transmitted ports.
+def _click_model(delta, lam: float, dark: float):
+    """Click probabilities at the reflected and transmitted ports for global
+    phase differences ``delta`` (array or scalar).
 
-    The polarization analyzer is parked at the bright working point
-    (its angle trails the birefringence phase by pi/2) so the port split is
-    pure interference in the global phase difference.  Each port clicks with
-    ``1 - exp(-mu * 10^(-loss/10) * eta_det * P_port)`` plus the dark-count
-    probability.
+    The reflected port takes ``(1 + cos delta)/2`` of the detected rate
+    ``lam``; each port clicks with ``1 - exp(-lam * P_port)`` plus the
+    dark-count probability.
     """
-    if packet is None:
-        packet = SpectralPacket.from_wavelength()
-    delta = alice_phase_rad - bob_phase_rad
-    keyed = replace(channel, bias_phase_rad=delta)
-    bright = PostSelection(
-        base_angle_rad=relative_phase(channel, packet) - 0.5 * math.pi)
-    ports = post_selection_probabilities(keyed, packet, bright)
-    lam = _signal_rate(source, channel, detector)
-    dark = detector.dark_count_prob_per_gate
-    p_r = min(-math.expm1(-lam * ports.reflected) + dark, 1.0)
-    p_t = min(-math.expm1(-lam * ports.transmitted) + dark, 1.0)
-    return p_r, p_t
+    p_reflected_port = 0.5 * (1.0 + np.cos(delta))
+    return (np.minimum(-np.expm1(-lam * p_reflected_port) + dark, 1.0),
+            np.minimum(-np.expm1(-lam * (1.0 - p_reflected_port)) + dark, 1.0))
+
+
+def _draw_clicks(rng: np.random.Generator, delta: np.ndarray, lam: float,
+                 dark: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round clicks at both ports, reflected port drawn first."""
+    p_click_r, p_click_t = _click_model(delta, lam, dark)
+    click_r = rng.random(delta.size) < p_click_r
+    return click_r, rng.random(delta.size) < p_click_t
 
 
 def _spectral_gain(channel: LoopChannel, packet: SpectralPacket | None) -> float:
@@ -169,6 +163,27 @@ def _spectral_gain(channel: LoopChannel, packet: SpectralPacket | None) -> float
         return 1.0
     tau = channel.total_delay_s
     return 0.5 * (1.0 + math.exp(-((packet.sigma * tau) ** 2)))
+
+
+def click_probabilities(alice_phase_rad: float, bob_phase_rad: float,
+                        source: SourceModel, channel: LoopChannel,
+                        detector: DetectorModel,
+                        packet: SpectralPacket | None = None,
+                        ) -> tuple[float, float]:
+    """Per-pulse click probability at the reflected and transmitted ports.
+
+    The polarization analyzer is parked at the bright working point
+    (its angle trails the birefringence phase by pi/2) so the port split is
+    pure interference in the global phase difference, scaled by the
+    spectral gain of the packet.  Each port clicks with
+    ``1 - exp(-mu * 10^(-loss/10) * eta_det * P_port)`` plus the dark-count
+    probability.
+    """
+    lam = _signal_rate(source, channel, detector)
+    p_r, p_t = _click_model(alice_phase_rad - bob_phase_rad,
+                            lam * _spectral_gain(channel, packet),
+                            detector.dark_count_prob_per_gate)
+    return float(p_r), float(p_t)
 
 
 @dataclass
@@ -223,13 +238,7 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
             t = window_start_s + (lo + np.arange(n) + 0.5) * (window_s / n_pulses)
             delta = delta + gpd_offset_fn(t)
 
-        p_reflected_port = 0.5 * (1.0 + np.cos(delta))
-        p_click_r = np.minimum(-np.expm1(-lam * p_reflected_port) + dark, 1.0)
-        p_click_t = np.minimum(
-            -np.expm1(-lam * (1.0 - p_reflected_port)) + dark, 1.0)
-
-        click_r = rng.random(n) < p_click_r
-        click_t = rng.random(n) < p_click_t
+        click_r, click_t = _draw_clicks(rng, delta, lam, dark)
 
         matched = alice_basis == bob_basis
         single = click_r ^ click_t
@@ -316,10 +325,7 @@ def fixed_phase_error_rate(delta_rad: float, n_pulses: int, seed: int,
         delta = np.full(n, delta_rad)
         if phase_noise_rad > 0.0:
             delta = delta + phase_noise_rad * rng.standard_normal(n)
-        p_r_port = 0.5 * (1.0 + np.cos(delta))
-        click_r = rng.random(n) < np.minimum(-np.expm1(-lam * p_r_port) + dark, 1.0)
-        click_t = rng.random(n) < np.minimum(
-            -np.expm1(-lam * (1.0 - p_r_port)) + dark, 1.0)
+        click_r, click_t = _draw_clicks(rng, delta, lam, dark)
         single = click_r ^ click_t
         errors += int((click_t & single).sum())
         counted += int(single.sum())

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from .disturbance import PressureParams, pressure_delay
 from .errors import NoSignalError, OutOfBranchError, ZeroWorkingPointError
-from .optics import C_VACUUM, LoopChannel, SpectralPacket
+from .optics import C_VACUUM, LoopChannel, SpectralPacket, port_powers
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,12 @@ def reflected_intensity(epsilon_rad: float, channel: LoopChannel,
                         packet: SpectralPacket, delta_bias: float,
                         input_power_w: float,
                         delay_shift_s: float = 0.0) -> float:
-    """Reflected-port output power for an analyzer angle ``epsilon_rad``."""
-    tau = channel.intrinsic_delay_s + delay_shift_s
-    phi = packet.omega0 * tau
-    envelope = math.exp(-((packet.sigma * tau) ** 2))
-    return 0.25 * input_power_w * (1.0 + math.cos(delta_bias)) * (
-        1.0 - envelope * math.cos(2.0 * (phi - epsilon_rad)))
+    """Reflected-port output power for an analyzer angle ``epsilon_rad``.
+
+    ``delay_shift_s`` replaces the channel's own delay shift.
+    """
+    return port_powers(channel.intrinsic_delay_s + delay_shift_s, packet,
+                       epsilon_rad, delta_bias, input_power_w)[0]
 
 
 def calibrate(channel: LoopChannel, packet: SpectralPacket,
@@ -119,8 +119,7 @@ def offset_intensity(cal: WmCalibration, delta_epsilon: float,
                      packet: SpectralPacket, channel: LoopChannel) -> float:
     """Output power with the analyzer detuned by the working offset,
     loop still undisturbed."""
-    return reflected_intensity(cal.base_angle_rad + delta_epsilon, channel,
-                               packet, cal.bias_phase_rad, cal.input_power_w)
+    return disturbed_intensity(cal, delta_epsilon, 0.0, packet, channel)
 
 
 def disturbed_intensity(cal: WmCalibration, delta_epsilon: float,
@@ -204,22 +203,18 @@ def mass_from_delay(delta_tau_s: float, params: PressureParams) -> float:
                * params.pressed_length_m))
 
 
-def pressure_staircase(masses_kg, pressure: PressureParams,
-                       channel: LoopChannel, packet: SpectralPacket,
-                       delta_epsilon: float, input_power_w: float,
-                       noise_sigma: float = 0.0,
-                       samples_per_reading: int = 16,
-                       seed: Optional[int] = None,
-                       tau0_drift_s: float = 0.0) -> list[WmReading]:
-    """Measure a staircase of standing weights.
+def read(cal: WmCalibration, delta_epsilon: float, delta_tau_s: float,
+         packet: SpectralPacket, channel: LoopChannel,
+         pressure: PressureParams, noise_sigma: float,
+         samples_per_reading: int, rng: np.random.Generator) -> WmReading:
+    """One reading of a delay shift at the working offset.
 
-    Each intensity is the mean of ``samples_per_reading`` draws with
-    multiplicative Gaussian noise, mirroring averaged power readings.  An
-    optional slow random walk of the intrinsic delay models polarization
-    drift under load, with re-calibration between steps (off by default).
+    Each of the offset, disturbed and minimum intensities (drawn in that
+    order) is the mean of ``samples_per_reading`` draws with multiplicative
+    Gaussian noise, mirroring averaged power readings; ``rng`` is untouched
+    when ``noise_sigma`` is zero.  The averaged intensities invert through
+    the contrast ratio to the delay shift and the applied mass.
     """
-    rng = np.random.default_rng(seed)
-
     def measure(value: float) -> float:
         if noise_sigma <= 0.0:
             return value
@@ -227,6 +222,35 @@ def pressure_staircase(masses_kg, pressure: PressureParams,
                          * rng.standard_normal(samples_per_reading))
         return float(np.mean(draws))
 
+    i1 = measure(offset_intensity(cal, delta_epsilon, packet, channel))
+    i_d = measure(disturbed_intensity(cal, delta_epsilon, delta_tau_s,
+                                      packet, channel))
+    imin = measure(cal.min_intensity_w)
+    icr = contrast_ratio(i1, i_d, imin)
+    delay = infer_delay(icr, delta_epsilon, packet.omega0).delay_s
+    return WmReading(
+        offset_intensity_w=i1,
+        disturbed_intensity_w=i_d,
+        contrast_ratio=icr,
+        inferred_delay_s=delay,
+        inferred_mass_kg=mass_from_delay(delay, pressure),
+    )
+
+
+def pressure_staircase(masses_kg, pressure: PressureParams,
+                       channel: LoopChannel, packet: SpectralPacket,
+                       delta_epsilon: float, input_power_w: float,
+                       noise_sigma: float = 0.0,
+                       samples_per_reading: int = 16,
+                       seed: Optional[int] = None,
+                       tau0_drift_s: float = 0.0) -> list[WmReading]:
+    """Measure a staircase of standing weights, one :func:`read` per step.
+
+    The analyzer is calibrated at ``channel.bias_phase_rad``.  An optional
+    slow random walk of the intrinsic delay models polarization drift under
+    load, with re-calibration between steps (off by default).
+    """
+    rng = np.random.default_rng(seed)
     cal = calibrate(channel, packet, channel.bias_phase_rad, input_power_w)
     readings = []
     work_channel = channel
@@ -238,18 +262,7 @@ def pressure_staircase(masses_kg, pressure: PressureParams,
             cal = calibrate(work_channel, packet, channel.bias_phase_rad,
                             input_power_w)
         step = replace(pressure, mass_kg=mass)
-        true_delay = pressure_delay(step)
-        i1 = measure(offset_intensity(cal, delta_epsilon, packet, work_channel))
-        i_d = measure(disturbed_intensity(cal, delta_epsilon, true_delay,
-                                          packet, work_channel))
-        imin = measure(cal.min_intensity_w)
-        icr = contrast_ratio(i1, i_d, imin)
-        inversion = infer_delay(icr, delta_epsilon, packet.omega0)
-        readings.append(WmReading(
-            offset_intensity_w=i1,
-            disturbed_intensity_w=i_d,
-            contrast_ratio=icr,
-            inferred_delay_s=inversion.delay_s,
-            inferred_mass_kg=mass_from_delay(inversion.delay_s, step),
-        ))
+        readings.append(read(cal, delta_epsilon, pressure_delay(step), packet,
+                             work_channel, step, noise_sigma,
+                             samples_per_reading, rng))
     return readings

@@ -148,6 +148,34 @@ class TestWm:
         for delay, expected in zip(delays, (9.81e-18, 1.962e-17, 2.943e-17)):
             assert abs(delay - expected) < 5e-20
 
+    @staticmethod
+    def staircase(tmp_path, name, config):
+        out = tmp_path / name
+        cfg = write_json(tmp_path / f"{name}.json", config)
+        assert run_cli("wm", "--config", cfg, "--out-dir", str(out),
+                       "--quiet") == 0
+        return (out / "icr_vs_mass.csv").read_text()
+
+    def test_wm_bias_phase_is_used(self, tmp_path):
+        # The bias scales every intensity by (1 + cos d)/2 and cancels in
+        # the contrast ratio, so the inferred delays stay put.
+        base = self.staircase(tmp_path, "base", {})
+        biased = self.staircase(tmp_path, "biased",
+                                {"wm": {"delta_bias_rad": 1.0}})
+        rows = zip(base.splitlines()[1:], biased.splitlines()[1:])
+        for row0, row1 in rows:
+            r0 = [float(v) for v in row0.split(",")]
+            r1 = [float(v) for v in row1.split(",")]
+            assert r1[1] == pytest.approx(0.5 * (1.0 + math.cos(1.0)) * r0[1],
+                                          rel=1e-9)
+            assert r1[3] == pytest.approx(r0[3], rel=1e-6)
+
+    def test_key_bias_does_not_reach_wm(self, tmp_path):
+        base = self.staircase(tmp_path, "base", {})
+        keyed = self.staircase(tmp_path, "keyed",
+                               {"channel": {"bias_phase_rad": math.pi}})
+        assert keyed == base
+
     def test_bad_masses_rejected(self, tmp_path):
         assert run_cli("wm", "--masses", "0.1,-0.2",
                        "--out-dir", str(tmp_path)) == 2

@@ -175,6 +175,29 @@ class TestRunScenario:
             assert reading["inferred_mass_kg"] == pytest.approx(0.1,
                                                                 rel=1e-6)
 
+    def test_noisy_wm_poll_tracks_mass(self):
+        pressed = base_script(
+            events=[DisturbanceEvent(PressureParams(mass_kg=0.2),
+                                     position_m=9000.0, start_s=1.0)],
+            duration=6.0, poll_s=1.5, wm_noise=WmSettings().noise_sigma)
+        result = run_scenario(pressed)
+        readings = result.wm_readings
+        assert len(readings) >= 3
+        for reading in readings:
+            assert reading["true_delay_s"] == pytest.approx(1.962e-17)
+            # 16-sample averages of 0.19 % noise: sigma about 0.0015 kg
+            assert reading["inferred_mass_kg"] == pytest.approx(0.2, abs=0.01)
+            # the noise really enters: not the noise-free inversion
+            assert abs(reading["inferred_mass_kg"] - 0.2) > 1e-9
+
+        def render(result):
+            return json.dumps({
+                "log": [{"t": rec.time_s, "kind": rec.event.kind.value,
+                         "payload": rec.event.payload} for rec in result.log],
+                "wm": result.wm_readings}, sort_keys=True)
+
+        assert render(run_scenario(pressed)) == render(result)
+
     def test_script_validation(self):
         with pytest.raises(ValueError):
             base_script(events=[strong_pzt(start_s=99.0)], duration=6.0)

@@ -1,12 +1,14 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from sagnacsim.errors import InsufficientDataError
-from sagnacsim.optics import LoopChannel
+from sagnacsim.optics import (LoopChannel, PostSelection, SpectralPacket,
+                             omega_from_wavelength,
+                             post_selection_probabilities, relative_phase)
 from sagnacsim.qkd import (Basis, BasisBit, DetectorModel, SiftedKeyRecord,
                            SourceModel, click_probabilities, encode,
                            fixed_phase_error_rate, measurement_phase,
@@ -75,6 +77,26 @@ class TestClickProbabilities:
                                        detector(dark=3e-5))
         assert p_r == pytest.approx(3e-5, rel=1e-3)
         assert p_t == pytest.approx(3e-5, rel=1e-3)
+
+    def test_broadband_packet_matches_port_formula(self):
+        # sigma * tau = 0.6: the spectral envelope cuts the bright-point
+        # port sum to (1 + exp(-0.36))/2.
+        packet = SpectralPacket(omega_from_wavelength(1550e-9), 2e12)
+        chan = channel()
+        dark = 1e-6
+        lam = 0.1 * 10 ** (-1.65) * 0.2
+        bright = PostSelection(
+            base_angle_rad=relative_phase(chan, packet) - 0.5 * math.pi)
+        for alice, bob in ((0.0, 0.0), (0.7, 0.2), (0.5 * math.pi, 0.0),
+                           (math.pi, 0.3)):
+            ports = post_selection_probabilities(
+                replace(chan, bias_phase_rad=alice - bob), packet, bright)
+            p_r, p_t = click_probabilities(alice, bob, SOURCE, chan,
+                                           detector(dark=dark), packet)
+            assert p_r == pytest.approx(
+                1.0 - math.exp(-lam * ports.reflected) + dark, rel=1e-9)
+            assert p_t == pytest.approx(
+                1.0 - math.exp(-lam * ports.transmitted) + dark, rel=1e-9)
 
 
 class TestRunSession:

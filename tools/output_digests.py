@@ -1,0 +1,92 @@
+"""Print a SHA-256 digest of every output file of a fixed set of CLI runs.
+
+Usage: ``python3 tools/output_digests.py`` (no options).  Every subcommand
+runs in-process on the reference configs below, each in its own directory
+under a fresh temporary directory, and the script prints one
+``<sha256>  <run>/<file>`` line per output file.  Running it on two
+checkouts and diffing the output shows whether a change altered any output
+byte.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sagnacsim.cli import main  # noqa: E402
+
+# The README PZT scenario, the impact of the CLI tests, and a standing
+# weight polled every 1.5 s with the default WM noise.
+PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
+       "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
+       "phase_gain_rad_per_v": 0.5}
+IMPACT = {"kind": "impact", "position_m": 5000.0, "start_s": 1.0,
+          "mass_kg": 0.1, "drop_height_m": 0.1, "width_s": 1e-5,
+          "impact_gain": 2.0}
+PRESSURE = {"kind": "pressure", "position_m": 9000.0, "start_s": 1.0,
+            "mass_kg": 0.2}
+
+CONFIGS = {
+    "defaults": {},
+    "pzt": {"duration_s": 12.0, "seed": 7, "disturbances": [PZT]},
+    "impact": {"duration_s": 6.0, "seed": 5,
+               "perception": {"noise_sigma": 0.0008,
+                              "sense_duration_s": 0.0256},
+               "disturbances": [IMPACT]},
+    "pressure": {"duration_s": 6.0, "seed": 3,
+                 "wm": {"poll_interval_s": 1.5},
+                 "disturbances": [PRESSURE]},
+}
+
+# (run directory, subcommand, config name, extra arguments)
+RUNS = (
+    ("qkd.defaults", "qkd", "defaults", []),
+    ("integrated.defaults", "integrated", "defaults", []),
+    ("integrated.pzt", "integrated", "pzt", []),
+    # Seed 3 breaches after the impact (a statistical false alarm of the
+    # short key windows), so the run reaches the trace localization.
+    ("integrated.impact", "integrated", "impact", ["--seed", "3"]),
+    ("integrated.pressure", "integrated", "pressure", []),
+    ("perceive.pzt", "perceive", "pzt", []),
+    ("perceive.impact", "perceive", "impact", []),
+    ("perceive.pressure", "perceive", "pressure", []),
+    ("localize.impact", "localize", "impact",
+     ["--trace", "perceive.impact/trace.txt"]),
+    ("wm.defaults", "wm", "defaults", []),
+    ("wm.masses", "wm", "defaults", ["--masses", "0.05,0.15,0.25"]),
+    ("sweep.loss_db", "sweep", "defaults",
+     ["--key", "channel.loss_db", "--values", "10,16.5,25"]),
+)
+
+
+def digest_runs(root: Path) -> list[str]:
+    """Run every reference command under ``root``; return the report lines.
+
+    Paths are relative to ``root`` so that reports echoing a path (the
+    ``localize`` trace file) do not depend on where the runs happen.
+    """
+    for name, config in CONFIGS.items():
+        (root / f"{name}.json").write_text(json.dumps(config))
+    lines = []
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for run, command, config, extra in RUNS:
+            main([command, "--config", f"{config}.json", "--out-dir", run,
+                  "--quiet", *extra])
+            for path in sorted(Path(run).iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                lines.append(f"{digest}  {run}/{path.name}")
+    finally:
+        os.chdir(cwd)
+    return lines
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("\n".join(digest_runs(Path(tmp))))
