@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -19,7 +20,8 @@ import numpy as np
 import scipy
 
 from . import __version__, controller, perception, qkd, wm
-from .config import ScenarioConfig, parse_config, parse_config_dict
+from .config import (ScenarioConfig, key_type, parse_config,
+                     parse_config_dict)
 from .errors import ConfigError, SagnacSimError
 from .fileio import (read_trace, write_columns, write_event_log,
                      write_report, write_trace)
@@ -202,9 +204,9 @@ def _cmd_wm(args) -> int:
             masses = [float(tok) for tok in args.masses.split(",") if tok]
         except ValueError as exc:
             raise ConfigError([f"--masses: {exc}"]) from exc
-        if not masses or any(m <= 0 for m in masses):
-            raise ConfigError(["--masses: needs positive comma-separated "
-                               "values"])
+        if not masses or not all(0 < m < math.inf for m in masses):
+            raise ConfigError(["--masses: needs finite positive "
+                               "comma-separated values"])
     else:
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
     # The WM analyzer works at its own bias phase, not the key channel's.
@@ -262,31 +264,22 @@ def _cmd_integrated(args) -> int:
     return 0
 
 
-def _set_by_path(tree: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = tree
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError([f"--key: unknown config section {part!r}"])
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError([f"--key: unknown config key {dotted!r}"])
-    node[parts[-1]] = value
-
-
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
+    kind = key_type(args.key)
     try:
-        values = [float(tok) for tok in args.values.split(",") if tok]
+        values = [kind(tok) for tok in args.values.split(",") if tok]
     except ValueError as exc:
-        raise ConfigError([f"--values: {exc}"]) from exc
+        raise ConfigError([f"--values: {args.key} takes {kind.__name__} "
+                           f"values: {exc}"]) from exc
     if not values:
         raise ConfigError(["--values: needs at least one value"])
+    section, _, key = args.key.rpartition(".")
     rows = []
     for value in values:
         resolved = cfg.echo()
-        _set_by_path(resolved, args.key, value)
+        (resolved[section] if section else resolved)[key] = value
         summary = qkd.session_summary(
             _run_session(parse_config_dict(resolved)))
         rows.append((value, summary["qber_pooled"],

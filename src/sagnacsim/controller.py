@@ -19,7 +19,8 @@ import numpy as np
 from . import perception, qkd, wm
 from .disturbance import (DisturbanceEvent, DisturbanceKind, PressureParams,
                           pressure_delay)
-from .errors import InsufficientDataError, ProtocolViolationError
+from .errors import (Checked, ConfigError, InsufficientDataError,
+                     ProtocolViolationError, bounded, non_negative, positive)
 from .optics import LoopChannel, SpectralPacket
 from .perception import PerceptionSettings
 from .qkd import DetectorModel, SourceModel
@@ -83,33 +84,29 @@ def step(mode: SystemMode, event: ControllerEvent) -> SystemMode:
 
 
 @dataclass(frozen=True)
-class QkdSettings:
-    window_s: float = 1.0
-    pulses_per_window: int = 200_000
-    phase_noise_rad: float = qkd.CALIBRATED_PHASE_NOISE_RAD
-    qber_threshold: float = 0.08
-
-    def __post_init__(self):
-        if not 0.0 < self.qber_threshold < 1.0:
-            raise ValueError("qber_threshold must lie in (0, 1)")
-        if self.window_s <= 0 or self.pulses_per_window <= 0:
-            raise ValueError("window_s and pulses_per_window must be positive")
+class QkdSettings(Checked):
+    window_s: float = positive(1.0)
+    pulses_per_window: int = positive(200_000)
+    phase_noise_rad: float = non_negative(qkd.CALIBRATED_PHASE_NOISE_RAD)
+    qber_threshold: float = bounded(lambda v: 0.0 < v < 1.0,
+                                    "within (0, 1)", 0.08)
 
 
 @dataclass(frozen=True)
-class WmSettings:
-    delta_epsilon_rad: float = math.pi / 6.0
+class WmSettings(Checked):
+    delta_epsilon_rad: float = bounded(lambda v: 0.0 < v < 0.5 * math.pi,
+                                       "within (0, pi/2)", math.pi / 6.0)
     delta_bias_rad: float = 0.0
-    input_power_w: float = 1.0
-    noise_sigma: float = 0.0019
-    samples_per_reading: int = 16
-    poll_interval_s: float = 60.0
+    input_power_w: float = positive(1.0)
+    noise_sigma: float = non_negative(0.0019)
+    samples_per_reading: int = positive(16)
+    poll_interval_s: float = positive(60.0)
     pressure: PressureParams = field(
         default_factory=lambda: PressureParams(mass_kg=0.1))
 
 
 @dataclass(frozen=True)
-class ScenarioScript:
+class ScenarioScript(Checked):
     """Everything needed to replay a full scenario deterministically."""
 
     channel: LoopChannel
@@ -117,21 +114,26 @@ class ScenarioScript:
     detector: DetectorModel
     packet: SpectralPacket
     events: tuple[DisturbanceEvent, ...]
-    duration_s: float
-    seed: int
+    duration_s: float = positive()
+    seed: int = bounded(lambda v: v >= 0, ">= 0")
     qkd: QkdSettings = field(default_factory=QkdSettings)
     perception: PerceptionSettings = field(default_factory=PerceptionSettings)
     wm: WmSettings = field(default_factory=WmSettings)
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        for ev in self.events:
-            if not 0.0 <= ev.start_s <= self.duration_s:
-                raise ValueError(
-                    f"event start {ev.start_s}s outside scenario duration")
+        super().__post_init__()
+        problems = []
+        for i, ev in enumerate(self.events):
+            if ev.start_s > self.duration_s:
+                problems.append(
+                    f"disturbances[{i}].start_s: {ev.start_s} beyond the "
+                    f"scenario duration {self.duration_s}")
             if ev.position_m > self.channel.length_m:
-                raise ValueError("event position beyond the loop length")
+                problems.append(
+                    f"disturbances[{i}].position_m: {ev.position_m} beyond "
+                    f"the loop length {self.channel.length_m}")
+        if problems:
+            raise ConfigError(problems)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from typing import Union
 import numpy as np
 from scipy.constants import g as STANDARD_GRAVITY
 
+from .errors import Checked, non_negative, positive
 from .optics import C_VACUUM
 
 
@@ -24,7 +25,7 @@ class DisturbanceKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PztParams:
+class PztParams(Checked):
     """Sinusoidal phase modulation from a piezo clamped on a bare segment.
 
     ``phase_gain_rad_per_v`` lumps the stress-optic coefficient, Young's
@@ -32,15 +33,9 @@ class PztParams:
     rad-per-volt calibration constant.
     """
 
-    drive_amplitude_v: float
-    angular_frequency_rad_s: float
-    phase_gain_rad_per_v: float = 0.5
-
-    def __post_init__(self):
-        for name in ("drive_amplitude_v", "angular_frequency_rad_s",
-                     "phase_gain_rad_per_v"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    drive_amplitude_v: float = positive()
+    angular_frequency_rad_s: float = positive()
+    phase_gain_rad_per_v: float = positive(0.5)
 
     @property
     def frequency_hz(self) -> float:
@@ -52,7 +47,7 @@ class PztParams:
 
 
 @dataclass(frozen=True)
-class ImpactParams:
+class ImpactParams(Checked):
     """Point-like transient from a mass dropped onto a bare segment.
 
     The idealized space-time delta is realized as a unit-peak Gaussian of
@@ -62,15 +57,10 @@ class ImpactParams:
     momentum (kg*m/s).
     """
 
-    mass_kg: float
-    drop_height_m: float
-    width_s: float = 10e-6
-    impact_gain: float = 10.0
-
-    def __post_init__(self):
-        for name in ("mass_kg", "drop_height_m", "width_s", "impact_gain"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    mass_kg: float = positive()
+    drop_height_m: float = positive()
+    width_s: float = positive(10e-6)
+    impact_gain: float = positive(10.0)
 
     @property
     def peak_phase_rad(self) -> float:
@@ -80,7 +70,7 @@ class ImpactParams:
 
 
 @dataclass(frozen=True)
-class PressureParams:
+class PressureParams(Checked):
     """Standing weight pressing a bare fiber section.
 
     The stress-optic coefficient converts the applied stress (weight over
@@ -88,18 +78,10 @@ class PressureParams:
     shift over the pressed length.
     """
 
-    mass_kg: float
-    pressed_length_m: float = 0.1
-    contact_area_m2: float = 1e-4
-    stress_optic_per_pa: float = 3e-12
-
-    def __post_init__(self):
-        if self.mass_kg < 0:
-            raise ValueError("mass_kg must be non-negative")
-        for name in ("pressed_length_m", "contact_area_m2",
-                     "stress_optic_per_pa"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    mass_kg: float = non_negative()
+    pressed_length_m: float = positive(0.1)
+    contact_area_m2: float = positive(1e-4)
+    stress_optic_per_pa: float = positive(3e-12)
 
 
 DisturbanceParams = Union[PztParams, ImpactParams, PressureParams]
@@ -112,7 +94,7 @@ _KIND_FOR_PARAMS = {
 
 
 @dataclass(frozen=True)
-class DisturbanceEvent:
+class DisturbanceEvent(Checked):
     """A typed disturbance at a position along the loop.
 
     ``position_m`` is measured from the beam splitter along the clockwise
@@ -122,14 +104,13 @@ class DisturbanceEvent:
     """
 
     params: DisturbanceParams
-    position_m: float
-    start_s: float = 0.0
+    position_m: float = non_negative()
+    start_s: float = non_negative(0.0)
 
     def __post_init__(self):
         if type(self.params) not in _KIND_FOR_PARAMS:
             raise TypeError(f"unsupported params type {type(self.params)!r}")
-        if self.position_m < 0:
-            raise ValueError("position_m must be non-negative")
+        super().__post_init__()
 
     @property
     def kind(self) -> DisturbanceKind:

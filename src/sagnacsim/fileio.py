@@ -37,32 +37,40 @@ def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
 
 
 def read_trace(path: str | Path) -> InterferenceTrace:
-    """Read a trace written by :func:`write_trace`."""
+    """Read a trace written by :func:`write_trace`.
+
+    Raises :class:`ConfigError` naming the file when it is missing,
+    unreadable or malformed.
+    """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"trace file not found: {path}"])
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ConfigError([f"{path}: missing trace header line"])
-    meta = {}
-    for token in lines[0].lstrip("#").split():
-        if "=" not in token:
-            raise ConfigError([f"{path}: malformed header token {token!r}"])
-        key, value = token.split("=", 1)
-        meta[key] = float(value)
-    for required in ("sample_rate_hz", "i0_w"):
-        if required not in meta:
-            raise ConfigError([f"{path}: header missing {required}"])
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if not body:
-        raise ConfigError([f"{path}: trace has no samples"])
-    samples = np.array([float(ln.split()[1]) for ln in body])
-    return InterferenceTrace(
-        sample_rate_hz=meta["sample_rate_hz"],
-        samples=samples,
-        input_power_w=meta["i0_w"],
-        noise_sigma=meta.get("noise_sigma", 0.0),
-    )
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if not lines or not lines[0].startswith("#"):
+            raise ValueError("missing trace header line")
+        meta = {}
+        for token in lines[0].lstrip("#").split():
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise ValueError(f"malformed header token {token!r}")
+            meta[key] = float(value)
+        for required in ("sample_rate_hz", "i0_w"):
+            if required not in meta:
+                raise ValueError(f"header missing {required}")
+        body = [ln for ln in lines[1:] if ln.strip()]
+        if not body:
+            raise ValueError("trace has no samples")
+        try:
+            samples = np.array([float(ln.split()[1]) for ln in body])
+        except IndexError:
+            raise ValueError("a sample line has no value column") from None
+        return InterferenceTrace(
+            sample_rate_hz=meta["sample_rate_hz"],
+            samples=samples,
+            input_power_w=meta["i0_w"],
+            noise_sigma=meta.get("noise_sigma", 0.0),
+        )
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"{path}: {exc}"]) from exc
 
 
 def write_columns(path: str | Path, header: Sequence[str],

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoSignalError
+from .errors import Checked, NoSignalError, bounded, non_negative, positive
 
 #: Speed of light in vacuum (m/s), exact by definition.
 C_VACUUM = 299792458.0
@@ -34,7 +34,7 @@ def omega_from_wavelength(wavelength_m: float) -> float:
 
 
 @dataclass(frozen=True)
-class SpectralPacket:
+class SpectralPacket(Checked):
     """Gaussian spectral probe.
 
     ``omega0`` is the central angular frequency and ``sigma`` the spectral
@@ -43,14 +43,8 @@ class SpectralPacket:
     epsilon guards anywhere).
     """
 
-    omega0: float
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+    omega0: float = positive()
+    sigma: float = non_negative(0.0)
 
     @classmethod
     def from_wavelength(cls, wavelength_m: float = DEFAULT_WAVELENGTH_M,
@@ -59,7 +53,7 @@ class SpectralPacket:
 
 
 @dataclass(frozen=True)
-class LoopChannel:
+class LoopChannel(Checked):
     """Physical state of the fiber loop.
 
     ``intrinsic_delay_s`` is the birefringence group delay between the two
@@ -69,24 +63,12 @@ class LoopChannel:
     propagation directions set by the modulators.
     """
 
-    length_m: float
-    refractive_index: float = 1.468
-    intrinsic_delay_s: float = 0.0
+    length_m: float = positive()
+    refractive_index: float = bounded(lambda v: v >= 1.0, ">= 1", 1.468)
+    intrinsic_delay_s: float = non_negative(0.0)
     delay_shift_s: float = 0.0
     bias_phase_rad: float = 0.0
-    loss_db: float = 0.0
-
-    def __post_init__(self):
-        if self.length_m <= 0:
-            raise ValueError(f"length_m must be positive, got {self.length_m}")
-        if self.refractive_index < 1.0:
-            raise ValueError(
-                f"refractive_index must be >= 1, got {self.refractive_index}")
-        if self.intrinsic_delay_s < 0:
-            raise ValueError(
-                f"intrinsic_delay_s must be >= 0, got {self.intrinsic_delay_s}")
-        if self.loss_db < 0:
-            raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
+    loss_db: float = non_negative(0.0)
 
     @property
     def total_delay_s(self) -> float:

@@ -21,9 +21,10 @@ from scipy.signal import welch
 
 from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
                           single_pass_phase)
-from .errors import (AliasingError, HarmonicAmbiguityError,
-                     InsufficientDataError, OutOfLoopError,
-                     ReciprocalDisturbanceError, UndefinedResolutionError)
+from .errors import (AliasingError, Checked, ConfigError,
+                     HarmonicAmbiguityError, InsufficientDataError,
+                     OutOfLoopError, ReciprocalDisturbanceError,
+                     UndefinedResolutionError, non_negative, positive)
 from .optics import C_VACUUM, LoopChannel
 
 logger = logging.getLogger(__name__)
@@ -43,27 +44,26 @@ DEFAULT_FREQ_RESOLUTION_HZ = 500.0
 
 
 @dataclass(frozen=True)
-class PerceptionSettings:
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
-    sense_duration_s: float = 0.05
-    sweep_duration_s: float = 0.01
-    noise_sigma: float = DEFAULT_NOISE_SIGMA
-    input_power_w: float = DEFAULT_INPUT_POWER_W
+class PerceptionSettings(Checked):
+    sample_rate_hz: float = positive(DEFAULT_SAMPLE_RATE_HZ)
+    sense_duration_s: float = positive(0.05)
+    sweep_duration_s: float = positive(0.01)
+    noise_sigma: float = non_negative(DEFAULT_NOISE_SIGMA)
+    input_power_w: float = positive(DEFAULT_INPUT_POWER_W)
     bias_phase_rad: float = 0.5 * math.pi
-    significance_threshold: float = 10.0
-    scan_min_hz: float = 2000.0
-    scan_max_hz: float = 75000.0
-    scan_step_hz: float = 250.0
-    max_harmonics: int = 3
-    notch_depth_db: float = 10.0
-    freq_resolution_hz: float = DEFAULT_FREQ_RESOLUTION_HZ
-    switch_dead_time_s: float = 1.0
+    significance_threshold: float = positive(10.0)
+    scan_min_hz: float = positive(2000.0)
+    scan_max_hz: float = positive(75000.0)
+    scan_step_hz: float = positive(250.0)
+    max_harmonics: int = positive(3)
+    notch_depth_db: float = positive(10.0)
+    freq_resolution_hz: float = positive(DEFAULT_FREQ_RESOLUTION_HZ)
+    switch_dead_time_s: float = non_negative(1.0)
 
     def __post_init__(self):
-        if self.significance_threshold <= 0:
-            raise ValueError("significance_threshold must be positive")
+        super().__post_init__()
         if self.scan_min_hz >= self.scan_max_hz:
-            raise ValueError("scan_min_hz must be below scan_max_hz")
+            raise ConfigError(["scan_min_hz: must be below scan_max_hz"])
 
     def sense_channel(self, channel: LoopChannel) -> LoopChannel:
         """The loop as perception sees it: biased to the sensing phase."""
@@ -71,17 +71,16 @@ class PerceptionSettings:
 
 
 @dataclass(frozen=True)
-class InterferenceTrace:
+class InterferenceTrace(Checked):
     """Uniformly sampled detector intensity with acquisition metadata."""
 
-    sample_rate_hz: float
+    sample_rate_hz: float = positive()
     samples: np.ndarray
-    input_power_w: float
-    noise_sigma: float = 0.0
+    input_power_w: float = positive()
+    noise_sigma: float = non_negative(0.0)
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        super().__post_init__()
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")

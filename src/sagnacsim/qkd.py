@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import (Checked, InsufficientDataError, fraction,
+                     non_negative, positive)
 from .optics import LoopChannel, SpectralPacket
 
 #: One-pass loss budget (dB) that reproduces the reference 22.4 kbps sifted
@@ -54,36 +55,22 @@ class BasisBit:
 
 
 @dataclass(frozen=True)
-class SourceModel:
+class SourceModel(Checked):
     """Attenuated pulsed source in the weak-coherent regime."""
 
-    mean_photon_number: float = 0.1
-    pulse_rate_hz: float = 100e6
-    pulse_width_s: float = 2e-9
-
-    def __post_init__(self):
-        if self.mean_photon_number <= 0:
-            raise ValueError("mean_photon_number must be positive")
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse_rate_hz must be positive")
+    mean_photon_number: float = positive(0.1)
+    pulse_rate_hz: float = positive(100e6)
+    pulse_width_s: float = positive(2e-9)
 
 
 @dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(Checked):
     """Gated single-photon detector pair at the two output ports."""
 
-    efficiency: float = 0.2
-    dark_count_prob_per_gate: float = CALIBRATED_DARK_PROB
-    gate_width_s: float = 2e-9
-    repetition_rate_hz: float = 100e6
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be within [0, 1]")
-        if self.dark_count_prob_per_gate < 0:
-            raise ValueError("dark_count_prob_per_gate must be >= 0")
-        if self.repetition_rate_hz <= 0:
-            raise ValueError("repetition_rate_hz must be positive")
+    efficiency: float = fraction(0.2)
+    dark_count_prob_per_gate: float = non_negative(CALIBRATED_DARK_PROB)
+    gate_width_s: float = positive(2e-9)
+    repetition_rate_hz: float = positive(100e6)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,14 @@ class TestWm:
         assert run_cli("wm", "--masses", "0.1,-0.2",
                        "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("masses", ["inf", "nan", "0.1,inf"])
+    def test_non_finite_masses_rejected(self, tmp_path, capsys, masses):
+        assert run_cli("wm", "--masses", masses, "--out-dir", str(tmp_path),
+                       "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert record["problems"][0].startswith("--masses:")
+
 
 class TestSweep:
     def test_loss_sweep_monotone_and_ordered(self, tmp_path):
@@ -200,6 +208,31 @@ class TestSweep:
     def test_unknown_key_rejected(self, tmp_path):
         assert run_cli("sweep", "--key", "channel.nope", "--values", "1",
                        "--out-dir", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("key, values", [
+        ("qkd.pulses_per_window", "10000,20000"),
+        ("seed", "3,4"),
+        ("perception.max_harmonics", "2"),
+        ("wm.samples_per_reading", "8"),
+    ])
+    def test_integer_keys_sweep(self, tmp_path, key, values):
+        cfg = write_json(tmp_path / "base.json", {
+            "duration_s": 1.0, "qkd": {"pulses_per_window": 10000}})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--key", key,
+                       "--values", values, "--out-dir", str(out),
+                       "--quiet") == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == values.split(",")
+
+    @pytest.mark.parametrize("values", ["2.5", "1e5", "nan"])
+    def test_integer_key_rejects_other_tokens(self, tmp_path, capsys,
+                                              values):
+        assert run_cli("sweep", "--key", "qkd.pulses_per_window",
+                       "--values", values, "--out-dir", str(tmp_path),
+                       "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["problems"][0].startswith("--values:")
 
 
 class TestErrors:
@@ -223,3 +256,67 @@ class TestErrors:
                           "qkd": {"pulses_per_window": 10000}})
         assert run_cli("qkd", "--config", cfg, "--quiet") == 0
         assert (tmp_path / "envout" / "report.json").exists()
+
+
+# Each config the simulator once accepted or crashed on, and the key its
+# problem must name.
+_BAD_CONFIGS = [
+    ("qkd.qber_threshold", '{"qkd": {"qber_threshold": 1.0}}'),
+    ("qkd.pulses_per_window", '{"qkd": {"pulses_per_window": 2.5}}'),
+    ("seed", '{"seed": -3}'),
+    ("channel.refractive_index", '{"channel": {"refractive_index": 0.5}}'),
+    ("wm.delta_epsilon_rad", '{"wm": {"delta_epsilon_rad": 2.0}}'),
+    ("perception.max_harmonics", '{"perception": {"max_harmonics": 1.5}}'),
+    ("wm.samples_per_reading", '{"wm": {"samples_per_reading": 0.5}}'),
+    ("channel.delay_shift_s", '{"channel": {"delay_shift_s": [1]}}'),
+    ("channel.bias_phase_rad", '{"channel": {"bias_phase_rad": "abc"}}'),
+    ("channel.length_m", '{"channel": {"length_m": 1e400}}'),
+]
+
+_HEADER = b"# sample_rate_hz=1000.0 i0_w=1.0\n"
+
+# (subcommand, option, file content); None makes the path a directory.
+_BAD_FILES = {
+    "config-directory": ("qkd", "--config", None),
+    "config-not-utf8": ("qkd", "--config", b'\xff\xfe{"seed": 1}'),
+    "trace-directory": ("localize", "--trace", None),
+    "trace-not-utf8": ("localize", "--trace", _HEADER + b"0 \xff\n"),
+    "trace-bad-rate": ("localize", "--trace",
+                       b"# sample_rate_hz=abc i0_w=1.0\n0 1\n"),
+    "trace-bad-sample": ("localize", "--trace", _HEADER + b"0 x\n"),
+    "trace-one-column": ("localize", "--trace", _HEADER + b"0\n"),
+    "trace-infinite-sample": ("localize", "--trace", _HEADER + b"0 inf\n"),
+    "trace-negative-rate": ("localize", "--trace",
+                            b"# sample_rate_hz=-5 i0_w=1.0\n0 1\n"),
+    "trace-nan-rate": ("localize", "--trace",
+                       b"# sample_rate_hz=nan i0_w=1.0\n0 1\n0 2\n"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["qkd", "integrated", "wm"])
+    @pytest.mark.parametrize("key, text", _BAD_CONFIGS)
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command,
+                                          key, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run_cli(command, "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert any(p.startswith(f"{key}:") for p in record["problems"])
+
+    @pytest.mark.parametrize("command, option, content",
+                             list(_BAD_FILES.values()), ids=list(_BAD_FILES))
+    def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys,
+                                              command, option, content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert run_cli(command, option, str(path),
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert any(str(path) in p for p in record["problems"])

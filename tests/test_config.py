@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnacsim.config import (default_config, parse_config,
                               parse_config_dict)
@@ -130,3 +132,80 @@ class TestTypedViews:
         settings = cfg.wm_settings()
         assert settings.pressure.pressed_length_m == 0.2
         assert settings.pressure.contact_area_m2 == 1e-4
+
+
+class TestLibraryBounds:
+    def test_weightless_pressure_event_accepted(self):
+        # PressureParams allows a zero mass; the config takes its bound.
+        cfg = parse_config_dict({
+            "disturbances": [{"kind": "pressure", "position_m": 100.0,
+                              "mass_kg": 0.0}],
+        })
+        assert cfg.disturbances()[0].params.mass_kg == 0.0
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"perception": {"scan_min_hz": 80000.0}}, "perception.scan_min_hz"),
+        ({"disturbances": [{"kind": "pzt", "position_m": 1.0},
+                           {"kind": "pzt", "position_m": 40000.0}]},
+         "disturbances[1].position_m"),
+    ])
+    def test_cross_field_problems_name_their_keys(self, raw, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(raw)
+        assert [p.split(":")[0] for p in err.value.problems] == [key]
+
+
+_DEFAULTS = default_config().resolved
+_SECTIONS = [name for name, value in _DEFAULTS.items()
+             if isinstance(value, dict)]
+_KINDS = ("pzt", "impact", "pressure")
+_EVENT_KEYS = {
+    kind: list(parse_config_dict({"disturbances": [
+        {"kind": kind, "position_m": 1.0}]}).resolved["disturbances"][0])
+    for kind in _KINDS}
+
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(0.0, 1e5),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2))
+
+
+def _section(keys):
+    return st.dictionaries(st.sampled_from([*keys, "bogus"]), _values,
+                           max_size=3)
+
+
+def _entry(kind):
+    keys = _EVENT_KEYS[kind] if kind in _KINDS else ["position_m"]
+    return _section(keys).map(lambda body: {**body, "kind": kind})
+
+
+_configs = st.fixed_dictionaries({}, optional={
+    **{name: st.one_of(_section(list(_DEFAULTS[name])), _values)
+       for name in _SECTIONS},
+    "duration_s": _values,
+    "seed": _values,
+    "out_dir": st.one_of(st.text(max_size=3), _values),
+    "disturbances": st.one_of(
+        st.lists(st.one_of(
+            st.one_of(st.sampled_from(_KINDS), _values).flatmap(_entry),
+            _values), max_size=3),
+        _values),
+    "bogus": _values,
+})
+
+
+class TestAnyConfig:
+    @given(raw=_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_rejected_with_problems_or_fully_built(self, raw):
+        try:
+            cfg = parse_config_dict(raw)
+        except ConfigError as exc:
+            assert exc.problems
+            assert all(isinstance(p, str) for p in exc.problems)
+            return
+        cfg.script()
+        cfg.wm_settings()
+        cfg.perception_settings()
+        assert parse_config_dict(cfg.echo()).resolved == cfg.resolved
