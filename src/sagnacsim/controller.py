@@ -86,7 +86,9 @@ def step(mode: SystemMode, event: ControllerEvent) -> SystemMode:
 @dataclass(frozen=True)
 class QkdSettings(Checked):
     window_s: float = positive(1.0)
-    pulses_per_window: int = positive(200_000)
+    # The window's multinomial draw counts in 64-bit integers.
+    pulses_per_window: int = bounded(lambda v: 0 < v < 2**63,
+                                     "within [1, 2**63)", 200_000)
     phase_noise_rad: float = non_negative(qkd.CALIBRATED_PHASE_NOISE_RAD)
     qber_threshold: float = bounded(lambda v: 0.0 < v < 1.0,
                                     "within (0, 1)", 0.08)
@@ -292,9 +294,6 @@ class _ScenarioRunner:
     def _sense(self) -> None:
         script = self.script
         cfg = script.perception
-        if cfg.sense_duration_s <= 0:
-            raise InsufficientDataError(
-                "perception mode entered with no sensing window configured")
         event = _perception_target(script.events, self.t)
         start = self.t
         if event is not None and \

@@ -43,6 +43,11 @@ DEFAULT_SAMPLE_RATE_HZ = 200e3
 DEFAULT_FREQ_RESOLUTION_HZ = 500.0
 
 
+def _sample_count(duration_s: float, sample_rate_hz: float) -> int:
+    """Number of samples a trace of ``duration_s`` holds."""
+    return int(round(duration_s * sample_rate_hz))
+
+
 @dataclass(frozen=True)
 class PerceptionSettings(Checked):
     sample_rate_hz: float = positive(DEFAULT_SAMPLE_RATE_HZ)
@@ -62,8 +67,15 @@ class PerceptionSettings(Checked):
 
     def __post_init__(self):
         super().__post_init__()
+        problems = []
         if self.scan_min_hz >= self.scan_max_hz:
-            raise ConfigError(["scan_min_hz: must be below scan_max_hz"])
+            problems.append("scan_min_hz: must be below scan_max_hz")
+        for key in ("sense_duration_s", "sweep_duration_s"):
+            if _sample_count(getattr(self, key), self.sample_rate_hz) < 1:
+                problems.append(f"{key}: shorter than one sample at "
+                                f"sample_rate_hz {self.sample_rate_hz}")
+        if problems:
+            raise ConfigError(problems)
 
     def sense_channel(self, channel: LoopChannel) -> LoopChannel:
         """The loop as perception sees it: biased to the sensing phase."""
@@ -204,7 +216,7 @@ def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
     Samples ``I0 * (1 + cos(gpd(t)))`` with multiplicative Gaussian
     intensity noise; deterministic for a given seed.  Quasi-static events
     contribute nothing beyond the bias.  Raises when the sample rate cannot
-    cover twice the disturbance bandwidth.
+    cover twice the disturbance bandwidth or the trace would hold no sample.
     """
     if duration_s <= 0 or sample_rate_hz <= 0:
         raise ValueError("duration_s and sample_rate_hz must be positive")
@@ -214,7 +226,10 @@ def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
             raise AliasingError(
                 f"sample rate {sample_rate_hz} Hz cannot represent a "
                 f"disturbance extending to {needed} Hz")
-    n = int(round(duration_s * sample_rate_hz))
+    n = _sample_count(duration_s, sample_rate_hz)
+    if n == 0:
+        raise InsufficientDataError(
+            f"a {duration_s} s trace at {sample_rate_hz} Hz holds no sample")
     t = start_s + np.arange(n) / sample_rate_hz
     if event is not None and event.is_dynamic:
         gpd = effective_gpd(t, event, channel)

@@ -8,8 +8,23 @@ model, :func:`_click_model`, with the analyzer parked at the bright working
 point), folds in source attenuation, detector efficiency and dark counts,
 and accounts sifted bits and errors in fixed windows of simulated time.
 
-Desk-scale accounting: a window simulates ``pulses_per_window`` rounds that
-stand in for a full second of 100 MHz operation; rates extrapolate as
+Count-level accounting: given the global phase, rounds are independent, so
+a window is fully described by how many of its rounds fall in each of 32
+outcome classes, the 8 (Alice basis, Alice bit, Bob basis) choices times
+the 4 (reflected, transmitted) click outcomes.  :func:`simulate_window`
+computes the class probabilities once per window, averaging the click
+outcomes over the Gaussian phase noise and over a time-varying phase offset
+harmonic by harmonic (:func:`_outcome_probabilities`), and draws all 32
+counts with one multinomial draw, so its cost does not grow with
+``pulses_per_window``.  The offset is sampled at no more than
+``_OFFSET_SAMPLES`` points per window.  Under a time-varying offset the
+rounds are not identically distributed, and their class counts are drawn as
+one multinomial at the window-averaged probabilities; its variance differs
+from that of the per-round sum by a relative amount of the order of the
+largest per-round click probability (about 5e-4 at the defaults).  The
+per-round draw survives only behind ``collect_rounds=True``, which returns
+the rounds themselves.  A window's pulses stand in for a full second of
+100 MHz operation; rates extrapolate as
 ``sifted_bits / pulses_sent * repetition_rate``.
 """
 from __future__ import annotations
@@ -37,6 +52,16 @@ CALIBRATED_DARK_PROB = 1e-6
 CALIBRATED_PHASE_NOISE_RAD = 0.43723
 
 _CHUNK = 1_000_000
+
+#: Most times per window at which a time-varying phase offset is sampled.
+_OFFSET_SAMPLES = 2**16
+
+#: Damped Fourier harmonics of the outcome probabilities smaller than this
+#: are dropped; the outcomes of a round sum to 1, so it is also relative.
+_HARMONIC_CUTOFF = 1e-18
+
+#: Upper limit on the phase grid of the harmonic analysis.
+_MAX_GRID = 2**17
 
 
 class Basis(enum.Enum):
@@ -135,12 +160,75 @@ def _click_model(delta, lam: float, dark: float):
             np.minimum(-np.expm1(-lam * (1.0 - p_reflected_port)) + dark, 1.0))
 
 
-def _draw_clicks(rng: np.random.Generator, delta: np.ndarray, lam: float,
-                 dark: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round clicks at both ports, reflected port drawn first."""
-    p_click_r, p_click_t = _click_model(delta, lam, dark)
-    click_r = rng.random(delta.size) < p_click_r
-    return click_r, rng.random(delta.size) < p_click_t
+def _outcome_table(delta, lam: float, dark: float) -> np.ndarray:
+    """Probabilities of the four click outcomes of one round at global phase
+    differences ``delta``.
+
+    The last axis runs over (no click, transmitted only, reflected only,
+    both), i.e. index ``2 * click_reflected + click_transmitted``.
+    """
+    p_r, p_t = _click_model(delta, lam, dark)
+    q_r, q_t = 1.0 - p_r, 1.0 - p_t
+    return np.stack([q_r * q_t, q_r * p_t, p_r * q_t, p_r * p_t], axis=-1)
+
+
+def _grid_size(lam: float) -> int:
+    # Each outcome probability is a constant plus multiples of
+    # exp(-lam (1 +- cos delta) / 2), whose harmonic k, exp(-lam/2)
+    # I_k(lam/2), is below 1e-18 beyond k = 12 + 7 sqrt(lam); a grid of
+    # more than twice that many points aliases nothing above it.
+    harmonics = 12 + math.ceil(7.0 * math.sqrt(lam))
+    return min(_MAX_GRID, 1 << (2 * harmonics + 1).bit_length())
+
+
+def _harmonic_means(offsets: np.ndarray, n: int) -> np.ndarray:
+    """``mean(exp(1j * k * offsets))`` for k = 1 .. n."""
+    step = np.exp(1j * offsets)
+    power = step.copy()
+    means = np.empty(n, dtype=complex)
+    for k in range(n):
+        means[k] = power.mean()
+        power *= step
+    return means
+
+
+def _outcome_probabilities(delta, lam: float, dark: float,
+                           phase_noise_rad: float = 0.0,
+                           offsets: Optional[np.ndarray] = None,
+                           ) -> np.ndarray:
+    """:func:`_outcome_table` at base phases ``delta``, averaged over
+    Gaussian phase noise of std ``phase_noise_rad`` and over the phase
+    offsets ``offsets`` (equally weighted samples of a time-varying offset).
+
+    The table is a smooth 2 pi-periodic function of the total phase, so its
+    Fourier harmonic k is multiplied by ``exp(-k^2 sigma^2 / 2)`` under the
+    noise and by the offsets' mean of ``exp(1j k offset)``; harmonics whose
+    damped size falls below ``_HARMONIC_CUTOFF`` are dropped.  This is exact
+    to that cutoff unless a port's click probability is clipped at 1, which
+    takes ``lam`` above about ``ln(1 / dark)``, or the grid would exceed
+    ``_MAX_GRID``.  Without noise or offsets the table is evaluated
+    directly, so an outcome that is impossible at a phase keeps probability
+    exactly 0.
+    """
+    delta = np.asarray(delta, dtype=float)
+    if phase_noise_rad == 0.0 and offsets is None:
+        return _outcome_table(delta, lam, dark)
+    n_grid = _grid_size(lam)
+    grid = (2.0 * math.pi / n_grid) * np.arange(n_grid)
+    coeffs = np.fft.rfft(_outcome_table(grid, lam, dark), axis=0) / n_grid
+    k = np.arange(1, n_grid // 2)
+    weights = np.exp(-0.5 * (k * phase_noise_rad) ** 2)
+    kept = np.flatnonzero(
+        np.abs(coeffs[k]).max(axis=1) * weights > _HARMONIC_CUTOFF)
+    n_harmonics = int(kept[-1]) + 1 if kept.size else 0
+    k, weights = k[:n_harmonics], weights[:n_harmonics].astype(complex)
+    if offsets is not None:
+        weights *= _harmonic_means(np.asarray(offsets, dtype=float),
+                                   n_harmonics)
+    shifts = np.exp(1j * np.multiply.outer(delta, k)) * weights
+    probs = coeffs[0].real + 2.0 * (shifts @ coeffs[1:n_harmonics + 1]).real
+    probs = np.maximum(probs, 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _spectral_gain(channel: LoopChannel, packet: SpectralPacket | None) -> float:
@@ -186,6 +274,80 @@ class RoundLog:
     bob_bit: np.ndarray
 
 
+#: Alice basis, Alice bit and Bob basis of the 8 equally likely choices.
+_ALICE_BASIS, _ALICE_BIT, _BOB_BASIS = np.indices((2, 2, 2)).reshape(3, -1)
+
+
+def _base_phase(alice_basis, alice_bit, bob_basis):
+    """Global phase difference of a round before noise and offsets."""
+    return (0.5 * math.pi) * alice_basis + math.pi * alice_bit \
+        - (0.5 * math.pi) * bob_basis
+
+
+def _count_window(rng: np.random.Generator, n_pulses: int,
+                  window_start_s: float, window_s: float, lam: float,
+                  dark: float, phase_noise_rad: float,
+                  gpd_offset_fn) -> tuple[int, int, int, int]:
+    """Window totals from one multinomial draw over the 32 outcome classes.
+
+    A time-varying offset is sampled at ``min(n_pulses, _OFFSET_SAMPLES)``
+    equally spaced window midpoints (the pulse times when there are no more
+    pulses than that), and the class probabilities are averaged over them.
+    """
+    offsets = None
+    if gpd_offset_fn is not None:
+        n = min(n_pulses, _OFFSET_SAMPLES)
+        offsets = gpd_offset_fn(
+            window_start_s + (np.arange(n) + 0.5) * (window_s / n))
+    probs = _outcome_probabilities(
+        _base_phase(_ALICE_BASIS, _ALICE_BIT, _BOB_BASIS), lam, dark,
+        phase_noise_rad, offsets)
+    counts = rng.multinomial(n_pulses, probs.ravel() / probs.shape[0])
+    counts = counts.reshape(probs.shape)
+    # Sifted rounds are single clicks on matched bases; the transmitted
+    # port (column 1) reads bit 1 and the reflected port (column 2) bit 0.
+    matched = np.flatnonzero(_ALICE_BASIS == _BOB_BASIS)
+    return (int(counts[:, 2:].sum()), int(counts[:, 1::2].sum()),
+            int(counts[matched, 1:3].sum()),
+            int(counts[matched, 1 + _ALICE_BIT[matched]].sum()))
+
+
+def _draw_rounds(rng: np.random.Generator, n_pulses: int,
+                 window_start_s: float, window_s: float, lam: float,
+                 dark: float, phase_noise_rad: float,
+                 gpd_offset_fn) -> tuple[tuple[int, int, int, int], RoundLog]:
+    """Window totals and rounds from per-round draws: every pulse sees the
+    offset at its own time."""
+    logs: list[RoundLog] = []
+    for lo in range(0, n_pulses, _CHUNK):
+        n = min(_CHUNK, n_pulses - lo)
+        alice_basis = rng.integers(0, 2, n, dtype=np.int8)
+        alice_bit = rng.integers(0, 2, n, dtype=np.int8)
+        bob_basis = rng.integers(0, 2, n, dtype=np.int8)
+
+        delta = _base_phase(alice_basis, alice_bit, bob_basis)
+        if phase_noise_rad > 0.0:
+            delta = delta + phase_noise_rad * rng.standard_normal(n)
+        if gpd_offset_fn is not None:
+            t = window_start_s + (lo + np.arange(n) + 0.5) * (window_s / n_pulses)
+            delta = delta + gpd_offset_fn(t)
+
+        p_click_r, p_click_t = _click_model(delta, lam, dark)
+        click_r = rng.random(n) < p_click_r
+        click_t = rng.random(n) < p_click_t
+        sifted = (alice_basis == bob_basis) & (click_r ^ click_t)
+        logs.append(RoundLog(alice_basis, alice_bit, bob_basis, click_r,
+                             click_t, sifted, click_t[sifted].astype(np.int8)))
+
+    log = RoundLog(*[np.concatenate([getattr(l, f) for l in logs])
+                     for f in ("alice_basis", "alice_bit", "bob_basis",
+                               "click_reflected", "click_transmitted",
+                               "sifted", "bob_bit")])
+    errors = log.bob_bit != log.alice_bit[log.sifted]
+    return (int(log.click_reflected.sum()), int(log.click_transmitted.sum()),
+            int(log.sifted.sum()), int(errors.sum())), log
+
+
 def simulate_window(rng: np.random.Generator, n_pulses: int,
                     window_start_s: float, window_s: float,
                     source: SourceModel, channel: LoopChannel,
@@ -200,64 +362,29 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
     Rounds are spread uniformly over the window so that a time-varying
     global-phase offset (a dynamic disturbance) is sampled across its
     waveform.  Double clicks are discarded; a window with zero sifted bits
-    reports its error rate as absent rather than zero.
+    reports its error rate as absent rather than zero.  The totals come
+    from one multinomial draw over the outcome classes
+    (:func:`_count_window`), at a cost independent of ``n_pulses``;
+    ``collect_rounds=True`` draws every round instead and returns them.
     """
     lam = _signal_rate(source, channel, detector) * _spectral_gain(channel, packet)
-    dark = detector.dark_count_prob_per_gate
-
-    clicks_r = 0
-    clicks_t = 0
-    sifted_total = 0
-    errors_total = 0
-    logs: list[RoundLog] = []
-
-    for lo in range(0, n_pulses, _CHUNK):
-        n = min(_CHUNK, n_pulses - lo)
-        alice_basis = rng.integers(0, 2, n, dtype=np.int8)
-        alice_bit = rng.integers(0, 2, n, dtype=np.int8)
-        bob_basis = rng.integers(0, 2, n, dtype=np.int8)
-
-        delta = (0.5 * math.pi) * alice_basis + math.pi * alice_bit \
-            - (0.5 * math.pi) * bob_basis
-        if phase_noise_rad > 0.0:
-            delta = delta + phase_noise_rad * rng.standard_normal(n)
-        if gpd_offset_fn is not None:
-            t = window_start_s + (lo + np.arange(n) + 0.5) * (window_s / n_pulses)
-            delta = delta + gpd_offset_fn(t)
-
-        click_r, click_t = _draw_clicks(rng, delta, lam, dark)
-
-        matched = alice_basis == bob_basis
-        single = click_r ^ click_t
-        sifted = matched & single
-        bob_bit = click_t[sifted].astype(np.int8)
-        errs = bob_bit != alice_bit[sifted]
-
-        clicks_r += int(click_r.sum())
-        clicks_t += int(click_t.sum())
-        sifted_total += int(sifted.sum())
-        errors_total += int(errs.sum())
-        if collect_rounds:
-            logs.append(RoundLog(alice_basis, alice_bit, bob_basis,
-                                 click_r, click_t, sifted, bob_bit))
-
-    qber = errors_total / sifted_total if sifted_total > 0 else None
+    args = (rng, n_pulses, window_start_s, window_s, lam,
+            detector.dark_count_prob_per_gate, phase_noise_rad, gpd_offset_fn)
+    if collect_rounds:
+        totals, round_log = _draw_rounds(*args)
+    else:
+        totals, round_log = _count_window(*args), None
+    clicks_r, clicks_t, sifted, errors = totals
     record = SiftedKeyRecord(
         window_start_s=window_start_s,
         pulses_sent=n_pulses,
         clicks_reflected=clicks_r,
         clicks_transmitted=clicks_t,
-        sifted_bits=sifted_total,
-        errors=errors_total,
-        qber_estimate=qber,
-        raw_rate_bps=sifted_total / n_pulses * detector.repetition_rate_hz,
+        sifted_bits=sifted,
+        errors=errors,
+        qber_estimate=errors / sifted if sifted > 0 else None,
+        raw_rate_bps=sifted / n_pulses * detector.repetition_rate_hz,
     )
-    round_log = None
-    if collect_rounds:
-        round_log = RoundLog(*[np.concatenate([getattr(l, f) for l in logs])
-                               for f in ("alice_basis", "alice_bit", "bob_basis",
-                                         "click_reflected", "click_transmitted",
-                                         "sifted", "bob_bit")])
     return record, round_log
 
 
@@ -299,23 +426,17 @@ def fixed_phase_error_rate(delta_rad: float, n_pulses: int, seed: int,
     """Error rate with the global phase difference pinned for every round.
 
     The reflected port is the nominal outcome, so any transmitted-only click
-    counts as an error.  Returns ``(error_rate, errors, counted_rounds)``
-    with the rate absent when no single-click rounds occurred.
+    counts as an error.  The click outcomes of all rounds are one
+    multinomial draw at :func:`_outcome_probabilities` of the pinned phase.
+    Returns ``(error_rate, errors, counted_rounds)`` with the rate absent
+    when no single-click rounds occurred.
     """
     rng = np.random.default_rng(seed)
-    lam = _signal_rate(source, channel, detector)
-    dark = detector.dark_count_prob_per_gate
-    errors = 0
-    counted = 0
-    for lo in range(0, n_pulses, _CHUNK):
-        n = min(_CHUNK, n_pulses - lo)
-        delta = np.full(n, delta_rad)
-        if phase_noise_rad > 0.0:
-            delta = delta + phase_noise_rad * rng.standard_normal(n)
-        click_r, click_t = _draw_clicks(rng, delta, lam, dark)
-        single = click_r ^ click_t
-        errors += int((click_t & single).sum())
-        counted += int(single.sum())
+    probs = _outcome_probabilities(
+        delta_rad, _signal_rate(source, channel, detector),
+        detector.dark_count_prob_per_gate, phase_noise_rad)
+    _, errors, nominal, _ = (int(c) for c in rng.multinomial(n_pulses, probs))
+    counted = errors + nominal
     if counted == 0:
         return None, 0, 0
     return errors / counted, errors, counted

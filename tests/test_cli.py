@@ -320,3 +320,60 @@ class TestBadInput:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert any(str(path) in p for p in record["problems"])
+
+
+_README_PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
+               "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
+               "phase_gain_rad_per_v": 0.5}
+
+
+class TestRealPulseCounts:
+    @pytest.mark.parametrize("command, events", [
+        ("qkd", []),
+        ("integrated", [{**_README_PZT, "start_s": 0.2}]),
+    ])
+    def test_1e14_pulses_per_window_finish(self, tmp_path, command, events):
+        cfg = write_json(tmp_path / "big.json", {
+            "duration_s": 1.0, "qkd": {"pulses_per_window": 10**14},
+            "disturbances": events})
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", cfg, "--out-dir", str(out),
+                       "--quiet") == 0
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        assert summary["windows"] == 1
+        assert summary["pulses_sent"] == 10**14
+
+    def test_pulse_count_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "huge.json",
+                         {"qkd": {"pulses_per_window": 2**63}})
+        assert run_cli("qkd", "--config", cfg, "--out-dir", str(tmp_path),
+                       "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert [p.split(":")[0] for p in record["problems"]] == \
+            ["qkd.pulses_per_window"]
+
+
+# Perception windows shorter than one sample at the default 200 kHz.
+_SHORT_WINDOWS = {
+    "sense": ("perception.sense_duration_s", {
+        "perception": {"sense_duration_s": 1e-9},
+        "disturbances": [{"kind": "pressure", "position_m": 5000.0}]}),
+    "sweep": ("perception.sweep_duration_s", {
+        "duration_s": 12.0, "seed": 7,
+        "perception": {"sweep_duration_s": 1e-9},
+        "disturbances": [_README_PZT]}),
+}
+
+
+class TestShortPerceptionWindows:
+    @pytest.mark.parametrize("command", ["perceive", "integrated"])
+    @pytest.mark.parametrize("key, config", list(_SHORT_WINDOWS.values()),
+                             ids=list(_SHORT_WINDOWS))
+    def test_window_without_a_sample_exits_2(self, tmp_path, capsys,
+                                             command, key, config):
+        cfg = write_json(tmp_path / "short.json", config)
+        assert run_cli(command, "--config", cfg,
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert [p.split(":")[0] for p in record["problems"]] == [key]

@@ -89,6 +89,13 @@ class TestSynthesizeTrace:
                                          channel(), delta_d, 1.0)
             assert measured == pytest.approx(2.0 * theory, rel=0.01)
 
+    def test_window_without_a_sample_raises(self):
+        # Half a sample period rounds to no sample at all.
+        with pytest.raises(InsufficientDataError):
+            synthesize_trace(None, channel(), 0.4 / 200e3, 200e3)
+        assert synthesize_trace(None, channel(), 0.6 / 200e3,
+                                200e3).samples.size == 1
+
     def test_undersampled_raises(self):
         ev = pzt_event(5000.0, f_hz=60e3)
         with pytest.raises(AliasingError):

@@ -4,7 +4,10 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from sagnacsim import perception, qkd
+from sagnacsim.config import parse_config_dict
 from sagnacsim.errors import InsufficientDataError
 from sagnacsim.optics import (LoopChannel, PostSelection, SpectralPacket,
                              omega_from_wavelength,
@@ -216,3 +219,142 @@ class TestThresholdCheck:
         rec = SiftedKeyRecord(0.0, 1000, 0, 0, 0, 0, None, 0.0)
         with pytest.raises(InsufficientDataError):
             qber_threshold_check(rec, 0.08)
+
+
+# The README PZT event, a 2937.3 Hz drive switched on mid-window and the
+# 10 us impact of the CLI tests: (config, window start).
+_README_PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
+               "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
+               "phase_gain_rad_per_v": 0.5}
+_OFFSET_WINDOWS = {
+    "readme-pzt": ({"disturbances": [_README_PZT]}, 4.0),
+    "mid-window-drive": ({"disturbances": [{
+        **_README_PZT, "start_s": 3.3, "frequency_hz": 2937.3}]}, 3.0),
+    "impact": ({"disturbances": [{
+        "kind": "impact", "position_m": 5000.0, "start_s": 1.0,
+        "mass_kg": 0.1, "drop_height_m": 0.1, "width_s": 1e-5,
+        "impact_gain": 2.0}]}, 1.0),
+}
+_ENGINE_WINDOWS = {
+    "quiet-defaults": ({}, 0.0),
+    "readme-pzt": _OFFSET_WINDOWS["readme-pzt"],
+    "high-photon-number": ({"source": {"mean_photon_number": 5.0},
+                            "channel": {"loss_db": 0.0}}, 0.0),
+}
+
+
+class _Offset:
+    """The controller's summed nonreciprocal phase; records every call."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def __call__(self, times):
+        self.calls.append(np.array(times))
+        return self.phase(times)
+
+    def phase(self, times):
+        return sum(perception.nonreciprocal_phase(times, ev,
+                                                  self.script.channel)
+                   for ev in self.script.events)
+
+
+def _window(raw, t0, rng, n_pulses, collect_rounds=False):
+    script = parse_config_dict({"duration_s": 20.0, **raw}).script()
+    offset = _Offset(script) if script.events else None
+    record, log = simulate_window(
+        rng, n_pulses, t0, 1.0, script.source, script.channel,
+        script.detector, script.packet, script.qkd.phase_noise_rad, offset,
+        collect_rounds)
+    return record, log, script, offset
+
+
+def _class_probabilities(script, offsets):
+    lam = qkd._signal_rate(script.source, script.channel, script.detector) \
+        * qkd._spectral_gain(script.channel, script.packet)
+    return qkd._outcome_probabilities(
+        qkd._base_phase(qkd._ALICE_BASIS, qkd._ALICE_BIT, qkd._BOB_BASIS),
+        lam, script.detector.dark_count_prob_per_gate,
+        script.qkd.phase_noise_rad, offsets).ravel() / 8.0
+
+
+class TestCountEngine:
+    N = 200_000
+
+    @pytest.mark.parametrize("name", list(_ENGINE_WINDOWS))
+    def test_agrees_with_per_round_draws(self, name):
+        raw, t0 = _ENGINE_WINDOWS[name]
+        rng = np.random.default_rng(20261018)
+        rounds = [_window(raw, t0, rng, self.N, collect_rounds=True)
+                  for _ in range(8)]
+        counted = [_window(raw, t0, rng, self.N)[0] for _ in range(50)]
+        script, offset = rounds[0][2], rounds[0][3]
+
+        # Chi-square of the per-round outcome classes against the class
+        # probabilities, averaged over every pulse's offset.
+        classes = np.zeros(32, dtype=np.int64)
+        for _, log, _, _ in rounds:
+            index = 4 * (4 * log.alice_basis.astype(int)
+                         + 2 * log.alice_bit + log.bob_basis) \
+                + 2 * log.click_reflected + log.click_transmitted
+            classes += np.bincount(index, minlength=32)
+        pulse_times = t0 + (np.arange(self.N) + 0.5) / self.N
+        expected = classes.sum() * _class_probabilities(
+            script, offset.phase(pulse_times) if offset else None)
+        # Classes expected fewer than 5 times share the commonest one's bin.
+        merged = expected < 5.0
+        merged[np.argmax(expected)] = True
+        observed = np.append(classes[~merged], classes[merged].sum())
+        expected = np.append(expected[~merged], expected[merged].sum())
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert stats.chi2.sf(statistic, observed.size - 1) > 1e-3
+
+        # Two-sample test of each window total, as a share of the pulses.
+        for field in ("clicks_reflected", "clicks_transmitted",
+                      "sifted_bits", "errors"):
+            a = sum(getattr(r, field) for r, *_ in rounds)
+            b = sum(getattr(r, field) for r in counted)
+            n_a, n_b = len(rounds) * self.N, len(counted) * self.N
+            pooled = (a + b) / (n_a + n_b)
+            sd = math.sqrt(pooled * (1.0 - pooled) * (1 / n_a + 1 / n_b))
+            assert abs(a / n_a - b / n_b) <= 4.0 * sd, field
+
+    @pytest.mark.parametrize("name", list(_OFFSET_WINDOWS))
+    def test_capped_offset_samples_match_every_pulse(self, name):
+        raw, t0 = _OFFSET_WINDOWS[name]
+        _, _, script, offset = _window(raw, t0, np.random.default_rng(1),
+                                       self.N)
+        every_pulse = t0 + (np.arange(self.N) + 0.5) / self.N
+        assert offset.calls[0].size == 2**16
+        np.testing.assert_allclose(
+            _class_probabilities(script, offset.phase(offset.calls[0])),
+            _class_probabilities(script, offset.phase(every_pulse)),
+            rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("n_pulses", [1000, 2**16, 10**7, 10**14])
+    def test_offset_sampled_at_most_2_16_times(self, n_pulses):
+        raw, t0 = _OFFSET_WINDOWS["readme-pzt"]
+        record, _, _, offset = _window(raw, t0, np.random.default_rng(2),
+                                       n_pulses)
+        assert record.pulses_sent == n_pulses
+        assert len(offset.calls) == 1
+        assert offset.calls[0].size == min(n_pulses, 2**16)
+        if n_pulses <= 2**16:
+            # One sample per pulse, at the pulse times.
+            np.testing.assert_array_equal(
+                offset.calls[0],
+                t0 + (np.arange(n_pulses) + 0.5) * (1.0 / n_pulses))
+
+    @pytest.mark.parametrize("lam, sigma", [
+        (4.477e-4, 0.43723), (1.0, 0.43723), (1.0, 0.02), (10.0, 0.3)])
+    def test_noise_average_matches_quadrature(self, lam, sigma):
+        # Gauss-Hermite quadrature of the noisy outcome table.
+        nodes, weights = np.polynomial.hermite_e.hermegauss(160)
+        delta = qkd._base_phase(qkd._ALICE_BASIS, qkd._ALICE_BIT,
+                                qkd._BOB_BASIS)
+        table = qkd._outcome_table(delta[:, None] + sigma * nodes, lam, 1e-6)
+        reference = np.einsum("j,ijk->ik", weights / weights.sum(), table)
+        np.testing.assert_allclose(
+            qkd._outcome_probabilities(delta, lam, 1e-6, sigma), reference,
+            rtol=1e-9, atol=1e-15)

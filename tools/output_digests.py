@@ -48,9 +48,10 @@ RUNS = (
     ("qkd.defaults", "qkd", "defaults", []),
     ("integrated.defaults", "integrated", "defaults", []),
     ("integrated.pzt", "integrated", "pzt", []),
-    # Seed 3 breaches after the impact (a statistical false alarm of the
-    # short key windows), so the run reaches the trace localization.
-    ("integrated.impact", "integrated", "impact", ["--seed", "3"]),
+    # Seed 4 is the smallest that breaches after the impact (a statistical
+    # false alarm of the short key windows), so the run reaches the trace
+    # localization.
+    ("integrated.impact", "integrated", "impact", ["--seed", "4"]),
     ("integrated.pressure", "integrated", "pressure", []),
     ("perceive.pzt", "perceive", "pzt", []),
     ("perceive.impact", "perceive", "impact", []),
