@@ -47,7 +47,8 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
-    chosen = args.out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    chosen = (args.out_dir or cfg.resolved["out_dir"]
+              or os.environ.get(OUT_DIR_ENV) or ".")
     path = Path(chosen)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -56,7 +57,7 @@ def _out_dir(args, cfg: ScenarioConfig) -> Path:
 def _base_report(cfg: ScenarioConfig) -> dict:
     return {
         "config": cfg.echo(),
-        "seed": cfg.seed,
+        "seed": cfg.scenario.seed,
         "versions": {
             "sagnacsim": __version__,
             "numpy": np.__version__,
@@ -69,17 +70,6 @@ def _record_dicts(records) -> list[dict]:
     return [asdict(r) for r in records]
 
 
-def _report_dict(report: perception.LocalizationReport) -> dict:
-    return {
-        "nulls": [asdict(nf) for nf in report.nulls],
-        "position_m": report.position_m,
-        "resolution_m": report.resolution_m,
-        "sigma_position_m": report.sigma_position_m,
-        "path_difference_m": report.path_difference_m,
-        "mirror_position_m": report.mirror_position_m,
-    }
-
-
 def _log_dicts(log) -> list[dict]:
     return [{
         "time_s": rec.time_s,
@@ -90,12 +80,12 @@ def _log_dicts(log) -> list[dict]:
 
 
 def _run_session(cfg: ScenarioConfig) -> list[qkd.SiftedKeyRecord]:
-    settings = cfg.qkd_settings()
+    script = cfg.scenario
     return qkd.run_session(
-        cfg.resolved["duration_s"], cfg.seed, cfg.source(), cfg.channel(),
-        cfg.detector(), cfg.packet(), window_s=settings.window_s,
-        pulses_per_window=settings.pulses_per_window,
-        phase_noise_rad=settings.phase_noise_rad)
+        script.duration_s, script.seed, script.source, script.channel,
+        script.detector, script.packet, window_s=script.qkd.window_s,
+        pulses_per_window=script.qkd.pulses_per_window,
+        phase_noise_rad=script.qkd.phase_noise_rad)
 
 
 def _cmd_qkd(args) -> int:
@@ -116,58 +106,40 @@ def _cmd_qkd(args) -> int:
     return 0
 
 
-def _perceive_dynamic(cfg, event, out) -> dict:
-    settings = cfg.perception_settings()
-    data = perception.acquire(event, cfg.channel(), settings, cfg.seed)
-    extras: dict = {}
-    if isinstance(data, perception.FrequencySweep):
-        write_columns(out / "amplitude_vs_frequency.csv",
-                      ["frequency_hz", "amplitude_w"],
-                      [data.frequencies_hz, data.amplitudes])
-    else:
-        write_trace(out / "trace.txt", data)
-        extras["trace_file"] = "trace.txt"
-    nulls = perception.find_null_frequencies(
-        data, settings.max_harmonics,
-        depth_threshold_db=settings.notch_depth_db)
-    if nulls:
-        report = perception.localization_report(
-            nulls, cfg.channel(), settings.freq_resolution_hz)
-        extras["localization"] = _report_dict(report)
-    else:
-        extras["localization"] = None
-        extras["diagnostic"] = ("no null frequency reached the depth "
-                                "threshold")
-    return extras
-
-
 def _cmd_perceive(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    events = cfg.disturbances()
-    if not events:
+    script = cfg.scenario
+    if not script.events:
         raise ConfigError(["perceive requires at least one disturbance "
                            "in the config"])
-    event = events[0]
+    event, settings = script.events[0], script.perception
     report = _base_report(cfg)
     if event.is_dynamic:
-        report.update(_perceive_dynamic(cfg, event, out))
+        data = perception.acquire(event, script.channel, settings,
+                                  script.seed)
+        if isinstance(data, perception.FrequencySweep):
+            write_columns(out / "amplitude_vs_frequency.csv",
+                          ["frequency_hz", "amplitude_w"],
+                          [data.frequencies_hz, data.amplitudes])
+        else:
+            write_trace(out / "trace.txt", data)
+            report["trace_file"] = "trace.txt"
+        located = perception.locate(data, script.channel, settings)
+        report["localization"] = None if located is None else asdict(located)
+        if located is None:
+            report["diagnostic"] = ("no null frequency reached the depth "
+                                    "threshold")
     else:
-        settings = cfg.perception_settings()
-        trace = perception.synthesize_trace(
-            event, settings.sense_channel(cfg.channel()),
-            settings.sense_duration_s,
-            settings.sample_rate_hz, settings.noise_sigma, seed=cfg.seed,
-            input_power_w=settings.input_power_w)
+        trace, graded = perception.sense(event, script.channel, settings,
+                                         script.seed, 0.0)
         write_trace(out / "trace.txt", trace)
-        candidate, ratio = perception.significance(trace)
+        report["significance"] = graded
         report["localization"] = None
         report["diagnostic"] = ("quasi-static disturbance leaves no "
                                 "dynamic signature")
-        report["significance"] = {"candidate_frequency_hz": candidate,
-                                  "peak_to_floor": ratio}
     write_report(out / "report.json", report)
-    loc = report.get("localization")
+    loc = report["localization"]
     _say(args, "position_m="
                + (repr(float(loc["position_m"])) if loc else "none"))
     return 0
@@ -176,29 +148,25 @@ def _cmd_perceive(args) -> int:
 def _cmd_localize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    settings = cfg.perception_settings()
-    trace = read_trace(args.trace)
-    nulls = perception.find_null_frequencies(
-        trace, settings.max_harmonics,
-        depth_threshold_db=settings.notch_depth_db)
-    if not nulls:
+    located = perception.locate(read_trace(args.trace), cfg.scenario.channel,
+                                cfg.scenario.perception)
+    if located is None:
         raise SagnacSimError(
             "no null frequency found in the supplied trace")
-    report_obj = perception.localization_report(
-        nulls, cfg.channel(), settings.freq_resolution_hz)
     report = _base_report(cfg)
     report["trace_file"] = str(args.trace)
-    report["localization"] = _report_dict(report_obj)
+    report["localization"] = asdict(located)
     write_report(out / "report.json", report)
-    _say(args, f"position_m={float(report_obj.position_m)!r} "
-               f"resolution_m={float(report_obj.resolution_m)!r}")
+    _say(args, f"position_m={float(located.position_m)!r} "
+               f"resolution_m={float(located.resolution_m)!r}")
     return 0
 
 
 def _cmd_wm(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    settings = cfg.wm_settings()
+    script = cfg.scenario
+    settings = script.wm
     if args.masses:
         try:
             masses = [float(tok) for tok in args.masses.split(",") if tok]
@@ -210,12 +178,12 @@ def _cmd_wm(args) -> int:
     else:
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
     # The WM analyzer works at its own bias phase, not the key channel's.
-    channel = replace(cfg.channel(), bias_phase_rad=settings.delta_bias_rad)
+    channel = replace(script.channel, bias_phase_rad=settings.delta_bias_rad)
     readings = wm.pressure_staircase(
-        masses, settings.pressure, channel, cfg.packet(),
+        masses, settings.pressure, channel, script.packet,
         settings.delta_epsilon_rad, settings.input_power_w,
         noise_sigma=settings.noise_sigma,
-        samples_per_reading=settings.samples_per_reading, seed=cfg.seed)
+        samples_per_reading=settings.samples_per_reading, seed=script.seed)
     write_columns(out / "icr_vs_mass.csv",
                   ["mass_kg", "i_d_w", "icr", "delta_tau_s",
                    "inferred_mass_kg"],
@@ -235,7 +203,7 @@ def _cmd_wm(args) -> int:
 def _cmd_integrated(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    result = controller.run_scenario(cfg.script())
+    result = controller.run_scenario(cfg.scenario)
     entries = _log_dicts(result.log)
     write_event_log(out / "event_log.jsonl", entries)
     write_columns(out / "qber_vs_time.csv",
@@ -254,8 +222,8 @@ def _cmd_integrated(args) -> int:
     report["qkd_windows"] = _record_dicts(result.key_records)
     report["summary"] = qkd.session_summary(result.key_records)
     report["wm_readings"] = result.wm_readings
-    report["localization_reports"] = [
-        _report_dict(r) for r in result.localization_reports]
+    report["localization_reports"] = _record_dicts(
+        result.localization_reports)
     report["event_log"] = entries
     report["final_mode"] = result.final_mode.value
     write_report(out / "report.json", report)

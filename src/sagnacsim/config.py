@@ -16,8 +16,6 @@ import json
 import math
 from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
-from typing import Optional
-
 from . import qkd
 from .controller import QkdSettings, ScenarioScript, WmSettings
 from .disturbance import (DisturbanceEvent, ImpactParams, PressureParams,
@@ -126,41 +124,6 @@ class ScenarioConfig:
 
     def echo(self) -> dict:
         return json.loads(json.dumps(self.resolved))
-
-    @property
-    def seed(self) -> int:
-        return self.resolved["seed"]
-
-    @property
-    def out_dir(self) -> Optional[str]:
-        return self.resolved["out_dir"]
-
-    def script(self) -> ScenarioScript:
-        return self.scenario
-
-    def channel(self) -> LoopChannel:
-        return self.scenario.channel
-
-    def packet(self) -> SpectralPacket:
-        return self.scenario.packet
-
-    def source(self) -> SourceModel:
-        return self.scenario.source
-
-    def detector(self) -> DetectorModel:
-        return self.scenario.detector
-
-    def qkd_settings(self) -> QkdSettings:
-        return self.scenario.qkd
-
-    def perception_settings(self) -> PerceptionSettings:
-        return self.scenario.perception
-
-    def wm_settings(self) -> WmSettings:
-        return self.scenario.wm
-
-    def disturbances(self) -> tuple[DisturbanceEvent, ...]:
-        return self.scenario.events
 
 
 def _resolve(label: str, supplied: dict, keys: dict[str, FieldSpec],

@@ -294,28 +294,14 @@ class _ScenarioRunner:
     def _sense(self) -> None:
         script = self.script
         cfg = script.perception
-        event = _perception_target(script.events, self.t)
-        start = self.t
-        if event is not None and \
-                event.kind is DisturbanceKind.TRANSIENT_IMPACT:
-            start = event.start_s - 0.5 * cfg.sense_duration_s
-        trace = perception.synthesize_trace(
-            event, cfg.sense_channel(script.channel), cfg.sense_duration_s,
-            cfg.sample_rate_hz, cfg.noise_sigma,
-            seed=int(self.rng.integers(0, MAX_SEED)),
-            input_power_w=cfg.input_power_w, start_s=start)
-        candidate_hz, ratio = perception.significance(trace)
+        _, graded = perception.sense(
+            _perception_target(script.events, self.t), script.channel, cfg,
+            int(self.rng.integers(0, MAX_SEED)), self.t)
         self.t += cfg.sense_duration_s
-        if ratio > cfg.significance_threshold:
-            self.emit(EventKind.DISTURBANCE_SIGNIFICANT, {
-                "candidate_frequency_hz": candidate_hz,
-                "peak_to_floor": ratio,
-            })
+        if graded["peak_to_floor"] > cfg.significance_threshold:
+            self.emit(EventKind.DISTURBANCE_SIGNIFICANT, graded)
         else:
-            self.emit(EventKind.DISTURBANCE_MINOR, {
-                "candidate_frequency_hz": candidate_hz,
-                "peak_to_floor": ratio,
-            })
+            self.emit(EventKind.DISTURBANCE_MINOR, graded)
             self.t += cfg.switch_dead_time_s
 
     def _localize(self) -> None:
@@ -327,14 +313,11 @@ class _ScenarioRunner:
                 "localization requested but no dynamic disturbance is active")
         data = perception.acquire(event, script.channel, cfg,
                                   int(self.rng.integers(0, MAX_SEED)))
-        nulls = perception.find_null_frequencies(
-            data, cfg.max_harmonics, depth_threshold_db=cfg.notch_depth_db)
-        if not nulls:
+        report = perception.locate(data, script.channel, cfg)
+        if report is None:
             raise InsufficientDataError(
                 "perception flagged a significant disturbance but no null "
                 "frequency was found; cannot localize")
-        report = perception.localization_report(nulls, script.channel,
-                                                cfg.freq_resolution_hz)
         self.reports.append(report)
         self.t += cfg.sense_duration_s
         self.emit(EventKind.LOCALIZATION_DONE, {

@@ -8,6 +8,10 @@ the interferometer response vanish at the null frequencies
 ``f_k = k c / (n (L - 2x))``; reading one null off the spectrum inverts to
 the position.  Quasi-static disturbances cancel between the directions and
 leave no trace here by construction.
+
+Every driver runs the same three steps: :func:`sense` grades a disturbance,
+:func:`acquire` records it and :func:`locate` turns the record into a
+position.
 """
 from __future__ import annotations
 
@@ -618,3 +622,34 @@ def significance(trace: InterferenceTrace,
     peak = float(psd[band][idx])
     ratio = peak / floor if floor > 0 else math.inf
     return candidate, ratio
+
+
+def sense(event: Optional[DisturbanceEvent], channel: LoopChannel,
+          settings: PerceptionSettings, seed: Optional[int],
+          at_s: float) -> tuple[InterferenceTrace, dict]:
+    """Take the sensing trace at ``at_s`` and grade it.
+
+    The window of a transient is centred on its onset instead.  Returns the
+    trace and its :func:`significance` as ``candidate_frequency_hz`` and
+    ``peak_to_floor``.
+    """
+    if event is not None and isinstance(event.params, ImpactParams):
+        at_s = event.start_s - 0.5 * settings.sense_duration_s
+    trace = synthesize_trace(
+        event, settings.sense_channel(channel), settings.sense_duration_s,
+        settings.sample_rate_hz, settings.noise_sigma, seed=seed,
+        input_power_w=settings.input_power_w, start_s=at_s)
+    candidate, ratio = significance(trace)
+    return trace, {"candidate_frequency_hz": candidate,
+                   "peak_to_floor": ratio}
+
+
+def locate(data: Union[FrequencySweep, InterferenceTrace],
+           channel: LoopChannel,
+           settings: PerceptionSettings) -> Optional[LocalizationReport]:
+    """Null search and localization report, or ``None`` without a null."""
+    nulls = find_null_frequencies(data, settings.max_harmonics,
+                                  depth_threshold_db=settings.notch_depth_db)
+    if not nulls:
+        return None
+    return localization_report(nulls, channel, settings.freq_resolution_hz)

@@ -13,19 +13,19 @@ from sagnacsim.errors import ConfigError
 class TestDefaults:
     def test_minimal_config_resolves_reference_system(self):
         cfg = parse_config_dict({})
-        channel = cfg.channel()
+        channel = cfg.scenario.channel
         assert channel.length_m == 30000.0
         assert channel.refractive_index == 1.468
         assert channel.loss_db == 16.5
-        packet = cfg.packet()
+        packet = cfg.scenario.packet
         assert packet.omega0 == pytest.approx(
             2 * math.pi * 299792458.0 / 1550e-9, rel=1e-12)
-        assert cfg.source().mean_photon_number == 0.1
-        assert cfg.detector().efficiency == 0.2
-        assert cfg.detector().repetition_rate_hz == 100e6
+        assert cfg.scenario.source.mean_photon_number == 0.1
+        assert cfg.scenario.detector.efficiency == 0.2
+        assert cfg.scenario.detector.repetition_rate_hz == 100e6
 
     def test_script_builds(self):
-        script = default_config().script()
+        script = default_config().scenario
         assert script.duration_s == 20.0
         assert script.events == ()
 
@@ -120,7 +120,7 @@ class TestTypedViews:
                 {"kind": "pressure", "position_m": 100.0, "mass_kg": 0.5},
             ],
         })
-        events = cfg.disturbances()
+        events = cfg.scenario.events
         assert len(events) == 3
         assert events[0].params.angular_frequency_rad_s == pytest.approx(
             2 * math.pi * 800.0)
@@ -129,7 +129,7 @@ class TestTypedViews:
 
     def test_wm_settings_carry_pressure_geometry(self):
         cfg = parse_config_dict({"wm": {"pressed_length_m": 0.2}})
-        settings = cfg.wm_settings()
+        settings = cfg.scenario.wm
         assert settings.pressure.pressed_length_m == 0.2
         assert settings.pressure.contact_area_m2 == 1e-4
 
@@ -141,7 +141,7 @@ class TestLibraryBounds:
             "disturbances": [{"kind": "pressure", "position_m": 100.0,
                               "mass_kg": 0.0}],
         })
-        assert cfg.disturbances()[0].params.mass_kg == 0.0
+        assert cfg.scenario.events[0].params.mass_kg == 0.0
 
     @pytest.mark.parametrize("raw, key", [
         ({"perception": {"scan_min_hz": 80000.0}}, "perception.scan_min_hz"),
@@ -205,7 +205,7 @@ class TestAnyConfig:
             assert exc.problems
             assert all(isinstance(p, str) for p in exc.problems)
             return
-        cfg.script()
-        cfg.wm_settings()
-        cfg.perception_settings()
+        cfg.scenario
+        cfg.scenario.wm
+        cfg.scenario.perception
         assert parse_config_dict(cfg.echo()).resolved == cfg.resolved

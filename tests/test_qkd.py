@@ -261,7 +261,7 @@ class _Offset:
 
 
 def _window(raw, t0, rng, n_pulses, collect_rounds=False):
-    script = parse_config_dict({"duration_s": 20.0, **raw}).script()
+    script = parse_config_dict({"duration_s": 20.0, **raw}).scenario
     offset = _Offset(script) if script.events else None
     record, log = simulate_window(
         rng, n_pulses, t0, 1.0, script.source, script.channel,
