@@ -81,11 +81,10 @@ class BasisBit:
 
 @dataclass(frozen=True)
 class SourceModel(Checked):
-    """Attenuated pulsed source in the weak-coherent regime."""
+    """Attenuated pulsed source in the weak-coherent regime, pulsed at the
+    detector's ``repetition_rate_hz``."""
 
     mean_photon_number: float = positive(0.1)
-    pulse_rate_hz: float = positive(100e6)
-    pulse_width_s: float = positive(2e-9)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class DetectorModel(Checked):
 
     efficiency: float = fraction(0.2)
     dark_count_prob_per_gate: float = non_negative(CALIBRATED_DARK_PROB)
-    gate_width_s: float = positive(2e-9)
     repetition_rate_hz: float = positive(100e6)
 
 

@@ -377,3 +377,17 @@ class TestShortPerceptionWindows:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert [p.split(":")[0] for p in record["problems"]] == [key]
+
+
+class TestDroppedKeys:
+    # Accepted and echoed once, but nothing read them: the pulse rate is
+    # the detector's repetition_rate_hz.
+    @pytest.mark.parametrize("section, key", [
+        ("source", "pulse_rate_hz"), ("source", "pulse_width_s"),
+        ("detector", "gate_width_s")])
+    def test_unused_key_is_unknown(self, tmp_path, capsys, section, key):
+        cfg = write_json(tmp_path / "old.json", {section: {key: 1.0}})
+        assert run_cli("qkd", "--config", cfg,
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["problems"] == [f"{section}.{key}: unknown key"]
