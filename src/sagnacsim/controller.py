@@ -160,8 +160,8 @@ def _active_dynamic_events(events, t0: float, t1: float):
         if not ev.is_dynamic:
             continue
         if ev.kind is DisturbanceKind.TRANSIENT_IMPACT:
-            w = ev.params.width_s
-            if t0 <= ev.start_s + 6 * w and ev.start_s - 6 * w <= t1:
+            reach = ev.params.reach_s
+            if t0 <= ev.start_s + reach and ev.start_s - reach <= t1:
                 out.append(ev)
         elif ev.start_s <= t1:
             out.append(ev)

@@ -63,6 +63,12 @@ class ImpactParams(Checked):
     impact_gain: float = positive(10.0)
 
     @property
+    def reach_s(self) -> float:
+        """How far from its centre the pulse reaches: six widths, where the
+        Gaussian has fallen to exp(-18), about 1.5e-8 of its peak."""
+        return 6.0 * self.width_s
+
+    @property
     def peak_phase_rad(self) -> float:
         momentum = self.mass_kg * math.sqrt(
             2.0 * STANDARD_GRAVITY * self.drop_height_m)
@@ -134,13 +140,13 @@ def impact_phase(t, params: ImpactParams, center_s: float = 0.0):
     """Phase pulse from a transient impact, centered on ``center_s``.
 
     Unit-peak Gaussian of width ``width_s`` scaled by
-    ``impact_gain * m * sqrt(2 g h)``; identically zero outside six widths
-    from the center, which keeps every value below 1e-12 of the peak there.
+    ``impact_gain * m * sqrt(2 g h)``; identically zero beyond
+    :attr:`ImpactParams.reach_s` from the center.
     """
     t = np.asarray(t, dtype=float)
     dt = t - center_s
     out = np.where(
-        np.abs(dt) <= 6.0 * params.width_s,
+        np.abs(dt) <= params.reach_s,
         params.peak_phase_rad * np.exp(-0.5 * (dt / params.width_s) ** 2),
         0.0,
     )

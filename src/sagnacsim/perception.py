@@ -74,12 +74,30 @@ class PerceptionSettings(Checked):
         problems = []
         if self.scan_min_hz >= self.scan_max_hz:
             problems.append("scan_min_hz: must be below scan_max_hz")
-        for key in ("sense_duration_s", "sweep_duration_s"):
-            if _sample_count(getattr(self, key), self.sample_rate_hz) < 1:
-                problems.append(f"{key}: shorter than one sample at "
-                                f"sample_rate_hz {self.sample_rate_hz}")
+        else:
+            # The length of scan_grid(), counted without building it.
+            points = math.ceil((self.scan_max_hz + self.scan_step_hz
+                                - self.scan_min_hz) / self.scan_step_hz)
+            if points < 3:
+                problems.append(
+                    f"scan_step_hz: {self.scan_step_hz} leaves {points} scan "
+                    f"points from scan_min_hz to scan_max_hz; a sweep needs "
+                    f"at least 3")
+        # A tone measurement's Hann window has weight from 3 samples on.
+        for key, least in (("sense_duration_s", 1), ("sweep_duration_s", 3)):
+            n = _sample_count(getattr(self, key), self.sample_rate_hz)
+            if n < least:
+                problems.append(f"{key}: holds {n} samples at sample_rate_hz "
+                                f"{self.sample_rate_hz}, fewer than {least}")
         if problems:
             raise ConfigError(problems)
+
+    def scan_grid(self) -> np.ndarray:
+        """Drive frequencies of a sweep: ``scan_min_hz`` onward in steps of
+        ``scan_step_hz``, below ``scan_max_hz + scan_step_hz``."""
+        return np.arange(self.scan_min_hz,
+                         self.scan_max_hz + self.scan_step_hz,
+                         self.scan_step_hz)
 
     def sense_channel(self, channel: LoopChannel) -> LoopChannel:
         """The loop as perception sees it: biased to the sensing phase."""
@@ -271,13 +289,18 @@ def measure_tone_amplitude(trace: InterferenceTrace,
 
     Hann-weighted projection onto the exact tone (not a DFT bin), so there
     is no scalloping bias; the mean is removed first to keep the large DC
-    term from leaking.
+    term from leaking.  A trace of two samples has no Hann weight and
+    raises :class:`InsufficientDataError`.
     """
     x = trace.samples - trace.samples.mean()
     t = trace.times()
     w = np.hanning(x.size)
+    weight = w.sum()
+    if weight == 0.0:
+        raise InsufficientDataError(
+            f"a {x.size}-sample trace has no weight under the Hann window")
     phasor = np.exp(-2j * math.pi * frequency_hz * t)
-    return 2.0 * abs(np.sum(w * x * phasor)) / w.sum()
+    return 2.0 * abs(np.sum(w * x * phasor)) / weight
 
 
 def ac_power_at(trace: InterferenceTrace, frequency_hz: float) -> float:
@@ -336,11 +359,9 @@ def acquire(event: DisturbanceEvent, channel: LoopChannel,
     """
     sense = settings.sense_channel(channel)
     if isinstance(event.params, PztParams):
-        grid = np.arange(settings.scan_min_hz,
-                         settings.scan_max_hz + settings.scan_step_hz,
-                         settings.scan_step_hz)
         return frequency_sweep(
-            event, sense, grid, duration_s=settings.sweep_duration_s,
+            event, sense, settings.scan_grid(),
+            duration_s=settings.sweep_duration_s,
             sample_rate_hz=settings.sample_rate_hz,
             noise_sigma=settings.noise_sigma,
             input_power_w=settings.input_power_w, seed=seed)

@@ -25,7 +25,8 @@ from scipy.constants import g as STANDARD_GRAVITY
 from scipy.optimize import brentq
 
 from .disturbance import PressureParams, pressure_delay
-from .errors import NoSignalError, OutOfBranchError, ZeroWorkingPointError
+from .errors import (ConfigError, NoSignalError, OutOfBranchError,
+                     ZeroWorkingPointError)
 from .optics import C_VACUUM, LoopChannel, SpectralPacket, port_powers
 
 
@@ -78,8 +79,9 @@ def calibrate(channel: LoopChannel, packet: SpectralPacket,
         raise NoSignalError(
             "reflected port is dark at this bias phase; cannot calibrate")
     if channel.delay_shift_s != 0.0:
-        raise ValueError("calibration requires an undisturbed loop "
-                         f"(delay_shift_s = {channel.delay_shift_s})")
+        raise ConfigError(["channel.delay_shift_s: calibration requires an "
+                           "undisturbed loop (0.0), got "
+                           f"{channel.delay_shift_s}"])
     if input_power_w <= 0:
         raise ValueError("input_power_w must be positive")
 

@@ -391,3 +391,54 @@ class TestDroppedKeys:
                        "--out-dir", str(tmp_path / "out"), "--quiet") == 2
         record = json.loads(capsys.readouterr().err)
         assert record["problems"] == [f"{section}.{key}: unknown key"]
+
+
+
+class TestDelayShift:
+    # Any nonzero shift is a valid channel, but the WM analyzer calibrates
+    # on the undisturbed loop.
+    CONFIG = {"duration_s": 2.0, "channel": {"delay_shift_s": 1e-17}}
+
+    @pytest.mark.parametrize("command", ["wm", "integrated"])
+    def test_wm_paths_exit_2_naming_the_key(self, tmp_path, capsys,
+                                            command):
+        cfg = write_json(tmp_path / "shift.json", self.CONFIG)
+        assert run_cli(command, "--config", cfg,
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert [p.split(":")[0] for p in record["problems"]] == \
+            ["channel.delay_shift_s"]
+
+    def test_key_session_still_runs(self, tmp_path):
+        cfg = write_json(tmp_path / "shift.json", self.CONFIG)
+        out = tmp_path / "out"
+        assert run_cli("qkd", "--config", cfg, "--out-dir", str(out),
+                       "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["summary"]["windows"] == 2
+
+
+# Perception settings under which no frequency sweep can be made.
+_UNSWEEPABLE = {
+    "two-point-grid": ("perception.scan_step_hz", {
+        "scan_min_hz": 2000.0, "scan_max_hz": 2100.0}),
+    "two-sample-sweep": ("perception.sweep_duration_s", {
+        "sweep_duration_s": 1e-5}),
+}
+
+
+class TestUnsweepableSettings:
+    @pytest.mark.parametrize("command", ["perceive", "integrated"])
+    @pytest.mark.parametrize("key, perception", list(_UNSWEEPABLE.values()),
+                             ids=list(_UNSWEEPABLE))
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key,
+                                    perception):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "duration_s": 12.0, "perception": perception,
+            "disturbances": [_README_PZT]})
+        assert run_cli(command, "--config", cfg,
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert [p.split(":")[0] for p in record["problems"]] == [key]

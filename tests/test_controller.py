@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from sagnacsim.controller import (ControllerEvent, EventKind,
                                   PerceptionSettings, QkdSettings,
                                   ScenarioScript, SystemMode, WmSettings,
-                                  run_scenario, step)
-from sagnacsim.disturbance import (DisturbanceEvent, PressureParams,
-                                   PztParams)
+                                  _active_dynamic_events, run_scenario, step)
+from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
+                                   PressureParams, PztParams)
 from sagnacsim.errors import ProtocolViolationError
 from sagnacsim.optics import LoopChannel, SpectralPacket
 from sagnacsim.qkd import DetectorModel, SourceModel
@@ -207,3 +209,17 @@ class TestRunScenario:
             QkdSettings(qber_threshold=1.5)
         with pytest.raises(ValueError):
             PerceptionSettings(significance_threshold=0.0)
+
+
+class TestImpactReach:
+    def test_key_window_sees_an_impact_exactly_within_its_reach(self):
+        impact = DisturbanceEvent(
+            ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5),
+            position_m=5000.0, start_s=1.0)
+        lo, hi = 1.0 - impact.params.reach_s, 1.0 + impact.params.reach_s
+        assert _active_dynamic_events([impact], 0.0, lo) == [impact]
+        assert _active_dynamic_events(
+            [impact], 0.0, np.nextafter(lo, 0.0)) == []
+        assert _active_dynamic_events([impact], hi, 2.0) == [impact]
+        assert _active_dynamic_events(
+            [impact], np.nextafter(hi, 2.0), 2.0) == []

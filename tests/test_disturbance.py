@@ -61,6 +61,12 @@ class TestImpact:
         near_edge = impact_phase(5.99 * p.width_s, p)
         assert 0 < near_edge < 1e-7 * p.peak_phase_rad
 
+    def test_reach_bounds_the_support(self):
+        p = ImpactParams(mass_kg=0.2, drop_height_m=0.1, width_s=1e-5)
+        assert impact_phase(1.0 + p.reach_s, p, center_s=1.0) > 0.0
+        beyond = np.nextafter(1.0 + p.reach_s, 2.0)
+        assert impact_phase(beyond, p, center_s=1.0) == 0.0
+
     def test_peak_scales_with_momentum(self):
         one = ImpactParams(mass_kg=0.1, drop_height_m=0.2)
         two = ImpactParams(mass_kg=0.2, drop_height_m=0.2)

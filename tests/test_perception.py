@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
-from sagnacsim.errors import (AliasingError, InsufficientDataError,
-                              OutOfLoopError, ReciprocalDisturbanceError,
+from sagnacsim.errors import (AliasingError, ConfigError,
+                              InsufficientDataError, OutOfLoopError,
+                              ReciprocalDisturbanceError,
                               UndefinedResolutionError)
 from sagnacsim.optics import C_VACUUM, LoopChannel
 from sagnacsim.perception import (InterferenceTrace,
-                                  NullFrequency, ac_amplitude_theory,
-                                  ac_power_at, effective_gpd,
-                                  find_null_frequencies, frequency_sweep,
+                                  NullFrequency, PerceptionSettings,
+                                  ac_amplitude_theory, ac_power_at, acquire,
+                                  effective_gpd, find_null_frequencies,
+                                  frequency_sweep, locate,
                                   localization_error, localization_report,
                                   localize, measure_tone_amplitude,
-                                  nonreciprocal_phase, resolution,
+                                  nonreciprocal_phase, resolution, sense,
                                   significance, synthesize_trace)
 
 from oracles import (first_order_span, position_from_null,
@@ -336,3 +338,91 @@ class TestSpectralDiagnostics:
         candidate, ratio = significance(trace)
         assert ratio > 10.0
         assert candidate == pytest.approx(3000.0, abs=100.0)
+
+
+def impact_event(start_s=1.0):
+    return DisturbanceEvent(
+        ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5,
+                     impact_gain=2.0),
+        position_m=5000.0, start_s=start_s)
+
+
+class TestSense:
+    SETTINGS = PerceptionSettings(noise_sigma=0.0008,
+                                  sense_duration_s=0.0256)
+
+    def expected(self, event, start_s, seed):
+        s = self.SETTINGS
+        trace = synthesize_trace(event, s.sense_channel(channel(0.0)),
+                                 s.sense_duration_s, s.sample_rate_hz,
+                                 s.noise_sigma, seed=seed,
+                                 input_power_w=s.input_power_w,
+                                 start_s=start_s)
+        candidate, ratio = significance(trace)
+        return trace, {"candidate_frequency_hz": candidate,
+                       "peak_to_floor": ratio}
+
+    def test_transient_window_centred_on_onset(self):
+        event = impact_event()
+        trace, graded = sense(event, channel(0.0), self.SETTINGS, 5, 4.0)
+        want, want_graded = self.expected(event, 1.0 - 0.0128, 5)
+        np.testing.assert_array_equal(trace.samples, want.samples)
+        assert graded == want_graded
+        assert graded["peak_to_floor"] > 10.0
+
+    @pytest.mark.parametrize("event", [None, pzt_event(5000.0, 3000.0)])
+    def test_other_windows_start_at_the_given_time(self, event):
+        trace, graded = sense(event, channel(0.0), self.SETTINGS, 9, 2.5)
+        want, want_graded = self.expected(event, 2.5, 9)
+        np.testing.assert_array_equal(trace.samples, want.samples)
+        assert graded == want_graded
+
+
+class TestLocate:
+    def test_sweep_report_matches_the_steps(self):
+        settings = PerceptionSettings()
+        sweep = acquire(pzt_event(5000.0, 3000.0, 0.6), channel(), settings,
+                        seed=7)
+        nulls = find_null_frequencies(sweep, settings.max_harmonics,
+                                      depth_threshold_db=10.0)
+        assert locate(sweep, channel(), settings) == localization_report(
+            nulls, channel(), settings.freq_resolution_hz)
+
+    def test_no_null_gives_none(self):
+        quiet = synthesize_trace(None, channel(), 0.05, 200e3, 0.0019, seed=2)
+        assert locate(quiet, channel(), PerceptionSettings()) is None
+
+
+class TestSettingsThatCannotSweep:
+    def test_two_point_scan_grid_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            PerceptionSettings(scan_min_hz=2000.0, scan_max_hz=2100.0)
+        assert [p.split(":")[0] for p in err.value.problems] == \
+            ["scan_step_hz"]
+
+    def test_two_sample_sweep_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            PerceptionSettings(sweep_duration_s=1e-5)
+        assert [p.split(":")[0] for p in err.value.problems] == \
+            ["sweep_duration_s"]
+
+    @given(lo=st.floats(1.0, 1e5), span=st.floats(0.0, 2e4),
+           step=st.floats(1.0, 1e4))
+    @settings(max_examples=200, deadline=None)
+    def test_counted_points_match_the_grid(self, lo, span, step):
+        hi = lo + span
+        points = np.arange(lo, hi + step, step).size
+        if lo < hi and points >= 3:
+            grid = PerceptionSettings(scan_min_hz=lo, scan_max_hz=hi,
+                                      scan_step_hz=step).scan_grid()
+            assert grid.size == points
+        else:
+            with pytest.raises(ConfigError):
+                PerceptionSettings(scan_min_hz=lo, scan_max_hz=hi,
+                                   scan_step_hz=step)
+
+    def test_two_sample_trace_has_no_tone_weight(self):
+        trace = InterferenceTrace(sample_rate_hz=200e3, samples=[1.0, 2.0],
+                                  input_power_w=1.0)
+        with pytest.raises(InsufficientDataError):
+            measure_tone_amplitude(trace, 1000.0)
