@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
+
 from . import qkd
 from .controller import QkdSettings, ScenarioScript, WmSettings
 from .disturbance import (DisturbanceEvent, ImpactParams, PressureParams,

@@ -9,9 +9,9 @@ the interferometer response vanish at the null frequencies
 the position.  Quasi-static disturbances cancel between the directions and
 leave no trace here by construction.
 
-Every driver runs the same three steps: :func:`sense` grades a disturbance,
-:func:`acquire` records it and :func:`locate` turns the record into a
-position.
+The controller and the CLI share three steps: :func:`sense` grades a
+disturbance, :func:`acquire` records it and :func:`locate` turns a record
+into a position.
 """
 from __future__ import annotations
 
