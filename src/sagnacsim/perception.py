@@ -24,7 +24,7 @@ import numpy as np
 from scipy.signal import welch
 
 from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
-                          single_pass_phase)
+                          sine_phase, single_pass_phase)
 from .errors import (AliasingError, Checked, ConfigError,
                      HarmonicAmbiguityError, InsufficientDataError,
                      OutOfLoopError, ReciprocalDisturbanceError,
@@ -45,6 +45,18 @@ DEFAULT_SAMPLE_RATE_HZ = 200e3
 #: Default instrument frequency resolution (Hz) entering the resolution
 #: formula.
 DEFAULT_FREQ_RESOLUTION_HZ = 500.0
+
+
+#: Most scan points times sweep samples a sweep may evaluate: about 55
+#: times the default 293-point grid of 2000-sample traces.
+_MAX_SWEEP_WORK = 32_000_000
+
+#: Samples evaluated at once by :func:`frequency_sweep`: whole grid points,
+#: at least one, up to this many samples.
+_SWEEP_BLOCK_SAMPLES = 16_000
+
+#: Shortest Welch segment; a sensing trace must hold at least one.
+_WELCH_MIN_SEGMENT = 64
 
 
 def _sample_count(duration_s: float, sample_rate_hz: float) -> int:
@@ -75,22 +87,39 @@ class PerceptionSettings(Checked):
         if self.scan_min_hz >= self.scan_max_hz:
             problems.append("scan_min_hz: must be below scan_max_hz")
         else:
-            # The length of scan_grid(), counted without building it.
-            points = math.ceil((self.scan_max_hz + self.scan_step_hz
-                                - self.scan_min_hz) / self.scan_step_hz)
-            if points < 3:
-                problems.append(
-                    f"scan_step_hz: {self.scan_step_hz} leaves {points} scan "
-                    f"points from scan_min_hz to scan_max_hz; a sweep needs "
-                    f"at least 3")
-        # A tone measurement's Hann window has weight from 3 samples on.
-        for key, least in (("sense_duration_s", 1), ("sweep_duration_s", 3)):
+            problems += self._scan_grid_problems()
+        # A sensing trace is graded on Welch segments; a tone measurement's
+        # Hann window has weight from 3 samples on.
+        for key, least in (("sense_duration_s", _WELCH_MIN_SEGMENT),
+                           ("sweep_duration_s", 3)):
             n = _sample_count(getattr(self, key), self.sample_rate_hz)
             if n < least:
                 problems.append(f"{key}: holds {n} samples at sample_rate_hz "
                                 f"{self.sample_rate_hz}, fewer than {least}")
         if problems:
             raise ConfigError(problems)
+
+    def _scan_grid_problems(self) -> list[str]:
+        # The length and last value of scan_grid(), found without building
+        # it: np.arange fills start + i * ((start + step) - start).
+        steps = (self.scan_max_hz + self.scan_step_hz
+                 - self.scan_min_hz) / self.scan_step_hz
+        points = math.ceil(steps) if math.isfinite(steps) else math.inf
+        if points < 3:
+            return [f"scan_step_hz: {self.scan_step_hz} leaves {points} scan "
+                    f"points from scan_min_hz to scan_max_hz; a sweep needs "
+                    f"at least 3"]
+        samples = _sample_count(self.sweep_duration_s, self.sample_rate_hz)
+        if points * samples > _MAX_SWEEP_WORK:
+            return [f"scan_step_hz: {self.scan_step_hz} asks for "
+                    f"{points:.12g} scan points of {samples} sweep samples "
+                    f"each, more than {_MAX_SWEEP_WORK} samples in all"]
+        last = self.scan_min_hz + (points - 1) * (
+            (self.scan_min_hz + self.scan_step_hz) - self.scan_min_hz)
+        if last >= self.sample_rate_hz / 2.0:
+            return [f"scan_max_hz: the last scan point {last} Hz is not "
+                    f"below half the sample_rate_hz {self.sample_rate_hz}"]
+        return []
 
     def scan_grid(self) -> np.ndarray:
         """Drive frequencies of a sweep: ``scan_min_hz`` onward in steps of
@@ -227,6 +256,31 @@ def _required_bandwidth_hz(event: DisturbanceEvent) -> float:
     return 0.0
 
 
+def _check_bandwidth(needed_hz: float, sample_rate_hz: float) -> None:
+    if needed_hz > 0 and sample_rate_hz <= 2.0 * needed_hz:
+        raise AliasingError(
+            f"sample rate {sample_rate_hz} Hz cannot represent a "
+            f"disturbance extending to {needed_hz} Hz")
+
+
+def _port_intensity(gpd: np.ndarray, input_power_w: float,
+                    noise_sigma: float,
+                    seeds: Sequence[Optional[int]]) -> np.ndarray:
+    """Reflected-port intensity ``I0 (1 + cos gpd) (1 + sigma z)``.
+
+    ``gpd`` is one trace or a block of rows, one seed each; row ``i``'s
+    ``z`` is ``default_rng(seeds[i]).standard_normal``, drawn only when
+    ``noise_sigma`` is nonzero.
+    """
+    intensity = input_power_w * (1.0 + np.cos(gpd))
+    if noise_sigma > 0.0:
+        z = np.empty_like(intensity)
+        for row, seed in zip(z.reshape(-1, z.shape[-1]), seeds):
+            np.random.default_rng(seed).standard_normal(out=row)
+        intensity = intensity * (1.0 + noise_sigma * z)
+    return intensity
+
+
 def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
                      duration_s: float, sample_rate_hz: float,
                      noise_sigma: float = DEFAULT_NOISE_SIGMA,
@@ -243,11 +297,7 @@ def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
     if duration_s <= 0 or sample_rate_hz <= 0:
         raise ValueError("duration_s and sample_rate_hz must be positive")
     if event is not None:
-        needed = _required_bandwidth_hz(event)
-        if needed > 0 and sample_rate_hz <= 2.0 * needed:
-            raise AliasingError(
-                f"sample rate {sample_rate_hz} Hz cannot represent a "
-                f"disturbance extending to {needed} Hz")
+        _check_bandwidth(_required_bandwidth_hz(event), sample_rate_hz)
     n = _sample_count(duration_s, sample_rate_hz)
     if n == 0:
         raise InsufficientDataError(
@@ -257,14 +307,10 @@ def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
         gpd = effective_gpd(t, event, channel)
     else:
         gpd = np.full(n, channel.bias_phase_rad)
-    intensity = input_power_w * (1.0 + np.cos(gpd))
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        intensity = intensity * (1.0 + noise_sigma * rng.standard_normal(n))
-    return InterferenceTrace(sample_rate_hz=sample_rate_hz,
-                             samples=intensity,
-                             input_power_w=input_power_w,
-                             noise_sigma=noise_sigma)
+    return InterferenceTrace(
+        sample_rate_hz=sample_rate_hz,
+        samples=_port_intensity(gpd, input_power_w, noise_sigma, [seed]),
+        input_power_w=input_power_w, noise_sigma=noise_sigma)
 
 
 def ac_amplitude_theory(omega_s_rad_s: float, position_m: float,
@@ -283,6 +329,33 @@ def ac_amplitude_theory(omega_s_rad_s: float, position_m: float,
     return abs(input_power_w * delta_d_rad * math.sin(half_transit))
 
 
+def _hann(n: int) -> tuple[np.ndarray, float]:
+    """Hann window of ``n`` samples and its weight."""
+    w = np.hanning(n)
+    weight = w.sum()
+    if weight == 0.0:
+        raise InsufficientDataError(
+            f"a {n}-sample trace has no weight under the Hann window")
+    return w, weight
+
+
+def _tone_amplitudes(samples: np.ndarray, t: np.ndarray,
+                     frequencies_hz: Sequence[float],
+                     hann: tuple[np.ndarray, float]) -> list[float]:
+    """Hann-weighted projection of each row of ``samples`` onto its tone.
+
+    ``2 |sum(w x exp(-2 pi i f t))| / sum(w)`` with ``x`` the row less its
+    mean; a single trace is projected onto every frequency.  The scalar
+    ``abs`` keeps each amplitude bit for bit that of a one-tone projection.
+    """
+    w, weight = hann
+    x = samples - samples.mean(axis=-1, keepdims=True)
+    coefficients = np.array([-2j * math.pi * f for f in frequencies_hz])
+    phasor = np.exp(coefficients[:, None] * t)
+    return [2.0 * abs(s) / weight
+            for s in np.sum(w * x * phasor, axis=-1)]
+
+
 def measure_tone_amplitude(trace: InterferenceTrace,
                            frequency_hz: float) -> float:
     """Amplitude of the trace component at an arbitrary frequency.
@@ -292,21 +365,8 @@ def measure_tone_amplitude(trace: InterferenceTrace,
     term from leaking.  A trace of two samples has no Hann weight and
     raises :class:`InsufficientDataError`.
     """
-    x = trace.samples - trace.samples.mean()
-    t = trace.times()
-    w = np.hanning(x.size)
-    weight = w.sum()
-    if weight == 0.0:
-        raise InsufficientDataError(
-            f"a {x.size}-sample trace has no weight under the Hann window")
-    phasor = np.exp(-2j * math.pi * frequency_hz * t)
-    return 2.0 * abs(np.sum(w * x * phasor)) / weight
-
-
-def ac_power_at(trace: InterferenceTrace, frequency_hz: float) -> float:
-    """Mean-square power of the tone at ``frequency_hz``."""
-    amp = measure_tone_amplitude(trace, frequency_hz)
-    return 0.5 * amp * amp
+    return _tone_amplitudes(trace.samples, trace.times(), [frequency_hz],
+                            _hann(trace.samples.size))[0]
 
 
 def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
@@ -320,29 +380,48 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     grid and record the measured tone amplitude at each point.
 
     This mirrors the lab procedure of exciting the same position at a
-    series of frequencies.  Only sinusoidal (piezo) events can be swept.
+    series of frequencies.  Only sinusoidal (piezo) events can be swept,
+    and every grid point must lie below half the sample rate.
+
+    Each point is by definition :func:`synthesize_trace` of the drive
+    switched on at 0 s, seeded by the next ``rng.integers(0, 2**31)``,
+    then :func:`measure_tone_amplitude` at its frequency; one more seed
+    gives the drive-off reference that fixes the noise floor.  The grid is
+    evaluated in blocks of whole points of at most ``_SWEEP_BLOCK_SAMPLES``
+    samples, with the per-element arithmetic of that definition, so the
+    result equals it bit for bit.
     """
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
-    rng = np.random.default_rng(seed)
     freqs = np.asarray(list(frequencies_hz), dtype=float)
-    amps = np.empty_like(freqs)
-    for i, f in enumerate(freqs):
-        drive = replace(event.params,
-                        angular_frequency_rad_s=2.0 * math.pi * f)
-        point = DisturbanceEvent(params=drive, position_m=event.position_m,
-                                 start_s=0.0)
-        trace = synthesize_trace(
-            point, channel, duration_s, sample_rate_hz, noise_sigma,
-            seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
-        amps[i] = measure_tone_amplitude(trace, f)
+    omegas = 2.0 * math.pi * freqs
+    for needed_hz in omegas / (2.0 * math.pi):  # each drive's frequency_hz
+        _check_bandwidth(float(needed_hz), sample_rate_hz)
+    rng = np.random.default_rng(seed)
+    seeds = [int(rng.integers(0, 2**31)) for _ in freqs]
     # Reference measurement with the drive off fixes the instrument floor.
     quiet = synthesize_trace(
         None, channel, duration_s, sample_rate_hz, noise_sigma,
         seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
+    t = quiet.times()
+    lagged = t - _delay_lag_s(event, channel)
+    hann = _hann(t.size)
+    peak = event.params.peak_phase_rad
+    rows = max(1, _SWEEP_BLOCK_SAMPLES // t.size)
+    amps: list[float] = []
+    for lo in range(0, freqs.size, rows):
+        omega = omegas[lo:lo + rows, None]
+        # effective_gpd of the drive switched on at 0 s: the clockwise pass
+        # sees it from t = 0, the counterclockwise pass from lagged = 0.
+        gpd = (sine_phase(t, peak, omega)
+               - np.where(lagged >= 0.0, sine_phase(lagged, peak, omega),
+                          0.0)) + channel.bias_phase_rad
+        block = _port_intensity(gpd, input_power_w, noise_sigma,
+                                seeds[lo:lo + rows])
+        amps += _tone_amplitudes(block, t, freqs[lo:lo + rows], hann)
     probes = freqs[:: max(1, freqs.size // 16)]
-    floor = float(np.median([measure_tone_amplitude(quiet, f)
-                             for f in probes]))
+    floor = float(np.median(_tone_amplitudes(quiet.samples, t, probes,
+                                             hann)))
     return FrequencySweep(frequencies_hz=freqs, amplitudes=amps,
                           noise_floor_amplitude=floor)
 
@@ -474,7 +553,8 @@ _WELCH_SEGMENTS = 8
 def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
     """Averaged Hann-windowed power spectrum of a trace."""
     n = trace.samples.size
-    nperseg = max(64, 2 ** int(math.log2(2 * n / (_WELCH_SEGMENTS + 1))))
+    nperseg = max(_WELCH_MIN_SEGMENT,
+                  2 ** int(math.log2(2 * n / (_WELCH_SEGMENTS + 1))))
     nperseg = min(nperseg, n)
     return welch(trace.samples, fs=trace.sample_rate_hz, window="hann",
                  nperseg=nperseg, noverlap=nperseg // 2, detrend="constant")

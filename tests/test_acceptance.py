@@ -17,15 +17,15 @@ from sagnacsim.disturbance import (DisturbanceEvent, PressureParams,
 from sagnacsim.optics import (C_VACUUM, LoopChannel, PostSelection,
                               SpectralPacket, omega_from_wavelength,
                               post_selection_probabilities)
-from sagnacsim.perception import (ac_power_at, find_null_frequencies,
-                                  frequency_sweep, localization_report,
-                                  resolution, synthesize_trace)
+from sagnacsim.perception import (find_null_frequencies, frequency_sweep,
+                                  localization_report, resolution,
+                                  synthesize_trace)
 from sagnacsim.qkd import (CALIBRATED_PHASE_NOISE_RAD, DetectorModel,
                            SourceModel, fixed_phase_error_rate, run_session,
                            session_summary)
 from sagnacsim.wm import infer_delay, pressure_staircase
 
-from oracles import (exact_contrast_ratio, first_order_span,
+from oracles import (ac_power_at, exact_contrast_ratio, first_order_span,
                      spectral_port_probability, two_sided_position_span)
 
 L = 30000.0

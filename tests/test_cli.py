@@ -353,10 +353,14 @@ class TestRealPulseCounts:
             ["qkd.pulses_per_window"]
 
 
-# Perception windows shorter than one sample at the default 200 kHz.
+# Perception windows shorter than one sample at the default 200 kHz, and a
+# sensing window of 2 samples, short of one 64-sample Welch segment.
 _SHORT_WINDOWS = {
     "sense": ("perception.sense_duration_s", {
         "perception": {"sense_duration_s": 1e-9},
+        "disturbances": [{"kind": "pressure", "position_m": 5000.0}]}),
+    "two-sample-sense": ("perception.sense_duration_s", {
+        "perception": {"sense_duration_s": 1e-5},
         "disturbances": [{"kind": "pressure", "position_m": 5000.0}]}),
     "sweep": ("perception.sweep_duration_s", {
         "duration_s": 12.0, "seed": 7,
@@ -425,6 +429,11 @@ _UNSWEEPABLE = {
         "scan_min_hz": 2000.0, "scan_max_hz": 2100.0}),
     "two-sample-sweep": ("perception.sweep_duration_s", {
         "sweep_duration_s": 1e-5}),
+    "730001-point-grid": ("perception.scan_step_hz", {"scan_step_hz": 0.1}),
+    "overflowing-point-count": ("perception.scan_step_hz", {
+        "scan_max_hz": 1e308, "scan_step_hz": 1e-300}),
+    "grid-past-nyquist": ("perception.scan_max_hz", {
+        "scan_max_hz": 120000.0}),
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
@@ -11,10 +11,11 @@ from sagnacsim.errors import (AliasingError, ConfigError,
                               InsufficientDataError, OutOfLoopError,
                               ReciprocalDisturbanceError,
                               UndefinedResolutionError)
+from sagnacsim import perception
 from sagnacsim.optics import C_VACUUM, LoopChannel
 from sagnacsim.perception import (InterferenceTrace,
                                   NullFrequency, PerceptionSettings,
-                                  ac_amplitude_theory, ac_power_at, acquire,
+                                  ac_amplitude_theory, acquire,
                                   effective_gpd, find_null_frequencies,
                                   frequency_sweep, locate,
                                   localization_error, localization_report,
@@ -22,8 +23,8 @@ from sagnacsim.perception import (InterferenceTrace,
                                   nonreciprocal_phase, resolution, sense,
                                   significance, synthesize_trace)
 
-from oracles import (first_order_span, position_from_null,
-                     two_sided_position_span)
+from oracles import (ac_power_at, first_order_span, point_by_point_sweep,
+                     position_from_null, two_sided_position_span)
 
 L = 30000.0
 N_FIBER = 1.468
@@ -308,6 +309,68 @@ class TestReport:
             localization_report([], channel())
 
 
+# The acceptance-4 grid: 293 points, 2 kHz to 75 kHz in 250 Hz steps.
+ACCEPTANCE_GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0)
+
+
+class TestBlockSweep:
+    """The block evaluation equals the point-by-point definition bit for
+    bit: every amplitude and the noise floor."""
+
+    @staticmethod
+    def assert_same(event, grid, **kwargs):
+        got = frequency_sweep(event, channel(), grid, **kwargs)
+        want = point_by_point_sweep(event, channel(), grid, **kwargs)
+        assert np.array_equal(got.frequencies_hz, want.frequencies_hz)
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert got.noise_floor_amplitude == want.noise_floor_amplitude
+
+    @pytest.mark.parametrize("seed", [1, 2024, 77])
+    def test_acceptance_grid(self, seed):
+        self.assert_same(pzt_event(7000.0, 500.0, 0.08), ACCEPTANCE_GRID,
+                         duration_s=0.01, noise_sigma=0.0019, seed=seed)
+
+    @pytest.mark.parametrize("points", [3, 17, 40])
+    def test_grid_not_a_multiple_of_the_block(self, points):
+        grid = 3000.0 + 410.0 * np.arange(points)
+        self.assert_same(pzt_event(4000.0, 500.0, 0.1), grid,
+                         duration_s=0.0123, seed=5)
+
+    def test_block_of_one_point(self):
+        # 40 000 samples per trace: more than a block holds.
+        self.assert_same(pzt_event(5000.0, 500.0, 0.1),
+                         [9000.0, 10250.0, 11500.0], duration_s=0.2, seed=3)
+
+    def test_without_noise(self):
+        self.assert_same(pzt_event(5000.0, 500.0, 0.05), ACCEPTANCE_GRID,
+                         noise_sigma=0.0, seed=4)
+
+    @pytest.mark.parametrize("x", [L / 2, 0.8 * L])
+    def test_midpoint_and_far_branch(self, x):
+        self.assert_same(pzt_event(x, 500.0, 0.1), ACCEPTANCE_GRID[:50],
+                         seed=6)
+
+    def test_three_sample_sweep(self):
+        self.assert_same(pzt_event(5000.0, 500.0, 0.1),
+                         [2000.0, 2250.0, 2500.0, 2750.0],
+                         duration_s=1.5e-5, seed=8)
+
+    def test_aliasing_checked_before_any_trace(self, monkeypatch):
+        # The first offending point is named, as point by point.
+        grid = np.arange(90e3, 130e3, 2500.0)
+        event = pzt_event(5000.0)
+        with pytest.raises(AliasingError) as want:
+            point_by_point_sweep(event, channel(), grid, seed=1)
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("synthesized a trace")
+
+        monkeypatch.setattr(perception, "synthesize_trace", no_trace)
+        with pytest.raises(AliasingError) as got:
+            frequency_sweep(event, channel(), grid, seed=1)
+        assert str(got.value) == str(want.value)
+
+
 class TestSpectralDiagnostics:
     def test_quasi_static_indistinguishable_from_noise_floor(self):
         prs = DisturbanceEvent(PressureParams(0.5), position_m=9000.0,
@@ -412,14 +475,51 @@ class TestSettingsThatCannotSweep:
     def test_counted_points_match_the_grid(self, lo, span, step):
         hi = lo + span
         points = np.arange(lo, hi + step, step).size
+        # A sample rate far above the grid and 3-sample sweeps keep the
+        # Nyquist and work rules out of play.
+        scan = dict(scan_min_hz=lo, scan_max_hz=hi, scan_step_hz=step,
+                    sample_rate_hz=1e6, sweep_duration_s=3e-6,
+                    sense_duration_s=1e-4)
         if lo < hi and points >= 3:
-            grid = PerceptionSettings(scan_min_hz=lo, scan_max_hz=hi,
-                                      scan_step_hz=step).scan_grid()
-            assert grid.size == points
+            assert PerceptionSettings(**scan).scan_grid().size == points
         else:
             with pytest.raises(ConfigError):
-                PerceptionSettings(scan_min_hz=lo, scan_max_hz=hi,
-                                   scan_step_hz=step)
+                PerceptionSettings(**scan)
+
+    @given(lo=st.floats(1.0, 1e5), span=st.floats(1e-3, 2e4),
+           step=st.floats(1.0, 1e4))
+    @settings(max_examples=200, deadline=None)
+    def test_nyquist_rule_reads_the_last_grid_point(self, lo, span, step):
+        grid = np.arange(lo, lo + span + step, step)
+        assume(grid.size >= 3)
+
+        def settings_at(rate):
+            return PerceptionSettings(
+                scan_min_hz=lo, scan_max_hz=lo + span, scan_step_hz=step,
+                sample_rate_hz=rate, sweep_duration_s=3.0 / rate,
+                sense_duration_s=100.0 / rate)
+
+        with pytest.raises(ConfigError) as err:
+            settings_at(2.0 * grid[-1])
+        assert [p.split(":")[0] for p in err.value.problems] == \
+            ["scan_max_hz"]
+        settings_at(2.0 * np.nextafter(grid[-1], np.inf))
+
+    def test_sweep_work_bounded(self):
+        with pytest.raises(ConfigError) as err:
+            PerceptionSettings(scan_step_hz=0.1)
+        [problem] = err.value.problems
+        assert problem.startswith("scan_step_hz:")
+        assert "730001 scan points of 2000 sweep samples" in problem
+        # Fifty times the default grid's work still sweeps.
+        assert PerceptionSettings(scan_step_hz=5.0).scan_grid().size == 14601
+
+    def test_sense_window_holds_a_welch_segment(self):
+        with pytest.raises(ConfigError) as err:
+            PerceptionSettings(sense_duration_s=63 / 200e3)
+        assert [p.split(":")[0] for p in err.value.problems] == \
+            ["sense_duration_s"]
+        PerceptionSettings(sense_duration_s=64 / 200e3)
 
     def test_two_sample_trace_has_no_tone_weight(self):
         trace = InterferenceTrace(sample_rate_hz=200e3, samples=[1.0, 2.0],
