@@ -5,12 +5,14 @@ runs in-process on the reference configs below, each in its own directory
 under a fresh temporary directory, and the script prints one
 ``<sha256>  <run>/<file>`` line per output file.  Running it on two
 checkouts and diffing the output shows whether a change altered any output
-byte.
+byte.  :func:`parsed_outputs` reads the same files back as values, which
+``tools/write_reference_outputs.py`` pins in ``tests/data``.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -86,6 +88,40 @@ def digest_runs(root: Path) -> list[str]:
     finally:
         os.chdir(cwd)
     return lines
+
+
+def _cell(text: str):
+    """A CSV cell as the value it was written from: int, finite float or,
+    failing both (``nan`` for an absent value, a name), the text itself."""
+    for kind in (int, float):
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        if math.isfinite(value):
+            return value
+    return text
+
+
+def parsed_outputs(root: Path) -> dict:
+    """Every output of the runs under ``root`` except the bulky traces, as
+    ``{run: {file: value}}``: a report without its ``versions`` key, an
+    event log as its list of records, a CSV as its list of rows."""
+    outputs = {}
+    for run, *_ in RUNS:
+        files = outputs[run] = {}
+        for path in sorted((root / run).iterdir()):
+            text = path.read_text()
+            if path.suffix == ".json":
+                files[path.name] = json.loads(text)
+                files[path.name].pop("versions")
+            elif path.suffix == ".jsonl":
+                files[path.name] = [json.loads(line)
+                                    for line in text.splitlines()]
+            elif path.suffix == ".csv":
+                files[path.name] = [[_cell(c) for c in line.split(",")]
+                                    for line in text.splitlines()]
+    return outputs
 
 
 if __name__ == "__main__":
