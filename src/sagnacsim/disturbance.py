@@ -127,19 +127,13 @@ class DisturbanceEvent(Checked):
         return self.kind is not DisturbanceKind.QUASI_STATIC_PRESSURE
 
 
-def sine_phase(t, peak_phase_rad, angular_frequency_rad_s):
-    """``peak * sin(omega * t)``.  Broadcasts, so a column of angular
-    frequencies against a row of times gives one drive per row."""
-    return peak_phase_rad * np.sin(angular_frequency_rad_s * t)
-
-
 def pzt_phase(t, params: PztParams):
     """Phase imposed on a single pass at time ``t`` by the piezo drive.
 
     Linear in the drive voltage: ``gain * V0 * sin(omega_s * t)``.
     Accepts scalars or arrays.
     """
-    return sine_phase(t, params.peak_phase_rad, params.angular_frequency_rad_s)
+    return params.peak_phase_rad * np.sin(params.angular_frequency_rad_s * t)
 
 
 def impact_phase(t, params: ImpactParams, center_s: float = 0.0):

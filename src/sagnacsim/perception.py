@@ -24,7 +24,7 @@ import numpy as np
 from scipy.signal import welch
 
 from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
-                          sine_phase, single_pass_phase)
+                          single_pass_phase)
 from .errors import (AliasingError, Checked, ConfigError,
                      HarmonicAmbiguityError, InsufficientDataError,
                      OutOfLoopError, ReciprocalDisturbanceError,
@@ -159,6 +159,13 @@ class InterferenceTrace(Checked):
         return np.arange(self.samples.size) / self.sample_rate_hz
 
 
+def _check_sweep_grid(frequencies_hz: np.ndarray) -> None:
+    if frequencies_hz.ndim != 1 or frequencies_hz.size < 3:
+        raise ValueError("sweep needs a 1-D grid of >= 3 points")
+    if np.any(np.diff(frequencies_hz) <= 0):
+        raise ValueError("sweep frequencies must be strictly ascending")
+
+
 @dataclass(frozen=True)
 class FrequencySweep:
     """Measured AC amplitude of the interferometer response versus drive
@@ -176,10 +183,9 @@ class FrequencySweep:
     def __post_init__(self):
         f = np.asarray(self.frequencies_hz, dtype=float)
         a = np.asarray(self.amplitudes, dtype=float)
-        if f.shape != a.shape or f.ndim != 1 or f.size < 3:
-            raise ValueError("sweep needs matching 1-D arrays of >= 3 points")
-        if np.any(np.diff(f) <= 0):
-            raise ValueError("sweep frequencies must be strictly ascending")
+        if f.shape != a.shape:
+            raise ValueError("sweep needs one amplitude per frequency")
+        _check_sweep_grid(f)
         object.__setattr__(self, "frequencies_hz", f)
         object.__setattr__(self, "amplitudes", a)
 
@@ -339,21 +345,37 @@ def _hann(n: int) -> tuple[np.ndarray, float]:
     return w, weight
 
 
-def _tone_amplitudes(samples: np.ndarray, t: np.ndarray,
-                     frequencies_hz: Sequence[float],
-                     hann: tuple[np.ndarray, float]) -> list[float]:
-    """Hann-weighted projection of each row of ``samples`` onto its tone.
+def _unit_phasors(omegas: np.ndarray, n: int,
+                  sample_rate_hz: float) -> np.ndarray:
+    """``exp(1j * omega * k / sample_rate_hz)`` for ``k < n``, one row per
+    angular frequency.
 
-    ``2 |sum(w x exp(-2 pi i f t))| / sum(w)`` with ``x`` the row less its
-    mean; a single trace is projected onto every frequency.  The scalar
-    ``abs`` keeps each amplitude bit for bit that of a one-tone projection.
+    Sample ``k = step * j + r`` is a coarse phasor (every ``step``-th
+    sample) times a fine one (the first ``step`` samples), with
+    ``step = isqrt(n - 1) + 1``, so a row costs about ``2 sqrt(n)``
+    complex exponentials and ``n`` complex multiplies.
+    """
+    step = math.isqrt(n - 1) + 1
+    k = np.arange(step)
+    theta = np.asarray(omegas, dtype=float)[:, None] / sample_rate_hz
+    fine = np.exp(1j * theta * k)
+    coarse = np.exp(1j * theta * (step * k))
+    rows = coarse[:, :, None] * fine[:, None, :]
+    return rows.reshape(theta.shape[0], step * step)[:, :n]
+
+
+def _tone_amplitudes(samples: np.ndarray, phasors: np.ndarray,
+                     hann: tuple[np.ndarray, float]) -> np.ndarray:
+    """Hann-weighted projection of ``samples`` onto each row of
+    :func:`_unit_phasors`.
+
+    ``2 |sum(w x e)| / sum(w)`` with ``x`` the samples less their mean;
+    ``e`` and its conjugate give the same modulus.  ``samples`` is one
+    trace, projected onto every row, or one row per phasor row.
     """
     w, weight = hann
     x = samples - samples.mean(axis=-1, keepdims=True)
-    coefficients = np.array([-2j * math.pi * f for f in frequencies_hz])
-    phasor = np.exp(coefficients[:, None] * t)
-    return [2.0 * abs(s) / weight
-            for s in np.sum(w * x * phasor, axis=-1)]
+    return 2.0 * np.abs(np.sum(w * x * phasors, axis=-1)) / weight
 
 
 def measure_tone_amplitude(trace: InterferenceTrace,
@@ -365,8 +387,11 @@ def measure_tone_amplitude(trace: InterferenceTrace,
     term from leaking.  A trace of two samples has no Hann weight and
     raises :class:`InsufficientDataError`.
     """
-    return _tone_amplitudes(trace.samples, trace.times(), [frequency_hz],
-                            _hann(trace.samples.size))[0]
+    n = trace.samples.size
+    hann = _hann(n)
+    phasors = _unit_phasors([2.0 * math.pi * frequency_hz], n,
+                            trace.sample_rate_hz)
+    return float(_tone_amplitudes(trace.samples, phasors, hann)[0])
 
 
 def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
@@ -381,19 +406,23 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
 
     This mirrors the lab procedure of exciting the same position at a
     series of frequencies.  Only sinusoidal (piezo) events can be swept,
-    and every grid point must lie below half the sample rate.
+    the grid must be strictly ascending with at least 3 points, and every
+    point must lie below half the sample rate; all three are checked
+    before any trace is synthesized.
 
     Each point is by definition :func:`synthesize_trace` of the drive
     switched on at 0 s, seeded by the next ``rng.integers(0, 2**31)``,
     then :func:`measure_tone_amplitude` at its frequency; one more seed
     gives the drive-off reference that fixes the noise floor.  The grid is
     evaluated in blocks of whole points of at most ``_SWEEP_BLOCK_SAMPLES``
-    samples, with the per-element arithmetic of that definition, so the
-    result equals it bit for bit.
+    samples.  One :func:`_unit_phasors` table per block gives the drive,
+    the lagged drive and the tone projection, so the result equals that
+    definition to rounding, with the same random stream.
     """
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
     freqs = np.asarray(list(frequencies_hz), dtype=float)
+    _check_sweep_grid(freqs)
     omegas = 2.0 * math.pi * freqs
     for needed_hz in omegas / (2.0 * math.pi):  # each drive's frequency_hz
         _check_bandwidth(float(needed_hz), sample_rate_hz)
@@ -403,25 +432,26 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     quiet = synthesize_trace(
         None, channel, duration_s, sample_rate_hz, noise_sigma,
         seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
-    t = quiet.times()
-    lagged = t - _delay_lag_s(event, channel)
-    hann = _hann(t.size)
+    n = quiet.samples.size
+    lag = _delay_lag_s(event, channel)
+    # effective_gpd of the drive switched on at 0 s: the clockwise pass
+    # sees it from t = 0, the counterclockwise pass from t = lag.
+    on = quiet.times() >= lag
+    hann = _hann(n)
     peak = event.params.peak_phase_rad
-    rows = max(1, _SWEEP_BLOCK_SAMPLES // t.size)
-    amps: list[float] = []
+    rows = max(1, _SWEEP_BLOCK_SAMPLES // n)
+    amps = np.empty_like(freqs)
     for lo in range(0, freqs.size, rows):
-        omega = omegas[lo:lo + rows, None]
-        # effective_gpd of the drive switched on at 0 s: the clockwise pass
-        # sees it from t = 0, the counterclockwise pass from lagged = 0.
-        gpd = (sine_phase(t, peak, omega)
-               - np.where(lagged >= 0.0, sine_phase(lagged, peak, omega),
-                          0.0)) + channel.bias_phase_rad
+        omega = omegas[lo:lo + rows]
+        e = _unit_phasors(omega, n, sample_rate_hz)
+        delayed = (e * np.exp(-1j * omega * lag)[:, None]).imag
+        gpd = peak * (e.imag - delayed * on) + channel.bias_phase_rad
         block = _port_intensity(gpd, input_power_w, noise_sigma,
                                 seeds[lo:lo + rows])
-        amps += _tone_amplitudes(block, t, freqs[lo:lo + rows], hann)
-    probes = freqs[:: max(1, freqs.size // 16)]
-    floor = float(np.median(_tone_amplitudes(quiet.samples, t, probes,
-                                             hann)))
+        amps[lo:lo + rows] = _tone_amplitudes(block, e, hann)
+    probes = omegas[:: max(1, freqs.size // 16)]
+    floor = float(np.median(_tone_amplitudes(
+        quiet.samples, _unit_phasors(probes, n, sample_rate_hz), hann)))
     return FrequencySweep(frequencies_hz=freqs, amplitudes=amps,
                           noise_floor_amplitude=floor)
 

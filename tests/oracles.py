@@ -3,15 +3,18 @@
 These deliberately avoid the closed forms under test: the port probability
 oracle integrates the spectral density numerically, and the Taylor bound
 evaluates position differences directly.  The swept-sine oracle is the
-point-by-point definition that the block evaluation must equal bit for bit.
+point-by-point definition, with its own tone projection, that the block
+evaluation must equal to rounding.  The per-round key oracle draws every
+BB84 round that the count-level engine summarizes in one multinomial draw.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from sagnacsim import qkd
 from sagnacsim.disturbance import DisturbanceEvent, PztParams
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
                                   DEFAULT_SAMPLE_RATE_HZ, FrequencySweep,
@@ -77,6 +80,15 @@ def ac_power_at(trace, frequency_hz: float) -> float:
     return 0.5 * amp * amp
 
 
+def tone_amplitude(trace, frequency_hz: float) -> float:
+    """``2 |sum(w (x - mean x) exp(-2 pi i f t))| / sum(w)`` with ``w`` the
+    Hann window, every phasor a complex exponential of its own."""
+    w = np.hanning(trace.samples.size)
+    x = trace.samples - trace.samples.mean()
+    phasor = np.exp(-2j * math.pi * frequency_hz * trace.times())
+    return 2.0 * abs(np.sum(w * x * phasor)) / w.sum()
+
+
 def point_by_point_sweep(event, channel, frequencies_hz, *,
                          duration_s=0.01,
                          sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
@@ -98,12 +110,83 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
         trace = synthesize_trace(
             point, channel, duration_s, sample_rate_hz, noise_sigma,
             seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
-        amps[i] = measure_tone_amplitude(trace, f)
+        amps[i] = tone_amplitude(trace, f)
     quiet = synthesize_trace(
         None, channel, duration_s, sample_rate_hz, noise_sigma,
         seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
     probes = freqs[:: max(1, freqs.size // 16)]
-    floor = float(np.median([measure_tone_amplitude(quiet, f)
-                             for f in probes]))
+    floor = float(np.median([tone_amplitude(quiet, f) for f in probes]))
     return FrequencySweep(frequencies_hz=freqs, amplitudes=amps,
                           noise_floor_amplitude=floor)
+
+
+#: Rounds drawn at once by the per-round key oracle.
+_CHUNK = 1_000_000
+
+
+@dataclass
+class RoundLog:
+    """Raw per-round draws kept for replay-style property checks."""
+
+    alice_basis: np.ndarray
+    alice_bit: np.ndarray
+    bob_basis: np.ndarray
+    click_reflected: np.ndarray
+    click_transmitted: np.ndarray
+    sifted: np.ndarray
+    bob_bit: np.ndarray
+
+
+def _draw_rounds(rng, n_pulses, window_start_s, window_s, lam, dark,
+                 phase_noise_rad, gpd_offset_fn) -> RoundLog:
+    """Every round of a window: its choices, noise and clicks, each pulse
+    seeing the offset at its own time."""
+    logs: list[RoundLog] = []
+    for lo in range(0, n_pulses, _CHUNK):
+        n = min(_CHUNK, n_pulses - lo)
+        alice_basis = rng.integers(0, 2, n, dtype=np.int8)
+        alice_bit = rng.integers(0, 2, n, dtype=np.int8)
+        bob_basis = rng.integers(0, 2, n, dtype=np.int8)
+
+        delta = qkd._base_phase(alice_basis, alice_bit, bob_basis)
+        if phase_noise_rad > 0.0:
+            delta = delta + phase_noise_rad * rng.standard_normal(n)
+        if gpd_offset_fn is not None:
+            t = window_start_s + (lo + np.arange(n) + 0.5) * (window_s / n_pulses)
+            delta = delta + gpd_offset_fn(t)
+
+        p_click_r, p_click_t = qkd._click_model(delta, lam, dark)
+        click_r = rng.random(n) < p_click_r
+        click_t = rng.random(n) < p_click_t
+        sifted = (alice_basis == bob_basis) & (click_r ^ click_t)
+        logs.append(RoundLog(alice_basis, alice_bit, bob_basis, click_r,
+                             click_t, sifted, click_t[sifted].astype(np.int8)))
+    return RoundLog(*[np.concatenate([getattr(log, f) for log in logs])
+                      for f in ("alice_basis", "alice_bit", "bob_basis",
+                                "click_reflected", "click_transmitted",
+                                "sifted", "bob_bit")])
+
+
+def per_round_window(rng, n_pulses, window_start_s, window_s, source,
+                     channel, detector, packet=None, phase_noise_rad=0.0,
+                     gpd_offset_fn=None):
+    """:func:`sagnacsim.qkd.simulate_window` one round at a time: the
+    window's record, totalled from the rounds, and the rounds."""
+    lam = qkd._signal_rate(source, channel, detector) \
+        * qkd._spectral_gain(channel, packet)
+    log = _draw_rounds(rng, n_pulses, window_start_s, window_s, lam,
+                       detector.dark_count_prob_per_gate, phase_noise_rad,
+                       gpd_offset_fn)
+    sifted = int(log.sifted.sum())
+    errors = int((log.bob_bit != log.alice_bit[log.sifted]).sum())
+    record = qkd.SiftedKeyRecord(
+        window_start_s=window_start_s,
+        pulses_sent=n_pulses,
+        clicks_reflected=int(log.click_reflected.sum()),
+        clicks_transmitted=int(log.click_transmitted.sum()),
+        sifted_bits=sifted,
+        errors=errors,
+        qber_estimate=errors / sifted if sifted > 0 else None,
+        raw_rate_bps=sifted / n_pulses * detector.repetition_rate_hz,
+    )
+    return record, log

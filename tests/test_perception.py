@@ -24,7 +24,8 @@ from sagnacsim.perception import (InterferenceTrace,
                                   significance, synthesize_trace)
 
 from oracles import (ac_power_at, first_order_span, point_by_point_sweep,
-                     position_from_null, two_sided_position_span)
+                     position_from_null, tone_amplitude,
+                     two_sided_position_span)
 
 L = 30000.0
 N_FIBER = 1.468
@@ -314,16 +315,21 @@ ACCEPTANCE_GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0)
 
 
 class TestBlockSweep:
-    """The block evaluation equals the point-by-point definition bit for
-    bit: every amplitude and the noise floor."""
+    """The block evaluation equals the point-by-point definition to
+    rounding, from the same random stream: every amplitude and the noise
+    floor within 1e-11 of the largest amplitude."""
 
     @staticmethod
     def assert_same(event, grid, **kwargs):
         got = frequency_sweep(event, channel(), grid, **kwargs)
         want = point_by_point_sweep(event, channel(), grid, **kwargs)
+        atol = 1e-11 * want.amplitudes.max()
         assert np.array_equal(got.frequencies_hz, want.frequencies_hz)
-        assert np.array_equal(got.amplitudes, want.amplitudes)
-        assert got.noise_floor_amplitude == want.noise_floor_amplitude
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes,
+                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(got.noise_floor_amplitude,
+                                   want.noise_floor_amplitude,
+                                   rtol=0, atol=atol)
 
     @pytest.mark.parametrize("seed", [1, 2024, 77])
     def test_acceptance_grid(self, seed):
@@ -369,6 +375,52 @@ class TestBlockSweep:
         with pytest.raises(AliasingError) as got:
             frequency_sweep(event, channel(), grid, seed=1)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("grid, message", [
+        ([3000.0, 2500.0, 4000.0], "strictly ascending"),
+        ([2000.0, 2500.0, 2500.0, 3000.0], "strictly ascending"),
+        ([2000.0, 2500.0], ">= 3 points"),
+        ([[2000.0, 2500.0, 3000.0]], ">= 3 points"),
+    ])
+    def test_grid_checked_before_any_block(self, monkeypatch, grid, message):
+        def no_block(*args, **kwargs):
+            raise AssertionError("evaluated a block")
+
+        monkeypatch.setattr(perception, "_port_intensity", no_block)
+        with pytest.raises(ValueError, match=message):
+            frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
+
+
+class TestUnitPhasors:
+    FS = 200e3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 40_000])
+    def test_matches_one_exponential_per_sample(self, n):
+        # Up to just below Nyquist, where the phase reaches pi n.
+        omegas = 2 * math.pi * np.array(
+            [0.0, 1.0, 2000.0, 12345.678, 75000.0,
+             np.nextafter(self.FS / 2, 0.0)])
+        got = perception._unit_phasors(omegas, n, self.FS)
+        assert got.shape == (omegas.size, n)
+        phase = omegas[:, None] * np.arange(n) / self.FS
+        want = np.exp(1j * phase)
+        # 1e-12, plus a few ulp of the phase: the float64 phase of the
+        # reference is itself only that good, which at 40 000 samples near
+        # Nyquist (phase 1.3e5 rad) is about 3e-11.
+        slack = 1e-12 + 4 * np.finfo(float).eps * phase
+        assert np.all(np.abs(got - want) <= slack)
+
+
+class TestMeasureToneAmplitude:
+    @pytest.mark.parametrize("f_hz", [1234.5, 4000.3, 17777.7, 61003.1])
+    @pytest.mark.parametrize("n", [3, 2000, 4097])
+    def test_matches_oracle_projection_off_bin(self, f_hz, n):
+        samples = np.random.default_rng(n).standard_normal(n) + 5.0
+        samples += 0.3 * np.sin(2 * math.pi * f_hz * np.arange(n) / 200e3)
+        trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
+                                  input_power_w=1.0)
+        assert measure_tone_amplitude(trace, f_hz) == pytest.approx(
+            tone_amplitude(trace, f_hz), rel=1e-11, abs=1e-14)
 
 
 class TestSpectralDiagnostics:
