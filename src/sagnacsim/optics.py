@@ -74,11 +74,6 @@ class LoopChannel(Checked):
     def total_delay_s(self) -> float:
         return self.intrinsic_delay_s + self.delay_shift_s
 
-    @property
-    def transit_time_s(self) -> float:
-        """One-way propagation time around the full loop."""
-        return self.refractive_index * self.length_m / C_VACUUM
-
 
 @dataclass(frozen=True)
 class PostSelection:

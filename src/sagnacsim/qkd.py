@@ -21,10 +21,9 @@ counts with one multinomial draw, so its cost does not grow with
 rounds are not identically distributed, and their class counts are drawn as
 one multinomial at the window-averaged probabilities; its variance differs
 from that of the per-round sum by a relative amount of the order of the
-largest per-round click probability (about 5e-4 at the defaults).  The
-per-round draw survives only behind ``collect_rounds=True``, which returns
-the rounds themselves.  A window's pulses stand in for a full second of
-100 MHz operation; rates extrapolate as
+largest per-round click probability (about 5e-4 at the defaults).  A
+window's pulses stand in for a full second of 100 MHz operation; rates
+extrapolate as
 ``sifted_bits / pulses_sent * repetition_rate``.
 """
 from __future__ import annotations
@@ -50,8 +49,6 @@ CALIBRATED_DARK_PROB = 1e-6
 #: Std dev (rad) of the per-round global-phase misalignment that, together
 #: with the dark counts above, reproduces the 4.76 % operating error rate.
 CALIBRATED_PHASE_NOISE_RAD = 0.43723
-
-_CHUNK = 1_000_000
 
 #: Most times per window at which a time-varying phase offset is sampled.
 _OFFSET_SAMPLES = 2**16
@@ -259,19 +256,6 @@ def click_probabilities(alice_phase_rad: float, bob_phase_rad: float,
     return float(p_r), float(p_t)
 
 
-@dataclass
-class RoundLog:
-    """Raw per-round draws kept for replay-style property checks."""
-
-    alice_basis: np.ndarray
-    alice_bit: np.ndarray
-    bob_basis: np.ndarray
-    click_reflected: np.ndarray
-    click_transmitted: np.ndarray
-    sifted: np.ndarray
-    bob_bit: np.ndarray
-
-
 #: Alice basis, Alice bit and Bob basis of the 8 equally likely choices.
 _ALICE_BASIS, _ALICE_BIT, _BOB_BASIS = np.indices((2, 2, 2)).reshape(3, -1)
 
@@ -310,42 +294,6 @@ def _count_window(rng: np.random.Generator, n_pulses: int,
             int(counts[matched, 1 + _ALICE_BIT[matched]].sum()))
 
 
-def _draw_rounds(rng: np.random.Generator, n_pulses: int,
-                 window_start_s: float, window_s: float, lam: float,
-                 dark: float, phase_noise_rad: float,
-                 gpd_offset_fn) -> tuple[tuple[int, int, int, int], RoundLog]:
-    """Window totals and rounds from per-round draws: every pulse sees the
-    offset at its own time."""
-    logs: list[RoundLog] = []
-    for lo in range(0, n_pulses, _CHUNK):
-        n = min(_CHUNK, n_pulses - lo)
-        alice_basis = rng.integers(0, 2, n, dtype=np.int8)
-        alice_bit = rng.integers(0, 2, n, dtype=np.int8)
-        bob_basis = rng.integers(0, 2, n, dtype=np.int8)
-
-        delta = _base_phase(alice_basis, alice_bit, bob_basis)
-        if phase_noise_rad > 0.0:
-            delta = delta + phase_noise_rad * rng.standard_normal(n)
-        if gpd_offset_fn is not None:
-            t = window_start_s + (lo + np.arange(n) + 0.5) * (window_s / n_pulses)
-            delta = delta + gpd_offset_fn(t)
-
-        p_click_r, p_click_t = _click_model(delta, lam, dark)
-        click_r = rng.random(n) < p_click_r
-        click_t = rng.random(n) < p_click_t
-        sifted = (alice_basis == bob_basis) & (click_r ^ click_t)
-        logs.append(RoundLog(alice_basis, alice_bit, bob_basis, click_r,
-                             click_t, sifted, click_t[sifted].astype(np.int8)))
-
-    log = RoundLog(*[np.concatenate([getattr(l, f) for l in logs])
-                     for f in ("alice_basis", "alice_bit", "bob_basis",
-                               "click_reflected", "click_transmitted",
-                               "sifted", "bob_bit")])
-    errors = log.bob_bit != log.alice_bit[log.sifted]
-    return (int(log.click_reflected.sum()), int(log.click_transmitted.sum()),
-            int(log.sifted.sum()), int(errors.sum())), log
-
-
 def simulate_window(rng: np.random.Generator, n_pulses: int,
                     window_start_s: float, window_s: float,
                     source: SourceModel, channel: LoopChannel,
@@ -353,8 +301,7 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
                     packet: SpectralPacket | None = None,
                     phase_noise_rad: float = 0.0,
                     gpd_offset_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                    collect_rounds: bool = False,
-                    ) -> tuple[SiftedKeyRecord, Optional[RoundLog]]:
+                    ) -> tuple[SiftedKeyRecord, None]:
     """Simulate one accounting window of BB84 rounds.
 
     Rounds are spread uniformly over the window so that a time-varying
@@ -362,17 +309,14 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
     waveform.  Double clicks are discarded; a window with zero sifted bits
     reports its error rate as absent rather than zero.  The totals come
     from one multinomial draw over the outcome classes
-    (:func:`_count_window`), at a cost independent of ``n_pulses``;
-    ``collect_rounds=True`` draws every round instead and returns them.
+    (:func:`_count_window`), at a cost independent of ``n_pulses``.
+    Returns ``(record, None)``; the empty second slot keeps working the
+    callers that unpack a pair.
     """
     lam = _signal_rate(source, channel, detector) * _spectral_gain(channel, packet)
-    args = (rng, n_pulses, window_start_s, window_s, lam,
-            detector.dark_count_prob_per_gate, phase_noise_rad, gpd_offset_fn)
-    if collect_rounds:
-        totals, round_log = _draw_rounds(*args)
-    else:
-        totals, round_log = _count_window(*args), None
-    clicks_r, clicks_t, sifted, errors = totals
+    clicks_r, clicks_t, sifted, errors = _count_window(
+        rng, n_pulses, window_start_s, window_s, lam,
+        detector.dark_count_prob_per_gate, phase_noise_rad, gpd_offset_fn)
     record = SiftedKeyRecord(
         window_start_s=window_start_s,
         pulses_sent=n_pulses,
@@ -383,7 +327,7 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
         qber_estimate=errors / sifted if sifted > 0 else None,
         raw_rate_bps=sifted / n_pulses * detector.repetition_rate_hz,
     )
-    return record, round_log
+    return record, None
 
 
 def run_session(duration_s: float, seed: int, source: SourceModel,
@@ -392,28 +336,19 @@ def run_session(duration_s: float, seed: int, source: SourceModel,
                 window_s: float = 1.0, pulses_per_window: int = 200_000,
                 phase_noise_rad: float = 0.0,
                 gpd_offset_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                collect_rounds: bool = False):
+                ) -> list[SiftedKeyRecord]:
     """Run a key session and return its per-window records.
 
-    Deterministic for a given seed and configuration.  With
-    ``collect_rounds=True`` also returns the per-round logs for auditing.
+    Deterministic for a given seed and configuration.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     n_windows = max(1, int(round(duration_s / window_s)))
     rng = np.random.default_rng(seed)
-    records = []
-    logs = []
-    for i in range(n_windows):
-        record, log = simulate_window(
-            rng, pulses_per_window, i * window_s, window_s, source, channel,
-            detector, packet, phase_noise_rad, gpd_offset_fn, collect_rounds)
-        records.append(record)
-        if collect_rounds:
-            logs.append(log)
-    if collect_rounds:
-        return records, logs
-    return records
+    return [simulate_window(rng, pulses_per_window, i * window_s, window_s,
+                            source, channel, detector, packet,
+                            phase_noise_rad, gpd_offset_fn)[0]
+            for i in range(n_windows)]
 
 
 def fixed_phase_error_rate(delta_rad: float, n_pulses: int, seed: int,

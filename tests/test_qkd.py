@@ -18,6 +18,8 @@ from sagnacsim.qkd import (Basis, BasisBit, DetectorModel, SiftedKeyRecord,
                            qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
+from oracles import per_round_window
+
 SOURCE = SourceModel()
 
 
@@ -127,11 +129,11 @@ class TestRunSession:
         assert [r.sifted_bits for r in a] != [r.sifted_bits for r in b]
 
     def test_sifting_soundness(self):
-        records, logs = run_session(
-            2.0, 23, SOURCE, channel(loss_db=3.0), detector(dark=1e-5),
-            pulses_per_window=100_000, phase_noise_rad=0.3,
-            collect_rounds=True)
-        for record, log in zip(records, logs):
+        rng = np.random.default_rng(23)
+        for start in (0.0, 1.0):
+            record, log = per_round_window(
+                rng, 100_000, start, 1.0, SOURCE, channel(loss_db=3.0),
+                detector(dark=1e-5), phase_noise_rad=0.3)
             # replay: every sifted round had matching bases and exactly one
             # click; recount matches the record
             matched = log.alice_basis == log.bob_basis
@@ -260,13 +262,12 @@ class _Offset:
                    for ev in self.script.events)
 
 
-def _window(raw, t0, rng, n_pulses, collect_rounds=False):
+def _window(raw, t0, rng, n_pulses, per_round=False):
     script = parse_config_dict({"duration_s": 20.0, **raw}).scenario
     offset = _Offset(script) if script.events else None
-    record, log = simulate_window(
+    record, log = (per_round_window if per_round else simulate_window)(
         rng, n_pulses, t0, 1.0, script.source, script.channel,
-        script.detector, script.packet, script.qkd.phase_noise_rad, offset,
-        collect_rounds)
+        script.detector, script.packet, script.qkd.phase_noise_rad, offset)
     return record, log, script, offset
 
 
@@ -286,7 +287,7 @@ class TestCountEngine:
     def test_agrees_with_per_round_draws(self, name):
         raw, t0 = _ENGINE_WINDOWS[name]
         rng = np.random.default_rng(20261018)
-        rounds = [_window(raw, t0, rng, self.N, collect_rounds=True)
+        rounds = [_window(raw, t0, rng, self.N, per_round=True)
                   for _ in range(8)]
         counted = [_window(raw, t0, rng, self.N)[0] for _ in range(50)]
         script, offset = rounds[0][2], rounds[0][3]
