@@ -120,10 +120,6 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
                           noise_floor_amplitude=floor)
 
 
-#: Rounds drawn at once by the per-round key oracle.
-_CHUNK = 1_000_000
-
-
 @dataclass
 class RoundLog:
     """Raw per-round draws kept for replay-style property checks."""
@@ -141,30 +137,23 @@ def _draw_rounds(rng, n_pulses, window_start_s, window_s, lam, dark,
                  phase_noise_rad, gpd_offset_fn) -> RoundLog:
     """Every round of a window: its choices, noise and clicks, each pulse
     seeing the offset at its own time."""
-    logs: list[RoundLog] = []
-    for lo in range(0, n_pulses, _CHUNK):
-        n = min(_CHUNK, n_pulses - lo)
-        alice_basis = rng.integers(0, 2, n, dtype=np.int8)
-        alice_bit = rng.integers(0, 2, n, dtype=np.int8)
-        bob_basis = rng.integers(0, 2, n, dtype=np.int8)
+    alice_basis = rng.integers(0, 2, n_pulses, dtype=np.int8)
+    alice_bit = rng.integers(0, 2, n_pulses, dtype=np.int8)
+    bob_basis = rng.integers(0, 2, n_pulses, dtype=np.int8)
 
-        delta = qkd._base_phase(alice_basis, alice_bit, bob_basis)
-        if phase_noise_rad > 0.0:
-            delta = delta + phase_noise_rad * rng.standard_normal(n)
-        if gpd_offset_fn is not None:
-            t = window_start_s + (lo + np.arange(n) + 0.5) * (window_s / n_pulses)
-            delta = delta + gpd_offset_fn(t)
+    delta = qkd._base_phase(alice_basis, alice_bit, bob_basis)
+    if phase_noise_rad > 0.0:
+        delta = delta + phase_noise_rad * rng.standard_normal(n_pulses)
+    if gpd_offset_fn is not None:
+        t = window_start_s + (np.arange(n_pulses) + 0.5) * (window_s / n_pulses)
+        delta = delta + gpd_offset_fn(t)
 
-        p_click_r, p_click_t = qkd._click_model(delta, lam, dark)
-        click_r = rng.random(n) < p_click_r
-        click_t = rng.random(n) < p_click_t
-        sifted = (alice_basis == bob_basis) & (click_r ^ click_t)
-        logs.append(RoundLog(alice_basis, alice_bit, bob_basis, click_r,
-                             click_t, sifted, click_t[sifted].astype(np.int8)))
-    return RoundLog(*[np.concatenate([getattr(log, f) for log in logs])
-                      for f in ("alice_basis", "alice_bit", "bob_basis",
-                                "click_reflected", "click_transmitted",
-                                "sifted", "bob_bit")])
+    p_click_r, p_click_t = qkd._click_model(delta, lam, dark)
+    click_r = rng.random(n_pulses) < p_click_r
+    click_t = rng.random(n_pulses) < p_click_t
+    sifted = (alice_basis == bob_basis) & (click_r ^ click_t)
+    return RoundLog(alice_basis, alice_bit, bob_basis, click_r, click_t,
+                    sifted, click_t[sifted].astype(np.int8))
 
 
 def per_round_window(rng, n_pulses, window_start_s, window_s, source,
