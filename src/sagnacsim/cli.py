@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,6 @@ from .fileio import (read_trace, write_columns, write_event_log,
                      write_report, write_trace)
 
 OUT_DIR_ENV = "SAGNACSIM_OUT_DIR"
-
-
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -81,40 +76,30 @@ def _log_dicts(log) -> list[dict]:
 
 def _run_session(cfg: ScenarioConfig) -> list[qkd.SiftedKeyRecord]:
     script = cfg.scenario
-    return qkd.run_session(
-        script.duration_s, script.seed, script.source, script.channel,
-        script.detector, script.packet, window_s=script.qkd.window_s,
-        pulses_per_window=script.qkd.pulses_per_window,
-        phase_noise_rad=script.qkd.phase_noise_rad)
+    return qkd.run_session(script.duration_s, script.seed, script.source,
+                           script.channel, script.detector, script.packet,
+                           script.qkd)
 
 
-def _cmd_qkd(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _cmd_qkd(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     records = _run_session(cfg)
     summary = qkd.session_summary(records)
     names = [f.name for f in fields(qkd.SiftedKeyRecord)]
     write_columns(out / "qber_windows.csv", names,
                   [[getattr(r, name) for r in records] for name in names])
-    report = _base_report(cfg)
     report["qkd_windows"] = _record_dicts(records)
     report["summary"] = summary
-    write_report(out / "report.json", report)
-    _say(args, f"windows={summary['windows']} "
-               f"rate={summary['mean_raw_rate_bps']:.1f} bps "
-               f"qber={summary['qber_pooled']}")
-    return 0
+    return (f"windows={summary['windows']} "
+            f"rate={summary['mean_raw_rate_bps']:.1f} bps "
+            f"qber={summary['qber_pooled']}")
 
 
-def _cmd_perceive(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     script = cfg.scenario
     if not script.events:
         raise ConfigError(["perceive requires at least one disturbance "
                            "in the config"])
     event, settings = script.events[0], script.perception
-    report = _base_report(cfg)
     if event.is_dynamic:
         data = perception.acquire(event, script.channel, settings,
                                   script.seed)
@@ -138,35 +123,24 @@ def _cmd_perceive(args) -> int:
         report["localization"] = None
         report["diagnostic"] = ("quasi-static disturbance leaves no "
                                 "dynamic signature")
-    write_report(out / "report.json", report)
     loc = report["localization"]
-    _say(args, "position_m="
-               + (repr(float(loc["position_m"])) if loc else "none"))
-    return 0
+    return "position_m=" + (repr(float(loc["position_m"])) if loc else "none")
 
 
-def _cmd_localize(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _cmd_localize(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     located = perception.locate(read_trace(args.trace), cfg.scenario.channel,
                                 cfg.scenario.perception)
     if located is None:
         raise SagnacSimError(
             "no null frequency found in the supplied trace")
-    report = _base_report(cfg)
     report["trace_file"] = str(args.trace)
     report["localization"] = asdict(located)
-    write_report(out / "report.json", report)
-    _say(args, f"position_m={float(located.position_m)!r} "
-               f"resolution_m={float(located.resolution_m)!r}")
-    return 0
+    return (f"position_m={float(located.position_m)!r} "
+            f"resolution_m={float(located.resolution_m)!r}")
 
 
-def _cmd_wm(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _cmd_wm(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     script = cfg.scenario
-    settings = script.wm
     if args.masses:
         try:
             masses = [float(tok) for tok in args.masses.split(",") if tok]
@@ -177,13 +151,8 @@ def _cmd_wm(args) -> int:
                                "comma-separated values"])
     else:
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
-    # The WM analyzer works at its own bias phase, not the key channel's.
-    channel = replace(script.channel, bias_phase_rad=settings.delta_bias_rad)
-    readings = wm.pressure_staircase(
-        masses, settings.pressure, channel, script.packet,
-        settings.delta_epsilon_rad, settings.input_power_w,
-        noise_sigma=settings.noise_sigma,
-        samples_per_reading=settings.samples_per_reading, seed=script.seed)
+    readings = wm.pressure_staircase(masses, script.wm, script.channel,
+                                     script.packet, seed=script.seed)
     write_columns(out / "icr_vs_mass.csv",
                   ["mass_kg", "i_d_w", "icr", "delta_tau_s",
                    "inferred_mass_kg"],
@@ -192,17 +161,13 @@ def _cmd_wm(args) -> int:
                    [r.contrast_ratio for r in readings],
                    [r.inferred_delay_s for r in readings],
                    [r.inferred_mass_kg for r in readings]])
-    report = _base_report(cfg)
     report["wm_readings"] = [
         {"mass_kg": m, **asdict(r)} for m, r in zip(masses, readings)]
-    write_report(out / "report.json", report)
-    _say(args, " ".join(f"{r.inferred_delay_s:.3e}" for r in readings))
-    return 0
+    return " ".join(f"{r.inferred_delay_s:.3e}" for r in readings)
 
 
-def _cmd_integrated(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _cmd_integrated(args, cfg: ScenarioConfig, out: Path,
+                    report: dict) -> str:
     result = controller.run_scenario(cfg.scenario)
     entries = _log_dicts(result.log)
     write_event_log(out / "event_log.jsonl", entries)
@@ -218,7 +183,6 @@ def _cmd_integrated(args) -> int:
                        [r["contrast_ratio"] for r in result.wm_readings],
                        [r["inferred_delay_s"] for r in result.wm_readings],
                        [r["inferred_mass_kg"] for r in result.wm_readings]])
-    report = _base_report(cfg)
     report["qkd_windows"] = _record_dicts(result.key_records)
     report["summary"] = qkd.session_summary(result.key_records)
     report["wm_readings"] = result.wm_readings
@@ -226,15 +190,11 @@ def _cmd_integrated(args) -> int:
         result.localization_reports)
     report["event_log"] = entries
     report["final_mode"] = result.final_mode.value
-    write_report(out / "report.json", report)
-    _say(args, f"final_mode={result.final_mode.value} "
-               f"reports={len(result.localization_reports)}")
-    return 0
+    return (f"final_mode={result.final_mode.value} "
+            f"reports={len(result.localization_reports)}")
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _cmd_sweep(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     kind = key_type(args.key)
     try:
         values = [kind(tok) for tok in args.values.split(",") if tok]
@@ -256,15 +216,12 @@ def _cmd_sweep(args) -> int:
                   [args.key, "qber_pooled", "mean_raw_rate_bps",
                    "sifted_bits"],
                   [[r[i] for r in rows] for i in range(4)])
-    report = _base_report(cfg)
     report["sweep"] = {
         "key": args.key,
         "points": [{"value": v, "qber_pooled": q, "mean_raw_rate_bps": rate,
                     "sifted_bits": bits} for v, q, rate, bits in rows],
     }
-    write_report(out / "report.json", report)
-    _say(args, f"swept {args.key} over {len(values)} values")
-    return 0
+    return f"swept {args.key} over {len(values)} values"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +286,19 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: it fills in the base report of the resolved
+    config, which is then written as ``report.json``, and returns the
+    summary line."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _load_config(args)
+        out = _out_dir(args, cfg)
+        report = _base_report(cfg)
+        line = args.fn(args, cfg, out, report)
+        write_report(out / "report.json", report)
+        if not args.quiet:
+            print(line)
+        return 0
     except ConfigError as exc:
         _emit_error("validation", exc)
         return 2

@@ -18,13 +18,14 @@ from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
 from . import qkd
-from .controller import QkdSettings, ScenarioScript, WmSettings
+from .controller import ScenarioScript
 from .disturbance import (DisturbanceEvent, ImpactParams, PressureParams,
                           PztParams)
 from .errors import ConfigError, FieldSpec, field_specs
 from .optics import DEFAULT_WAVELENGTH_M, LoopChannel, SpectralPacket
 from .perception import PerceptionSettings
-from .qkd import DetectorModel, SourceModel
+from .qkd import DetectorModel, QkdSettings, SourceModel
+from .wm import WmSettings
 
 
 def _keys(cls, drop=(), **defaults) -> dict[str, FieldSpec]:

@@ -10,22 +10,20 @@ up by a scheduled weak-measurement poll while keys keep flowing.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import perception, qkd, wm
-from .disturbance import (DisturbanceEvent, DisturbanceKind, PressureParams,
-                          pressure_delay)
-from .errors import (Checked, ConfigError, InsufficientDataError,
-                     ProtocolViolationError, bounded, non_negative, positive)
+from .disturbance import DisturbanceEvent, DisturbanceKind, pressure_delay
+from .errors import (Checked, ConfigError, HarmonicAmbiguityError,
+                     InsufficientDataError, ProtocolViolationError, bounded,
+                     positive)
 from .optics import LoopChannel, SpectralPacket
-from .perception import PerceptionSettings
-from .qkd import DetectorModel, SourceModel
-
-MAX_SEED = 2**31
+from .perception import MAX_SEED, PerceptionSettings
+from .qkd import DetectorModel, QkdSettings, SourceModel
+from .wm import WmSettings
 
 
 class SystemMode(enum.Enum):
@@ -42,6 +40,7 @@ class EventKind(enum.Enum):
     DISTURBANCE_SIGNIFICANT = "disturbance_significant"
     DISTURBANCE_MINOR = "disturbance_minor"
     LOCALIZATION_DONE = "localization_done"
+    LOCALIZATION_FAILED = "localization_failed"
     RESET_ISSUED = "reset_issued"
 
 
@@ -63,6 +62,8 @@ _TRANSITIONS = {
         SystemMode.KEY_DISTRIBUTION,
     (SystemMode.LOCALIZING, EventKind.LOCALIZATION_DONE):
         SystemMode.REPORTING,
+    (SystemMode.LOCALIZING, EventKind.LOCALIZATION_FAILED):
+        SystemMode.REPORTING,
     (SystemMode.AWAIT_RESET, EventKind.RESET_ISSUED):
         SystemMode.KEY_DISTRIBUTION,
 }
@@ -81,30 +82,6 @@ def step(mode: SystemMode, event: ControllerEvent) -> SystemMode:
     if nxt is None:
         raise ProtocolViolationError(mode.value, event.kind.value)
     return nxt
-
-
-@dataclass(frozen=True)
-class QkdSettings(Checked):
-    window_s: float = positive(1.0)
-    # The window's multinomial draw counts in 64-bit integers.
-    pulses_per_window: int = bounded(lambda v: 0 < v < 2**63,
-                                     "within [1, 2**63)", 200_000)
-    phase_noise_rad: float = non_negative(qkd.CALIBRATED_PHASE_NOISE_RAD)
-    qber_threshold: float = bounded(lambda v: 0.0 < v < 1.0,
-                                    "within (0, 1)", 0.08)
-
-
-@dataclass(frozen=True)
-class WmSettings(Checked):
-    delta_epsilon_rad: float = bounded(lambda v: 0.0 < v < 0.5 * math.pi,
-                                       "within (0, pi/2)", math.pi / 6.0)
-    delta_bias_rad: float = 0.0
-    input_power_w: float = positive(1.0)
-    noise_sigma: float = non_negative(0.0019)
-    samples_per_reading: int = positive(16)
-    poll_interval_s: float = positive(60.0)
-    pressure: PressureParams = field(
-        default_factory=lambda: PressureParams(mass_kg=0.1))
 
 
 @dataclass(frozen=True)
@@ -202,9 +179,7 @@ class _ScenarioRunner:
         self.wm_readings: list[dict] = []
         self.reports: list[perception.LocalizationReport] = []
         self.next_poll_s = script.wm.poll_interval_s
-        self.wm_cal = wm.calibrate(
-            script.channel, script.packet, script.wm.delta_bias_rad,
-            script.wm.input_power_w)
+        self.wm_cal = wm.calibrate(script.channel, script.packet, script.wm)
 
     def emit(self, kind: EventKind, payload: dict) -> None:
         event = ControllerEvent(time_s=self.t, kind=kind, payload=payload)
@@ -284,10 +259,8 @@ class _ScenarioRunner:
     def _wm_poll(self) -> None:
         script = self.script
         delay = _active_pressure_delay(script.events, self.t)
-        reading = wm.read(
-            self.wm_cal, script.wm.delta_epsilon_rad, delay, script.packet,
-            script.channel, script.wm.pressure, script.wm.noise_sigma,
-            script.wm.samples_per_reading, self.rng)
+        reading = wm.read(self.wm_cal, script.wm, delay, script.packet,
+                          script.channel, self.rng)
         self.wm_readings.append({"time_s": self.t, **asdict(reading),
                                  "true_delay_s": delay})
 
@@ -313,13 +286,16 @@ class _ScenarioRunner:
                 "localization requested but no dynamic disturbance is active")
         data = perception.acquire(event, script.channel, cfg,
                                   int(self.rng.integers(0, MAX_SEED)))
-        report = perception.locate(data, script.channel, cfg)
-        if report is None:
-            raise InsufficientDataError(
-                "perception flagged a significant disturbance but no null "
-                "frequency was found; cannot localize")
-        self.reports.append(report)
         self.t += cfg.sense_duration_s
+        try:
+            report = perception.locate(data, script.channel, cfg)
+            reason = "no null frequency reached the depth threshold"
+        except HarmonicAmbiguityError as exc:
+            report, reason = None, str(exc)
+        if report is None:
+            self.emit(EventKind.LOCALIZATION_FAILED, {"reason": reason})
+            return
+        self.reports.append(report)
         self.emit(EventKind.LOCALIZATION_DONE, {
             "position_m": report.position_m,
             "resolution_m": report.resolution_m,

@@ -46,6 +46,12 @@ DEFAULT_SAMPLE_RATE_HZ = 200e3
 #: formula.
 DEFAULT_FREQ_RESOLUTION_HZ = 500.0
 
+#: Exclusive upper bound of the seeds drawn for each synthesized trace.
+MAX_SEED = 2**31
+
+#: Lowest frequency (Hz) :func:`significance` grades, clear of DC.
+_SIGNIFICANCE_MIN_HZ = 50.0
+
 
 #: Most scan points times sweep samples a sweep may evaluate: about 55
 #: times the default 293-point grid of 2000-sample traces.
@@ -411,7 +417,7 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     before any trace is synthesized.
 
     Each point is by definition :func:`synthesize_trace` of the drive
-    switched on at 0 s, seeded by the next ``rng.integers(0, 2**31)``,
+    switched on at 0 s, seeded by the next ``rng.integers(0, MAX_SEED)``,
     then :func:`measure_tone_amplitude` at its frequency; one more seed
     gives the drive-off reference that fixes the noise floor.  The grid is
     evaluated in blocks of whole points of at most ``_SWEEP_BLOCK_SAMPLES``
@@ -427,11 +433,11 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     for needed_hz in omegas / (2.0 * math.pi):  # each drive's frequency_hz
         _check_bandwidth(float(needed_hz), sample_rate_hz)
     rng = np.random.default_rng(seed)
-    seeds = [int(rng.integers(0, 2**31)) for _ in freqs]
+    seeds = [int(rng.integers(0, MAX_SEED)) for _ in freqs]
     # Reference measurement with the drive off fixes the instrument floor.
     quiet = synthesize_trace(
         None, channel, duration_s, sample_rate_hz, noise_sigma,
-        seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
+        seed=int(rng.integers(0, MAX_SEED)), input_power_w=input_power_w)
     n = quiet.samples.size
     lag = _delay_lag_s(event, channel)
     # effective_gpd of the drive switched on at 0 s: the clockwise pass
@@ -591,14 +597,7 @@ def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nulls_from_trace(trace: InterferenceTrace, max_k: int,
-                      depth_threshold_db: float,
-                      lowest_expected_null_hz: Optional[float],
-                      ) -> list[NullFrequency]:
-    if lowest_expected_null_hz is not None:
-        if trace.duration_s < 4.0 / lowest_expected_null_hz:
-            raise InsufficientDataError(
-                "trace shorter than four periods of the lowest expected "
-                "null")
+                      depth_threshold_db: float) -> list[NullFrequency]:
     freqs, psd = _welch_psd(trace)
     # Skip DC and window-leakage bins.
     lo = 3
@@ -635,7 +634,6 @@ def _nulls_from_trace(trace: InterferenceTrace, max_k: int,
 def find_null_frequencies(data: Union[InterferenceTrace, FrequencySweep],
                           max_k: int = 3, *,
                           depth_threshold_db: float = 10.0,
-                          lowest_expected_null_hz: Optional[float] = None,
                           ) -> list[NullFrequency]:
     """Locate nulls of the nonreciprocal response.
 
@@ -651,8 +649,7 @@ def find_null_frequencies(data: Union[InterferenceTrace, FrequencySweep],
     if isinstance(data, FrequencySweep):
         return _nulls_from_sweep(data, max_k, depth_threshold_db)
     if isinstance(data, InterferenceTrace):
-        return _nulls_from_trace(data, max_k, depth_threshold_db,
-                                 lowest_expected_null_hz)
+        return _nulls_from_trace(data, max_k, depth_threshold_db)
     raise TypeError(f"cannot search for nulls in {type(data)!r}")
 
 
@@ -736,15 +733,15 @@ def localization_report(nulls: Sequence[NullFrequency],
     )
 
 
-def significance(trace: InterferenceTrace,
-                 min_frequency_hz: float = 50.0) -> tuple[float, float]:
+def significance(trace: InterferenceTrace) -> tuple[float, float]:
     """Strongest AC component against the noise floor.
 
-    Returns ``(candidate_frequency_hz, peak_to_floor_ratio)`` where the
-    floor is the median spectral power away from DC.
+    Returns ``(candidate_frequency_hz, peak_to_floor_ratio)`` over the
+    spectrum from ``_SIGNIFICANCE_MIN_HZ`` up, where the floor is the median
+    spectral power there.
     """
     freqs, psd = _welch_psd(trace)
-    band = freqs >= min_frequency_hz
+    band = freqs >= _SIGNIFICANCE_MIN_HZ
     if not np.any(band):
         raise InsufficientDataError("trace too short for a spectral estimate")
     floor = float(np.median(psd[band]))

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (Checked, InsufficientDataError, fraction,
+from .errors import (Checked, InsufficientDataError, bounded, fraction,
                      non_negative, positive)
 from .optics import LoopChannel, SpectralPacket
 
@@ -94,6 +94,19 @@ class DetectorModel(Checked):
 
 
 @dataclass(frozen=True)
+class QkdSettings(Checked):
+    """Key-session windowing, the phase noise and the breach threshold."""
+
+    window_s: float = positive(1.0)
+    # The window's multinomial draw counts in 64-bit integers.
+    pulses_per_window: int = bounded(lambda v: 0 < v < 2**63,
+                                     "within [1, 2**63)", 200_000)
+    phase_noise_rad: float = non_negative(CALIBRATED_PHASE_NOISE_RAD)
+    qber_threshold: float = bounded(lambda v: 0.0 < v < 1.0,
+                                    "within (0, 1)", 0.08)
+
+
+@dataclass(frozen=True)
 class SiftedKeyRecord:
     """Per-window detection and sifting statistics."""
 
@@ -111,14 +124,6 @@ class SiftedKeyRecord:
             raise ValueError("errors cannot exceed sifted bits")
 
 
-_PHASES = {
-    (Basis.Z, 0): 0.0,
-    (Basis.Z, 1): math.pi,
-    (Basis.X, 0): 0.5 * math.pi,
-    (Basis.X, 1): 1.5 * math.pi,
-}
-
-
 def encode(choice: BasisBit) -> float:
     """Modulator phase for a basis/bit choice.
 
@@ -127,7 +132,7 @@ def encode(choice: BasisBit) -> float:
     direction, so matched-basis rounds interfere at a global phase
     difference of 0 or pi.
     """
-    return _PHASES[(choice.basis, choice.bit)]
+    return _base_phase(int(choice.basis is Basis.X), choice.bit, 0)
 
 
 def measurement_phase(basis: Basis) -> float:
@@ -332,22 +337,22 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
 
 def run_session(duration_s: float, seed: int, source: SourceModel,
                 channel: LoopChannel, detector: DetectorModel,
-                packet: SpectralPacket | None = None, *,
-                window_s: float = 1.0, pulses_per_window: int = 200_000,
-                phase_noise_rad: float = 0.0,
-                gpd_offset_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                packet: SpectralPacket | None = None,
+                settings: QkdSettings = QkdSettings(),
                 ) -> list[SiftedKeyRecord]:
-    """Run a key session and return its per-window records.
+    """Run a key session on the undisturbed loop and return its per-window
+    records.
 
     Deterministic for a given seed and configuration.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    n_windows = max(1, int(round(duration_s / window_s)))
+    dt = settings.window_s
+    n_windows = max(1, int(round(duration_s / dt)))
     rng = np.random.default_rng(seed)
-    return [simulate_window(rng, pulses_per_window, i * window_s, window_s,
+    return [simulate_window(rng, settings.pulses_per_window, i * dt, dt,
                             source, channel, detector, packet,
-                            phase_noise_rad, gpd_offset_fn)[0]
+                            settings.phase_noise_rad)[0]
             for i in range(n_windows)]
 
 

@@ -17,17 +17,33 @@ approximation (its bias prefactor cancels in the exact ratio).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 from scipy.constants import g as STANDARD_GRAVITY
 from scipy.optimize import brentq
 
 from .disturbance import PressureParams, pressure_delay
-from .errors import (ConfigError, NoSignalError, OutOfBranchError,
-                     ZeroWorkingPointError)
+from .errors import (Checked, ConfigError, NoSignalError, OutOfBranchError,
+                     ZeroWorkingPointError, bounded, non_negative, positive)
 from .optics import C_VACUUM, LoopChannel, SpectralPacket, port_powers
+
+
+@dataclass(frozen=True)
+class WmSettings(Checked):
+    """Working point and averaging of the WM readings, their poll interval
+    and the pressure geometry that masses are inferred with."""
+
+    delta_epsilon_rad: float = bounded(lambda v: 0.0 < v < 0.5 * math.pi,
+                                       "within (0, pi/2)", math.pi / 6.0)
+    delta_bias_rad: float = 0.0
+    input_power_w: float = positive(1.0)
+    noise_sigma: float = non_negative(0.0019)
+    samples_per_reading: int = positive(16)
+    poll_interval_s: float = positive(60.0)
+    pressure: PressureParams = field(
+        default_factory=lambda: PressureParams(mass_kg=0.1))
 
 
 @dataclass(frozen=True)
@@ -64,56 +80,42 @@ def reflected_intensity(epsilon_rad: float, channel: LoopChannel,
 
 
 def calibrate(channel: LoopChannel, packet: SpectralPacket,
-              delta_bias: float, input_power_w: float,
-              intensity_fn: Optional[Callable[[float], float]] = None,
-              ) -> WmCalibration:
-    """Find the analyzer angle minimizing the reflected output.
+              settings: WmSettings) -> WmCalibration:
+    """Find the analyzer angle minimizing the reflected output at the bias
+    phase ``settings.delta_bias_rad``.
 
-    The search is numerical over the measured intensity (so the identical
-    code path works when a noisy intensity callable is supplied): the root
-    of the symmetric finite difference ``I(e + h) - I(e - h)`` is bracketed
-    around the analytic guess and polished to machine precision.  Requires
-    the undisturbed loop (zero delay shift).
+    The root of the symmetric finite difference ``I(e + h) - I(e - h)`` is
+    bracketed a quarter turn either side of the analytic guess and polished
+    to machine precision.  The intensity is a constant minus a multiple of
+    ``cos 2(e - guess)``, and rounding is monotone, so the bracket ends
+    differ in sign or one is an exact zero (which is then the answer).
+    Requires the undisturbed loop (zero delay shift).
     """
-    if 1.0 + math.cos(delta_bias) < 1e-12:
+    bias, power = settings.delta_bias_rad, settings.input_power_w
+    if 1.0 + math.cos(bias) < 1e-12:
         raise NoSignalError(
             "reflected port is dark at this bias phase; cannot calibrate")
     if channel.delay_shift_s != 0.0:
         raise ConfigError(["channel.delay_shift_s: calibration requires an "
                            "undisturbed loop (0.0), got "
                            f"{channel.delay_shift_s}"])
-    if input_power_w <= 0:
-        raise ValueError("input_power_w must be positive")
 
-    if intensity_fn is None:
-        def intensity_fn(eps: float) -> float:
-            return reflected_intensity(eps, channel, packet, delta_bias,
-                                       input_power_w)
+    def intensity(eps: float) -> float:
+        return reflected_intensity(eps, channel, packet, bias, power)
 
     guess = (packet.omega0 * channel.intrinsic_delay_s) % math.pi
     h = 0.01
 
     def balance(eps: float) -> float:
-        return intensity_fn(eps + h) - intensity_fn(eps - h)
+        return intensity(eps + h) - intensity(eps - h)
 
-    lo, hi = guess - 0.25 * math.pi, guess + 0.25 * math.pi
-    f_lo, f_hi = balance(lo), balance(hi)
-    if f_lo == 0.0:
-        eps0 = lo
-    elif f_hi == 0.0:
-        eps0 = hi
-    elif f_lo * f_hi < 0:
-        eps0 = brentq(balance, lo, hi, xtol=1e-14)
-    else:
-        # Degenerate landscape (e.g. fully decohered packet or a noisy
-        # callable breaking the bracket): fall back to a grid scan.
-        grid = np.linspace(lo, hi, 721)
-        eps0 = float(grid[np.argmin([intensity_fn(e) for e in grid])])
+    eps0 = brentq(balance, guess - 0.25 * math.pi, guess + 0.25 * math.pi,
+                  xtol=1e-14)
     return WmCalibration(
         base_angle_rad=eps0,
-        min_intensity_w=intensity_fn(eps0),
-        input_power_w=input_power_w,
-        bias_phase_rad=delta_bias,
+        min_intensity_w=intensity(eps0),
+        input_power_w=power,
+        bias_phase_rad=bias,
     )
 
 
@@ -205,66 +207,55 @@ def mass_from_delay(delta_tau_s: float, params: PressureParams) -> float:
                * params.pressed_length_m))
 
 
-def read(cal: WmCalibration, delta_epsilon: float, delta_tau_s: float,
+def read(cal: WmCalibration, settings: WmSettings, delta_tau_s: float,
          packet: SpectralPacket, channel: LoopChannel,
-         pressure: PressureParams, noise_sigma: float,
-         samples_per_reading: int, rng: np.random.Generator) -> WmReading:
-    """One reading of a delay shift at the working offset.
+         rng: np.random.Generator) -> WmReading:
+    """One reading of a delay shift at the working offset
+    ``settings.delta_epsilon_rad``.
 
     Each of the offset, disturbed and minimum intensities (drawn in that
-    order) is the mean of ``samples_per_reading`` draws with multiplicative
-    Gaussian noise, mirroring averaged power readings; ``rng`` is untouched
-    when ``noise_sigma`` is zero.  The averaged intensities invert through
-    the contrast ratio to the delay shift and the applied mass.
+    order) is the mean of ``settings.samples_per_reading`` draws with
+    multiplicative Gaussian noise of ``settings.noise_sigma``, mirroring
+    averaged power readings; ``rng`` is untouched when that is zero.  The
+    averaged intensities invert through the contrast ratio to the delay
+    shift and, through ``settings.pressure``, to the applied mass.
     """
+    offset, sigma = settings.delta_epsilon_rad, settings.noise_sigma
+
     def measure(value: float) -> float:
-        if noise_sigma <= 0.0:
+        if sigma <= 0.0:
             return value
-        draws = value * (1.0 + noise_sigma
-                         * rng.standard_normal(samples_per_reading))
+        draws = value * (1.0 + sigma * rng.standard_normal(
+            settings.samples_per_reading))
         return float(np.mean(draws))
 
-    i1 = measure(offset_intensity(cal, delta_epsilon, packet, channel))
-    i_d = measure(disturbed_intensity(cal, delta_epsilon, delta_tau_s,
-                                      packet, channel))
+    i1 = measure(offset_intensity(cal, offset, packet, channel))
+    i_d = measure(disturbed_intensity(cal, offset, delta_tau_s, packet,
+                                      channel))
     imin = measure(cal.min_intensity_w)
     icr = contrast_ratio(i1, i_d, imin)
-    delay = infer_delay(icr, delta_epsilon, packet.omega0).delay_s
+    delay = infer_delay(icr, offset, packet.omega0).delay_s
     return WmReading(
         offset_intensity_w=i1,
         disturbed_intensity_w=i_d,
         contrast_ratio=icr,
         inferred_delay_s=delay,
-        inferred_mass_kg=mass_from_delay(delay, pressure),
+        inferred_mass_kg=mass_from_delay(delay, settings.pressure),
     )
 
 
-def pressure_staircase(masses_kg, pressure: PressureParams,
+def pressure_staircase(masses_kg, settings: WmSettings,
                        channel: LoopChannel, packet: SpectralPacket,
-                       delta_epsilon: float, input_power_w: float,
-                       noise_sigma: float = 0.0,
-                       samples_per_reading: int = 16,
-                       seed: Optional[int] = None,
-                       tau0_drift_s: float = 0.0) -> list[WmReading]:
-    """Measure a staircase of standing weights, one :func:`read` per step.
+                       seed: Optional[int] = None) -> list[WmReading]:
+    """Measure a staircase of standing weights, one :func:`read` per step,
+    on ``settings.pressure`` loaded with each mass in turn.
 
-    The analyzer is calibrated at ``channel.bias_phase_rad``.  An optional
-    slow random walk of the intrinsic delay models polarization drift under
-    load, with re-calibration between steps (off by default).
+    The analyzer is calibrated once, at ``settings.delta_bias_rad``; the
+    bias phase of ``channel`` (the key's) is not used.
     """
     rng = np.random.default_rng(seed)
-    cal = calibrate(channel, packet, channel.bias_phase_rad, input_power_w)
-    readings = []
-    work_channel = channel
-    for mass in masses_kg:
-        if tau0_drift_s > 0.0:
-            drifted = work_channel.intrinsic_delay_s + abs(
-                tau0_drift_s * rng.standard_normal())
-            work_channel = replace(work_channel, intrinsic_delay_s=drifted)
-            cal = calibrate(work_channel, packet, channel.bias_phase_rad,
-                            input_power_w)
-        step = replace(pressure, mass_kg=mass)
-        readings.append(read(cal, delta_epsilon, pressure_delay(step), packet,
-                             work_channel, step, noise_sigma,
-                             samples_per_reading, rng))
-    return readings
+    cal = calibrate(channel, packet, settings)
+    return [read(cal, settings,
+                 pressure_delay(replace(settings.pressure, mass_kg=mass)),
+                 packet, channel, rng)
+            for mass in masses_kg]

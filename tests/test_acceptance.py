@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from sagnacsim.controller import (EventKind, QkdSettings, ScenarioScript,
-                                  SystemMode, WmSettings, run_scenario)
+from sagnacsim.controller import (EventKind, ScenarioScript, SystemMode,
+                                  run_scenario)
 from sagnacsim.disturbance import (DisturbanceEvent, PressureParams,
                                    PztParams, pressure_delay)
 from sagnacsim.optics import (C_VACUUM, LoopChannel, PostSelection,
@@ -21,9 +21,9 @@ from sagnacsim.perception import (find_null_frequencies, frequency_sweep,
                                   localization_report, resolution,
                                   synthesize_trace)
 from sagnacsim.qkd import (CALIBRATED_PHASE_NOISE_RAD, DetectorModel,
-                           SourceModel, fixed_phase_error_rate, run_session,
-                           session_summary)
-from sagnacsim.wm import infer_delay, pressure_staircase
+                           QkdSettings, SourceModel, fixed_phase_error_rate,
+                           run_session, session_summary)
+from sagnacsim.wm import WmSettings, infer_delay, pressure_staircase
 
 from oracles import (ac_power_at, exact_contrast_ratio, first_order_span,
                      spectral_port_probability, two_sided_position_span)
@@ -86,8 +86,8 @@ def test_criterion_2_calibrated_operating_point():
         LoopChannel(length_m=L, refractive_index=N_FIBER, loss_db=16.5,
                     intrinsic_delay_s=3e-13),
         DetectorModel(dark_count_prob_per_gate=1e-6),
-        window_s=1.0, pulses_per_window=100_000,
-        phase_noise_rad=CALIBRATED_PHASE_NOISE_RAD)
+        settings=QkdSettings(window_s=1.0, pulses_per_window=100_000,
+                             phase_noise_rad=CALIBRATED_PHASE_NOISE_RAD))
     summary = session_summary(records)
     elapsed = time.monotonic() - start
     rate = summary["mean_raw_rate_bps"]
@@ -194,8 +194,11 @@ def test_criterion_6_wm_staircase():
     packet = SpectralPacket(OMEGA, 0.0)
     eps = math.pi / 6.0
 
-    clean = pressure_staircase(masses, PressureParams(mass_kg=0.1), channel,
-                               packet, eps, 1.0, noise_sigma=0.0)
+    clean = pressure_staircase(
+        masses, WmSettings(delta_epsilon_rad=eps, input_power_w=1.0,
+                           noise_sigma=0.0,
+                           pressure=PressureParams(mass_kg=0.1)),
+        channel, packet)
     delays = [r.inferred_delay_s for r in clean]
     steps = np.diff([0.0] + delays)
     steps_ok = all(abs(s - 9.81e-18) < 1e-20 for s in steps)
@@ -205,9 +208,11 @@ def test_criterion_6_wm_staircase():
                                    eps, OMEGA)) < 1e-9
         for m, r in zip(masses, clean))
 
-    noisy = pressure_staircase(masses, PressureParams(mass_kg=0.1), channel,
-                               packet, eps, 1.0, noise_sigma=0.0019,
-                               samples_per_reading=16, seed=77)
+    noisy = pressure_staircase(
+        masses, WmSettings(delta_epsilon_rad=eps, input_power_w=1.0,
+                           noise_sigma=0.0019, samples_per_reading=16,
+                           pressure=PressureParams(mass_kg=0.1)),
+        channel, packet, seed=77)
     mass_errors = [abs(r.inferred_mass_kg - m)
                    for m, r in zip(masses, noisy)]
     noise_ok = max(mass_errors) < 0.010

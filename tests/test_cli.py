@@ -80,6 +80,27 @@ class TestIntegrated:
         assert r1["seed"] == 7 and r2["seed"] == 8
         assert r1["qkd_windows"] != r2["qkd_windows"]
 
+    @pytest.mark.parametrize("seed", ["4", "6", "10"])
+    def test_unlocalizable_impact_keeps_the_run(self, tmp_path, seed):
+        # A far impact graded significant whose trace shows no notch.
+        config = write_json(tmp_path / "far.json", {
+            "duration_s": 6.0,
+            "disturbances": [{"kind": "impact", "position_m": 12000.0,
+                              "start_s": 1.0}]})
+        out = tmp_path / "run"
+        assert run_cli("integrated", "--config", config, "--seed", seed,
+                       "--out-dir", str(out), "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        events = [e["event"] for e in report["event_log"]]
+        failed = events.index("localization_failed")
+        assert events[failed - 1] == "disturbance_significant"
+        assert events[failed + 1] == "reset_issued"
+        assert report["event_log"][failed]["payload"] == {
+            "reason": "no null frequency reached the depth threshold"}
+        assert report["localization_reports"] == []
+        assert len(report["qkd_windows"]) >= 4
+        assert (out / "event_log.jsonl").exists()
+
 
 class TestPerceiveAndLocalize:
     def test_impact_trace_localizes(self, tmp_path, impact_config):

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from sagnacsim.controller import (ControllerEvent, EventKind,
-                                  PerceptionSettings, QkdSettings,
-                                  ScenarioScript, SystemMode, WmSettings,
-                                  _active_dynamic_events, run_scenario, step)
+from sagnacsim import perception
+from sagnacsim.controller import (ControllerEvent, EventKind, ScenarioScript,
+                                  SystemMode, _active_dynamic_events,
+                                  run_scenario, step)
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
-from sagnacsim.errors import ProtocolViolationError
+from sagnacsim.errors import HarmonicAmbiguityError, ProtocolViolationError
 from sagnacsim.optics import LoopChannel, SpectralPacket
-from sagnacsim.qkd import DetectorModel, SourceModel
+from sagnacsim.perception import PerceptionSettings
+from sagnacsim.qkd import DetectorModel, QkdSettings, SourceModel
+from sagnacsim.wm import WmSettings
 
 LEGAL = {
     (SystemMode.KEY_DISTRIBUTION, EventKind.QBER_WINDOW):
@@ -27,6 +29,8 @@ LEGAL = {
     (SystemMode.PERCEPTION_SENSING, EventKind.DISTURBANCE_MINOR):
         SystemMode.KEY_DISTRIBUTION,
     (SystemMode.LOCALIZING, EventKind.LOCALIZATION_DONE):
+        SystemMode.REPORTING,
+    (SystemMode.LOCALIZING, EventKind.LOCALIZATION_FAILED):
         SystemMode.REPORTING,
     (SystemMode.AWAIT_RESET, EventKind.RESET_ISSUED):
         SystemMode.KEY_DISTRIBUTION,
@@ -136,6 +140,25 @@ class TestRunScenario:
         assert len(result.localization_reports) >= 1
         report = result.localization_reports[0]
         assert report.position_m == pytest.approx(5000.0, abs=200.0)
+
+    def test_harmonic_ambiguity_is_reported_not_raised(self, monkeypatch):
+        def ambiguous(*args):
+            raise HarmonicAmbiguityError("two nulls map to harmonic index 1")
+
+        monkeypatch.setattr(perception, "locate", ambiguous)
+        result = run_scenario(base_script(events=[strong_pzt()],
+                                          duration=6.0))
+        failed = [rec for rec in result.log
+                  if rec.event.kind is EventKind.LOCALIZATION_FAILED]
+        assert failed
+        assert failed[0].mode is SystemMode.LOCALIZING
+        assert failed[0].event.payload == {
+            "reason": "two nulls map to harmonic index 1"}
+        kinds = [rec.event.kind for rec in result.log]
+        assert EventKind.LOCALIZATION_DONE not in kinds
+        i = result.log.index(failed[0])
+        assert result.log[i + 1].mode is SystemMode.REPORTING
+        assert result.localization_reports == []
 
     def test_liveness_reaches_reporting(self):
         result = run_scenario(base_script(events=[strong_pzt(start_s=1.0)],

@@ -201,11 +201,6 @@ class TestFindNulls:
         assert nulls and nulls[0].harmonic == 1
         assert nulls[0].frequency_hz == pytest.approx(10210.9, abs=500.0)
 
-    def test_trace_too_short_for_expected_null(self):
-        trace = synthesize_trace(None, channel(), 0.002, 200e3, 0.0)
-        with pytest.raises(InsufficientDataError):
-            find_null_frequencies(trace, lowest_expected_null_hz=500.0)
-
     def test_rejects_unknown_input(self):
         with pytest.raises(TypeError):
             find_null_frequencies([1.0, 2.0])

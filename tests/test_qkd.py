@@ -12,9 +12,9 @@ from sagnacsim.errors import InsufficientDataError
 from sagnacsim.optics import (LoopChannel, PostSelection, SpectralPacket,
                              omega_from_wavelength,
                              post_selection_probabilities, relative_phase)
-from sagnacsim.qkd import (Basis, BasisBit, DetectorModel, SiftedKeyRecord,
-                           SourceModel, click_probabilities, encode,
-                           fixed_phase_error_rate, measurement_phase,
+from sagnacsim.qkd import (Basis, BasisBit, DetectorModel, QkdSettings,
+                           SiftedKeyRecord, SourceModel, click_probabilities,
+                           encode, fixed_phase_error_rate, measurement_phase,
                            qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
@@ -107,7 +107,8 @@ class TestClickProbabilities:
 class TestRunSession:
     def test_noise_free_error_floor(self):
         records = run_session(5.0, 11, SOURCE, channel(), detector(dark=0.0),
-                              pulses_per_window=100_000)
+                              settings=QkdSettings(pulses_per_window=100_000,
+                                                   phase_noise_rad=0.0))
         assert len(records) == 5
         for r in records:
             assert r.errors == 0
@@ -115,17 +116,21 @@ class TestRunSession:
 
     def test_determinism(self):
         a = run_session(3.0, 17, SOURCE, channel(), detector(dark=1e-6),
-                        pulses_per_window=50_000, phase_noise_rad=0.4)
+                        settings=QkdSettings(pulses_per_window=50_000,
+                                             phase_noise_rad=0.4))
         b = run_session(3.0, 17, SOURCE, channel(), detector(dark=1e-6),
-                        pulses_per_window=50_000, phase_noise_rad=0.4)
+                        settings=QkdSettings(pulses_per_window=50_000,
+                                             phase_noise_rad=0.4))
         assert json.dumps([asdict(r) for r in a]) == \
             json.dumps([asdict(r) for r in b])
 
     def test_seed_changes_stream(self):
         a = run_session(2.0, 1, SOURCE, channel(), detector(dark=1e-6),
-                        pulses_per_window=200_000)
+                        settings=QkdSettings(pulses_per_window=200_000,
+                                             phase_noise_rad=0.0))
         b = run_session(2.0, 2, SOURCE, channel(), detector(dark=1e-6),
-                        pulses_per_window=200_000)
+                        settings=QkdSettings(pulses_per_window=200_000,
+                                             phase_noise_rad=0.0))
         assert [r.sifted_bits for r in a] != [r.sifted_bits for r in b]
 
     def test_sifting_soundness(self):
@@ -147,7 +152,9 @@ class TestRunSession:
     def test_empty_window_reports_absent_estimate(self):
         # Absurd loss and no darks: no clicks at all.
         records = run_session(1.0, 3, SOURCE, channel(loss_db=300.0),
-                              detector(dark=0.0), pulses_per_window=10_000)
+                              detector(dark=0.0),
+                              settings=QkdSettings(pulses_per_window=10_000,
+                                                   phase_noise_rad=0.0))
         assert records[0].sifted_bits == 0
         assert records[0].qber_estimate is None
 
@@ -156,7 +163,9 @@ class TestRunSession:
         for loss in (10.0, 16.5, 25.0):
             records = run_session(1.0, 31, SOURCE, channel(loss_db=loss),
                                   detector(dark=1e-6),
-                                  pulses_per_window=1_000_000)
+                                  settings=QkdSettings(
+                                      pulses_per_window=1_000_000,
+                                      phase_noise_rad=0.0))
             rates.append(session_summary(records)["mean_raw_rate_bps"])
         assert rates[0] > rates[1] > rates[2]
 
@@ -165,7 +174,9 @@ class TestRunSession:
         for mu in (0.05, 0.1, 0.2):
             src = SourceModel(mean_photon_number=mu)
             records = run_session(1.0, 37, src, channel(), detector(dark=1e-6),
-                                  pulses_per_window=1_000_000)
+                                  settings=QkdSettings(
+                                      pulses_per_window=1_000_000,
+                                      phase_noise_rad=0.0))
             rates.append(session_summary(records)["mean_raw_rate_bps"])
         assert rates[0] < rates[1] < rates[2]
 
@@ -173,7 +184,9 @@ class TestRunSession:
         # With the signal extinguished, darks split evenly between ports.
         records = run_session(1.0, 41, SOURCE, channel(loss_db=300.0),
                               DetectorModel(dark_count_prob_per_gate=2e-4),
-                              pulses_per_window=2_000_000)
+                              settings=QkdSettings(
+                                  pulses_per_window=2_000_000,
+                                  phase_noise_rad=0.0))
         summary = session_summary(records)
         qber = summary["qber_pooled"]
         n = summary["sifted_bits"]

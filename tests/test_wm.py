@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from sagnacsim.disturbance import PressureParams, pressure_delay
 from sagnacsim.errors import (NoSignalError, OutOfBranchError,
                               ZeroWorkingPointError)
 from sagnacsim.optics import LoopChannel, SpectralPacket, omega_from_wavelength
-from sagnacsim.wm import (DelayInversion, approx_contrast_ratio, calibrate,
-                          contrast_ratio, disturbed_intensity, infer_delay,
-                          mass_from_delay, offset_intensity,
+from sagnacsim.wm import (DelayInversion, WmSettings, approx_contrast_ratio,
+                          calibrate, contrast_ratio, disturbed_intensity,
+                          infer_delay, mass_from_delay, offset_intensity,
                           pressure_staircase, reflected_intensity)
 
 from oracles import exact_contrast_ratio
 
 OMEGA = omega_from_wavelength(1550e-9)
 DEG30 = math.pi / 6.0
+SETTINGS = WmSettings(delta_bias_rad=0.0, input_power_w=1.0)
 
 
 def make_channel(tau0=3e-13):
@@ -26,13 +28,13 @@ def make_channel(tau0=3e-13):
 
 class TestCalibrate:
     def test_monochromatic_null_is_dark(self):
-        cal = calibrate(make_channel(), SpectralPacket(OMEGA, 0.0), 0.0, 1.0)
+        cal = calibrate(make_channel(), SpectralPacket(OMEGA, 0.0), SETTINGS)
         assert cal.min_intensity_w == pytest.approx(0.0, abs=1e-12)
 
     def test_decohered_minimum_value(self):
         tau0 = 2e-13
         packet = SpectralPacket(OMEGA, 0.1 / tau0)  # sigma * tau0 = 0.1
-        cal = calibrate(make_channel(tau0), packet, 0.0, 1.0)
+        cal = calibrate(make_channel(tau0), packet, SETTINGS)
         expected = 0.5 * (1.0 - math.exp(-0.01))
         assert cal.min_intensity_w == pytest.approx(4.975083125415945e-3,
                                                     rel=1e-9)
@@ -42,7 +44,7 @@ class TestCalibrate:
     @settings(max_examples=60, deadline=None)
     def test_recovers_birefringence_phase(self, tau0):
         packet = SpectralPacket(OMEGA, 5e11)
-        cal = calibrate(make_channel(tau0), packet, 0.0, 1.0)
+        cal = calibrate(make_channel(tau0), packet, SETTINGS)
         target = (OMEGA * tau0) % math.pi
         # angle may land on the equivalent branch target +- pi
         delta = min(abs(cal.base_angle_rad - target),
@@ -53,7 +55,7 @@ class TestCalibrate:
         tau0 = 4e-13
         packet = SpectralPacket(OMEGA, 2e11)
         channel = make_channel(tau0)
-        cal = calibrate(channel, packet, 0.0, 1.0)
+        cal = calibrate(channel, packet, SETTINGS)
         h = 1e-7
         grad = (reflected_intensity(cal.base_angle_rad + h, channel, packet,
                                     0.0, 1.0)
@@ -63,36 +65,42 @@ class TestCalibrate:
 
     def test_dark_bias_rejected(self):
         with pytest.raises(NoSignalError):
-            calibrate(make_channel(), SpectralPacket(OMEGA, 0.0), math.pi, 1.0)
+            calibrate(make_channel(), SpectralPacket(OMEGA, 0.0),
+                      WmSettings(delta_bias_rad=math.pi, input_power_w=1.0))
 
     def test_disturbed_channel_rejected(self):
         channel = LoopChannel(length_m=30000.0, intrinsic_delay_s=3e-13,
                               delay_shift_s=1e-17)
         with pytest.raises(ValueError):
-            calibrate(channel, SpectralPacket(OMEGA, 0.0), 0.0, 1.0)
+            calibrate(channel, SpectralPacket(OMEGA, 0.0), SETTINGS)
 
-    def test_noisy_intensity_callable_still_calibrates(self):
-        tau0 = 4e-13
-        packet = SpectralPacket(OMEGA, 2e11)
+    @given(tau0=st.one_of(st.just(0.0),
+                          st.floats(min_value=1e-16, max_value=1e-10)),
+           sigma=st.one_of(st.just(0.0),
+                           st.floats(min_value=1e9, max_value=1e16)),
+           wavelength=st.floats(min_value=4e-7, max_value=2e-6),
+           bias=st.floats(min_value=-3.1, max_value=3.1))
+    @settings(max_examples=300, deadline=None)
+    def test_bracket_changes_sign_or_hits_zero(self, tau0, sigma, wavelength,
+                                               bias):
+        # brentq raises ValueError unless the balance changes sign across
+        # the bracket or is exactly zero at one end; the envelope ranges
+        # from fully coherent to fully decohered (exactly flat intensity).
+        packet = SpectralPacket.from_wavelength(wavelength, sigma)
         channel = make_channel(tau0)
-        rng = np.random.default_rng(5)
-
-        def noisy(eps):
-            clean = reflected_intensity(eps, channel, packet, 0.0, 1.0)
-            return clean * (1.0 + 1e-6 * rng.standard_normal())
-
-        cal = calibrate(channel, packet, 0.0, 1.0, intensity_fn=noisy)
-        target = (OMEGA * tau0) % math.pi
-        delta = min(abs(cal.base_angle_rad - target),
-                    abs(abs(cal.base_angle_rad - target) - math.pi))
-        assert delta < 1e-3
+        cal = calibrate(channel, packet,
+                        WmSettings(delta_bias_rad=bias, input_power_w=1.0))
+        assert cal.bias_phase_rad == bias
+        for step in (1e-3, -1e-3):
+            assert cal.min_intensity_w <= reflected_intensity(
+                cal.base_angle_rad + step, channel, packet, bias, 1.0)
 
 
 class TestIntensities:
     def setup_method(self):
         self.packet = SpectralPacket(OMEGA, 0.0)
         self.channel = make_channel()
-        self.cal = calibrate(self.channel, self.packet, 0.0, 1.0)
+        self.cal = calibrate(self.channel, self.packet, SETTINGS)
 
     def test_zero_offset_returns_minimum(self):
         i1 = offset_intensity(self.cal, 0.0, self.packet, self.channel)
@@ -124,7 +132,7 @@ class TestIntensities:
         # value comes from direct evaluation of the cosine expression.
         packet = SpectralPacket(1.2153e15, 0.0)
         channel = make_channel()
-        cal = calibrate(channel, packet, 0.0, 1.0)
+        cal = calibrate(channel, packet, SETTINGS)
         i_d = disturbed_intensity(cal, DEG30, 9.81e-18, packet, channel)
         direct = 0.5 * (1.0 - math.cos(2 * (DEG30 - 1.2153e15 * 9.81e-18)))
         assert i_d == pytest.approx(direct, rel=1e-9)
@@ -223,8 +231,10 @@ class TestStaircase:
     def test_noiseless_steps(self):
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
         readings = pressure_staircase(
-            masses, PressureParams(mass_kg=0.1), make_channel(),
-            SpectralPacket(OMEGA, 0.0), DEG30, 1.0, noise_sigma=0.0)
+            masses, WmSettings(delta_epsilon_rad=DEG30, input_power_w=1.0,
+                               noise_sigma=0.0,
+                               pressure=PressureParams(mass_kg=0.1)),
+            make_channel(), SpectralPacket(OMEGA, 0.0))
         delays = [r.inferred_delay_s for r in readings]
         steps = np.diff([0.0] + delays)
         for step in steps:
@@ -238,17 +248,28 @@ class TestStaircase:
     def test_noisy_mass_recovery(self):
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
         readings = pressure_staircase(
-            masses, PressureParams(mass_kg=0.1), make_channel(),
-            SpectralPacket(OMEGA, 0.0), DEG30, 1.0, noise_sigma=0.0019,
-            samples_per_reading=16, seed=12)
+            masses, WmSettings(delta_epsilon_rad=DEG30, input_power_w=1.0,
+                               noise_sigma=0.0019, samples_per_reading=16,
+                               pressure=PressureParams(mass_kg=0.1)),
+            make_channel(), SpectralPacket(OMEGA, 0.0), seed=12)
         for m, r in zip(masses, readings):
             assert abs(r.inferred_mass_kg - m) < 0.010
 
-    def test_drift_model_runs(self):
-        readings = pressure_staircase(
-            [0.1, 0.2], PressureParams(mass_kg=0.1), make_channel(),
-            SpectralPacket(OMEGA, 2e11), DEG30, 1.0, noise_sigma=0.0,
-            seed=3, tau0_drift_s=1e-15)
-        assert len(readings) == 2
-        for m, r in zip([0.1, 0.2], readings):
-            assert r.inferred_mass_kg == pytest.approx(m, rel=0.05)
+    def test_calibrates_at_the_wm_bias_not_the_channel_bias(self):
+        packet = SpectralPacket(OMEGA, 2e11)
+        settings = WmSettings(delta_bias_rad=0.7, noise_sigma=0.0)
+        # At a channel bias of pi the reflected port is dark, so a
+        # calibration there would raise.
+        runs = [pressure_staircase([0.1, 0.3], settings,
+                                   replace(make_channel(), bias_phase_rad=b),
+                                   packet)
+                for b in (0.0, 1.2, math.pi)]
+        assert runs[0] == runs[1] == runs[2]
+
+        def offset_at(bias):
+            at = replace(settings, delta_bias_rad=bias)
+            return offset_intensity(calibrate(make_channel(), packet, at),
+                                    DEG30, packet, make_channel())
+
+        assert [r.offset_intensity_w for r in runs[0]] == [offset_at(0.7)] * 2
+        assert offset_at(0.7) != pytest.approx(offset_at(0.0), rel=1e-3)
