@@ -5,8 +5,7 @@ quasi-static metrology."""
 
 __version__ = "0.1.0"
 
-from .controller import (ControllerEvent, EventKind, ScenarioScript,
-                         SystemMode, run_scenario, step)
+from .controller import EventKind, ScenarioScript, SystemMode, run_scenario
 from .disturbance import (DisturbanceEvent, DisturbanceKind, ImpactParams,
                           PressureParams, PztParams, impact_phase,
                           pressure_delay, pzt_phase)

@@ -69,8 +69,8 @@ def _log_dicts(log) -> list[dict]:
     return [{
         "time_s": rec.time_s,
         "mode": rec.mode.value,
-        "event": rec.event.kind.value,
-        "payload": rec.event.payload,
+        "event": rec.kind.value,
+        "payload": rec.payload,
     } for rec in log]
 
 

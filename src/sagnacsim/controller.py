@@ -10,6 +10,7 @@ up by a scheduled weak-measurement poll while keys keep flowing.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -18,12 +19,15 @@ import numpy as np
 from . import perception, qkd, wm
 from .disturbance import DisturbanceEvent, DisturbanceKind, pressure_delay
 from .errors import (Checked, ConfigError, HarmonicAmbiguityError,
-                     InsufficientDataError, ProtocolViolationError, bounded,
-                     positive)
+                     InsufficientDataError, bounded, positive)
 from .optics import LoopChannel, SpectralPacket
 from .perception import MAX_SEED, PerceptionSettings
 from .qkd import DetectorModel, QkdSettings, SourceModel
 from .wm import WmSettings
+
+
+#: Most key windows, ``round(duration_s / qkd.window_s)``, a run may hold.
+MAX_KEY_WINDOWS = 100_000
 
 
 class SystemMode(enum.Enum):
@@ -42,46 +46,6 @@ class EventKind(enum.Enum):
     LOCALIZATION_DONE = "localization_done"
     LOCALIZATION_FAILED = "localization_failed"
     RESET_ISSUED = "reset_issued"
-
-
-@dataclass(frozen=True)
-class ControllerEvent:
-    time_s: float
-    kind: EventKind
-    payload: dict = field(default_factory=dict)
-
-
-_TRANSITIONS = {
-    (SystemMode.KEY_DISTRIBUTION, EventKind.QBER_WINDOW):
-        SystemMode.KEY_DISTRIBUTION,
-    (SystemMode.KEY_DISTRIBUTION, EventKind.BREACH_DETECTED):
-        SystemMode.PERCEPTION_SENSING,
-    (SystemMode.PERCEPTION_SENSING, EventKind.DISTURBANCE_SIGNIFICANT):
-        SystemMode.LOCALIZING,
-    (SystemMode.PERCEPTION_SENSING, EventKind.DISTURBANCE_MINOR):
-        SystemMode.KEY_DISTRIBUTION,
-    (SystemMode.LOCALIZING, EventKind.LOCALIZATION_DONE):
-        SystemMode.REPORTING,
-    (SystemMode.LOCALIZING, EventKind.LOCALIZATION_FAILED):
-        SystemMode.REPORTING,
-    (SystemMode.AWAIT_RESET, EventKind.RESET_ISSUED):
-        SystemMode.KEY_DISTRIBUTION,
-}
-
-
-def step(mode: SystemMode, event: ControllerEvent) -> SystemMode:
-    """Advance the mode machine by one event.
-
-    Reporting always hands over to the reset wait regardless of the event;
-    every other (mode, event) pair outside the transition table is a
-    protocol violation.
-    """
-    if mode is SystemMode.REPORTING:
-        return SystemMode.AWAIT_RESET
-    nxt = _TRANSITIONS.get((mode, event.kind))
-    if nxt is None:
-        raise ProtocolViolationError(mode.value, event.kind.value)
-    return nxt
 
 
 @dataclass(frozen=True)
@@ -111,15 +75,29 @@ class ScenarioScript(Checked):
                 problems.append(
                     f"disturbances[{i}].position_m: {ev.position_m} beyond "
                     f"the loop length {self.channel.length_m}")
+            if ev.is_dynamic:
+                problems += [f"disturbances[{i}].{p}"
+                             for p in self.perception.event_problems(ev)]
+        windows = self.duration_s / self.qkd.window_s
+        windows = round(windows) if math.isfinite(windows) else math.inf
+        if windows > MAX_KEY_WINDOWS:
+            problems.append(
+                f"qkd.window_s: {self.qkd.window_s} splits duration_s "
+                f"{self.duration_s} into {windows} key windows, more than "
+                f"{MAX_KEY_WINDOWS}")
         if problems:
             raise ConfigError(problems)
 
 
 @dataclass
 class LogRecord:
+    """One workflow event: when it happened, the mode it happened in, what
+    it was and its data."""
+
     time_s: float
     mode: SystemMode
-    event: ControllerEvent
+    kind: EventKind
+    payload: dict
 
 
 @dataclass
@@ -181,29 +159,24 @@ class _ScenarioRunner:
         self.next_poll_s = script.wm.poll_interval_s
         self.wm_cal = wm.calibrate(script.channel, script.packet, script.wm)
 
-    def emit(self, kind: EventKind, payload: dict) -> None:
-        event = ControllerEvent(time_s=self.t, kind=kind, payload=payload)
-        self.log.append(LogRecord(time_s=self.t, mode=self.mode, event=event))
-        self.mode = step(self.mode, event)
+    def emit(self, kind: EventKind, payload: dict, then: SystemMode) -> None:
+        """Log ``kind`` in the current mode, then switch to ``then``."""
+        self.log.append(LogRecord(self.t, self.mode, kind, payload))
+        self.mode = then
+
+    def _live(self) -> bool:
+        return self.t < self.script.duration_s - 1e-9
 
     def run(self) -> ScenarioResult:
-        script = self.script
-        while self.t < script.duration_s - 1e-9:
-            if self.mode is SystemMode.KEY_DISTRIBUTION:
-                self._key_window()
-            elif self.mode is SystemMode.PERCEPTION_SENSING:
-                self._sense()
-            elif self.mode is SystemMode.LOCALIZING:
+        """Key windows until one breaches; then sense, localize a
+        significant disturbance and close the report.  Each stage starts
+        only while the run lasts."""
+        while self._live():
+            if self._key_window() and self._live() and self._sense() \
+                    and self._live():
                 self._localize()
-            elif self.mode is SystemMode.REPORTING:
-                # Report is already filed; both manual intervention and a
-                # system reset collapse to a reset request.
-                self.emit(EventKind.RESET_ISSUED, {"stage": "report_closed"})
-            elif self.mode is SystemMode.AWAIT_RESET:
-                self.t += script.perception.switch_dead_time_s
-                if self.t >= script.duration_s:
-                    break
-                self.emit(EventKind.RESET_ISSUED, {"stage": "rearmed"})
+                if self._live():
+                    self._reset()
         return ScenarioResult(
             log=self.log,
             key_records=self.key_records,
@@ -212,7 +185,9 @@ class _ScenarioRunner:
             final_mode=self.mode,
         )
 
-    def _key_window(self) -> None:
+    def _key_window(self) -> bool:
+        """One key window and the WM poll it falls due in; whether the
+        window breached."""
         script = self.script
         t0, dt = self.t, script.qkd.window_s
         active = _active_dynamic_events(script.events, t0, t0 + dt)
@@ -238,7 +213,7 @@ class _ScenarioRunner:
             "qber": record.qber_estimate,
             "raw_rate_bps": record.raw_rate_bps,
             "sifted_bits": record.sifted_bits,
-        })
+        }, SystemMode.KEY_DISTRIBUTION)
 
         if self.t >= self.next_poll_s:
             self._wm_poll()
@@ -248,13 +223,14 @@ class _ScenarioRunner:
             breach = qkd.qber_threshold_check(record,
                                               script.qkd.qber_threshold)
         except InsufficientDataError:
-            return
+            return False
         if breach:
             self.emit(EventKind.BREACH_DETECTED, {
                 "qber": record.qber_estimate,
                 "threshold": script.qkd.qber_threshold,
-            })
+            }, SystemMode.PERCEPTION_SENSING)
             self.t += script.perception.switch_dead_time_s
+        return breach
 
     def _wm_poll(self) -> None:
         script = self.script
@@ -264,7 +240,8 @@ class _ScenarioRunner:
         self.wm_readings.append({"time_s": self.t, **asdict(reading),
                                  "true_delay_s": delay})
 
-    def _sense(self) -> None:
+    def _sense(self) -> bool:
+        """Grade the disturbance; whether it is significant."""
         script = self.script
         cfg = script.perception
         _, graded = perception.sense(
@@ -272,18 +249,23 @@ class _ScenarioRunner:
             int(self.rng.integers(0, MAX_SEED)), self.t)
         self.t += cfg.sense_duration_s
         if graded["peak_to_floor"] > cfg.significance_threshold:
-            self.emit(EventKind.DISTURBANCE_SIGNIFICANT, graded)
-        else:
-            self.emit(EventKind.DISTURBANCE_MINOR, graded)
-            self.t += cfg.switch_dead_time_s
+            self.emit(EventKind.DISTURBANCE_SIGNIFICANT, graded,
+                      SystemMode.LOCALIZING)
+            return True
+        self.emit(EventKind.DISTURBANCE_MINOR, graded,
+                  SystemMode.KEY_DISTRIBUTION)
+        self.t += cfg.switch_dead_time_s
+        return False
 
     def _localize(self) -> None:
         script = self.script
         cfg = script.perception
         event = _perception_target(script.events, self.t)
         if event is None:
-            raise InsufficientDataError(
-                "localization requested but no dynamic disturbance is active")
+            self.emit(EventKind.LOCALIZATION_FAILED,
+                      {"reason": "no dynamic disturbance is active"},
+                      SystemMode.REPORTING)
+            return
         data = perception.acquire(event, script.channel, cfg,
                                   int(self.rng.integers(0, MAX_SEED)))
         self.t += cfg.sense_duration_s
@@ -293,14 +275,26 @@ class _ScenarioRunner:
         except HarmonicAmbiguityError as exc:
             report, reason = None, str(exc)
         if report is None:
-            self.emit(EventKind.LOCALIZATION_FAILED, {"reason": reason})
+            self.emit(EventKind.LOCALIZATION_FAILED, {"reason": reason},
+                      SystemMode.REPORTING)
             return
         self.reports.append(report)
         self.emit(EventKind.LOCALIZATION_DONE, {
             "position_m": report.position_m,
             "resolution_m": report.resolution_m,
             "nulls_hz": [nf.frequency_hz for nf in report.nulls],
-        })
+        }, SystemMode.REPORTING)
+
+    def _reset(self) -> None:
+        """Close the filed report and re-arm one dead time later, unless
+        the run ends first.  Manual intervention and a system reset both
+        collapse to this reset request."""
+        self.emit(EventKind.RESET_ISSUED, {"stage": "report_closed"},
+                  SystemMode.AWAIT_RESET)
+        self.t += self.script.perception.switch_dead_time_s
+        if self.t < self.script.duration_s:
+            self.emit(EventKind.RESET_ISSUED, {"stage": "rearmed"},
+                      SystemMode.KEY_DISTRIBUTION)
 
 
 def run_scenario(script: ScenarioScript) -> ScenarioResult:

@@ -52,15 +52,6 @@ class ZeroWorkingPointError(SagnacSimError):
     ratio denominator vanishes."""
 
 
-class ProtocolViolationError(SagnacSimError):
-    """An event is not legal in the current controller mode."""
-
-    def __init__(self, mode, event_kind):
-        self.mode = mode
-        self.event_kind = event_kind
-        super().__init__(f"event {event_kind!r} is not legal in mode {mode!r}")
-
-
 class ConfigError(SagnacSimError, ValueError):
     """One or more configuration entries failed validation.
 

@@ -64,10 +64,15 @@ _SWEEP_BLOCK_SAMPLES = 16_000
 #: Shortest Welch segment; a sensing trace must hold at least one.
 _WELCH_MIN_SEGMENT = 64
 
+#: Most samples a sensing or acquisition trace may hold: 21 s at 200 kHz.
+MAX_TRACE_SAMPLES = 2**22
+
 
 def _sample_count(duration_s: float, sample_rate_hz: float) -> int:
-    """Number of samples a trace of ``duration_s`` holds."""
-    return int(round(duration_s * sample_rate_hz))
+    """Number of samples a trace of ``duration_s`` holds, ``math.inf``
+    past the float range."""
+    samples = duration_s * sample_rate_hz
+    return round(samples) if math.isfinite(samples) else math.inf
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,11 @@ class PerceptionSettings(Checked):
             if n < least:
                 problems.append(f"{key}: holds {n} samples at sample_rate_hz "
                                 f"{self.sample_rate_hz}, fewer than {least}")
+        n = _sample_count(self.sense_duration_s, self.sample_rate_hz)
+        if n > MAX_TRACE_SAMPLES:
+            problems.append(f"sense_duration_s: holds {n} samples at "
+                            f"sample_rate_hz {self.sample_rate_hz}, more "
+                            f"than {MAX_TRACE_SAMPLES}")
         if problems:
             raise ConfigError(problems)
 
@@ -133,6 +143,35 @@ class PerceptionSettings(Checked):
         return np.arange(self.scan_min_hz,
                          self.scan_max_hz + self.scan_step_hz,
                          self.scan_step_hz)
+
+    def trace_duration_s(self, impact: ImpactParams) -> float:
+        """Length of the trace that records a transient: 32 pulse widths
+        plus 4 ms, for the spectral notches to resolve, and at least the
+        sensing window."""
+        return max(self.sense_duration_s, 32.0 * impact.width_s + 4e-3)
+
+    def event_problems(self, event: DisturbanceEvent) -> list[str]:
+        """Why this perception cannot record dynamic ``event``, keyed by
+        the event parameter: its bandwidth must lie below half the sample
+        rate, and a transient's trace may hold at most
+        ``MAX_TRACE_SAMPLES`` samples."""
+        key = ("frequency_hz" if isinstance(event.params, PztParams)
+               else "width_s")
+        value = getattr(event.params, key)
+        needed_hz = _required_bandwidth_hz(event)
+        if _aliases(needed_hz, self.sample_rate_hz):
+            return [f"{key}: {value} puts the disturbance band at "
+                    f"{needed_hz} Hz, not below half the perception "
+                    f"sample_rate_hz {self.sample_rate_hz}"]
+        if key == "width_s":
+            n = _sample_count(self.trace_duration_s(event.params),
+                              self.sample_rate_hz)
+            if n > MAX_TRACE_SAMPLES:
+                return [f"width_s: {value} asks for a trace of {n} samples "
+                        f"at the perception sample_rate_hz "
+                        f"{self.sample_rate_hz}, more than "
+                        f"{MAX_TRACE_SAMPLES}"]
+        return []
 
     def sense_channel(self, channel: LoopChannel) -> LoopChannel:
         """The loop as perception sees it: biased to the sensing phase."""
@@ -268,8 +307,13 @@ def _required_bandwidth_hz(event: DisturbanceEvent) -> float:
     return 0.0
 
 
+def _aliases(needed_hz: float, sample_rate_hz: float) -> bool:
+    """Whether ``sample_rate_hz`` is too low for a ``needed_hz`` band."""
+    return needed_hz > 0 and sample_rate_hz <= 2.0 * needed_hz
+
+
 def _check_bandwidth(needed_hz: float, sample_rate_hz: float) -> None:
-    if needed_hz > 0 and sample_rate_hz <= 2.0 * needed_hz:
+    if _aliases(needed_hz, sample_rate_hz):
         raise AliasingError(
             f"sample rate {sample_rate_hz} Hz cannot represent a "
             f"disturbance extending to {needed_hz} Hz")
@@ -468,8 +512,8 @@ def acquire(event: DisturbanceEvent, channel: LoopChannel,
     """Record a dynamic disturbance for null-frequency localization.
 
     A sinusoidal drive is swept over the scan grid; a transient is captured
-    in one trace centred on its onset, long enough (32 pulse widths plus
-    4 ms, at least the sensing window) for the spectral notches to resolve.
+    in one trace of :meth:`PerceptionSettings.trace_duration_s` centred on
+    its onset.
     Both see the loop through :meth:`PerceptionSettings.sense_channel`.
     """
     sense = settings.sense_channel(channel)
@@ -480,8 +524,7 @@ def acquire(event: DisturbanceEvent, channel: LoopChannel,
             sample_rate_hz=settings.sample_rate_hz,
             noise_sigma=settings.noise_sigma,
             input_power_w=settings.input_power_w, seed=seed)
-    duration = max(settings.sense_duration_s,
-                   32.0 * event.params.width_s + 4e-3)
+    duration = settings.trace_duration_s(event.params)
     return synthesize_trace(
         event, sense, duration, settings.sample_rate_hz, settings.noise_sigma,
         seed=seed, input_power_w=settings.input_power_w,

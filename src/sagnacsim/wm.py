@@ -40,7 +40,8 @@ class WmSettings(Checked):
     delta_bias_rad: float = 0.0
     input_power_w: float = positive(1.0)
     noise_sigma: float = non_negative(0.0019)
-    samples_per_reading: int = positive(16)
+    samples_per_reading: int = bounded(lambda v: 0 < v <= 2**20,
+                                       "within [1, 2**20]", 16)
     poll_interval_s: float = positive(60.0)
     pressure: PressureParams = field(
         default_factory=lambda: PressureParams(mass_kg=0.1))

@@ -252,7 +252,7 @@ def test_criterion_7_reciprocity_immunity_and_breach_workflow():
 
     stormy = run_scenario(ScenarioScript(events=(
         pzt(5000.0, 3000.0, 0.6, start_s=3.0),), **base))
-    kinds = [rec.event.kind for rec in stormy.log]
+    kinds = [rec.kind for rec in stormy.log]
     breach_ok = EventKind.BREACH_DETECTED in kinds
     modes = [rec.mode for rec in stormy.log]
     sequence = [SystemMode.KEY_DISTRIBUTION, SystemMode.PERCEPTION_SENSING,

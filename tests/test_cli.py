@@ -101,6 +101,21 @@ class TestIntegrated:
         assert len(report["qkd_windows"]) >= 4
         assert (out / "event_log.jsonl").exists()
 
+    def test_significant_false_alarm_keeps_the_run(self, tmp_path):
+        # Quiet sensing traces grade about 2.7 at the median, so this
+        # threshold calls a false alarm significant with nothing to locate.
+        config = write_json(tmp_path / "low.json", {
+            "perception": {"significance_threshold": 2.0}})
+        out = tmp_path / "run"
+        assert run_cli("integrated", "--config", config,
+                       "--out-dir", str(out), "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        failed = [e for e in report["event_log"]
+                  if e["event"] == "localization_failed"]
+        assert [e["payload"] for e in failed] == [
+            {"reason": "no dynamic disturbance is active"}]
+        assert (out / "event_log.jsonl").exists()
+
 
 class TestPerceiveAndLocalize:
     def test_impact_trace_localizes(self, tmp_path, impact_config):
@@ -292,6 +307,8 @@ _BAD_CONFIGS = [
     ("channel.delay_shift_s", '{"channel": {"delay_shift_s": [1]}}'),
     ("channel.bias_phase_rad", '{"channel": {"bias_phase_rad": "abc"}}'),
     ("channel.length_m", '{"channel": {"length_m": 1e400}}'),
+    ("perception.sense_duration_s",
+     '{"perception": {"sense_duration_s": 1e308}}'),
 ]
 
 _HEADER = b"# sample_rate_hz=1000.0 i0_w=1.0\n"
@@ -468,6 +485,34 @@ class TestUnsweepableSettings:
             "duration_s": 12.0, "perception": perception,
             "disturbances": [_README_PZT]})
         assert run_cli(command, "--config", cfg,
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert [p.split(":")[0] for p in record["problems"]] == [key]
+
+
+# Dynamic events perception cannot sample at the default 200 kHz: a drive
+# above the Nyquist frequency and a pulse too short for it.
+_UNSAMPLED = {
+    "pzt-past-nyquist": ("disturbances[0].frequency_hz", [], {
+        "kind": "pzt", "position_m": 5000.0, "start_s": 1.0,
+        "frequency_hz": 150000.0, "drive_amplitude_v": 1.2}),
+    "impact-too-short": ("disturbances[0].width_s", ["--seed", "4"], {
+        "kind": "impact", "position_m": 5000.0, "start_s": 1.0,
+        "width_s": 1e-7}),
+}
+
+
+class TestUnsampledEvents:
+    @pytest.mark.parametrize("command", ["integrated", "perceive", "qkd",
+                                         "wm"])
+    @pytest.mark.parametrize("key, extra, event", list(_UNSAMPLED.values()),
+                             ids=list(_UNSAMPLED))
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key,
+                                    extra, event):
+        cfg = write_json(tmp_path / "fast.json", {
+            "duration_s": 6.0, "disturbances": [event]})
+        assert run_cli(command, "--config", cfg, *extra,
                        "--out-dir", str(tmp_path / "out"), "--quiet") == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"

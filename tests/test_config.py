@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from sagnacsim.config import (default_config, parse_config,
                               parse_config_dict)
+from sagnacsim.controller import MAX_KEY_WINDOWS
 from sagnacsim.errors import ConfigError
+from sagnacsim.perception import MAX_TRACE_SAMPLES
 
 
 class TestDefaults:
@@ -152,6 +154,39 @@ class TestLibraryBounds:
     def test_cross_field_problems_name_their_keys(self, raw, key):
         with pytest.raises(ConfigError) as err:
             parse_config_dict(raw)
+        assert [p.split(":")[0] for p in err.value.problems] == [key]
+
+
+def _impact(width_s):
+    return {"disturbances": [{"kind": "impact", "position_m": 1.0,
+                              "width_s": width_s}]}
+
+
+# Values bounding the work of a run, at the bound and one unit past it:
+# key windows of 1 s, sensing samples and impact trace samples at the
+# default 200 kHz, and WM draws per reading.
+_WORK_BOUNDS = {
+    "key-windows": ("qkd.window_s", *[{"duration_s": float(n)} for n in (
+        MAX_KEY_WINDOWS, MAX_KEY_WINDOWS + 1)]),
+    "sense-samples": ("perception.sense_duration_s", *[
+        {"perception": {"sense_duration_s": n / 200e3}}
+        for n in (MAX_TRACE_SAMPLES, MAX_TRACE_SAMPLES + 1)]),
+    "impact-trace-samples": ("disturbances[0].width_s", *[
+        _impact((n / 200e3 - 4e-3) / 32.0)
+        for n in (MAX_TRACE_SAMPLES, MAX_TRACE_SAMPLES + 1)]),
+    "wm-draws": ("wm.samples_per_reading", *[
+        {"wm": {"samples_per_reading": n}} for n in (2**20, 2**20 + 1)]),
+}
+
+
+class TestWorkBounds:
+    @pytest.mark.parametrize("key, at, past", list(_WORK_BOUNDS.values()),
+                             ids=list(_WORK_BOUNDS))
+    def test_bound_accepted_and_one_past_it_names_the_key(self, key, at,
+                                                          past):
+        parse_config_dict(at)
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(past)
         assert [p.split(":")[0] for p in err.value.problems] == [key]
 
 

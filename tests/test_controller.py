@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 import numpy as np
 
 from sagnacsim import perception
-from sagnacsim.controller import (ControllerEvent, EventKind, ScenarioScript,
-                                  SystemMode, _active_dynamic_events,
-                                  run_scenario, step)
+from sagnacsim.controller import (EventKind, ScenarioScript, SystemMode,
+                                  _active_dynamic_events)
+from sagnacsim.controller import run_scenario as _run_scenario
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
-from sagnacsim.errors import HarmonicAmbiguityError, ProtocolViolationError
+from sagnacsim.errors import HarmonicAmbiguityError
 from sagnacsim.optics import LoopChannel, SpectralPacket
 from sagnacsim.perception import PerceptionSettings
 from sagnacsim.qkd import DetectorModel, QkdSettings, SourceModel
@@ -32,17 +32,36 @@ LEGAL = {
         SystemMode.REPORTING,
     (SystemMode.LOCALIZING, EventKind.LOCALIZATION_FAILED):
         SystemMode.REPORTING,
+    (SystemMode.REPORTING, EventKind.RESET_ISSUED):
+        SystemMode.AWAIT_RESET,
     (SystemMode.AWAIT_RESET, EventKind.RESET_ISSUED):
         SystemMode.KEY_DISTRIBUTION,
 }
 
 
-def ev(kind):
-    return ControllerEvent(time_s=0.0, kind=kind)
+def assert_legal(result):
+    """Each record is logged in the mode its predecessor led to, a report
+    is only ever closed by a reset, and the run ends where its last record
+    leads."""
+    mode = SystemMode.KEY_DISTRIBUTION
+    for rec in result.log:
+        assert rec.mode is mode
+        if rec.mode is SystemMode.REPORTING:
+            assert rec.kind is EventKind.RESET_ISSUED
+        assert (rec.mode, rec.kind) in LEGAL
+        mode = LEGAL[(rec.mode, rec.kind)]
+    assert result.final_mode is mode
+
+
+def run_scenario(script):
+    """Every run of this file, checked against ``LEGAL``."""
+    result = _run_scenario(script)
+    assert_legal(result)
+    return result
 
 
 def base_script(events=(), duration=6.0, seed=7, pulses=200_000,
-                poll_s=60.0, wm_noise=0.0):
+                poll_s=60.0, wm_noise=0.0, window_s=1.0, dead_time_s=1.0):
     return ScenarioScript(
         channel=LoopChannel(length_m=30000.0, loss_db=16.5,
                             intrinsic_delay_s=3e-13),
@@ -52,7 +71,8 @@ def base_script(events=(), duration=6.0, seed=7, pulses=200_000,
         events=tuple(events),
         duration_s=duration,
         seed=seed,
-        qkd=QkdSettings(pulses_per_window=pulses),
+        qkd=QkdSettings(window_s=window_s, pulses_per_window=pulses),
+        perception=PerceptionSettings(switch_dead_time_s=dead_time_s),
         wm=WmSettings(poll_interval_s=poll_s, noise_sigma=wm_noise),
     )
 
@@ -65,57 +85,10 @@ def strong_pzt(position_m=5000.0, start_s=2.0, f_hz=3000.0):
         position_m=position_m, start_s=start_s)
 
 
-class TestStep:
-    def test_nominal_window_keeps_distributing(self):
-        event = ControllerEvent(0.0, EventKind.QBER_WINDOW,
-                                {"qber": 0.047})
-        assert step(SystemMode.KEY_DISTRIBUTION, event) is \
-            SystemMode.KEY_DISTRIBUTION
-
-    def test_breach_switches_to_perception(self):
-        assert step(SystemMode.KEY_DISTRIBUTION,
-                    ev(EventKind.BREACH_DETECTED)) is \
-            SystemMode.PERCEPTION_SENSING
-
-    def test_minor_disturbance_resumes(self):
-        assert step(SystemMode.PERCEPTION_SENSING,
-                    ev(EventKind.DISTURBANCE_MINOR)) is \
-            SystemMode.KEY_DISTRIBUTION
-
-    def test_reporting_always_hands_over(self):
-        for kind in EventKind:
-            assert step(SystemMode.REPORTING, ev(kind)) is \
-                SystemMode.AWAIT_RESET
-
-    @given(mode=st.sampled_from(SystemMode), kind=st.sampled_from(EventKind))
-    @settings(max_examples=200, deadline=None)
-    def test_closure(self, mode, kind):
-        # every pair either follows the table, closes out a report, or
-        # raises the protocol violation; nothing silently passes through
-        if mode is SystemMode.REPORTING:
-            assert step(mode, ev(kind)) is SystemMode.AWAIT_RESET
-        elif (mode, kind) in LEGAL:
-            assert step(mode, ev(kind)) is LEGAL[(mode, kind)]
-        else:
-            with pytest.raises(ProtocolViolationError):
-                step(mode, ev(kind))
-
-    @given(kinds=st.lists(st.sampled_from(EventKind), max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_fuzzed_sequences_never_go_undefined(self, kinds):
-        mode = SystemMode.KEY_DISTRIBUTION
-        for kind in kinds:
-            try:
-                mode = step(mode, ev(kind))
-            except ProtocolViolationError:
-                pass
-            assert isinstance(mode, SystemMode)
-
-
 class TestRunScenario:
     def test_quiet_scenario_stays_in_key_mode(self):
         result = run_scenario(base_script(duration=4.0))
-        kinds = {rec.event.kind for rec in result.log}
+        kinds = {rec.kind for rec in result.log}
         assert kinds == {EventKind.QBER_WINDOW}
         assert all(rec.mode is SystemMode.KEY_DISTRIBUTION
                    for rec in result.log)
@@ -125,7 +98,7 @@ class TestRunScenario:
     def test_pzt_breach_runs_full_sequence(self):
         result = run_scenario(base_script(events=[strong_pzt()],
                                           duration=6.0))
-        kinds = [rec.event.kind for rec in result.log]
+        kinds = [rec.kind for rec in result.log]
         assert EventKind.BREACH_DETECTED in kinds
         i = kinds.index(EventKind.BREACH_DETECTED)
         tail = kinds[i:]
@@ -149,12 +122,12 @@ class TestRunScenario:
         result = run_scenario(base_script(events=[strong_pzt()],
                                           duration=6.0))
         failed = [rec for rec in result.log
-                  if rec.event.kind is EventKind.LOCALIZATION_FAILED]
+                  if rec.kind is EventKind.LOCALIZATION_FAILED]
         assert failed
         assert failed[0].mode is SystemMode.LOCALIZING
-        assert failed[0].event.payload == {
+        assert failed[0].payload == {
             "reason": "two nulls map to harmonic index 1"}
-        kinds = [rec.event.kind for rec in result.log]
+        kinds = [rec.kind for rec in result.log]
         assert EventKind.LOCALIZATION_DONE not in kinds
         i = result.log.index(failed[0])
         assert result.log[i + 1].mode is SystemMode.REPORTING
@@ -169,7 +142,7 @@ class TestRunScenario:
         def render(result):
             return json.dumps([
                 {"t": rec.time_s, "mode": rec.mode.value,
-                 "kind": rec.event.kind.value, "payload": rec.event.payload}
+                 "kind": rec.kind.value, "payload": rec.payload}
                 for rec in result.log], sort_keys=True)
 
         script = base_script(events=[strong_pzt()], duration=6.0)
@@ -179,7 +152,7 @@ class TestRunScenario:
         result = run_scenario(base_script(events=[strong_pzt()],
                                           duration=8.0))
         windows = [rec for rec in result.log
-                   if rec.event.kind is EventKind.QBER_WINDOW]
+                   if rec.kind is EventKind.QBER_WINDOW]
         assert len(windows) == len(result.key_records)
         assert all(rec.mode is SystemMode.KEY_DISTRIBUTION
                    for rec in windows)
@@ -191,7 +164,7 @@ class TestRunScenario:
             duration=6.0, pulses=2_000_000, poll_s=2.0)
         result = run_scenario(pressed)
         assert result.final_mode is SystemMode.KEY_DISTRIBUTION
-        assert all(rec.event.kind in (EventKind.QBER_WINDOW,)
+        assert all(rec.kind in (EventKind.QBER_WINDOW,)
                    for rec in result.log)
         assert result.wm_readings
         for reading in result.wm_readings:
@@ -217,8 +190,8 @@ class TestRunScenario:
 
         def render(result):
             return json.dumps({
-                "log": [{"t": rec.time_s, "kind": rec.event.kind.value,
-                         "payload": rec.event.payload} for rec in result.log],
+                "log": [{"t": rec.time_s, "kind": rec.kind.value,
+                         "payload": rec.payload} for rec in result.log],
                 "wm": result.wm_readings}, sort_keys=True)
 
         assert render(run_scenario(pressed)) == render(result)
@@ -246,3 +219,28 @@ class TestImpactReach:
         assert _active_dynamic_events([impact], hi, 2.0) == [impact]
         assert _active_dynamic_events(
             [impact], np.nextafter(hi, 2.0), 2.0) == []
+
+
+_EVENTS = {
+    "none": [],
+    "pzt": [strong_pzt(start_s=1.0)],
+    "impact": [DisturbanceEvent(
+        ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5,
+                     impact_gain=2.0),
+        position_m=12000.0, start_s=1.0)],
+    "pressure": [DisturbanceEvent(PressureParams(mass_kg=0.1),
+                                  position_m=9000.0, start_s=1.0)],
+}
+
+
+class TestWorkflow:
+    # Short, thin key windows breach often, so runs end in every mode.
+    @given(kind=st.sampled_from(sorted(_EVENTS)),
+           duration=st.floats(1.0, 8.0), dead_time=st.floats(0.0, 2.5),
+           seed=st.integers(0, 100))
+    @settings(max_examples=40, deadline=None)
+    def test_every_run_follows_the_legal_table(self, kind, duration,
+                                               dead_time, seed):
+        run_scenario(base_script(events=_EVENTS[kind], duration=duration,
+                                 seed=seed, pulses=20_000, window_s=0.5,
+                                 dead_time_s=dead_time, poll_s=1.5))
