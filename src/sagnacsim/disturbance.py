@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.constants import g as STANDARD_GRAVITY
 
 from .errors import Checked, non_negative, positive
 from .optics import C_VACUUM
+
+#: Standard acceleration of gravity (m/s^2), exact by definition.
+STANDARD_GRAVITY = 9.80665
 
 
 class DisturbanceKind(enum.Enum):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.signal import welch
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
                           single_pass_phase)
@@ -126,6 +126,11 @@ class PerceptionSettings(Checked):
                     f"points from scan_min_hz to scan_max_hz; a sweep needs "
                     f"at least 3"]
         samples = _sample_count(self.sweep_duration_s, self.sample_rate_hz)
+        if 3 * samples > _MAX_SWEEP_WORK:
+            return [f"sweep_duration_s: {self.sweep_duration_s} holds "
+                    f"{samples} samples at sample_rate_hz "
+                    f"{self.sample_rate_hz}, so even a 3-point sweep asks "
+                    f"for more than {_MAX_SWEEP_WORK} samples in all"]
         if points * samples > _MAX_SWEEP_WORK:
             return [f"scan_step_hz: {self.scan_step_hz} asks for "
                     f"{points:.12g} scan points of {samples} sweep samples "
@@ -630,13 +635,26 @@ _WELCH_SEGMENTS = 8
 
 
 def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged Hann-windowed power spectrum of a trace."""
-    n = trace.samples.size
+    """Averaged Hann-windowed power spectrum of a trace (Welch's method).
+
+    Segments overlap by half and each loses its mean; the periodic Hann
+    window weighs them, and the one-sided density (``1 / (fs sum w^2)``,
+    every bin but DC and an even segment's Nyquist bin doubled) is averaged
+    over the segments.  A one-sample segment takes the window ``[1]``.
+    """
+    n, fs = trace.samples.size, trace.sample_rate_hz
     nperseg = max(_WELCH_MIN_SEGMENT,
                   2 ** int(math.log2(2 * n / (_WELCH_SEGMENTS + 1))))
     nperseg = min(nperseg, n)
-    return welch(trace.samples, fs=trace.sample_rate_hz, window="hann",
-                 nperseg=nperseg, noverlap=nperseg // 2, detrend="constant")
+    segments = sliding_window_view(trace.samples, nperseg)[
+        ::nperseg - nperseg // 2]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    w = (0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
+         if nperseg > 1 else np.ones(1))
+    spectra = np.fft.rfft(w * segments, axis=1)
+    psd = (spectra.real ** 2 + spectra.imag ** 2) / (fs * np.sum(w * w))
+    psd[:, 1:(nperseg + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd.mean(axis=0)
 
 
 def _nulls_from_trace(trace: InterferenceTrace, max_k: int,

@@ -12,7 +12,8 @@ Count-level accounting: given the global phase, rounds are independent, so
 a window is fully described by how many of its rounds fall in each of 32
 outcome classes, the 8 (Alice basis, Alice bit, Bob basis) choices times
 the 4 (reflected, transmitted) click outcomes.  :func:`simulate_window`
-computes the class probabilities once per window, averaging the click
+computes the class probabilities once per window (once per run for windows
+without a phase offset, which all share them), averaging the click
 outcomes over the Gaussian phase noise and over a time-varying phase offset
 harmonic by harmonic (:func:`_outcome_probabilities`), and draws all 32
 counts with one multinomial draw, so its cost does not grow with
@@ -29,6 +30,7 @@ extrapolate as
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -59,6 +61,11 @@ _HARMONIC_CUTOFF = 1e-18
 
 #: Upper limit on the phase grid of the harmonic analysis.
 _MAX_GRID = 2**17
+
+#: A run's stages, its key windows included, start only while the time is
+#: below ``duration_s`` less this slack (s), which absorbs the rounding of
+#: summed window and dead times.
+START_SLACK_S = 1e-9
 
 
 class Basis(enum.Enum):
@@ -271,6 +278,27 @@ def _base_phase(alice_basis, alice_bit, bob_basis):
         - (0.5 * math.pi) * bob_basis
 
 
+def _class_probabilities(lam: float, dark: float, phase_noise_rad: float,
+                         offsets: Optional[np.ndarray]) -> np.ndarray:
+    """Probabilities of the 32 outcome classes of a round: the 8 equally
+    likely choices times their 4 click outcomes, flattened choice-major."""
+    probs = _outcome_probabilities(
+        _base_phase(_ALICE_BASIS, _ALICE_BIT, _BOB_BASIS), lam, dark,
+        phase_noise_rad, offsets)
+    return probs.ravel() / probs.shape[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _steady_class_probabilities(lam: float, dark: float,
+                                phase_noise_rad: float) -> np.ndarray:
+    """:func:`_class_probabilities` without a phase offset, computed once
+    per ``(lam, dark, phase_noise_rad)`` and shared read-only by every
+    window that draws from it."""
+    probs = _class_probabilities(lam, dark, phase_noise_rad, None)
+    probs.flags.writeable = False
+    return probs
+
+
 def _count_window(rng: np.random.Generator, n_pulses: int,
                   window_start_s: float, window_s: float, lam: float,
                   dark: float, phase_noise_rad: float,
@@ -281,16 +309,13 @@ def _count_window(rng: np.random.Generator, n_pulses: int,
     equally spaced window midpoints (the pulse times when there are no more
     pulses than that), and the class probabilities are averaged over them.
     """
-    offsets = None
-    if gpd_offset_fn is not None:
+    if gpd_offset_fn is None:
+        probs = _steady_class_probabilities(lam, dark, phase_noise_rad)
+    else:
         n = min(n_pulses, _OFFSET_SAMPLES)
-        offsets = gpd_offset_fn(
-            window_start_s + (np.arange(n) + 0.5) * (window_s / n))
-    probs = _outcome_probabilities(
-        _base_phase(_ALICE_BASIS, _ALICE_BIT, _BOB_BASIS), lam, dark,
-        phase_noise_rad, offsets)
-    counts = rng.multinomial(n_pulses, probs.ravel() / probs.shape[0])
-    counts = counts.reshape(probs.shape)
+        probs = _class_probabilities(lam, dark, phase_noise_rad, gpd_offset_fn(
+            window_start_s + (np.arange(n) + 0.5) * (window_s / n)))
+    counts = rng.multinomial(n_pulses, probs).reshape(-1, 4)
     # Sifted rounds are single clicks on matched bases; the transmitted
     # port (column 1) reads bit 1 and the reflected port (column 2) bit 0.
     matched = np.flatnonzero(_ALICE_BASIS == _BOB_BASIS)
@@ -341,19 +366,26 @@ def run_session(duration_s: float, seed: int, source: SourceModel,
                 settings: QkdSettings = QkdSettings(),
                 ) -> list[SiftedKeyRecord]:
     """Run a key session on the undisturbed loop and return its per-window
-    records.
+    records, one for each of the :func:`window_count` windows.
 
     Deterministic for a given seed and configuration.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     dt = settings.window_s
-    n_windows = max(1, int(round(duration_s / dt)))
     rng = np.random.default_rng(seed)
     return [simulate_window(rng, settings.pulses_per_window, i * dt, dt,
                             source, channel, detector, packet,
                             settings.phase_noise_rad)[0]
-            for i in range(n_windows)]
+            for i in range(window_count(duration_s, dt))]
+
+
+def window_count(duration_s: float, window_s: float) -> int:
+    """Number of key windows of a run without breaches: those that start
+    before ``duration_s`` less ``START_SLACK_S``; ``math.inf`` past the
+    float range."""
+    windows = (duration_s - START_SLACK_S) / window_s
+    return max(0, math.ceil(windows)) if math.isfinite(windows) else math.inf
 
 
 def fixed_phase_error_rate(delta_rad: float, n_pulses: int, seed: int,

@@ -21,10 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.constants import g as STANDARD_GRAVITY
-from scipy.optimize import brentq
 
-from .disturbance import PressureParams, pressure_delay
+from .disturbance import STANDARD_GRAVITY, PressureParams, pressure_delay
 from .errors import (Checked, ConfigError, NoSignalError, OutOfBranchError,
                      ZeroWorkingPointError, bounded, non_negative, positive)
 from .optics import C_VACUUM, LoopChannel, SpectralPacket, port_powers
@@ -82,15 +80,13 @@ def reflected_intensity(epsilon_rad: float, channel: LoopChannel,
 
 def calibrate(channel: LoopChannel, packet: SpectralPacket,
               settings: WmSettings) -> WmCalibration:
-    """Find the analyzer angle minimizing the reflected output at the bias
-    phase ``settings.delta_bias_rad``.
+    """The analyzer angle minimizing the reflected output at the bias
+    phase ``settings.delta_bias_rad``, and that minimum.
 
-    The root of the symmetric finite difference ``I(e + h) - I(e - h)`` is
-    bracketed a quarter turn either side of the analytic guess and polished
-    to machine precision.  The intensity is a constant minus a multiple of
-    ``cos 2(e - guess)``, and rounding is monotone, so the bracket ends
-    differ in sign or one is an exact zero (which is then the answer).
-    Requires the undisturbed loop (zero delay shift).
+    The intensity is a constant minus a non-negative multiple of
+    ``cos 2(e - w0 tau)``, so its minimum sits at ``w0 tau`` (taken modulo
+    pi), the birefringence phase of the undisturbed loop.  Requires the
+    undisturbed loop (zero delay shift).
     """
     bias, power = settings.delta_bias_rad, settings.input_power_w
     if 1.0 + math.cos(bias) < 1e-12:
@@ -100,21 +96,11 @@ def calibrate(channel: LoopChannel, packet: SpectralPacket,
         raise ConfigError(["channel.delay_shift_s: calibration requires an "
                            "undisturbed loop (0.0), got "
                            f"{channel.delay_shift_s}"])
-
-    def intensity(eps: float) -> float:
-        return reflected_intensity(eps, channel, packet, bias, power)
-
-    guess = (packet.omega0 * channel.intrinsic_delay_s) % math.pi
-    h = 0.01
-
-    def balance(eps: float) -> float:
-        return intensity(eps + h) - intensity(eps - h)
-
-    eps0 = brentq(balance, guess - 0.25 * math.pi, guess + 0.25 * math.pi,
-                  xtol=1e-14)
+    eps0 = (packet.omega0 * channel.intrinsic_delay_s) % math.pi
     return WmCalibration(
         base_angle_rad=eps0,
-        min_intensity_w=intensity(eps0),
+        min_intensity_w=reflected_intensity(eps0, channel, packet, bias,
+                                            power),
         input_power_w=power,
         bias_phase_rad=bias,
     )
@@ -146,12 +132,6 @@ def contrast_ratio(i1_w: float, id_w: float, imin_w: float) -> float:
     return (i1_w - id_w) / swing
 
 
-def _exact_ratio(phase_shift: float, delta_epsilon: float) -> float:
-    denom = 1.0 - math.cos(2.0 * delta_epsilon)
-    return (math.cos(2.0 * delta_epsilon - 2.0 * phase_shift)
-            - math.cos(2.0 * delta_epsilon)) / denom
-
-
 def approx_contrast_ratio(delta_tau_s: float, delta_epsilon: float,
                           omega0: float, delta_bias: float = 0.0) -> float:
     """Small-angle contrast ratio ``(1 + cos d) * w0 dt / de``.
@@ -174,27 +154,23 @@ def infer_delay(icr_value: float, delta_epsilon: float,
                 omega0: float) -> DelayInversion:
     """Invert a contrast ratio to the delay shift that produced it.
 
-    Exact inversion of the intensity ratio on its monotone working branch
-    (phase shift within a quarter turn of the offset) by bracketed
-    root-finding; the absolute delay tolerance is far below 1e-21 s.
+    Exact inversion of the intensity ratio on its monotone working branch,
+    phase shifts ``s`` within a quarter turn below the offset ``de``.  With
+    ``1 - cos 2x = 2 sin^2 x`` the ratio reads
+    ``1 - sin^2(de - s) / sin^2 de``, so on that branch
+    ``s = de - asin(sin(de) sqrt(1 - icr))``, which is exact at
+    ``icr = 1`` and runs down to ``icr = -cot^2 de`` at ``s = de - pi/2``.
     """
     if not 0.0 < delta_epsilon < 0.5 * math.pi:
         raise ValueError("delta_epsilon must lie in (0, pi/2)")
-    lo = delta_epsilon - 0.5 * math.pi
-    hi = delta_epsilon
-    icr_lo = _exact_ratio(lo, delta_epsilon)
+    cot = math.cos(delta_epsilon) / math.sin(delta_epsilon)
+    icr_lo = -cot * cot
     if not icr_lo <= icr_value <= 1.0:
         raise OutOfBranchError(
             f"contrast ratio {icr_value} outside the invertible branch "
             f"[{icr_lo}, 1]")
-
-    def gap(phase_shift: float) -> float:
-        return _exact_ratio(phase_shift, delta_epsilon) - icr_value
-
-    if icr_value == 1.0:
-        shift = hi
-    else:
-        shift = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    shift = delta_epsilon - math.asin(
+        min(1.0, math.sin(delta_epsilon) * math.sqrt(1.0 - icr_value)))
     return DelayInversion(
         delay_s=shift / omega0,
         small_angle_delay_s=icr_value * delta_epsilon / (2.0 * omega0),

@@ -6,6 +6,8 @@ evaluates position differences directly.  The swept-sine oracle is the
 point-by-point definition, with its own tone projection, that the block
 evaluation must equal to rounding.  The per-round key oracle draws every
 BB84 round that the count-level engine summarizes in one multinomial draw.
+The WM null angle and delay inversion are found by bracketed root finding
+where the library takes closed forms.
 """
 from __future__ import annotations
 
@@ -13,12 +15,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from sagnacsim import qkd
 from sagnacsim.disturbance import DisturbanceEvent, PztParams
+from sagnacsim.errors import OutOfBranchError
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
                                   DEFAULT_SAMPLE_RATE_HZ, FrequencySweep,
                                   measure_tone_amplitude, synthesize_trace)
+from sagnacsim.wm import reflected_intensity
 
 C = 299792458.0
 
@@ -72,6 +77,36 @@ def exact_contrast_ratio(delta_tau: float, delta_epsilon: float,
     return (math.cos(2.0 * delta_epsilon - 2.0 * shift)
             - math.cos(2.0 * delta_epsilon)) / (
                 1.0 - math.cos(2.0 * delta_epsilon))
+
+
+def root_found_null_angle(channel, packet, settings) -> float:
+    """Analyzer angle of the reflected-output minimum: the root of the
+    symmetric finite difference ``I(e + h) - I(e - h)``, bracketed a quarter
+    turn either side of ``omega0 * tau mod pi`` and polished to 1e-14 rad."""
+    def intensity(eps: float) -> float:
+        return reflected_intensity(eps, channel, packet,
+                                   settings.delta_bias_rad,
+                                   settings.input_power_w)
+
+    guess = (packet.omega0 * channel.intrinsic_delay_s) % math.pi
+    h = 0.01
+    return brentq(lambda eps: intensity(eps + h) - intensity(eps - h),
+                  guess - 0.25 * math.pi, guess + 0.25 * math.pi, xtol=1e-14)
+
+
+def root_found_shift(icr_value: float, delta_epsilon: float) -> float:
+    """Phase shift on the branch ``[de - pi/2, de]`` whose exact contrast
+    ratio (at ``omega0 = 1``) is ``icr_value``, by bracketed root finding;
+    :class:`OutOfBranchError` outside the ratios of that branch."""
+    lo, hi = delta_epsilon - 0.5 * math.pi, delta_epsilon
+    icr_lo = exact_contrast_ratio(lo, delta_epsilon, 1.0)
+    if not icr_lo <= icr_value <= 1.0:
+        raise OutOfBranchError(f"{icr_value} outside [{icr_lo}, 1]")
+    if icr_value == 1.0:
+        return hi
+    return brentq(
+        lambda s: exact_contrast_ratio(s, delta_epsilon, 1.0) - icr_value,
+        lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def ac_power_at(trace, frequency_hz: float) -> float:

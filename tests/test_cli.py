@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -472,6 +473,8 @@ _UNSWEEPABLE = {
         "scan_max_hz": 1e308, "scan_step_hz": 1e-300}),
     "grid-past-nyquist": ("perception.scan_max_hz", {
         "scan_max_hz": 120000.0}),
+    "endless-sweep": ("perception.sweep_duration_s", {
+        "sweep_duration_s": 1e308}),
 }
 
 
@@ -517,3 +520,55 @@ class TestUnsampledEvents:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert [p.split(":")[0] for p in record["problems"]] == [key]
+
+
+class TestKeyWindowCount:
+    # 4.05 s holds eight whole 0.5 s windows and the start of a ninth; the
+    # threshold keeps the integrated run from breaching.
+    CONFIG = {"duration_s": 4.05, "qkd": {"window_s": 0.5,
+                                          "pulses_per_window": 20000,
+                                          "qber_threshold": 0.99}}
+
+    def test_qkd_and_integrated_run_the_same_windows(self, tmp_path):
+        cfg = write_json(tmp_path / "odd.json", self.CONFIG)
+        starts = {}
+        for command in ("qkd", "integrated"):
+            out = tmp_path / command
+            assert run_cli(command, "--config", cfg, "--out-dir", str(out),
+                           "--quiet") == 0
+            report = json.loads((out / "report.json").read_text())
+            starts[command] = [w["window_start_s"]
+                               for w in report["qkd_windows"]]
+        assert starts["qkd"] == starts["integrated"] == \
+            [0.5 * i for i in range(9)]
+
+
+class TestWmPollWork:
+    # 100 000 polls of 2**20 samples each: hours of noise draws.
+    CONFIG = {"duration_s": 100000.0,
+              "wm": {"poll_interval_s": 1.0, "samples_per_reading": 2**20}}
+
+    @pytest.mark.parametrize("command", ["integrated", "wm", "qkd"])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path / "polls.json", self.CONFIG)
+        assert run_cli(command, "--config", cfg,
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert [p.split(":")[0] for p in record["problems"]] == \
+            ["wm.samples_per_reading"]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_short_trace_ends_in_analysis_failure_without_warnings(
+        tmp_path, capsys, samples):
+    path = tmp_path / "short.txt"
+    path.write_text("# sample_rate_hz=1000.0 i0_w=1.0\n" + "".join(
+        f"{i} {1.0 + 0.1 * (i % 3)}\n" for i in range(samples)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("localize", "--trace", str(path),
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["message"] == \
+        "no null frequency found in the supplied trace"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import g as g0
 
+from sagnacsim import disturbance, wm
 from sagnacsim.disturbance import (DisturbanceEvent, DisturbanceKind,
                                    ImpactParams, PressureParams, PztParams,
                                    impact_phase, pressure_delay, pzt_phase,
@@ -135,6 +136,11 @@ class TestPressure:
         wider = PressureParams(mass_kg=m, contact_area_m2=1e-4 * scale)
         assert pressure_delay(wider) == pytest.approx(
             pressure_delay(base) / scale, rel=1e-12)
+
+
+def test_standard_gravity_is_the_defined_constant():
+    assert disturbance.STANDARD_GRAVITY == g0
+    assert wm.STANDARD_GRAVITY is disturbance.STANDARD_GRAVITY
 
 
 class TestEvent:

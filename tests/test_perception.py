@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.signal import welch
 
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
@@ -561,6 +563,13 @@ class TestSettingsThatCannotSweep:
         # Fifty times the default grid's work still sweeps.
         assert PerceptionSettings(scan_step_hz=5.0).scan_grid().size == 14601
 
+    def test_endless_sweep_names_its_duration(self):
+        for duration in (1e308, 100.0):
+            with pytest.raises(ConfigError) as err:
+                PerceptionSettings(sweep_duration_s=duration)
+            [problem] = err.value.problems
+            assert problem.startswith("sweep_duration_s:")
+
     def test_sense_window_holds_a_welch_segment(self):
         with pytest.raises(ConfigError) as err:
             PerceptionSettings(sense_duration_s=63 / 200e3)
@@ -573,3 +582,28 @@ class TestSettingsThatCannotSweep:
                                   input_power_w=1.0)
         with pytest.raises(InsufficientDataError):
             measure_tone_amplitude(trace, 1000.0)
+
+
+class TestWelchPsd:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 64, 65, 127, 1000, 1023,
+                                   4097, 5120, 10000, 77777])
+    def test_matches_scipy_welch(self, n):
+        rng = np.random.default_rng(n)
+        samples = 1e-3 * (1.0 + 0.01 * rng.standard_normal(n)
+                          + 0.1 * np.sin(0.3 * np.arange(n)))
+        trace = InterferenceTrace(sample_rate_hz=2e5, samples=samples,
+                                  input_power_w=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            freqs, psd = perception._welch_psd(trace)
+        nperseg = min(n, max(64, 2 ** int(math.log2(2 * n / 9))))
+        with warnings.catch_warnings():
+            # scipy warns of a zero-weight window for the one-sample case.
+            warnings.simplefilter("ignore")
+            ref_freqs, ref_psd = welch(samples, fs=2e5, window="hann",
+                                       nperseg=nperseg,
+                                       noverlap=nperseg // 2,
+                                       detrend="constant")
+        np.testing.assert_array_equal(freqs, ref_freqs)
+        np.testing.assert_allclose(psd, ref_psd, rtol=1e-12,
+                                   atol=1e-13 * np.abs(ref_psd).max())

@@ -194,6 +194,39 @@ class TestRunSession:
         assert abs(qber - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
 
+class TestWindowCount:
+    @pytest.mark.parametrize("duration_s, window_s, windows", [
+        (20.0, 1.0, 20), (4.05, 0.5, 9), (0.3, 0.1, 3), (6.0, 1.5, 4),
+        (1e-10, 1.0, 0), (1e308, 1e-300, math.inf)])
+    def test_windows_start_before_the_end(self, duration_s, window_s,
+                                          windows):
+        assert qkd.window_count(duration_s, window_s) == windows
+
+    def test_session_runs_every_counted_window(self):
+        records = run_session(4.05, 1, SOURCE, channel(), detector(),
+                              settings=QkdSettings(window_s=0.5,
+                                                   pulses_per_window=1000))
+        assert [r.window_start_s for r in records] == \
+            [0.5 * i for i in range(9)]
+
+
+class TestSteadyProbabilities:
+    def test_shared_read_only(self):
+        first = qkd._steady_class_probabilities(0.01, 1e-6, 0.4)
+        assert qkd._steady_class_probabilities(0.01, 1e-6, 0.4) is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert first.shape == (32,)
+        assert first.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_quiet_session_computes_them_once(self):
+        qkd._steady_class_probabilities.cache_clear()
+        run_session(5.0, 3, SOURCE, channel(loss_db=7.25), detector(),
+                    settings=QkdSettings(pulses_per_window=1000))
+        info = qkd._steady_class_probabilities.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+
 class TestFixedPhase:
     def test_calibrated_noise_reproduces_operating_error_rate(self):
         from sagnacsim.qkd import CALIBRATED_PHASE_NOISE_RAD

@@ -15,7 +15,8 @@ from sagnacsim.wm import (DelayInversion, WmSettings, approx_contrast_ratio,
                           infer_delay, mass_from_delay, offset_intensity,
                           pressure_staircase, reflected_intensity)
 
-from oracles import exact_contrast_ratio
+from oracles import (exact_contrast_ratio, root_found_null_angle,
+                     root_found_shift)
 
 OMEGA = omega_from_wavelength(1550e-9)
 DEG30 = math.pi / 6.0
@@ -83,9 +84,9 @@ class TestCalibrate:
     @settings(max_examples=300, deadline=None)
     def test_bracket_changes_sign_or_hits_zero(self, tau0, sigma, wavelength,
                                                bias):
-        # brentq raises ValueError unless the balance changes sign across
-        # the bracket or is exactly zero at one end; the envelope ranges
-        # from fully coherent to fully decohered (exactly flat intensity).
+        # The calibrated angle is a minimum of the reflected intensity over
+        # the whole envelope range, from fully coherent to fully decohered
+        # (exactly flat intensity), and at any bias that lights the port.
         packet = SpectralPacket.from_wavelength(wavelength, sigma)
         channel = make_channel(tau0)
         cal = calibrate(channel, packet,
@@ -94,6 +95,26 @@ class TestCalibrate:
         for step in (1e-3, -1e-3):
             assert cal.min_intensity_w <= reflected_intensity(
                 cal.base_angle_rad + step, channel, packet, bias, 1.0)
+
+    @given(tau0=st.one_of(st.just(0.0),
+                          st.floats(min_value=1e-16, max_value=1e-10)),
+           sigma=st.one_of(st.just(0.0),
+                           st.floats(min_value=1e9, max_value=1e16)),
+           wavelength=st.floats(min_value=4e-7, max_value=2e-6),
+           bias=st.floats(min_value=-3.1, max_value=3.1))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_root_finding(self, tau0, sigma, wavelength,
+                                              bias):
+        packet = SpectralPacket.from_wavelength(wavelength, sigma)
+        channel = make_channel(tau0)
+        at = WmSettings(delta_bias_rad=bias, input_power_w=1.0)
+        cal = calibrate(channel, packet, at)
+        angle = root_found_null_angle(channel, packet, at)
+        assert cal.min_intensity_w <= reflected_intensity(
+            angle, channel, packet, bias, 1.0) + 1e-15
+        # Where the envelope leaves a dip, the root finder lands on it.
+        if math.exp(-(sigma * tau0) ** 2) > 1e-3:
+            assert abs(cal.base_angle_rad - angle) < 1e-9
 
 
 class TestIntensities:
@@ -197,6 +218,37 @@ class TestInferDelay:
         ratios = [exact_contrast_ratio(dtau, math.radians(d), OMEGA)
                   for d in (60.0, 40.0, 20.0, 10.0, 5.0)]
         assert ratios == sorted(ratios)
+
+    @given(eps=st.floats(min_value=1e-3, max_value=0.5 * math.pi,
+                         exclude_max=True),
+           place=st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(min_value=0.0, max_value=1.0),
+                           st.floats(min_value=1e-16, max_value=1e-3)),
+           upper=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_matches_root_finding(self, eps, place, upper):
+        # The contrast ratio at ``place`` of the way along the branch from
+        # one end, icr_lo = -cot^2 eps or 1.  Below eps = 1e-3 the oracle's
+        # ratio, over 1 - cos 2 eps, keeps fewer than 10 digits.
+        cot = math.cos(eps) / math.sin(eps)
+        icr = 1.0 - place * (1.0 + cot * cot) if upper \
+            else -cot * cot + place * (1.0 + cot * cot)
+        try:
+            oracle = root_found_shift(icr, eps)
+            shift = infer_delay(icr, eps, 1.0).delay_s
+        except OutOfBranchError:
+            # The two forms round the lower end apart.
+            assume(False)
+        assert eps - 0.5 * math.pi <= shift <= eps
+        # The ratio is flat at both branch ends, so a root of its rounded
+        # value is good there only to about the square root of the float
+        # epsilon, times cot eps at the lower end, where it spans cot^2 eps.
+        tolerance = 3.0 * math.sqrt(np.finfo(float).eps) * (1.0 + cot)
+        assert abs(shift - oracle) <= tolerance
+
+    def test_full_contrast_is_exactly_the_offset(self):
+        for eps in np.linspace(0.01, 1.56, 200):
+            assert infer_delay(1.0, eps, 1.0).delay_s == eps
 
     def test_out_of_branch(self):
         with pytest.raises(OutOfBranchError):
