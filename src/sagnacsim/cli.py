@@ -9,6 +9,7 @@ a machine-readable JSON record on the diagnostic stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -278,6 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: every
+    ``parse_args`` call returns a fresh namespace, so calls share no
+    arguments."""
+    return build_parser()
+
+
 def _emit_error(kind: str, exc: Exception) -> None:
     record = {"error": kind, "type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ConfigError):
@@ -289,7 +298,7 @@ def main(argv=None) -> int:
     """Run one subcommand: it fills in the base report of the resolved
     config, which is then written as ``report.json``, and returns the
     summary line."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         out = _out_dir(args, cfg)

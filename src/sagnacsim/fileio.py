@@ -26,13 +26,12 @@ def _fmt(value) -> str:
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
     """Write a trace as two-column text with a metadata header line."""
     path = Path(path)
-    times = trace.times()
-    lines = [f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
-             f"i0_w={_fmt(trace.input_power_w)} "
-             f"noise_sigma={_fmt(trace.noise_sigma)}"]
-    lines.extend(f"{_fmt(t)} {_fmt(v)}"
-                 for t, v in zip(times, trace.samples))
-    path.write_text("\n".join(lines) + "\n")
+    header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
+              f"i0_w={_fmt(trace.input_power_w)} "
+              f"noise_sigma={_fmt(trace.noise_sigma)}")
+    body = map("{!r} {!r}".format, trace.times().tolist(),
+               trace.samples.tolist())
+    path.write_text("\n".join([header, *body]) + "\n")
     return path
 
 
@@ -56,16 +55,16 @@ def read_trace(path: str | Path) -> InterferenceTrace:
         for required in ("sample_rate_hz", "i0_w"):
             if required not in meta:
                 raise ValueError(f"header missing {required}")
-        body = [ln for ln in lines[1:] if ln.strip()]
-        if not body:
+        body = lines[1:]
+        # loadtxt only warns on a body without data.  With comments=None a
+        # body line starting with '#' is a sample line like any other, so
+        # one without a number in its second column is rejected, not
+        # skipped.
+        if not any(map(str.strip, body)):
             raise ValueError("trace has no samples")
-        try:
-            samples = np.array([float(ln.split()[1]) for ln in body])
-        except IndexError:
-            raise ValueError("a sample line has no value column") from None
         return InterferenceTrace(
             sample_rate_hz=meta["sample_rate_hz"],
-            samples=samples,
+            samples=np.loadtxt(body, usecols=1, ndmin=1, comments=None),
             input_power_w=meta["i0_w"],
             noise_sigma=meta.get("noise_sigma", 0.0),
         )

@@ -597,6 +597,16 @@ def _assign_harmonics(freqs: list[float], depths: list[float], max_k: int,
     return nulls
 
 
+def _local_minima(values: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Indices ``i`` in ``range(start, stop)``, ``start >= 1`` and ``stop <
+    values.size``, where ``values[i] <= values[i - 1]`` and ``values[i] <
+    values[i + 1]``: a plateau's minimum is its last point."""
+    stop = max(start, stop)
+    mid = values[start:stop]
+    return start + np.flatnonzero((mid <= values[start - 1:stop - 1])
+                                  & (mid < values[start + 1:stop + 1]))
+
+
 def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
                       depth_threshold_db: float) -> list[NullFrequency]:
     power = sweep.amplitudes ** 2
@@ -610,9 +620,7 @@ def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
             return []
     found_f: list[float] = []
     found_d: list[float] = []
-    for i in range(1, power.size - 1):
-        if not (power[i] <= power[i - 1] and power[i] < power[i + 1]):
-            continue
+    for i in _local_minima(power, 1, power.size - 1):
         depth_db = 10.0 * math.log10(reference / power[i]) if power[i] > 0 \
             else depth_threshold_db
         if depth_db < depth_threshold_db:
@@ -657,6 +665,25 @@ def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd.mean(axis=0)
 
 
+def _local_medians(psd: np.ndarray, centres: np.ndarray, lo: int,
+                   half_window: int) -> np.ndarray:
+    """Median of ``psd[max(lo, i - half_window):i + half_window + 1]`` for
+    each centre ``i``: whole windows in one call, the few cut off by ``lo``
+    or by the end of the spectrum one at a time."""
+    medians = np.empty(centres.size)
+    whole = ((centres - half_window >= lo)
+             & (centres + half_window < psd.size))
+    if whole.any():
+        windows = sliding_window_view(psd, 2 * half_window + 1)
+        medians[whole] = np.median(windows[centres[whole] - half_window],
+                                   axis=1)
+    for j in np.flatnonzero(~whole):
+        i = centres[j]
+        medians[j] = np.median(psd[max(lo, i - half_window):
+                                   i + half_window + 1])
+    return medians
+
+
 def _nulls_from_trace(trace: InterferenceTrace, max_k: int,
                       depth_threshold_db: float) -> list[NullFrequency]:
     freqs, psd = _welch_psd(trace)
@@ -666,23 +693,21 @@ def _nulls_from_trace(trace: InterferenceTrace, max_k: int,
     positive = psd > 0
     log_psd[positive] = np.log10(psd[positive])
     half_window = max(5, psd.size // 64)
+    minima = _local_minima(psd, lo + 1, psd.size - 2)
+    medians = _local_medians(psd, minima, lo, half_window)
+    usable = (psd[minima] > 0) & (medians > 0)
+    minima = minima[usable]
+    ratios = medians[usable] / psd[minima]
     found_f: list[float] = []
     found_d: list[float] = []
-    for i in range(lo + 1, psd.size - 2):
-        if not (psd[i] <= psd[i - 1] and psd[i] < psd[i + 1]):
-            continue
-        lo_w = max(lo, i - half_window)
-        hi_w = min(psd.size, i + half_window + 1)
-        local_median = float(np.median(psd[lo_w:hi_w]))
-        if psd[i] <= 0 or local_median <= 0:
-            continue
-        depth_db = 10.0 * math.log10(local_median / psd[i])
+    for i, ratio in zip(minima.tolist(), ratios.tolist()):
+        depth_db = 10.0 * math.log10(ratio)
         if depth_db < depth_threshold_db:
             continue
         found_f.append(float(_parabolic_vertex(
             freqs[i - 1], freqs[i], freqs[i + 1],
             log_psd[i - 1], log_psd[i], log_psd[i + 1])))
-        found_d.append(float(depth_db))
+        found_d.append(depth_db)
     if not found_f:
         logger.info("no spectral notch reaches %.1f dB below the local "
                     "median", depth_threshold_db)

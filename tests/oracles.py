@@ -7,22 +7,26 @@ point-by-point definition, with its own tone projection, that the block
 evaluation must equal to rounding.  The per-round key oracle draws every
 BB84 round that the count-level engine summarizes in one multinomial draw.
 The WM null angle and delay inversion are found by bracketed root finding
-where the library takes closed forms.
+where the library takes closed forms.  The trace writer, reader and notch
+scan are kept here one sample, line or candidate at a time, as the
+references the whole-column library code must equal byte for byte.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 
-from sagnacsim import qkd
+from sagnacsim import perception, qkd
 from sagnacsim.disturbance import DisturbanceEvent, PztParams
-from sagnacsim.errors import OutOfBranchError
+from sagnacsim.errors import ConfigError, OutOfBranchError
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
                                   DEFAULT_SAMPLE_RATE_HZ, FrequencySweep,
-                                  measure_tone_amplitude, synthesize_trace)
+                                  InterferenceTrace, measure_tone_amplitude,
+                                  synthesize_trace)
 from sagnacsim.wm import reflected_intensity
 
 C = 299792458.0
@@ -153,6 +157,97 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
     floor = float(np.median([tone_amplitude(quiet, f) for f in probes]))
     return FrequencySweep(frequencies_hz=freqs, amplitudes=amps,
                           noise_floor_amplitude=floor)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if value is None:
+        return "nan"
+    return str(value)
+
+
+def per_sample_write_trace(path, trace) -> Path:
+    """:func:`sagnacsim.fileio.write_trace` one sample at a time: every
+    time and value formatted on its own."""
+    path = Path(path)
+    times = trace.times()
+    lines = [f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
+             f"i0_w={_fmt(trace.input_power_w)} "
+             f"noise_sigma={_fmt(trace.noise_sigma)}"]
+    lines.extend(f"{_fmt(t)} {_fmt(v)}"
+                 for t, v in zip(times, trace.samples))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def per_line_read_trace(path) -> InterferenceTrace:
+    """:func:`sagnacsim.fileio.read_trace` one line at a time: ``float`` of
+    the second field of every non-blank body line."""
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if not lines or not lines[0].startswith("#"):
+            raise ValueError("missing trace header line")
+        meta = {}
+        for token in lines[0].lstrip("#").split():
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise ValueError(f"malformed header token {token!r}")
+            meta[key] = float(value)
+        for required in ("sample_rate_hz", "i0_w"):
+            if required not in meta:
+                raise ValueError(f"header missing {required}")
+        body = [ln for ln in lines[1:] if ln.strip()]
+        if not body:
+            raise ValueError("trace has no samples")
+        try:
+            samples = np.array([float(ln.split()[1]) for ln in body])
+        except IndexError:
+            raise ValueError("a sample line has no value column") from None
+        return InterferenceTrace(
+            sample_rate_hz=meta["sample_rate_hz"],
+            samples=samples,
+            input_power_w=meta["i0_w"],
+            noise_sigma=meta.get("noise_sigma", 0.0),
+        )
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"{path}: {exc}"]) from exc
+
+
+def per_candidate_trace_nulls(trace, max_k: int,
+                              depth_threshold_db: float):
+    """The spectral notch scan of :func:`sagnacsim.perception.
+    find_null_frequencies` one bin at a time, with one median per local
+    minimum, over the library's spectrum and harmonic assignment."""
+    freqs, psd = perception._welch_psd(trace)
+    lo = 3
+    log_psd = np.full_like(psd, -np.inf)
+    positive = psd > 0
+    log_psd[positive] = np.log10(psd[positive])
+    half_window = max(5, psd.size // 64)
+    found_f: list[float] = []
+    found_d: list[float] = []
+    for i in range(lo + 1, psd.size - 2):
+        if not (psd[i] <= psd[i - 1] and psd[i] < psd[i + 1]):
+            continue
+        lo_w = max(lo, i - half_window)
+        hi_w = min(psd.size, i + half_window + 1)
+        local_median = float(np.median(psd[lo_w:hi_w]))
+        if psd[i] <= 0 or local_median <= 0:
+            continue
+        depth_db = 10.0 * math.log10(local_median / psd[i])
+        if depth_db < depth_threshold_db:
+            continue
+        found_f.append(float(perception._parabolic_vertex(
+            freqs[i - 1], freqs[i], freqs[i + 1],
+            log_psd[i - 1], log_psd[i], log_psd[i + 1])))
+        found_d.append(float(depth_db))
+    if not found_f:
+        return []
+    bin_hz = freqs[1] - freqs[0]
+    return perception._assign_harmonics(found_f, found_d, max_k,
+                                        tolerance_hz=2.0 * bin_hz)
 
 
 @dataclass

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from sagnacsim.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -572,3 +578,70 @@ def test_short_trace_ends_in_analysis_failure_without_warnings(
     record = json.loads(capsys.readouterr().err)
     assert record["message"] == \
         "no null frequency found in the supplied trace"
+
+
+class TestParserReuse:
+    """main parses every call with one parser per process."""
+
+    def test_calls_in_a_row_share_no_arguments(self, tmp_path, capsys,
+                                               impact_config):
+        perceived = tmp_path / "perceive"
+        assert run_cli("perceive", "--config", impact_config,
+                       "--out-dir", str(perceived), "--quiet") == 0
+        trace = str(perceived / "trace.txt")
+        out = {name: tmp_path / name for name in ("localize", "wm", "again")}
+        assert run_cli("localize", "--config", impact_config, "--trace",
+                       trace, "--seed", "9", "--out-dir",
+                       str(out["localize"]), "--quiet") == 0
+        assert run_cli("wm", "--config", impact_config,
+                       "--out-dir", str(out["wm"])) == 0
+        # Not quiet, so it prints its summary: one delay per default mass.
+        assert len(capsys.readouterr().out.split()) == 5
+        with pytest.raises(SystemExit) as bad:
+            run_cli("wm", "--bogus", "--out-dir", str(tmp_path / "bad"))
+        assert bad.value.code == 2
+        capsys.readouterr()
+        # --trace is required, so a value left from an earlier call would
+        # let this run.
+        with pytest.raises(SystemExit) as missing:
+            run_cli("localize", "--config", impact_config,
+                    "--out-dir", str(tmp_path / "missing"), "--quiet")
+        assert missing.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+        assert run_cli("localize", "--config", impact_config, "--trace",
+                       trace, "--out-dir", str(out["again"]),
+                       "--quiet") == 0
+
+        localized, staircase, again = (
+            json.loads((out[name] / "report.json").read_text())
+            for name in ("localize", "wm", "again"))
+        assert localized["seed"] == 9
+        assert staircase["seed"] == again["seed"] == 5
+        assert "trace_file" not in staircase
+        assert [r["mass_kg"] for r in staircase["wm_readings"]] == \
+            [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert again["localization"] == localized["localization"]
+        assert not (tmp_path / "bad").exists()
+
+    def test_built_on_first_call_only(self, tmp_path):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from sagnacsim import cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(3):\n"
+            "    cli.main(['wm', '--masses', '0.1', '--quiet'])\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, check=True)
+        counts = json.loads(done.stdout)
+        assert counts[0] == 0
+        assert counts[1] > 0 and counts[1:] == [counts[1]] * 3

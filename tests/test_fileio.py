@@ -1,10 +1,17 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sagnacsim.errors import ConfigError
 from sagnacsim.fileio import (read_trace, write_columns, write_event_log,
                               write_report, write_trace)
 from sagnacsim.perception import InterferenceTrace
+
+from oracles import per_line_read_trace, per_sample_write_trace
 
 
 class TestTraceFormat:
@@ -44,6 +51,119 @@ class TestTraceFormat:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             read_trace("/nonexistent/trace.txt")
+
+
+# Finite float64 values of every magnitude, and the points where repr
+# changes notation (1e16, 1e-5) or reaches the subnormals.
+_EDGE_SAMPLES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                 2.225073858507201e-308, 1e16, 9999999999999998.0, 1e-5,
+                 1.0000000000000001e-05, 9.999999999999999e-06, 1e-4,
+                 1.7976931348623157e308, -1.0, 0.1, 5.645e-3]
+
+
+class TestWholeColumnTraceText:
+    """write_trace and read_trace against their per-sample and per-line
+    forms in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                            | st.sampled_from(_EDGE_SAMPLES),
+                            min_size=1, max_size=40),
+           rate=st.floats(min_value=1e-3, max_value=1e12)
+           | st.sampled_from([200e3, 3.0, 7e4, 1.0, 0.1, 44100.0]),
+           power=st.floats(min_value=1e-300, max_value=1e300),
+           noise=st.floats(min_value=0.0, max_value=1e3))
+    @example(samples=_EDGE_SAMPLES, rate=200e3, power=5.645e-3, noise=0.0)
+    def test_same_bytes_as_per_sample_writer_and_exact_round_trip(
+            self, tmp_path, samples, rate, power, noise):
+        trace = InterferenceTrace(sample_rate_hz=rate, samples=samples,
+                                  input_power_w=power, noise_sigma=noise)
+        written = write_trace(tmp_path / "new.txt", trace).read_bytes()
+        assert written == per_sample_write_trace(
+            tmp_path / "oracle.txt", trace).read_bytes()
+        back = read_trace(tmp_path / "new.txt")
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.sample_rate_hz == rate
+        assert back.input_power_w == power
+        assert back.noise_sigma == noise
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(
+        st.sampled_from(["0", "1.5", "-2e-3", "nan", "inf", "-0.0", "abc",
+                         "#", "1e400", ".5", "+7", "0x1", "1,5", ""]),
+        max_size=4), max_size=6),
+        sep=st.sampled_from([" ", "\t", "  ", " \t "]),
+        end=st.sampled_from(["\n", "\r\n"]))
+    def test_accepts_and_rejects_as_the_per_line_reader(self, tmp_path,
+                                                        rows, sep, end):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(end.join(["# sample_rate_hz=1000.0 i0_w=1.0",
+                                   *(sep.join(row) for row in rows),
+                                   ""]).encode())
+        try:
+            want = per_line_read_trace(path)
+        except ConfigError:
+            with pytest.raises(ConfigError, match=re.escape(str(path))):
+                read_trace(path)
+            return
+        got = read_trace(path)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+_HEADER = "# sample_rate_hz=1000.0 i0_w=1.0\n"
+_NO_SAMPLES = "trace has no samples"
+
+# Trace files and the samples they read as, or for a rejected file the text
+# its problem must hold besides the file name.
+_TRACE_FILES = {
+    "empty": (_HEADER, _NO_SAMPLES),
+    "blank-only": (_HEADER + "\n  \n\t\n", _NO_SAMPLES),
+    "one-column": (_HEADER + "0 1.0\n0.001\n", ""),
+    "non-numeric": (_HEADER + "0 1.0\n0.001 abc\n", ""),
+    "hash-line": (_HEADER + "0 1.0\n# comment\n0.002 2.0\n", ""),
+    "nan": (_HEADER + "0 1.0\n0.001 nan\n", ""),
+    "inf": (_HEADER + "0 1.0\n0.001 -inf\n", ""),
+    "three-columns": (_HEADER + "0 1.0 7\n0.001 2.0 8\n", [1.0, 2.0]),
+    "crlf": ("# sample_rate_hz=1000.0 i0_w=1.0\r\n0 1.0\r\n0.001 2.0\r\n",
+             [1.0, 2.0]),
+    "blank-lines-between": (_HEADER + "0 1.0\n\n   \n0.001 2.0\n\n",
+                            [1.0, 2.0]),
+}
+
+
+class TestReadTraceInputs:
+    @pytest.mark.parametrize("text, want", list(_TRACE_FILES.values()),
+                             ids=list(_TRACE_FILES))
+    def test_accepted_or_rejected_as_before_without_warnings(
+            self, tmp_path, text, want):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, str):
+                with pytest.raises(ConfigError) as err:
+                    read_trace(path)
+                with pytest.raises(ConfigError):
+                    per_line_read_trace(path)
+                [problem] = err.value.problems
+                assert problem.startswith(f"{path}: ") and want in problem
+            else:
+                assert read_trace(path).samples.tolist() == want
+                assert per_line_read_trace(path).samples.tolist() == want
+
+    @pytest.mark.parametrize("value, as_float", [("1_0", 10.0),
+                                                 ("\u0661", 1.0)])
+    def test_only_ascii_float_literals(self, tmp_path, value, as_float):
+        # float() also reads digit-group underscores and non-ASCII digits,
+        # which the per-line reader accepted; the trace format is what
+        # write_trace writes, the repr of a float.
+        path = tmp_path / "trace.txt"
+        path.write_text(_HEADER + f"0 {value}\n", encoding="utf-8")
+        assert per_line_read_trace(path).samples.tolist() == [as_float]
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            read_trace(path)
 
 
 class TestColumns:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from sagnacsim.perception import (InterferenceTrace,
                                   nonreciprocal_phase, resolution, sense,
                                   significance, synthesize_trace)
 
-from oracles import (ac_power_at, first_order_span, point_by_point_sweep,
+from oracles import (ac_power_at, first_order_span,
+                     per_candidate_trace_nulls, point_by_point_sweep,
                      position_from_null, tone_amplitude,
                      two_sided_position_span)
 
@@ -607,3 +609,84 @@ class TestWelchPsd:
         np.testing.assert_array_equal(freqs, ref_freqs)
         np.testing.assert_allclose(psd, ref_psd, rtol=1e-12,
                                    atol=1e-13 * np.abs(ref_psd).max())
+
+
+def _nulls_or_error(find, trace, max_k, threshold_db):
+    """The repr of the nulls found, which pins every float bit, or the type
+    and message of the error raised."""
+    try:
+        return repr(find(trace, max_k, threshold_db))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestVectorizedNotchScan:
+    """The local-minimum rule and the trace notch scan against the
+    per-bin loop of tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0])
+                           | st.floats(-1e3, 1e3), max_size=40),
+           start=st.integers(1, 6), stop_before_end=st.integers(1, 8))
+    def test_local_minima_follow_the_loop_rule(self, values, start,
+                                               stop_before_end):
+        v = np.array(values)
+        for lo, hi in ((start, v.size - stop_before_end),
+                       (1, v.size - 1), (4, v.size - 2)):
+            want = [i for i in range(lo, hi)
+                    if v[i] <= v[i - 1] and v[i] < v[i + 1]]
+            assert perception._local_minima(v, lo, hi).tolist() == want
+
+    @pytest.mark.parametrize("position_m", [1000.0, 5000.0, 9000.0,
+                                            11000.0, 14500.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_impact_traces(self, position_m, seed):
+        ev = DisturbanceEvent(
+            ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5,
+                         impact_gain=2.0),
+            position_m=position_m, start_s=0.0)
+        trace = synthesize_trace(ev, channel(), 0.0256, 200e3,
+                                 noise_sigma=0.0008, seed=seed,
+                                 start_s=-0.0128)
+        for max_k, threshold_db in ((3, 10.0), (2, 6.0), (1, 15.0)):
+            assert _nulls_or_error(perception._nulls_from_trace, trace,
+                                   max_k, threshold_db) == _nulls_or_error(
+                per_candidate_trace_nulls, trace, max_k, threshold_db)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           levels=st.sampled_from([None, 1, 2, 3]),
+           max_k=st.integers(1, 4),
+           threshold_db=st.sampled_from([0.0, 3.0, 10.0])
+           | st.floats(-20.0, 40.0))
+    def test_random_traces(self, n, seed, levels, max_k, threshold_db):
+        # Few sample levels give tied and zero spectral bins; one level a
+        # spectrum of exact zeros.
+        rng = np.random.default_rng(seed)
+        samples = (rng.standard_normal(n) if levels is None
+                   else rng.integers(0, levels, n).astype(float))
+        trace = InterferenceTrace(sample_rate_hz=2e5, samples=samples,
+                                  input_power_w=1.0)
+        assert _nulls_or_error(perception._nulls_from_trace, trace, max_k,
+                               threshold_db) == _nulls_or_error(
+            per_candidate_trace_nulls, trace, max_k, threshold_db)
+
+    # A subnormal bin overflows the depth ratio in both scans alike.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(psd=st.lists(st.sampled_from([0.0, 1e-3, 1.0, 2.0, 30.0])
+                        | st.floats(0.0, 1e3), max_size=200),
+           max_k=st.integers(1, 4),
+           threshold_db=st.sampled_from([0.0, 3.0, 10.0])
+           | st.floats(-20.0, 40.0))
+    def test_crafted_spectra(self, psd, max_k, threshold_db):
+        # Plateaus, ties and exact zeros at any length, down to spectra so
+        # short that every window is cut off by the scan start or the end.
+        spectrum = (np.arange(len(psd)) * 500.0, np.array(psd))
+        trace = InterferenceTrace(sample_rate_hz=2e5, samples=[1.0],
+                                  input_power_w=1.0)
+        with mock.patch.object(perception, "_welch_psd",
+                               lambda _: spectrum):
+            assert _nulls_or_error(perception._nulls_from_trace, trace,
+                                   max_k, threshold_db) == _nulls_or_error(
+                per_candidate_trace_nulls, trace, max_k, threshold_db)
