@@ -62,8 +62,14 @@ def _base_report(cfg: ScenarioConfig) -> dict:
     }
 
 
+#: Field names of a key window record, all scalars, in field order.
+_RECORD_FIELDS = tuple(f.name for f in fields(qkd.SiftedKeyRecord))
+
+
 def _record_dicts(records) -> list[dict]:
-    return [asdict(r) for r in records]
+    """Key window records as dicts, without an ``asdict`` deep copy."""
+    return [{name: getattr(r, name) for name in _RECORD_FIELDS}
+            for r in records]
 
 
 def _log_dicts(log) -> list[dict]:
@@ -85,9 +91,9 @@ def _run_session(cfg: ScenarioConfig) -> list[qkd.SiftedKeyRecord]:
 def _cmd_qkd(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     records = _run_session(cfg)
     summary = qkd.session_summary(records)
-    names = [f.name for f in fields(qkd.SiftedKeyRecord)]
-    write_columns(out / "qber_windows.csv", names,
-                  [[getattr(r, name) for r in records] for name in names])
+    write_columns(out / "qber_windows.csv", _RECORD_FIELDS,
+                  [[getattr(r, name) for r in records]
+                   for name in _RECORD_FIELDS])
     report["qkd_windows"] = _record_dicts(records)
     report["summary"] = summary
     return (f"windows={summary['windows']} "
@@ -187,8 +193,8 @@ def _cmd_integrated(args, cfg: ScenarioConfig, out: Path,
     report["qkd_windows"] = _record_dicts(result.key_records)
     report["summary"] = qkd.session_summary(result.key_records)
     report["wm_readings"] = result.wm_readings
-    report["localization_reports"] = _record_dicts(
-        result.localization_reports)
+    report["localization_reports"] = [
+        asdict(r) for r in result.localization_reports]
     report["event_log"] = entries
     report["final_mode"] = result.final_mode.value
     return (f"final_mode={result.final_mode.value} "

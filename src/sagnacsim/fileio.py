@@ -56,20 +56,55 @@ def read_trace(path: str | Path) -> InterferenceTrace:
             if required not in meta:
                 raise ValueError(f"header missing {required}")
         body = lines[1:]
-        # loadtxt only warns on a body without data.  With comments=None a
-        # body line starting with '#' is a sample line like any other, so
-        # one without a number in its second column is rejected, not
-        # skipped.
-        if not any(map(str.strip, body)):
+        try:
+            samples = _sample_column(body)
+        except ValueError:
+            raise ValueError(_first_bad_line(body)) from None
+        if samples.size == 0:
             raise ValueError("trace has no samples")
         return InterferenceTrace(
             sample_rate_hz=meta["sample_rate_hz"],
-            samples=np.loadtxt(body, usecols=1, ndmin=1, comments=None),
+            samples=samples,
             input_power_w=meta["i0_w"],
             noise_sigma=meta.get("noise_sigma", 0.0),
         )
     except (OSError, ValueError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
+
+
+def _sample_column(lines: Sequence[str]) -> np.ndarray:
+    """The second whitespace-separated column of ``lines`` as floats, in
+    one ``np.loadtxt`` call.
+
+    Blank lines are skipped; any other line without a float literal in its
+    second column raises ``ValueError``, with ``comments=None`` also one
+    starting with '#'.  loadtxt only warns on input without data, so blank
+    lines alone give an empty array here.
+    """
+    if not any(map(str.strip, lines)):
+        return np.empty(0)
+    return np.loadtxt(lines, usecols=1, ndmin=1, comments=None)
+
+
+def _first_bad_line(body: Sequence[str]) -> str:
+    """Name the first line of a trace ``body`` that :func:`_sample_column`
+    rejects, counting the header as file line 1.
+
+    Lines are read independently, so a bisection of the body finds it,
+    parsing about as many lines as the body holds.
+    """
+    lo, hi = 0, len(body)  # body[:lo] reads; the first bad line is before hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _sample_column(body[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    fields = body[lo].split()
+    problem = ("has no value column" if len(fields) < 2
+               else f"value {fields[1]!r} cannot be read as a float")
+    return f"line {lo + 2}: {problem}"
 
 
 def write_columns(path: str | Path, header: Sequence[str],

@@ -12,6 +12,12 @@ leave no trace here by construction.
 The controller and the CLI share three steps: :func:`sense` grades a
 disturbance, :func:`acquire` records it and :func:`locate` turns a record
 into a position.
+
+A trace draws its multiplicative intensity noise from ``default_rng`` of
+its one seed.  A sweep's random stream is one seed for its drive-off
+reference trace, then one ``(points, 2)`` standard-normal draw that
+:func:`frequency_sweep` turns into each point's projected noise in closed
+form.
 """
 from __future__ import annotations
 
@@ -324,22 +330,9 @@ def _check_bandwidth(needed_hz: float, sample_rate_hz: float) -> None:
             f"disturbance extending to {needed_hz} Hz")
 
 
-def _port_intensity(gpd: np.ndarray, input_power_w: float,
-                    noise_sigma: float,
-                    seeds: Sequence[Optional[int]]) -> np.ndarray:
-    """Reflected-port intensity ``I0 (1 + cos gpd) (1 + sigma z)``.
-
-    ``gpd`` is one trace or a block of rows, one seed each; row ``i``'s
-    ``z`` is ``default_rng(seeds[i]).standard_normal``, drawn only when
-    ``noise_sigma`` is nonzero.
-    """
-    intensity = input_power_w * (1.0 + np.cos(gpd))
-    if noise_sigma > 0.0:
-        z = np.empty_like(intensity)
-        for row, seed in zip(z.reshape(-1, z.shape[-1]), seeds):
-            np.random.default_rng(seed).standard_normal(out=row)
-        intensity = intensity * (1.0 + noise_sigma * z)
-    return intensity
+def _port_intensity(gpd, input_power_w: float):
+    """Noise-free reflected-port intensity ``I0 (1 + cos gpd)``."""
+    return input_power_w * (1.0 + np.cos(gpd))
 
 
 def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
@@ -350,10 +343,13 @@ def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
                      start_s: float = 0.0) -> InterferenceTrace:
     """Detector intensity for the reflected port under a disturbance.
 
-    Samples ``I0 * (1 + cos(gpd(t)))`` with multiplicative Gaussian
-    intensity noise; deterministic for a given seed.  Quasi-static events
-    contribute nothing beyond the bias.  Raises when the sample rate cannot
-    cover twice the disturbance bandwidth or the trace would hold no sample.
+    Samples ``I0 * (1 + cos(gpd(t)))`` times ``1 + sigma z``, with ``z``
+    the ``standard_normal`` draw of ``default_rng(seed)`` (none when
+    ``sigma`` is 0), so a given seed gives the same trace.  Quasi-static
+    events contribute nothing beyond the bias, and the port formula of a
+    trace without a dynamic event is evaluated once.  Raises when the sample
+    rate cannot cover twice the disturbance bandwidth or the trace would
+    hold no sample.
     """
     if duration_s <= 0 or sample_rate_hz <= 0:
         raise ValueError("duration_s and sample_rate_hz must be positive")
@@ -363,14 +359,18 @@ def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
     if n == 0:
         raise InsufficientDataError(
             f"a {duration_s} s trace at {sample_rate_hz} Hz holds no sample")
-    t = start_s + np.arange(n) / sample_rate_hz
     if event is not None and event.is_dynamic:
-        gpd = effective_gpd(t, event, channel)
+        t = start_s + np.arange(n) / sample_rate_hz
+        samples = _port_intensity(effective_gpd(t, event, channel),
+                                  input_power_w)
     else:
-        gpd = np.full(n, channel.bias_phase_rad)
+        samples = np.full(n, _port_intensity(channel.bias_phase_rad,
+                                             input_power_w))
+    if noise_sigma > 0.0:
+        z = np.random.default_rng(seed).standard_normal(n)
+        samples = samples * (1.0 + noise_sigma * z)
     return InterferenceTrace(
-        sample_rate_hz=sample_rate_hz,
-        samples=_port_intensity(gpd, input_power_w, noise_sigma, [seed]),
+        sample_rate_hz=sample_rate_hz, samples=samples,
         input_power_w=input_power_w, noise_sigma=noise_sigma)
 
 
@@ -419,18 +419,24 @@ def _unit_phasors(omegas: np.ndarray, n: int,
     return rows.reshape(theta.shape[0], step * step)[:, :n]
 
 
+def _tone_projections(samples: np.ndarray, phasors: np.ndarray,
+                      w: np.ndarray) -> np.ndarray:
+    """Hann-weighted projection ``sum(w x e)`` of ``samples`` onto each row
+    ``e`` of :func:`_unit_phasors`, with ``x`` the samples less their mean.
+
+    ``samples`` is one trace, projected onto every row, or one row per
+    phasor row.
+    """
+    x = samples - samples.mean(axis=-1, keepdims=True)
+    return np.sum(w * x * phasors, axis=-1)
+
+
 def _tone_amplitudes(samples: np.ndarray, phasors: np.ndarray,
                      hann: tuple[np.ndarray, float]) -> np.ndarray:
-    """Hann-weighted projection of ``samples`` onto each row of
-    :func:`_unit_phasors`.
-
-    ``2 |sum(w x e)| / sum(w)`` with ``x`` the samples less their mean;
-    ``e`` and its conjugate give the same modulus.  ``samples`` is one
-    trace, projected onto every row, or one row per phasor row.
-    """
+    """``2 |sum(w x e)| / sum(w)`` of :func:`_tone_projections`; ``e`` and
+    its conjugate give the same modulus."""
     w, weight = hann
-    x = samples - samples.mean(axis=-1, keepdims=True)
-    return 2.0 * np.abs(np.sum(w * x * phasors, axis=-1)) / weight
+    return 2.0 * np.abs(_tone_projections(samples, phasors, w)) / weight
 
 
 def measure_tone_amplitude(trace: InterferenceTrace,
@@ -466,13 +472,23 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     before any trace is synthesized.
 
     Each point is by definition :func:`synthesize_trace` of the drive
-    switched on at 0 s, seeded by the next ``rng.integers(0, MAX_SEED)``,
-    then :func:`measure_tone_amplitude` at its frequency; one more seed
-    gives the drive-off reference that fixes the noise floor.  The grid is
+    switched on at 0 s, then :func:`measure_tone_amplitude` at its
+    frequency: ``2 |sum_k w_k (x_k - mean x) e_k| / sum w`` with
+    ``x_k = c_k (1 + sigma z_k)`` and ``c_k`` the noise-free port intensity.
+    That sum is ``sum c_k u_k + sigma sum c_k u_k z_k`` with
+    ``u_k = w_k e_k - mean(w e)``, so its noise term is an exact zero-mean
+    bivariate normal in the real and imaginary parts, whose covariance
+    ``sigma**2`` times the second moments of ``c u`` fixes.  The grid is
     evaluated in blocks of whole points of at most ``_SWEEP_BLOCK_SAMPLES``
-    samples.  One :func:`_unit_phasors` table per block gives the drive,
-    the lagged drive and the tone projection, so the result equals that
-    definition to rounding, with the same random stream.
+    samples: one :func:`_unit_phasors` table per block gives the drive, the
+    lagged drive and the projection, and each point keeps the noise-free
+    projection (:func:`_tone_projections` of ``c``, equal to ``sum c u``)
+    and the three moments.  The random stream is the seed of the drive-off
+    reference trace, whose tone amplitudes fix the noise floor, then one
+    ``(points, 2)`` standard-normal draw that the closed-form 2x2 Cholesky
+    factor of each covariance turns into that point's noise.  A sweep thus
+    builds at most two generators, and each amplitude has the distribution
+    of the point-by-point definition.
     """
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
@@ -482,7 +498,6 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     for needed_hz in omegas / (2.0 * math.pi):  # each drive's frequency_hz
         _check_bandwidth(float(needed_hz), sample_rate_hz)
     rng = np.random.default_rng(seed)
-    seeds = [int(rng.integers(0, MAX_SEED)) for _ in freqs]
     # Reference measurement with the drive off fixes the instrument floor.
     quiet = synthesize_trace(
         None, channel, duration_s, sample_rate_hz, noise_sigma,
@@ -492,23 +507,49 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     # effective_gpd of the drive switched on at 0 s: the clockwise pass
     # sees it from t = 0, the counterclockwise pass from t = lag.
     on = quiet.times() >= lag
-    hann = _hann(n)
+    hann = w, weight = _hann(n)
     peak = event.params.peak_phase_rad
     rows = max(1, _SWEEP_BLOCK_SAMPLES // n)
-    amps = np.empty_like(freqs)
+    projections = np.empty(freqs.size, dtype=complex)
+    moments = np.empty((3, freqs.size))  # of c u: re re, re im, im im
     for lo in range(0, freqs.size, rows):
         omega = omegas[lo:lo + rows]
         e = _unit_phasors(omega, n, sample_rate_hz)
         delayed = (e * np.exp(-1j * omega * lag)[:, None]).imag
         gpd = peak * (e.imag - delayed * on) + channel.bias_phase_rad
-        block = _port_intensity(gpd, input_power_w, noise_sigma,
-                                seeds[lo:lo + rows])
-        amps[lo:lo + rows] = _tone_amplitudes(block, e, hann)
+        c = _port_intensity(gpd, input_power_w)
+        projections[lo:lo + rows] = _tone_projections(c, e, w)
+        we = w * e
+        cu = c * (we - we.mean(axis=1, keepdims=True))
+        re, im = cu.real, cu.imag
+        moments[:, lo:lo + rows] = [np.einsum("ij,ij->i", re, re),
+                                    np.einsum("ij,ij->i", re, im),
+                                    np.einsum("ij,ij->i", im, im)]
+    if noise_sigma > 0.0:
+        projections += noise_sigma * _correlated_normals(
+            *moments, rng.standard_normal((freqs.size, 2)))
     probes = omegas[:: max(1, freqs.size // 16)]
     floor = float(np.median(_tone_amplitudes(
         quiet.samples, _unit_phasors(probes, n, sample_rate_hz), hann)))
-    return FrequencySweep(frequencies_hz=freqs, amplitudes=amps,
+    return FrequencySweep(frequencies_hz=freqs,
+                          amplitudes=2.0 * np.abs(projections) / weight,
                           noise_floor_amplitude=floor)
+
+
+def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,
+                        g: np.ndarray) -> np.ndarray:
+    """``L g`` as complex numbers: zero-mean normals whose real and
+    imaginary parts have covariance ``[[a, h], [h, b]]``, from standard
+    normals ``g`` of shape ``(points, 2)``.
+
+    ``L`` is the lower Cholesky factor in closed form.  A degenerate
+    covariance gives no NaN: ``l21`` is 0 where ``a`` is, and a
+    rounding-negative ``b - l21**2`` counts as 0.
+    """
+    l11 = np.sqrt(a)
+    l21 = np.divide(h, l11, out=np.zeros_like(h), where=l11 > 0.0)
+    l22 = np.sqrt(np.maximum(b - l21 * l21, 0.0))
+    return l11 * g[:, 0] + 1j * (l21 * g[:, 0] + l22 * g[:, 1])
 
 
 def acquire(event: DisturbanceEvent, channel: LoopChannel,

@@ -105,11 +105,29 @@ class TestWholeColumnTraceText:
         try:
             want = per_line_read_trace(path)
         except ConfigError:
-            with pytest.raises(ConfigError, match=re.escape(str(path))):
+            with pytest.raises(ConfigError,
+                               match=re.escape(str(path))) as err:
                 read_trace(path)
+            # The file line of the first sample line float() cannot read.
+            bad = next((number for number, row in enumerate(rows, start=2)
+                        if _unreadable(sep.join(row))), None)
+            [problem] = err.value.problems
+            assert (f"{path}: line {bad}: " in problem) == (bad is not None)
             return
         got = read_trace(path)
         assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _unreadable(line: str) -> bool:
+    """Whether a non-blank sample line lacks a second field float() reads."""
+    fields = line.split()
+    if not fields:
+        return False
+    try:
+        float(fields[1])
+    except (IndexError, ValueError):
+        return True
+    return False
 
 
 _HEADER = "# sample_rate_hz=1000.0 i0_w=1.0\n"
@@ -120,9 +138,15 @@ _NO_SAMPLES = "trace has no samples"
 _TRACE_FILES = {
     "empty": (_HEADER, _NO_SAMPLES),
     "blank-only": (_HEADER + "\n  \n\t\n", _NO_SAMPLES),
-    "one-column": (_HEADER + "0 1.0\n0.001\n", ""),
-    "non-numeric": (_HEADER + "0 1.0\n0.001 abc\n", ""),
-    "hash-line": (_HEADER + "0 1.0\n# comment\n0.002 2.0\n", ""),
+    "one-column": (_HEADER + "0 1.0\n0.001\n",
+                   "line 3: has no value column"),
+    "non-numeric": (_HEADER + "0 1.0\n0.001 abc\n",
+                    "line 3: value 'abc' cannot be read as a float"),
+    "non-numeric-after-blank": (
+        _HEADER + "0 1.0\n\n0.001 abc\n",
+        "line 4: value 'abc' cannot be read as a float"),
+    "hash-line": (_HEADER + "0 1.0\n# comment\n0.002 2.0\n",
+                  "line 3: value 'comment' cannot be read as a float"),
     "nan": (_HEADER + "0 1.0\n0.001 nan\n", ""),
     "inf": (_HEADER + "0 1.0\n0.001 -inf\n", ""),
     "three-columns": (_HEADER + "0 1.0 7\n0.001 2.0 8\n", [1.0, 2.0]),

@@ -9,9 +9,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Loaded by the commands below, the heavy scipy subpackages cost over a
-# second of start-up for every process.
+# second of start-up for every process.  The sweep's 2x2 noise factor and
+# any statistics stay numpy code too.
 _HEAVY = ("scipy.signal", "scipy.optimize", "scipy.special",
-          "scipy.constants")
+          "scipy.constants", "scipy.linalg", "scipy.stats")
 
 _SCRIPT = """
 import json, sys

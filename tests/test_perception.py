@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import welch
+from scipy.stats import ks_2samp
 
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
@@ -16,7 +17,7 @@ from sagnacsim.errors import (AliasingError, ConfigError,
                               UndefinedResolutionError)
 from sagnacsim import perception
 from sagnacsim.optics import C_VACUUM, LoopChannel
-from sagnacsim.perception import (InterferenceTrace,
+from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   NullFrequency, PerceptionSettings,
                                   ac_amplitude_theory, acquire,
                                   effective_gpd, find_null_frequencies,
@@ -120,6 +121,22 @@ class TestSynthesizeTrace:
         trace = synthesize_trace(ev, channel(), 0.02, 200e3,
                                  noise_sigma=0.0)
         assert np.allclose(trace.samples, trace.samples[0], rtol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bias=st.floats(-20.0, 20.0), seed=st.integers(0, 2**31 - 1),
+           quasi_static=st.booleans())
+    def test_undisturbed_trace_is_the_port_formula_per_sample(
+            self, bias, seed, quasi_static):
+        # The port formula is evaluated once for the whole trace; bit for
+        # bit it is the formula over n equal phases with the seed's noise.
+        ev = (DisturbanceEvent(PressureParams(0.5), position_m=9000.0)
+              if quasi_static else None)
+        trace = synthesize_trace(ev, channel(bias=bias), 0.001, 200e3,
+                                 0.0019, seed=seed)
+        z = np.random.default_rng(seed).standard_normal(200)
+        want = (DEFAULT_INPUT_POWER_W * (1.0 + np.cos(np.full(200, bias)))
+                * (1.0 + 0.0019 * z))
+        assert trace.samples.tobytes() == want.tobytes()
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
@@ -314,51 +331,133 @@ ACCEPTANCE_GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0)
 
 
 class TestBlockSweep:
-    """The block evaluation equals the point-by-point definition to
-    rounding, from the same random stream: every amplitude and the noise
-    floor within 1e-11 of the largest amplitude."""
+    """Without noise, the block evaluation equals the point-by-point
+    definition to rounding: every amplitude and the noise floor within
+    1e-11 of the largest amplitude.  With noise, the amplitudes and the
+    floor at fixed grid points have the distribution of the definition."""
 
     @staticmethod
-    def assert_same(event, grid, **kwargs):
-        got = frequency_sweep(event, channel(), grid, **kwargs)
-        want = point_by_point_sweep(event, channel(), grid, **kwargs)
-        atol = 1e-11 * want.amplitudes.max()
+    def assert_same_without_noise(event, grid, **kwargs):
+        got = frequency_sweep(event, channel(), grid, noise_sigma=0.0,
+                              **kwargs)
+        want = point_by_point_sweep(event, channel(), grid, noise_sigma=0.0,
+                                    **kwargs)
+        # The largest amplitude, or the rounding scale of the intensity
+        # where the response is exactly 0 (the midpoint).
+        scale = max(want.amplitudes.max(),
+                    np.finfo(float).eps * DEFAULT_INPUT_POWER_W)
+        atol = 1e-11 * scale
         assert np.array_equal(got.frequencies_hz, want.frequencies_hz)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes,
                                    rtol=0, atol=atol)
         np.testing.assert_allclose(got.noise_floor_amplitude,
                                    want.noise_floor_amplitude,
                                    rtol=0, atol=atol)
+        return got
 
-    @pytest.mark.parametrize("seed", [1, 2024, 77])
-    def test_acceptance_grid(self, seed):
-        self.assert_same(pzt_event(7000.0, 500.0, 0.08), ACCEPTANCE_GRID,
-                         duration_s=0.01, noise_sigma=0.0019, seed=seed)
+    @pytest.mark.parametrize("x, delta_d", [(7000.0, 0.08), (5000.0, 0.05)])
+    def test_acceptance_grid(self, x, delta_d):
+        self.assert_same_without_noise(pzt_event(x, 500.0, delta_d),
+                                       ACCEPTANCE_GRID, duration_s=0.01)
 
     @pytest.mark.parametrize("points", [3, 17, 40])
     def test_grid_not_a_multiple_of_the_block(self, points):
         grid = 3000.0 + 410.0 * np.arange(points)
-        self.assert_same(pzt_event(4000.0, 500.0, 0.1), grid,
-                         duration_s=0.0123, seed=5)
+        self.assert_same_without_noise(pzt_event(4000.0, 500.0, 0.1), grid,
+                                       duration_s=0.0123)
 
     def test_block_of_one_point(self):
         # 40 000 samples per trace: more than a block holds.
-        self.assert_same(pzt_event(5000.0, 500.0, 0.1),
-                         [9000.0, 10250.0, 11500.0], duration_s=0.2, seed=3)
-
-    def test_without_noise(self):
-        self.assert_same(pzt_event(5000.0, 500.0, 0.05), ACCEPTANCE_GRID,
-                         noise_sigma=0.0, seed=4)
+        self.assert_same_without_noise(pzt_event(5000.0, 500.0, 0.1),
+                                       [9000.0, 10250.0, 11500.0],
+                                       duration_s=0.2)
 
     @pytest.mark.parametrize("x", [L / 2, 0.8 * L])
     def test_midpoint_and_far_branch(self, x):
-        self.assert_same(pzt_event(x, 500.0, 0.1), ACCEPTANCE_GRID[:50],
-                         seed=6)
+        got = self.assert_same_without_noise(pzt_event(x, 500.0, 0.1),
+                                             ACCEPTANCE_GRID[:50])
+        if x == L / 2:  # the drive cancels: zero to rounding
+            assert got.amplitudes.max() < (
+                1e-15 * DEFAULT_INPUT_POWER_W)
 
     def test_three_sample_sweep(self):
-        self.assert_same(pzt_event(5000.0, 500.0, 0.1),
-                         [2000.0, 2250.0, 2500.0, 2750.0],
-                         duration_s=1.5e-5, seed=8)
+        self.assert_same_without_noise(pzt_event(5000.0, 500.0, 0.1),
+                                       [2000.0, 2250.0, 2500.0, 2750.0],
+                                       duration_s=1.5e-5)
+
+    # Two-sample Kolmogorov-Smirnov tests of the noisy sweep against the
+    # definition, each over its own fixed seeds: each amplitude of the grid
+    # and the floor must not be rejected at ALPHA.
+    ALPHA = 1e-3
+    RUNS = 1000
+    # At 5 km the first null lies at c / (n (L - 2x)), the peak at half of
+    # it; at 50 kHz, fs / 4, the third harmonic of the drive folds onto
+    # the tone.
+    NULL_HZ = C_VACUUM / (N_FIBER * (L - 2 * 5000.0))
+    FIXED_POINTS = [NULL_HZ / 2, NULL_HZ, 50e3]
+
+    def assert_same_distribution(self, event, grid, **kwargs):
+        def draws(sweep, seeds):
+            runs = [sweep(event, channel(), grid, seed=int(seed), **kwargs)
+                    for seed in seeds]
+            return np.array([[*r.amplitudes, r.noise_floor_amplitude]
+                             for r in runs])
+
+        got = draws(frequency_sweep, range(self.RUNS))
+        want = draws(point_by_point_sweep,
+                     range(self.RUNS, 2 * self.RUNS))
+        p_values = [ks_2samp(got[:, i], want[:, i]).pvalue
+                    for i in range(got.shape[1])]
+        assert min(p_values) > self.ALPHA, p_values
+
+    @pytest.mark.parametrize("block_samples", [16_000, 2_000],
+                             ids=["three-points-a-block", "a-point-a-block"])
+    def test_noise_at_null_peak_and_fold(self, monkeypatch, block_samples):
+        # 2000-sample traces; the smaller block puts one point in each, as
+        # traces of more than half the block size do.
+        monkeypatch.setattr(perception, "_SWEEP_BLOCK_SAMPLES",
+                            block_samples)
+        self.assert_same_distribution(pzt_event(5000.0, 500.0, 0.6),
+                                      self.FIXED_POINTS, duration_s=0.01)
+
+    @pytest.mark.parametrize("duration_s, delta_d", [(1.5e-5, 0.1),
+                                                     (8e-5, 0.6)],
+                             ids=["three-samples", "sixteen-samples"])
+    def test_noise_of_short_sweeps(self, duration_s, delta_d):
+        # Over 16 samples a tone turns a fifth of a cycle, so the real and
+        # imaginary noise differ in variance and correlate.
+        self.assert_same_distribution(pzt_event(5000.0, 500.0, delta_d),
+                                      [2000.0, 2250.0, 2500.0, 2750.0],
+                                      duration_s=duration_s)
+
+    @pytest.mark.parametrize("noise_sigma, generators",
+                             [(0.0019, 2), (0.0, 1)])
+    def test_at_most_two_generators(self, monkeypatch, noise_sigma,
+                                    generators):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        sweep = frequency_sweep(pzt_event(5000.0, 3000.0, 0.6), channel(),
+                                ACCEPTANCE_GRID, noise_sigma=noise_sigma,
+                                seed=7)
+        assert sweep.amplitudes.size == 293
+        assert len(built) == generators
+
+    def test_dark_bias_has_no_noise_to_draw(self):
+        # At the midpoint the drive cancels, so at a dark bias every sample
+        # is exactly 0 and each point's noise covariance vanishes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = frequency_sweep(pzt_event(L / 2, 500.0, 0.6),
+                                    channel(bias=math.pi),
+                                    ACCEPTANCE_GRID[:20], seed=3)
+        assert np.all(sweep.amplitudes == 0.0)
+        assert sweep.noise_floor_amplitude == 0.0
 
     def test_aliasing_checked_before_any_trace(self, monkeypatch):
         # The first offending point is named, as point by point.
@@ -388,6 +487,43 @@ class TestBlockSweep:
         monkeypatch.setattr(perception, "_port_intensity", no_block)
         with pytest.raises(ValueError, match=message):
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
+
+
+class TestCorrelatedNormals:
+    # Unit draws g = (1, 0) and (0, 1) read off the columns of L.
+    UNIT = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+    def factor(self, a, h, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = perception._correlated_normals(
+                np.full(2, a), np.full(2, h), np.full(2, b), self.UNIT)
+        return np.array([[cols[0].real, cols[1].real],
+                         [cols[0].imag, cols[1].imag]])
+
+    @pytest.mark.parametrize("a, h, b", [(4.0, 1.0, 3.0), (2.0, -1.5, 5.0),
+                                         (1e-30, 3e-31, 2e-30)])
+    def test_reproduces_the_covariance(self, a, h, b):
+        chol = self.factor(a, h, b)
+        assert chol[0, 1] == 0.0
+        np.testing.assert_allclose(chol @ chol.T, [[a, h], [h, b]],
+                                   rtol=1e-14)
+
+    def test_dark_point_draws_zero(self):
+        assert np.all(self.factor(0.0, 0.0, 0.0) == 0.0)
+
+    def test_no_real_part_leaves_the_imaginary_draw(self):
+        assert self.factor(0.0, 0.0, 9.0).tolist() == [[0.0, 0.0],
+                                                       [0.0, 3.0]]
+
+    def test_rounding_negative_remainder_clamped(self):
+        # Fully correlated parts: b - (h / sqrt(a))**2 rounds below 0.
+        a, h = 3.0, 0.1
+        b = np.nextafter((h / math.sqrt(a)) ** 2, 0.0)
+        assert b - (h / math.sqrt(a)) ** 2 < 0.0
+        chol = self.factor(a, h, b)
+        assert chol[1, 1] == 0.0
+        assert np.all(np.isfinite(chol))
 
 
 class TestUnitPhasors:
