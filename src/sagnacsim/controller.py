@@ -172,6 +172,9 @@ class _ScenarioRunner:
         self.wm_readings: list[dict] = []
         self.reports: list[perception.LocalizationReport] = []
         self.next_poll_s = script.wm.poll_interval_s
+        # Noise-free sweep responses of this run, shared by the repeat
+        # localizations of a drive (perception.frequency_sweep).
+        self.sweep_responses: dict = {}
         self.wm_cal = wm.calibrate(script.channel, script.packet, script.wm)
 
     def emit(self, kind: EventKind, payload: dict, then: SystemMode) -> None:
@@ -282,7 +285,8 @@ class _ScenarioRunner:
                       SystemMode.REPORTING)
             return
         data = perception.acquire(event, script.channel, cfg,
-                                  int(self.rng.integers(0, MAX_SEED)))
+                                  int(self.rng.integers(0, MAX_SEED)),
+                                  responses=self.sweep_responses)
         self.t += cfg.sense_duration_s
         try:
             report = perception.locate(data, script.channel, cfg)

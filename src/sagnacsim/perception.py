@@ -14,7 +14,8 @@ disturbance, :func:`acquire` records it and :func:`locate` turns a record
 into a position.
 
 A trace draws its multiplicative intensity noise from ``default_rng`` of
-its one seed.  A sweep's random stream is one seed for its drive-off
+its one seed.  A sweep is a seed-free response, which repeat sweeps of one
+drive may share, and a seeded measurement: one seed for its drive-off
 reference trace, then one ``(points, 2)`` standard-normal draw that
 :func:`frequency_sweep` turns into each point's projected noise in closed
 form.
@@ -169,11 +170,10 @@ class PerceptionSettings(Checked):
         key = ("frequency_hz" if isinstance(event.params, PztParams)
                else "width_s")
         value = getattr(event.params, key)
-        needed_hz = _required_bandwidth_hz(event)
-        if _aliases(needed_hz, self.sample_rate_hz):
+        if _aliases(event, self.sample_rate_hz):
             return [f"{key}: {value} puts the disturbance band at "
-                    f"{needed_hz} Hz, not below half the perception "
-                    f"sample_rate_hz {self.sample_rate_hz}"]
+                    f"{_required_bandwidth_hz(event)} Hz, not below half "
+                    f"the perception sample_rate_hz {self.sample_rate_hz}"]
         if key == "width_s":
             n = _sample_count(self.trace_duration_s(event.params),
                               self.sample_rate_hz)
@@ -318,16 +318,26 @@ def _required_bandwidth_hz(event: DisturbanceEvent) -> float:
     return 0.0
 
 
-def _aliases(needed_hz: float, sample_rate_hz: float) -> bool:
+def _band_aliases(needed_hz: float, sample_rate_hz: float) -> bool:
     """Whether ``sample_rate_hz`` is too low for a ``needed_hz`` band."""
     return needed_hz > 0 and sample_rate_hz <= 2.0 * needed_hz
 
 
-def _check_bandwidth(needed_hz: float, sample_rate_hz: float) -> None:
-    if _aliases(needed_hz, sample_rate_hz):
-        raise AliasingError(
-            f"sample rate {sample_rate_hz} Hz cannot represent a "
-            f"disturbance extending to {needed_hz} Hz")
+def _aliases(event: DisturbanceEvent, sample_rate_hz: float) -> bool:
+    """Whether ``sample_rate_hz`` is too low for ``event``'s band.
+
+    A drive is judged on the angular frequency it stores: ``omega >= pi fs``
+    is exact at half the sample rate, where ``omega / (2 pi)`` can round
+    below the configured frequency.
+    """
+    if isinstance(event.params, PztParams):
+        return event.params.angular_frequency_rad_s >= math.pi * sample_rate_hz
+    return _band_aliases(_required_bandwidth_hz(event), sample_rate_hz)
+
+
+def _aliasing_error(needed_hz: float, sample_rate_hz: float) -> AliasingError:
+    return AliasingError(f"sample rate {sample_rate_hz} Hz cannot represent a "
+                         f"disturbance extending to {needed_hz} Hz")
 
 
 def _port_intensity(gpd, input_power_w: float):
@@ -353,8 +363,8 @@ def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
     """
     if duration_s <= 0 or sample_rate_hz <= 0:
         raise ValueError("duration_s and sample_rate_hz must be positive")
-    if event is not None:
-        _check_bandwidth(_required_bandwidth_hz(event), sample_rate_hz)
+    if event is not None and _aliases(event, sample_rate_hz):
+        raise _aliasing_error(_required_bandwidth_hz(event), sample_rate_hz)
     n = _sample_count(duration_s, sample_rate_hz)
     if n == 0:
         raise InsufficientDataError(
@@ -461,14 +471,15 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
                     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
                     noise_sigma: float = DEFAULT_NOISE_SIGMA,
                     input_power_w: float = DEFAULT_INPUT_POWER_W,
-                    seed: Optional[int] = None) -> FrequencySweep:
+                    seed: Optional[int] = None,
+                    responses: Optional[dict] = None) -> FrequencySweep:
     """Swept-sine response: re-drive the sinusoidal source over a frequency
     grid and record the measured tone amplitude at each point.
 
     This mirrors the lab procedure of exciting the same position at a
     series of frequencies.  Only sinusoidal (piezo) events can be swept,
-    the grid must be strictly ascending with at least 3 points, and every
-    point must lie below half the sample rate; all three are checked
+    the grid must be strictly ascending with at least 3 points, and its
+    last point must lie below half the sample rate; all three are checked
     before any trace is synthesized.
 
     Each point is by definition :func:`synthesize_trace` of the drive
@@ -478,40 +489,91 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     That sum is ``sum c_k u_k + sigma sum c_k u_k z_k`` with
     ``u_k = w_k e_k - mean(w e)``, so its noise term is an exact zero-mean
     bivariate normal in the real and imaginary parts, whose covariance
-    ``sigma**2`` times the second moments of ``c u`` fixes.  The grid is
-    evaluated in blocks of whole points of at most ``_SWEEP_BLOCK_SAMPLES``
-    samples: one :func:`_unit_phasors` table per block gives the drive, the
-    lagged drive and the projection, and each point keeps the noise-free
-    projection (:func:`_tone_projections` of ``c``, equal to ``sum c u``)
-    and the three moments.  The random stream is the seed of the drive-off
-    reference trace, whose tone amplitudes fix the noise floor, then one
-    ``(points, 2)`` standard-normal draw that the closed-form 2x2 Cholesky
-    factor of each covariance turns into that point's noise.  A sweep thus
-    builds at most two generators, and each amplitude has the distribution
-    of the point-by-point definition.
+    ``sigma**2`` times the second moments of ``c u`` fixes.
+
+    A sweep is therefore two halves.  The response, from
+    :func:`_sweep_response`, holds no randomness: each point's noise-free
+    projection ``sum c u`` and the three moments.  The measurement is
+    seeded: the drive-off reference trace, whose tone amplitudes fix the
+    noise floor, then one ``(points, 2)`` standard-normal draw that the
+    closed-form 2x2 Cholesky factor of each covariance turns into that
+    point's noise.  A sweep thus builds at most two generators, and each
+    amplitude has the distribution of the point-by-point definition.
+
+    ``responses`` is a dict the caller owns, such as the memo of one
+    scenario run, that keeps each response under everything it depends on:
+    repeat sweeps of the same drive then compute it once and differ only
+    in their measurement, with the same results as without the dict.
     """
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
     freqs = np.asarray(list(frequencies_hz), dtype=float)
     _check_sweep_grid(freqs)
-    omegas = 2.0 * math.pi * freqs
-    for needed_hz in omegas / (2.0 * math.pi):  # each drive's frequency_hz
-        _check_bandwidth(float(needed_hz), sample_rate_hz)
+    if _band_aliases(freqs[-1], sample_rate_hz):
+        raise _aliasing_error(float(freqs[-1]), sample_rate_hz)
     rng = np.random.default_rng(seed)
     # Reference measurement with the drive off fixes the instrument floor.
     quiet = synthesize_trace(
         None, channel, duration_s, sample_rate_hz, noise_sigma,
         seed=int(rng.integers(0, MAX_SEED)), input_power_w=input_power_w)
     n = quiet.samples.size
+    if responses is None:
+        responses = {}
+    key = (event, channel, freqs.tobytes(), n, sample_rate_hz, input_power_w)
+    if key not in responses:
+        responses[key] = _sweep_response(event, channel, freqs, n,
+                                         sample_rate_hz, input_power_w)
+    response = responses[key]
+    projections = response.projections
+    if noise_sigma > 0.0:
+        projections = projections + noise_sigma * _correlated_normals(
+            *response.moments, rng.standard_normal((freqs.size, 2)))
+    floor = float(np.median(_tone_amplitudes(
+        quiet.samples, response.probes, response.hann)))
+    return FrequencySweep(
+        frequencies_hz=freqs,
+        amplitudes=2.0 * np.abs(projections) / response.hann[1],
+        noise_floor_amplitude=floor)
+
+
+@dataclass(frozen=True)
+class _SweepResponse:
+    """The seed-free half of a sweep, read-only so that sweeps sharing it
+    cannot change it.
+
+    ``projections`` and ``moments`` (of ``c u``: re re, re im, im im) hold
+    one column per grid point; ``hann`` is the window of an ``n``-sample
+    trace and ``probes`` the :func:`_unit_phasors` rows of the grid points
+    whose median tone amplitude on the reference trace is the floor.
+    """
+
+    projections: np.ndarray
+    moments: np.ndarray
+    hann: tuple[np.ndarray, float]
+    probes: np.ndarray
+
+
+def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
+                    freqs: np.ndarray, n: int, sample_rate_hz: float,
+                    input_power_w: float) -> _SweepResponse:
+    """Noise-free response of ``n``-sample sweep traces over ``freqs``.
+
+    The grid is evaluated in blocks of whole points of at most
+    ``_SWEEP_BLOCK_SAMPLES`` samples: one :func:`_unit_phasors` table per
+    block gives the drive, the lagged drive and the projection, and each
+    point keeps the noise-free projection (:func:`_tone_projections` of
+    ``c``, equal to ``sum c u``) and the three moments.
+    """
+    omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
     # effective_gpd of the drive switched on at 0 s: the clockwise pass
     # sees it from t = 0, the counterclockwise pass from t = lag.
-    on = quiet.times() >= lag
-    hann = w, weight = _hann(n)
+    on = np.arange(n) / sample_rate_hz >= lag
+    hann = w, _ = _hann(n)
     peak = event.params.peak_phase_rad
     rows = max(1, _SWEEP_BLOCK_SAMPLES // n)
     projections = np.empty(freqs.size, dtype=complex)
-    moments = np.empty((3, freqs.size))  # of c u: re re, re im, im im
+    moments = np.empty((3, freqs.size))
     for lo in range(0, freqs.size, rows):
         omega = omegas[lo:lo + rows]
         e = _unit_phasors(omega, n, sample_rate_hz)
@@ -525,15 +587,11 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
         moments[:, lo:lo + rows] = [np.einsum("ij,ij->i", re, re),
                                     np.einsum("ij,ij->i", re, im),
                                     np.einsum("ij,ij->i", im, im)]
-    if noise_sigma > 0.0:
-        projections += noise_sigma * _correlated_normals(
-            *moments, rng.standard_normal((freqs.size, 2)))
-    probes = omegas[:: max(1, freqs.size // 16)]
-    floor = float(np.median(_tone_amplitudes(
-        quiet.samples, _unit_phasors(probes, n, sample_rate_hz), hann)))
-    return FrequencySweep(frequencies_hz=freqs,
-                          amplitudes=2.0 * np.abs(projections) / weight,
-                          noise_floor_amplitude=floor)
+    probes = _unit_phasors(omegas[:: max(1, freqs.size // 16)], n,
+                           sample_rate_hz)
+    for array in (projections, moments, w, probes):
+        array.flags.writeable = False
+    return _SweepResponse(projections, moments, hann, probes)
 
 
 def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,
@@ -553,13 +611,17 @@ def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,
 
 
 def acquire(event: DisturbanceEvent, channel: LoopChannel,
-            settings: PerceptionSettings,
-            seed: Optional[int]) -> Union[FrequencySweep, InterferenceTrace]:
+            settings: PerceptionSettings, seed: Optional[int], *,
+            responses: Optional[dict] = None,
+            ) -> Union[FrequencySweep, InterferenceTrace]:
     """Record a dynamic disturbance for null-frequency localization.
 
-    A sinusoidal drive is swept over the scan grid; a transient is captured
-    in one trace of :meth:`PerceptionSettings.trace_duration_s` centred on
-    its onset.
+    A sinusoidal drive is swept over the scan grid, sharing the noise-free
+    responses of ``responses`` (see :func:`frequency_sweep`): a run that
+    passes one dict to every call computes each drive's response once and
+    pays only for the seeded measurement of a repeat sweep.  A transient
+    is captured in one trace of :meth:`PerceptionSettings.trace_duration_s`
+    centred on its onset.
     Both see the loop through :meth:`PerceptionSettings.sense_channel`.
     """
     sense = settings.sense_channel(channel)
@@ -569,7 +631,8 @@ def acquire(event: DisturbanceEvent, channel: LoopChannel,
             duration_s=settings.sweep_duration_s,
             sample_rate_hz=settings.sample_rate_hz,
             noise_sigma=settings.noise_sigma,
-            input_power_w=settings.input_power_w, seed=seed)
+            input_power_w=settings.input_power_w, seed=seed,
+            responses=responses)
     duration = settings.trace_duration_s(event.params)
     return synthesize_trace(
         event, sense, duration, settings.sample_rate_hz, settings.noise_sigma,

@@ -368,16 +368,22 @@ def run_session(duration_s: float, seed: int, source: SourceModel,
     """Run a key session on the undisturbed loop and return its per-window
     records, one for each of the :func:`window_count` windows.
 
+    Each window starts where the last one ended, a running sum of
+    ``window_s`` like the clock of the integrated workflow, so a run
+    without breaches stamps the same start times under both.
     Deterministic for a given seed and configuration.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     dt = settings.window_s
     rng = np.random.default_rng(seed)
-    return [simulate_window(rng, settings.pulses_per_window, i * dt, dt,
-                            source, channel, detector, packet,
-                            settings.phase_noise_rad)[0]
-            for i in range(window_count(duration_s, dt))]
+    records, t = [], 0.0
+    for _ in range(window_count(duration_s, dt)):
+        records.append(simulate_window(rng, settings.pulses_per_window, t, dt,
+                                       source, channel, detector, packet,
+                                       settings.phase_noise_rad)[0])
+        t += dt
+    return records
 
 
 def window_count(duration_s: float, window_s: float) -> int:

@@ -7,6 +7,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sagnacsim.cli import main
 
@@ -51,6 +53,24 @@ def impact_config(tmp_path):
 
 
 class TestIntegrated:
+    def test_qkd_and_integrated_share_the_window_clock(self, tmp_path):
+        # 0.1 s windows: i * 0.1 and a running sum of 0.1 differ in the
+        # last digit for most i.
+        cfg = write_json(tmp_path / "clock.json", {
+            "duration_s": 2.0,
+            "qkd": {"window_s": 0.1, "pulses_per_window": 20000,
+                    "qber_threshold": 0.99}})
+        starts = {}
+        for command in ("qkd", "integrated"):
+            out = tmp_path / command
+            assert run_cli(command, "--config", cfg, "--out-dir", str(out),
+                           "--quiet") == 0
+            report = json.loads((out / "report.json").read_text())
+            starts[command] = [w["window_start_s"]
+                               for w in report["qkd_windows"]]
+        assert len(starts["qkd"]) == 20
+        assert starts["qkd"] == starts["integrated"]
+
     def test_deterministic_output_bytes(self, tmp_path, pzt_config):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         assert run_cli("integrated", "--config", pzt_config,
@@ -276,6 +296,33 @@ class TestSweep:
                        "--quiet") == 2
         record = json.loads(capsys.readouterr().err)
         assert record["problems"][0].startswith("--values:")
+
+
+class TestNyquistDrive:
+    # Validation fails before anything is written, so every example may
+    # reuse the test's directory.
+    @pytest.mark.parametrize("command", ["integrated", "perceive"])
+    @given(f=st.floats(1.0, 1e5))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drive_at_half_the_sample_rate_exits_2(self, tmp_path, capsys,
+                                                   command, f):
+        # A scan grid and sample counts that are valid at 2 f.
+        cfg = write_json(tmp_path / "nyquist.json", {
+            "duration_s": 2.0,
+            "perception": {"sample_rate_hz": 2.0 * f,
+                           "scan_min_hz": f / 10, "scan_max_hz": f / 5,
+                           "scan_step_hz": f / 100,
+                           "sweep_duration_s": 100.0 / f,
+                           "sense_duration_s": 100.0 / f},
+            "disturbances": [{"kind": "pzt", "position_m": 5000.0,
+                              "start_s": 1.0, "frequency_hz": f}]})
+        assert run_cli(command, "--config", cfg, "--out-dir",
+                       str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert [p.split(":")[0] for p in record["problems"]] == \
+            ["disturbances[0].frequency_hz"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestErrors:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import numpy as np
 
 from sagnacsim import perception
+from sagnacsim.config import parse_config_dict
 from sagnacsim.controller import (EventKind, ScenarioScript, SystemMode,
-                                  _active_dynamic_events)
+                                  _active_dynamic_events, _ScenarioRunner)
 from sagnacsim.controller import run_scenario as _run_scenario
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
@@ -219,6 +220,75 @@ class TestImpactReach:
         assert _active_dynamic_events([impact], hi, 2.0) == [impact]
         assert _active_dynamic_events(
             [impact], np.nextafter(hi, 2.0), 2.0) == []
+
+
+# The README PZT scenario: three breaches, each sensed and localized.
+README_PZT = {"duration_s": 12.0, "seed": 7, "disturbances": [
+    {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
+     "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
+     "phase_gain_rad_per_v": 0.5}]}
+
+
+class TestSweepResponseMemo:
+    """A run computes the noise-free sweep response of a drive once and
+    shares it between that drive's localizations, and only within the
+    run."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The event of each response computed, in order."""
+        events = []
+        response = perception._sweep_response
+
+        def counting(event, *args):
+            events.append(event)
+            return response(event, *args)
+
+        monkeypatch.setattr(perception, "_sweep_response", counting)
+        return events
+
+    def test_three_localizations_compute_one_response(self, computed,
+                                                      monkeypatch):
+        sweeps = []
+        sweep = perception.frequency_sweep
+
+        def recording(*args, **kwargs):
+            sweeps.append((args, kwargs, sweep(*args, **kwargs)))
+            return sweeps[-1][2]
+
+        monkeypatch.setattr(perception, "frequency_sweep", recording)
+        script = parse_config_dict(README_PZT).scenario
+        result = run_scenario(script)
+        assert len(result.localization_reports) == 3
+        assert computed == [script.events[0]]
+        # Each sweep equals a fresh one of its seed, the later two taken
+        # from the memo after noisy sweeps used it.
+        assert len(sweeps) == 3
+        for args, kwargs, got in sweeps:
+            assert kwargs.pop("responses") is not None
+            want = sweep(*args, **kwargs)
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert got.noise_floor_amplitude == want.noise_floor_amplitude
+
+    def test_each_run_computes_its_own(self, computed):
+        script = parse_config_dict(README_PZT).scenario
+        first, second = run_scenario(script), run_scenario(script)
+        assert len(computed) == 2
+        assert second.localization_reports == first.localization_reports
+
+    def test_two_drives_get_separate_entries(self, computed):
+        # The far drive is localized until the near one starts; a running
+        # drive listed first takes precedence from then on.
+        near = strong_pzt(position_m=4000.0, start_s=3.5)
+        far = strong_pzt(position_m=9000.0, start_s=0.0)
+        runner = _ScenarioRunner(base_script(events=[near, far],
+                                             duration=12.0))
+        result = runner.run()
+        assert computed == [far, near]
+        assert [key[0] for key in runner.sweep_responses] == [far, near]
+        positions = sorted({round(r.position_m, -3)
+                            for r in result.localization_reports})
+        assert positions == [4000.0, 9000.0]
 
 
 _EVENTS = {

@@ -110,6 +110,21 @@ class TestSynthesizeTrace:
         with pytest.raises(AliasingError):
             synthesize_trace(ev, channel(), 0.01, 100e3)
 
+    @given(f=st.floats(1.0, 1e5))
+    @settings(max_examples=200, deadline=None)
+    def test_drive_at_half_the_sample_rate_aliases(self, f):
+        # omega / (2 pi) can round below f; the checks must not.
+        event, grid = pzt_event(5000.0, f_hz=f), [f / 4, f / 2, f]
+        with pytest.raises(AliasingError):
+            synthesize_trace(event, channel(), 4.0 / f, 2.0 * f)
+        with pytest.raises(AliasingError):
+            frequency_sweep(event, channel(), grid, duration_s=4.0 / f,
+                            sample_rate_hz=2.0 * f)
+        faster = 2.0 * f * (1.0 + 1e-9)
+        synthesize_trace(event, channel(), 4.0 / f, faster)
+        frequency_sweep(event, channel(), grid, duration_s=4.0 / f,
+                        sample_rate_hz=faster)
+
     def test_deterministic_per_seed(self):
         ev = pzt_event(7000.0)
         a = synthesize_trace(ev, channel(), 0.01, 200e3, 0.0019, seed=5)
@@ -460,10 +475,11 @@ class TestBlockSweep:
         assert sweep.noise_floor_amplitude == 0.0
 
     def test_aliasing_checked_before_any_trace(self, monkeypatch):
-        # The first offending point is named, as point by point.
+        # The definition rejects the grid too; the sweep names its top, to
+        # which the drives extend.
         grid = np.arange(90e3, 130e3, 2500.0)
         event = pzt_event(5000.0)
-        with pytest.raises(AliasingError) as want:
+        with pytest.raises(AliasingError):
             point_by_point_sweep(event, channel(), grid, seed=1)
 
         def no_trace(*args, **kwargs):
@@ -472,7 +488,8 @@ class TestBlockSweep:
         monkeypatch.setattr(perception, "synthesize_trace", no_trace)
         with pytest.raises(AliasingError) as got:
             frequency_sweep(event, channel(), grid, seed=1)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == ("sample rate 200000.0 Hz cannot represent "
+                                  "a disturbance extending to 127500.0 Hz")
 
     @pytest.mark.parametrize("grid, message", [
         ([3000.0, 2500.0, 4000.0], "strictly ascending"),
