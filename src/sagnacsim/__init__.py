@@ -15,9 +15,9 @@ from .optics import (C_VACUUM, LoopChannel, PortProbabilities, PostSelection,
                      visibility_and_qber)
 from .perception import (FrequencySweep, InterferenceTrace,
                          LocalizationReport, NullFrequency,
-                         ac_amplitude_theory, effective_gpd,
-                         find_null_frequencies, frequency_sweep, localize,
-                         localization_error, localization_report, resolution,
+                         ac_amplitude_theory, find_null_frequencies,
+                         frequency_sweep, localize, localization_error,
+                         localization_report, loop_phase, resolution,
                          synthesize_trace)
 from .qkd import (Basis, BasisBit, DetectorModel, SiftedKeyRecord,
                   SourceModel, click_probabilities, encode,

@@ -108,8 +108,8 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
                            "in the config"])
     event, settings = script.events[0], script.perception
     if event.is_dynamic:
-        data = perception.acquire(event, script.channel, settings,
-                                  script.seed)
+        data = perception.acquire((event,), script.channel, settings,
+                                  script.seed, event.start_s)
         if isinstance(data, perception.FrequencySweep):
             write_columns(out / "amplitude_vs_frequency.csv",
                           ["frequency_hz", "amplitude_w"],
@@ -123,8 +123,8 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
             report["diagnostic"] = ("no null frequency reached the depth "
                                     "threshold")
     else:
-        trace, graded = perception.sense(event, script.channel, settings,
-                                         script.seed, 0.0)
+        trace, graded = perception.sense((event,), script.channel,
+                                         settings, script.seed, 0.0)
         write_trace(out / "trace.txt", trace)
         report["significance"] = graded
         report["localization"] = None

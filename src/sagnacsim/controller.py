@@ -4,22 +4,25 @@ timeline.
 Key distribution runs until the windowed error rate breaches its threshold;
 the system then switches to perception, grades the disturbance, localizes a
 significant one, files the report and waits for a reset before resuming.
-Quasi-static loads never breach (they are reciprocal) and are instead picked
-up by a scheduled weak-measurement poll while keys keep flowing.
+Key windows and perception see the loop phase of every event, and a
+localization sweeps the running drive swept least recently.  Quasi-static
+loads never breach (they are reciprocal) and are instead picked up by a
+scheduled weak-measurement poll while keys keep flowing.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import perception, qkd, wm
 from .disturbance import DisturbanceEvent, DisturbanceKind, pressure_delay
 from .errors import (Checked, ConfigError, HarmonicAmbiguityError,
-                     InsufficientDataError, bounded, positive)
+                     InsufficientDataError, OutOfLoopError, bounded,
+                     positive)
 from .optics import LoopChannel, SpectralPacket
 from .perception import MAX_SEED, PerceptionSettings
 from .qkd import DetectorModel, QkdSettings, SourceModel
@@ -124,41 +127,12 @@ class ScenarioResult:
     final_mode: SystemMode
 
 
-def _active_dynamic_events(events, t0: float, t1: float):
-    out = []
-    for ev in events:
-        if not ev.is_dynamic:
-            continue
-        if ev.kind is DisturbanceKind.TRANSIENT_IMPACT:
-            reach = ev.params.reach_s
-            if t0 <= ev.start_s + reach and ev.start_s - reach <= t1:
-                out.append(ev)
-        elif ev.start_s <= t1:
-            out.append(ev)
-    return out
-
-
 def _active_pressure_delay(events, t: float) -> float:
     total = 0.0
     for ev in events:
         if ev.kind is DisturbanceKind.QUASI_STATIC_PRESSURE and ev.start_s <= t:
             total += pressure_delay(ev.params)
     return total
-
-
-def _perception_target(events, t: float) -> Optional[DisturbanceEvent]:
-    """Dynamic event the perception system should examine at time ``t``.
-
-    A running sinusoidal drive takes precedence; otherwise the most recent
-    transient, whose waveform the sensing window is re-centered on.
-    """
-    started = [ev for ev in events if ev.is_dynamic and ev.start_s <= t]
-    for ev in started:
-        if ev.kind is DisturbanceKind.PZT_SINUSOID:
-            return ev
-    if started:
-        return max(started, key=lambda ev: ev.start_s)
-    return None
 
 
 class _ScenarioRunner:
@@ -175,6 +149,8 @@ class _ScenarioRunner:
         # Noise-free sweep responses of this run, shared by the repeat
         # localizations of a drive (perception.frequency_sweep).
         self.sweep_responses: dict = {}
+        # When each drive was last swept.
+        self.swept_at: dict[DisturbanceEvent, float] = {}
         self.wm_cal = wm.calibrate(script.channel, script.packet, script.wm)
 
     def emit(self, kind: EventKind, payload: dict, then: SystemMode) -> None:
@@ -208,23 +184,14 @@ class _ScenarioRunner:
         window breached."""
         script = self.script
         t0, dt = self.t, script.qkd.window_s
-        active = _active_dynamic_events(script.events, t0, t0 + dt)
-
-        gpd_fn = None
-        if active:
-            channel = script.channel
-
-            def gpd_fn(times, events=tuple(active), channel=channel):
-                total = np.zeros_like(times)
-                for ev in events:
-                    total = total + perception.nonreciprocal_phase(
-                        times, ev, channel)
-                return total
-
+        active = perception.events_reaching(script.events, t0, t0 + dt,
+                                            script.channel)
+        offset = functools.partial(perception.loop_phase, events=active,
+                                   channel=script.channel) if active else None
         record, _ = qkd.simulate_window(
             self.rng, script.qkd.pulses_per_window, t0, dt,
             script.source, script.channel, script.detector, script.packet,
-            script.qkd.phase_noise_rad, gpd_fn)
+            script.qkd.phase_noise_rad, offset)
         self.key_records.append(record)
         self.t = t0 + dt
         self.emit(EventKind.QBER_WINDOW, {
@@ -263,7 +230,7 @@ class _ScenarioRunner:
         script = self.script
         cfg = script.perception
         _, graded = perception.sense(
-            _perception_target(script.events, self.t), script.channel, cfg,
+            script.events, script.channel, cfg,
             int(self.rng.integers(0, MAX_SEED)), self.t)
         self.t += cfg.sense_duration_s
         if graded["peak_to_floor"] > cfg.significance_threshold:
@@ -278,20 +245,26 @@ class _ScenarioRunner:
     def _localize(self) -> None:
         script = self.script
         cfg = script.perception
-        event = _perception_target(script.events, self.t)
+        # The running drive swept least recently comes first: one never
+        # swept before all, ties in list order (the sort is stable).
+        events = sorted(script.events,
+                        key=lambda ev: self.swept_at.get(ev, -math.inf))
+        event = perception.focus(events, self.t)
         if event is None:
             self.emit(EventKind.LOCALIZATION_FAILED,
                       {"reason": "no dynamic disturbance is active"},
                       SystemMode.REPORTING)
             return
-        data = perception.acquire(event, script.channel, cfg,
-                                  int(self.rng.integers(0, MAX_SEED)),
+        if event.kind is DisturbanceKind.PZT_SINUSOID:
+            self.swept_at[event] = self.t
+        data = perception.acquire(events, script.channel, cfg,
+                                  int(self.rng.integers(0, MAX_SEED)), self.t,
                                   responses=self.sweep_responses)
         self.t += cfg.sense_duration_s
         try:
             report = perception.locate(data, script.channel, cfg)
             reason = "no null frequency reached the depth threshold"
-        except HarmonicAmbiguityError as exc:
+        except (HarmonicAmbiguityError, OutOfLoopError) as exc:
             report, reason = None, str(exc)
         if report is None:
             self.emit(EventKind.LOCALIZATION_FAILED, {"reason": reason},

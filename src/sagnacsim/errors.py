@@ -25,10 +25,6 @@ class AliasingError(SagnacSimError):
     """Requested sample rate cannot represent the disturbance bandwidth."""
 
 
-class ReciprocalDisturbanceError(SagnacSimError):
-    """A quasi-static disturbance carries no nonreciprocal phase signature."""
-
-
 class OutOfLoopError(SagnacSimError):
     """A null frequency maps to a position outside the fiber loop."""
 

@@ -9,9 +9,10 @@ the interferometer response vanish at the null frequencies
 the position.  Quasi-static disturbances cancel between the directions and
 leave no trace here by construction.
 
-The controller and the CLI share three steps: :func:`sense` grades a
-disturbance, :func:`acquire` records it and :func:`locate` turns a record
-into a position.
+Key windows, sensing traces and acquisitions all read the one phase of
+all events, :func:`loop_phase`.  The controller and the CLI share three
+steps: :func:`sense` grades the loop, :func:`acquire` records it and
+:func:`locate` turns a record into a position.
 
 A trace draws its multiplicative intensity noise from ``default_rng`` of
 its one seed.  A sweep is a seed-free response, which repeat sweeps of one
@@ -34,8 +35,8 @@ from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
                           single_pass_phase)
 from .errors import (AliasingError, Checked, ConfigError,
                      HarmonicAmbiguityError, InsufficientDataError,
-                     OutOfLoopError, ReciprocalDisturbanceError,
-                     UndefinedResolutionError, non_negative, positive)
+                     OutOfLoopError, UndefinedResolutionError,
+                     non_negative, positive)
 from .optics import C_VACUUM, LoopChannel
 
 logger = logging.getLogger(__name__)
@@ -296,18 +297,41 @@ def nonreciprocal_phase(t, event: DisturbanceEvent, channel: LoopChannel):
         np.asarray(t, dtype=float) - lag, event)
 
 
-def effective_gpd(t, event: DisturbanceEvent, channel: LoopChannel):
-    """Total time-varying global phase difference including the bias.
+def loop_phase(t, events: Sequence[DisturbanceEvent], channel: LoopChannel):
+    """The loop's nonreciprocal phase at ``t``, bias excluded: the sum of
+    :func:`nonreciprocal_phase` over the dynamic ``events``, exactly zero
+    without one."""
+    return sum((nonreciprocal_phase(t, ev, channel) for ev in events
+                if ev.is_dynamic), np.zeros_like(np.asarray(t, dtype=float)))
 
-    Only dynamic disturbances are meaningful here: a quasi-static event
-    cancels identically between the two directions and raises instead of
-    silently returning the bias.
-    """
-    if not event.is_dynamic:
-        raise ReciprocalDisturbanceError(
-            "quasi-static disturbance is reciprocal; its net dynamic phase "
-            "is zero by construction")
-    return nonreciprocal_phase(t, event, channel) + channel.bias_phase_rad
+
+def events_reaching(events: Sequence[DisturbanceEvent], t0: float, t1: float,
+                    channel: LoopChannel) -> tuple[DisturbanceEvent, ...]:
+    """The dynamic ``events`` whose phase can be nonzero in ``[t0, t1]``:
+    from ``start - reach + min(0, lag)`` to ``start + reach + max(0,
+    lag)``, with an impact's :attr:`ImpactParams.reach_s` (a drive: 0
+    before, no bound after) and ``lag`` the counterclockwise copy's delay
+    ``n (L - 2x) / c``."""
+    out = []
+    for ev in events:
+        lag = _delay_lag_s(ev, channel)
+        below, above = ((ev.params.reach_s,) * 2 if isinstance(
+            ev.params, ImpactParams) else (0.0, math.inf))
+        if (ev.is_dynamic and ev.start_s - below + min(0.0, lag) <= t1
+                and t0 <= ev.start_s + above + max(0.0, lag)):
+            out.append(ev)
+    return tuple(out)
+
+
+def focus(events: Sequence[DisturbanceEvent],
+          t: float) -> Optional[DisturbanceEvent]:
+    """What a recording at ``t`` centres on: the first drive of ``events``
+    running then, which :func:`acquire` sweeps, else the transient started
+    last (the first of equal onsets), whose onset the traces centre on."""
+    started = [ev for ev in events if ev.is_dynamic and ev.start_s <= t]
+    drives = [ev for ev in started if isinstance(ev.params, PztParams)]
+    return drives[0] if drives else max(started, key=lambda ev: ev.start_s,
+                                        default=None)
 
 
 def _required_bandwidth_hz(event: DisturbanceEvent) -> float:
@@ -345,34 +369,37 @@ def _port_intensity(gpd, input_power_w: float):
     return input_power_w * (1.0 + np.cos(gpd))
 
 
-def synthesize_trace(event: Optional[DisturbanceEvent], channel: LoopChannel,
+def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
                      duration_s: float, sample_rate_hz: float,
                      noise_sigma: float = DEFAULT_NOISE_SIGMA,
                      seed: Optional[int] = None, *,
                      input_power_w: float = DEFAULT_INPUT_POWER_W,
                      start_s: float = 0.0) -> InterferenceTrace:
-    """Detector intensity for the reflected port under a disturbance.
+    """Reflected-port intensity from ``start_s`` on under ``events``.
 
-    Samples ``I0 * (1 + cos(gpd(t)))`` times ``1 + sigma z``, with ``z``
-    the ``standard_normal`` draw of ``default_rng(seed)`` (none when
-    ``sigma`` is 0), so a given seed gives the same trace.  Quasi-static
-    events contribute nothing beyond the bias, and the port formula of a
-    trace without a dynamic event is evaluated once.  Raises when the sample
-    rate cannot cover twice the disturbance bandwidth or the trace would
-    hold no sample.
+    Samples ``I0 * (1 + cos(bias + loop_phase(t)))`` times ``1 + sigma z``,
+    with ``z`` the ``standard_normal`` draw of ``default_rng(seed)`` (none
+    when ``sigma`` is 0), so a given seed gives the same trace.  The port
+    formula of a trace no event reaches (:func:`events_reaching`) is
+    evaluated once.  Raises when the sample rate cannot cover twice the
+    bandwidth of any event or the trace would hold no sample.
     """
     if duration_s <= 0 or sample_rate_hz <= 0:
         raise ValueError("duration_s and sample_rate_hz must be positive")
-    if event is not None and _aliases(event, sample_rate_hz):
-        raise _aliasing_error(_required_bandwidth_hz(event), sample_rate_hz)
+    for ev in events:
+        if _aliases(ev, sample_rate_hz):
+            raise _aliasing_error(_required_bandwidth_hz(ev), sample_rate_hz)
     n = _sample_count(duration_s, sample_rate_hz)
     if n == 0:
         raise InsufficientDataError(
             f"a {duration_s} s trace at {sample_rate_hz} Hz holds no sample")
-    if event is not None and event.is_dynamic:
+    reaching = events_reaching(events, start_s,
+                               start_s + n / sample_rate_hz, channel)
+    if reaching:
         t = start_s + np.arange(n) / sample_rate_hz
-        samples = _port_intensity(effective_gpd(t, event, channel),
-                                  input_power_w)
+        samples = _port_intensity(
+            loop_phase(t, reaching, channel) + channel.bias_phase_rad,
+            input_power_w)
     else:
         samples = np.full(n, _port_intensity(channel.bias_phase_rad,
                                              input_power_w))
@@ -514,7 +541,7 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     rng = np.random.default_rng(seed)
     # Reference measurement with the drive off fixes the instrument floor.
     quiet = synthesize_trace(
-        None, channel, duration_s, sample_rate_hz, noise_sigma,
+        (), channel, duration_s, sample_rate_hz, noise_sigma,
         seed=int(rng.integers(0, MAX_SEED)), input_power_w=input_power_w)
     n = quiet.samples.size
     if responses is None:
@@ -566,7 +593,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
-    # effective_gpd of the drive switched on at 0 s: the clockwise pass
+    # loop_phase of the drive switched on at 0 s: the clockwise pass
     # sees it from t = 0, the counterclockwise pass from t = lag.
     on = np.arange(n) / sample_rate_hz >= lag
     hann = w, _ = _hann(n)
@@ -610,21 +637,23 @@ def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,
     return l11 * g[:, 0] + 1j * (l21 * g[:, 0] + l22 * g[:, 1])
 
 
-def acquire(event: DisturbanceEvent, channel: LoopChannel,
-            settings: PerceptionSettings, seed: Optional[int], *,
-            responses: Optional[dict] = None,
+def acquire(events: Sequence[DisturbanceEvent], channel: LoopChannel,
+            settings: PerceptionSettings, seed: Optional[int], at_s: float,
+            *, responses: Optional[dict] = None,
             ) -> Union[FrequencySweep, InterferenceTrace]:
-    """Record a dynamic disturbance for null-frequency localization.
+    """Record the loop at ``at_s`` for null-frequency localization.
 
-    A sinusoidal drive is swept over the scan grid, sharing the noise-free
-    responses of ``responses`` (see :func:`frequency_sweep`): a run that
-    passes one dict to every call computes each drive's response once and
-    pays only for the seeded measurement of a repeat sweep.  A transient
-    is captured in one trace of :meth:`PerceptionSettings.trace_duration_s`
-    centred on its onset.
+    A drive in :func:`focus` is swept alone over the scan grid, sharing the
+    noise-free responses of ``responses`` (see :func:`frequency_sweep`): a
+    run that passes one dict to every call computes each drive's response
+    once and pays only for the seeded measurement of a repeat sweep.  A
+    transient in focus is captured in one trace of all ``events``, of
+    :meth:`PerceptionSettings.trace_duration_s`, centred on its onset.
     Both see the loop through :meth:`PerceptionSettings.sense_channel`.
     """
-    sense = settings.sense_channel(channel)
+    sense, event = settings.sense_channel(channel), focus(events, at_s)
+    if event is None:
+        raise InsufficientDataError(f"nothing dynamic has started by {at_s} s")
     if isinstance(event.params, PztParams):
         return frequency_sweep(
             event, sense, settings.scan_grid(),
@@ -635,7 +664,7 @@ def acquire(event: DisturbanceEvent, channel: LoopChannel,
             responses=responses)
     duration = settings.trace_duration_s(event.params)
     return synthesize_trace(
-        event, sense, duration, settings.sample_rate_hz, settings.noise_sigma,
+        events, sense, duration, settings.sample_rate_hz, settings.noise_sigma,
         seed=seed, input_power_w=settings.input_power_w,
         start_s=event.start_s - duration / 2.0)
 
@@ -942,19 +971,20 @@ def significance(trace: InterferenceTrace) -> tuple[float, float]:
     return candidate, ratio
 
 
-def sense(event: Optional[DisturbanceEvent], channel: LoopChannel,
+def sense(events: Sequence[DisturbanceEvent], channel: LoopChannel,
           settings: PerceptionSettings, seed: Optional[int],
           at_s: float) -> tuple[InterferenceTrace, dict]:
-    """Take the sensing trace at ``at_s`` and grade it.
+    """Take the sensing trace of all ``events`` at ``at_s`` and grade it.
 
-    The window of a transient is centred on its onset instead.  Returns the
-    trace and its :func:`significance` as ``candidate_frequency_hz`` and
-    ``peak_to_floor``.
+    A transient in :func:`focus` centres the window on its onset instead.
+    Returns the trace and its :func:`significance` as
+    ``candidate_frequency_hz`` and ``peak_to_floor``.
     """
+    event = focus(events, at_s)
     if event is not None and isinstance(event.params, ImpactParams):
         at_s = event.start_s - 0.5 * settings.sense_duration_s
     trace = synthesize_trace(
-        event, settings.sense_channel(channel), settings.sense_duration_s,
+        events, settings.sense_channel(channel), settings.sense_duration_s,
         settings.sample_rate_hz, settings.noise_sigma, seed=seed,
         input_power_w=settings.input_power_w, start_s=at_s)
     candidate, ratio = significance(trace)

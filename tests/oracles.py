@@ -147,11 +147,11 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
         point = DisturbanceEvent(params=drive, position_m=event.position_m,
                                  start_s=0.0)
         trace = synthesize_trace(
-            point, channel, duration_s, sample_rate_hz, noise_sigma,
+            (point,), channel, duration_s, sample_rate_hz, noise_sigma,
             seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
         amps[i] = tone_amplitude(trace, f)
     quiet = synthesize_trace(
-        None, channel, duration_s, sample_rate_hz, noise_sigma,
+        (), channel, duration_s, sample_rate_hz, noise_sigma,
         seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
     probes = freqs[:: max(1, freqs.size // 16)]
     floor = float(np.median([tone_amplitude(quiet, f) for f in probes]))

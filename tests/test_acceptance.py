@@ -174,9 +174,9 @@ def test_criterion_4_localization_round_trip():
 def test_criterion_5_midpoint_blindness():
     """Equal drive at the loop midpoint stays >= 40 dB below quarter-loop."""
     f_drive = C_VACUUM / (N_FIBER * L)  # peak response at x = L/4
-    mid = synthesize_trace(pzt(L / 2, f_drive, 0.1), sensing_channel(),
+    mid = synthesize_trace((pzt(L / 2, f_drive, 0.1),), sensing_channel(),
                            0.08, 200e3, 0.0019, seed=31)
-    quarter = synthesize_trace(pzt(L / 4, f_drive, 0.1), sensing_channel(),
+    quarter = synthesize_trace((pzt(L / 4, f_drive, 0.1),), sensing_channel(),
                                0.08, 200e3, 0.0019, seed=31)
     suppression_db = 10.0 * math.log10(
         ac_power_at(quarter, f_drive) / ac_power_at(mid, f_drive))

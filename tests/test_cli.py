@@ -177,7 +177,7 @@ class TestPerceiveAndLocalize:
         from sagnacsim.perception import synthesize_trace
         from sagnacsim.optics import LoopChannel
         trace = synthesize_trace(
-            None, LoopChannel(length_m=30000.0, bias_phase_rad=0.5 * math.pi),
+            (), LoopChannel(length_m=30000.0, bias_phase_rad=0.5 * math.pi),
             0.05, 200e3, 0.0019, seed=4)
         path = tmp_path / "flat.txt"
         write_trace(path, trace)

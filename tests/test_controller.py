@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from sagnacsim import perception
+from sagnacsim import perception, qkd
 from sagnacsim.config import parse_config_dict
 from sagnacsim.controller import (EventKind, ScenarioScript, SystemMode,
-                                  _active_dynamic_events, _ScenarioRunner)
+                                  _ScenarioRunner)
 from sagnacsim.controller import run_scenario as _run_scenario
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
@@ -134,6 +134,16 @@ class TestRunScenario:
         assert result.log[i + 1].mode is SystemMode.REPORTING
         assert result.localization_reports == []
 
+    def test_out_of_loop_null_is_reported_not_raised(self):
+        # A false alarm's trace of a 12 km impact holds a notch at 377 Hz,
+        # below the 6807 Hz in-loop floor of the first null.
+        result = run_scenario(base_script(
+            events=_EVENTS["impact"], duration=7.0, seed=70, pulses=20_000,
+            window_s=0.5, dead_time_s=0.0, poll_s=1.5))
+        reasons = [rec.payload["reason"] for rec in result.log
+                   if rec.kind is EventKind.LOCALIZATION_FAILED]
+        assert any("below the in-loop floor" in r for r in reasons)
+
     def test_liveness_reaches_reporting(self):
         result = run_scenario(base_script(events=[strong_pzt(start_s=1.0)],
                                           duration=6.0))
@@ -208,18 +218,90 @@ class TestRunScenario:
             PerceptionSettings(significance_threshold=0.0)
 
 
+def impact_at(position_m, start_s=1.0):
+    return DisturbanceEvent(
+        ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5),
+        position_m=position_m, start_s=start_s)
+
+
 class TestImpactReach:
+    """Which events a key window sees: perception.events_reaching."""
+
+    CHANNEL = base_script().channel
+
+    def reaching(self, events, t0, t1):
+        return perception.events_reaching(events, t0, t1, self.CHANNEL)
+
     def test_key_window_sees_an_impact_exactly_within_its_reach(self):
-        impact = DisturbanceEvent(
-            ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5),
-            position_m=5000.0, start_s=1.0)
-        lo, hi = 1.0 - impact.params.reach_s, 1.0 + impact.params.reach_s
-        assert _active_dynamic_events([impact], 0.0, lo) == [impact]
-        assert _active_dynamic_events(
-            [impact], 0.0, np.nextafter(lo, 0.0)) == []
-        assert _active_dynamic_events([impact], hi, 2.0) == [impact]
-        assert _active_dynamic_events(
-            [impact], np.nextafter(hi, 2.0), 2.0) == []
+        impact = impact_at(5000.0)
+        # The counterclockwise copy ends one path-difference lag later.
+        lag = perception._delay_lag_s(impact, self.CHANNEL)
+        lo = 1.0 - impact.params.reach_s
+        hi = 1.0 + impact.params.reach_s + lag
+        assert self.reaching([impact], 0.0, lo) == (impact,)
+        assert self.reaching([impact], 0.0, np.nextafter(lo, 0.0)) == ()
+        assert self.reaching([impact], hi, 2.0) == (impact,)
+        assert self.reaching([impact], np.nextafter(hi, 2.0), 2.0) == ()
+
+    @pytest.mark.parametrize("position_m", [100.0, 5000.0, 25000.0, 29900.0])
+    def test_impact_reach_spans_both_copies(self, position_m):
+        # Near branch: lag > 0 moves the upper edge; far branch: lag < 0
+        # moves the lower one.  The phase is nonzero up to both edges.
+        impact = impact_at(position_m)
+        lag = perception._delay_lag_s(impact, self.CHANNEL)
+        assert (lag > 0) == (position_m < 15000.0)
+        lo = 1.0 - impact.params.reach_s + min(0.0, lag)
+        hi = 1.0 + impact.params.reach_s + max(0.0, lag)
+        assert self.reaching([impact], 0.0, lo) == (impact,)
+        assert self.reaching([impact], 0.0, np.nextafter(lo, 0.0)) == ()
+        assert self.reaching([impact], hi, 2.0) == (impact,)
+        assert self.reaching([impact], np.nextafter(hi, 2.0), 2.0) == ()
+        t = np.linspace(lo - 2e-5, hi + 2e-5, 100_001)
+        nonzero = t[perception.nonreciprocal_phase(t, impact,
+                                                   self.CHANNEL) != 0.0]
+        assert lo <= nonzero[0] < lo + 1e-8
+        assert hi - 1e-8 < nonzero[-1] <= hi
+
+    @pytest.mark.parametrize("position_m", [5000.0, 25000.0])
+    def test_drive_reaches_from_its_first_copy(self, position_m):
+        drive = strong_pzt(position_m=position_m, start_s=1.0)
+        lag = perception._delay_lag_s(drive, self.CHANNEL)
+        lo = 1.0 + min(0.0, lag)
+        assert self.reaching([drive], 0.0, lo) == (drive,)
+        assert self.reaching([drive], 0.0, np.nextafter(lo, 0.0)) == ()
+        assert self.reaching([drive], 1e6, 2e6) == (drive,)
+        assert perception.nonreciprocal_phase(
+            np.nextafter(lo, 0.0), drive, self.CHANNEL) == 0.0
+        assert perception.nonreciprocal_phase(
+            lo + 1e-5, drive, self.CHANNEL) != 0.0
+
+    def test_window_after_an_impact_sees_its_late_copy(self, monkeypatch):
+        # A 10 us impact at 100 m, centred 0.1 ms before the window [1, 2):
+        # its counterclockwise copy arrives 145.9 us later, in the window.
+        offsets = []
+        simulate = qkd.simulate_window
+
+        def recording(*args):
+            offsets.append(args[-1])
+            return simulate(*args)
+
+        monkeypatch.setattr(qkd, "simulate_window", recording)
+        runner = _ScenarioRunner(base_script(events=[impact_at(100.0,
+                                                               0.9999)]))
+        runner.t = 1.0
+        runner._key_window()
+        n = qkd._OFFSET_SAMPLES
+        times = 1.0 + (np.arange(n) + 0.5) * (1.0 / n)
+        assert np.max(np.abs(offsets[0](times))) > 1.0
+
+
+def localized_after(result, t):
+    """Positions, to the km, of the localizations done after ``t``."""
+    done = [rec.time_s for rec in result.log
+            if rec.kind is EventKind.LOCALIZATION_DONE]
+    assert len(done) == len(result.localization_reports)
+    return {round(r.position_m, -3)
+            for when, r in zip(done, result.localization_reports) if when > t}
 
 
 # The README PZT scenario: three breaches, each sensed and localized.
@@ -277,18 +359,37 @@ class TestSweepResponseMemo:
         assert second.localization_reports == first.localization_reports
 
     def test_two_drives_get_separate_entries(self, computed):
-        # The far drive is localized until the near one starts; a running
-        # drive listed first takes precedence from then on.
+        # The far drive is localized until the near one starts; from then
+        # on each localization sweeps the running drive swept least
+        # recently, in either list order.
         near = strong_pzt(position_m=4000.0, start_s=3.5)
         far = strong_pzt(position_m=9000.0, start_s=0.0)
-        runner = _ScenarioRunner(base_script(events=[near, far],
-                                             duration=12.0))
-        result = runner.run()
-        assert computed == [far, near]
-        assert [key[0] for key in runner.sweep_responses] == [far, near]
-        positions = sorted({round(r.position_m, -3)
-                            for r in result.localization_reports})
-        assert positions == [4000.0, 9000.0]
+        for events in ([near, far], [far, near]):
+            computed.clear()
+            runner = _ScenarioRunner(base_script(events=events,
+                                                 duration=12.0))
+            result = runner.run()
+            assert computed == [far, near]
+            assert [key[0] for key in runner.sweep_responses] == [far, near]
+            positions = sorted({round(r.position_m, -3)
+                                for r in result.localization_reports})
+            assert positions == [4000.0, 9000.0]
+            assert localized_after(result, 3.5) == {4000.0, 9000.0}
+
+
+class TestTwoDrives:
+    """Both of two running drives keep being localized, whichever is
+    listed first."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_both_localized_after_both_started(self, seed):
+        drive = README_PZT["disturbances"][0]
+        near = dict(drive, position_m=4000.0, start_s=3.5)
+        far = dict(drive, position_m=9000.0, start_s=0.0)
+        for events in ([near, far], [far, near]):
+            result = run_scenario(parse_config_dict(dict(
+                README_PZT, seed=seed, disturbances=events)).scenario)
+            assert localized_after(result, 3.5) == {4000.0, 9000.0}
 
 
 _EVENTS = {

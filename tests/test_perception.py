@@ -13,17 +13,16 @@ from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
 from sagnacsim.errors import (AliasingError, ConfigError,
                               InsufficientDataError, OutOfLoopError,
-                              ReciprocalDisturbanceError,
                               UndefinedResolutionError)
 from sagnacsim import perception
 from sagnacsim.optics import C_VACUUM, LoopChannel
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   NullFrequency, PerceptionSettings,
                                   ac_amplitude_theory, acquire,
-                                  effective_gpd, find_null_frequencies,
-                                  frequency_sweep, locate,
-                                  localization_error, localization_report,
-                                  localize, measure_tone_amplitude,
+                                  find_null_frequencies, frequency_sweep,
+                                  locate, localization_error,
+                                  localization_report, localize, loop_phase,
+                                  measure_tone_amplitude,
                                   nonreciprocal_phase, resolution, sense,
                                   significance, synthesize_trace)
 
@@ -49,17 +48,31 @@ def pzt_event(position_m, f_hz=500.0, delta_d=0.05):
         position_m=position_m)
 
 
-class TestEffectiveGpd:
+class TestLoopPhase:
     def test_midpoint_self_cancels(self):
         ev = pzt_event(L / 2)
         t = np.linspace(0, 0.01, 500)
-        gpd = effective_gpd(t, ev, channel(bias=0.7))
-        assert np.allclose(gpd, 0.7, atol=1e-12)
+        assert np.allclose(loop_phase(t, (ev,), channel(bias=0.7)), 0.0,
+                           atol=1e-12)
 
-    def test_quasi_static_raises(self):
-        ev = DisturbanceEvent(PressureParams(0.1), position_m=100.0)
-        with pytest.raises(ReciprocalDisturbanceError):
-            effective_gpd(0.0, ev, channel())
+    def test_zero_without_a_dynamic_event(self):
+        pressed = DisturbanceEvent(PressureParams(0.1), position_m=100.0)
+        t = np.linspace(0, 0.01, 500)
+        for events in ((), (pressed,), (pressed, pressed)):
+            assert loop_phase(0.0, events, channel()) == 0.0
+            assert np.array_equal(loop_phase(t, events, channel()),
+                                  np.zeros_like(t))
+
+    def test_sums_the_events(self):
+        events = (pzt_event(4000.0, f_hz=3000.0), pzt_event(9000.0),
+                  DisturbanceEvent(PressureParams(0.1), position_m=100.0),
+                  DisturbanceEvent(ImpactParams(0.1, 0.1), position_m=7000.0,
+                                   start_s=0.004))
+        t = np.linspace(0, 0.01, 2001)
+        want = (nonreciprocal_phase(t, events[0], channel())
+                + nonreciprocal_phase(t, events[1], channel())
+                + nonreciprocal_phase(t, events[3], channel()))
+        assert np.array_equal(loop_phase(t, events, channel()), want)
 
     def test_delay_lag_value(self):
         # n (L - 2x) / c for x = 5 km: 97.93 us, checked by direct
@@ -76,12 +89,12 @@ class TestEffectiveGpd:
 
 class TestSynthesizeTrace:
     def test_dark_port_without_disturbance(self):
-        trace = synthesize_trace(None, channel(bias=math.pi), 0.01, 100e3,
+        trace = synthesize_trace((), channel(bias=math.pi), 0.01, 100e3,
                                  noise_sigma=0.0, input_power_w=2.0)
         assert np.allclose(trace.samples, 0.0, atol=1e-12)
 
     def test_bright_port_without_disturbance(self):
-        trace = synthesize_trace(None, channel(bias=0.0), 0.01, 100e3,
+        trace = synthesize_trace((), channel(bias=0.0), 0.01, 100e3,
                                  noise_sigma=0.0, input_power_w=2.0)
         assert np.allclose(trace.samples, 4.0, rtol=1e-12)
 
@@ -91,7 +104,7 @@ class TestSynthesizeTrace:
         # amplitude is 2x the closed-form value.
         for delta_d in (0.01, 0.05, 0.1):
             ev = pzt_event(5000.0, f_hz=4000.0, delta_d=delta_d)
-            trace = synthesize_trace(ev, channel(), 0.02, 200e3,
+            trace = synthesize_trace((ev,), channel(), 0.02, 200e3,
                                      noise_sigma=0.0, input_power_w=1.0)
             measured = measure_tone_amplitude(trace, 4000.0)
             theory = ac_amplitude_theory(2 * math.pi * 4000.0, 5000.0,
@@ -101,14 +114,20 @@ class TestSynthesizeTrace:
     def test_window_without_a_sample_raises(self):
         # Half a sample period rounds to no sample at all.
         with pytest.raises(InsufficientDataError):
-            synthesize_trace(None, channel(), 0.4 / 200e3, 200e3)
-        assert synthesize_trace(None, channel(), 0.6 / 200e3,
+            synthesize_trace((), channel(), 0.4 / 200e3, 200e3)
+        assert synthesize_trace((), channel(), 0.6 / 200e3,
                                 200e3).samples.size == 1
 
     def test_undersampled_raises(self):
         ev = pzt_event(5000.0, f_hz=60e3)
         with pytest.raises(AliasingError):
-            synthesize_trace(ev, channel(), 0.01, 100e3)
+            synthesize_trace((ev,), channel(), 0.01, 100e3)
+
+    def test_any_undersampled_event_raises(self):
+        slow, fast = pzt_event(5000.0, f_hz=3e3), pzt_event(9000.0, f_hz=60e3)
+        for events in ((slow, fast), (fast, slow)):
+            with pytest.raises(AliasingError, match="60000.0 Hz"):
+                synthesize_trace(events, channel(), 0.01, 100e3)
 
     @given(f=st.floats(1.0, 1e5))
     @settings(max_examples=200, deadline=None)
@@ -116,24 +135,24 @@ class TestSynthesizeTrace:
         # omega / (2 pi) can round below f; the checks must not.
         event, grid = pzt_event(5000.0, f_hz=f), [f / 4, f / 2, f]
         with pytest.raises(AliasingError):
-            synthesize_trace(event, channel(), 4.0 / f, 2.0 * f)
+            synthesize_trace((event,), channel(), 4.0 / f, 2.0 * f)
         with pytest.raises(AliasingError):
             frequency_sweep(event, channel(), grid, duration_s=4.0 / f,
                             sample_rate_hz=2.0 * f)
         faster = 2.0 * f * (1.0 + 1e-9)
-        synthesize_trace(event, channel(), 4.0 / f, faster)
+        synthesize_trace((event,), channel(), 4.0 / f, faster)
         frequency_sweep(event, channel(), grid, duration_s=4.0 / f,
                         sample_rate_hz=faster)
 
     def test_deterministic_per_seed(self):
         ev = pzt_event(7000.0)
-        a = synthesize_trace(ev, channel(), 0.01, 200e3, 0.0019, seed=5)
-        b = synthesize_trace(ev, channel(), 0.01, 200e3, 0.0019, seed=5)
+        a = synthesize_trace((ev,), channel(), 0.01, 200e3, 0.0019, seed=5)
+        b = synthesize_trace((ev,), channel(), 0.01, 200e3, 0.0019, seed=5)
         assert np.array_equal(a.samples, b.samples)
 
     def test_quasi_static_trace_is_flat(self):
         ev = DisturbanceEvent(PressureParams(0.5), position_m=9000.0)
-        trace = synthesize_trace(ev, channel(), 0.02, 200e3,
+        trace = synthesize_trace((ev,), channel(), 0.02, 200e3,
                                  noise_sigma=0.0)
         assert np.allclose(trace.samples, trace.samples[0], rtol=1e-12)
 
@@ -144,9 +163,9 @@ class TestSynthesizeTrace:
             self, bias, seed, quasi_static):
         # The port formula is evaluated once for the whole trace; bit for
         # bit it is the formula over n equal phases with the seed's noise.
-        ev = (DisturbanceEvent(PressureParams(0.5), position_m=9000.0)
-              if quasi_static else None)
-        trace = synthesize_trace(ev, channel(bias=bias), 0.001, 200e3,
+        events = ((DisturbanceEvent(PressureParams(0.5), position_m=9000.0),)
+                  if quasi_static else ())
+        trace = synthesize_trace(events, channel(bias=bias), 0.001, 200e3,
                                  0.0019, seed=seed)
         z = np.random.default_rng(seed).standard_normal(200)
         want = (DEFAULT_INPUT_POWER_W * (1.0 + np.cos(np.full(200, bias)))
@@ -230,7 +249,7 @@ class TestFindNulls:
             ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5,
                          impact_gain=2.0),
             position_m=5000.0, start_s=0.0)
-        trace = synthesize_trace(ev, channel(), 0.0256, 200e3,
+        trace = synthesize_trace((ev,), channel(), 0.0256, 200e3,
                                  noise_sigma=0.0008, seed=5,
                                  start_s=-0.0128)
         nulls = find_null_frequencies(trace, max_k=2)
@@ -579,9 +598,9 @@ class TestSpectralDiagnostics:
     def test_quasi_static_indistinguishable_from_noise_floor(self):
         prs = DisturbanceEvent(PressureParams(0.5), position_m=9000.0,
                                start_s=0.0)
-        pressed = synthesize_trace(prs, channel(), 0.05, 200e3, 0.0019,
+        pressed = synthesize_trace((prs,), channel(), 0.05, 200e3, 0.0019,
                                    seed=9)
-        quiet = synthesize_trace(None, channel(), 0.05, 200e3, 0.0019,
+        quiet = synthesize_trace((), channel(), 0.05, 200e3, 0.0019,
                                  seed=9)
         f = 500.0
         assert ac_power_at(pressed, f) == pytest.approx(
@@ -591,17 +610,19 @@ class TestSpectralDiagnostics:
 
     def test_midpoint_ac_power_suppressed(self):
         f_drive = C_VACUUM / (N_FIBER * L)  # peak response for x = L/4
-        mid = synthesize_trace(pzt_event(L / 2, f_hz=f_drive, delta_d=0.1),
+        mid = synthesize_trace((pzt_event(L / 2, f_hz=f_drive, delta_d=0.1),),
                                channel(), 0.08, 200e3, 0.0019, seed=13)
-        quarter = synthesize_trace(pzt_event(L / 4, f_hz=f_drive, delta_d=0.1),
-                                   channel(), 0.08, 200e3, 0.0019, seed=13)
+        quarter = synthesize_trace(
+            (pzt_event(L / 4, f_hz=f_drive, delta_d=0.1),),
+            channel(), 0.08, 200e3, 0.0019, seed=13)
         suppression_db = 10 * math.log10(
             ac_power_at(quarter, f_drive) / ac_power_at(mid, f_drive))
         assert suppression_db >= 40.0
 
     def test_significance_flags_strong_tone(self):
-        trace = synthesize_trace(pzt_event(5000.0, f_hz=3000.0, delta_d=0.2),
-                                 channel(), 0.05, 200e3, 0.0019, seed=3)
+        trace = synthesize_trace(
+            (pzt_event(5000.0, f_hz=3000.0, delta_d=0.2),),
+            channel(), 0.05, 200e3, 0.0019, seed=3)
         candidate, ratio = significance(trace)
         assert ratio > 10.0
         assert candidate == pytest.approx(3000.0, abs=100.0)
@@ -618,9 +639,9 @@ class TestSense:
     SETTINGS = PerceptionSettings(noise_sigma=0.0008,
                                   sense_duration_s=0.0256)
 
-    def expected(self, event, start_s, seed):
+    def expected(self, events, start_s, seed):
         s = self.SETTINGS
-        trace = synthesize_trace(event, s.sense_channel(channel(0.0)),
+        trace = synthesize_trace(events, s.sense_channel(channel(0.0)),
                                  s.sense_duration_s, s.sample_rate_hz,
                                  s.noise_sigma, seed=seed,
                                  input_power_w=s.input_power_w,
@@ -630,17 +651,17 @@ class TestSense:
                        "peak_to_floor": ratio}
 
     def test_transient_window_centred_on_onset(self):
-        event = impact_event()
-        trace, graded = sense(event, channel(0.0), self.SETTINGS, 5, 4.0)
-        want, want_graded = self.expected(event, 1.0 - 0.0128, 5)
+        events = (impact_event(),)
+        trace, graded = sense(events, channel(0.0), self.SETTINGS, 5, 4.0)
+        want, want_graded = self.expected(events, 1.0 - 0.0128, 5)
         np.testing.assert_array_equal(trace.samples, want.samples)
         assert graded == want_graded
         assert graded["peak_to_floor"] > 10.0
 
-    @pytest.mark.parametrize("event", [None, pzt_event(5000.0, 3000.0)])
-    def test_other_windows_start_at_the_given_time(self, event):
-        trace, graded = sense(event, channel(0.0), self.SETTINGS, 9, 2.5)
-        want, want_graded = self.expected(event, 2.5, 9)
+    @pytest.mark.parametrize("events", [(), (pzt_event(5000.0, 3000.0),)])
+    def test_other_windows_start_at_the_given_time(self, events):
+        trace, graded = sense(events, channel(0.0), self.SETTINGS, 9, 2.5)
+        want, want_graded = self.expected(events, 2.5, 9)
         np.testing.assert_array_equal(trace.samples, want.samples)
         assert graded == want_graded
 
@@ -648,15 +669,22 @@ class TestSense:
 class TestLocate:
     def test_sweep_report_matches_the_steps(self):
         settings = PerceptionSettings()
-        sweep = acquire(pzt_event(5000.0, 3000.0, 0.6), channel(), settings,
-                        seed=7)
+        sweep = acquire((pzt_event(5000.0, 3000.0, 0.6),), channel(), settings,
+                        seed=7, at_s=0.0)
         nulls = find_null_frequencies(sweep, settings.max_harmonics,
                                       depth_threshold_db=10.0)
         assert locate(sweep, channel(), settings) == localization_report(
             nulls, channel(), settings.freq_resolution_hz)
 
+    def test_nothing_started_cannot_be_acquired(self):
+        later = DisturbanceEvent(pzt_event(5000.0).params, position_m=5000.0,
+                                 start_s=1.0)
+        for events in ((), (later, impact_event(1.0))):
+            with pytest.raises(InsufficientDataError):
+                acquire(events, channel(), PerceptionSettings(), 7, 0.5)
+
     def test_no_null_gives_none(self):
-        quiet = synthesize_trace(None, channel(), 0.05, 200e3, 0.0019, seed=2)
+        quiet = synthesize_trace((), channel(), 0.05, 200e3, 0.0019, seed=2)
         assert locate(quiet, channel(), PerceptionSettings()) is None
 
 
@@ -798,7 +826,7 @@ class TestVectorizedNotchScan:
             ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e-5,
                          impact_gain=2.0),
             position_m=position_m, start_s=0.0)
-        trace = synthesize_trace(ev, channel(), 0.0256, 200e3,
+        trace = synthesize_trace((ev,), channel(), 0.0256, 200e3,
                                  noise_sigma=0.0008, seed=seed,
                                  start_s=-0.0128)
         for max_k, threshold_db in ((3, 10.0), (2, 6.0), (1, 15.0)):
