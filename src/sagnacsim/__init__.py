@@ -5,10 +5,11 @@ quasi-static metrology."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
 from .controller import EventKind, ScenarioScript, SystemMode, run_scenario
-from .disturbance import (DisturbanceEvent, DisturbanceKind, ImpactParams,
-                          PressureParams, PztParams, impact_phase,
-                          pressure_delay, pzt_phase)
+from .disturbance import (DisturbanceEvent, ImpactParams, PressureParams,
+                          PztParams, impact_phase, pressure_delay, pzt_phase)
 from .optics import (C_VACUUM, LoopChannel, PortProbabilities, PostSelection,
                      SpectralPacket, omega_from_wavelength,
                      post_selection_probabilities, relative_phase,
@@ -16,14 +17,14 @@ from .optics import (C_VACUUM, LoopChannel, PortProbabilities, PostSelection,
 from .perception import (FrequencySweep, InterferenceTrace,
                          LocalizationReport, NullFrequency,
                          ac_amplitude_theory, find_null_frequencies,
-                         frequency_sweep, localize, localization_error,
-                         localization_report, loop_phase, resolution,
-                         synthesize_trace)
-from .qkd import (Basis, BasisBit, DetectorModel, SiftedKeyRecord,
-                  SourceModel, click_probabilities, encode,
+                         frequency_sweep, localize, localization_report,
+                         loop_phase, resolution, synthesize_trace)
+from .qkd import (DetectorModel, SiftedKeyRecord, SourceModel,
                   qber_threshold_check, run_session)
 from .wm import (WmCalibration, WmReading, calibrate, contrast_ratio,
                  disturbed_intensity, infer_delay, mass_from_delay,
-                 offset_intensity, pressure_staircase)
+                 pressure_staircase)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules that the imports above bind are not exported.
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _Module)))

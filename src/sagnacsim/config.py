@@ -220,7 +220,3 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError([f"{path}: not a readable JSON config: {exc}"]) \
             from exc
     return parse_config_dict(raw)
-
-
-def default_config() -> ScenarioConfig:
-    return parse_config_dict({})

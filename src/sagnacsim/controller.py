@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import perception, qkd, wm
-from .disturbance import DisturbanceEvent, DisturbanceKind, pressure_delay
+from .disturbance import (DisturbanceEvent, PressureParams, PztParams,
+                          pressure_delay)
 from .errors import (Checked, ConfigError, HarmonicAmbiguityError,
                      InsufficientDataError, OutOfLoopError, bounded,
                      positive)
@@ -130,7 +131,7 @@ class ScenarioResult:
 def _active_pressure_delay(events, t: float) -> float:
     total = 0.0
     for ev in events:
-        if ev.kind is DisturbanceKind.QUASI_STATIC_PRESSURE and ev.start_s <= t:
+        if isinstance(ev.params, PressureParams) and ev.start_s <= t:
             total += pressure_delay(ev.params)
     return total
 
@@ -255,7 +256,7 @@ class _ScenarioRunner:
                       {"reason": "no dynamic disturbance is active"},
                       SystemMode.REPORTING)
             return
-        if event.kind is DisturbanceKind.PZT_SINUSOID:
+        if isinstance(event.params, PztParams):
             self.swept_at[event] = self.t
         data = perception.acquire(events, script.channel, cfg,
                                   int(self.rng.integers(0, MAX_SEED)), self.t,

@@ -6,7 +6,6 @@ functions of time and parameters.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -18,12 +17,6 @@ from .optics import C_VACUUM
 
 #: Standard acceleration of gravity (m/s^2), exact by definition.
 STANDARD_GRAVITY = 9.80665
-
-
-class DisturbanceKind(enum.Enum):
-    PZT_SINUSOID = "pzt"
-    TRANSIENT_IMPACT = "impact"
-    QUASI_STATIC_PRESSURE = "pressure"
 
 
 @dataclass(frozen=True)
@@ -94,12 +87,6 @@ class PressureParams(Checked):
 
 DisturbanceParams = Union[PztParams, ImpactParams, PressureParams]
 
-_KIND_FOR_PARAMS = {
-    PztParams: DisturbanceKind.PZT_SINUSOID,
-    ImpactParams: DisturbanceKind.TRANSIENT_IMPACT,
-    PressureParams: DisturbanceKind.QUASI_STATIC_PRESSURE,
-}
-
 
 @dataclass(frozen=True)
 class DisturbanceEvent(Checked):
@@ -116,17 +103,13 @@ class DisturbanceEvent(Checked):
     start_s: float = non_negative(0.0)
 
     def __post_init__(self):
-        if type(self.params) not in _KIND_FOR_PARAMS:
+        if type(self.params) not in (PztParams, ImpactParams, PressureParams):
             raise TypeError(f"unsupported params type {type(self.params)!r}")
         super().__post_init__()
 
     @property
-    def kind(self) -> DisturbanceKind:
-        return _KIND_FOR_PARAMS[type(self.params)]
-
-    @property
     def is_dynamic(self) -> bool:
-        return self.kind is not DisturbanceKind.QUASI_STATIC_PRESSURE
+        return not isinstance(self.params, PressureParams)
 
 
 def pzt_phase(t, params: PztParams):

@@ -13,13 +13,6 @@ Key windows, sensing traces and acquisitions all read the one phase of
 all events, :func:`loop_phase`.  The controller and the CLI share three
 steps: :func:`sense` grades the loop, :func:`acquire` records it and
 :func:`locate` turns a record into a position.
-
-A trace draws its multiplicative intensity noise from ``default_rng`` of
-its one seed.  A sweep is a seed-free response, which repeat sweeps of one
-drive may share, and a seeded measurement: one seed for its drive-off
-reference trace, then one ``(points, 2)`` standard-normal draw that
-:func:`frequency_sweep` turns into each point's projected noise in closed
-form.
 """
 from __future__ import annotations
 
@@ -207,10 +200,6 @@ class InterferenceTrace(Checked):
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) / self.sample_rate_hz
@@ -503,34 +492,21 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     """Swept-sine response: re-drive the sinusoidal source over a frequency
     grid and record the measured tone amplitude at each point.
 
-    This mirrors the lab procedure of exciting the same position at a
-    series of frequencies.  Only sinusoidal (piezo) events can be swept,
-    the grid must be strictly ascending with at least 3 points, and its
-    last point must lie below half the sample rate; all three are checked
-    before any trace is synthesized.
-
-    Each point is by definition :func:`synthesize_trace` of the drive
-    switched on at 0 s, then :func:`measure_tone_amplitude` at its
-    frequency: ``2 |sum_k w_k (x_k - mean x) e_k| / sum w`` with
-    ``x_k = c_k (1 + sigma z_k)`` and ``c_k`` the noise-free port intensity.
-    That sum is ``sum c_k u_k + sigma sum c_k u_k z_k`` with
-    ``u_k = w_k e_k - mean(w e)``, so its noise term is an exact zero-mean
-    bivariate normal in the real and imaginary parts, whose covariance
-    ``sigma**2`` times the second moments of ``c u`` fixes.
-
-    A sweep is therefore two halves.  The response, from
-    :func:`_sweep_response`, holds no randomness: each point's noise-free
-    projection ``sum c u`` and the three moments.  The measurement is
-    seeded: the drive-off reference trace, whose tone amplitudes fix the
-    noise floor, then one ``(points, 2)`` standard-normal draw that the
-    closed-form 2x2 Cholesky factor of each covariance turns into that
-    point's noise.  A sweep thus builds at most two generators, and each
-    amplitude has the distribution of the point-by-point definition.
+    Only sinusoidal (piezo) events can be swept, the grid must be strictly
+    ascending with at least 3 points, and its last point must lie below
+    half the sample rate; all three are checked before any trace is
+    synthesized.  Each amplitude has the distribution of
+    :func:`measure_tone_amplitude` at its frequency on :func:`synthesize_trace`
+    of the drive switched on at 0 s: the trace noise enters the projection
+    linearly, so a point is its noise-free projection
+    (:func:`_sweep_response`) plus one exact bivariate-normal draw
+    (:func:`_correlated_normals`).  The seed fixes the drive-off reference
+    trace, whose tone amplitudes set the noise floor, and then one
+    ``(points, 2)`` standard-normal draw.
 
     ``responses`` is a dict the caller owns, such as the memo of one
-    scenario run, that keeps each response under everything it depends on:
-    repeat sweeps of the same drive then compute it once and differ only
-    in their measurement, with the same results as without the dict.
+    scenario run: repeat sweeps of the same drive then compute their
+    response once, with the same results as without the dict.
     """
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
@@ -586,10 +562,12 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     """Noise-free response of ``n``-sample sweep traces over ``freqs``.
 
     The grid is evaluated in blocks of whole points of at most
-    ``_SWEEP_BLOCK_SAMPLES`` samples: one :func:`_unit_phasors` table per
-    block gives the drive, the lagged drive and the projection, and each
-    point keeps the noise-free projection (:func:`_tone_projections` of
-    ``c``, equal to ``sum c u``) and the three moments.
+    ``_SWEEP_BLOCK_SAMPLES`` samples: one :func:`_unit_phasors` table ``e``
+    per block gives the drive, the lagged drive and the projection.  With
+    ``c`` the noise-free port intensity and ``u = w e - mean(w e)`` under
+    the Hann window ``w``, each point keeps its projection ``sum c u``
+    (:func:`_tone_projections` of ``c``) and the three second moments of
+    ``c u``, which times ``sigma**2`` are the covariance of its noise.
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
@@ -644,9 +622,7 @@ def acquire(events: Sequence[DisturbanceEvent], channel: LoopChannel,
     """Record the loop at ``at_s`` for null-frequency localization.
 
     A drive in :func:`focus` is swept alone over the scan grid, sharing the
-    noise-free responses of ``responses`` (see :func:`frequency_sweep`): a
-    run that passes one dict to every call computes each drive's response
-    once and pays only for the seeded measurement of a repeat sweep.  A
+    noise-free responses of ``responses`` (see :func:`frequency_sweep`).  A
     transient in focus is captured in one trace of all ``events``, of
     :meth:`PerceptionSettings.trace_duration_s`, centred on its onset.
     Both see the loop through :meth:`PerceptionSettings.sense_channel`.
@@ -906,42 +882,29 @@ def resolution(null: NullFrequency, channel: LoopChannel,
         delta_f_hz / (f * f - delta_f_hz * delta_f_hz))
 
 
-def localization_error(f_samples_hz: Sequence[float], harmonic: int,
-                       channel: LoopChannel) -> float:
-    """Propagated position uncertainty from repeated frequency readings.
-
-    The frequency scatter (sample standard deviation) maps through the
-    local slope ``|dx/df| = k c / (2 n f^2)`` at the sample mean.
-    """
-    samples = np.asarray(list(f_samples_hz), dtype=float)
-    if samples.size < 2:
-        raise InsufficientDataError(
-            "error propagation needs at least two frequency samples")
-    mean = float(samples.mean())
-    sigma_f = float(samples.std(ddof=1))
-    slope = harmonic * C_VACUUM / (2.0 * channel.refractive_index * mean * mean)
-    return slope * sigma_f
-
-
 def localization_report(nulls: Sequence[NullFrequency],
                         channel: LoopChannel,
                         delta_f_hz: float = DEFAULT_FREQ_RESOLUTION_HZ,
                         ) -> LocalizationReport:
     """Assemble the full report from a set of detected nulls.
 
-    The position comes from the lowest harmonic; when several harmonics
-    were caught, their fundamental-equivalent frequencies feed the
-    propagated uncertainty.
+    The position comes from the lowest harmonic.  When several harmonics
+    were caught, the scatter (sample standard deviation) of their
+    fundamental-equivalent frequencies maps through the local slope
+    ``|dx/df| = c / (2 n f^2)`` at their mean into ``sigma_position_m``.
     """
     if not nulls:
         raise InsufficientDataError("no nulls to localize from")
     ordered = sorted(nulls, key=lambda nf: nf.harmonic)
     first = ordered[0]
     x = localize(first, channel)
-    fundamentals = [nf.frequency_hz / nf.harmonic for nf in ordered]
     sigma = None
-    if len(fundamentals) >= 2:
-        sigma = localization_error(fundamentals, 1, channel)
+    if len(ordered) >= 2:
+        fundamentals = np.array([nf.frequency_hz / nf.harmonic
+                                 for nf in ordered])
+        mean = float(fundamentals.mean())
+        sigma = (C_VACUUM / (2.0 * channel.refractive_index * mean * mean)
+                 * float(fundamentals.std(ddof=1)))
     return LocalizationReport(
         nulls=tuple(ordered),
         position_m=x,

@@ -1,35 +1,18 @@
 """Phase-encoded time-division BB84 over the simulated loop.
 
 One party modulates the clockwise pulse, the other the counterclockwise
-pulse; the bit travels in the global phase difference between them.  The
-session runner draws basis and bit choices, splits the detected rate
-between the two ports by interference in that phase difference (one click
-model, :func:`_click_model`, with the analyzer parked at the bright working
-point), folds in source attenuation, detector efficiency and dark counts,
-and accounts sifted bits and errors in fixed windows of simulated time.
-
-Count-level accounting: given the global phase, rounds are independent, so
-a window is fully described by how many of its rounds fall in each of 32
-outcome classes, the 8 (Alice basis, Alice bit, Bob basis) choices times
-the 4 (reflected, transmitted) click outcomes.  :func:`simulate_window`
-computes the class probabilities once per window (once per run for windows
-without a phase offset, which all share them), averaging the click
-outcomes over the Gaussian phase noise and over a time-varying phase offset
-harmonic by harmonic (:func:`_outcome_probabilities`), and draws all 32
-counts with one multinomial draw, so its cost does not grow with
-``pulses_per_window``.  The offset is sampled at no more than
-``_OFFSET_SAMPLES`` points per window.  Under a time-varying offset the
-rounds are not identically distributed, and their class counts are drawn as
-one multinomial at the window-averaged probabilities; its variance differs
-from that of the per-round sum by a relative amount of the order of the
-largest per-round click probability (about 5e-4 at the defaults).  A
-window's pulses stand in for a full second of 100 MHz operation; rates
-extrapolate as
-``sifted_bits / pulses_sent * repetition_rate``.
+pulse; the bit travels in the global phase difference between them: Z
+carries bits on {0, pi}, X on {pi/2, 3pi/2}, and the receiver applies its
+basis phase, 0 or pi/2.  One click model, :func:`_click_model`, with the
+analyzer parked at the bright working point, splits the detected rate
+between the two ports after source attenuation, detector efficiency and
+dark counts.  :func:`simulate_window` accounts sifted bits and errors at
+count level, at a cost independent of ``pulses_per_window``.  A window's
+pulses stand in for a full second of 100 MHz operation; rates extrapolate
+as ``sifted_bits / pulses_sent * repetition_rate``.
 """
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -66,21 +49,6 @@ _MAX_GRID = 2**17
 #: below ``duration_s`` less this slack (s), which absorbs the rounding of
 #: summed window and dead times.
 START_SLACK_S = 1e-9
-
-
-class Basis(enum.Enum):
-    Z = "Z"
-    X = "X"
-
-
-@dataclass(frozen=True)
-class BasisBit:
-    basis: Basis
-    bit: int
-
-    def __post_init__(self):
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit}")
 
 
 @dataclass(frozen=True)
@@ -129,22 +97,6 @@ class SiftedKeyRecord:
     def __post_init__(self):
         if self.errors > self.sifted_bits:
             raise ValueError("errors cannot exceed sifted bits")
-
-
-def encode(choice: BasisBit) -> float:
-    """Modulator phase for a basis/bit choice.
-
-    Z carries bits on {0, pi}, X on {pi/2, 3pi/2}.  The receiving party
-    measures by applying its basis phase (0 or pi/2) to the opposite
-    direction, so matched-basis rounds interfere at a global phase
-    difference of 0 or pi.
-    """
-    return _base_phase(int(choice.basis is Basis.X), choice.bit, 0)
-
-
-def measurement_phase(basis: Basis) -> float:
-    """Receiver modulator phase selecting a measurement basis."""
-    return encode(BasisBit(basis, 0))
 
 
 def _signal_rate(source: SourceModel, channel: LoopChannel,
@@ -247,27 +199,6 @@ def _spectral_gain(channel: LoopChannel, packet: SpectralPacket | None) -> float
     return 0.5 * (1.0 + math.exp(-((packet.sigma * tau) ** 2)))
 
 
-def click_probabilities(alice_phase_rad: float, bob_phase_rad: float,
-                        source: SourceModel, channel: LoopChannel,
-                        detector: DetectorModel,
-                        packet: SpectralPacket | None = None,
-                        ) -> tuple[float, float]:
-    """Per-pulse click probability at the reflected and transmitted ports.
-
-    The polarization analyzer is parked at the bright working point
-    (its angle trails the birefringence phase by pi/2) so the port split is
-    pure interference in the global phase difference, scaled by the
-    spectral gain of the packet.  Each port clicks with
-    ``1 - exp(-mu * 10^(-loss/10) * eta_det * P_port)`` plus the dark-count
-    probability.
-    """
-    lam = _signal_rate(source, channel, detector)
-    p_r, p_t = _click_model(alice_phase_rad - bob_phase_rad,
-                            lam * _spectral_gain(channel, packet),
-                            detector.dark_count_prob_per_gate)
-    return float(p_r), float(p_t)
-
-
 #: Alice basis, Alice bit and Bob basis of the 8 equally likely choices.
 _ALICE_BASIS, _ALICE_BIT, _BOB_BASIS = np.indices((2, 2, 2)).reshape(3, -1)
 
@@ -308,6 +239,10 @@ def _count_window(rng: np.random.Generator, n_pulses: int,
     A time-varying offset is sampled at ``min(n_pulses, _OFFSET_SAMPLES)``
     equally spaced window midpoints (the pulse times when there are no more
     pulses than that), and the class probabilities are averaged over them.
+    The rounds are then not identically distributed, and the variance of
+    the one multinomial differs from that of the per-round sum by a relative
+    amount of the order of the largest per-round click probability (about
+    5e-4 at the defaults).
     """
     if gpd_offset_fn is None:
         probs = _steady_class_probabilities(lam, dark, phase_noise_rad)
@@ -338,10 +273,8 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
     global-phase offset (a dynamic disturbance) is sampled across its
     waveform.  Double clicks are discarded; a window with zero sifted bits
     reports its error rate as absent rather than zero.  The totals come
-    from one multinomial draw over the outcome classes
-    (:func:`_count_window`), at a cost independent of ``n_pulses``.
-    Returns ``(record, None)``; the empty second slot keeps working the
-    callers that unpack a pair.
+    from one multinomial draw (:func:`_count_window`).  Returns
+    ``(record, None)`` for the callers that unpack a pair.
     """
     lam = _signal_rate(source, channel, detector) * _spectral_gain(channel, packet)
     clicks_r, clicks_t, sifted, errors = _count_window(

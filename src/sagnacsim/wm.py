@@ -10,9 +10,10 @@ The exact intensity ratio
 
     (I1 - Id) / (I1 - Imin) = (cos(2 de - 2 w0 dt) - cos 2 de) / (1 - cos 2 de)
 
-is treated as ground truth here; the familiar small-angle form
-``(1 + cos d) * w0 dt / de`` is exposed separately as the documented
-approximation (its bias prefactor cancels in the exact ratio).
+is treated as ground truth here.  The familiar small-angle form
+``(1 + cos d) * w0 dt / de``, whose bias prefactor cancels in the exact
+ratio, lives in ``tests/oracles.py`` as the reference the tests compare
+against.
 """
 from __future__ import annotations
 
@@ -106,13 +107,6 @@ def calibrate(channel: LoopChannel, packet: SpectralPacket,
     )
 
 
-def offset_intensity(cal: WmCalibration, delta_epsilon: float,
-                     packet: SpectralPacket, channel: LoopChannel) -> float:
-    """Output power with the analyzer detuned by the working offset,
-    loop still undisturbed."""
-    return disturbed_intensity(cal, delta_epsilon, 0.0, packet, channel)
-
-
 def disturbed_intensity(cal: WmCalibration, delta_epsilon: float,
                         delta_tau_s: float, packet: SpectralPacket,
                         channel: LoopChannel) -> float:
@@ -132,26 +126,8 @@ def contrast_ratio(i1_w: float, id_w: float, imin_w: float) -> float:
     return (i1_w - id_w) / swing
 
 
-def approx_contrast_ratio(delta_tau_s: float, delta_epsilon: float,
-                          omega0: float, delta_bias: float = 0.0) -> float:
-    """Small-angle contrast ratio ``(1 + cos d) * w0 dt / de``.
-
-    Documented approximation only; it agrees with the exact ratio in the
-    ``w0 dt << de << 1`` regime and only at zero bias phase.
-    """
-    return (1.0 + math.cos(delta_bias)) * omega0 * delta_tau_s / delta_epsilon
-
-
-@dataclass(frozen=True)
-class DelayInversion:
-    """Exact and small-angle estimates of a delay shift from a contrast."""
-
-    delay_s: float
-    small_angle_delay_s: float
-
-
 def infer_delay(icr_value: float, delta_epsilon: float,
-                omega0: float) -> DelayInversion:
+                omega0: float) -> float:
     """Invert a contrast ratio to the delay shift that produced it.
 
     Exact inversion of the intensity ratio on its monotone working branch,
@@ -171,10 +147,7 @@ def infer_delay(icr_value: float, delta_epsilon: float,
             f"[{icr_lo}, 1]")
     shift = delta_epsilon - math.asin(
         min(1.0, math.sin(delta_epsilon) * math.sqrt(1.0 - icr_value)))
-    return DelayInversion(
-        delay_s=shift / omega0,
-        small_angle_delay_s=icr_value * delta_epsilon / (2.0 * omega0),
-    )
+    return shift / omega0
 
 
 def mass_from_delay(delta_tau_s: float, params: PressureParams) -> float:
@@ -206,12 +179,12 @@ def read(cal: WmCalibration, settings: WmSettings, delta_tau_s: float,
             settings.samples_per_reading))
         return float(np.mean(draws))
 
-    i1 = measure(offset_intensity(cal, offset, packet, channel))
+    i1 = measure(disturbed_intensity(cal, offset, 0.0, packet, channel))
     i_d = measure(disturbed_intensity(cal, offset, delta_tau_s, packet,
                                       channel))
     imin = measure(cal.min_intensity_w)
     icr = contrast_ratio(i1, i_d, imin)
-    delay = infer_delay(icr, offset, packet.omega0).delay_s
+    delay = infer_delay(icr, offset, packet.omega0)
     return WmReading(
         offset_intensity_w=i1,
         disturbed_intensity_w=i_d,

@@ -7,9 +7,11 @@ point-by-point definition, with its own tone projection, that the block
 evaluation must equal to rounding.  The per-round key oracle draws every
 BB84 round that the count-level engine summarizes in one multinomial draw.
 The WM null angle and delay inversion are found by bracketed root finding
-where the library takes closed forms.  The trace writer, reader and notch
-scan are kept here one sample, line or candidate at a time, as the
-references the whole-column library code must equal byte for byte.
+where the library takes closed forms, and the small-angle contrast ratio
+is the approximation the exact one is compared against.  The trace
+writer, reader and notch scan are kept here one sample, line or candidate
+at a time, as the references the whole-column library code must equal
+byte for byte.
 """
 from __future__ import annotations
 
@@ -81,6 +83,16 @@ def exact_contrast_ratio(delta_tau: float, delta_epsilon: float,
     return (math.cos(2.0 * delta_epsilon - 2.0 * shift)
             - math.cos(2.0 * delta_epsilon)) / (
                 1.0 - math.cos(2.0 * delta_epsilon))
+
+
+def approx_contrast_ratio(delta_tau_s: float, delta_epsilon: float,
+                          omega0: float, delta_bias: float = 0.0) -> float:
+    """Small-angle contrast ratio ``(1 + cos d) * w0 dt / de``.
+
+    It agrees with the exact ratio in the ``w0 dt << de << 1`` regime and
+    only at zero bias phase.
+    """
+    return (1.0 + math.cos(delta_bias)) * omega0 * delta_tau_s / delta_epsilon
 
 
 def root_found_null_angle(channel, packet, settings) -> float:

@@ -298,7 +298,7 @@ def test_criterion_8_oracle_equivalences():
             if OMEGA * dtau >= eps:
                 continue  # beyond the invertible working branch
             icr = exact_contrast_ratio(dtau, eps, OMEGA)
-            err = abs(infer_delay(icr, eps, OMEGA).delay_s - dtau)
+            err = abs(infer_delay(icr, eps, OMEGA) - dtau)
             invert_ok &= err < 1e-20
 
     taylor_ok = True

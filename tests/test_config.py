@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagnacsim.config import (default_config, parse_config,
-                              parse_config_dict)
+from sagnacsim.config import parse_config, parse_config_dict
 from sagnacsim.controller import MAX_KEY_WINDOWS
 from sagnacsim.errors import ConfigError
 from sagnacsim.perception import MAX_TRACE_SAMPLES
@@ -27,7 +26,7 @@ class TestDefaults:
         assert cfg.scenario.detector.repetition_rate_hz == 100e6
 
     def test_script_builds(self):
-        script = default_config().scenario
+        script = parse_config_dict({}).scenario
         assert script.duration_s == 20.0
         assert script.events == ()
 
@@ -195,7 +194,7 @@ class TestWorkBounds:
         assert [p.split(":")[0] for p in err.value.problems] == [key]
 
 
-_DEFAULTS = default_config().resolved
+_DEFAULTS = parse_config_dict({}).resolved
 _SECTIONS = [name for name, value in _DEFAULTS.items()
              if isinstance(value, dict)]
 _KINDS = ("pzt", "impact", "pressure")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.constants import g as g0
 
 from sagnacsim import disturbance, wm
-from sagnacsim.disturbance import (DisturbanceEvent, DisturbanceKind,
-                                   ImpactParams, PressureParams, PztParams,
-                                   impact_phase, pressure_delay, pzt_phase,
+from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
+                                   PressureParams, PztParams, impact_phase,
+                                   pressure_delay, pzt_phase,
                                    single_pass_phase)
 
 
@@ -150,10 +150,19 @@ class TestEvent:
         imp = DisturbanceEvent(
             ImpactParams(0.1, 0.1), position_m=100.0)
         prs = DisturbanceEvent(PressureParams(0.1), position_m=100.0)
-        assert pzt.kind is DisturbanceKind.PZT_SINUSOID and pzt.is_dynamic
-        assert imp.kind is DisturbanceKind.TRANSIENT_IMPACT and imp.is_dynamic
-        assert prs.kind is DisturbanceKind.QUASI_STATIC_PRESSURE
+        assert pzt.is_dynamic
+        assert imp.is_dynamic
         assert not prs.is_dynamic
+
+    class Subclassed(PressureParams):
+        pass
+
+    # The type must be one of the three exactly: a subclass is rejected too.
+    @pytest.mark.parametrize("params", [None, 1.0, {"mass_kg": 0.1},
+                                        Subclassed(0.1)])
+    def test_other_params_types_rejected(self, params):
+        with pytest.raises(TypeError):
+            DisturbanceEvent(params, position_m=100.0)
 
     def test_pressure_contributes_no_phase(self):
         prs = DisturbanceEvent(PressureParams(0.3), position_m=100.0)

@@ -1,10 +1,13 @@
 """The command-line tool runs on numpy alone: scipy stamps its version in
-each report and is otherwise a test-only oracle."""
+each report and is otherwise a test-only oracle.  The package exports a
+pinned list of names, so that growth shows in a diff."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import sagnacsim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -52,3 +55,25 @@ def test_commands_load_no_heavy_scipy_subpackage(tmp_path):
     loaded = set(result["modules"])
     assert "scipy" in loaded
     assert [name for name in _HEAVY if name in loaded] == []
+
+
+# Every name ``from sagnacsim import *`` binds, sorted; no submodule.
+EXPORTED = [
+    "C_VACUUM", "DetectorModel", "DisturbanceEvent", "EventKind",
+    "FrequencySweep", "ImpactParams", "InterferenceTrace",
+    "LocalizationReport", "LoopChannel", "NullFrequency",
+    "PortProbabilities", "PostSelection", "PressureParams", "PztParams",
+    "ScenarioScript", "SiftedKeyRecord", "SourceModel", "SpectralPacket",
+    "SystemMode", "WmCalibration", "WmReading", "ac_amplitude_theory",
+    "calibrate", "contrast_ratio", "disturbed_intensity",
+    "find_null_frequencies", "frequency_sweep", "impact_phase",
+    "infer_delay", "localization_report", "localize", "loop_phase",
+    "mass_from_delay", "omega_from_wavelength",
+    "post_selection_probabilities", "pressure_delay", "pressure_staircase",
+    "pzt_phase", "qber_threshold_check", "relative_phase", "resolution",
+    "run_scenario", "run_session", "synthesize_trace", "visibility_and_qber",
+]
+
+
+def test_exported_names_are_pinned():
+    assert sagnacsim.__all__ == EXPORTED

@@ -20,8 +20,8 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   NullFrequency, PerceptionSettings,
                                   ac_amplitude_theory, acquire,
                                   find_null_frequencies, frequency_sweep,
-                                  locate, localization_error,
-                                  localization_report, localize, loop_phase,
+                                  locate, localization_report, localize,
+                                  loop_phase,
                                   measure_tone_amplitude,
                                   nonreciprocal_phase, resolution, sense,
                                   significance, synthesize_trace)
@@ -318,23 +318,28 @@ class TestResolution:
 
 
 class TestLocalizationError:
+    """The propagated uncertainty of a report, from the fundamental-
+    equivalent frequencies ``f / k`` of its nulls."""
+
+    @staticmethod
+    def sigma(fundamentals_hz):
+        nulls = [NullFrequency(f * k, k, 20.0)
+                 for k, f in enumerate(fundamentals_hz, start=1)]
+        return localization_report(nulls, channel()).sigma_position_m
+
     def test_identical_samples(self):
-        assert localization_error([9000.0, 9000.0, 9000.0], 1, channel()) == 0.0
+        assert self.sigma([9000.0, 9000.0, 9000.0]) == 0.0
 
     def test_reference_value(self):
         # two samples +-500 Hz around 10.21 kHz: sigma_f = c/(2 n f^2) * sd
         samples = [10210.0 - 500.0, 10210.0 + 500.0]
         sd = np.std(samples, ddof=1)
         slope = C_VACUUM / (2 * N_FIBER * np.mean(samples) ** 2)
-        got = localization_error(samples, 1, channel())
+        got = self.sigma(samples)
         assert got == pytest.approx(slope * sd, rel=1e-12)
         # the anchor case: sigma_f = 500 Hz at 10.21 kHz maps to ~490 m
         anchor = C_VACUUM / (2 * N_FIBER * 10210.0 ** 2) * 500.0
         assert anchor == pytest.approx(489.7598416608877, rel=1e-12)
-
-    def test_insufficient_samples(self):
-        with pytest.raises(InsufficientDataError):
-            localization_error([10210.0], 1, channel())
 
 
 class TestReport:

@@ -12,9 +12,8 @@ from sagnacsim.errors import InsufficientDataError
 from sagnacsim.optics import (LoopChannel, PostSelection, SpectralPacket,
                              omega_from_wavelength,
                              post_selection_probabilities, relative_phase)
-from sagnacsim.qkd import (Basis, BasisBit, DetectorModel, QkdSettings,
-                           SiftedKeyRecord, SourceModel, click_probabilities,
-                           encode, fixed_phase_error_rate, measurement_phase,
+from sagnacsim.qkd import (DetectorModel, QkdSettings, SiftedKeyRecord,
+                           SourceModel, fixed_phase_error_rate,
                            qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
@@ -32,34 +31,50 @@ def channel(loss_db=16.5):
                        loss_db=loss_db)
 
 
+# Bases are 0 (Z) and 1 (X).
+Z, X = 0, 1
+
+
 class TestEncode:
+    """The key engine's encoding, ``qkd._base_phase(alice basis, alice bit,
+    bob basis)``: Z carries bits on {0, pi}, X on {pi/2, 3pi/2}."""
+
     @pytest.mark.parametrize("basis,bit,phase", [
-        (Basis.Z, 0, 0.0),
-        (Basis.Z, 1, math.pi),
-        (Basis.X, 0, 0.5 * math.pi),
-        (Basis.X, 1, 1.5 * math.pi),
+        (Z, 0, 0.0),
+        (Z, 1, math.pi),
+        (X, 0, 0.5 * math.pi),
+        (X, 1, 1.5 * math.pi),
     ])
     def test_phase_map(self, basis, bit, phase):
-        assert encode(BasisBit(basis, bit)) == phase
+        assert qkd._base_phase(basis, bit, Z) == phase
 
     def test_matched_bases_interfere_on_axis(self):
-        for basis in Basis:
+        for basis in (Z, X):
             for bit in (0, 1):
-                delta = encode(BasisBit(basis, bit)) - measurement_phase(basis)
+                delta = qkd._base_phase(basis, bit, basis)
                 assert math.cos(delta) == pytest.approx(1.0 - 2.0 * bit,
                                                         abs=1e-15)
 
     def test_mismatched_bases_are_balanced(self):
-        for basis, other in ((Basis.Z, Basis.X), (Basis.X, Basis.Z)):
+        for basis, other in ((Z, X), (X, Z)):
             for bit in (0, 1):
-                delta = encode(BasisBit(basis, bit)) - measurement_phase(other)
+                delta = qkd._base_phase(basis, bit, other)
                 assert math.cos(delta) == pytest.approx(0.0, abs=1e-15)
+
+
+def click_probabilities(delta, source, chan, det, packet=None):
+    """The engine's per-pulse click probabilities at the two ports for a
+    global phase difference ``delta``."""
+    lam = (qkd._signal_rate(source, chan, det)
+           * qkd._spectral_gain(chan, packet))
+    p_r, p_t = qkd._click_model(delta, lam, det.dark_count_prob_per_gate)
+    return float(p_r), float(p_t)
 
 
 class TestClickProbabilities:
     def test_ideal_dark_port(self):
         src = SourceModel(mean_photon_number=0.1)
-        p_r, p_t = click_probabilities(0.0, 0.0, src, channel(loss_db=0.0),
+        p_r, p_t = click_probabilities(0.0, src, channel(loss_db=0.0),
                                        DetectorModel(efficiency=1.0,
                                                      dark_count_prob_per_gate=0.0))
         assert p_t == 0.0
@@ -68,7 +83,7 @@ class TestClickProbabilities:
     def test_calibrated_operating_point(self):
         # Back-solve oracle: mu * 10^(-16.5/10) * eta at the bright port.
         exponent = 0.1 * 10 ** (-1.65) * 0.2
-        p_r, p_t = click_probabilities(0.0, 0.0, SOURCE, channel(16.5),
+        p_r, p_t = click_probabilities(0.0, SOURCE, channel(16.5),
                                        detector(dark=0.0))
         assert p_r == pytest.approx(-math.expm1(-exponent), rel=1e-12)
         assert p_r == pytest.approx(4.479e-4, rel=2e-3)
@@ -78,7 +93,7 @@ class TestClickProbabilities:
 
     def test_vacuum_limit(self):
         src = SourceModel(mean_photon_number=1e-12)
-        p_r, p_t = click_probabilities(0.3, 0.1, src, channel(),
+        p_r, p_t = click_probabilities(0.3 - 0.1, src, channel(),
                                        detector(dark=3e-5))
         assert p_r == pytest.approx(3e-5, rel=1e-3)
         assert p_t == pytest.approx(3e-5, rel=1e-3)
@@ -96,7 +111,7 @@ class TestClickProbabilities:
                            (math.pi, 0.3)):
             ports = post_selection_probabilities(
                 replace(chan, bias_phase_rad=alice - bob), packet, bright)
-            p_r, p_t = click_probabilities(alice, bob, SOURCE, chan,
+            p_r, p_t = click_probabilities(alice - bob, SOURCE, chan,
                                            detector(dark=dark), packet)
             assert p_r == pytest.approx(
                 1.0 - math.exp(-lam * ports.reflected) + dark, rel=1e-9)
