@@ -136,17 +136,28 @@ def _active_pressure_delay(events, t: float) -> float:
     return total
 
 
+#: Stage kinds of a run, indices into ``_ScenarioRunner.stages``.
+_KEY, _SENSE, _DEAD = range(3)
+
+
 class _ScenarioRunner:
     def __init__(self, script: ScenarioScript):
         self.script = script
         self.rng = np.random.default_rng(script.seed)
         self.mode = SystemMode.KEY_DISTRIBUTION
+        # The run's stage kinds: key window, sense or acquire window and
+        # dead time; the time is set from their counts by _advance.
+        self.durations = (script.qkd.window_s,
+                          script.perception.sense_duration_s,
+                          script.perception.switch_dead_time_s)
+        self.stages = [0, 0, 0]
         self.t = 0.0
+        # WM polls taken; poll k falls due at k * poll_interval_s.
+        self.polls = 0
         self.log: list[LogRecord] = []
         self.key_records: list[qkd.SiftedKeyRecord] = []
         self.wm_readings: list[dict] = []
         self.reports: list[perception.LocalizationReport] = []
-        self.next_poll_s = script.wm.poll_interval_s
         # Noise-free sweep responses of this run, shared by the repeat
         # localizations of a drive (perception.frequency_sweep).
         self.sweep_responses: dict = {}
@@ -158,6 +169,13 @@ class _ScenarioRunner:
         """Log ``kind`` in the current mode, then switch to ``then``."""
         self.log.append(LogRecord(self.t, self.mode, kind, payload))
         self.mode = then
+
+    def _advance(self, stage: int) -> None:
+        """Pass one stage of kind ``stage`` (_KEY, _SENSE or _DEAD).  The
+        time is the correctly rounded sum of each kind's count times its
+        duration, so rounding does not build up over the stages."""
+        self.stages[stage] += 1
+        self.t = math.fsum(n * d for n, d in zip(self.stages, self.durations))
 
     def _live(self) -> bool:
         return self.t < self.script.duration_s - qkd.START_SLACK_S
@@ -194,16 +212,16 @@ class _ScenarioRunner:
             script.source, script.channel, script.detector, script.packet,
             script.qkd.phase_noise_rad, offset)
         self.key_records.append(record)
-        self.t = t0 + dt
+        self._advance(_KEY)
         self.emit(EventKind.QBER_WINDOW, {
             "qber": record.qber_estimate,
             "raw_rate_bps": record.raw_rate_bps,
             "sifted_bits": record.sifted_bits,
         }, SystemMode.KEY_DISTRIBUTION)
 
-        if self.t >= self.next_poll_s:
+        if self.t >= (self.polls + 1) * script.wm.poll_interval_s:
             self._wm_poll()
-            self.next_poll_s += script.wm.poll_interval_s
+            self.polls += 1
 
         try:
             breach = qkd.qber_threshold_check(record,
@@ -215,7 +233,7 @@ class _ScenarioRunner:
                 "qber": record.qber_estimate,
                 "threshold": script.qkd.qber_threshold,
             }, SystemMode.PERCEPTION_SENSING)
-            self.t += script.perception.switch_dead_time_s
+            self._advance(_DEAD)
         return breach
 
     def _wm_poll(self) -> None:
@@ -233,14 +251,14 @@ class _ScenarioRunner:
         _, graded = perception.sense(
             script.events, script.channel, cfg,
             int(self.rng.integers(0, MAX_SEED)), self.t)
-        self.t += cfg.sense_duration_s
+        self._advance(_SENSE)
         if graded["peak_to_floor"] > cfg.significance_threshold:
             self.emit(EventKind.DISTURBANCE_SIGNIFICANT, graded,
                       SystemMode.LOCALIZING)
             return True
         self.emit(EventKind.DISTURBANCE_MINOR, graded,
                   SystemMode.KEY_DISTRIBUTION)
-        self.t += cfg.switch_dead_time_s
+        self._advance(_DEAD)
         return False
 
     def _localize(self) -> None:
@@ -261,7 +279,7 @@ class _ScenarioRunner:
         data = perception.acquire(events, script.channel, cfg,
                                   int(self.rng.integers(0, MAX_SEED)), self.t,
                                   responses=self.sweep_responses)
-        self.t += cfg.sense_duration_s
+        self._advance(_SENSE)
         try:
             report = perception.locate(data, script.channel, cfg)
             reason = "no null frequency reached the depth threshold"
@@ -284,8 +302,8 @@ class _ScenarioRunner:
         collapse to this reset request."""
         self.emit(EventKind.RESET_ISSUED, {"stage": "report_closed"},
                   SystemMode.AWAIT_RESET)
-        self.t += self.script.perception.switch_dead_time_s
-        if self.t < self.script.duration_s:
+        self._advance(_DEAD)
+        if self._live():
             self.emit(EventKind.RESET_ISSUED, {"stage": "rearmed"},
                       SystemMode.KEY_DISTRIBUTION)
 

@@ -47,7 +47,7 @@ _MAX_GRID = 2**17
 
 #: A run's stages, its key windows included, start only while the time is
 #: below ``duration_s`` less this slack (s), which absorbs the rounding of
-#: summed window and dead times.
+#: decimal durations, not exact in binary.
 START_SLACK_S = 1e-9
 
 
@@ -301,22 +301,18 @@ def run_session(duration_s: float, seed: int, source: SourceModel,
     """Run a key session on the undisturbed loop and return its per-window
     records, one for each of the :func:`window_count` windows.
 
-    Each window starts where the last one ended, a running sum of
-    ``window_s`` like the clock of the integrated workflow, so a run
-    without breaches stamps the same start times under both.
+    Window ``k`` starts at ``k * window_s``, as in the integrated workflow,
+    so a run without breaches stamps the same start times under both.
     Deterministic for a given seed and configuration.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     dt = settings.window_s
     rng = np.random.default_rng(seed)
-    records, t = [], 0.0
-    for _ in range(window_count(duration_s, dt)):
-        records.append(simulate_window(rng, settings.pulses_per_window, t, dt,
-                                       source, channel, detector, packet,
-                                       settings.phase_noise_rad)[0])
-        t += dt
-    return records
+    return [simulate_window(rng, settings.pulses_per_window, k * dt, dt,
+                            source, channel, detector, packet,
+                            settings.phase_noise_rad)[0]
+            for k in range(window_count(duration_s, dt))]
 
 
 def window_count(duration_s: float, window_s: float) -> int:

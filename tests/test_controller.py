@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,45 @@ class TestImpactReach:
         n = qkd._OFFSET_SAMPLES
         times = 1.0 + (np.arange(n) + 0.5) * (1.0 / n)
         assert np.max(np.abs(offsets[0](times))) > 1.0
+
+
+class TestClock:
+    """The workflow time is the correctly rounded sum of each stage kind's
+    count times its duration, with no rounding carried from stage to
+    stage."""
+
+    def test_quiet_windows_start_at_multiples_of_the_window(self):
+        script = base_script(duration=2.0, window_s=0.1)
+        script = replace(script, qkd=replace(script.qkd, qber_threshold=0.5))
+        result = run_scenario(script)
+        starts = [k * 0.1 for k in range(20)]
+        assert [r.window_start_s for r in result.key_records] == starts
+        session = qkd.run_session(2.0, 7, script.source, script.channel,
+                                  script.detector, script.packet, script.qkd)
+        assert [r.window_start_s for r in session] == starts
+
+    def test_stamps_after_breaches_are_sums_of_stage_counts(self):
+        # Every window with an error breaches and every sense grades minor,
+        # so the run cycles through key window, dead time, sense window and
+        # dead time, of 0.1, 0.3 and 0.05 s.
+        script = base_script(duration=6.0, window_s=0.1, dead_time_s=0.3)
+        script = replace(
+            script, qkd=replace(script.qkd, qber_threshold=1e-9),
+            perception=replace(script.perception,
+                               significance_threshold=1e300))
+        result = run_scenario(script)
+        keys = senses = deads = 0
+        for rec in result.log:
+            if rec.kind is EventKind.QBER_WINDOW:
+                keys += 1
+            elif rec.kind is EventKind.DISTURBANCE_MINOR:
+                senses += 1
+            assert rec.time_s == math.fsum((keys * 0.1, senses * 0.05,
+                                            deads * 0.3))
+            if rec.kind in (EventKind.BREACH_DETECTED,
+                            EventKind.DISTURBANCE_MINOR):
+                deads += 1
+        assert senses >= 5
 
 
 def localized_after(result, t):
