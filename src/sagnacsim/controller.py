@@ -136,7 +136,7 @@ def _active_pressure_delay(events, t: float) -> float:
     return total
 
 
-#: Stage kinds of a run, indices into ``_ScenarioRunner.stages``.
+#: Stage kinds of a run: key window, sense or acquire window and dead time.
 _KEY, _SENSE, _DEAD = range(3)
 
 
@@ -145,8 +145,7 @@ class _ScenarioRunner:
         self.script = script
         self.rng = np.random.default_rng(script.seed)
         self.mode = SystemMode.KEY_DISTRIBUTION
-        # The run's stage kinds: key window, sense or acquire window and
-        # dead time; the time is set from their counts by _advance.
+        # Duration and count of each stage kind; see _advance.
         self.durations = (script.qkd.window_s,
                           script.perception.sense_duration_s,
                           script.perception.switch_dead_time_s)
