@@ -204,12 +204,13 @@ class _ScenarioRunner:
         t0, dt = self.t, script.qkd.window_s
         active = perception.events_reaching(script.events, t0, t0 + dt,
                                             script.channel)
-        offset = functools.partial(perception.loop_phase, events=active,
-                                   channel=script.channel) if active else None
+        means = functools.partial(
+            perception.window_phase_means, active, script.channel, t0, dt,
+            script.qkd.pulses_per_window) if active else None
         record, _ = qkd.simulate_window(
-            self.rng, script.qkd.pulses_per_window, t0, dt,
-            script.source, script.channel, script.detector, script.packet,
-            script.qkd.phase_noise_rad, offset)
+            self.rng, script.qkd.pulses_per_window, t0, script.source,
+            script.channel, script.detector, script.packet,
+            script.qkd.phase_noise_rad, means)
         self.key_records.append(record)
         self._advance(_KEY)
         self.emit(EventKind.QBER_WINDOW, {

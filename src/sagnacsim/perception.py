@@ -10,7 +10,8 @@ the position.  Quasi-static disturbances cancel between the directions and
 leave no trace here by construction.
 
 Key windows, sensing traces and acquisitions all read the one phase of
-all events, :func:`loop_phase`.  The controller and the CLI share three
+all events, :func:`loop_phase`; a key window takes its means over the
+window, :func:`window_phase_means`.  The controller and the CLI share three
 steps: :func:`sense` grades the loop, :func:`acquire` records it and
 :func:`locate` turns a record into a position.
 """
@@ -67,6 +68,14 @@ _WELCH_MIN_SEGMENT = 64
 
 #: Most samples a sensing or acquisition trace may hold: 21 s at 200 kHz.
 MAX_TRACE_SAMPLES = 2**22
+
+#: Most loop-phase samples a key window averages, and most Bessel nodes
+#: per harmonic of its closed-form means.
+_PHASE_SAMPLES = 2**16
+
+#: Most array elements per FFT of the closed-form means, unless one
+#: harmonic needs more nodes.
+_BESSEL_BLOCK = 2**14
 
 
 def _sample_count(duration_s: float, sample_rate_hz: float) -> int:
@@ -310,6 +319,115 @@ def events_reaching(events: Sequence[DisturbanceEvent], t0: float, t1: float,
                 and t0 <= ev.start_s + above + max(0.0, lag)):
             out.append(ev)
     return tuple(out)
+
+
+def _bessel_nodes(z_max: float) -> int:
+    """Nodes for :func:`_jacobi_anger` to give every coefficient for
+    ``|z| <= z_max`` to rounding: a power of two above twice
+    ``z_max + 13 z_max**(1/3) + 16``, past which ``J_m(z)`` has fallen
+    below about 1e-18."""
+    return 1 << int(2.0 * (z_max + 13.0 * z_max ** (1.0 / 3.0) + 16.0)
+                    ).bit_length()
+
+
+def _jacobi_anger(z: np.ndarray, n_nodes: int) -> np.ndarray:
+    """``i**m J_m(z)`` for each ``z``, ``m`` along the last axis in FFT
+    order (index ``j`` is ``m = j`` below ``n_nodes / 2``, else
+    ``j - n_nodes``).
+
+    These are the coefficients of ``exp(i z cos t) = sum_m i**m J_m(z)
+    exp(i m t)`` (Jacobi–Anger, Abramowitz & Stegun 9.1.42–45), from one
+    FFT of ``exp(i z cos t)`` at ``n_nodes`` equally spaced ``t``; exact
+    but for the orders ``|m| >= n_nodes / 2`` that fold onto them.
+    """
+    t = (2.0 * math.pi / n_nodes) * np.arange(n_nodes)
+    return np.fft.fft(np.exp(1j * np.multiply.outer(z, np.cos(t))),
+                      axis=-1) / n_nodes
+
+
+def _drive_pieces(event: DisturbanceEvent, channel: LoopChannel, t0: float,
+                  window_s: float) -> list[tuple[float, float, float, float]]:
+    """The parts of ``[t0, t0 + window_s)`` where a drive's net phase is a
+    nonzero ``A cos(theta)``, ``theta`` linear in time, each as (share of
+    the window, ``A``, ``theta`` at its middle, the span of ``theta``).
+
+    From the onset ``s`` one copy runs alone until the other starts at
+    ``s + lag`` (for a negative lag the late copy starts first, at
+    ``s + lag``); after that the net phase is ``B cos(omega (t - s) -
+    omega lag / 2)`` with ``B = 2 peak sin(omega lag / 2)``.  Before both
+    it is 0.
+    """
+    params, s = event.params, event.start_s
+    omega, peak = params.angular_frequency_rad_s, params.peak_phase_rad
+    lag = _delay_lag_s(event, channel)
+    both = s + max(0.0, lag)
+    # (from, to, A, theta - omega (t - s))
+    spans = ((s + min(0.0, lag), both, peak,
+              -0.5 * math.pi if lag > 0.0 else 0.5 * math.pi - omega * lag),
+             (both, math.inf, 2.0 * peak * math.sin(0.5 * omega * lag),
+              -0.5 * omega * lag))
+    pieces = []
+    for lo, hi, amplitude, phase in spans:
+        lo, hi = max(lo, t0), min(hi, t0 + window_s)
+        if hi > lo and amplitude != 0.0:
+            pieces.append(((hi - lo) / window_s, amplitude,
+                           omega * (0.5 * (lo + hi) - s) + phase,
+                           omega * (hi - lo)))
+    return pieces
+
+
+def _drive_means(pieces: list[tuple[float, float, float, float]],
+                 n: int) -> np.ndarray:
+    """Window means of ``exp(1j k A cos(theta))``, k = 1 .. n, over
+    :func:`_drive_pieces`, 1 elsewhere in the window: each piece adds its
+    share of ``sum_m i**m J_m(k A)`` times its mean of ``exp(i m theta)``,
+    a ``sinc`` of its span.  One FFT takes whole harmonics, at least one,
+    of at most ``_BESSEL_BLOCK`` Bessel nodes in all."""
+    means = np.ones(n, dtype=complex)
+    k = np.arange(1, n + 1)
+    for share, amplitude, theta, span in pieces:
+        nodes = _bessel_nodes(n * abs(amplitude))
+        m = np.fft.fftfreq(nodes, 1.0 / nodes)
+        piece = np.exp(1j * m * theta) * np.sinc(m * span / (2.0 * math.pi))
+        rows = max(1, _BESSEL_BLOCK // nodes)
+        for lo in range(0, n, rows):
+            bessel = _jacobi_anger(amplitude * k[lo:lo + rows], nodes)
+            means[lo:lo + rows] += share * (bessel @ piece - 1.0)
+    return means
+
+
+def window_phase_means(events: Sequence[DisturbanceEvent],
+                       channel: LoopChannel, t0: float, window_s: float,
+                       n_pulses: int, n: int) -> np.ndarray:
+    """Mean of ``exp(1j k loop_phase(t))`` over the key window
+    ``[t0, t0 + window_s)`` for k = 1 .. n.
+
+    A window that only one drive reaches takes the means in closed form
+    (:func:`_drive_means`), unless its ``n A`` needs more than
+    ``_PHASE_SAMPLES`` Bessel nodes.  Any other window averages the phase
+    at ``min(n_pulses, _PHASE_SAMPLES)`` equally spaced midpoints, the
+    pulse times when there are no more pulses than that.
+    """
+    if len(events) == 1 and isinstance(events[0].params, PztParams):
+        pieces = _drive_pieces(events[0], channel, t0, window_s)
+        if all(_bessel_nodes(n * abs(amplitude)) <= _PHASE_SAMPLES
+               for _, amplitude, _, _ in pieces):
+            return _drive_means(pieces, n)
+    samples = min(n_pulses, _PHASE_SAMPLES)
+    return _harmonic_means(loop_phase(
+        t0 + (np.arange(samples) + 0.5) * (window_s / samples), events,
+        channel), n)
+
+
+def _harmonic_means(phases: np.ndarray, n: int) -> np.ndarray:
+    """``mean(exp(1j * k * phases))`` for k = 1 .. n."""
+    step = np.exp(1j * phases)
+    power = step.copy()
+    means = np.empty(n, dtype=complex)
+    for k in range(n):
+        means[k] = power.mean()
+        power *= step
+    return means
 
 
 def focus(events: Sequence[DisturbanceEvent],

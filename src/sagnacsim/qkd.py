@@ -7,7 +7,9 @@ basis phase, 0 or pi/2.  One click model, :func:`_click_model`, with the
 analyzer parked at the bright working point, splits the detected rate
 between the two ports after source attenuation, detector efficiency and
 dark counts.  :func:`simulate_window` accounts sifted bits and errors at
-count level, at a cost independent of ``pulses_per_window``.  A window's
+count level, at a cost independent of ``pulses_per_window``; a
+disturbance's phase offset enters as its window means of
+``exp(1j k offset)``, one per harmonic of the click model.  A window's
 pulses stand in for a full second of 100 MHz operation; rates extrapolate
 as ``sifted_bits / pulses_sent * repetition_rate``.
 """
@@ -35,9 +37,6 @@ CALIBRATED_DARK_PROB = 1e-6
 #: with the dark counts above, reproduces the 4.76 % operating error rate.
 CALIBRATED_PHASE_NOISE_RAD = 0.43723
 
-#: Most times per window at which a time-varying phase offset is sampled.
-_OFFSET_SAMPLES = 2**16
-
 #: Damped Fourier harmonics of the outcome probabilities smaller than this
 #: are dropped; the outcomes of a round sum to 1, so it is also relative.
 _HARMONIC_CUTOFF = 1e-18
@@ -49,6 +48,9 @@ _MAX_GRID = 2**17
 #: below ``duration_s`` less this slack (s), which absorbs the rounding of
 #: decimal durations, not exact in binary.
 START_SLACK_S = 1e-9
+
+#: ``offset_means(n)``: a window's means of ``exp(1j k offset)``, k = 1 .. n.
+OffsetMeans = Callable[[int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -140,37 +142,27 @@ def _grid_size(lam: float) -> int:
     return min(_MAX_GRID, 1 << (2 * harmonics + 1).bit_length())
 
 
-def _harmonic_means(offsets: np.ndarray, n: int) -> np.ndarray:
-    """``mean(exp(1j * k * offsets))`` for k = 1 .. n."""
-    step = np.exp(1j * offsets)
-    power = step.copy()
-    means = np.empty(n, dtype=complex)
-    for k in range(n):
-        means[k] = power.mean()
-        power *= step
-    return means
-
-
 def _outcome_probabilities(delta, lam: float, dark: float,
                            phase_noise_rad: float = 0.0,
-                           offsets: Optional[np.ndarray] = None,
+                           offset_means: Optional[OffsetMeans] = None,
                            ) -> np.ndarray:
     """:func:`_outcome_table` at base phases ``delta``, averaged over
-    Gaussian phase noise of std ``phase_noise_rad`` and over the phase
-    offsets ``offsets`` (equally weighted samples of a time-varying offset).
+    Gaussian phase noise of std ``phase_noise_rad`` and over a time-varying
+    offset, whose means of ``exp(1j k offset)`` for k = 1 .. n
+    ``offset_means(n)`` returns.
 
     The table is a smooth 2 pi-periodic function of the total phase, so its
     Fourier harmonic k is multiplied by ``exp(-k^2 sigma^2 / 2)`` under the
-    noise and by the offsets' mean of ``exp(1j k offset)``; harmonics whose
+    noise and by the offset's mean of ``exp(1j k offset)``; harmonics whose
     damped size falls below ``_HARMONIC_CUTOFF`` are dropped.  This is exact
     to that cutoff unless a port's click probability is clipped at 1, which
     takes ``lam`` above about ``ln(1 / dark)``, or the grid would exceed
-    ``_MAX_GRID``.  Without noise or offsets the table is evaluated
+    ``_MAX_GRID``.  Without noise or offset the table is evaluated
     directly, so an outcome that is impossible at a phase keeps probability
     exactly 0.
     """
     delta = np.asarray(delta, dtype=float)
-    if phase_noise_rad == 0.0 and offsets is None:
+    if phase_noise_rad == 0.0 and offset_means is None:
         return _outcome_table(delta, lam, dark)
     n_grid = _grid_size(lam)
     grid = (2.0 * math.pi / n_grid) * np.arange(n_grid)
@@ -181,9 +173,8 @@ def _outcome_probabilities(delta, lam: float, dark: float,
         np.abs(coeffs[k]).max(axis=1) * weights > _HARMONIC_CUTOFF)
     n_harmonics = int(kept[-1]) + 1 if kept.size else 0
     k, weights = k[:n_harmonics], weights[:n_harmonics].astype(complex)
-    if offsets is not None:
-        weights *= _harmonic_means(np.asarray(offsets, dtype=float),
-                                   n_harmonics)
+    if offset_means is not None:
+        weights *= offset_means(n_harmonics)
     shifts = np.exp(1j * np.multiply.outer(delta, k)) * weights
     probs = coeffs[0].real + 2.0 * (shifts @ coeffs[1:n_harmonics + 1]).real
     probs = np.maximum(probs, 0.0)
@@ -210,12 +201,12 @@ def _base_phase(alice_basis, alice_bit, bob_basis):
 
 
 def _class_probabilities(lam: float, dark: float, phase_noise_rad: float,
-                         offsets: Optional[np.ndarray]) -> np.ndarray:
+                         offset_means: Optional[OffsetMeans]) -> np.ndarray:
     """Probabilities of the 32 outcome classes of a round: the 8 equally
     likely choices times their 4 click outcomes, flattened choice-major."""
     probs = _outcome_probabilities(
         _base_phase(_ALICE_BASIS, _ALICE_BIT, _BOB_BASIS), lam, dark,
-        phase_noise_rad, offsets)
+        phase_noise_rad, offset_means)
     return probs.ravel() / probs.shape[0]
 
 
@@ -230,26 +221,25 @@ def _steady_class_probabilities(lam: float, dark: float,
     return probs
 
 
-def _count_window(rng: np.random.Generator, n_pulses: int,
-                  window_start_s: float, window_s: float, lam: float,
+def _count_window(rng: np.random.Generator, n_pulses: int, lam: float,
                   dark: float, phase_noise_rad: float,
-                  gpd_offset_fn) -> tuple[int, int, int, int]:
+                  offset_means: Optional[OffsetMeans],
+                  ) -> tuple[int, int, int, int]:
     """Window totals from one multinomial draw over the 32 outcome classes.
 
-    A time-varying offset is sampled at ``min(n_pulses, _OFFSET_SAMPLES)``
-    equally spaced window midpoints (the pulse times when there are no more
-    pulses than that), and the class probabilities are averaged over them.
-    The rounds are then not identically distributed, and the variance of
-    the one multinomial differs from that of the per-round sum by a relative
-    amount of the order of the largest per-round click probability (about
-    5e-4 at the defaults).
+    A time-varying offset enters through its window means
+    (``offset_means``), so the class probabilities are those of a round at
+    a time drawn uniformly from the window.  The rounds are then not
+    identically distributed, and the variance of the one multinomial
+    differs from that of the per-round sum by a relative amount of the
+    order of the largest per-round click probability (about 5e-4 at the
+    defaults).
     """
-    if gpd_offset_fn is None:
+    if offset_means is None:
         probs = _steady_class_probabilities(lam, dark, phase_noise_rad)
     else:
-        n = min(n_pulses, _OFFSET_SAMPLES)
-        probs = _class_probabilities(lam, dark, phase_noise_rad, gpd_offset_fn(
-            window_start_s + (np.arange(n) + 0.5) * (window_s / n)))
+        probs = _class_probabilities(lam, dark, phase_noise_rad,
+                                     offset_means)
     counts = rng.multinomial(n_pulses, probs).reshape(-1, 4)
     # Sifted rounds are single clicks on matched bases; the transmitted
     # port (column 1) reads bit 1 and the reflected port (column 2) bit 0.
@@ -260,26 +250,25 @@ def _count_window(rng: np.random.Generator, n_pulses: int,
 
 
 def simulate_window(rng: np.random.Generator, n_pulses: int,
-                    window_start_s: float, window_s: float,
-                    source: SourceModel, channel: LoopChannel,
-                    detector: DetectorModel,
+                    window_start_s: float, source: SourceModel,
+                    channel: LoopChannel, detector: DetectorModel,
                     packet: SpectralPacket | None = None,
                     phase_noise_rad: float = 0.0,
-                    gpd_offset_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                    offset_means: Optional[OffsetMeans] = None,
                     ) -> tuple[SiftedKeyRecord, None]:
     """Simulate one accounting window of BB84 rounds.
 
-    Rounds are spread uniformly over the window so that a time-varying
-    global-phase offset (a dynamic disturbance) is sampled across its
-    waveform.  Double clicks are discarded; a window with zero sifted bits
-    reports its error rate as absent rather than zero.  The totals come
-    from one multinomial draw (:func:`_count_window`).  Returns
-    ``(record, None)`` for the callers that unpack a pair.
+    A time-varying global-phase offset (a dynamic disturbance) enters as
+    its means over the window, ``offset_means(n)`` for harmonics 1 .. n.
+    Double clicks are discarded; a window with zero sifted bits reports
+    its error rate as absent rather than zero.  The totals come from one
+    multinomial draw (:func:`_count_window`).  Returns ``(record, None)``
+    for the callers that unpack a pair.
     """
     lam = _signal_rate(source, channel, detector) * _spectral_gain(channel, packet)
     clicks_r, clicks_t, sifted, errors = _count_window(
-        rng, n_pulses, window_start_s, window_s, lam,
-        detector.dark_count_prob_per_gate, phase_noise_rad, gpd_offset_fn)
+        rng, n_pulses, lam, detector.dark_count_prob_per_gate,
+        phase_noise_rad, offset_means)
     record = SiftedKeyRecord(
         window_start_s=window_start_s,
         pulses_sent=n_pulses,
@@ -309,7 +298,7 @@ def run_session(duration_s: float, seed: int, source: SourceModel,
         raise ValueError("duration_s must be positive")
     dt = settings.window_s
     rng = np.random.default_rng(seed)
-    return [simulate_window(rng, settings.pulses_per_window, k * dt, dt,
+    return [simulate_window(rng, settings.pulses_per_window, k * dt,
                             source, channel, detector, packet,
                             settings.phase_noise_rad)[0]
             for k in range(window_count(duration_s, dt))]

@@ -5,7 +5,9 @@ oracle integrates the spectral density numerically, and the Taylor bound
 evaluates position differences directly.  The swept-sine oracle is the
 point-by-point definition, with its own tone projection, that the block
 evaluation must equal to rounding.  The per-round key oracle draws every
-BB84 round that the count-level engine summarizes in one multinomial draw.
+BB84 round that the count-level engine summarizes in one multinomial draw,
+and the sampled window mean of the loop phase's harmonics is the reference
+for the closed-form means of a key window under a drive.
 The WM null angle and delay inversion are found by bracketed root finding
 where the library takes closed forms, and the small-angle contrast ratio
 is the approximation the exact one is compared against.  The trace
@@ -321,3 +323,21 @@ def per_round_window(rng, n_pulses, window_start_s, window_s, source,
         raw_rate_bps=sifted / n_pulses * detector.repetition_rate_hz,
     )
     return record, log
+
+
+def sampled_phase_means(events, channel, t0, window_s, n_samples, n,
+                        chunk=2**18):
+    """Mean of ``exp(1j k loop_phase(t))`` for k = 1 .. n over
+    ``n_samples`` equally spaced midpoints of ``[t0, t0 + window_s)``,
+    the key engine's rule where no closed form applies, summed over
+    chunks of ``chunk`` samples."""
+    total = np.zeros(n, dtype=complex)
+    for lo in range(0, n_samples, chunk):
+        t = t0 + (np.arange(lo, min(lo + chunk, n_samples)) + 0.5) \
+            * (window_s / n_samples)
+        step = np.exp(1j * perception.loop_phase(t, events, channel))
+        power = step.copy()
+        for k in range(n):
+            total[k] += power.sum()
+            power *= step
+    return total / n_samples

@@ -435,6 +435,17 @@ class TestRealPulseCounts:
         assert summary["windows"] == 1
         assert summary["pulses_sent"] == 10**14
 
+    def test_bright_noiseless_drive_windows_finish(self, tmp_path):
+        # 1e4 photons a pulse and no phase noise keep about 270 harmonics
+        # of the click model, each with its own Bessel coefficients.
+        cfg = write_json(tmp_path / "bright.json", {
+            "duration_s": 5, "seed": 1,
+            "source": {"mean_photon_number": 1e4},
+            "channel": {"loss_db": 0}, "qkd": {"phase_noise_rad": 0},
+            "disturbances": [_README_PZT]})
+        assert run_cli("integrated", "--config", cfg, "--out-dir",
+                       str(tmp_path / "out"), "--quiet") == 0
+
     def test_pulse_count_beyond_64_bits_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "huge.json",
                          {"qkd": {"pulses_per_window": 2**63}})

@@ -287,13 +287,20 @@ class TestImpactReach:
             return simulate(*args)
 
         monkeypatch.setattr(qkd, "simulate_window", recording)
-        runner = _ScenarioRunner(base_script(events=[impact_at(100.0,
-                                                               0.9999)]))
+        impact = impact_at(100.0, 0.9999)
+        runner = _ScenarioRunner(base_script(events=[impact]))
         runner.t = 1.0
         runner._key_window()
-        n = qkd._OFFSET_SAMPLES
+        # The window's means are taken over the impact, at the phase
+        # samples of the window [1, 2).
+        assert offsets[0].func is perception.window_phase_means
+        events, chan, t0, window_s, _ = offsets[0].args
+        assert events == (impact,) and (t0, window_s) == (1.0, 1.0)
+        n = perception._PHASE_SAMPLES
         times = 1.0 + (np.arange(n) + 0.5) * (1.0 / n)
-        assert np.max(np.abs(offsets[0](times))) > 1.0
+        assert np.max(np.abs(perception.loop_phase(times, events,
+                                                   chan))) > 1.0
+        assert np.all(offsets[0](3) != 1.0)
 
 
 class TestClock:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import welch
+from scipy.special import jv
 from scipy.stats import ks_2samp
 
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
@@ -24,12 +25,13 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   loop_phase,
                                   measure_tone_amplitude,
                                   nonreciprocal_phase, resolution, sense,
-                                  significance, synthesize_trace)
+                                  significance, synthesize_trace,
+                                  window_phase_means)
 
 from oracles import (ac_power_at, first_order_span,
                      per_candidate_trace_nulls, point_by_point_sweep,
-                     position_from_null, tone_amplitude,
-                     two_sided_position_span)
+                     position_from_null, sampled_phase_means,
+                     tone_amplitude, two_sided_position_span)
 
 L = 30000.0
 N_FIBER = 1.468
@@ -85,6 +87,74 @@ class TestLoopPhase:
         expected = wave(t) - wave(t - lag)
         assert nonreciprocal_phase(t, ev, channel()) == pytest.approx(
             expected, rel=1e-12)
+
+
+def drive(position_m=5000.0, start_s=3.0, f_hz=3000.0, peak_rad=0.6):
+    """The README drive, 0.6 rad at 3 kHz from 3 s, by default."""
+    return DisturbanceEvent(
+        PztParams(drive_amplitude_v=1.0,
+                  angular_frequency_rad_s=2 * math.pi * f_hz,
+                  phase_gain_rad_per_v=peak_rad),
+        position_m=position_m, start_s=start_s)
+
+
+class TestWindowPhaseMeans:
+    """A drive window's closed-form means of ``exp(i k phase)`` against
+    the midpoint average of the sampled loop phase."""
+
+    K = 25
+    SAMPLES = 2**22
+
+    @pytest.mark.parametrize("event, t0, window_s", [
+        (drive(), 4.0, 1.0),
+        (drive(start_s=3.3, f_hz=2937.3), 3.0, 1.0),
+        (drive(position_m=25000.0, start_s=3.3, f_hz=2937.3), 3.0, 1.0),
+        (drive(start_s=3.99995), 3.0, 1.0),
+        (drive(position_m=25000.0, start_s=4.00005), 3.0, 1.0),
+        (drive(position_m=15000.0), 4.0, 1.0),
+        (drive(start_s=3.03), 3.0, 0.1),
+        (drive(start_s=3.3), 3.0, 3.7),
+        (drive(start_s=3.3, peak_rad=3.0), 3.0, 1.0),
+    ], ids=["after-onset", "onset-5km", "onset-25km", "ends-one-copy-5km",
+            "ends-one-copy-25km", "midpoint", "window-0.1s", "window-3.7s",
+            "peak-3rad"])
+    def test_closed_form_matches_the_sampled_oracle(self, event, t0,
+                                                    window_s):
+        # The midpoint rule is off by h**2 / 24 times the jumps of the
+        # derivative of exp(i k phase) at the window ends and at the two
+        # kinks of the onset, at most 6 k omega peak in all, so the oracle
+        # mean is within k omega peak T / (4 N**2) of the exact one.
+        got = window_phase_means((event,), channel(), t0, window_s,
+                                 200_000, self.K)
+        want = sampled_phase_means((event,), channel(), t0, window_s,
+                                   self.SAMPLES, self.K)
+        params = event.params
+        bound = 1e-11 + np.arange(1, self.K + 1) \
+            * params.angular_frequency_rad_s * params.peak_phase_rad \
+            * window_s / (4.0 * self.SAMPLES**2)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_midpoint_means_are_exactly_one(self):
+        got = window_phase_means((drive(position_m=L / 2),), channel(),
+                                 4.0, 1.0, 200_000, self.K)
+        np.testing.assert_array_equal(got, np.ones(self.K))
+
+    def test_drive_too_strong_for_the_nodes_is_sampled(self):
+        # 25 harmonics of a 3 kRad drive need more than 2**16 nodes.
+        event = drive(peak_rad=3000.0)
+        got = window_phase_means((event,), channel(), 4.0, 1.0, 200_000,
+                                 self.K)
+        np.testing.assert_allclose(
+            got, sampled_phase_means((event,), channel(), 4.0, 1.0, 2**16,
+                                     self.K), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 7.3, 60.0, 1000.0])
+    def test_jacobi_anger_coefficients_are_bessel_values(self, z):
+        nodes = perception._bessel_nodes(z)
+        m = np.fft.fftfreq(nodes, 1.0 / nodes)
+        np.testing.assert_allclose(
+            perception._jacobi_anger(np.array([z]), nodes)[0],
+            1j ** m * jv(m, z), rtol=0.0, atol=1e-13)
 
 
 class TestSynthesizeTrace:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import asdict, replace
@@ -17,7 +18,7 @@ from sagnacsim.qkd import (DetectorModel, QkdSettings, SiftedKeyRecord,
                            qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
-from oracles import per_round_window
+from oracles import per_round_window, sampled_phase_means
 
 SOURCE = SourceModel()
 
@@ -306,39 +307,51 @@ _ENGINE_WINDOWS = {
 }
 
 
-class _Offset:
-    """The controller's summed nonreciprocal phase; records every call."""
+def _script(raw):
+    return parse_config_dict({"duration_s": 20.0, **raw}).scenario
 
-    def __init__(self, script):
-        self.script = script
-        self.calls = []
 
-    def __call__(self, times):
-        self.calls.append(np.array(times))
-        return self.phase(times)
-
-    def phase(self, times):
-        return sum(perception.nonreciprocal_phase(times, ev,
-                                                  self.script.channel)
-                   for ev in self.script.events)
+def _means(script, t0, n_pulses):
+    """The controller's means of the 1 s key window from ``t0``."""
+    return functools.partial(perception.window_phase_means, script.events,
+                             script.channel, t0, 1.0, n_pulses)
 
 
 def _window(raw, t0, rng, n_pulses, per_round=False):
-    script = parse_config_dict({"duration_s": 20.0, **raw}).scenario
-    offset = _Offset(script) if script.events else None
-    record, log = (per_round_window if per_round else simulate_window)(
-        rng, n_pulses, t0, 1.0, script.source, script.channel,
-        script.detector, script.packet, script.qkd.phase_noise_rad, offset)
-    return record, log, script, offset
+    """One 1 s window from ``t0``: its record, the per-round oracle's log
+    of the rounds (``None`` from the engine) and the script."""
+    script = _script(raw)
+    if per_round:
+        # The oracle reads the loop phase at each pulse time.
+        phase = functools.partial(perception.loop_phase,
+                                  events=script.events,
+                                  channel=script.channel)
+        record, log = per_round_window(
+            rng, n_pulses, t0, 1.0, script.source, script.channel,
+            script.detector, script.packet, script.qkd.phase_noise_rad,
+            phase if script.events else None)
+        return record, log, script
+    record, _ = simulate_window(
+        rng, n_pulses, t0, script.source, script.channel, script.detector,
+        script.packet, script.qkd.phase_noise_rad,
+        _means(script, t0, n_pulses) if script.events else None)
+    return record, None, script
 
 
-def _class_probabilities(script, offsets):
+def _class_probabilities(script, offset_means):
     lam = qkd._signal_rate(script.source, script.channel, script.detector) \
         * qkd._spectral_gain(script.channel, script.packet)
     return qkd._outcome_probabilities(
         qkd._base_phase(qkd._ALICE_BASIS, qkd._ALICE_BIT, qkd._BOB_BASIS),
         lam, script.detector.dark_count_prob_per_gate,
-        script.qkd.phase_noise_rad, offsets).ravel() / 8.0
+        script.qkd.phase_noise_rad, offset_means).ravel() / 8.0
+
+
+def _sampled(script, t0, n_samples):
+    """The oracle's means of the 1 s window from ``t0`` at ``n_samples``
+    midpoints, as ``offset_means``."""
+    return functools.partial(sampled_phase_means, script.events,
+                             script.channel, t0, 1.0, n_samples)
 
 
 class TestCountEngine:
@@ -351,19 +364,18 @@ class TestCountEngine:
         rounds = [_window(raw, t0, rng, self.N, per_round=True)
                   for _ in range(8)]
         counted = [_window(raw, t0, rng, self.N)[0] for _ in range(50)]
-        script, offset = rounds[0][2], rounds[0][3]
+        script = rounds[0][2]
 
         # Chi-square of the per-round outcome classes against the class
         # probabilities, averaged over every pulse's offset.
         classes = np.zeros(32, dtype=np.int64)
-        for _, log, _, _ in rounds:
+        for _, log, _ in rounds:
             index = 4 * (4 * log.alice_basis.astype(int)
                          + 2 * log.alice_bit + log.bob_basis) \
                 + 2 * log.click_reflected + log.click_transmitted
             classes += np.bincount(index, minlength=32)
-        pulse_times = t0 + (np.arange(self.N) + 0.5) / self.N
         expected = classes.sum() * _class_probabilities(
-            script, offset.phase(pulse_times) if offset else None)
+            script, _sampled(script, t0, self.N) if script.events else None)
         # Classes expected fewer than 5 times share the commonest one's bin.
         merged = expected < 5.0
         merged[np.argmax(expected)] = True
@@ -383,30 +395,61 @@ class TestCountEngine:
             assert abs(a / n_a - b / n_b) <= 4.0 * sd, field
 
     @pytest.mark.parametrize("name", list(_OFFSET_WINDOWS))
-    def test_capped_offset_samples_match_every_pulse(self, name):
+    def test_window_means_match_every_pulse(self, name):
         raw, t0 = _OFFSET_WINDOWS[name]
-        _, _, script, offset = _window(raw, t0, np.random.default_rng(1),
-                                       self.N)
-        every_pulse = t0 + (np.arange(self.N) + 0.5) / self.N
-        assert offset.calls[0].size == 2**16
+        script = _script(raw)
         np.testing.assert_allclose(
-            _class_probabilities(script, offset.phase(offset.calls[0])),
-            _class_probabilities(script, offset.phase(every_pulse)),
+            _class_probabilities(script, _means(script, t0, self.N)),
+            _class_probabilities(script, _sampled(script, t0, self.N)),
             rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("n_pulses", [1000, 2**16, 10**7, 10**14])
-    def test_offset_sampled_at_most_2_16_times(self, n_pulses):
+    def test_drive_window_never_samples_the_phase(self, n_pulses,
+                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(perception, "nonreciprocal_phase",
+                            lambda *args: calls.append(args))
         raw, t0 = _OFFSET_WINDOWS["readme-pzt"]
-        record, _, _, offset = _window(raw, t0, np.random.default_rng(2),
-                                       n_pulses)
+        record, *_ = _window(raw, t0, np.random.default_rng(2), n_pulses)
         assert record.pulses_sent == n_pulses
-        assert len(offset.calls) == 1
-        assert offset.calls[0].size == min(n_pulses, 2**16)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_pulses", [1000, 2**16, 10**7, 10**14])
+    def test_impact_window_samples_at_most_2_16_times(self, n_pulses,
+                                                      monkeypatch):
+        calls = []
+        phase = perception.nonreciprocal_phase
+
+        def recording(t, *args):
+            calls.append(np.array(t))
+            return phase(t, *args)
+
+        monkeypatch.setattr(perception, "nonreciprocal_phase", recording)
+        raw, t0 = _OFFSET_WINDOWS["impact"]
+        record, *_ = _window(raw, t0, np.random.default_rng(2), n_pulses)
+        assert record.pulses_sent == n_pulses
+        assert len(calls) == 1
+        assert calls[0].size == min(n_pulses, 2**16)
         if n_pulses <= 2**16:
             # One sample per pulse, at the pulse times.
             np.testing.assert_array_equal(
-                offset.calls[0],
-                t0 + (np.arange(n_pulses) + 0.5) * (1.0 / n_pulses))
+                calls[0], t0 + (np.arange(n_pulses) + 0.5) * (1.0 / n_pulses))
+
+    @pytest.mark.parametrize("frequency_hz", [32768.0, 65536.0 / 3.0])
+    def test_fast_drive_is_not_aliased(self, frequency_hz):
+        # At 2**16 samples a second a 32768 Hz drive is sampled twice a
+        # period, and the sampled means miss by up to 1.25.  The oracle's
+        # midpoint rule at 2**22 points is off by at most
+        # (2/3) k omega peak / 2**44 (its derivative jumps at the window
+        # ends), about 2e-8 for the few harmonics kept at the defaults, and
+        # the class probabilities move by less than that relatively.
+        raw = {"disturbances": [{**_README_PZT,
+                                 "frequency_hz": frequency_hz}]}
+        script = _script(raw)
+        np.testing.assert_allclose(
+            _class_probabilities(script, _means(script, 4.0, self.N)),
+            _class_probabilities(script, _sampled(script, 4.0, 2**22)),
+            rtol=1e-7, atol=0.0)
 
     @pytest.mark.parametrize("lam, sigma", [
         (4.477e-4, 0.43723), (1.0, 0.43723), (1.0, 0.02), (10.0, 0.3)])

@@ -23,8 +23,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from sagnacsim.cli import main  # noqa: E402
 
 # The README PZT scenario, the same drive at 4000 m from 3.5 s with a second
-# one at 9000 m from 0 s, the impact of the CLI tests, and a standing weight
-# polled every 1.5 s with the default WM noise.
+# one at 9000 m from 0 s, the README drive at 32768 Hz (twice a period at
+# 2**16 samples a second), the impact of the CLI tests, and a standing
+# weight polled every 1.5 s with the default WM noise.
 PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
        "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
        "phase_gain_rad_per_v": 0.5}
@@ -40,6 +41,8 @@ CONFIGS = {
     "two_pzt": {"duration_s": 12.0, "seed": 7, "disturbances": [
         dict(PZT, position_m=4000.0, start_s=3.5),
         dict(PZT, position_m=9000.0, start_s=0.0)]},
+    "fast_pzt": {"duration_s": 8.0, "seed": 3,
+                 "disturbances": [dict(PZT, frequency_hz=32768.0)]},
     "impact": {"duration_s": 6.0, "seed": 5,
                "perception": {"noise_sigma": 0.0008,
                               "sense_duration_s": 0.0256},
@@ -55,6 +58,7 @@ RUNS = (
     ("integrated.defaults", "integrated", "defaults", []),
     ("integrated.pzt", "integrated", "pzt", []),
     ("integrated.two_pzt", "integrated", "two_pzt", []),
+    ("integrated.fast_pzt", "integrated", "fast_pzt", []),
     # Seed 4 is the smallest that breaches after the impact (a statistical
     # false alarm of the short key windows), so the run reaches the trace
     # localization.
