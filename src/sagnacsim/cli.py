@@ -108,8 +108,8 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
                            "in the config"])
     event, settings = script.events[0], script.perception
     if event.is_dynamic:
-        data = perception.acquire((event,), script.channel, settings,
-                                  script.seed, event.start_s)
+        data = perception.acquire(event, script.channel, settings,
+                                  script.seed)
         if isinstance(data, perception.FrequencySweep):
             write_columns(out / "amplitude_vs_frequency.csv",
                           ["frequency_hz", "amplitude_w"],

@@ -4,8 +4,9 @@ timeline.
 Key distribution runs until the windowed error rate breaches its threshold;
 the system then switches to perception, grades the disturbance, localizes a
 significant one, files the report and waits for a reset before resuming.
-Key windows and perception see the loop phase of every event, and a
-localization sweeps the running drive swept least recently.  Quasi-static
+Key windows and sensing see the loop phase of every event over the time
+they cover, and a localization sweeps the running drive swept least
+recently; with no drive running it fails.  Quasi-static
 loads never breach (they are reciprocal) and are instead picked up by a
 scheduled weak-measurement poll while keys keep flowing.
 """
@@ -22,8 +23,8 @@ from . import perception, qkd, wm
 from .disturbance import (DisturbanceEvent, PressureParams, PztParams,
                           pressure_delay)
 from .errors import (Checked, ConfigError, HarmonicAmbiguityError,
-                     InsufficientDataError, OutOfLoopError, bounded,
-                     positive)
+                     InsufficientDataError, OutOfLoopError,
+                     UndefinedResolutionError, bounded, positive)
 from .optics import LoopChannel, SpectralPacket
 from .perception import MAX_SEED, PerceptionSettings
 from .qkd import DetectorModel, QkdSettings, SourceModel
@@ -264,26 +265,26 @@ class _ScenarioRunner:
     def _localize(self) -> None:
         script = self.script
         cfg = script.perception
-        # The running drive swept least recently comes first: one never
-        # swept before all, ties in list order (the sort is stable).
-        events = sorted(script.events,
-                        key=lambda ev: self.swept_at.get(ev, -math.inf))
-        event = perception.focus(events, self.t)
-        if event is None:
+        # The running drive swept least recently: one never swept before
+        # all, ties in list order (min keeps the first).
+        drives = [ev for ev in script.events
+                  if isinstance(ev.params, PztParams) and ev.start_s <= self.t]
+        if not drives:
             self.emit(EventKind.LOCALIZATION_FAILED,
                       {"reason": "no dynamic disturbance is active"},
                       SystemMode.REPORTING)
             return
-        if isinstance(event.params, PztParams):
-            self.swept_at[event] = self.t
-        data = perception.acquire(events, script.channel, cfg,
-                                  int(self.rng.integers(0, MAX_SEED)), self.t,
+        event = min(drives, key=lambda ev: self.swept_at.get(ev, -math.inf))
+        self.swept_at[event] = self.t
+        data = perception.acquire(event, script.channel, cfg,
+                                  int(self.rng.integers(0, MAX_SEED)),
                                   responses=self.sweep_responses)
         self._advance(_SENSE)
         try:
             report = perception.locate(data, script.channel, cfg)
             reason = "no null frequency reached the depth threshold"
-        except (HarmonicAmbiguityError, OutOfLoopError) as exc:
+        except (HarmonicAmbiguityError, OutOfLoopError,
+                UndefinedResolutionError) as exc:
             report, reason = None, str(exc)
         if report is None:
             self.emit(EventKind.LOCALIZATION_FAILED, {"reason": reason},

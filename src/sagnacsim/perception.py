@@ -9,11 +9,11 @@ the interferometer response vanish at the null frequencies
 the position.  Quasi-static disturbances cancel between the directions and
 leave no trace here by construction.
 
-Key windows, sensing traces and acquisitions all read the one phase of
-all events, :func:`loop_phase`; a key window takes its means over the
-window, :func:`window_phase_means`.  The controller and the CLI share three
-steps: :func:`sense` grades the loop, :func:`acquire` records it and
-:func:`locate` turns a record into a position.
+Key windows and sensing traces read the one phase of all events,
+:func:`loop_phase`; a key window takes its means over the window,
+:func:`window_phase_means`.  The controller and the CLI share three steps:
+:func:`sense` grades the loop from a given time on, :func:`acquire` records
+one event and :func:`locate` turns a record into a position.
 """
 from __future__ import annotations
 
@@ -430,17 +430,6 @@ def _harmonic_means(phases: np.ndarray, n: int) -> np.ndarray:
     return means
 
 
-def focus(events: Sequence[DisturbanceEvent],
-          t: float) -> Optional[DisturbanceEvent]:
-    """What a recording at ``t`` centres on: the first drive of ``events``
-    running then, which :func:`acquire` sweeps, else the transient started
-    last (the first of equal onsets), whose onset the traces centre on."""
-    started = [ev for ev in events if ev.is_dynamic and ev.start_s <= t]
-    drives = [ev for ev in started if isinstance(ev.params, PztParams)]
-    return drives[0] if drives else max(started, key=lambda ev: ev.start_s,
-                                        default=None)
-
-
 def _required_bandwidth_hz(event: DisturbanceEvent) -> float:
     if isinstance(event.params, PztParams):
         return event.params.frequency_hz
@@ -733,21 +722,19 @@ def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,
     return l11 * g[:, 0] + 1j * (l21 * g[:, 0] + l22 * g[:, 1])
 
 
-def acquire(events: Sequence[DisturbanceEvent], channel: LoopChannel,
-            settings: PerceptionSettings, seed: Optional[int], at_s: float,
+def acquire(event: DisturbanceEvent, channel: LoopChannel,
+            settings: PerceptionSettings, seed: Optional[int],
             *, responses: Optional[dict] = None,
             ) -> Union[FrequencySweep, InterferenceTrace]:
-    """Record the loop at ``at_s`` for null-frequency localization.
+    """Record dynamic ``event`` alone for null-frequency localization.
 
-    A drive in :func:`focus` is swept alone over the scan grid, sharing the
-    noise-free responses of ``responses`` (see :func:`frequency_sweep`).  A
-    transient in focus is captured in one trace of all ``events``, of
-    :meth:`PerceptionSettings.trace_duration_s`, centred on its onset.
-    Both see the loop through :meth:`PerceptionSettings.sense_channel`.
+    A drive is swept over the scan grid, sharing the noise-free responses
+    of ``responses`` (see :func:`frequency_sweep`).  A transient is
+    captured in one trace of :meth:`PerceptionSettings.trace_duration_s`
+    centred on its onset.  Both see the loop through
+    :meth:`PerceptionSettings.sense_channel`.
     """
-    sense, event = settings.sense_channel(channel), focus(events, at_s)
-    if event is None:
-        raise InsufficientDataError(f"nothing dynamic has started by {at_s} s")
+    sense = settings.sense_channel(channel)
     if isinstance(event.params, PztParams):
         return frequency_sweep(
             event, sense, settings.scan_grid(),
@@ -758,8 +745,8 @@ def acquire(events: Sequence[DisturbanceEvent], channel: LoopChannel,
             responses=responses)
     duration = settings.trace_duration_s(event.params)
     return synthesize_trace(
-        events, sense, duration, settings.sample_rate_hz, settings.noise_sigma,
-        seed=seed, input_power_w=settings.input_power_w,
+        (event,), sense, duration, settings.sample_rate_hz,
+        settings.noise_sigma, seed=seed, input_power_w=settings.input_power_w,
         start_s=event.start_s - duration / 2.0)
 
 
@@ -1055,15 +1042,11 @@ def significance(trace: InterferenceTrace) -> tuple[float, float]:
 def sense(events: Sequence[DisturbanceEvent], channel: LoopChannel,
           settings: PerceptionSettings, seed: Optional[int],
           at_s: float) -> tuple[InterferenceTrace, dict]:
-    """Take the sensing trace of all ``events`` at ``at_s`` and grade it.
+    """Take and grade the sensing trace of all ``events`` from ``at_s`` on.
 
-    A transient in :func:`focus` centres the window on its onset instead.
     Returns the trace and its :func:`significance` as
     ``candidate_frequency_hz`` and ``peak_to_floor``.
     """
-    event = focus(events, at_s)
-    if event is not None and isinstance(event.params, ImpactParams):
-        at_s = event.start_s - 0.5 * settings.sense_duration_s
     trace = synthesize_trace(
         events, settings.sense_channel(channel), settings.sense_duration_s,
         settings.sample_rate_hz, settings.noise_sigma, seed=seed,

@@ -24,6 +24,11 @@ def write_json(path, payload):
     return str(path)
 
 
+_README_PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
+               "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
+               "phase_gain_rad_per_v": 0.5}
+
+
 @pytest.fixture
 def pzt_config(tmp_path):
     return write_json(tmp_path / "pzt.json", {
@@ -108,12 +113,14 @@ class TestIntegrated:
         assert r1["qkd_windows"] != r2["qkd_windows"]
 
     @pytest.mark.parametrize("seed", ["4", "6", "10"])
-    def test_unlocalizable_impact_keeps_the_run(self, tmp_path, seed):
-        # A far impact graded significant whose trace shows no notch.
-        config = write_json(tmp_path / "far.json", {
-            "duration_s": 6.0,
-            "disturbances": [{"kind": "impact", "position_m": 12000.0,
-                              "start_s": 1.0}]})
+    def test_unlocalizable_drive_keeps_the_run(self, tmp_path, seed):
+        # A drive that breaches, graded significant, whose scan band stops
+        # below its first null at 10.2 kHz.
+        config = write_json(tmp_path / "narrow.json", {
+            "duration_s": 8.0,
+            "qkd": {"pulses_per_window": 2_000_000},
+            "perception": {"scan_max_hz": 8000.0},
+            "disturbances": [_README_PZT]})
         out = tmp_path / "run"
         assert run_cli("integrated", "--config", config, "--seed", seed,
                        "--out-dir", str(out), "--quiet") == 0
@@ -142,6 +149,23 @@ class TestIntegrated:
         assert [e["payload"] for e in failed] == [
             {"reason": "no dynamic disturbance is active"}]
         assert (out / "event_log.jsonl").exists()
+
+
+    def test_undefined_resolution_keeps_the_run(self, tmp_path):
+        # The drive's first null, 10.2 kHz, lies below this resolution.
+        config = write_json(tmp_path / "coarse.json", {
+            "duration_s": 12.0, "seed": 7,
+            "perception": {"freq_resolution_hz": 20000.0},
+            "disturbances": [_README_PZT]})
+        out = tmp_path / "run"
+        assert run_cli("integrated", "--config", config,
+                       "--out-dir", str(out), "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        reasons = [e["payload"]["reason"] for e in report["event_log"]
+                   if e["event"] == "localization_failed"]
+        assert reasons
+        assert all("frequency resolution 20000.0 Hz" in r for r in reasons)
+        assert report["localization_reports"] == []
 
 
 class TestPerceiveAndLocalize:
@@ -412,11 +436,6 @@ class TestBadInput:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert any(str(path) in p for p in record["problems"])
-
-
-_README_PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
-               "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
-               "phase_gain_rad_per_v": 0.5}
 
 
 class TestRealPulseCounts:
