@@ -59,9 +59,19 @@ _SIGNIFICANCE_MIN_HZ = 50.0
 #: times the default 293-point grid of 2000-sample traces.
 _MAX_SWEEP_WORK = 32_000_000
 
-#: Samples evaluated at once by :func:`frequency_sweep`: whole grid points,
-#: at least one, up to this many samples.
+#: Most elements of each array a block of :func:`_sweep_response` holds:
+#: whole grid points, at least one.
 _SWEEP_BLOCK_SAMPLES = 16_000
+
+#: Natural log of the Bessel bound below which the closed-form sweep drops
+#: a Fourier order of the port intensity: ``2**-60``, far below rounding.
+_LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
+
+#: Weights of ``exp(i l beta j)``, ``l = -2 .. 2``, in the Hann window
+#: ``w_j = 0.5 - 0.5 cos(beta j)`` raised to the powers 0, 1 and 2.
+_HANN_POWERS = np.array([[0.0, 0.0, 1.0, 0.0, 0.0],
+                         [0.0, -0.25, 0.5, -0.25, 0.0],
+                         [0.0625, -0.25, 0.375, -0.25, 0.0625]])
 
 #: Shortest Welch segment; a sensing trace must hold at least one.
 _WELCH_MIN_SEGMENT = 64
@@ -605,9 +615,11 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     synthesized.  Each amplitude has the distribution of
     :func:`measure_tone_amplitude` at its frequency on :func:`synthesize_trace`
     of the drive switched on at 0 s: the trace noise enters the projection
-    linearly, so a point is its noise-free projection
-    (:func:`_sweep_response`) plus one exact bivariate-normal draw
-    (:func:`_correlated_normals`).  The seed fixes the drive-off reference
+    linearly, so a point is its noise-free projection plus one exact
+    bivariate-normal draw (:func:`_correlated_normals`) from the second
+    moments of the projection's noise.  :func:`_sweep_response` gives both
+    in closed form, with no per-sample arrays unless the drive is too
+    strong for it.  The seed fixes the drive-off reference
     trace, whose tone amplitudes set the noise floor, and then one
     ``(points, 2)`` standard-normal draw.
 
@@ -668,42 +680,144 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
                     input_power_w: float) -> _SweepResponse:
     """Noise-free response of ``n``-sample sweep traces over ``freqs``.
 
-    The grid is evaluated in blocks of whole points of at most
-    ``_SWEEP_BLOCK_SAMPLES`` samples: one :func:`_unit_phasors` table ``e``
-    per block gives the drive, the lagged drive and the projection.  With
-    ``c`` the noise-free port intensity and ``u = w e - mean(w e)`` under
-    the Hann window ``w``, each point keeps its projection ``sum c u``
-    (:func:`_tone_projections` of ``c``) and the three second moments of
-    ``c u``, which times ``sigma**2`` are the covariance of its noise.
+    With ``c`` the noise-free port intensity of the drive switched on at
+    0 s, ``e`` the unit phasor of a grid point and ``u = w e - mean(w e)``
+    under the Hann window ``w``, each point keeps its projection ``sum c
+    u`` and the three second moments of ``c u``, which times ``sigma**2``
+    are the covariance of its noise.  The counterclockwise pass sees the
+    drive from the first sample at or past its lag on.
+
+    :func:`_drive_sums` takes these sums in closed form over Fourier
+    orders ``-M .. M`` of ``c``, with ``M`` from :func:`_bessel_orders`; a
+    drive whose ``2 M + 1`` orders outnumber the samples is evaluated per
+    sample instead (:func:`_sampled_sums`).  Either way the grid goes in
+    blocks of whole points whose arrays hold at most
+    ``_SWEEP_BLOCK_SAMPLES`` elements.
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
-    # loop_phase of the drive switched on at 0 s: the clockwise pass
-    # sees it from t = 0, the counterclockwise pass from t = lag.
-    on = np.arange(n) / sample_rate_hz >= lag
+    switch = n - int(np.count_nonzero(np.arange(n) / sample_rate_hz >= lag))
     hann = w, _ = _hann(n)
     peak = event.params.peak_phase_rad
-    rows = max(1, _SWEEP_BLOCK_SAMPLES // n)
+    orders = _bessel_orders(4.0 * peak, (n - 1) // 2)
+    closed = 2 * orders + 1 <= n
+    rows = max(1, _SWEEP_BLOCK_SAMPLES // (5 * (orders + 3) if closed else n))
     projections = np.empty(freqs.size, dtype=complex)
     moments = np.empty((3, freqs.size))
     for lo in range(0, freqs.size, rows):
         omega = omegas[lo:lo + rows]
-        e = _unit_phasors(omega, n, sample_rate_hz)
-        delayed = (e * np.exp(-1j * omega * lag)[:, None]).imag
-        gpd = peak * (e.imag - delayed * on) + channel.bias_phase_rad
-        c = _port_intensity(gpd, input_power_w)
-        projections[lo:lo + rows] = _tone_projections(c, e, w)
-        we = w * e
-        cu = c * (we - we.mean(axis=1, keepdims=True))
-        re, im = cu.real, cu.imag
-        moments[:, lo:lo + rows] = [np.einsum("ij,ij->i", re, re),
-                                    np.einsum("ij,ij->i", re, im),
-                                    np.einsum("ij,ij->i", im, im)]
+        args = (omega, n, sample_rate_hz, switch, omega * lag, peak,
+                channel.bias_phase_rad, input_power_w)
+        projections[lo:lo + rows], moments[:, lo:lo + rows] = (
+            _drive_sums(*args, orders) if closed else _sampled_sums(*args, w))
     probes = _unit_phasors(omegas[:: max(1, freqs.size // 16)], n,
                            sample_rate_hz)
     for array in (projections, moments, w, probes):
         array.flags.writeable = False
     return _SweepResponse(projections, moments, hann, probes)
+
+
+def _bessel_orders(z: float, most: int) -> int:
+    """The first order ``m`` whose bound ``(z / 2)**m / m!`` on ``|J_m(z)|``
+    is below ``2**-60``; the bound rises from 1 up to ``m = z / 2`` and
+    falls after it, so every higher order is below too.  0 for ``z = 0``,
+    and ``most + 1`` once the search passes ``most``."""
+    m, log_bound = 0, 0.0
+    while z > 0.0 and m <= most and log_bound >= _LOG_NEGLIGIBLE:
+        m += 1
+        log_bound += math.log(0.5 * z / m)
+    return m
+
+
+def _sampled_sums(omega: np.ndarray, n: int, sample_rate_hz: float,
+                  switch: int, lag_phase: np.ndarray, peak: float,
+                  bias: float, input_power_w: float,
+                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projections and ``c u`` moments of :func:`_sweep_response` at
+    angular frequencies ``omega``, sample by sample: one
+    :func:`_unit_phasors` table ``e`` gives the drive, the lagged drive
+    (phase ``lag_phase`` behind, from sample ``switch`` on) and the
+    projection."""
+    e = _unit_phasors(omega, n, sample_rate_hz)
+    delayed = (e * np.exp(-1j * lag_phase)[:, None]).imag
+    gpd = peak * (e.imag - delayed * (np.arange(n) >= switch)) + bias
+    c = _port_intensity(gpd, input_power_w)
+    we = w * e
+    cu = c * (we - we.mean(axis=1, keepdims=True))
+    re, im = cu.real, cu.imag
+    return _tone_projections(c, e, w), np.array([
+        np.einsum("ij,ij->i", re, re), np.einsum("ij,ij->i", re, im),
+        np.einsum("ij,ij->i", im, im)])
+
+
+def _dirichlet(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray,
+               count: int) -> np.ndarray:
+    """``sum(exp(2i x j) for j < count)`` at half-angles ``x`` reduced to
+    ``[-pi/2, pi/2]``: ``exp(i (count - 1) x) sin(count x) / sin(x)``, and
+    ``count`` where ``sin(x)`` is 0."""
+    sin_n, cos_n = np.sin(count * x), np.cos(count * x)
+    ratio = np.divide(sin_n, sin_x, out=np.full_like(x, float(count)),
+                      where=sin_x != 0.0)
+    return (cos_n + 1j * sin_n) * (cos_x - 1j * sin_x) * ratio
+
+
+def _drive_sums(omega: np.ndarray, n: int, sample_rate_hz: float,
+                switch: int, lag_phase: np.ndarray, peak: float, bias: float,
+                input_power_w: float,
+                orders: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projections and ``c u`` moments of :func:`_sweep_response` at
+    angular frequencies ``omega``, in closed form.
+
+    With ``theta = omega / fs``, the drive's net phase is ``A cos(theta j
+    + phi)`` in two regions: before sample ``switch``, ``A = peak`` and
+    ``phi = -pi/2``; from it on, ``A = 2 peak sin(lag_phase / 2)`` and
+    ``phi = -lag_phase / 2``.  In each region ``c`` and ``c**2`` are
+    Fourier series in ``theta j``, whose orders ``-M .. M``
+    (``M = orders``) one FFT per region gives.  The Hann window is ``sum_l h_l exp(i
+    l beta j)``, ``beta = 2 pi / (n - 1)`` (F. J. Harris, Proc. IEEE 66, 51
+    (1978)), so every sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta
+    j)`` over a region times a coefficient: a sum of Dirichlet kernels at
+    ``k theta + l beta``.  Their half-angles are reduced mod pi before any
+    sine; ``T_p(-k)`` is the conjugate of ``T_p(k)``.
+    """
+    theta = omega / sample_rate_hz
+    half = (math.pi / (n - 1)) * np.arange(-2, 3)[:, None, None] \
+        + 0.5 * np.multiply.outer(theta, np.arange(orders + 3))
+    x = half - math.pi * np.rint(half / math.pi)
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    whole = _dirichlet(x, sin_x, cos_x, n)
+    nodes = 1 << (2 * orders + 1).bit_length()
+    t = (2.0 * math.pi / nodes) * np.arange(nodes)
+    both = bias + 2.0 * peak * np.sin(0.5 * lag_phase)[:, None] * np.cos(
+        t - 0.5 * lag_phase[:, None])
+    regions = [(whole, both)]
+    if switch > 0:
+        early = _dirichlet(x, sin_x, cos_x, switch)
+        regions = [(early, bias + peak * np.sin(t)), (whole - early, both)]
+    span = 2 * orders + 1
+    sums = np.zeros((6, theta.size), dtype=complex)
+    for kernels, gpd in regions:
+        window = np.tensordot(_HANN_POWERS, kernels, axes=1)
+        window = np.concatenate(
+            [window[:, :, orders:0:-1].conj(), window], axis=2)
+        c = _port_intensity(gpd, input_power_w)
+        coefs = np.fft.rfft([c, c * c], axis=-1)[..., :orders + 1] / nodes
+        f, g = np.concatenate([coefs[..., orders:0:-1].conj(), coefs],
+                              axis=-1)
+        # Sum w c e, sum c; sum c^2 w^2, sum c^2 w e, sum c^2 and
+        # sum c^2 w^2 e^2, with e^k = exp(i k theta j).
+        for row, (coef, p, shift) in enumerate((
+                (f, 1, 1), (f, 0, 0), (g, 2, 0), (g, 1, 1), (g, 0, 0),
+                (g, 2, 2))):
+            sums[row] += np.sum(coef * window[p, :, shift:shift + span],
+                                axis=-1)
+    wce, c_sum, ccww, ccwe, cc, ccwwee = sums
+    mu = _HANN_POWERS[1] @ whole[:, :, 1] / n  # mean(w e) over the trace
+    # With u = w e - mu: Q0 = sum c^2 |u|^2, Q2 = sum c^2 u^2.
+    q0 = (ccww - 2.0 * mu.conj() * ccwe + (mu * mu.conj()) * cc).real
+    q2 = ccwwee - 2.0 * mu * ccwe + mu * mu * cc.real
+    moments = [0.5 * (q0 + q2.real), 0.5 * q2.imag, 0.5 * (q0 - q2.real)]
+    return wce - c_sum.real * mu, np.array(moments)
 
 
 def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,
@@ -1025,7 +1139,7 @@ def significance(trace: InterferenceTrace) -> tuple[float, float]:
 
     Returns ``(candidate_frequency_hz, peak_to_floor_ratio)`` over the
     spectrum from ``_SIGNIFICANCE_MIN_HZ`` up, where the floor is the median
-    spectral power there.
+    spectral power there.  A band with no power at all grades 0.
     """
     freqs, psd = _welch_psd(trace)
     band = freqs >= _SIGNIFICANCE_MIN_HZ
@@ -1035,8 +1149,9 @@ def significance(trace: InterferenceTrace) -> tuple[float, float]:
     idx = int(np.argmax(psd[band]))
     candidate = float(freqs[band][idx])
     peak = float(psd[band][idx])
-    ratio = peak / floor if floor > 0 else math.inf
-    return candidate, ratio
+    if peak == 0.0:
+        return candidate, 0.0
+    return candidate, peak / floor if floor > 0 else math.inf
 
 
 def sense(events: Sequence[DisturbanceEvent], channel: LoopChannel,

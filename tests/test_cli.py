@@ -150,6 +150,32 @@ class TestIntegrated:
             {"reason": "no dynamic disturbance is active"}]
         assert (out / "event_log.jsonl").exists()
 
+    def test_powerless_sensing_trace_is_minor_and_valid_json(self, tmp_path):
+        # A noiseless dark port senses exact zeros; the 0.01 threshold
+        # breaches on dark counts alone.
+        config = write_json(tmp_path / "dark.json", {
+            "duration_s": 3, "seed": 1,
+            "perception": {"noise_sigma": 0.0,
+                           "bias_phase_rad": 3.141592653589793},
+            "qkd": {"qber_threshold": 0.01}})
+        out = tmp_path / "run"
+        assert run_cli("integrated", "--config", config,
+                       "--out-dir", str(out), "--quiet") == 0
+
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=not_json)
+        lines = (out / "event_log.jsonl").read_text().splitlines()
+        assert [json.loads(line, parse_constant=not_json)
+                for line in lines] == report["event_log"]
+        graded = [e for e in report["event_log"]
+                  if e["event"].startswith("disturbance_")]
+        assert graded
+        for entry in graded:
+            assert entry["event"] == "disturbance_minor"
+            assert entry["payload"]["peak_to_floor"] == 0.0
 
     def test_undefined_resolution_keeps_the_run(self, tmp_path):
         # The drive's first null, 10.2 kHz, lies below this resolution.

@@ -31,7 +31,8 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
 from oracles import (ac_power_at, first_order_span,
                      per_candidate_trace_nulls, point_by_point_sweep,
                      position_from_null, sampled_phase_means,
-                     tone_amplitude, two_sided_position_span)
+                     sampled_sweep_response, tone_amplitude,
+                     two_sided_position_span)
 
 L = 30000.0
 N_FIBER = 1.468
@@ -440,10 +441,10 @@ ACCEPTANCE_GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0)
 
 
 class TestBlockSweep:
-    """Without noise, the block evaluation equals the point-by-point
-    definition to rounding: every amplitude and the noise floor within
-    1e-11 of the largest amplitude.  With noise, the amplitudes and the
-    floor at fixed grid points have the distribution of the definition."""
+    """Without noise, the sweep equals the point-by-point definition to
+    rounding: every amplitude and the noise floor within 1e-11 of the
+    largest amplitude.  With noise, the amplitudes and the floor at fixed
+    grid points have the distribution of the definition."""
 
     @staticmethod
     def assert_same_without_noise(event, grid, **kwargs):
@@ -476,18 +477,28 @@ class TestBlockSweep:
                                        duration_s=0.0123)
 
     def test_block_of_one_point(self):
-        # 40 000 samples per trace: more than a block holds.
+        # 40 000 samples per trace: more than a block of the sampled loop
+        # holds.
         self.assert_same_without_noise(pzt_event(5000.0, 500.0, 0.1),
                                        [9000.0, 10250.0, 11500.0],
                                        duration_s=0.2)
 
     @pytest.mark.parametrize("x", [L / 2, 0.8 * L])
     def test_midpoint_and_far_branch(self, x):
-        got = self.assert_same_without_noise(pzt_event(x, 500.0, 0.1),
-                                             ACCEPTANCE_GRID[:50])
-        if x == L / 2:  # the drive cancels: zero to rounding
-            assert got.amplitudes.max() < (
-                1e-15 * DEFAULT_INPUT_POWER_W)
+        event = pzt_event(x, 500.0, 0.1)
+        grid = ACCEPTANCE_GRID[:50]
+        if x != L / 2:
+            self.assert_same_without_noise(event, grid)
+            return
+        # The drive cancels: each engine gives zero to its own rounding,
+        # which is below any scale taken from the response itself.
+        got, want = (sweep(event, channel(), grid, noise_sigma=0.0)
+                     for sweep in (frequency_sweep, point_by_point_sweep))
+        for sweep in (got, want):
+            assert sweep.amplitudes.max() < 1e-15 * DEFAULT_INPUT_POWER_W
+        np.testing.assert_allclose(
+            got.noise_floor_amplitude, want.noise_floor_amplitude, rtol=0,
+            atol=1e-11 * np.finfo(float).eps * DEFAULT_INPUT_POWER_W)
 
     def test_three_sample_sweep(self):
         self.assert_same_without_noise(pzt_event(5000.0, 500.0, 0.1),
@@ -519,11 +530,11 @@ class TestBlockSweep:
                     for i in range(got.shape[1])]
         assert min(p_values) > self.ALPHA, p_values
 
-    @pytest.mark.parametrize("block_samples", [16_000, 2_000],
+    @pytest.mark.parametrize("block_samples", [16_000, 1],
                              ids=["three-points-a-block", "a-point-a-block"])
     def test_noise_at_null_peak_and_fold(self, monkeypatch, block_samples):
-        # 2000-sample traces; the smaller block puts one point in each, as
-        # traces of more than half the block size do.
+        # 2000-sample traces; the smallest block holds one point, as a
+        # grid point of more than half the block's elements does.
         monkeypatch.setattr(perception, "_SWEEP_BLOCK_SAMPLES",
                             block_samples)
         self.assert_same_distribution(pzt_event(5000.0, 500.0, 0.6),
@@ -595,9 +606,118 @@ class TestBlockSweep:
         def no_block(*args, **kwargs):
             raise AssertionError("evaluated a block")
 
-        monkeypatch.setattr(perception, "_port_intensity", no_block)
+        for kernel in ("_drive_sums", "_sampled_sums"):
+            monkeypatch.setattr(perception, kernel, no_block)
         with pytest.raises(ValueError, match=message):
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
+
+
+class TestSweepResponse:
+    """The noise-free sweep response against the sample-by-sample block
+    loop of tests/oracles.py: every projection within 1e-13 of ``I0
+    sum(w)``, and every second moment of ``c u`` within 1e-12 of the
+    point's total ``a + b``."""
+
+    FS = perception.DEFAULT_SAMPLE_RATE_HZ
+
+    def assert_matches_oracle(self, event, grid, n, bias=0.5 * math.pi):
+        grid = np.asarray(grid, dtype=float)
+        args = (event, channel(bias), grid, n, self.FS,
+                DEFAULT_INPUT_POWER_W)
+        got = perception._sweep_response(*args)
+        want = sampled_sweep_response(*args)
+        weight = want.hann[1]
+        assert np.all(np.abs(got.projections - want.projections)
+                      <= 1e-13 * DEFAULT_INPUT_POWER_W * weight)
+        total = want.moments[0] + want.moments[2]
+        assert np.all(np.abs(got.moments - want.moments) <= 1e-12 * total)
+        assert np.array_equal(got.hann[0], want.hann[0])
+        assert got.hann[1] == weight
+        assert np.array_equal(got.probes, want.probes)
+        return got
+
+    @staticmethod
+    def branch_spy(monkeypatch):
+        """Names of the kernels ``_sweep_response`` calls, in order."""
+        calls = []
+        for name in ("_drive_sums", "_sampled_sums"):
+            def spy(*args, _kernel=getattr(perception, name), _name=name):
+                calls.append(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(perception, name, spy)
+        return calls
+
+    @staticmethod
+    def force_closed_form(monkeypatch, event):
+        """Send the grid to the closed form even where its orders outnumber
+        the samples."""
+        orders = perception._bessel_orders(4.0 * event.params.peak_phase_rad,
+                                           10**6)
+        monkeypatch.setattr(
+            perception, "_sampled_sums",
+            lambda *args: perception._drive_sums(*args[:-1], orders))
+
+    @pytest.mark.parametrize("x", [1500.0, 5000.0, 9000.0, 13500.0,
+                                   L / 2 - 1.0, L / 2, 22000.0, 28500.0])
+    def test_acceptance_grid(self, monkeypatch, x):
+        # The README drive, 0.6 rad; beyond the midpoint the lag is
+        # negative and every sample sees both copies.
+        calls = self.branch_spy(monkeypatch)
+        self.assert_matches_oracle(pzt_event(x, 3000.0, 0.6),
+                                   ACCEPTANCE_GRID, 2000)
+        assert set(calls) == {"_drive_sums"}
+
+    def test_fold_points(self):
+        # At fs / 4 and fs / 8 a harmonic of the drive folds onto a
+        # multiple of the sample rate: kernels at half-angles of pi.
+        self.assert_matches_oracle(pzt_event(5000.0, 500.0, 0.6),
+                                   [TestBlockSweep.NULL_HZ / 2,
+                                    TestBlockSweep.NULL_HZ, 25e3, 50e3],
+                                   2000)
+
+    @pytest.mark.parametrize("n, x", [(3, 1500.0), (16, 5000.0)],
+                             ids=["three-samples-before-the-switch",
+                                  "sixteen-samples"])
+    def test_short_sweeps(self, monkeypatch, n, x):
+        # 3 samples end before the counterclockwise copy starts (a 132 us
+        # lag); both sweeps have more orders than samples, so the closed
+        # form is forced.
+        event = pzt_event(x, 500.0, 0.6)
+        self.force_closed_form(monkeypatch, event)
+        self.assert_matches_oracle(event, [2000.0, 2250.0, 2500.0, 2750.0],
+                                   n)
+
+    def test_dark_bias_gives_exact_zeros(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.assert_matches_oracle(pzt_event(L / 2, 500.0, 0.6),
+                                             ACCEPTANCE_GRID[:20], 2000,
+                                             bias=math.pi)
+        assert np.all(got.projections == 0.0)
+        assert np.all(got.moments == 0.0)
+
+    def test_long_trace(self):
+        # 40 000 samples, more than a block of the block loop holds.
+        self.assert_matches_oracle(pzt_event(5000.0, 500.0, 0.1),
+                                   [9000.0, 10250.0, 11500.0], 40_000)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 2.4, 120.0])
+    def test_dropped_orders_are_negligible(self, z):
+        m = perception._bessel_orders(z, 10**6)
+        assert m >= z / 2
+        assert np.all(np.abs(jv(np.arange(m + 1, m + 60), z)) < 2.0**-60)
+        if z > 0:  # a search capped below m stops one past the cap
+            assert perception._bessel_orders(z, m - 2) == m - 1
+
+    @pytest.mark.parametrize("n, branch", [(2000, "_drive_sums"),
+                                           (200, "_sampled_sums")])
+    def test_large_peak_on_each_branch(self, monkeypatch, n, branch):
+        # A 30 rad drive keeps about 170 orders: fewer than 2000 samples,
+        # more than 200.
+        calls = self.branch_spy(monkeypatch)
+        self.assert_matches_oracle(pzt_event(5000.0, 500.0, 30.0),
+                                   ACCEPTANCE_GRID[::40], n)
+        assert set(calls) == {branch}
 
 
 class TestCorrelatedNormals:
