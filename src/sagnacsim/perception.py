@@ -696,7 +696,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
-    switch = n - int(np.count_nonzero(np.arange(n) / sample_rate_hz >= lag))
+    switch = int(np.count_nonzero(np.arange(n) / sample_rate_hz < lag))
     hann = w, _ = _hann(n)
     peak = event.params.peak_phase_rad
     orders = _bessel_orders(4.0 * peak, (n - 1) // 2)

@@ -712,8 +712,8 @@ class TestSweepResponse:
     @pytest.mark.parametrize("n, branch", [(2000, "_drive_sums"),
                                            (200, "_sampled_sums")])
     def test_large_peak_on_each_branch(self, monkeypatch, n, branch):
-        # A 30 rad drive keeps about 170 orders: fewer than 2000 samples,
-        # more than 200.
+        # A 30 rad drive keeps orders -198 .. 198: fewer than 2000
+        # samples, more than 200.
         calls = self.branch_spy(monkeypatch)
         self.assert_matches_oracle(pzt_event(5000.0, 500.0, 30.0),
                                    ACCEPTANCE_GRID[::40], n)
