@@ -63,6 +63,12 @@ _MAX_SWEEP_WORK = 32_000_000
 #: whole grid points, at least one.
 _SWEEP_BLOCK_SAMPLES = 16_000
 
+#: Trace samples the per-sample sweep evaluates in the time the closed form
+#: takes for one kernel order.  On the 293-point grid (2-vCPU host) both
+#: take about 25 ms for 2000-sample traces at 86 orders, and about 115 ms
+#: for 8000-sample traces at 363 orders.
+_SAMPLES_PER_ORDER = 22
+
 #: Natural log of the Bessel bound below which the closed-form sweep drops
 #: a Fourier order of the port intensity: ``2**-60``, far below rounding.
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
@@ -688,10 +694,11 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     drive from the first sample at or past its lag on.
 
     :func:`_drive_sums` takes these sums in closed form over Fourier
-    orders ``-M .. M`` of ``c``, with ``M`` from :func:`_bessel_orders`; a
-    drive whose ``2 M + 1`` orders outnumber the samples is evaluated per
-    sample instead (:func:`_sampled_sums`).  Either way the grid goes in
-    blocks of whole points whose arrays hold at most
+    orders ``-M .. M`` of ``c``, with ``M`` from :func:`_bessel_orders`.
+    A point of it costs about what ``_SAMPLES_PER_ORDER * (M + 3)``
+    samples cost one by one, so a drive for which that exceeds ``n`` is
+    evaluated per sample instead (:func:`_sampled_sums`).  Either way the
+    grid goes in blocks of whole points whose arrays hold at most
     ``_SWEEP_BLOCK_SAMPLES`` elements.
     """
     omegas = 2.0 * math.pi * freqs
@@ -699,17 +706,19 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     switch = int(np.count_nonzero(np.arange(n) / sample_rate_hz < lag))
     hann = w, _ = _hann(n)
     peak = event.params.peak_phase_rad
-    orders = _bessel_orders(4.0 * peak, (n - 1) // 2)
-    closed = 2 * orders + 1 <= n
-    rows = max(1, _SWEEP_BLOCK_SAMPLES // (5 * (orders + 3) if closed else n))
-    projections = np.empty(freqs.size, dtype=complex)
-    moments = np.empty((3, freqs.size))
-    for lo in range(0, freqs.size, rows):
-        omega = omegas[lo:lo + rows]
-        args = (omega, n, sample_rate_hz, switch, omega * lag, peak,
-                channel.bias_phase_rad, input_power_w)
-        projections[lo:lo + rows], moments[:, lo:lo + rows] = (
-            _drive_sums(*args, orders) if closed else _sampled_sums(*args, w))
+    orders = _bessel_orders(4.0 * peak, n // _SAMPLES_PER_ORDER)
+    args = (n, sample_rate_hz, switch, peak, channel.bias_phase_rad,
+            input_power_w)
+    if _SAMPLES_PER_ORDER * (orders + 3) > n:
+        projections, moments = _sampled_sums(omegas, lag, *args, w)
+    else:
+        rows = max(1, _SWEEP_BLOCK_SAMPLES // (5 * (orders + 3)))
+        projections = np.empty(freqs.size, dtype=complex)
+        moments = np.empty((3, freqs.size))
+        for lo in range(0, freqs.size, rows):
+            omega = omegas[lo:lo + rows]
+            projections[lo:lo + rows], moments[:, lo:lo + rows] = (
+                _drive_sums(omega, omega * lag, *args, orders))
     probes = _unit_phasors(omegas[:: max(1, freqs.size // 16)], n,
                            sample_rate_hz)
     for array in (projections, moments, w, probes):
@@ -729,25 +738,33 @@ def _bessel_orders(z: float, most: int) -> int:
     return m
 
 
-def _sampled_sums(omega: np.ndarray, n: int, sample_rate_hz: float,
-                  switch: int, lag_phase: np.ndarray, peak: float,
+def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
+                  sample_rate_hz: float, switch: int, peak: float,
                   bias: float, input_power_w: float,
                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projections and ``c u`` moments of :func:`_sweep_response` at
-    angular frequencies ``omega``, sample by sample: one
-    :func:`_unit_phasors` table ``e`` gives the drive, the lagged drive
-    (phase ``lag_phase`` behind, from sample ``switch`` on) and the
-    projection."""
-    e = _unit_phasors(omega, n, sample_rate_hz)
-    delayed = (e * np.exp(-1j * lag_phase)[:, None]).imag
-    gpd = peak * (e.imag - delayed * (np.arange(n) >= switch)) + bias
-    c = _port_intensity(gpd, input_power_w)
-    we = w * e
-    cu = c * (we - we.mean(axis=1, keepdims=True))
-    re, im = cu.real, cu.imag
-    return _tone_projections(c, e, w), np.array([
-        np.einsum("ij,ij->i", re, re), np.einsum("ij,ij->i", re, im),
-        np.einsum("ij,ij->i", im, im)])
+    angular frequencies ``omegas``, sample by sample, in blocks of whole
+    points of at most ``_SWEEP_BLOCK_SAMPLES`` samples: one
+    :func:`_unit_phasors` table ``e`` per block gives the drive, the drive
+    ``lag`` seconds late (from sample ``switch`` on) and the projection."""
+    on = np.arange(n) >= switch
+    rows = max(1, _SWEEP_BLOCK_SAMPLES // n)
+    projections = np.empty(omegas.size, dtype=complex)
+    moments = np.empty((3, omegas.size))
+    for lo in range(0, omegas.size, rows):
+        omega = omegas[lo:lo + rows]
+        e = _unit_phasors(omega, n, sample_rate_hz)
+        delayed = (e * np.exp(-1j * omega * lag)[:, None]).imag
+        gpd = peak * (e.imag - delayed * on) + bias
+        c = _port_intensity(gpd, input_power_w)
+        projections[lo:lo + rows] = _tone_projections(c, e, w)
+        we = w * e
+        cu = c * (we - we.mean(axis=1, keepdims=True))
+        re, im = cu.real, cu.imag
+        moments[:, lo:lo + rows] = [np.einsum("ij,ij->i", re, re),
+                                    np.einsum("ij,ij->i", re, im),
+                                    np.einsum("ij,ij->i", im, im)]
+    return projections, moments
 
 
 def _dirichlet(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray,
@@ -761,8 +778,8 @@ def _dirichlet(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray,
     return (cos_n + 1j * sin_n) * (cos_x - 1j * sin_x) * ratio
 
 
-def _drive_sums(omega: np.ndarray, n: int, sample_rate_hz: float,
-                switch: int, lag_phase: np.ndarray, peak: float, bias: float,
+def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
+                sample_rate_hz: float, switch: int, peak: float, bias: float,
                 input_power_w: float,
                 orders: int) -> tuple[np.ndarray, np.ndarray]:
     """Projections and ``c u`` moments of :func:`_sweep_response` at
@@ -772,13 +789,13 @@ def _drive_sums(omega: np.ndarray, n: int, sample_rate_hz: float,
     + phi)`` in two regions: before sample ``switch``, ``A = peak`` and
     ``phi = -pi/2``; from it on, ``A = 2 peak sin(lag_phase / 2)`` and
     ``phi = -lag_phase / 2``.  In each region ``c`` and ``c**2`` are
-    Fourier series in ``theta j``, whose orders ``-M .. M``
-    (``M = orders``) one FFT per region gives.  The Hann window is ``sum_l h_l exp(i
-    l beta j)``, ``beta = 2 pi / (n - 1)`` (F. J. Harris, Proc. IEEE 66, 51
-    (1978)), so every sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta
-    j)`` over a region times a coefficient: a sum of Dirichlet kernels at
-    ``k theta + l beta``.  Their half-angles are reduced mod pi before any
-    sine; ``T_p(-k)`` is the conjugate of ``T_p(k)``.
+    Fourier series in ``theta j``, whose orders ``-M .. M`` (``M =
+    orders``) one FFT per region gives.  The Hann window is ``sum_l h_l
+    exp(i l beta j)``, ``beta = 2 pi / (n - 1)`` (F. J. Harris, Proc. IEEE
+    66, 51 (1978)), so every sum is one of ``T_p(k) = sum_j w_j**p exp(i
+    k theta j)`` over a region times a coefficient: a sum of Dirichlet
+    kernels at ``k theta + l beta``.  Their half-angles are reduced mod pi
+    before any sine; ``T_p(-k)`` is the conjugate of ``T_p(k)``.
     """
     theta = omega / sample_rate_hz
     half = (math.pi / (n - 1)) * np.arange(-2, 3)[:, None, None] \

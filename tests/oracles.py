@@ -3,18 +3,17 @@
 These deliberately avoid the closed forms under test: the port probability
 oracle integrates the spectral density numerically, and the Taylor bound
 evaluates position differences directly.  The swept-sine oracle is the
-point-by-point definition, with its own tone projection, that the sweep
-must equal to rounding, and the block loop of the sweep response, sample
-by sample, is the reference for its closed form.  The per-round key oracle
-draws every BB84 round that the count-level engine summarizes in one
-multinomial draw, and the sampled window mean of the loop phase's
-harmonics is the reference for the closed-form means of a key window under
-a drive.  The WM null angle and delay inversion are found by bracketed
-root finding where the library takes closed forms, and the small-angle
-contrast ratio is the approximation the exact one is compared against.
-The trace writer, reader and notch scan are kept here one sample, line or
-candidate at a time, as the references the whole-column library code must
-equal byte for byte.
+point-by-point definition, with its own tone projection, that the block
+evaluation must equal to rounding.  The per-round key oracle draws every
+BB84 round that the count-level engine summarizes in one multinomial draw,
+and the sampled window mean of the loop phase's harmonics is the reference
+for the closed-form means of a key window under a drive.
+The WM null angle and delay inversion are found by bracketed root finding
+where the library takes closed forms, and the small-angle contrast ratio
+is the approximation the exact one is compared against.  The trace
+writer, reader and notch scan are kept here one sample, line or candidate
+at a time, as the references the whole-column library code must equal
+byte for byte.
 """
 from __future__ import annotations
 
@@ -172,42 +171,6 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
     floor = float(np.median([tone_amplitude(quiet, f) for f in probes]))
     return FrequencySweep(frequencies_hz=freqs, amplitudes=amps,
                           noise_floor_amplitude=floor)
-
-
-def sampled_sweep_response(event, channel, freqs, n, sample_rate_hz,
-                           input_power_w, block_samples=16_000):
-    """The noise-free sweep response of
-    :func:`sagnacsim.perception._sweep_response` sample by sample, in
-    blocks of whole grid points of at most ``block_samples`` samples: one
-    phasor table ``e`` per block gives the drive, the lagged drive and the
-    projection, and each point keeps ``sum c u`` and the three second
-    moments of ``c u``."""
-    omegas = 2.0 * math.pi * freqs
-    lag = perception._delay_lag_s(event, channel)
-    # loop_phase of the drive switched on at 0 s: the clockwise pass
-    # sees it from t = 0, the counterclockwise pass from t = lag.
-    on = np.arange(n) / sample_rate_hz >= lag
-    hann = w, _ = perception._hann(n)
-    peak = event.params.peak_phase_rad
-    rows = max(1, block_samples // n)
-    projections = np.empty(freqs.size, dtype=complex)
-    moments = np.empty((3, freqs.size))
-    for lo in range(0, freqs.size, rows):
-        omega = omegas[lo:lo + rows]
-        e = perception._unit_phasors(omega, n, sample_rate_hz)
-        delayed = (e * np.exp(-1j * omega * lag)[:, None]).imag
-        gpd = peak * (e.imag - delayed * on) + channel.bias_phase_rad
-        c = perception._port_intensity(gpd, input_power_w)
-        projections[lo:lo + rows] = perception._tone_projections(c, e, w)
-        we = w * e
-        cu = c * (we - we.mean(axis=1, keepdims=True))
-        re, im = cu.real, cu.imag
-        moments[:, lo:lo + rows] = [np.einsum("ij,ij->i", re, re),
-                                    np.einsum("ij,ij->i", re, im),
-                                    np.einsum("ij,ij->i", im, im)]
-    probes = perception._unit_phasors(omegas[:: max(1, freqs.size // 16)],
-                                      n, sample_rate_hz)
-    return perception._SweepResponse(projections, moments, hann, probes)
 
 
 def _fmt(value) -> str:

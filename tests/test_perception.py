@@ -31,8 +31,7 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
 from oracles import (ac_power_at, first_order_span,
                      per_candidate_trace_nulls, point_by_point_sweep,
                      position_from_null, sampled_phase_means,
-                     sampled_sweep_response, tone_amplitude,
-                     two_sided_position_span)
+                     tone_amplitude, two_sided_position_span)
 
 L = 30000.0
 N_FIBER = 1.468
@@ -613,93 +612,95 @@ class TestBlockSweep:
 
 
 class TestSweepResponse:
-    """The noise-free sweep response against the sample-by-sample block
-    loop of tests/oracles.py: every projection within 1e-13 of ``I0
-    sum(w)``, and every second moment of ``c u`` within 1e-12 of the
-    point's total ``a + b``."""
+    """The closed-form sweep response against the same response taken
+    sample by sample (``_sampled_sums``), each branch forced: every
+    projection within 1e-13 of ``I0 sum(w)``, and every second moment of
+    ``c u`` within 1e-12 of the point's total ``a + b``.  The per-sample
+    branch itself is held to the per-point sweep by the three- and
+    sixteen-sample sweeps of ``TestBlockSweep``, which take it."""
 
     FS = perception.DEFAULT_SAMPLE_RATE_HZ
 
-    def assert_matches_oracle(self, event, grid, n, bias=0.5 * math.pi):
-        grid = np.asarray(grid, dtype=float)
-        args = (event, channel(bias), grid, n, self.FS,
-                DEFAULT_INPUT_POWER_W)
-        got = perception._sweep_response(*args)
-        want = sampled_sweep_response(*args)
+    def response(self, event, n, grid=ACCEPTANCE_GRID, bias=0.5 * math.pi):
+        return perception._sweep_response(
+            event, channel(bias), np.asarray(grid, dtype=float), n, self.FS,
+            DEFAULT_INPUT_POWER_W)
+
+    def assert_matches_sampled(self, monkeypatch, event, grid, n,
+                               bias=0.5 * math.pi):
+        with monkeypatch.context() as patch:
+            patch.setattr(perception, "_SAMPLES_PER_ORDER", n + 1)
+            want = self.response(event, n, grid, bias)
+        with monkeypatch.context() as patch:
+            # Every drive to the closed form, whatever its orders cost.
+            orders = perception._bessel_orders(
+                4.0 * event.params.peak_phase_rad, 10**6)
+            patch.setattr(
+                perception, "_sampled_sums",
+                lambda omegas, lag, *args: perception._drive_sums(
+                    omegas, omegas * lag, *args[:-1], orders))
+            got = self.response(event, n, grid, bias)
         weight = want.hann[1]
         assert np.all(np.abs(got.projections - want.projections)
                       <= 1e-13 * DEFAULT_INPUT_POWER_W * weight)
         total = want.moments[0] + want.moments[2]
         assert np.all(np.abs(got.moments - want.moments) <= 1e-12 * total)
-        assert np.array_equal(got.hann[0], want.hann[0])
-        assert got.hann[1] == weight
-        assert np.array_equal(got.probes, want.probes)
         return got
 
-    @staticmethod
-    def branch_spy(monkeypatch):
-        """Names of the kernels ``_sweep_response`` calls, in order."""
-        calls = []
-        for name in ("_drive_sums", "_sampled_sums"):
-            def spy(*args, _kernel=getattr(perception, name), _name=name):
-                calls.append(_name)
-                return _kernel(*args)
-            monkeypatch.setattr(perception, name, spy)
+    def kernels_called(self, monkeypatch, event, n):
+        """Names of the kernels ``_sweep_response`` calls for ``event``."""
+        calls = set()
+        with monkeypatch.context() as patch:
+            for name in ("_drive_sums", "_sampled_sums"):
+                def spy(*args, _kernel=getattr(perception, name),
+                        _name=name):
+                    calls.add(_name)
+                    return _kernel(*args)
+                patch.setattr(perception, name, spy)
+            self.response(event, n)
         return calls
-
-    @staticmethod
-    def force_closed_form(monkeypatch, event):
-        """Send the grid to the closed form even where its orders outnumber
-        the samples."""
-        orders = perception._bessel_orders(4.0 * event.params.peak_phase_rad,
-                                           10**6)
-        monkeypatch.setattr(
-            perception, "_sampled_sums",
-            lambda *args: perception._drive_sums(*args[:-1], orders))
 
     @pytest.mark.parametrize("x", [1500.0, 5000.0, 9000.0, 13500.0,
                                    L / 2 - 1.0, L / 2, 22000.0, 28500.0])
     def test_acceptance_grid(self, monkeypatch, x):
         # The README drive, 0.6 rad; beyond the midpoint the lag is
         # negative and every sample sees both copies.
-        calls = self.branch_spy(monkeypatch)
-        self.assert_matches_oracle(pzt_event(x, 3000.0, 0.6),
-                                   ACCEPTANCE_GRID, 2000)
-        assert set(calls) == {"_drive_sums"}
+        event = pzt_event(x, 3000.0, 0.6)
+        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 2000)
+        assert self.kernels_called(monkeypatch, event, 2000) == {
+            "_drive_sums"}
 
-    def test_fold_points(self):
+    def test_fold_points(self, monkeypatch):
         # At fs / 4 and fs / 8 a harmonic of the drive folds onto a
         # multiple of the sample rate: kernels at half-angles of pi.
-        self.assert_matches_oracle(pzt_event(5000.0, 500.0, 0.6),
-                                   [TestBlockSweep.NULL_HZ / 2,
-                                    TestBlockSweep.NULL_HZ, 25e3, 50e3],
-                                   2000)
+        self.assert_matches_sampled(
+            monkeypatch, pzt_event(5000.0, 500.0, 0.6),
+            [TestBlockSweep.NULL_HZ / 2, TestBlockSweep.NULL_HZ, 25e3, 50e3],
+            2000)
 
     @pytest.mark.parametrize("n, x", [(3, 1500.0), (16, 5000.0)],
                              ids=["three-samples-before-the-switch",
                                   "sixteen-samples"])
     def test_short_sweeps(self, monkeypatch, n, x):
         # 3 samples end before the counterclockwise copy starts (a 132 us
-        # lag); both sweeps have more orders than samples, so the closed
-        # form is forced.
-        event = pzt_event(x, 500.0, 0.6)
-        self.force_closed_form(monkeypatch, event)
-        self.assert_matches_oracle(event, [2000.0, 2250.0, 2500.0, 2750.0],
-                                   n)
+        # lag).
+        self.assert_matches_sampled(monkeypatch, pzt_event(x, 500.0, 0.6),
+                                    [2000.0, 2250.0, 2500.0, 2750.0], n)
 
-    def test_dark_bias_gives_exact_zeros(self):
+    def test_dark_bias_gives_exact_zeros(self, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = self.assert_matches_oracle(pzt_event(L / 2, 500.0, 0.6),
-                                             ACCEPTANCE_GRID[:20], 2000,
-                                             bias=math.pi)
+            got = self.assert_matches_sampled(
+                monkeypatch, pzt_event(L / 2, 500.0, 0.6),
+                ACCEPTANCE_GRID[:20], 2000, bias=math.pi)
         assert np.all(got.projections == 0.0)
         assert np.all(got.moments == 0.0)
 
-    def test_long_trace(self):
-        # 40 000 samples, more than a block of the block loop holds.
-        self.assert_matches_oracle(pzt_event(5000.0, 500.0, 0.1),
-                                   [9000.0, 10250.0, 11500.0], 40_000)
+    def test_long_trace(self, monkeypatch):
+        # 40 000 samples, more than a block of the per-sample path holds.
+        self.assert_matches_sampled(
+            monkeypatch, pzt_event(5000.0, 500.0, 0.1),
+            [9000.0, 10250.0, 11500.0], 40_000)
 
     @pytest.mark.parametrize("z", [0.0, 1e-3, 2.4, 120.0])
     def test_dropped_orders_are_negligible(self, z):
@@ -709,15 +710,15 @@ class TestSweepResponse:
         if z > 0:  # a search capped below m stops one past the cap
             assert perception._bessel_orders(z, m - 2) == m - 1
 
-    @pytest.mark.parametrize("n, branch", [(2000, "_drive_sums"),
-                                           (200, "_sampled_sums")])
+    @pytest.mark.parametrize("n, branch", [(4422, "_drive_sums"),
+                                           (4421, "_sampled_sums")])
     def test_large_peak_on_each_branch(self, monkeypatch, n, branch):
-        # A 30 rad drive keeps orders -198 .. 198: fewer than 2000
-        # samples, more than 200.
-        calls = self.branch_spy(monkeypatch)
-        self.assert_matches_oracle(pzt_event(5000.0, 500.0, 30.0),
-                                   ACCEPTANCE_GRID[::40], n)
-        assert set(calls) == {branch}
+        # A 30 rad drive keeps orders -198 .. 198, 201 kernel orders of
+        # 22 samples each: the closed form from 4422 samples on.
+        event = pzt_event(5000.0, 500.0, 30.0)
+        self.assert_matches_sampled(monkeypatch, event,
+                                    ACCEPTANCE_GRID[::40], n)
+        assert self.kernels_called(monkeypatch, event, n) == {branch}
 
 
 class TestCorrelatedNormals:
