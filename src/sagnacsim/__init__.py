@@ -16,9 +16,9 @@ from .optics import (C_VACUUM, LoopChannel, PortProbabilities, PostSelection,
                      visibility_and_qber)
 from .perception import (FrequencySweep, InterferenceTrace,
                          LocalizationReport, NullFrequency,
-                         ac_amplitude_theory, find_null_frequencies,
-                         frequency_sweep, localize, localization_report,
-                         loop_phase, resolution, synthesize_trace)
+                         find_null_frequencies, frequency_sweep, localize,
+                         localization_report, loop_phase, resolution,
+                         synthesize_trace)
 from .qkd import (DetectorModel, SiftedKeyRecord, SourceModel,
                   qber_threshold_check, run_session)
 from .wm import (WmCalibration, WmReading, calibrate, contrast_ratio,

@@ -12,15 +12,26 @@ from typing import Union
 
 import numpy as np
 
-from .errors import Checked, non_negative, positive
+from .errors import Checked, ConfigError, non_negative, positive
 from .optics import C_VACUUM
 
 #: Standard acceleration of gravity (m/s^2), exact by definition.
 STANDARD_GRAVITY = 9.80665
 
 
+class _Peaked(Checked):
+    """Base of the params whose ``peak_phase_rad``, a product of finite
+    fields, may still overflow: that is a problem of the ``_GAIN`` key."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.peak_phase_rad):
+            raise ConfigError([f"{self._GAIN}: {getattr(self, self._GAIN)} "
+                               f"makes the peak phase overflow"])
+
+
 @dataclass(frozen=True)
-class PztParams(Checked):
+class PztParams(_Peaked):
     """Sinusoidal phase modulation from a piezo clamped on a bare segment.
 
     ``phase_gain_rad_per_v`` lumps the stress-optic coefficient, Young's
@@ -31,6 +42,7 @@ class PztParams(Checked):
     drive_amplitude_v: float = positive()
     angular_frequency_rad_s: float = positive()
     phase_gain_rad_per_v: float = positive(0.5)
+    _GAIN = "phase_gain_rad_per_v"
 
     @property
     def frequency_hz(self) -> float:
@@ -42,7 +54,7 @@ class PztParams(Checked):
 
 
 @dataclass(frozen=True)
-class ImpactParams(Checked):
+class ImpactParams(_Peaked):
     """Point-like transient from a mass dropped onto a bare segment.
 
     The idealized space-time delta is realized as a unit-peak Gaussian of
@@ -56,6 +68,7 @@ class ImpactParams(Checked):
     drop_height_m: float = positive()
     width_s: float = positive(10e-6)
     impact_gain: float = positive(10.0)
+    _GAIN = "impact_gain"
 
     @property
     def reach_s(self) -> float:

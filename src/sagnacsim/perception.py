@@ -17,6 +17,7 @@ one event and :func:`locate` turns a record into a position.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -59,9 +60,10 @@ _SIGNIFICANCE_MIN_HZ = 50.0
 #: times the default 293-point grid of 2000-sample traces.
 _MAX_SWEEP_WORK = 32_000_000
 
-#: Most elements of each array a block of :func:`_sweep_response` holds:
-#: whole grid points, at least one.
-_SWEEP_BLOCK_SAMPLES = 16_000
+#: Most elements a block of rows may hold, whole rows and at least one:
+#: grid points of :func:`_sweep_response`, each its samples or its
+#: kernels, and harmonics of :func:`_drive_means`, each its Fourier orders.
+_BLOCK_ELEMENTS = 16_000
 
 #: Trace samples the per-sample sweep evaluates in the time the closed form
 #: takes for one kernel order.  On the 293-point grid (2-vCPU host) both
@@ -69,8 +71,8 @@ _SWEEP_BLOCK_SAMPLES = 16_000
 #: for 8000-sample traces at 363 orders.
 _SAMPLES_PER_ORDER = 22
 
-#: Natural log of the Bessel bound below which the closed-form sweep drops
-#: a Fourier order of the port intensity: ``2**-60``, far below rounding.
+#: Natural log of the Bessel bound below which a drive series drops a
+#: Fourier order: ``2**-60``, far below rounding.
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
 #: Weights of ``exp(i l beta j)``, ``l = -2 .. 2``, in the Hann window
@@ -85,13 +87,9 @@ _WELCH_MIN_SEGMENT = 64
 #: Most samples a sensing or acquisition trace may hold: 21 s at 200 kHz.
 MAX_TRACE_SAMPLES = 2**22
 
-#: Most loop-phase samples a key window averages, and most Bessel nodes
-#: per harmonic of its closed-form means.
+#: Most loop-phase samples a key window averages, and most Fourier orders
+#: ``2M + 1`` of its closed-form means.
 _PHASE_SAMPLES = 2**16
-
-#: Most array elements per FFT of the closed-form means, unless one
-#: harmonic needs more nodes.
-_BESSEL_BLOCK = 2**14
 
 
 def _sample_count(duration_s: float, sample_rate_hz: float) -> int:
@@ -337,28 +335,33 @@ def events_reaching(events: Sequence[DisturbanceEvent], t0: float, t1: float,
     return tuple(out)
 
 
-def _bessel_nodes(z_max: float) -> int:
-    """Nodes for :func:`_jacobi_anger` to give every coefficient for
-    ``|z| <= z_max`` to rounding: a power of two above twice
-    ``z_max + 13 z_max**(1/3) + 16``, past which ``J_m(z)`` has fallen
-    below about 1e-18."""
-    return 1 << int(2.0 * (z_max + 13.0 * z_max ** (1.0 / 3.0) + 16.0)
-                    ).bit_length()
+def _bessel_orders(z: float, most: int) -> int:
+    """The first order ``m`` whose bound ``(z / 2)**m / m!`` on ``|J_m(z)|``
+    is below ``2**-60``, by bisection: the bound rises from 1 up to ``m =
+    z / 2`` and falls after it, so every higher order is below too.
+    ``most + 1`` when no order up to ``most`` is below."""
+    log_half = math.log(0.5 * z) if z > 0.0 else -math.inf
+    return bisect.bisect_left(
+        range(most + 1), True,
+        key=lambda m: m * log_half - math.lgamma(m + 1.0) < _LOG_NEGLIGIBLE)
 
 
-def _jacobi_anger(z: np.ndarray, n_nodes: int) -> np.ndarray:
-    """``i**m J_m(z)`` for each ``z``, ``m`` along the last axis in FFT
-    order (index ``j`` is ``m = j`` below ``n_nodes / 2``, else
-    ``j - n_nodes``).
+def _drive_series(f, amplitudes, orders: int, phases=0.0) -> np.ndarray:
+    """Fourier orders ``-orders .. orders`` in ``t`` of ``f(A cos(t +
+    phi))``, along the last axis, for amplitudes ``A`` and phases ``phi``
+    broadcast together.  ``f`` maps the array of ``A cos(t + phi)`` to a
+    stack of real arrays of its shape, and the stack's axis leads the
+    result.
 
-    These are the coefficients of ``exp(i z cos t) = sum_m i**m J_m(z)
-    exp(i m t)`` (Jacobi–Anger, Abramowitz & Stegun 9.1.42–45), from one
-    FFT of ``exp(i z cos t)`` at ``n_nodes`` equally spaced ``t``; exact
-    but for the orders ``|m| >= n_nodes / 2`` that fold onto them.
+    One real FFT at ``1 << (2 orders + 1).bit_length()`` equally spaced
+    ``t`` gives them, exact but for the higher orders that fold onto them,
+    which :func:`_bessel_orders` bounds.
     """
-    t = (2.0 * math.pi / n_nodes) * np.arange(n_nodes)
-    return np.fft.fft(np.exp(1j * np.multiply.outer(z, np.cos(t))),
-                      axis=-1) / n_nodes
+    nodes = 1 << (2 * orders + 1).bit_length()
+    t = (2.0 * math.pi / nodes) * np.arange(nodes)
+    x = np.expand_dims(amplitudes, -1) * np.cos(np.add.outer(phases, t))
+    coefs = np.fft.rfft(f(x), axis=-1)[..., :orders + 1] / nodes
+    return np.concatenate([coefs[..., orders:0:-1].conj(), coefs], axis=-1)
 
 
 def _drive_pieces(event: DisturbanceEvent, channel: LoopChannel, t0: float,
@@ -396,19 +399,22 @@ def _drive_means(pieces: list[tuple[float, float, float, float]],
                  n: int) -> np.ndarray:
     """Window means of ``exp(1j k A cos(theta))``, k = 1 .. n, over
     :func:`_drive_pieces`, 1 elsewhere in the window: each piece adds its
-    share of ``sum_m i**m J_m(k A)`` times its mean of ``exp(i m theta)``,
-    a ``sinc`` of its span.  One FFT takes whole harmonics, at least one,
-    of at most ``_BESSEL_BLOCK`` Bessel nodes in all."""
+    share of ``sum_m i**m J_m(k A)`` (Jacobi–Anger, Abramowitz & Stegun
+    9.1.42–45) times its mean of ``exp(i m theta)``, a ``sinc`` of its
+    span.  :func:`_drive_series` gives the coefficients as those of ``cos``
+    plus ``i`` those of ``sin``, over the orders that
+    :func:`_bessel_orders` keeps for ``n A``."""
     means = np.ones(n, dtype=complex)
     k = np.arange(1, n + 1)
     for share, amplitude, theta, span in pieces:
-        nodes = _bessel_nodes(n * abs(amplitude))
-        m = np.fft.fftfreq(nodes, 1.0 / nodes)
+        orders = _bessel_orders(n * abs(amplitude), _PHASE_SAMPLES // 2)
+        m = np.arange(-orders, orders + 1)
         piece = np.exp(1j * m * theta) * np.sinc(m * span / (2.0 * math.pi))
-        rows = max(1, _BESSEL_BLOCK // nodes)
+        rows = max(1, _BLOCK_ELEMENTS // (2 * orders + 1))
         for lo in range(0, n, rows):
-            bessel = _jacobi_anger(amplitude * k[lo:lo + rows], nodes)
-            means[lo:lo + rows] += share * (bessel @ piece - 1.0)
+            cos, sin = _drive_series(lambda x: (np.cos(x), np.sin(x)),
+                                     amplitude * k[lo:lo + rows], orders)
+            means[lo:lo + rows] += share * ((cos + 1j * sin) @ piece - 1.0)
     return means
 
 
@@ -420,14 +426,14 @@ def window_phase_means(events: Sequence[DisturbanceEvent],
 
     A window that only one drive reaches takes the means in closed form
     (:func:`_drive_means`), unless its ``n A`` needs more than
-    ``_PHASE_SAMPLES`` Bessel nodes.  Any other window averages the phase
-    at ``min(n_pulses, _PHASE_SAMPLES)`` equally spaced midpoints, the
-    pulse times when there are no more pulses than that.
+    ``_PHASE_SAMPLES`` Fourier orders ``-M .. M``.  Any other window
+    averages the phase at ``min(n_pulses, _PHASE_SAMPLES)`` equally spaced
+    midpoints, the pulse times when there are no more pulses than that.
     """
     if len(events) == 1 and isinstance(events[0].params, PztParams):
         pieces = _drive_pieces(events[0], channel, t0, window_s)
-        if all(_bessel_nodes(n * abs(amplitude)) <= _PHASE_SAMPLES
-               for _, amplitude, _, _ in pieces):
+        if all(2 * _bessel_orders(n * abs(amplitude), _PHASE_SAMPLES // 2)
+               + 1 <= _PHASE_SAMPLES for _, amplitude, _, _ in pieces):
             return _drive_means(pieces, n)
     samples = min(n_pulses, _PHASE_SAMPLES)
     return _harmonic_means(loop_phase(
@@ -521,22 +527,6 @@ def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
     return InterferenceTrace(
         sample_rate_hz=sample_rate_hz, samples=samples,
         input_power_w=input_power_w, noise_sigma=noise_sigma)
-
-
-def ac_amplitude_theory(omega_s_rad_s: float, position_m: float,
-                        channel: LoopChannel, delta_d_rad: float,
-                        input_power_w: float) -> float:
-    """Small-signal cross-interference amplitude at the drive frequency.
-
-    ``|I0 * delta_d * sin(omega_s n (L - 2x) / (2 c))|``: zero whenever the
-    half-transit phase hits a multiple of pi, which defines the null
-    frequencies.  The synthesized trace carries twice this amplitude (the
-    difference of the two direction waveforms contributes a factor 2 that
-    this normalized form omits); the null positions are unaffected.
-    """
-    dx = channel.length_m - 2.0 * position_m
-    half_transit = omega_s_rad_s * channel.refractive_index * dx / (2.0 * C_VACUUM)
-    return abs(input_power_w * delta_d_rad * math.sin(half_transit))
 
 
 def _hann(n: int) -> tuple[np.ndarray, float]:
@@ -699,7 +689,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     samples cost one by one, so a drive for which that exceeds ``n`` is
     evaluated per sample instead (:func:`_sampled_sums`).  Either way the
     grid goes in blocks of whole points whose arrays hold at most
-    ``_SWEEP_BLOCK_SAMPLES`` elements.
+    ``_BLOCK_ELEMENTS`` elements.
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
@@ -712,7 +702,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     if _SAMPLES_PER_ORDER * (orders + 3) > n:
         projections, moments = _sampled_sums(omegas, lag, *args, w)
     else:
-        rows = max(1, _SWEEP_BLOCK_SAMPLES // (5 * (orders + 3)))
+        rows = max(1, _BLOCK_ELEMENTS // (5 * (orders + 3)))
         projections = np.empty(freqs.size, dtype=complex)
         moments = np.empty((3, freqs.size))
         for lo in range(0, freqs.size, rows):
@@ -726,29 +716,17 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     return _SweepResponse(projections, moments, hann, probes)
 
 
-def _bessel_orders(z: float, most: int) -> int:
-    """The first order ``m`` whose bound ``(z / 2)**m / m!`` on ``|J_m(z)|``
-    is below ``2**-60``; the bound rises from 1 up to ``m = z / 2`` and
-    falls after it, so every higher order is below too.  0 for ``z = 0``,
-    and ``most + 1`` once the search passes ``most``."""
-    m, log_bound = 0, 0.0
-    while z > 0.0 and m <= most and log_bound >= _LOG_NEGLIGIBLE:
-        m += 1
-        log_bound += math.log(0.5 * z / m)
-    return m
-
-
 def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
                   sample_rate_hz: float, switch: int, peak: float,
                   bias: float, input_power_w: float,
                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projections and ``c u`` moments of :func:`_sweep_response` at
     angular frequencies ``omegas``, sample by sample, in blocks of whole
-    points of at most ``_SWEEP_BLOCK_SAMPLES`` samples: one
+    points of at most ``_BLOCK_ELEMENTS`` samples: one
     :func:`_unit_phasors` table ``e`` per block gives the drive, the drive
     ``lag`` seconds late (from sample ``switch`` on) and the projection."""
     on = np.arange(n) >= switch
-    rows = max(1, _SWEEP_BLOCK_SAMPLES // n)
+    rows = max(1, _BLOCK_ELEMENTS // n)
     projections = np.empty(omegas.size, dtype=complex)
     moments = np.empty((3, omegas.size))
     for lo in range(0, omegas.size, rows):
@@ -790,12 +768,13 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
     ``phi = -pi/2``; from it on, ``A = 2 peak sin(lag_phase / 2)`` and
     ``phi = -lag_phase / 2``.  In each region ``c`` and ``c**2`` are
     Fourier series in ``theta j``, whose orders ``-M .. M`` (``M =
-    orders``) one FFT per region gives.  The Hann window is ``sum_l h_l
-    exp(i l beta j)``, ``beta = 2 pi / (n - 1)`` (F. J. Harris, Proc. IEEE
-    66, 51 (1978)), so every sum is one of ``T_p(k) = sum_j w_j**p exp(i
-    k theta j)`` over a region times a coefficient: a sum of Dirichlet
-    kernels at ``k theta + l beta``.  Their half-angles are reduced mod pi
-    before any sine; ``T_p(-k)`` is the conjugate of ``T_p(k)``.
+    orders``) one :func:`_drive_series` per region gives.  The Hann window
+    is ``sum_l h_l exp(i l beta j)``, ``beta = 2 pi / (n - 1)`` (F. J.
+    Harris, Proc. IEEE 66, 51 (1978)), so every sum is one of ``T_p(k) =
+    sum_j w_j**p exp(i k theta j)`` over a region times a coefficient: a
+    sum of Dirichlet kernels at ``k theta + l beta``.  Their half-angles
+    are reduced mod pi before any sine; ``T_p(-k)`` is the conjugate of
+    ``T_p(k)``.
     """
     theta = omega / sample_rate_hz
     half = (math.pi / (n - 1)) * np.arange(-2, 3)[:, None, None] \
@@ -803,24 +782,23 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
     x = half - math.pi * np.rint(half / math.pi)
     sin_x, cos_x = np.sin(x), np.cos(x)
     whole = _dirichlet(x, sin_x, cos_x, n)
-    nodes = 1 << (2 * orders + 1).bit_length()
-    t = (2.0 * math.pi / nodes) * np.arange(nodes)
-    both = bias + 2.0 * peak * np.sin(0.5 * lag_phase)[:, None] * np.cos(
-        t - 0.5 * lag_phase[:, None])
-    regions = [(whole, both)]
+
+    def powers(phase):
+        c = _port_intensity(bias + phase, input_power_w)
+        return c, c * c
+
+    both = (2.0 * peak * np.sin(0.5 * lag_phase), -0.5 * lag_phase)
+    regions = [(whole, *both)]
     if switch > 0:
         early = _dirichlet(x, sin_x, cos_x, switch)
-        regions = [(early, bias + peak * np.sin(t)), (whole - early, both)]
+        regions = [(early, peak, -0.5 * math.pi), (whole - early, *both)]
     span = 2 * orders + 1
     sums = np.zeros((6, theta.size), dtype=complex)
-    for kernels, gpd in regions:
+    for kernels, amplitude, phi in regions:
         window = np.tensordot(_HANN_POWERS, kernels, axes=1)
         window = np.concatenate(
             [window[:, :, orders:0:-1].conj(), window], axis=2)
-        c = _port_intensity(gpd, input_power_w)
-        coefs = np.fft.rfft([c, c * c], axis=-1)[..., :orders + 1] / nodes
-        f, g = np.concatenate([coefs[..., orders:0:-1].conj(), coefs],
-                              axis=-1)
+        f, g = _drive_series(powers, amplitude, orders, phi)
         # Sum w c e, sum c; sum c^2 w^2, sum c^2 w e, sum c^2 and
         # sum c^2 w^2 e^2, with e^k = exp(i k theta j).
         for row, (coef, p, shift) in enumerate((

@@ -2,18 +2,21 @@
 
 These deliberately avoid the closed forms under test: the port probability
 oracle integrates the spectral density numerically, and the Taylor bound
-evaluates position differences directly.  The swept-sine oracle is the
-point-by-point definition, with its own tone projection, that the block
-evaluation must equal to rounding.  The per-round key oracle draws every
-BB84 round that the count-level engine summarizes in one multinomial draw,
-and the sampled window mean of the loop phase's harmonics is the reference
-for the closed-form means of a key window under a drive.
-The WM null angle and delay inversion are found by bracketed root finding
-where the library takes closed forms, and the small-angle contrast ratio
-is the approximation the exact one is compared against.  The trace
-writer, reader and notch scan are kept here one sample, line or candidate
-at a time, as the references the whole-column library code must equal
-byte for byte.
+evaluates position differences directly.  The small-signal tone amplitude
+is the first-order formula whose zeros define the null frequencies.  The
+swept-sine oracle is the point-by-point definition, with its own tone
+projection, that the block evaluation must equal to rounding.  The
+per-round key oracle draws every BB84 round that the count-level engine
+summarizes in one multinomial draw, and the sampled window mean of the
+loop phase's harmonics is the reference for the closed-form means of a
+key window under a drive; the Fourier orders of a drive, which both of
+those closed forms read, are checked against ``scipy.special.jv`` in the
+tests themselves.  The WM null angle and delay inversion are found by
+bracketed root finding where the library takes closed forms, and the
+small-angle contrast ratio is the approximation the exact one is compared
+against.  The trace writer, reader and notch scan are kept here one
+sample, line or candidate at a time, as the references the whole-column
+library code must equal byte for byte.
 """
 from __future__ import annotations
 
@@ -77,6 +80,22 @@ def first_order_span(f_hz: float, k: int, index: float,
     """First-order Taylor estimate of the same span: 2 |dx/df| df."""
     slope = k * C / (2.0 * index * f_hz * f_hz)
     return 2.0 * slope * delta_f_hz
+
+
+def ac_amplitude_theory(omega_s_rad_s: float, position_m: float,
+                        channel, delta_d_rad: float,
+                        input_power_w: float) -> float:
+    """Small-signal cross-interference amplitude at the drive frequency.
+
+    ``|I0 * delta_d * sin(omega_s n (L - 2x) / (2 c))|``: zero whenever the
+    half-transit phase hits a multiple of pi, which defines the null
+    frequencies.  The synthesized trace carries twice this amplitude (the
+    difference of the two direction waveforms contributes a factor 2 that
+    this normalized form omits); the null positions are unaffected.
+    """
+    dx = channel.length_m - 2.0 * position_m
+    half_transit = omega_s_rad_s * channel.refractive_index * dx / (2.0 * C)
+    return abs(input_power_w * delta_d_rad * math.sin(half_transit))
 
 
 def exact_contrast_ratio(delta_tau: float, delta_epsilon: float,

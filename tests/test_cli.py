@@ -413,6 +413,13 @@ _BAD_CONFIGS = [
     ("channel.length_m", '{"channel": {"length_m": 1e400}}'),
     ("perception.sense_duration_s",
      '{"perception": {"sense_duration_s": 1e308}}'),
+    # Finite fields whose peak phase overflows.
+    ("disturbances[0].phase_gain_rad_per_v",
+     '{"disturbances": [{"kind": "pzt", "position_m": 5000.0, '
+     '"drive_amplitude_v": 1e200, "phase_gain_rad_per_v": 1e200}]}'),
+    ("disturbances[0].impact_gain",
+     '{"disturbances": [{"kind": "impact", "position_m": 5000.0, '
+     '"mass_kg": 1e200, "impact_gain": 1e200}]}'),
 ]
 
 _HEADER = b"# sample_rate_hz=1000.0 i0_w=1.0\n"
@@ -436,7 +443,8 @@ _BAD_FILES = {
 
 
 class TestBadInput:
-    @pytest.mark.parametrize("command", ["qkd", "integrated", "wm"])
+    @pytest.mark.parametrize("command", ["qkd", "integrated", "wm",
+                                         "perceive"])
     @pytest.mark.parametrize("key, text", _BAD_CONFIGS)
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command,
                                           key, text):

@@ -64,7 +64,7 @@ EXPORTED = [
     "LocalizationReport", "LoopChannel", "NullFrequency",
     "PortProbabilities", "PostSelection", "PressureParams", "PztParams",
     "ScenarioScript", "SiftedKeyRecord", "SourceModel", "SpectralPacket",
-    "SystemMode", "WmCalibration", "WmReading", "ac_amplitude_theory",
+    "SystemMode", "WmCalibration", "WmReading",
     "calibrate", "contrast_ratio", "disturbed_intensity",
     "find_null_frequencies", "frequency_sweep", "impact_phase",
     "infer_delay", "localization_report", "localize", "loop_phase",

@@ -18,8 +18,7 @@ from sagnacsim.errors import (AliasingError, ConfigError,
 from sagnacsim import perception
 from sagnacsim.optics import C_VACUUM, LoopChannel
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
-                                  NullFrequency, PerceptionSettings,
-                                  ac_amplitude_theory, acquire,
+                                  NullFrequency, PerceptionSettings, acquire,
                                   find_null_frequencies, frequency_sweep,
                                   locate, localization_report, localize,
                                   loop_phase,
@@ -28,7 +27,7 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   significance, synthesize_trace,
                                   window_phase_means)
 
-from oracles import (ac_power_at, first_order_span,
+from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
                      per_candidate_trace_nulls, point_by_point_sweep,
                      position_from_null, sampled_phase_means,
                      tone_amplitude, two_sided_position_span)
@@ -148,13 +147,46 @@ class TestWindowPhaseMeans:
             got, sampled_phase_means((event,), channel(), 4.0, 1.0, 2**16,
                                      self.K), rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("z, branch", [(24082.0, "_drive_means"),
+                                           (24083.0, "_harmonic_means")])
+    def test_drive_on_each_side_of_the_order_limit(self, monkeypatch, z,
+                                                   branch):
+        # 25 harmonics of a piece of amplitude A keep the orders |m| <= M
+        # of J_m(25 A): 2M + 1 = 65535 at 25 A = 24082 and 65537 at
+        # 24083, past the _PHASE_SAMPLES the closed form may take.
+        unit = perception._drive_pieces(drive(peak_rad=1.0), channel(),
+                                        4.0, 1.0)[0][1]
+        event = drive(peak_rad=z / (self.K * unit))
+        [(_, amplitude, _, _)] = perception._drive_pieces(event, channel(),
+                                                          4.0, 1.0)
+        orders = perception._bessel_orders(self.K * abs(amplitude), 10**6)
+        assert orders == {"_drive_means": 32767,
+                          "_harmonic_means": 32768}[branch]
+        calls = set()
+        for name in ("_drive_means", "_harmonic_means"):
+            def spy(*args, _kernel=getattr(perception, name), _name=name):
+                calls.add(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(perception, name, spy)
+        got = window_phase_means((event,), channel(), 4.0, 1.0, 200_000,
+                                 self.K)
+        assert calls == {branch}
+        if branch == "_drive_means":
+            # The window holds 3000 whole drive periods, over which the
+            # mean of exp(i k A cos theta) is J_0(k A).
+            np.testing.assert_allclose(
+                got, jv(0, np.arange(1, self.K + 1) * amplitude), rtol=0.0,
+                atol=1e-12)
+
     @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 7.3, 60.0, 1000.0])
     def test_jacobi_anger_coefficients_are_bessel_values(self, z):
-        nodes = perception._bessel_nodes(z)
-        m = np.fft.fftfreq(nodes, 1.0 / nodes)
-        np.testing.assert_allclose(
-            perception._jacobi_anger(np.array([z]), nodes)[0],
-            1j ** m * jv(m, z), rtol=0.0, atol=1e-13)
+        # The window means read exp(i z cos t) as cos plus i sin.
+        orders = perception._bessel_orders(z, 10**6)
+        m = np.arange(-orders, orders + 1)
+        cos, sin = perception._drive_series(
+            lambda x: (np.cos(x), np.sin(x)), z, orders)
+        np.testing.assert_allclose(cos + 1j * sin, 1j ** m * jv(m, z),
+                                   rtol=0.0, atol=1e-13)
 
 
 class TestSynthesizeTrace:
@@ -534,8 +566,7 @@ class TestBlockSweep:
     def test_noise_at_null_peak_and_fold(self, monkeypatch, block_samples):
         # 2000-sample traces; the smallest block holds one point, as a
         # grid point of more than half the block's elements does.
-        monkeypatch.setattr(perception, "_SWEEP_BLOCK_SAMPLES",
-                            block_samples)
+        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", block_samples)
         self.assert_same_distribution(pzt_event(5000.0, 500.0, 0.6),
                                       self.FIXED_POINTS, duration_s=0.01)
 
@@ -709,6 +740,36 @@ class TestSweepResponse:
         assert np.all(np.abs(jv(np.arange(m + 1, m + 60), z)) < 2.0**-60)
         if z > 0:  # a search capped below m stops one past the cap
             assert perception._bessel_orders(z, m - 2) == m - 1
+
+    @pytest.mark.parametrize("bias", [0.5 * math.pi, math.pi])
+    def test_port_intensity_series_are_bessel_values(self, bias):
+        # With Y = b + A cos(s + phi), the order m coefficient of c =
+        # I0 (1 + cos Y) is I0 (d_m0 + J_m(A) cos(b + m pi / 2)) and that
+        # of c**2 = I0**2 (1.5 + 2 cos Y + 0.5 cos 2Y) is I0**2 (1.5 d_m0
+        # + 2 J_m(A) cos(b + m pi / 2) + 0.5 J_m(2 A) cos(2 b + m pi / 2)),
+        # each times exp(i m phi).  Bound, fixed before the first run:
+        # 1e-12 I0**p, with p = 1 for c and 2 for c**2.  The cosines'
+        # arguments, up to 2 A = 60 rad, round by about 60 eps, and the
+        # FFT adds about eps log2(nodes) max|f|.
+        i0 = DEFAULT_INPUT_POWER_W
+        amplitudes = np.array([0.0, 0.6, 2.4, 30.0])
+        phases = np.array([-0.5 * math.pi, 0.3, -1.1, 2.0])
+        orders = perception._bessel_orders(2.0 * amplitudes.max(), 10**6)
+
+        def powers(x):
+            c = i0 * (1.0 + np.cos(bias + x))
+            return c, c * c
+
+        c, cc = perception._drive_series(powers, amplitudes, orders, phases)
+        m = np.arange(-orders, orders + 1)
+        a, turn = amplitudes[:, None], np.exp(1j * m * phases[:, None])
+        quarter = m * (0.5 * math.pi)
+        j1, j2 = jv(m, a), jv(m, 2.0 * a)
+        want_c = i0 * ((m == 0) + j1 * np.cos(bias + quarter)) * turn
+        want_cc = i0**2 * (1.5 * (m == 0) + 2.0 * j1 * np.cos(bias + quarter)
+                           + 0.5 * j2 * np.cos(2.0 * bias + quarter)) * turn
+        assert np.max(np.abs(c - want_c)) <= 1e-12 * i0
+        assert np.max(np.abs(cc - want_cc)) <= 1e-12 * i0**2
 
     @pytest.mark.parametrize("n, branch", [(4422, "_drive_sums"),
                                            (4421, "_sampled_sums")])
