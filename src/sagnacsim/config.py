@@ -13,7 +13,6 @@ Parsing reports every key's problems at once; the checks across fields
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
@@ -61,14 +60,10 @@ _TOP_LEVEL = _keys(ScenarioScript, duration_s=20.0, seed=1)
 
 _EVENT = _keys(DisturbanceEvent)
 
-# kind -> (params type, its keys); a pzt drive is keyed by frequency_hz,
-# its angular frequency divided by 2 pi.
+# kind -> (params type, its keys).
 _DISTURBANCES = {
-    "pzt": (PztParams, {
-        **_keys(PztParams, drop=("angular_frequency_rad_s",),
-                drive_amplitude_v=2.0),
-        "frequency_hz": field_specs(PztParams)[
-            "angular_frequency_rad_s"]._replace(default=500.0)}),
+    "pzt": (PztParams, _keys(PztParams, drive_amplitude_v=2.0,
+                             frequency_hz=500.0)),
     "impact": (ImpactParams, _keys(ImpactParams, mass_kg=0.1,
                                    drop_height_m=0.1)),
     "pressure": (PressureParams, _keys(PressureParams, mass_kg=0.1)),
@@ -85,12 +80,8 @@ def _build(label: str, cls, values: dict):
 
 def _event(label: str, entry: dict) -> DisturbanceEvent:
     cls, keys = _DISTURBANCES[entry["kind"]]
-    values = {key: entry[key] for key in keys}
-    if cls is PztParams:
-        values["angular_frequency_rad_s"] = \
-            2.0 * math.pi * values.pop("frequency_hz")
     return _build(label, DisturbanceEvent, {
-        "params": _build(label, cls, values),
+        "params": _build(label, cls, {key: entry[key] for key in keys}),
         **{key: entry[key] for key in _EVENT}})
 
 

@@ -19,15 +19,24 @@ from .optics import C_VACUUM
 STANDARD_GRAVITY = 9.80665
 
 
+#: Largest peak phase (rad) a dynamic event may impose on one pass.  At
+#: 1550 nm it stretches the fiber's optical path by about 170 m, against
+#: 0.6 rad for the README drive; the net phase of a scenario's events then
+#: stays far inside the float range.
+MAX_PEAK_PHASE_RAD = 1e9
+
+
 class _Peaked(Checked):
-    """Base of the params whose ``peak_phase_rad``, a product of finite
-    fields, may still overflow: that is a problem of the ``_GAIN`` key."""
+    """Base of the dynamic params: ``peak_phase_rad``, a product of fields,
+    is bounded by ``MAX_PEAK_PHASE_RAD`` as a problem of the ``_GAIN`` key,
+    and the event's band, ``band_hz``, is set by the ``_BAND`` key."""
 
     def __post_init__(self):
         super().__post_init__()
-        if not math.isfinite(self.peak_phase_rad):
+        if not self.peak_phase_rad <= MAX_PEAK_PHASE_RAD:
             raise ConfigError([f"{self._GAIN}: {getattr(self, self._GAIN)} "
-                               f"makes the peak phase overflow"])
+                               f"puts the peak phase above "
+                               f"{MAX_PEAK_PHASE_RAD} rad"])
 
 
 @dataclass(frozen=True)
@@ -40,13 +49,18 @@ class PztParams(_Peaked):
     """
 
     drive_amplitude_v: float = positive()
-    angular_frequency_rad_s: float = positive()
+    frequency_hz: float = positive()
     phase_gain_rad_per_v: float = positive(0.5)
     _GAIN = "phase_gain_rad_per_v"
+    _BAND = "frequency_hz"
 
     @property
-    def frequency_hz(self) -> float:
-        return self.angular_frequency_rad_s / (2.0 * math.pi)
+    def angular_frequency_rad_s(self) -> float:
+        return 2.0 * math.pi * self.frequency_hz
+
+    @property
+    def band_hz(self) -> float:
+        return self.frequency_hz
 
     @property
     def peak_phase_rad(self) -> float:
@@ -69,6 +83,12 @@ class ImpactParams(_Peaked):
     width_s: float = positive(10e-6)
     impact_gain: float = positive(10.0)
     _GAIN = "impact_gain"
+    _BAND = "width_s"
+
+    @property
+    def band_hz(self) -> float:
+        """Where the pulse's spectrum ends: half the inverse width."""
+        return 0.5 / self.width_s
 
     @property
     def reach_s(self) -> float:

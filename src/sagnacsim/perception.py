@@ -161,7 +161,7 @@ class PerceptionSettings(Checked):
                     f"each, more than {_MAX_SWEEP_WORK} samples in all"]
         last = self.scan_min_hz + (points - 1) * (
             (self.scan_min_hz + self.scan_step_hz) - self.scan_min_hz)
-        if last >= self.sample_rate_hz / 2.0:
+        if _band_aliases(last, self.sample_rate_hz):
             return [f"scan_max_hz: the last scan point {last} Hz is not "
                     f"below half the sample_rate_hz {self.sample_rate_hz}"]
         return []
@@ -181,16 +181,15 @@ class PerceptionSettings(Checked):
 
     def event_problems(self, event: DisturbanceEvent) -> list[str]:
         """Why this perception cannot record dynamic ``event``, keyed by
-        the event parameter: its bandwidth must lie below half the sample
-        rate, and a transient's trace may hold at most
-        ``MAX_TRACE_SAMPLES`` samples."""
-        key = ("frequency_hz" if isinstance(event.params, PztParams)
-               else "width_s")
+        the parameter that sets its band, ``_BAND``: the band must pass
+        :func:`_band_aliases` at the sample rate, and a transient's trace
+        may hold at most ``MAX_TRACE_SAMPLES`` samples."""
+        key, band = event.params._BAND, event.params.band_hz
         value = getattr(event.params, key)
-        if _aliases(event, self.sample_rate_hz):
-            return [f"{key}: {value} puts the disturbance band at "
-                    f"{_required_bandwidth_hz(event)} Hz, not below half "
-                    f"the perception sample_rate_hz {self.sample_rate_hz}"]
+        if _band_aliases(band, self.sample_rate_hz):
+            return [f"{key}: {value} puts the disturbance band at {band} "
+                    f"Hz, not below half the perception sample_rate_hz "
+                    f"{self.sample_rate_hz}"]
         if key == "width_s":
             n = _sample_count(self.trace_duration_s(event.params),
                               self.sample_rate_hz)
@@ -452,29 +451,12 @@ def _harmonic_means(phases: np.ndarray, n: int) -> np.ndarray:
     return means
 
 
-def _required_bandwidth_hz(event: DisturbanceEvent) -> float:
-    if isinstance(event.params, PztParams):
-        return event.params.frequency_hz
-    if isinstance(event.params, ImpactParams):
-        return 0.5 / event.params.width_s
-    return 0.0
-
-
 def _band_aliases(needed_hz: float, sample_rate_hz: float) -> bool:
-    """Whether ``sample_rate_hz`` is too low for a ``needed_hz`` band."""
+    """Whether ``sample_rate_hz`` is too low for a band reaching
+    ``needed_hz``: the one Nyquist rule of perception, for a dynamic
+    event's ``band_hz`` and a scan grid's last point alike, exact at half
+    the sample rate."""
     return needed_hz > 0 and sample_rate_hz <= 2.0 * needed_hz
-
-
-def _aliases(event: DisturbanceEvent, sample_rate_hz: float) -> bool:
-    """Whether ``sample_rate_hz`` is too low for ``event``'s band.
-
-    A drive is judged on the angular frequency it stores: ``omega >= pi fs``
-    is exact at half the sample rate, where ``omega / (2 pi)`` can round
-    below the configured frequency.
-    """
-    if isinstance(event.params, PztParams):
-        return event.params.angular_frequency_rad_s >= math.pi * sample_rate_hz
-    return _band_aliases(_required_bandwidth_hz(event), sample_rate_hz)
 
 
 def _aliasing_error(needed_hz: float, sample_rate_hz: float) -> AliasingError:
@@ -505,8 +487,8 @@ def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
     if duration_s <= 0 or sample_rate_hz <= 0:
         raise ValueError("duration_s and sample_rate_hz must be positive")
     for ev in events:
-        if _aliases(ev, sample_rate_hz):
-            raise _aliasing_error(_required_bandwidth_hz(ev), sample_rate_hz)
+        if ev.is_dynamic and _band_aliases(ev.params.band_hz, sample_rate_hz):
+            raise _aliasing_error(ev.params.band_hz, sample_rate_hz)
     n = _sample_count(duration_s, sample_rate_hz)
     if n == 0:
         raise InsufficientDataError(
@@ -596,7 +578,7 @@ def measure_tone_amplitude(trace: InterferenceTrace,
 
 def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
                     frequencies_hz: Sequence[float], *,
-                    duration_s: float = 0.01,
+                    duration_s: float = PerceptionSettings.sweep_duration_s,
                     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
                     noise_sigma: float = DEFAULT_NOISE_SIGMA,
                     input_power_w: float = DEFAULT_INPUT_POWER_W,
@@ -1040,10 +1022,11 @@ def _nulls_from_trace(trace: InterferenceTrace, max_k: int,
                              tolerance_hz=2.0 * bin_hz)
 
 
-def find_null_frequencies(data: Union[InterferenceTrace, FrequencySweep],
-                          max_k: int = 3, *,
-                          depth_threshold_db: float = 10.0,
-                          ) -> list[NullFrequency]:
+def find_null_frequencies(
+        data: Union[InterferenceTrace, FrequencySweep],
+        max_k: int = PerceptionSettings.max_harmonics, *,
+        depth_threshold_db: float = PerceptionSettings.notch_depth_db,
+        ) -> list[NullFrequency]:
     """Locate nulls of the nonreciprocal response.
 
     Two strategies, chosen by input type: swept-sine tables are searched

@@ -176,7 +176,7 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
     amps = np.empty_like(freqs)
     for i, f in enumerate(freqs):
         drive = replace(event.params,
-                        angular_frequency_rad_s=2.0 * math.pi * f)
+                        frequency_hz=f)
         point = DisturbanceEvent(params=drive, position_m=event.position_m,
                                  start_s=0.0)
         trace = synthesize_trace(

@@ -45,7 +45,7 @@ def sensing_channel(bias=0.5 * math.pi):
 def pzt(position_m, f_hz, delta_d, start_s=0.0):
     return DisturbanceEvent(
         PztParams(drive_amplitude_v=1.0,
-                  angular_frequency_rad_s=2 * math.pi * f_hz,
+                  frequency_hz=f_hz,
                   phase_gain_rad_per_v=delta_d),
         position_m=position_m, start_s=start_s)
 

@@ -420,6 +420,13 @@ _BAD_CONFIGS = [
     ("disturbances[0].impact_gain",
      '{"disturbances": [{"kind": "impact", "position_m": 5000.0, '
      '"mass_kg": 1e200, "impact_gain": 1e200}]}'),
+    # Finite peak phases past the bound: the drive's net phase overflowed.
+    ("disturbances[0].phase_gain_rad_per_v",
+     '{"disturbances": [{"kind": "pzt", "position_m": 5000.0, '
+     '"drive_amplitude_v": 1e154, "phase_gain_rad_per_v": 1e154}]}'),
+    ("disturbances[0].impact_gain",
+     '{"disturbances": [{"kind": "impact", "position_m": 5000.0, '
+     '"mass_kg": 1e154, "impact_gain": 1e154}]}'),
 ]
 
 _HEADER = b"# sample_rate_hz=1000.0 i0_w=1.0\n"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from sagnacsim.config import parse_config, parse_config_dict
 from sagnacsim.controller import MAX_KEY_WINDOWS
+from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
+                                   PressureParams, PztParams)
 from sagnacsim.errors import ConfigError
 from sagnacsim.perception import MAX_TRACE_SAMPLES
 
@@ -127,6 +130,16 @@ class TestTypedViews:
             2 * math.pi * 800.0)
         assert events[1].params.mass_kg == 0.2
         assert events[2].params.mass_kg == 0.5
+
+    @pytest.mark.parametrize("kind, cls", [("pzt", PztParams),
+                                           ("impact", ImpactParams),
+                                           ("pressure", PressureParams)])
+    def test_keys_are_the_params_fields_and_the_event_keys(self, kind, cls):
+        entry = parse_config_dict({"disturbances": [
+            {"kind": kind, "position_m": 1.0}]}).resolved["disturbances"][0]
+        numeric = {f.name for c in (cls, DisturbanceEvent)
+                   for f in fields(c) if f.type in ("int", "float")}
+        assert set(entry) == {"kind", *numeric}
 
     def test_wm_settings_carry_pressure_geometry(self):
         cfg = parse_config_dict({"wm": {"pressed_length_m": 0.2}})

@@ -89,7 +89,7 @@ def base_script(events=(), duration=6.0, seed=7, pulses=200_000,
 def strong_pzt(position_m=5000.0, start_s=2.0, f_hz=3000.0):
     return DisturbanceEvent(
         PztParams(drive_amplitude_v=1.2,
-                  angular_frequency_rad_s=2 * math.pi * f_hz,
+                  frequency_hz=f_hz,
                   phase_gain_rad_per_v=0.5),
         position_m=position_m, start_s=start_s)
 

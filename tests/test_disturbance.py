@@ -16,15 +16,15 @@ from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
 class TestPzt:
     def test_zero_at_origin(self):
         p = PztParams(drive_amplitude_v=1.0,
-                      angular_frequency_rad_s=2 * math.pi * 100.0)
+                      frequency_hz=100.0)
         assert pzt_phase(0.0, p) == 0.0
 
     def test_linearity_in_drive(self):
         base = PztParams(drive_amplitude_v=1.0,
-                         angular_frequency_rad_s=2 * math.pi * 100.0,
+                         frequency_hz=100.0,
                          phase_gain_rad_per_v=0.7)
         double = PztParams(drive_amplitude_v=2.0,
-                           angular_frequency_rad_s=2 * math.pi * 100.0,
+                           frequency_hz=100.0,
                            phase_gain_rad_per_v=0.7)
         t = np.linspace(0, 0.05, 400)
         assert np.allclose(pzt_phase(t, double), 2.0 * pzt_phase(t, base),
@@ -32,7 +32,7 @@ class TestPzt:
 
     def test_quarter_period_hits_peak(self):
         p = PztParams(drive_amplitude_v=3.0,
-                      angular_frequency_rad_s=2 * math.pi * 100.0,
+                      frequency_hz=100.0,
                       phase_gain_rad_per_v=0.5)
         assert pzt_phase(2.5e-3, p) == pytest.approx(p.peak_phase_rad,
                                                      rel=1e-12)
@@ -42,14 +42,14 @@ class TestPzt:
     @settings(max_examples=100, deadline=None)
     def test_periodicity(self, f, t):
         p = PztParams(drive_amplitude_v=1.0,
-                      angular_frequency_rad_s=2 * math.pi * f)
+                      frequency_hz=f)
         period = 2 * math.pi / p.angular_frequency_rad_s
         assert pzt_phase(t + period, p) == pytest.approx(pzt_phase(t, p),
                                                          abs=1e-12)
 
     def test_pure_function(self):
         p = PztParams(drive_amplitude_v=1.0,
-                      angular_frequency_rad_s=2 * math.pi * 250.0)
+                      frequency_hz=250.0)
         t = np.linspace(0, 1, 1000)
         assert np.array_equal(pzt_phase(t, p), pzt_phase(t, p))
 
@@ -146,7 +146,7 @@ def test_standard_gravity_is_the_defined_constant():
 class TestEvent:
     def test_kinds(self):
         pzt = DisturbanceEvent(
-            PztParams(1.0, 2 * math.pi * 100.0), position_m=100.0)
+            PztParams(1.0, 100.0), position_m=100.0)
         imp = DisturbanceEvent(
             ImpactParams(0.1, 0.1), position_m=100.0)
         prs = DisturbanceEvent(PressureParams(0.1), position_m=100.0)
@@ -170,7 +170,7 @@ class TestEvent:
         assert np.all(single_pass_phase(t, prs) == 0.0)
 
     def test_pzt_starts_at_start_time(self):
-        ev = DisturbanceEvent(PztParams(1.0, 2 * math.pi * 100.0),
+        ev = DisturbanceEvent(PztParams(1.0, 100.0),
                               position_m=100.0, start_s=2.0)
         assert single_pass_phase(1.999, ev) == 0.0
         assert single_pass_phase(2.0025, ev) != 0.0
@@ -178,7 +178,7 @@ class TestEvent:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             PztParams(drive_amplitude_v=-1.0,
-                      angular_frequency_rad_s=10.0)
+                      frequency_hz=10.0)
         with pytest.raises(ValueError):
             ImpactParams(mass_kg=0.1, drop_height_m=0.0)
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from sagnacsim.errors import (AliasingError, ConfigError,
                               InsufficientDataError, OutOfLoopError,
                               UndefinedResolutionError)
 from sagnacsim import perception
+from sagnacsim.config import parse_config_dict
 from sagnacsim.optics import C_VACUUM, LoopChannel
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   NullFrequency, PerceptionSettings, acquire,
@@ -44,9 +45,23 @@ def channel(bias=0.5 * math.pi):
 def pzt_event(position_m, f_hz=500.0, delta_d=0.05):
     return DisturbanceEvent(
         PztParams(drive_amplitude_v=1.0,
-                  angular_frequency_rad_s=2 * math.pi * f_hz,
+                  frequency_hz=f_hz,
                   phase_gain_rad_per_v=delta_d),
         position_m=position_m)
+
+
+def _config_problems(entry, fs):
+    """The keys a config sampled at ``fs`` finds wrong with disturbance
+    ``entry``, under a scan grid and trace lengths that ``fs`` holds."""
+    f = fs / 2.0
+    try:
+        parse_config_dict({"disturbances": [entry], "perception": {
+            "sample_rate_hz": fs, "sense_duration_s": 64.0 / f,
+            "sweep_duration_s": 4.0 / f, "scan_min_hz": f / 8,
+            "scan_max_hz": f / 4, "scan_step_hz": f / 16}})
+    except ConfigError as exc:
+        return [p.split(":")[0] for p in exc.problems]
+    return []
 
 
 class TestLoopPhase:
@@ -92,7 +107,7 @@ def drive(position_m=5000.0, start_s=3.0, f_hz=3000.0, peak_rad=0.6):
     """The README drive, 0.6 rad at 3 kHz from 3 s, by default."""
     return DisturbanceEvent(
         PztParams(drive_amplitude_v=1.0,
-                  angular_frequency_rad_s=2 * math.pi * f_hz,
+                  frequency_hz=f_hz,
                   phase_gain_rad_per_v=peak_rad),
         position_m=position_m, start_s=start_s)
 
@@ -234,7 +249,7 @@ class TestSynthesizeTrace:
     @given(f=st.floats(1.0, 1e5))
     @settings(max_examples=200, deadline=None)
     def test_drive_at_half_the_sample_rate_aliases(self, f):
-        # omega / (2 pi) can round below f; the checks must not.
+        # A drive at exactly half the sample rate aliases, in every check.
         event, grid = pzt_event(5000.0, f_hz=f), [f / 4, f / 2, f]
         with pytest.raises(AliasingError):
             synthesize_trace((event,), channel(), 4.0 / f, 2.0 * f)
@@ -245,6 +260,32 @@ class TestSynthesizeTrace:
         synthesize_trace((event,), channel(), 4.0 / f, faster)
         frequency_sweep(event, channel(), grid, duration_s=4.0 / f,
                         sample_rate_hz=faster)
+        drive_entry = {"kind": "pzt", "position_m": 5000.0,
+                       "drive_amplitude_v": 1.0, "frequency_hz": f,
+                       "phase_gain_rad_per_v": 0.05}
+        assert _config_problems(drive_entry, 2.0 * f) == [
+            "disturbances[0].frequency_hz"]
+        assert _config_problems(drive_entry, faster) == []
+        # An impact's band, 0.5 / width_s, reaches half the sample rate at
+        # a width of one sample period, up to rounding: config validation
+        # rejects exactly the widths that synthesis rejects, and a width
+        # just inside passes both.
+        fs = 2.0 * f
+        for width, inside in ((1.0 / fs, False),
+                              (1.0 / fs * (1.0 + 1e-9), True)):
+            impact = DisturbanceEvent(ImpactParams(0.1, 0.1, width),
+                                      position_m=5000.0)
+            try:
+                synthesize_trace((impact,), channel(), 4.0 / f, fs)
+                synthesized = True
+            except AliasingError:
+                synthesized = False
+            problems = _config_problems({"kind": "impact",
+                                         "position_m": 5000.0,
+                                         "width_s": width}, fs)
+            assert problems == ([] if synthesized
+                                else ["disturbances[0].width_s"])
+            assert synthesized or not inside
 
     def test_deterministic_per_seed(self):
         ev = pzt_event(7000.0)
