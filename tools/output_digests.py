@@ -21,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sagnacsim.cli import main  # noqa: E402
+from sagnacsim.fileio import read_trace  # noqa: E402
 
 # The README PZT scenario, the same drive at 4000 m from 3.5 s with a second
 # one at 9000 m from 0 s, the README drive at 32768 Hz (twice a period at
@@ -112,14 +113,30 @@ def _cell(text: str):
     return text
 
 
+def _trace_summary(path: Path) -> dict:
+    """A trace file as its header values, its sample count and the SHA-256
+    of its samples' float64 bytes, which pins every sample bit whatever
+    text they were written as."""
+    trace = read_trace(path)
+    return {"sample_rate_hz": trace.sample_rate_hz,
+            "i0_w": trace.input_power_w,
+            "noise_sigma": trace.noise_sigma,
+            "samples": trace.samples.size,
+            "samples_sha256":
+                hashlib.sha256(trace.samples.tobytes()).hexdigest()}
+
+
 def parsed_outputs(root: Path) -> dict:
-    """Every output of the runs under ``root`` except the bulky traces, as
-    ``{run: {file: value}}``: a report without its ``versions`` key, an
-    event log as its list of records, a CSV as its list of rows."""
+    """Every output of the runs under ``root`` as ``{run: {file: value}}``:
+    a report without its ``versions`` key, an event log as its list of
+    records, a CSV as its list of rows, a trace as :func:`_trace_summary`."""
     outputs = {}
     for run, *_ in RUNS:
         files = outputs[run] = {}
         for path in sorted((root / run).iterdir()):
+            if path.name == "trace.txt":
+                files[path.name] = _trace_summary(path)
+                continue
             text = path.read_text()
             if path.suffix == ".json":
                 files[path.name] = json.loads(text)
