@@ -1,7 +1,8 @@
 """Trace, report and columnar file formats.
 
 Numeric values are written with shortest round-trip formatting (repr), so
-attosecond-scale quantities survive write-then-read exactly.
+attosecond-scale quantities survive write-then-read exactly.  A trace is a
+header line, then one sample per line, sample k taken at k / sample_rate_hz.
 """
 from __future__ import annotations
 
@@ -24,19 +25,20 @@ def _fmt(value) -> str:
 
 
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
-    """Write a trace as two-column text with a metadata header line."""
+    """Write a trace as its metadata header line, then one sample a line."""
     path = Path(path)
     header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
               f"i0_w={_fmt(trace.input_power_w)} "
               f"noise_sigma={_fmt(trace.noise_sigma)}")
-    body = map("{!r} {!r}".format, trace.times().tolist(),
-               trace.samples.tolist())
-    path.write_text("\n".join([header, *body]) + "\n")
+    path.write_text(
+        "\n".join([header, *map(repr, trace.samples.tolist())]) + "\n")
     return path
 
 
 def read_trace(path: str | Path) -> InterferenceTrace:
-    """Read a trace written by :func:`write_trace`.
+    """Read a trace written by :func:`write_trace`: the sample is the last
+    field of each non-blank body line, so files with a leading time column
+    read the same.
 
     Raises :class:`ConfigError` naming the file when it is missing,
     unreadable or malformed.
@@ -73,17 +75,17 @@ def read_trace(path: str | Path) -> InterferenceTrace:
 
 
 def _sample_column(lines: Sequence[str]) -> np.ndarray:
-    """The second whitespace-separated column of ``lines`` as floats, in
-    one ``np.loadtxt`` call.
+    """The last whitespace-separated field of each line of ``lines`` as
+    floats, in one ``np.loadtxt`` call.
 
-    Blank lines are skipped; any other line without a float literal in its
-    second column raises ``ValueError``, with ``comments=None`` also one
-    starting with '#'.  loadtxt only warns on input without data, so blank
-    lines alone give an empty array here.
+    Blank lines are skipped; any other line whose last field is not a float
+    literal raises ``ValueError``, with ``comments=None`` also one starting
+    with '#'.  loadtxt only warns on input without data, so blank lines
+    alone give an empty array here.
     """
     if not any(map(str.strip, lines)):
         return np.empty(0)
-    return np.loadtxt(lines, usecols=1, ndmin=1, comments=None)
+    return np.loadtxt(lines, usecols=-1, ndmin=1, comments=None)
 
 
 def _first_bad_line(body: Sequence[str]) -> str:
@@ -101,10 +103,8 @@ def _first_bad_line(body: Sequence[str]) -> str:
             lo = mid
         except ValueError:
             hi = mid
-    fields = body[lo].split()
-    problem = ("has no value column" if len(fields) < 2
-               else f"value {fields[1]!r} cannot be read as a float")
-    return f"line {lo + 2}: {problem}"
+    value = body[lo].split()[-1]
+    return f"line {lo + 2}: value {value!r} cannot be read as a float"
 
 
 def write_columns(path: str | Path, header: Sequence[str],

@@ -223,14 +223,14 @@ class InterferenceTrace(Checked):
             raise ValueError("samples must all be finite")
         object.__setattr__(self, "samples", samples)
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate_hz
-
 
 def _check_sweep_grid(frequencies_hz: np.ndarray) -> None:
     if frequencies_hz.ndim != 1 or frequencies_hz.size < 3:
         raise ValueError("sweep needs a 1-D grid of >= 3 points")
-    if np.any(np.diff(frequencies_hz) <= 0):
+    # A comparison with NaN is false, so a NaN point fails one of these.
+    if not frequencies_hz[0] > 0:
+        raise ValueError("sweep frequencies must be positive")
+    if not np.all(np.diff(frequencies_hz) > 0):
         raise ValueError("sweep frequencies must be strictly ascending")
 
 

@@ -157,7 +157,8 @@ def tone_amplitude(trace, frequency_hz: float) -> float:
     Hann window, every phasor a complex exponential of its own."""
     w = np.hanning(trace.samples.size)
     x = trace.samples - trace.samples.mean()
-    phasor = np.exp(-2j * math.pi * frequency_hz * trace.times())
+    times = np.arange(trace.samples.size) / trace.sample_rate_hz
+    phasor = np.exp(-2j * math.pi * frequency_hz * times)
     return 2.0 * abs(np.sum(w * x * phasor)) / w.sum()
 
 
@@ -200,14 +201,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _trace_header(trace) -> str:
+    return (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
+            f"i0_w={_fmt(trace.input_power_w)} "
+            f"noise_sigma={_fmt(trace.noise_sigma)}")
+
+
 def per_sample_write_trace(path, trace) -> Path:
     """:func:`sagnacsim.fileio.write_trace` one sample at a time: every
-    time and value formatted on its own."""
+    value formatted on its own."""
     path = Path(path)
-    times = trace.times()
-    lines = [f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
-             f"i0_w={_fmt(trace.input_power_w)} "
-             f"noise_sigma={_fmt(trace.noise_sigma)}"]
+    lines = [_trace_header(trace)]
+    lines.extend(_fmt(v) for v in trace.samples)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def two_column_write_trace(path, trace) -> Path:
+    """A trace in the earlier two-column format: each line the time
+    ``k / sample_rate_hz`` of sample ``k``, a space and the sample."""
+    path = Path(path)
+    times = np.arange(trace.samples.size) / trace.sample_rate_hz
+    lines = [_trace_header(trace)]
     lines.extend(f"{_fmt(t)} {_fmt(v)}"
                  for t, v in zip(times, trace.samples))
     path.write_text("\n".join(lines) + "\n")
@@ -216,7 +231,7 @@ def per_sample_write_trace(path, trace) -> Path:
 
 def per_line_read_trace(path) -> InterferenceTrace:
     """:func:`sagnacsim.fileio.read_trace` one line at a time: ``float`` of
-    the second field of every non-blank body line."""
+    the last field of every non-blank body line."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -234,10 +249,7 @@ def per_line_read_trace(path) -> InterferenceTrace:
         body = [ln for ln in lines[1:] if ln.strip()]
         if not body:
             raise ValueError("trace has no samples")
-        try:
-            samples = np.array([float(ln.split()[1]) for ln in body])
-        except IndexError:
-            raise ValueError("a sample line has no value column") from None
+        samples = np.array([float(ln.split()[-1]) for ln in body])
         return InterferenceTrace(
             sample_rate_hz=meta["sample_rate_hz"],
             samples=samples,

@@ -11,6 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sagnacsim.cli import main
+from sagnacsim.fileio import read_trace
+
+from oracles import two_column_write_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -212,6 +215,35 @@ class TestPerceiveAndLocalize:
         report2 = json.loads((out2 / "report.json").read_text())
         assert report2["localization"]["position_m"] == pytest.approx(
             report["localization"]["position_m"], rel=1e-12)
+
+    def test_two_column_trace_localizes_the_same(self, tmp_path,
+                                                 impact_config):
+        # Format decision: a trace in the earlier two-column format (the
+        # time of each sample, then the sample) still reads.
+        perc = tmp_path / "perc"
+        assert run_cli("perceive", "--config", impact_config,
+                       "--out-dir", str(perc), "--quiet") == 0
+        traces = {"one": perc / "trace.txt",
+                  "two": two_column_write_trace(
+                      tmp_path / "two.txt", read_trace(perc / "trace.txt"))}
+        located = {}
+        for name, trace in traces.items():
+            assert run_cli("localize", "--config", impact_config,
+                           "--trace", str(trace), "--out-dir",
+                           str(tmp_path / name), "--quiet") == 0
+            located[name] = json.loads(
+                (tmp_path / name / "report.json").read_text())["localization"]
+        assert located["one"] is not None
+        assert located["two"] == located["one"]
+
+    def test_one_sample_trace_is_read(self, tmp_path, capsys):
+        # A single value on its line is a sample, so the trace reads and
+        # fails analysis, not validation.
+        path = tmp_path / "trace.txt"
+        path.write_bytes(_HEADER + b"0\n")
+        assert run_cli("localize", "--trace", str(path),
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "analysis"
 
     def test_pzt_sweep_written(self, tmp_path, pzt_config):
         out = tmp_path / "sweep"
@@ -440,7 +472,6 @@ _BAD_FILES = {
     "trace-bad-rate": ("localize", "--trace",
                        b"# sample_rate_hz=abc i0_w=1.0\n0 1\n"),
     "trace-bad-sample": ("localize", "--trace", _HEADER + b"0 x\n"),
-    "trace-one-column": ("localize", "--trace", _HEADER + b"0\n"),
     "trace-infinite-sample": ("localize", "--trace", _HEADER + b"0 inf\n"),
     "trace-negative-rate": ("localize", "--trace",
                             b"# sample_rate_hz=-5 i0_w=1.0\n0 1\n"),

@@ -11,7 +11,8 @@ from sagnacsim.fileio import (read_trace, write_columns, write_event_log,
                               write_report, write_trace)
 from sagnacsim.perception import InterferenceTrace
 
-from oracles import per_line_read_trace, per_sample_write_trace
+from oracles import (per_line_read_trace, per_sample_write_trace,
+                     two_column_write_trace)
 
 
 class TestTraceFormat:
@@ -90,6 +91,26 @@ class TestWholeColumnTraceText:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                            | st.sampled_from(_EDGE_SAMPLES),
+                            min_size=1, max_size=40),
+           rate=st.floats(min_value=1e-3, max_value=1e12)
+           | st.sampled_from([200e3, 3.0, 7e4, 1.0, 0.1, 44100.0]))
+    @example(samples=_EDGE_SAMPLES, rate=200e3)
+    def test_two_column_files_read_back_exactly(self, tmp_path, samples,
+                                                rate):
+        # Format decision: files written with the earlier time column read
+        # as the same trace, through the one reader.
+        trace = InterferenceTrace(sample_rate_hz=rate, samples=samples,
+                                  input_power_w=5.645e-3, noise_sigma=0.0019)
+        back = read_trace(two_column_write_trace(tmp_path / "old.txt", trace))
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.sample_rate_hz == rate
+        assert back.input_power_w == trace.input_power_w
+        assert back.noise_sigma == trace.noise_sigma
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.lists(
         st.sampled_from(["0", "1.5", "-2e-3", "nan", "inf", "-0.0", "abc",
                          "#", "1e400", ".5", "+7", "0x1", "1,5", ""]),
@@ -119,13 +140,14 @@ class TestWholeColumnTraceText:
 
 
 def _unreadable(line: str) -> bool:
-    """Whether a non-blank sample line lacks a second field float() reads."""
+    """Whether a non-blank sample line has a last field float() cannot
+    read."""
     fields = line.split()
     if not fields:
         return False
     try:
-        float(fields[1])
-    except (IndexError, ValueError):
+        float(fields[-1])
+    except ValueError:
         return True
     return False
 
@@ -134,12 +156,15 @@ _HEADER = "# sample_rate_hz=1000.0 i0_w=1.0\n"
 _NO_SAMPLES = "trace has no samples"
 
 # Trace files and the samples they read as, or for a rejected file the text
-# its problem must hold besides the file name.
+# its problem must hold besides the file name.  Format decisions: the sample
+# is the last field of a line, so one-column bodies (what write_trace
+# writes), two-column ones (with the earlier time column) and a mix of the
+# two read alike, and a third column is read as the sample.
 _TRACE_FILES = {
     "empty": (_HEADER, _NO_SAMPLES),
     "blank-only": (_HEADER + "\n  \n\t\n", _NO_SAMPLES),
-    "one-column": (_HEADER + "0 1.0\n0.001\n",
-                   "line 3: has no value column"),
+    "one-column": (_HEADER + "1.0\n2.0\n", [1.0, 2.0]),
+    "mixed-one-two-column": (_HEADER + "0 1.0\n0.001\n", [1.0, 0.001]),
     "non-numeric": (_HEADER + "0 1.0\n0.001 abc\n",
                     "line 3: value 'abc' cannot be read as a float"),
     "non-numeric-after-blank": (
@@ -149,7 +174,7 @@ _TRACE_FILES = {
                   "line 3: value 'comment' cannot be read as a float"),
     "nan": (_HEADER + "0 1.0\n0.001 nan\n", ""),
     "inf": (_HEADER + "0 1.0\n0.001 -inf\n", ""),
-    "three-columns": (_HEADER + "0 1.0 7\n0.001 2.0 8\n", [1.0, 2.0]),
+    "three-columns": (_HEADER + "0 1.0 7\n0.001 2.0 8\n", [7.0, 8.0]),
     "crlf": ("# sample_rate_hz=1000.0 i0_w=1.0\r\n0 1.0\r\n0.001 2.0\r\n",
              [1.0, 2.0]),
     "blank-lines-between": (_HEADER + "0 1.0\n\n   \n0.001 2.0\n\n",

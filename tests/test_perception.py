@@ -682,6 +682,23 @@ class TestBlockSweep:
         with pytest.raises(ValueError, match=message):
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
 
+    @pytest.mark.parametrize("grid, message", [
+        # These once swept: the mirrored amplitudes, a 0 Hz point and a
+        # NaN amplitude.
+        ([-3000.0, -2000.0, -1000.0], "positive"),
+        ([0.0, 1000.0, 2000.0], "positive"),
+        ([1000.0, math.nan, 3000.0], "strictly ascending"),
+        ([math.nan, 2000.0, 3000.0], "positive"),
+    ])
+    def test_non_positive_or_nan_grid_rejected_before_any_trace(
+            self, monkeypatch, grid, message):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("synthesized a trace")
+
+        monkeypatch.setattr(perception, "synthesize_trace", no_trace)
+        with pytest.raises(ValueError, match=message):
+            frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
+
 
 class TestSweepResponse:
     """The closed-form sweep response against the same response taken
