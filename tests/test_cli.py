@@ -236,15 +236,6 @@ class TestPerceiveAndLocalize:
         assert located["one"] is not None
         assert located["two"] == located["one"]
 
-    def test_one_sample_trace_is_read(self, tmp_path, capsys):
-        # A single value on its line is a sample, so the trace reads and
-        # fails analysis, not validation.
-        path = tmp_path / "trace.txt"
-        path.write_bytes(_HEADER + b"0\n")
-        assert run_cli("localize", "--trace", str(path),
-                       "--out-dir", str(tmp_path / "out"), "--quiet") == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "analysis"
-
     def test_pzt_sweep_written(self, tmp_path, pzt_config):
         out = tmp_path / "sweep"
         assert run_cli("perceive", "--config", pzt_config,

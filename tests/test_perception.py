@@ -683,8 +683,7 @@ class TestBlockSweep:
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
 
     @pytest.mark.parametrize("grid, message", [
-        # These once swept: the mirrored amplitudes, a 0 Hz point and a
-        # NaN amplitude.
+        # Grids that pass the order test written as "any diff <= 0".
         ([-3000.0, -2000.0, -1000.0], "positive"),
         ([0.0, 1000.0, 2000.0], "positive"),
         ([1000.0, math.nan, 3000.0], "strictly ascending"),
