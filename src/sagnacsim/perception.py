@@ -67,9 +67,9 @@ _BLOCK_ELEMENTS = 16_000
 
 #: Trace samples the per-sample sweep evaluates in the time the closed form
 #: takes for one kernel order.  On the 293-point grid (2-vCPU host) both
-#: take about 25 ms for 2000-sample traces at 86 orders, and about 115 ms
-#: for 8000-sample traces at 363 orders.
-_SAMPLES_PER_ORDER = 22
+#: take about 41 ms for 2000-sample traces at 132 orders, and about 125 ms
+#: for 8000-sample traces at 472 orders.
+_SAMPLES_PER_ORDER = 15
 
 #: Natural log of the Bessel bound below which a drive series drops a
 #: Fourier order: ``2**-60``, far below rounding.
@@ -663,15 +663,17 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     under the Hann window ``w``, each point keeps its projection ``sum c
     u`` and the three second moments of ``c u``, which times ``sigma**2``
     are the covariance of its noise.  The counterclockwise pass sees the
-    drive from the first sample at or past its lag on.
+    drive from the first sample at or past its lag on, sample ``switch``.
 
     :func:`_drive_sums` takes these sums in closed form over Fourier
-    orders ``-M .. M`` of ``c``, with ``M`` from :func:`_bessel_orders`.
-    A point of it costs about what ``_SAMPLES_PER_ORDER * (M + 3)``
-    samples cost one by one, so a drive for which that exceeds ``n`` is
-    evaluated per sample instead (:func:`_sampled_sums`).  Either way the
-    grid goes in blocks of whole points whose arrays hold at most
-    ``_BLOCK_ELEMENTS`` elements.
+    orders ``-M .. M`` of ``c``, with ``M`` from :func:`_bessel_orders`,
+    and adds the ``switch`` samples of the head one by one.  A point of it
+    costs about what ``_SAMPLES_PER_ORDER * (M + 3)`` samples cost one by
+    one, so a drive for which that exceeds ``n`` is evaluated per sample
+    instead (:func:`_sampled_sums`).  Either way the grid goes in blocks of
+    whole points whose arrays hold at most ``_BLOCK_ELEMENTS`` elements: a
+    point of the closed form holds ``5 (M + 3)`` kernels and ``switch``
+    head samples.
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
@@ -680,11 +682,11 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     peak = event.params.peak_phase_rad
     orders = _bessel_orders(4.0 * peak, n // _SAMPLES_PER_ORDER)
     args = (n, sample_rate_hz, switch, peak, channel.bias_phase_rad,
-            input_power_w)
+            input_power_w, w)
     if _SAMPLES_PER_ORDER * (orders + 3) > n:
-        projections, moments = _sampled_sums(omegas, lag, *args, w)
+        projections, moments = _sampled_sums(omegas, lag, *args)
     else:
-        rows = max(1, _BLOCK_ELEMENTS // (5 * (orders + 3)))
+        rows = max(1, _BLOCK_ELEMENTS // (5 * (orders + 3) + switch))
         projections = np.empty(freqs.size, dtype=complex)
         moments = np.empty((3, freqs.size))
         for lo in range(0, freqs.size, rows):
@@ -727,11 +729,11 @@ def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
     return projections, moments
 
 
-def _dirichlet(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray,
-               count: int) -> np.ndarray:
+def _dirichlet(x: np.ndarray, count: int) -> np.ndarray:
     """``sum(exp(2i x j) for j < count)`` at half-angles ``x`` reduced to
     ``[-pi/2, pi/2]``: ``exp(i (count - 1) x) sin(count x) / sin(x)``, and
     ``count`` where ``sin(x)`` is 0."""
+    sin_x, cos_x = np.sin(x), np.cos(x)
     sin_n, cos_n = np.sin(count * x), np.cos(count * x)
     ratio = np.divide(sin_n, sin_x, out=np.full_like(x, float(count)),
                       where=sin_x != 0.0)
@@ -740,56 +742,62 @@ def _dirichlet(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray,
 
 def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
                 sample_rate_hz: float, switch: int, peak: float, bias: float,
-                input_power_w: float,
+                input_power_w: float, w: np.ndarray,
                 orders: int) -> tuple[np.ndarray, np.ndarray]:
     """Projections and ``c u`` moments of :func:`_sweep_response` at
-    angular frequencies ``omega``, in closed form.
+    angular frequencies ``omega``: the whole trace in closed form as if
+    both copies ran from sample 0, plus the head before sample ``switch``
+    sample by sample.
 
-    With ``theta = omega / fs``, the drive's net phase is ``A cos(theta j
-    + phi)`` in two regions: before sample ``switch``, ``A = peak`` and
-    ``phi = -pi/2``; from it on, ``A = 2 peak sin(lag_phase / 2)`` and
-    ``phi = -lag_phase / 2``.  In each region ``c`` and ``c**2`` are
-    Fourier series in ``theta j``, whose orders ``-M .. M`` (``M =
-    orders``) one :func:`_drive_series` per region gives.  The Hann window
-    is ``sum_l h_l exp(i l beta j)``, ``beta = 2 pi / (n - 1)`` (F. J.
-    Harris, Proc. IEEE 66, 51 (1978)), so every sum is one of ``T_p(k) =
-    sum_j w_j**p exp(i k theta j)`` over a region times a coefficient: a
-    sum of Dirichlet kernels at ``k theta + l beta``.  Their half-angles
-    are reduced mod pi before any sine; ``T_p(-k)`` is the conjugate of
-    ``T_p(k)``.
+    With ``theta = omega / fs``, both copies give the net phase ``A
+    cos(theta j + phi)``, ``A = 2 peak sin(lag_phase / 2)`` and ``phi =
+    -lag_phase / 2``, so ``c`` and ``c**2`` are Fourier series in ``theta
+    j``, whose orders ``-M .. M`` (``M = orders``) :func:`_drive_series`
+    gives.  The Hann window ``w`` is ``sum_l h_l exp(i l beta j)``, ``beta
+    = 2 pi / (n - 1)`` (F. J. Harris, Proc. IEEE 66, 51 (1978)), so every
+    sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta j)`` times a
+    coefficient: a sum of Dirichlet kernels at ``k theta + l beta``.  Their
+    half-angles are reduced mod pi before any sine; ``T_p(-k)`` is the
+    conjugate of ``T_p(k)``.  In the head only the clockwise copy runs
+    (``A = peak``, ``phi = -pi/2``): each sum adds ``sum_j w_j**p exp(i s
+    theta j) (c1_j**q - c2_j**q)`` there, with ``c1`` the intensity of that
+    copy and ``c2`` that of both, from one :func:`_unit_phasors` table.
     """
     theta = omega / sample_rate_hz
     half = (math.pi / (n - 1)) * np.arange(-2, 3)[:, None, None] \
         + 0.5 * np.multiply.outer(theta, np.arange(orders + 3))
     x = half - math.pi * np.rint(half / math.pi)
-    sin_x, cos_x = np.sin(x), np.cos(x)
-    whole = _dirichlet(x, sin_x, cos_x, n)
+    kernels = _dirichlet(x, n)
+    window = np.tensordot(_HANN_POWERS, kernels, axes=1)
+    window = np.concatenate(
+        [window[:, :, orders:0:-1].conj(), window], axis=2)
 
     def powers(phase):
         c = _port_intensity(bias + phase, input_power_w)
         return c, c * c
 
-    both = (2.0 * peak * np.sin(0.5 * lag_phase), -0.5 * lag_phase)
-    regions = [(whole, *both)]
+    series = _drive_series(powers, 2.0 * peak * np.sin(0.5 * lag_phase),
+                           orders, -0.5 * lag_phase)
     if switch > 0:
-        early = _dirichlet(x, sin_x, cos_x, switch)
-        regions = [(early, peak, -0.5 * math.pi), (whole - early, *both)]
+        e = _unit_phasors(omega, switch, sample_rate_hz)
+        late = (e * np.exp(-1j * lag_phase)[:, None]).imag
+        head = np.subtract(powers(peak * e.imag),
+                           powers(peak * (e.imag - late)))
+        w_head = w[:switch]
+        w_powers, e_powers = (1.0, w_head, w_head * w_head), (1.0, e, e * e)
     span = 2 * orders + 1
-    sums = np.zeros((6, theta.size), dtype=complex)
-    for kernels, amplitude, phi in regions:
-        window = np.tensordot(_HANN_POWERS, kernels, axes=1)
-        window = np.concatenate(
-            [window[:, :, orders:0:-1].conj(), window], axis=2)
-        f, g = _drive_series(powers, amplitude, orders, phi)
-        # Sum w c e, sum c; sum c^2 w^2, sum c^2 w e, sum c^2 and
-        # sum c^2 w^2 e^2, with e^k = exp(i k theta j).
-        for row, (coef, p, shift) in enumerate((
-                (f, 1, 1), (f, 0, 0), (g, 2, 0), (g, 1, 1), (g, 0, 0),
-                (g, 2, 2))):
-            sums[row] += np.sum(coef * window[p, :, shift:shift + span],
-                                axis=-1)
+    sums = []
+    # Sum w c e, sum c; sum c^2 w^2, sum c^2 w e, sum c^2 and
+    # sum c^2 w^2 e^2, with e^s = exp(i s theta j): c^q w^p e^s.
+    for q, p, s in ((0, 1, 1), (0, 0, 0), (1, 2, 0), (1, 1, 1), (1, 0, 0),
+                    (1, 2, 2)):
+        total = np.sum(series[q] * window[p, :, s:s + span], axis=-1)
+        if switch > 0:
+            total = total + np.sum(head[q] * w_powers[p] * e_powers[s],
+                                   axis=-1)
+        sums.append(total)
     wce, c_sum, ccww, ccwe, cc, ccwwee = sums
-    mu = _HANN_POWERS[1] @ whole[:, :, 1] / n  # mean(w e) over the trace
+    mu = _HANN_POWERS[1] @ kernels[:, :, 1] / n  # mean(w e) over the trace
     # With u = w e - mu: Q0 = sum c^2 |u|^2, Q2 = sum c^2 u^2.
     q0 = (ccww - 2.0 * mu.conj() * ccwe + (mu * mu.conj()) * cc).real
     q2 = ccwwee - 2.0 * mu * ccwe + mu * mu * cc.real

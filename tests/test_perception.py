@@ -709,16 +709,17 @@ class TestSweepResponse:
 
     FS = perception.DEFAULT_SAMPLE_RATE_HZ
 
-    def response(self, event, n, grid=ACCEPTANCE_GRID, bias=0.5 * math.pi):
+    def response(self, event, n, grid=ACCEPTANCE_GRID, bias=0.5 * math.pi,
+                 fs=FS):
         return perception._sweep_response(
-            event, channel(bias), np.asarray(grid, dtype=float), n, self.FS,
+            event, channel(bias), np.asarray(grid, dtype=float), n, fs,
             DEFAULT_INPUT_POWER_W)
 
     def assert_matches_sampled(self, monkeypatch, event, grid, n,
-                               bias=0.5 * math.pi):
+                               bias=0.5 * math.pi, fs=FS):
         with monkeypatch.context() as patch:
             patch.setattr(perception, "_SAMPLES_PER_ORDER", n + 1)
-            want = self.response(event, n, grid, bias)
+            want = self.response(event, n, grid, bias, fs)
         with monkeypatch.context() as patch:
             # Every drive to the closed form, whatever its orders cost.
             orders = perception._bessel_orders(
@@ -726,8 +727,8 @@ class TestSweepResponse:
             patch.setattr(
                 perception, "_sampled_sums",
                 lambda omegas, lag, *args: perception._drive_sums(
-                    omegas, omegas * lag, *args[:-1], orders))
-            got = self.response(event, n, grid, bias)
+                    omegas, omegas * lag, *args, orders))
+            got = self.response(event, n, grid, bias, fs)
         weight = want.hann[1]
         assert np.all(np.abs(got.projections - want.projections)
                       <= 1e-13 * DEFAULT_INPUT_POWER_W * weight)
@@ -774,6 +775,31 @@ class TestSweepResponse:
         # lag).
         self.assert_matches_sampled(monkeypatch, pzt_event(x, 500.0, 0.6),
                                     [2000.0, 2250.0, 2500.0, 2750.0], n)
+
+    def test_head_longer_than_the_kernels(self, monkeypatch):
+        # At 2 MHz the 132 us lag is 265 head samples, twice the 125
+        # kernels of a point of the 0.6 rad drive.
+        event = pzt_event(1500.0, 3000.0, 0.6)
+        fs = 2e6
+        lag = perception._delay_lag_s(event, channel())
+        assert math.ceil(lag * fs) == 265
+        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID,
+                                    2000, fs=fs)
+
+    def test_head_is_the_whole_trace(self, monkeypatch):
+        # 20 samples end before the counterclockwise copy starts, and the
+        # 293 points take three blocks.
+        event = pzt_event(1500.0, 3000.0, 0.6)
+        assert perception._delay_lag_s(event, channel()) * self.FS > 20
+        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 20)
+
+    def test_points_do_not_depend_on_their_block(self, monkeypatch):
+        event = pzt_event(1500.0, 3000.0, 0.6)
+        whole = self.response(event, 2000)
+        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", 1)
+        alone = self.response(event, 2000)
+        assert np.array_equal(alone.projections, whole.projections)
+        assert np.array_equal(alone.moments, whole.moments)
 
     def test_dark_bias_gives_exact_zeros(self, monkeypatch):
         with warnings.catch_warnings():
@@ -828,11 +854,11 @@ class TestSweepResponse:
         assert np.max(np.abs(c - want_c)) <= 1e-12 * i0
         assert np.max(np.abs(cc - want_cc)) <= 1e-12 * i0**2
 
-    @pytest.mark.parametrize("n, branch", [(4422, "_drive_sums"),
-                                           (4421, "_sampled_sums")])
+    @pytest.mark.parametrize("n, branch", [(3015, "_drive_sums"),
+                                           (3014, "_sampled_sums")])
     def test_large_peak_on_each_branch(self, monkeypatch, n, branch):
         # A 30 rad drive keeps orders -198 .. 198, 201 kernel orders of
-        # 22 samples each: the closed form from 4422 samples on.
+        # 15 samples each: the closed form from 3015 samples on.
         event = pzt_event(5000.0, 500.0, 30.0)
         self.assert_matches_sampled(monkeypatch, event,
                                     ACCEPTANCE_GRID[::40], n)
