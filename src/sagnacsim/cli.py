@@ -46,7 +46,10 @@ def _out_dir(args, cfg: ScenarioConfig) -> Path:
     chosen = (args.out_dir or cfg.resolved["out_dir"]
               or os.environ.get(OUT_DIR_ENV) or ".")
     path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"{path}: {exc}"]) from exc
     return path
 
 

@@ -24,15 +24,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _replace_file(path: str | Path, text: str) -> Path:
+    """Write ``text`` as a new file at ``path``, after unlinking any file
+    there: on ext4 that costs far less than truncating a file in place.
+    So a symlink or hard link at ``path`` is replaced, and the file it
+    shared is left as it was.
+
+    Raises :class:`ConfigError` naming the path when it cannot be written,
+    for example when it is a directory.
+    """
+    path = Path(path)
+    try:
+        path.unlink(missing_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError([f"{path}: {exc}"]) from exc
+    return path
+
+
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
     """Write a trace as its metadata header line, then one sample a line."""
-    path = Path(path)
     header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
               f"i0_w={_fmt(trace.input_power_w)} "
               f"noise_sigma={_fmt(trace.noise_sigma)}")
-    path.write_text(
-        "\n".join([header, *map(repr, trace.samples.tolist())]) + "\n")
-    return path
+    return _replace_file(
+        path, "\n".join([header, *map(repr, trace.samples.tolist())]) + "\n")
 
 
 def read_trace(path: str | Path) -> InterferenceTrace:
@@ -110,7 +126,6 @@ def _first_bad_line(body: Sequence[str]) -> str:
 def write_columns(path: str | Path, header: Sequence[str],
                   columns: Sequence[Sequence]) -> Path:
     """Write a plot-ready CSV: one header line, repr-formatted values."""
-    path = Path(path)
     n = len(columns[0]) if columns else 0
     for col in columns:
         if len(col) != n:
@@ -118,20 +133,16 @@ def write_columns(path: str | Path, header: Sequence[str],
     lines = [",".join(header)]
     for i in range(n):
         lines.append(",".join(_fmt(col[i]) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _replace_file(path, "\n".join(lines) + "\n")
 
 
 def write_report(path: str | Path, report: dict) -> Path:
     """Write the single structured report document for a run."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+    return _replace_file(path,
+                         json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
     """Write controller log entries as line-delimited JSON records."""
-    path = Path(path)
     lines = [json.dumps(entry, sort_keys=True) for entry in entries]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return path
+    return _replace_file(path, "\n".join(lines) + ("\n" if lines else ""))

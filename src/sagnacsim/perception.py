@@ -778,6 +778,13 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
 
     series = _drive_series(powers, 2.0 * peak * np.sin(0.5 * lag_phase),
                            orders, -0.5 * lag_phase)
+    # Sum w c e, sum c; sum c^2 w^2, sum c^2 w e, sum c^2 and
+    # sum c^2 w^2 e^2, with e^s = exp(i s theta j): c^q w^p e^s.
+    terms = ((0, 1, 1), (0, 0, 0), (1, 2, 0), (1, 1, 1), (1, 0, 0),
+             (1, 2, 2))
+    span = 2 * orders + 1
+    sums = [np.sum(series[q] * window[p, :, s:s + span], axis=-1)
+            for q, p, s in terms]
     if switch > 0:
         e = _unit_phasors(omega, switch, sample_rate_hz)
         late = (e * np.exp(-1j * lag_phase)[:, None]).imag
@@ -785,17 +792,8 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
                            powers(peak * (e.imag - late)))
         w_head = w[:switch]
         w_powers, e_powers = (1.0, w_head, w_head * w_head), (1.0, e, e * e)
-    span = 2 * orders + 1
-    sums = []
-    # Sum w c e, sum c; sum c^2 w^2, sum c^2 w e, sum c^2 and
-    # sum c^2 w^2 e^2, with e^s = exp(i s theta j): c^q w^p e^s.
-    for q, p, s in ((0, 1, 1), (0, 0, 0), (1, 2, 0), (1, 1, 1), (1, 0, 0),
-                    (1, 2, 2)):
-        total = np.sum(series[q] * window[p, :, s:s + span], axis=-1)
-        if switch > 0:
-            total = total + np.sum(head[q] * w_powers[p] * e_powers[s],
-                                   axis=-1)
-        sums.append(total)
+        for row, (q, p, s) in enumerate(terms):
+            sums[row] += np.sum(head[q] * w_powers[p] * e_powers[s], axis=-1)
     wce, c_sum, ccww, ccwe, cc, ccwwee = sums
     mu = _HANN_POWERS[1] @ kernels[:, :, 1] / n  # mean(w e) over the trace
     # With u = w e - mu: Q0 = sum c^2 |u|^2, Q2 = sum c^2 u^2.

@@ -412,6 +412,27 @@ class TestErrors:
         assert run_cli("localize", "--trace", "/does/not/exist",
                        "--out-dir", str(tmp_path)) == 2
 
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run_cli("qkd", "--out-dir", str(taken), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert record["problems"][0].startswith(f"{taken}: ")
+        assert taken.read_text() == "not a directory\n"
+
+    def test_report_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "mini.json",
+                         {"duration_s": 1.0, "seed": 1,
+                          "qkd": {"pulses_per_window": 10000}})
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        assert run_cli("qkd", "--config", cfg, "--out-dir",
+                       str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert record["problems"][0].startswith(
+            f"{tmp_path / 'out' / 'report.json'}: ")
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAGNACSIM_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_json(tmp_path / "mini.json",

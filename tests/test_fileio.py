@@ -254,3 +254,43 @@ class TestReports:
         assert len(lines) == 2
         import json
         assert json.loads(lines[0])["event"] == "qber_window"
+
+
+_WRITERS = {
+    "trace": lambda path: write_trace(path, InterferenceTrace(
+        sample_rate_hz=1e3, samples=np.array([1.0, 2.0]),
+        input_power_w=1e-3, noise_sigma=0.0)),
+    "columns": lambda path: write_columns(path, ["a"], [[1.0]]),
+    "report": lambda path: write_report(path, {"a": 1}),
+    "event_log": lambda path: write_event_log(path, [{"a": 1}]),
+}
+
+
+class TestReplacedOutputs:
+    """Each writer replaces the file at its path: a link there becomes a
+    new file, and what it linked to keeps its bytes."""
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_link_is_replaced_not_written_through(self, tmp_path, writer,
+                                                  link):
+        shared = tmp_path / "shared.txt"
+        shared.write_text("kept\n")
+        path = tmp_path / "out"
+        if link == "symlink":
+            path.symlink_to(shared)
+        else:
+            path.hardlink_to(shared)
+        assert _WRITERS[writer](path) == path
+        assert not path.is_symlink()
+        assert path.stat().st_nlink == 1
+        assert shared.read_text() == "kept\n"
+        assert path.read_text() != "kept\n"
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_directory_at_the_path_is_named(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            _WRITERS[writer](path)
+        assert path.is_dir()
