@@ -736,7 +736,7 @@ class TestSweepResponse:
         assert np.all(np.abs(got.moments - want.moments) <= 1e-12 * total)
         return got
 
-    def kernels_called(self, monkeypatch, event, n):
+    def kernels_called(self, monkeypatch, event, n, fs=FS):
         """Names of the kernels ``_sweep_response`` calls for ``event``."""
         calls = set()
         with monkeypatch.context() as patch:
@@ -746,7 +746,7 @@ class TestSweepResponse:
                     calls.add(_name)
                     return _kernel(*args)
                 patch.setattr(perception, name, spy)
-            self.response(event, n)
+            self.response(event, n, fs=fs)
         return calls
 
     @pytest.mark.parametrize("x", [1500.0, 5000.0, 9000.0, 13500.0,
@@ -787,11 +787,17 @@ class TestSweepResponse:
                                     2000, fs=fs)
 
     def test_head_is_the_whole_trace(self, monkeypatch):
-        # 20 samples end before the counterclockwise copy starts, and the
-        # 293 points take three blocks.
+        # At 400 kHz, 40 samples end before the counterclockwise copy
+        # starts.  At one sample an order the closed form takes them,
+        # 293 points in blocks of 96 (125 kernels and 40 head samples).
         event = pzt_event(1500.0, 3000.0, 0.6)
-        assert perception._delay_lag_s(event, channel()) * self.FS > 20
-        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 20)
+        fs = 4e5
+        assert perception._delay_lag_s(event, channel()) * fs > 40
+        monkeypatch.setattr(perception, "_SAMPLES_PER_ORDER", 1)
+        assert self.kernels_called(monkeypatch, event, 40, fs) == {
+            "_drive_sums"}
+        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 40,
+                                    fs=fs)
 
     def test_points_do_not_depend_on_their_block(self, monkeypatch):
         event = pzt_event(1500.0, 3000.0, 0.6)
