@@ -42,15 +42,27 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _out_dir(args, cfg: ScenarioConfig) -> Path:
-    chosen = (args.out_dir or cfg.resolved["out_dir"]
-              or os.environ.get(OUT_DIR_ENV) or ".")
-    path = Path(chosen)
+def _outputs(args, cfg: ScenarioConfig) -> dict[str, Path]:
+    """The path in the output directory of each file the subcommand
+    declares, checked before any work: the directory must be writable and
+    no path may be a directory.  A file there is replaced, so it is fine.
+    Raises :class:`ConfigError` naming each path that fails."""
+    directory = Path(args.out_dir or cfg.resolved["out_dir"]
+                     or os.environ.get(OUT_DIR_ENV) or ".")
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError([f"{path}: {exc}"]) from exc
-    return path
+        raise ConfigError([f"{directory}: {exc}"]) from exc
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ConfigError([f"{directory}: the output directory is not "
+                           f"writable"])
+    paths = {name: directory / name for name in args.outputs}
+    problems = [f"{path}: is a directory, not an output file"
+                for path in paths.values()
+                if path.is_dir() and not path.is_symlink()]
+    if problems:
+        raise ConfigError(problems)
+    return paths
 
 
 def _base_report(cfg: ScenarioConfig) -> dict:
@@ -91,10 +103,10 @@ def _run_session(cfg: ScenarioConfig) -> list[qkd.SiftedKeyRecord]:
                            script.qkd)
 
 
-def _cmd_qkd(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
+def _cmd_qkd(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     records = _run_session(cfg)
     summary = qkd.session_summary(records)
-    write_columns(out / "qber_windows.csv", _RECORD_FIELDS,
+    write_columns(out["qber_windows.csv"], _RECORD_FIELDS,
                   [[getattr(r, name) for r in records]
                    for name in _RECORD_FIELDS])
     report["qkd_windows"] = _record_dicts(records)
@@ -104,7 +116,7 @@ def _cmd_qkd(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
             f"qber={summary['qber_pooled']}")
 
 
-def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
+def _cmd_perceive(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     script = cfg.scenario
     if not script.events:
         raise ConfigError(["perceive requires at least one disturbance "
@@ -114,11 +126,11 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
         data = perception.acquire(event, script.channel, settings,
                                   script.seed)
         if isinstance(data, perception.FrequencySweep):
-            write_columns(out / "amplitude_vs_frequency.csv",
+            write_columns(out["amplitude_vs_frequency.csv"],
                           ["frequency_hz", "amplitude_w"],
                           [data.frequencies_hz, data.amplitudes])
         else:
-            write_trace(out / "trace.txt", data)
+            write_trace(out["trace.txt"], data)
             report["trace_file"] = "trace.txt"
         located = perception.locate(data, script.channel, settings)
         report["localization"] = None if located is None else asdict(located)
@@ -128,7 +140,7 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     else:
         trace, graded = perception.sense((event,), script.channel,
                                          settings, script.seed, 0.0)
-        write_trace(out / "trace.txt", trace)
+        write_trace(out["trace.txt"], trace)
         report["significance"] = graded
         report["localization"] = None
         report["diagnostic"] = ("quasi-static disturbance leaves no "
@@ -137,7 +149,7 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     return "position_m=" + (repr(float(loc["position_m"])) if loc else "none")
 
 
-def _cmd_localize(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
+def _cmd_localize(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     located = perception.locate(read_trace(args.trace), cfg.scenario.channel,
                                 cfg.scenario.perception)
     if located is None:
@@ -149,7 +161,7 @@ def _cmd_localize(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
             f"resolution_m={float(located.resolution_m)!r}")
 
 
-def _cmd_wm(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
+def _cmd_wm(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     script = cfg.scenario
     if args.masses:
         try:
@@ -163,7 +175,7 @@ def _cmd_wm(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
     readings = wm.pressure_staircase(masses, script.wm, script.channel,
                                      script.packet, seed=script.seed)
-    write_columns(out / "icr_vs_mass.csv",
+    write_columns(out["icr_vs_mass.csv"],
                   ["mass_kg", "i_d_w", "icr", "delta_tau_s",
                    "inferred_mass_kg"],
                   [masses,
@@ -176,18 +188,18 @@ def _cmd_wm(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
     return " ".join(f"{r.inferred_delay_s:.3e}" for r in readings)
 
 
-def _cmd_integrated(args, cfg: ScenarioConfig, out: Path,
+def _cmd_integrated(args, cfg: ScenarioConfig, out: dict,
                     report: dict) -> str:
     result = controller.run_scenario(cfg.scenario)
     entries = _log_dicts(result.log)
-    write_event_log(out / "event_log.jsonl", entries)
-    write_columns(out / "qber_vs_time.csv",
+    write_event_log(out["event_log.jsonl"], entries)
+    write_columns(out["qber_vs_time.csv"],
                   ["window_start_s", "qber_estimate", "raw_rate_bps"],
                   [[r.window_start_s for r in result.key_records],
                    [r.qber_estimate for r in result.key_records],
                    [r.raw_rate_bps for r in result.key_records]])
     if result.wm_readings:
-        write_columns(out / "wm_readings.csv",
+        write_columns(out["wm_readings.csv"],
                       ["time_s", "icr", "delta_tau_s", "inferred_mass_kg"],
                       [[r["time_s"] for r in result.wm_readings],
                        [r["contrast_ratio"] for r in result.wm_readings],
@@ -204,7 +216,7 @@ def _cmd_integrated(args, cfg: ScenarioConfig, out: Path,
             f"reports={len(result.localization_reports)}")
 
 
-def _cmd_sweep(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
+def _cmd_sweep(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     kind = key_type(args.key)
     try:
         values = [kind(tok) for tok in args.values.split(",") if tok]
@@ -222,7 +234,7 @@ def _cmd_sweep(args, cfg: ScenarioConfig, out: Path, report: dict) -> str:
             _run_session(parse_config_dict(resolved)))
         rows.append((value, summary["qber_pooled"],
                      summary["mean_raw_rate_bps"], summary["sifted_bits"]))
-    write_columns(out / "sweep.csv",
+    write_columns(out["sweep.csv"],
                   [args.key, "qber_pooled", "mean_raw_rate_bps",
                    "sifted_bits"],
                   [[r[i] for r in rows] for i in range(4)])
@@ -243,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, summary, *outputs):
+        """A subcommand running ``fn``, which writes the files ``outputs``
+        and ``report.json`` of the output directory."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn, outputs=(*outputs, "report.json"))
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
@@ -252,39 +268,28 @@ def build_parser() -> argparse.ArgumentParser:
                             f"then ${OUT_DIR_ENV}, then .)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
+        return p
 
-    p = sub.add_parser("qkd", help="run a key session and emit windows")
-    common(p)
-    p.set_defaults(fn=_cmd_qkd)
-
-    p = sub.add_parser("perceive",
-                       help="synthesize and analyze a disturbance trace")
-    common(p)
-    p.set_defaults(fn=_cmd_perceive)
-
-    p = sub.add_parser("localize", help="analyze an existing trace file")
-    common(p)
+    command("qkd", _cmd_qkd, "run a key session and emit windows",
+            "qber_windows.csv")
+    command("perceive", _cmd_perceive,
+            "synthesize and analyze a disturbance trace",
+            "amplitude_vs_frequency.csv", "trace.txt")
+    p = command("localize", _cmd_localize, "analyze an existing trace file")
     p.add_argument("--trace", required=True, help="trace file to analyze")
-    p.set_defaults(fn=_cmd_localize)
-
-    p = sub.add_parser("wm", help="run a pressure staircase experiment")
-    common(p)
+    p = command("wm", _cmd_wm, "run a pressure staircase experiment",
+                "icr_vs_mass.csv")
     p.add_argument("--masses", default=None,
                    help="comma-separated masses in kg (default "
                         "0.1,0.2,0.3,0.4,0.5)")
-    p.set_defaults(fn=_cmd_wm)
-
-    p = sub.add_parser("integrated", help="run the full workflow scenario")
-    common(p)
-    p.set_defaults(fn=_cmd_integrated)
-
-    p = sub.add_parser("sweep", help="sweep one named config key")
-    common(p)
+    command("integrated", _cmd_integrated, "run the full workflow scenario",
+            "event_log.jsonl", "qber_vs_time.csv", "wm_readings.csv")
+    p = command("sweep", _cmd_sweep, "sweep one named config key",
+                "sweep.csv")
     p.add_argument("--key", required=True,
                    help="dotted config key, e.g. channel.loss_db")
     p.add_argument("--values", required=True,
                    help="comma-separated values to sweep")
-    p.set_defaults(fn=_cmd_sweep)
     return parser
 
 
@@ -304,16 +309,16 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: it fills in the base report of the resolved
-    config, which is then written as ``report.json``, and returns the
-    summary line."""
+    """Run one subcommand: once its output paths pass :func:`_outputs`, it
+    fills in the base report of the resolved config, which is then written
+    as ``report.json``, and returns the summary line."""
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        out = _out_dir(args, cfg)
+        out = _outputs(args, cfg)
         report = _base_report(cfg)
         line = args.fn(args, cfg, out, report)
-        write_report(out / "report.json", report)
+        write_report(out["report.json"], report)
         if not args.quiet:
             print(line)
         return 0

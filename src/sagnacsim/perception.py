@@ -30,7 +30,7 @@ from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
                           single_pass_phase)
 from .errors import (AliasingError, Checked, ConfigError,
                      HarmonicAmbiguityError, InsufficientDataError,
-                     OutOfLoopError, UndefinedResolutionError,
+                     OutOfLoopError, UndefinedResolutionError, bounded,
                      non_negative, positive)
 from .optics import C_VACUUM, LoopChannel
 
@@ -55,6 +55,10 @@ MAX_SEED = 2**31
 #: Lowest frequency (Hz) :func:`significance` grades, clear of DC.
 _SIGNIFICANCE_MIN_HZ = 50.0
 
+#: Deepest notch (dB) a null search may ask for: a power ratio of 1e300.
+#: From about 3083 dB on the ratio leaves the float range.
+MAX_NOTCH_DEPTH_DB = 3000.0
+
 
 #: Most scan points times sweep samples a sweep may evaluate: about 55
 #: times the default 293-point grid of 2000-sample traces.
@@ -67,9 +71,10 @@ _BLOCK_ELEMENTS = 16_000
 
 #: Trace samples the per-sample sweep evaluates in the time the closed form
 #: takes for one kernel order.  On the 293-point grid (2-vCPU host) both
-#: take about 41 ms for 2000-sample traces at 132 orders, and about 125 ms
-#: for 8000-sample traces at 472 orders.
-_SAMPLES_PER_ORDER = 15
+#: take about 41 ms for 2000-sample traces at 204-215 orders (9.2-9.7
+#: samples an order), and about 135 ms for 8000-sample traces at 689
+#: orders (11.6).
+_SAMPLES_PER_ORDER = 11
 
 #: Natural log of the Bessel bound below which a drive series drops a
 #: Fourier order: ``2**-60``, far below rounding.
@@ -112,7 +117,9 @@ class PerceptionSettings(Checked):
     scan_max_hz: float = positive(75000.0)
     scan_step_hz: float = positive(250.0)
     max_harmonics: int = positive(3)
-    notch_depth_db: float = positive(10.0)
+    notch_depth_db: float = bounded(
+        lambda v: 0.0 < v <= MAX_NOTCH_DEPTH_DB,
+        f"within (0, {MAX_NOTCH_DEPTH_DB}]", 10.0)
     freq_resolution_hz: float = positive(DEFAULT_FREQ_RESOLUTION_HZ)
     switch_dead_time_s: float = non_negative(1.0)
 
@@ -552,14 +559,6 @@ def _tone_projections(samples: np.ndarray, phasors: np.ndarray,
     return np.sum(w * x * phasors, axis=-1)
 
 
-def _tone_amplitudes(samples: np.ndarray, phasors: np.ndarray,
-                     hann: tuple[np.ndarray, float]) -> np.ndarray:
-    """``2 |sum(w x e)| / sum(w)`` of :func:`_tone_projections`; ``e`` and
-    its conjugate give the same modulus."""
-    w, weight = hann
-    return 2.0 * np.abs(_tone_projections(samples, phasors, w)) / weight
-
-
 def measure_tone_amplitude(trace: InterferenceTrace,
                            frequency_hz: float) -> float:
     """Amplitude of the trace component at an arbitrary frequency.
@@ -570,10 +569,11 @@ def measure_tone_amplitude(trace: InterferenceTrace,
     raises :class:`InsufficientDataError`.
     """
     n = trace.samples.size
-    hann = _hann(n)
+    w, weight = _hann(n)
     phasors = _unit_phasors([2.0 * math.pi * frequency_hz], n,
                             trace.sample_rate_hz)
-    return float(_tone_amplitudes(trace.samples, phasors, hann)[0])
+    projection = _tone_projections(trace.samples, phasors, w)[0]
+    return float(2.0 * np.abs(projection) / weight)
 
 
 def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
@@ -628,11 +628,12 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
             *response.moments, rng.standard_normal((freqs.size, 2)))
-    floor = float(np.median(_tone_amplitudes(
-        quiet.samples, response.probes, response.hann)))
+    x = quiet.samples - quiet.samples.mean()
+    floor = float(np.median(2.0 * np.abs(response.probes @ x)
+                            / response.weight))
     return FrequencySweep(
         frequencies_hz=freqs,
-        amplitudes=2.0 * np.abs(projections) / response.hann[1],
+        amplitudes=2.0 * np.abs(projections) / response.weight,
         noise_floor_amplitude=floor)
 
 
@@ -642,14 +643,15 @@ class _SweepResponse:
     cannot change it.
 
     ``projections`` and ``moments`` (of ``c u``: re re, re im, im im) hold
-    one column per grid point; ``hann`` is the window of an ``n``-sample
-    trace and ``probes`` the :func:`_unit_phasors` rows of the grid points
-    whose median tone amplitude on the reference trace is the floor.
+    one column per grid point; ``weight`` is the sum of the Hann window
+    ``w`` of an ``n``-sample trace, and ``probes`` holds ``w e`` for the
+    :func:`_unit_phasors` rows ``e`` of the grid points whose median tone
+    amplitude on the reference trace is the floor.
     """
 
     projections: np.ndarray
     moments: np.ndarray
-    hann: tuple[np.ndarray, float]
+    weight: float
     probes: np.ndarray
 
 
@@ -678,7 +680,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
     switch = int(np.count_nonzero(np.arange(n) / sample_rate_hz < lag))
-    hann = w, _ = _hann(n)
+    w, weight = _hann(n)
     peak = event.params.peak_phase_rad
     orders = _bessel_orders(4.0 * peak, n // _SAMPLES_PER_ORDER)
     args = (n, sample_rate_hz, switch, peak, channel.bias_phase_rad,
@@ -693,11 +695,11 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
             omega = omegas[lo:lo + rows]
             projections[lo:lo + rows], moments[:, lo:lo + rows] = (
                 _drive_sums(omega, omega * lag, *args, orders))
-    probes = _unit_phasors(omegas[:: max(1, freqs.size // 16)], n,
-                           sample_rate_hz)
-    for array in (projections, moments, w, probes):
+    probes = w * _unit_phasors(omegas[:: max(1, freqs.size // 16)], n,
+                               sample_rate_hz)
+    for array in (projections, moments, probes):
         array.flags.writeable = False
-    return _SweepResponse(projections, moments, hann, probes)
+    return _SweepResponse(projections, moments, weight, probes)
 
 
 def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
@@ -729,15 +731,32 @@ def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
     return projections, moments
 
 
-def _dirichlet(x: np.ndarray, count: int) -> np.ndarray:
-    """``sum(exp(2i x j) for j < count)`` at half-angles ``x`` reduced to
-    ``[-pi/2, pi/2]``: ``exp(i (count - 1) x) sin(count x) / sin(x)``, and
-    ``count`` where ``sin(x)`` is 0."""
-    sin_x, cos_x = np.sin(x), np.cos(x)
-    sin_n, cos_n = np.sin(count * x), np.cos(count * x)
-    ratio = np.divide(sin_n, sin_x, out=np.full_like(x, float(count)),
-                      where=sin_x != 0.0)
-    return (cos_n + 1j * sin_n) * (cos_x - 1j * sin_x) * ratio
+def _hann_sums(kappa: np.ndarray, count: int) -> np.ndarray:
+    """``T_p = sum(w_j**p exp(i kappa j) for j < count)`` under the Hann
+    window ``w`` of ``count`` samples, one row per power ``p = 0, 1, 2``.
+
+    ``w**p`` is ``sum_l _HANN_POWERS[p, l] exp(i l beta j)``, ``l = -2 ..
+    2`` and ``beta = 2 pi / (count - 1)`` (F. J. Harris, Proc. IEEE 66, 51
+    (1978)), so ``T_p`` sums those weights times the Dirichlet kernels
+    ``D(y) = sum(exp(2i y j) for j < count) = exp(i (count - 1) y)
+    sin(count y) / sin(y)`` at ``y = x + l beta / 2``, with ``x`` the
+    half-angle ``kappa / 2`` reduced mod pi.  The five share one phase,
+    ``exp(i (count - 1) y) = (-1)**l exp(i (count - 1) x)``, so the sums
+    run over their real ratios ``sin(count y) / sin(y)``, ``count`` where
+    ``sin(y)`` is 0, and the phase multiplies the three.  Both sines of a
+    ratio are taken at the same ``y``: a ratio stays right where a shifted
+    kernel meets a multiple of pi, which sines of ``y`` built from those
+    of ``x`` by angle addition would not.
+    """
+    half = 0.5 * kappa
+    x = half - math.pi * np.rint(half / math.pi)
+    shifts = np.arange(-2, 3)
+    y = np.add.outer((math.pi / (count - 1)) * shifts, x)
+    sin_y = np.sin(y)
+    ratios = np.divide(np.sin(count * y), sin_y, where=sin_y != 0.0,
+                       out=np.full_like(y, float(count)))
+    sums = np.tensordot(_HANN_POWERS * (-1.0) ** shifts, ratios, axes=1)
+    return sums * np.exp(1j * (count - 1) * x)
 
 
 def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
@@ -753,22 +772,16 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
     cos(theta j + phi)``, ``A = 2 peak sin(lag_phase / 2)`` and ``phi =
     -lag_phase / 2``, so ``c`` and ``c**2`` are Fourier series in ``theta
     j``, whose orders ``-M .. M`` (``M = orders``) :func:`_drive_series`
-    gives.  The Hann window ``w`` is ``sum_l h_l exp(i l beta j)``, ``beta
-    = 2 pi / (n - 1)`` (F. J. Harris, Proc. IEEE 66, 51 (1978)), so every
-    sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta j)`` times a
-    coefficient: a sum of Dirichlet kernels at ``k theta + l beta``.  Their
-    half-angles are reduced mod pi before any sine; ``T_p(-k)`` is the
+    gives.  So every sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta
+    j)`` under the Hann window ``w`` times a coefficient, which
+    :func:`_hann_sums` gives for ``k = 0 .. M + 2``; ``T_p(-k)`` is the
     conjugate of ``T_p(k)``.  In the head only the clockwise copy runs
     (``A = peak``, ``phi = -pi/2``): each sum adds ``sum_j w_j**p exp(i s
     theta j) (c1_j**q - c2_j**q)`` there, with ``c1`` the intensity of that
     copy and ``c2`` that of both, from one :func:`_unit_phasors` table.
     """
     theta = omega / sample_rate_hz
-    half = (math.pi / (n - 1)) * np.arange(-2, 3)[:, None, None] \
-        + 0.5 * np.multiply.outer(theta, np.arange(orders + 3))
-    x = half - math.pi * np.rint(half / math.pi)
-    kernels = _dirichlet(x, n)
-    window = np.tensordot(_HANN_POWERS, kernels, axes=1)
+    window = _hann_sums(np.multiply.outer(theta, np.arange(orders + 3)), n)
     window = np.concatenate(
         [window[:, :, orders:0:-1].conj(), window], axis=2)
 
@@ -795,7 +808,7 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
         for row, (q, p, s) in enumerate(terms):
             sums[row] += np.sum(head[q] * w_powers[p] * e_powers[s], axis=-1)
     wce, c_sum, ccww, ccwe, cc, ccwwee = sums
-    mu = _HANN_POWERS[1] @ kernels[:, :, 1] / n  # mean(w e) over the trace
+    mu = window[1, :, orders + 1] / n  # mean(w e) over the trace
     # With u = w e - mu: Q0 = sum c^2 |u|^2, Q2 = sum c^2 u^2.
     q0 = (ccww - 2.0 * mu.conj() * ccwe + (mu * mu.conj()) * cc).real
     q2 = ccwwee - 2.0 * mu * ccwe + mu * mu * cc.real

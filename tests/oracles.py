@@ -162,6 +162,33 @@ def tone_amplitude(trace, frequency_hz: float) -> float:
     return 2.0 * abs(np.sum(w * x * phasor)) / w.sum()
 
 
+def hann_power_sums(kappa, n: int) -> np.ndarray:
+    """``sum(w_j**p exp(i kappa j) for j < n)`` for ``p = 0, 1, 2``, one
+    row per power, then the shape of ``kappa``: the ``n``-sample Hann
+    window ``w_j = 0.5 - 0.5 cos(2 pi j / (n - 1))`` and every phasor
+    ``exp(i kappa j)`` taken term by term in extended precision
+    (``np.longdouble``), as ``exp(i kappa s q) exp(i kappa r)`` for ``j = s
+    q + r`` with ``s = isqrt(n) + 1``."""
+    kappa = np.asarray(kappa, dtype=float)
+    step = math.isqrt(n) + 1
+    j = np.arange(n, dtype=np.longdouble)
+    w = 0.5 - 0.5 * np.cos(2.0 * np.arccos(np.longdouble(-1.0)) * j
+                           / (n - 1))
+    powers = np.stack([np.ones_like(w), w, w * w]).T
+    r = np.arange(step, dtype=np.longdouble)
+
+    def phasors(angle):
+        return np.cos(angle) + 1j * np.sin(angle)
+
+    flat = kappa.reshape(-1, 1).astype(np.longdouble)
+    sums = np.empty((flat.size, 3), dtype=complex)
+    for lo in range(0, flat.size, 256):
+        k = flat[lo:lo + 256]
+        e = phasors(k * (step * r))[:, :, None] * phasors(k * r)[:, None, :]
+        sums[lo:lo + 256] = e.reshape(k.size, -1)[:, :n] @ powers
+    return sums.T.reshape(3, *kappa.shape)
+
+
 def point_by_point_sweep(event, channel, frequencies_hz, *,
                          duration_s=0.01,
                          sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sagnacsim import controller, qkd
 from sagnacsim.cli import main
 from sagnacsim.fileio import read_trace
 
@@ -421,17 +422,54 @@ class TestErrors:
         assert record["problems"][0].startswith(f"{taken}: ")
         assert taken.read_text() == "not a directory\n"
 
-    def test_report_that_is_a_directory_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, name, work", [
+        ("qkd", "report.json", (qkd, "run_session")),
+        ("qkd", "qber_windows.csv", (qkd, "run_session")),
+        ("integrated", "event_log.jsonl", (controller, "run_scenario")),
+    ])
+    def test_output_that_is_a_directory_exits_2_before_the_work(
+            self, tmp_path, capsys, monkeypatch, command, name, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran the work")
+
+        monkeypatch.setattr(*work, no_work)
         cfg = write_json(tmp_path / "mini.json",
                          {"duration_s": 1.0, "seed": 1,
                           "qkd": {"pulses_per_window": 10000}})
-        (tmp_path / "out" / "report.json").mkdir(parents=True)
-        assert run_cli("qkd", "--config", cfg, "--out-dir",
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert run_cli(command, "--config", cfg, "--out-dir",
                        str(tmp_path / "out"), "--quiet") == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
-        assert record["problems"][0].startswith(
-            f"{tmp_path / 'out' / 'report.json'}: ")
+        assert record["problems"] == [
+            f"{tmp_path / 'out' / name}: is a directory, not an output file"]
+
+    def test_unwritable_out_dir_exits_2_before_the_work(
+            self, tmp_path, capsys, monkeypatch):
+        # Mode bits do not bind the superuser, so the access check reports
+        # the directory unwritable here.
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran the work")
+
+        monkeypatch.setattr(qkd, "run_session", no_work)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert run_cli("qkd", "--out-dir", str(tmp_path), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["problems"] == [
+            f"{tmp_path}: the output directory is not writable"]
+
+    def test_existing_output_files_are_replaced(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("report.json", "qber_windows.csv"):
+            (out / name).write_text("old\n")
+        cfg = write_json(tmp_path / "mini.json",
+                         {"duration_s": 1.0, "seed": 1,
+                          "qkd": {"pulses_per_window": 10000}})
+        assert run_cli("qkd", "--config", cfg, "--out-dir", str(out),
+                       "--quiet") == 0
+        assert json.loads((out / "report.json").read_text())["seed"] == 1
+        assert (out / "qber_windows.csv").read_text() != "old\n"
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAGNACSIM_OUT_DIR", str(tmp_path / "envout"))
@@ -642,6 +680,9 @@ _UNSWEEPABLE = {
         "scan_max_hz": 120000.0}),
     "endless-sweep": ("perception.sweep_duration_s", {
         "sweep_duration_s": 1e308}),
+    # 10**(depth / 10) overflowed in the null search.
+    "notch-past-the-float-range": ("perception.notch_depth_db", {
+        "notch_depth_db": 1e6}),
 }
 
 

@@ -29,7 +29,8 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   window_phase_means)
 
 from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
-                     per_candidate_trace_nulls, point_by_point_sweep,
+                     hann_power_sums, per_candidate_trace_nulls,
+                     point_by_point_sweep,
                      position_from_null, sampled_phase_means,
                      tone_amplitude, two_sided_position_span)
 
@@ -403,6 +404,21 @@ class TestFindNulls:
         with pytest.raises(TypeError):
             find_null_frequencies([1.0, 2.0])
 
+    def test_deepest_notch_threshold(self):
+        # At the bound a sweep and a trace are searched without overflow;
+        # past it the settings are rejected.
+        deepest = perception.MAX_NOTCH_DEPTH_DB
+        trace = synthesize_trace((), channel(), 0.0256, 200e3, seed=5)
+        for data in (self.make_sweep(5000.0), trace):
+            assert find_null_frequencies(data, max_k=3,
+                                         depth_threshold_db=deepest) == []
+        assert PerceptionSettings(notch_depth_db=deepest).notch_depth_db \
+            == deepest
+        with pytest.raises(ConfigError) as err:
+            PerceptionSettings(notch_depth_db=np.nextafter(deepest, 1e4))
+        assert [p.split(":")[0] for p in err.value.problems] == \
+            ["notch_depth_db"]
+
 
 class TestLocalize:
     def test_reference_null(self):
@@ -729,7 +745,7 @@ class TestSweepResponse:
                 lambda omegas, lag, *args: perception._drive_sums(
                     omegas, omegas * lag, *args, orders))
             got = self.response(event, n, grid, bias, fs)
-        weight = want.hann[1]
+        weight = want.weight
         assert np.all(np.abs(got.projections - want.projections)
                       <= 1e-13 * DEFAULT_INPUT_POWER_W * weight)
         total = want.moments[0] + want.moments[2]
@@ -860,15 +876,90 @@ class TestSweepResponse:
         assert np.max(np.abs(c - want_c)) <= 1e-12 * i0
         assert np.max(np.abs(cc - want_cc)) <= 1e-12 * i0**2
 
-    @pytest.mark.parametrize("n, branch", [(3015, "_drive_sums"),
-                                           (3014, "_sampled_sums")])
+    @pytest.mark.parametrize("n, branch", [(2211, "_drive_sums"),
+                                           (2210, "_sampled_sums")])
     def test_large_peak_on_each_branch(self, monkeypatch, n, branch):
         # A 30 rad drive keeps orders -198 .. 198, 201 kernel orders of
-        # 15 samples each: the closed form from 3015 samples on.
+        # 11 samples each: the closed form from 2211 samples on.
         event = pzt_event(5000.0, 500.0, 30.0)
         self.assert_matches_sampled(monkeypatch, event,
                                     ACCEPTANCE_GRID[::40], n)
         assert self.kernels_called(monkeypatch, event, n) == {branch}
+
+
+class TestHannSums:
+    """The closed-form window sums ``T_p(kappa)`` of the sweep against the
+    direct sum :func:`hann_power_sums`, within 1e-12 n plus what reducing
+    ``kappa / 2`` by ``m pi`` in floats costs: the half-angle moves by
+    about ``m eps``, and the phase of term ``j`` by ``2 j`` times that."""
+
+    @staticmethod
+    def assert_matches_direct(kappa, n):
+        got = perception._hann_sums(kappa, n)
+        want = hann_power_sums(kappa, n)
+        assert got.shape == want.shape == (3, *np.shape(kappa))
+        turns = np.abs(kappa) / (2.0 * math.pi)
+        tol = n * (1e-12 + n * np.finfo(float).eps * turns)
+        assert np.all(np.abs(got - want) <= tol)
+        return got
+
+    @staticmethod
+    def orders(theta, peak=0.6, n=2000):
+        """``k theta`` for the orders ``k = 0 .. M + 2`` that
+        ``_drive_sums`` takes for a drive of ``peak`` rad."""
+        most = perception._bessel_orders(
+            4.0 * peak, n // perception._SAMPLES_PER_ORDER)
+        return np.multiply.outer(theta, np.arange(most + 3))
+
+    def test_every_order_of_the_acceptance_grid(self):
+        n = 2000
+        kappa = self.orders(2 * math.pi * ACCEPTANCE_GRID / 200e3)
+        got = self.assert_matches_direct(kappa, n)
+        # Where k theta is a whole number of turns the half-angle reduces
+        # to exactly 0: at order 0, and at every fourth order at 50 kHz.
+        half = 0.5 * kappa
+        turns = half - math.pi * np.rint(half / math.pi) == 0.0
+        assert np.count_nonzero(turns) == 319
+        assert np.all(turns[ACCEPTANCE_GRID == 50e3, ::4])
+        assert np.all(got[0][turns] == n)
+
+    @pytest.mark.parametrize("miss", [1e-6, -1e-6, 1e-9])
+    def test_shifted_kernel_near_a_multiple_of_pi(self, miss):
+        # At order 3 of this drive the half-angle x lies pi / (n - 1) -
+        # miss short of a multiple of pi, so the kernel shifted by one Hann
+        # step nearly meets it: sin(n y) / sin(y) of two small numbers.
+        n, fs = 2000, 200e3
+        f_hz = fs * (1.0 - 1.0 / (n - 1) + miss / math.pi) / 3.0
+        kappa = self.orders(np.array([2 * math.pi * f_hz / fs]))
+        x = 1.5 * kappa[0, 1] - math.pi
+        assert abs(x + math.pi / (n - 1) - miss) < 1e-3 * abs(miss)
+        self.assert_matches_direct(kappa, n)
+
+    @pytest.mark.parametrize("n, step_hz", [(2001, 100.0), (1001, 200.0)])
+    def test_shifted_kernel_on_a_multiple_of_pi(self, n, step_hz):
+        # On these grids k theta / 2 + l pi / (n - 1), l != 0, is a whole
+        # number of half-turns at some orders, which the float sum misses
+        # only by rounding.
+        grid = np.arange(2000.0, 75000.0 + step_hz, step_hz)
+        kappa = self.orders(2 * math.pi * grid / 200e3, n=n)
+        half = 0.5 * kappa
+        x = half - math.pi * np.rint(half / math.pi)
+        hits = np.zeros(kappa.shape, dtype=bool)
+        for shift in (-2, -1, 1, 2):
+            y = x + shift * math.pi / (n - 1)
+            hits |= np.abs(y - math.pi * np.rint(y / math.pi)) < 1e-12
+        assert np.count_nonzero(hits) > 10
+        self.assert_matches_direct(kappa[hits], n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 16, 40])
+    def test_short_windows(self, n):
+        # Few samples: Hann steps of up to pi / 2 move a kernel's angle
+        # onto or past a multiple of pi.
+        kappa = np.array([0.0, 1e-9, 0.5 * math.pi, math.pi, 1.234,
+                          2.0 * math.pi / 3.0, 2.0 * math.pi, 3.0 * math.pi,
+                          2.0 * math.pi / (n - 1), math.pi / (n - 1),
+                          -4.0 * math.pi / (n - 1), 17.0])
+        self.assert_matches_direct(kappa, n)
 
 
 class TestCorrelatedNormals:
