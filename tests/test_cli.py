@@ -422,8 +422,13 @@ class TestErrors:
         assert record["problems"][0].startswith(f"{taken}: ")
         assert taken.read_text() == "not a directory\n"
 
+    def test_report_that_is_a_directory_exits_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        self.test_output_that_is_a_directory_exits_2_before_the_work(
+            tmp_path, capsys, monkeypatch, "qkd", "report.json",
+            (qkd, "run_session"))
+
     @pytest.mark.parametrize("command, name, work", [
-        ("qkd", "report.json", (qkd, "run_session")),
         ("qkd", "qber_windows.csv", (qkd, "run_session")),
         ("integrated", "event_log.jsonl", (controller, "run_scenario")),
     ])
