@@ -25,8 +25,10 @@ from sagnacsim.fileio import read_trace  # noqa: E402
 
 # The README PZT scenario, the same drive at 4000 m from 3.5 s with a second
 # one at 9000 m from 0 s, the README drive at 32768 Hz (twice a period at
-# 2**16 samples a second), the impact of the CLI tests, and a standing
-# weight polled every 1.5 s with the default WM noise.
+# 2**16 samples a second), the README drive at a gain of 50 rad/V (a 60 rad
+# peak, strong enough that the sweep takes its per-sample branch), the
+# impact of the CLI tests, and a standing weight polled every 1.5 s with the
+# default WM noise.
 PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
        "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
        "phase_gain_rad_per_v": 0.5}
@@ -44,6 +46,8 @@ CONFIGS = {
         dict(PZT, position_m=9000.0, start_s=0.0)]},
     "fast_pzt": {"duration_s": 8.0, "seed": 3,
                  "disturbances": [dict(PZT, frequency_hz=32768.0)]},
+    "strong_pzt": {"duration_s": 12.0, "seed": 7, "disturbances": [
+        dict(PZT, phase_gain_rad_per_v=50.0)]},
     "impact": {"duration_s": 6.0, "seed": 5,
                "perception": {"noise_sigma": 0.0008,
                               "sense_duration_s": 0.0256},
@@ -66,6 +70,7 @@ RUNS = (
     ("integrated.impact", "integrated", "impact", ["--seed", "4"]),
     ("integrated.pressure", "integrated", "pressure", []),
     ("perceive.pzt", "perceive", "pzt", []),
+    ("perceive.strong_pzt", "perceive", "strong_pzt", []),
     ("perceive.impact", "perceive", "impact", []),
     ("perceive.pressure", "perceive", "pressure", []),
     ("localize.impact", "localize", "impact",
