@@ -21,7 +21,7 @@ import bisect
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -547,16 +547,11 @@ def _unit_phasors(omegas: np.ndarray, n: int,
     return rows.reshape(theta.shape[0], step * step)[:, :n]
 
 
-def _tone_projections(samples: np.ndarray, phasors: np.ndarray,
-                      w: np.ndarray) -> np.ndarray:
-    """Hann-weighted projection ``sum(w x e)`` of ``samples`` onto each row
-    ``e`` of :func:`_unit_phasors`, with ``x`` the samples less their mean.
-
-    ``samples`` is one trace, projected onto every row, or one row per
-    phasor row.
-    """
-    x = samples - samples.mean(axis=-1, keepdims=True)
-    return np.sum(w * x * phasors, axis=-1)
+def _tone_amplitudes(samples: np.ndarray, probes: np.ndarray,
+                     weight: float) -> np.ndarray:
+    """``2 |sum(w e (x - mean x))| / sum(w)`` of ``samples`` ``x`` for
+    each row ``w e`` of ``probes``, ``e`` a :func:`_unit_phasors` row."""
+    return 2.0 * np.abs(probes @ (samples - samples.mean())) / weight
 
 
 def measure_tone_amplitude(trace: InterferenceTrace,
@@ -570,10 +565,9 @@ def measure_tone_amplitude(trace: InterferenceTrace,
     """
     n = trace.samples.size
     w, weight = _hann(n)
-    phasors = _unit_phasors([2.0 * math.pi * frequency_hz], n,
-                            trace.sample_rate_hz)
-    projection = _tone_projections(trace.samples, phasors, w)[0]
-    return float(2.0 * np.abs(projection) / weight)
+    probe = w * _unit_phasors([2.0 * math.pi * frequency_hz], n,
+                              trace.sample_rate_hz)
+    return float(_tone_amplitudes(trace.samples, probe, weight)[0])
 
 
 def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
@@ -628,9 +622,8 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
             *response.moments, rng.standard_normal((freqs.size, 2)))
-    x = quiet.samples - quiet.samples.mean()
-    floor = float(np.median(2.0 * np.abs(response.probes @ x)
-                            / response.weight))
+    floor = float(np.median(_tone_amplitudes(quiet.samples, response.probes,
+                                             response.weight)))
     return FrequencySweep(
         frequencies_hz=freqs,
         amplitudes=2.0 * np.abs(projections) / response.weight,
@@ -721,7 +714,8 @@ def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
         delayed = (e * np.exp(-1j * omega * lag)[:, None]).imag
         gpd = peak * (e.imag - delayed * on) + bias
         c = _port_intensity(gpd, input_power_w)
-        projections[lo:lo + rows] = _tone_projections(c, e, w)
+        projections[lo:lo + rows] = np.sum(
+            w * (c - c.mean(axis=1, keepdims=True)) * e, axis=1)
         we = w * e
         cu = c * (we - we.mean(axis=1, keepdims=True))
         re, im = cu.real, cu.imag
@@ -931,6 +925,33 @@ def _local_minima(values: np.ndarray, start: int, stop: int) -> np.ndarray:
                                   & (mid < values[start + 1:stop + 1]))
 
 
+def _notches(freqs: np.ndarray, spectrum: np.ndarray, refine: np.ndarray,
+             minima: np.ndarray, references, max_k: int,
+             depth_threshold_db: float, tolerance_hz: Callable[[], float],
+             missing: str) -> list[NullFrequency]:
+    """Nulls at the local ``minima`` of ``spectrum`` whose depth below
+    their ``references`` entry (one for all, or one each) reaches the
+    threshold, a zero value at exactly it: each at the parabola vertex
+    through ``refine``, harmonics assigned at ``tolerance_hz()``, read only
+    once there is a notch.  Without one ``missing`` is logged."""
+    found_f: list[float] = []
+    found_d: list[float] = []
+    for i, reference in zip(minima.tolist(), np.broadcast_to(
+            references, minima.shape).tolist()):
+        depth_db = (10.0 * math.log10(reference / spectrum[i])
+                    if spectrum[i] > 0 else depth_threshold_db)
+        if depth_db < depth_threshold_db:
+            continue
+        found_f.append(float(_parabolic_vertex(
+            freqs[i - 1], freqs[i], freqs[i + 1],
+            refine[i - 1], refine[i], refine[i + 1])))
+        found_d.append(float(depth_db))
+    if not found_f:
+        logger.info(missing, depth_threshold_db)
+        return []
+    return _assign_harmonics(found_f, found_d, max_k, tolerance_hz())
+
+
 def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
                       depth_threshold_db: float) -> list[NullFrequency]:
     power = sweep.amplitudes ** 2
@@ -942,24 +963,11 @@ def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
             logger.info("sweep response sits at the instrument noise floor; "
                         "no localizable structure")
             return []
-    found_f: list[float] = []
-    found_d: list[float] = []
-    for i in _local_minima(power, 1, power.size - 1):
-        depth_db = 10.0 * math.log10(reference / power[i]) if power[i] > 0 \
-            else depth_threshold_db
-        if depth_db < depth_threshold_db:
-            continue
-        found_f.append(float(_parabolic_vertex(
-            freqs[i - 1], freqs[i], freqs[i + 1],
-            power[i - 1], power[i], power[i + 1])))
-        found_d.append(float(depth_db))
-    if not found_f:
-        logger.info("no sweep minimum reaches %.1f dB below the median "
-                    "response", depth_threshold_db)
-        return []
-    spacing = float(np.median(np.diff(freqs)))
-    return _assign_harmonics(found_f, found_d, max_k,
-                             tolerance_hz=2.0 * spacing)
+    return _notches(
+        freqs, power, power, _local_minima(power, 1, power.size - 1),
+        reference, max_k, depth_threshold_db,
+        lambda: 2.0 * float(np.median(np.diff(freqs))),
+        "no sweep minimum reaches %.1f dB below the median response")
 
 
 #: Number of 50 %-overlapping Hann segments in the averaged spectrum.
@@ -1020,25 +1028,10 @@ def _nulls_from_trace(trace: InterferenceTrace, max_k: int,
     minima = _local_minima(psd, lo + 1, psd.size - 2)
     medians = _local_medians(psd, minima, lo, half_window)
     usable = (psd[minima] > 0) & (medians > 0)
-    minima = minima[usable]
-    ratios = medians[usable] / psd[minima]
-    found_f: list[float] = []
-    found_d: list[float] = []
-    for i, ratio in zip(minima.tolist(), ratios.tolist()):
-        depth_db = 10.0 * math.log10(ratio)
-        if depth_db < depth_threshold_db:
-            continue
-        found_f.append(float(_parabolic_vertex(
-            freqs[i - 1], freqs[i], freqs[i + 1],
-            log_psd[i - 1], log_psd[i], log_psd[i + 1])))
-        found_d.append(depth_db)
-    if not found_f:
-        logger.info("no spectral notch reaches %.1f dB below the local "
-                    "median", depth_threshold_db)
-        return []
-    bin_hz = freqs[1] - freqs[0]
-    return _assign_harmonics(found_f, found_d, max_k,
-                             tolerance_hz=2.0 * bin_hz)
+    return _notches(
+        freqs, psd, log_psd, minima[usable], medians[usable], max_k,
+        depth_threshold_db, lambda: 2.0 * (freqs[1] - freqs[0]),
+        "no spectral notch reaches %.1f dB below the local median")
 
 
 def find_null_frequencies(
