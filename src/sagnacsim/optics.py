@@ -126,6 +126,15 @@ def _clip_unit(p: float) -> float:
     return min(p, 1.0) if p <= 1.0 + 1e-12 else p
 
 
+def spectral_envelope(packet: SpectralPacket, tau_s: float) -> float:
+    """The packet's spectral envelope ``exp(-(sigma tau)**2)`` at the
+    birefringence delay ``tau_s``: exactly 1 for ``sigma = 0``, and exactly
+    0 once ``(sigma tau)**2`` leaves the float range, where the true value
+    has long since underflowed (from ``sigma |tau|`` of about 27.3 on)."""
+    spread = packet.sigma * tau_s
+    return math.exp(-(spread * spread))
+
+
 def port_powers(tau_s: float, packet: SpectralPacket, angle_rad: float,
                 bias_phase_rad: float, scale: float) -> tuple[float, float]:
     """Reflected and transmitted port outputs after path and polarization
@@ -142,8 +151,8 @@ def port_powers(tau_s: float, packet: SpectralPacket, angle_rad: float,
     output powers.
     """
     phi = packet.omega0 * tau_s
-    envelope = math.exp(-((packet.sigma * tau_s) ** 2))
-    spectral = 1.0 - envelope * math.cos(2.0 * (phi - angle_rad))
+    spectral = 1.0 - spectral_envelope(packet, tau_s) * math.cos(
+        2.0 * (phi - angle_rad))
     cos_d = math.cos(bias_phase_rad)
     return (0.25 * scale * (1.0 + cos_d) * spectral,
             0.25 * scale * (1.0 - cos_d) * spectral)

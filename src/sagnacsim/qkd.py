@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (Checked, InsufficientDataError, bounded, fraction,
                      non_negative, positive)
-from .optics import LoopChannel, SpectralPacket
+from .optics import LoopChannel, SpectralPacket, spectral_envelope
 
 #: One-pass loss budget (dB) that reproduces the reference 22.4 kbps sifted
 #: rate at mu = 0.1, 20 % detector efficiency and 100 MHz repetition.
@@ -186,8 +186,7 @@ def _spectral_gain(channel: LoopChannel, packet: SpectralPacket | None) -> float
     # which rescales the per-pulse detected rate for broadband packets.
     if packet is None:
         return 1.0
-    tau = channel.total_delay_s
-    return 0.5 * (1.0 + math.exp(-((packet.sigma * tau) ** 2)))
+    return 0.5 * (1.0 + spectral_envelope(packet, channel.total_delay_s))
 
 
 #: Alice basis, Alice bit and Bob basis of the 8 equally likely choices.

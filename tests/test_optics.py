@@ -9,7 +9,7 @@ from sagnacsim.optics import (LoopChannel, PortProbabilities,
                               PostSelection, SpectralPacket,
                               omega_from_wavelength,
                               post_selection_probabilities, relative_phase,
-                              visibility_and_qber)
+                              spectral_envelope, visibility_and_qber)
 
 from oracles import spectral_port_probability
 
@@ -42,6 +42,25 @@ class TestRelativePhase:
         one = relative_phase(make_channel(tau0=1e-13, dtau=2e-13), packet)
         two = relative_phase(make_channel(tau0=2e-13, dtau=4e-13), packet)
         assert two == pytest.approx(2.0 * one, rel=1e-14)
+
+
+class TestSpectralEnvelope:
+    @given(sigma=st.floats(0.0, 1e14), tau=st.floats(-1e-12, 1e-12))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_in_the_float_range(self, sigma, tau):
+        packet = SpectralPacket(omega0=OMEGA_1550, sigma=sigma)
+        assert spectral_envelope(packet, tau) == math.exp(-(sigma * tau) ** 2)
+
+    # (sigma tau)**2 once raised OverflowError past sigma |tau| ~ 1.3e154.
+    @pytest.mark.parametrize("sigma, tau", [(1e300, 3e-13), (1e15, 1e150),
+                                            (1e300, -1e300), (30.0, 1.0)])
+    def test_saturates_to_zero(self, sigma, tau):
+        packet = SpectralPacket(omega0=OMEGA_1550, sigma=sigma)
+        assert spectral_envelope(packet, tau) == 0.0
+
+    def test_monochromatic_is_exactly_one(self):
+        packet = SpectralPacket(omega0=OMEGA_1550)
+        assert spectral_envelope(packet, 1e300) == 1.0
 
 
 class TestPortProbabilities:
