@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +171,12 @@ def _cmd_wm(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
         if not masses or not all(0 < m < math.inf for m in masses):
             raise ConfigError(["--masses: needs finite positive "
                                "comma-separated values"])
+        try:
+            for mass in masses:
+                replace(script.wm.pressure, mass_kg=mass)
+        except ConfigError as exc:
+            raise ConfigError([f"--masses: {p}" for p in exc.problems]) \
+                from None
     else:
         masses = [0.1, 0.2, 0.3, 0.4, 0.5]
     readings = wm.pressure_staircase(masses, script.wm, script.channel,

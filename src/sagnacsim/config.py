@@ -66,7 +66,7 @@ _DISTURBANCES = {
                              frequency_hz=500.0)),
     "impact": (ImpactParams, _keys(ImpactParams, mass_kg=0.1,
                                    drop_height_m=0.1)),
-    "pressure": (PressureParams, _keys(PressureParams, mass_kg=0.1)),
+    "pressure": (PressureParams, _keys(PressureParams)),
 }
 
 
@@ -102,8 +102,8 @@ def _script(resolved: dict) -> ScenarioScript:
                      for i, entry in enumerate(resolved["disturbances"])),
         duration_s=resolved["duration_s"],
         seed=resolved["seed"],
-        wm=replace(wm_settings, pressure=replace(
-            wm_settings.pressure, **{key: wm[key] for key in _WM_GEOMETRY})),
+        wm=replace(wm_settings, pressure=_build("wm.", PressureParams, {
+            key: wm[key] for key in _WM_GEOMETRY})),
     )
 
 

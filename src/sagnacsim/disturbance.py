@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import Checked, ConfigError, non_negative, positive
+from .errors import Checked, ConfigError, field_specs, non_negative, positive
 from .optics import C_VACUUM
 
 #: Standard acceleration of gravity (m/s^2), exact by definition.
@@ -24,6 +24,12 @@ STANDARD_GRAVITY = 9.80665
 #: 0.6 rad for the README drive; the net phase of a scenario's events then
 #: stays far inside the float range.
 MAX_PEAK_PHASE_RAD = 1e9
+
+#: Longest group-delay shift (s) a standing weight may impose: 1 ns, 1e8
+#: times the shift of the default 100 g and about 1e6 times a quarter turn
+#: of the WM working point at 1550 nm.  Its phase ``omega0 tau`` then stays
+#: far inside the float range at any wavelength.
+MAX_DELAY_SHIFT_S = 1e-9
 
 
 class _Peaked(Checked):
@@ -109,13 +115,25 @@ class PressureParams(Checked):
 
     The stress-optic coefficient converts the applied stress (weight over
     contact area) into an index change which accumulates into a group-delay
-    shift over the pressed length.
+    shift over the pressed length.  That shift, :func:`pressure_delay`, is
+    bounded by ``MAX_DELAY_SHIFT_S`` as a problem of the factor furthest
+    past its default, the contact area counting inversely.
     """
 
-    mass_kg: float = non_negative()
+    mass_kg: float = non_negative(0.1)
     pressed_length_m: float = positive(0.1)
     contact_area_m2: float = positive(1e-4)
     stress_optic_per_pa: float = positive(3e-12)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not pressure_delay(self) <= MAX_DELAY_SHIFT_S:
+            specs = field_specs(PressureParams)
+            key = max(specs, key=lambda k: math.log(
+                getattr(self, k) / specs[k].default)
+                * (-1.0 if k == "contact_area_m2" else 1.0))
+            raise ConfigError([f"{key}: {getattr(self, key)} puts the delay "
+                               f"shift above {MAX_DELAY_SHIFT_S} s"])
 
 
 DisturbanceParams = Union[PztParams, ImpactParams, PressureParams]

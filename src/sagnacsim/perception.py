@@ -42,6 +42,14 @@ DEFAULT_INPUT_POWER_W = 5.645e-3
 #: Default relative intensity noise of the source (power fluctuation).
 DEFAULT_NOISE_SIGMA = 0.0019
 
+#: Largest input power (W) and relative intensity noise perception may
+#: assume, some 2e8 and 5e5 times the defaults.  Together they keep the
+#: samples of a trace near 1e10 W at most, so the squares that Welch
+#: spectra and sweeps take of sums over millions of samples stay far inside
+#: the float range.
+MAX_INPUT_POWER_W = 1e6
+MAX_NOISE_SIGMA = 1e3
+
 #: Default sample rate able to probe nulls up to 50 kHz with margin.
 DEFAULT_SAMPLE_RATE_HZ = 200e3
 
@@ -109,8 +117,12 @@ class PerceptionSettings(Checked):
     sample_rate_hz: float = positive(DEFAULT_SAMPLE_RATE_HZ)
     sense_duration_s: float = positive(0.05)
     sweep_duration_s: float = positive(0.01)
-    noise_sigma: float = non_negative(DEFAULT_NOISE_SIGMA)
-    input_power_w: float = positive(DEFAULT_INPUT_POWER_W)
+    noise_sigma: float = bounded(lambda v: 0.0 <= v <= MAX_NOISE_SIGMA,
+                                 f"within [0, {MAX_NOISE_SIGMA}]",
+                                 DEFAULT_NOISE_SIGMA)
+    input_power_w: float = bounded(lambda v: 0.0 < v <= MAX_INPUT_POWER_W,
+                                   f"within (0, {MAX_INPUT_POWER_W}]",
+                                   DEFAULT_INPUT_POWER_W)
     bias_phase_rad: float = 0.5 * math.pi
     significance_threshold: float = positive(10.0)
     scan_min_hz: float = positive(2000.0)

@@ -37,6 +37,13 @@ CALIBRATED_DARK_PROB = 1e-6
 #: with the dark counts above, reproduces the 4.76 % operating error rate.
 CALIBRATED_PHASE_NOISE_RAD = 0.43723
 
+#: Largest phase noise std (rad) a key session may assume.  From about
+#: 9.1 rad on every damped harmonic of the click model is below
+#: ``_HARMONIC_CUTOFF``, so a larger std gives the same uniform phase; the
+#: bound keeps ``(k sigma)**2`` far inside the float range at every
+#: harmonic ``k`` of the grid.
+MAX_PHASE_NOISE_RAD = 1e6
+
 #: Damped Fourier harmonics of the outcome probabilities smaller than this
 #: are dropped; the outcomes of a round sum to 1, so it is also relative.
 _HARMONIC_CUTOFF = 1e-18
@@ -78,7 +85,9 @@ class QkdSettings(Checked):
     # The window's multinomial draw counts in 64-bit integers.
     pulses_per_window: int = bounded(lambda v: 0 < v < 2**63,
                                      "within [1, 2**63)", 200_000)
-    phase_noise_rad: float = non_negative(CALIBRATED_PHASE_NOISE_RAD)
+    phase_noise_rad: float = bounded(
+        lambda v: 0.0 <= v <= MAX_PHASE_NOISE_RAD,
+        f"within [0, {MAX_PHASE_NOISE_RAD}]", CALIBRATED_PHASE_NOISE_RAD)
     qber_threshold: float = bounded(lambda v: 0.0 < v < 1.0,
                                     "within (0, 1)", 0.08)
 

@@ -42,8 +42,7 @@ class WmSettings(Checked):
     samples_per_reading: int = bounded(lambda v: 0 < v <= 2**20,
                                        "within [1, 2**20]", 16)
     poll_interval_s: float = positive(60.0)
-    pressure: PressureParams = field(
-        default_factory=lambda: PressureParams(mass_kg=0.1))
+    pressure: PressureParams = field(default_factory=PressureParams)
 
 
 @dataclass(frozen=True)

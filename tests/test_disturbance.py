@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.constants import g as g0
 
 from sagnacsim import disturbance, wm
+from sagnacsim.errors import ConfigError
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams, impact_phase,
                                    pressure_delay, pzt_phase,
@@ -115,6 +116,21 @@ class TestPressure:
 
     def test_zero_mass(self):
         assert pressure_delay(PressureParams(mass_kg=0.0)) == 0.0
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"mass_kg": 1e9}, "mass_kg"),
+        ({"stress_optic_per_pa": 1e-3}, "stress_optic_per_pa"),
+        ({"pressed_length_m": 1e8}, "pressed_length_m"),
+        ({"contact_area_m2": 1e-13}, "contact_area_m2"),
+        ({"mass_kg": 1e4, "contact_area_m2": 1e-10}, "contact_area_m2"),
+        ({"mass_kg": 1e300, "contact_area_m2": 1e-300}, "mass_kg")])
+    def test_delay_shift_past_the_bound_names_the_furthest_factor(
+            self, fields, key):
+        assert pressure_delay(PressureParams(mass_kg=1e7)) < \
+            disturbance.MAX_DELAY_SHIFT_S
+        with pytest.raises(ConfigError) as info:
+            PressureParams(**fields)
+        assert [p.split(":")[0] for p in info.value.problems] == [key]
 
     def test_half_kilogram(self):
         delay = pressure_delay(PressureParams(mass_kg=0.5))
