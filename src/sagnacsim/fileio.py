@@ -7,12 +7,13 @@ header line, then one sample per line, sample k taken at k / sample_rate_hz.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SagnacSimError
 from .perception import InterferenceTrace
 
 
@@ -136,13 +137,44 @@ def write_columns(path: str | Path, header: Sequence[str],
     return _replace_file(path, "\n".join(lines) + "\n")
 
 
+def _non_finite_keys(value, where: str):
+    """Key paths, from ``where`` on, of the non-finite floats in ``value``,
+    a tree of dicts and lists."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield where
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_keys(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite_keys(item, f"{where}[{i}]")
+
+
+def _json_text(path: str | Path, value, where: str = "$", **options) -> str:
+    """``value`` as standard JSON text for the file at ``path``.
+
+    A non-finite float, which only the non-standard tokens NaN and Infinity
+    could write, raises :class:`SagnacSimError` naming the file and the key
+    path of the value, ``where`` for ``value`` itself.
+    """
+    try:
+        return json.dumps(value, allow_nan=False, **options)
+    except ValueError:
+        key = next(_non_finite_keys(value, where), None)
+        if key is None:
+            raise
+        raise SagnacSimError(f"{path}: {key} is not a finite number, which "
+                             f"JSON cannot hold") from None
+
+
 def write_report(path: str | Path, report: dict) -> Path:
     """Write the single structured report document for a run."""
-    return _replace_file(path,
-                         json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return _replace_file(path, _json_text(path, report, indent=2,
+                                          sort_keys=True) + "\n")
 
 
 def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
     """Write controller log entries as line-delimited JSON records."""
-    lines = [json.dumps(entry, sort_keys=True) for entry in entries]
+    lines = [_json_text(path, entry, f"$[{i}]", sort_keys=True)
+             for i, entry in enumerate(entries)]
     return _replace_file(path, "\n".join(lines) + ("\n" if lines else ""))
