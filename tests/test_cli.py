@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sagnacsim import controller, qkd
+from sagnacsim import cli, controller, qkd
 from sagnacsim.cli import main
 from sagnacsim.fileio import read_trace
 
@@ -26,6 +26,13 @@ def run_cli(*argv):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 _README_PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
@@ -165,15 +172,9 @@ class TestIntegrated:
         out = tmp_path / "run"
         assert run_cli("integrated", "--config", config,
                        "--out-dir", str(out), "--quiet") == 0
-
-        def not_json(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        report = json.loads((out / "report.json").read_text(),
-                            parse_constant=not_json)
+        report = strict_json((out / "report.json").read_text())
         lines = (out / "event_log.jsonl").read_text().splitlines()
-        assert [json.loads(line, parse_constant=not_json)
-                for line in lines] == report["event_log"]
+        assert [strict_json(line) for line in lines] == report["event_log"]
         graded = [e for e in report["event_log"]
                   if e["event"].startswith("disturbance_")]
         assert graded
@@ -317,7 +318,8 @@ class TestWm:
         assert run_cli("wm", "--masses", "0.1,-0.2",
                        "--out-dir", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("masses", ["inf", "nan", "0.1,inf"])
+    # 1e308 kg is finite, but its delay shift's phase was not.
+    @pytest.mark.parametrize("masses", ["inf", "nan", "0.1,inf", "0.1,1e308"])
     def test_non_finite_masses_rejected(self, tmp_path, capsys, masses):
         assert run_cli("wm", "--masses", masses, "--out-dir", str(tmp_path),
                        "--quiet") == 2
@@ -514,6 +516,17 @@ _BAD_CONFIGS = [
     ("disturbances[0].impact_gain",
      '{"disturbances": [{"kind": "impact", "position_m": 5000.0, '
      '"mass_kg": 1e154, "impact_gain": 1e154}]}'),
+    # Finite values whose arithmetic overflowed: perceive ended in a
+    # traceback, integrated wrote NaN into its report, wm took the cosine
+    # of an infinite phase and qkd warned.
+    ("perception.input_power_w", '{"perception": {"input_power_w": 1e160}}'),
+    ("perception.noise_sigma", '{"perception": {"noise_sigma": 1e300}}'),
+    ("qkd.phase_noise_rad", '{"qkd": {"phase_noise_rad": 1e300}}'),
+    ("wm.stress_optic_per_pa", '{"wm": {"stress_optic_per_pa": 1e300}}'),
+    ("wm.contact_area_m2", '{"wm": {"contact_area_m2": 1e-300}}'),
+    ("disturbances[0].mass_kg",
+     '{"disturbances": [{"kind": "pressure", "position_m": 5000.0, '
+     '"mass_kg": 1e300}]}'),
 ]
 
 _HEADER = b"# sample_rate_hz=1000.0 i0_w=1.0\n"
@@ -548,6 +561,7 @@ class TestBadInput:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert any(p.startswith(f"{key}:") for p in record["problems"])
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("command, option, content",
                              list(_BAD_FILES.values()), ids=list(_BAD_FILES))
@@ -852,3 +866,71 @@ class TestParserReuse:
         counts = json.loads(done.stdout)
         assert counts[0] == 0
         assert counts[1] > 0 and counts[1:] == [counts[1]] * 3
+
+
+
+class TestBroadbandPacket:
+    # exp(-(sigma tau)**2) raised OverflowError past sigma tau of about
+    # 1.3e154; it now saturates to 0, where it underflowed long before.
+    @pytest.mark.parametrize("command", ["qkd", "integrated"])
+    @pytest.mark.parametrize("packet, channel", [
+        ({"spectral_sigma_rad_per_s": 1e300}, {}),
+        ({"spectral_sigma_rad_per_s": 1e15}, {"intrinsic_delay_s": 1e150})])
+    def test_key_runs_keep_half_the_detected_rate(self, tmp_path, command,
+                                                  packet, channel):
+        config = {"duration_s": 4.0, "seed": 1, "packet": packet,
+                  "channel": channel, "disturbances": [_README_PZT]}
+        rates = []
+        for name, cfg in (("broad", config), ("mono", {
+                **config, "packet": {}, "channel": {}})):
+            out = tmp_path / name
+            assert run_cli(command, "--config",
+                           write_json(tmp_path / f"{name}.json", cfg),
+                           "--out-dir", str(out), "--quiet") == 0
+            report = strict_json((out / "report.json").read_text())
+            rates.append(report["summary"]["mean_raw_rate_bps"])
+        assert rates[0] == pytest.approx(0.5 * rates[1], rel=0.05)
+
+    def test_wm_finds_no_working_point(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "broad.json", {
+            "packet": {"spectral_sigma_rad_per_s": 1e300},
+            "wm": {"noise_sigma": 0.0}})
+        assert run_cli("wm", "--config", cfg, "--out-dir",
+                       str(tmp_path / "out"), "--quiet") == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["type"] == "ZeroWorkingPointError"
+
+
+class TestNonFiniteOutput:
+    CONFIG = {"duration_s": 2.0, "seed": 1}
+
+    def test_report_value_exits_3_naming_its_key(self, tmp_path, capsys,
+                                                 monkeypatch):
+        base = cli._base_report
+        monkeypatch.setattr(cli, "_base_report", lambda cfg: {
+            **base(cfg), "extra": {"values": [1.0, math.nan]}})
+        out = tmp_path / "out"
+        assert run_cli("qkd", "--config",
+                       write_json(tmp_path / "c.json", self.CONFIG),
+                       "--out-dir", str(out), "--quiet") == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "analysis"
+        assert "$.extra.values[1] is not a finite number" in \
+            record["message"]
+        assert not (out / "report.json").exists()
+
+    def test_event_log_value_exits_3_naming_its_key(self, tmp_path, capsys,
+                                                    monkeypatch):
+        log_dicts = cli._log_dicts
+        monkeypatch.setattr(cli, "_log_dicts", lambda log: [
+            {**entry, "payload": {"qber": math.inf}} if i == 1 else entry
+            for i, entry in enumerate(log_dicts(log))])
+        out = tmp_path / "out"
+        assert run_cli("integrated", "--config",
+                       write_json(tmp_path / "c.json", self.CONFIG),
+                       "--out-dir", str(out), "--quiet") == 3
+        record = json.loads(capsys.readouterr().err)
+        assert "event_log.jsonl: $[1].payload.qber is not a finite number" \
+            in record["message"]
+        assert not (out / "event_log.jsonl").exists()
+        assert not (out / "report.json").exists()
