@@ -6,6 +6,7 @@ header line, then one sample per line, sample k taken at k / sample_rate_hz.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -150,15 +151,16 @@ def _non_finite_keys(value, where: str):
             yield from _non_finite_keys(item, f"{where}[{i}]")
 
 
-def _json_text(path: str | Path, value, where: str = "$", **options) -> str:
-    """``value`` as standard JSON text for the file at ``path``.
+def _json_text(path: str | Path, encode, value, where: str = "$") -> str:
+    """``encode(value)``: ``value`` as standard JSON text for the file at
+    ``path``.
 
     A non-finite float, which only the non-standard tokens NaN and Infinity
     could write, raises :class:`SagnacSimError` naming the file and the key
     path of the value, ``where`` for ``value`` itself.
     """
     try:
-        return json.dumps(value, allow_nan=False, **options)
+        return encode(value)
     except ValueError:
         key = next(_non_finite_keys(value, where), None)
         if key is None:
@@ -167,14 +169,78 @@ def _json_text(path: str | Path, value, where: str = "$", **options) -> str:
                              f"JSON cannot hold") from None
 
 
+def _c_encoder(item_separator: str):
+    """``json.dumps(value, sort_keys=True, allow_nan=False)`` with
+    ``item_separator`` between items, as one call of the stdlib's C
+    encoder; ``None`` where the C encoder is missing.  Values are trees, so
+    no circular check is made."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return None
+    encode = make(None, json.JSONEncoder().default,
+                  json.encoder.encode_basestring_ascii, None, ": ",
+                  item_separator, True, False, False)
+    return lambda value: "".join(encode(value, 0))
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_encoder(depth: int):
+    """The C encoder of a container whose items sit ``depth`` indents in."""
+    return _c_encoder(",\n" + "  " * depth)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` of
+    a dict, list or tuple ``depth`` indents in.
+
+    The C encoder writes a container of scalars in one call.  A container
+    that holds containers it writes with ``null`` in their place, and
+    Python puts them in, written one level deeper: JSON strings hold no raw
+    line break, so the separators' line breaks find the items.
+    """
+    encode = _flat_encoder(depth + 1)
+    is_dict = isinstance(value, dict)
+    items = value.values() if is_dict else value
+    if not any(isinstance(item, _CONTAINERS) for item in items):
+        text = encode(value)
+        if not value:
+            return text
+        body = text[1:-1]
+    else:
+        if is_dict:
+            text = encode({key: None if isinstance(item, _CONTAINERS)
+                           else item for key, item in value.items()})
+            items = [value[key] for key in sorted(value)]
+        else:
+            text = encode([None if isinstance(item, _CONTAINERS) else item
+                           for item in value])
+        separator = ",\n" + "  " * (depth + 1)
+        parts = text[1:-1].split(separator)
+        for i, item in enumerate(items):
+            if isinstance(item, _CONTAINERS):
+                parts[i] = parts[i][:-len("null")] + _indented(item,
+                                                               depth + 1)
+        body = separator.join(parts)
+    return f"{text[0]}\n{'  ' * (depth + 1)}{body}\n{'  ' * depth}{text[-1]}"
+
+
 def write_report(path: str | Path, report: dict) -> Path:
-    """Write the single structured report document for a run."""
-    return _replace_file(path, _json_text(path, report, indent=2,
-                                          sort_keys=True) + "\n")
+    """Write the single structured report document for a run:
+    ``json.dumps(report, indent=2, sort_keys=True)`` and a line break."""
+    encode = (_indented if json.encoder.c_make_encoder is not None else
+              functools.partial(json.dumps, indent=2, sort_keys=True,
+                                allow_nan=False))
+    return _replace_file(path, _json_text(path, encode, report) + "\n")
 
 
 def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
-    """Write controller log entries as line-delimited JSON records."""
-    lines = [_json_text(path, entry, f"$[{i}]", sort_keys=True)
+    """Write controller log entries as line-delimited JSON records, each
+    ``json.dumps(entry, sort_keys=True)``."""
+    encode = _c_encoder(", ") or functools.partial(
+        json.dumps, sort_keys=True, allow_nan=False)
+    lines = [_json_text(path, encode, entry, f"$[{i}]")
              for i, entry in enumerate(entries)]
     return _replace_file(path, "\n".join(lines) + ("\n" if lines else ""))

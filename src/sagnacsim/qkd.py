@@ -202,6 +202,26 @@ def _spectral_gain(channel: LoopChannel, packet: SpectralPacket | None) -> float
 _ALICE_BASIS, _ALICE_BIT, _BOB_BASIS = np.indices((2, 2, 2)).reshape(3, -1)
 
 
+def _tally_matrix() -> np.ndarray:
+    # Row 4 c + o of the 32 classes (choice c, click outcome o) counts
+    # towards clicks reflected, clicks transmitted, sifted bits and errors.
+    # Sifted rounds are single clicks on matched bases; the transmitted
+    # port (outcome 1) reads bit 1 and the reflected port (outcome 2) bit 0.
+    outcome = np.arange(4)
+    single = (outcome == 1) | (outcome == 2)
+    matched = (_ALICE_BASIS == _BOB_BASIS)[:, None]
+    tally = np.stack(np.broadcast_arrays(
+        outcome >= 2, outcome % 2 == 1, matched & single,
+        matched & (outcome == 1 + _ALICE_BIT[:, None])), axis=-1)
+    tally = tally.reshape(32, 4).astype(np.int64)
+    tally.flags.writeable = False
+    return tally
+
+
+#: The 32 x 4 0/1 matrix taking a window's class counts to its totals.
+_TALLY = _tally_matrix()
+
+
 def _base_phase(alice_basis, alice_bit, bob_basis):
     """Global phase difference of a round before noise and offsets."""
     return (0.5 * math.pi) * alice_basis + math.pi * alice_bit \
@@ -233,7 +253,8 @@ def _count_window(rng: np.random.Generator, n_pulses: int, lam: float,
                   dark: float, phase_noise_rad: float,
                   offset_means: Optional[OffsetMeans],
                   ) -> tuple[int, int, int, int]:
-    """Window totals from one multinomial draw over the 32 outcome classes.
+    """Window totals from one multinomial draw over the 32 outcome classes,
+    summed by ``_TALLY``.
 
     A time-varying offset enters through its window means
     (``offset_means``), so the class probabilities are those of a round at
@@ -248,13 +269,7 @@ def _count_window(rng: np.random.Generator, n_pulses: int, lam: float,
     else:
         probs = _class_probabilities(lam, dark, phase_noise_rad,
                                      offset_means)
-    counts = rng.multinomial(n_pulses, probs).reshape(-1, 4)
-    # Sifted rounds are single clicks on matched bases; the transmitted
-    # port (column 1) reads bit 1 and the reflected port (column 2) bit 0.
-    matched = np.flatnonzero(_ALICE_BASIS == _BOB_BASIS)
-    return (int(counts[:, 2:].sum()), int(counts[:, 1::2].sum()),
-            int(counts[matched, 1:3].sum()),
-            int(counts[matched, 1 + _ALICE_BIT[matched]].sum()))
+    return tuple((rng.multinomial(n_pulses, probs) @ _TALLY).tolist())
 
 
 def simulate_window(rng: np.random.Generator, n_pulses: int,

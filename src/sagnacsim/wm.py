@@ -96,7 +96,12 @@ def calibrate(channel: LoopChannel, packet: SpectralPacket,
         raise ConfigError(["channel.delay_shift_s: calibration requires an "
                            "undisturbed loop (0.0), got "
                            f"{channel.delay_shift_s}"])
-    eps0 = (packet.omega0 * channel.intrinsic_delay_s) % math.pi
+    phase = packet.omega0 * channel.intrinsic_delay_s
+    if not math.isfinite(phase):
+        raise ConfigError(["channel.intrinsic_delay_s: the birefringence "
+                           "phase omega0 tau must be finite, got "
+                           f"{channel.intrinsic_delay_s} s"])
+    eps0 = phase % math.pi
     return WmCalibration(
         base_angle_rad=eps0,
         min_intensity_w=reflected_intensity(eps0, channel, packet, bias,

@@ -16,7 +16,11 @@ bracketed root finding where the library takes closed forms, and the
 small-angle contrast ratio is the approximation the exact one is compared
 against.  The trace writer, reader and notch scan are kept here one
 sample, line or candidate at a time, as the references the whole-column
-library code must equal byte for byte.
+library code must equal byte for byte.  The key window's totals are kept
+as fancy-indexed sums over its class counts, and the Welch spectrum and
+significance band as a window built afresh and boolean-mask copies, the
+references for the tally matrix, the cached Welch plan and the band
+slice, which must give identical values.
 """
 from __future__ import annotations
 
@@ -29,7 +33,8 @@ from scipy.optimize import brentq
 
 from sagnacsim import perception, qkd
 from sagnacsim.disturbance import DisturbanceEvent, PztParams
-from sagnacsim.errors import ConfigError, OutOfBranchError
+from sagnacsim.errors import (ConfigError, InsufficientDataError,
+                             OutOfBranchError)
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
                                   DEFAULT_SAMPLE_RATE_HZ, FrequencySweep,
                                   InterferenceTrace, measure_tone_amplitude,
@@ -320,6 +325,56 @@ def per_candidate_trace_nulls(trace, max_k: int,
     bin_hz = freqs[1] - freqs[0]
     return perception._assign_harmonics(found_f, found_d, max_k,
                                         tolerance_hz=2.0 * bin_hz)
+
+
+def fancy_indexed_window_totals(counts) -> tuple[int, int, int, int]:
+    """Clicks reflected, clicks transmitted, sifted bits and errors of a
+    window's 32 class counts (choice-major, four click outcomes each), as
+    fancy-indexed sums.
+
+    Sifted rounds are single clicks on matched bases; the transmitted port
+    (outcome 1) reads bit 1 and the reflected port (outcome 2) bit 0.
+    """
+    counts = np.asarray(counts).reshape(-1, 4)
+    matched = np.flatnonzero(qkd._ALICE_BASIS == qkd._BOB_BASIS)
+    return (int(counts[:, 2:].sum()), int(counts[:, 1::2].sum()),
+            int(counts[matched, 1:3].sum()),
+            int(counts[matched, 1 + qkd._ALICE_BIT[matched]].sum()))
+
+
+def fresh_welch_psd(trace) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sagnacsim.perception._welch_psd` with its Hann window, power
+    sum and frequency axis computed afresh on every call."""
+    n, fs = trace.samples.size, trace.sample_rate_hz
+    nperseg = max(perception._WELCH_MIN_SEGMENT,
+                  2 ** int(math.log2(2 * n / (perception._WELCH_SEGMENTS
+                                              + 1))))
+    nperseg = min(nperseg, n)
+    segments = np.lib.stride_tricks.sliding_window_view(
+        trace.samples, nperseg)[::nperseg - nperseg // 2]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    w = (0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
+         if nperseg > 1 else np.ones(1))
+    spectra = np.fft.rfft(w * segments, axis=1)
+    psd = (spectra.real ** 2 + spectra.imag ** 2) / (fs * np.sum(w * w))
+    psd[:, 1:(nperseg + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd.mean(axis=0)
+
+
+def masked_significance(trace) -> tuple[float, float]:
+    """:func:`sagnacsim.perception.significance` over
+    :func:`fresh_welch_psd`, its band taken by boolean masks."""
+    freqs, psd = fresh_welch_psd(trace)
+    band = freqs >= perception._SIGNIFICANCE_MIN_HZ
+    if not np.any(band):
+        raise InsufficientDataError("trace too short for a spectral estimate")
+    floor = float(np.median(psd[band]))
+    idx = int(np.argmax(psd[band]))
+    candidate = float(freqs[band][idx])
+    peak = float(psd[band][idx])
+    if peak == 0.0:
+        return candidate, 0.0
+    return candidate, peak / floor if floor > 0 else math.inf
 
 
 @dataclass

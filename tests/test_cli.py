@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sagnacsim import cli, controller, qkd
+from sagnacsim import cli, controller, optics, qkd
 from sagnacsim.cli import main
 from sagnacsim.fileio import read_trace
 
@@ -527,6 +527,8 @@ _BAD_CONFIGS = [
     ("disturbances[0].mass_kg",
      '{"disturbances": [{"kind": "pressure", "position_m": 5000.0, '
      '"mass_kg": 1e300}]}'),
+    # The sweep's noise moments turned negative: perceive warned.
+    ("channel.length_m", '{"channel": {"length_m": 1e300}}'),
 ]
 
 _HEADER = b"# sample_rate_hz=1000.0 i0_w=1.0\n"
@@ -676,6 +678,20 @@ class TestDelayShift:
         assert record["error"] == "validation"
         assert [p.split(":")[0] for p in record["problems"]] == \
             ["channel.delay_shift_s"]
+
+    # omega0 tau overflowed, and calibration exited 3 naming no key.
+    @pytest.mark.parametrize("command", ["wm", "integrated"])
+    def test_infinite_wm_phase_exits_2_naming_the_delay(self, tmp_path,
+                                                         capsys, command):
+        cfg = write_json(tmp_path / "delay.json", {
+            "duration_s": 2.0, "channel": {"intrinsic_delay_s": 1e300}})
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", cfg, "--out-dir", str(out),
+                       "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert [p.split(":")[0] for p in record["problems"]] == \
+            ["channel.intrinsic_delay_s"]
+        assert not (out / "report.json").exists()
 
     def test_key_session_still_runs(self, tmp_path):
         cfg = write_json(tmp_path / "shift.json", self.CONFIG)
@@ -867,6 +883,19 @@ class TestParserReuse:
         assert counts[0] == 0
         assert counts[1] > 0 and counts[1:] == [counts[1]] * 3
 
+
+
+@pytest.mark.parametrize("command", ["perceive", "integrated"])
+def test_longest_loop_runs_without_warnings(tmp_path, command):
+    cfg = write_json(tmp_path / "long.json", {
+        "duration_s": 4.0, "seed": 1,
+        "channel": {"length_m": optics.MAX_LOOP_LENGTH_M},
+        "disturbances": [{**_README_PZT, "start_s": 1.0}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, "--config", cfg, "--out-dir",
+                       str(tmp_path / "out"), "--quiet") == 0
+    strict_json((tmp_path / "out" / "report.json").read_text())
 
 
 class TestBroadbandPacket:

@@ -1,5 +1,7 @@
+import json
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -254,6 +256,50 @@ class TestReports:
         assert len(lines) == 2
         import json
         assert json.loads(lines[0])["event"] == "qber_window"
+
+
+# Text with every character JSON escapes or structures, and non-ASCII.
+_JSON_TEXT = st.text(st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7fa\u00e9\u4e2d'
+                                     '\U0001f600') | st.characters(),
+                     max_size=6)
+_JSON_SCALARS = (st.none() | st.booleans()
+                 | st.integers(-2**70, 2**70) | st.sampled_from([2**63, -2**63])
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, 1.7e308]) | _JSON_TEXT)
+
+
+def _json_trees(leaves):
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXT, children, max_size=4)), max_leaves=12)
+
+
+class TestJsonBytes:
+    """The writers keep json.dumps's bytes, with the C encoder and
+    without it."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(report=st.dictionaries(_JSON_TEXT, _json_trees(_JSON_SCALARS),
+                                  max_size=5)
+           | st.lists(_json_trees(_JSON_SCALARS), max_size=5),
+           entries=st.lists(st.dictionaries(
+               _JSON_TEXT, _json_trees(_JSON_SCALARS), max_size=4),
+               max_size=4))
+    def test_same_bytes_as_json_dumps(self, tmp_path, report, entries):
+        want_report = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        want_log = "".join(json.dumps(entry, sort_keys=True) + "\n"
+                           for entry in entries)
+        for c_make_encoder in (json.encoder.c_make_encoder, None):
+            with mock.patch.object(json.encoder, "c_make_encoder",
+                                   c_make_encoder):
+                assert write_report(tmp_path / "report.json",
+                                    report).read_bytes() == \
+                    want_report.encode()
+                assert write_event_log(tmp_path / "log.jsonl",
+                                       entries).read_bytes() == \
+                    want_log.encode()
 
 
 _WRITERS = {

@@ -29,8 +29,8 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   window_phase_means)
 
 from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
-                     hann_power_sums, per_candidate_trace_nulls,
-                     point_by_point_sweep,
+                     fresh_welch_psd, hann_power_sums, masked_significance,
+                     per_candidate_trace_nulls, point_by_point_sweep,
                      position_from_null, sampled_phase_means,
                      tone_amplitude, two_sided_position_span)
 
@@ -1214,6 +1214,44 @@ class TestWelchPsd:
         np.testing.assert_array_equal(freqs, ref_freqs)
         np.testing.assert_allclose(psd, ref_psd, rtol=1e-12,
                                    atol=1e-13 * np.abs(ref_psd).max())
+
+
+def _value_or_error(function, trace):
+    try:
+        return function(trace)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestWelchPlan:
+    """The cached Welch plan and the sliced significance band against the
+    fresh window and boolean masks of tests/oracles.py."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 777, 5120, 10000,
+                                   12345])
+    @pytest.mark.parametrize("rate", [200e3, 44100.0])
+    def test_identical_values(self, n, rate):
+        rng = np.random.default_rng(n)
+        trace = InterferenceTrace(
+            sample_rate_hz=rate, input_power_w=1e-3,
+            samples=1e-3 * (1.0 + 0.01 * rng.standard_normal(n)))
+        for _ in range(2):  # the second call reads the cached plan
+            freqs, psd = perception._welch_psd(trace)
+            want_freqs, want_psd = fresh_welch_psd(trace)
+            assert np.array_equal(freqs, want_freqs)
+            assert np.array_equal(psd, want_psd)
+            assert _value_or_error(significance, trace) == \
+                _value_or_error(masked_significance, trace)
+
+    def test_cached_arrays_are_read_only(self):
+        trace = InterferenceTrace(sample_rate_hz=200e3, samples=np.ones(777),
+                                  input_power_w=1.0)
+        freqs, _ = perception._welch_psd(trace)
+        window, _, plan_freqs = perception._welch_plan(128, 200e3)
+        assert plan_freqs is freqs
+        for array in (window, freqs):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def _nulls_or_error(find, trace, max_k, threshold_db):

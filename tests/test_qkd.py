@@ -18,7 +18,8 @@ from sagnacsim.qkd import (DetectorModel, QkdSettings, SiftedKeyRecord,
                            qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
-from oracles import per_round_window, sampled_phase_means
+from oracles import (fancy_indexed_window_totals, per_round_window,
+                     sampled_phase_means)
 
 SOURCE = SourceModel()
 
@@ -241,6 +242,36 @@ class TestSteadyProbabilities:
                     settings=QkdSettings(pulses_per_window=1000))
         info = qkd._steady_class_probabilities.cache_info()
         assert (info.misses, info.hits) == (1, 4)
+
+
+class TestTally:
+    """The tally matrix against the fancy-indexed sums of
+    tests/oracles.py."""
+
+    def test_shared_read_only(self):
+        assert qkd._TALLY.shape == (32, 4)
+        with pytest.raises(ValueError):
+            qkd._TALLY[0, 0] = 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("total", [0, 1, 200_000, 2**62, 2**63 - 1])
+    def test_matches_fancy_indexed_sums(self, seed, total):
+        # Any split of the window's pulses, with some classes empty; the
+        # totals of a window stay below 2**63, as its pulse count does.
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(0, total, 31, endpoint=True))
+        counts = np.diff(cuts, prepend=0, append=total)
+        counts[rng.random(32) < 0.25] = 0
+        assert tuple((counts @ qkd._TALLY).tolist()) == \
+            fancy_indexed_window_totals(counts)
+
+    @pytest.mark.parametrize("n_pulses", [1, 200_000, 10**14])
+    def test_window_counts_match(self, n_pulses):
+        probs = qkd._steady_class_probabilities(0.3, 1e-3, 0.4)
+        assert qkd._count_window(np.random.default_rng(5), n_pulses, 0.3,
+                                 1e-3, 0.4, None) == \
+            fancy_indexed_window_totals(
+                np.random.default_rng(5).multinomial(n_pulses, probs))
 
 
 class TestFixedPhase:
