@@ -3,10 +3,13 @@
 Numeric values are written with shortest round-trip formatting (repr), so
 attosecond-scale quantities survive write-then-read exactly.  A trace is a
 header line, then one sample per line, sample k taken at k / sample_rate_hz.
+Reports and event logs hold the bytes ``json.dumps`` writes (sorted keys,
+the report indented by 2), through the stdlib's C encoder where it exists.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -151,18 +154,18 @@ def _non_finite_keys(value, where: str):
             yield from _non_finite_keys(item, f"{where}[{i}]")
 
 
-def _json_text(path: str | Path, encode, value, where: str = "$") -> str:
+def _json_text(path: str | Path, encode, value) -> str:
     """``encode(value)``: ``value`` as standard JSON text for the file at
     ``path``.
 
     A non-finite float, which only the non-standard tokens NaN and Infinity
     could write, raises :class:`SagnacSimError` naming the file and the key
-    path of the value, ``where`` for ``value`` itself.
+    path of the value, ``$`` for ``value`` itself.
     """
     try:
         return encode(value)
     except ValueError:
-        key = next(_non_finite_keys(value, where), None)
+        key = next(_non_finite_keys(value, "$"), None)
         if key is None:
             raise
         raise SagnacSimError(f"{path}: {key} is not a finite number, which "
@@ -204,7 +207,7 @@ def _indented(value, depth: int = 0) -> str:
     encode = _flat_encoder(depth + 1)
     is_dict = isinstance(value, dict)
     items = value.values() if is_dict else value
-    if not any(isinstance(item, _CONTAINERS) for item in items):
+    if not any(map(isinstance, items, itertools.repeat(_CONTAINERS))):
         text = encode(value)
         if not value:
             return text
@@ -241,6 +244,6 @@ def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
     ``json.dumps(entry, sort_keys=True)``."""
     encode = _c_encoder(", ") or functools.partial(
         json.dumps, sort_keys=True, allow_nan=False)
-    lines = [_json_text(path, encode, entry, f"$[{i}]")
-             for i, entry in enumerate(entries)]
-    return _replace_file(path, "\n".join(lines) + ("\n" if lines else ""))
+    return _replace_file(path, _json_text(
+        path, lambda items: "".join([encode(item) + "\n" for item in items]),
+        entries))

@@ -262,8 +262,8 @@ class TestReports:
 _JSON_TEXT = st.text(st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7fa\u00e9\u4e2d'
                                      '\U0001f600') | st.characters(),
                      max_size=6)
-_JSON_SCALARS = (st.none() | st.booleans()
-                 | st.integers(-2**70, 2**70) | st.sampled_from([2**63, -2**63])
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                 | st.sampled_from([2**63, -2**63])
                  | st.floats(allow_nan=False, allow_infinity=False)
                  | st.sampled_from([-0.0, 5e-324, 1.7e308]) | _JSON_TEXT)
 
