@@ -116,7 +116,17 @@ class ScenarioConfig:
     scenario: ScenarioScript
 
     def echo(self) -> dict:
-        return json.loads(json.dumps(self.resolved))
+        """A copy of ``resolved`` the caller may change: new dicts and
+        lists around the same numbers, strings and None."""
+        return _copied(self.resolved)
+
+
+def _copied(value):
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value
 
 
 def _resolve(label: str, supplied: dict, keys: dict[str, FieldSpec],

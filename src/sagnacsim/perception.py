@@ -633,34 +633,71 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
         responses[key] = _sweep_response(event, channel, freqs, n,
                                          sample_rate_hz, input_power_w)
     response = responses[key]
+    plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz,
+                       _kernel_orders(event.params.peak_phase_rad, n))
     projections = response.projections
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
             *response.moments, rng.standard_normal((freqs.size, 2)))
-    floor = float(np.median(_tone_amplitudes(quiet.samples, response.probes,
-                                             response.weight)))
+    floor = float(np.median(_tone_amplitudes(quiet.samples, plan.probes,
+                                             plan.weight)))
     return FrequencySweep(
         frequencies_hz=freqs,
-        amplitudes=2.0 * np.abs(projections) / response.weight,
+        amplitudes=2.0 * np.abs(projections) / plan.weight,
         noise_floor_amplitude=floor)
 
 
 @dataclass(frozen=True)
 class _SweepResponse:
-    """The seed-free half of a sweep, read-only so that sweeps sharing it
-    cannot change it.
-
-    ``projections`` and ``moments`` (of ``c u``: re re, re im, im im) hold
-    one column per grid point; ``weight`` is the sum of the Hann window
-    ``w`` of an ``n``-sample trace, and ``probes`` holds ``w e`` for the
-    :func:`_unit_phasors` rows ``e`` of the grid points whose median tone
-    amplitude on the reference trace is the floor.
-    """
+    """The seed-free half of a sweep that depends on its drive, read-only
+    so that sweeps sharing it cannot change it: ``projections`` and
+    ``moments`` (of ``c u``: re re, re im, im im) hold one column per grid
+    point."""
 
     projections: np.ndarray
     moments: np.ndarray
+
+
+@dataclass(frozen=True)
+class _SweepPlan:
+    """The half of a sweep that depends on no drive, read-only: the Hann
+    window ``w`` of an ``n``-sample trace and its ``weight``, the
+    ``probes`` ``w e`` for the :func:`_unit_phasors` rows ``e`` of the grid
+    points whose median tone amplitude on the reference trace is the
+    floor, and on the closed-form branch the whole grid's
+    :func:`_hann_table` (``None`` on the per-sample branch)."""
+
+    w: np.ndarray
     weight: float
     probes: np.ndarray
+    table: Optional[np.ndarray]
+
+
+def _kernel_orders(peak: float, n: int) -> Optional[int]:
+    """Fourier orders ``M`` of the closed-form sweep of a drive of ``peak``
+    rad over ``n``-sample traces, from :func:`_bessel_orders`, or ``None``
+    when the per-sample sweep is cheaper: a point of the closed form costs
+    about what ``_SAMPLES_PER_ORDER * (M + 3)`` samples cost one by one."""
+    orders = _bessel_orders(4.0 * peak, n // _SAMPLES_PER_ORDER)
+    return None if _SAMPLES_PER_ORDER * (orders + 3) > n else orders
+
+
+@functools.lru_cache(maxsize=16)
+def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float,
+                orders: Optional[int]) -> _SweepPlan:
+    """The :class:`_SweepPlan` of ``n``-sample sweeps over the grid whose
+    float64 bytes are ``grid``, with the kernels of ``orders`` from
+    :func:`_kernel_orders`, computed once per key and shared read-only."""
+    omegas = 2.0 * math.pi * np.frombuffer(grid)
+    w, weight = _hann(n)
+    probes = w * _unit_phasors(omegas[:: max(1, omegas.size // 16)], n,
+                               sample_rate_hz)
+    table = (None if orders is None
+             else _hann_table(omegas / sample_rate_hz, n, orders))
+    for array in (w, probes, table):
+        if array is not None:
+            array.flags.writeable = False
+    return _SweepPlan(w, weight, probes, table)
 
 
 def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
@@ -675,25 +712,24 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     are the covariance of its noise.  The counterclockwise pass sees the
     drive from the first sample at or past its lag on, sample ``switch``.
 
-    :func:`_drive_sums` takes these sums in closed form over Fourier
-    orders ``-M .. M`` of ``c``, with ``M`` from :func:`_bessel_orders`,
-    and adds the ``switch`` samples of the head one by one.  A point of it
-    costs about what ``_SAMPLES_PER_ORDER * (M + 3)`` samples cost one by
-    one, so a drive for which that exceeds ``n`` is evaluated per sample
+    :func:`_drive_sums` takes these sums in closed form over the Fourier
+    orders of :func:`_kernel_orders`, and adds the ``switch`` samples of
+    the head one by one; a drive too strong for it is evaluated per sample
     instead (:func:`_sampled_sums`).  Either way the grid goes in blocks of
     whole points whose arrays hold at most ``_BLOCK_ELEMENTS`` elements: a
     point of the closed form holds ``5 (M + 3)`` kernels and ``switch``
-    head samples.
+    head samples.  The window and the kernels come from
+    :func:`_sweep_plan`.
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
     switch = int(np.count_nonzero(np.arange(n) / sample_rate_hz < lag))
-    w, weight = _hann(n)
     peak = event.params.peak_phase_rad
-    orders = _bessel_orders(4.0 * peak, n // _SAMPLES_PER_ORDER)
+    orders = _kernel_orders(peak, n)
+    plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz, orders)
     args = (n, sample_rate_hz, switch, peak, channel.bias_phase_rad,
-            input_power_w, w)
-    if _SAMPLES_PER_ORDER * (orders + 3) > n:
+            input_power_w, plan.w)
+    if orders is None:
         projections, moments = _sampled_sums(omegas, lag, *args)
     else:
         rows = max(1, _BLOCK_ELEMENTS // (5 * (orders + 3) + switch))
@@ -702,12 +738,11 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
         for lo in range(0, freqs.size, rows):
             omega = omegas[lo:lo + rows]
             projections[lo:lo + rows], moments[:, lo:lo + rows] = (
-                _drive_sums(omega, omega * lag, *args, orders))
-    probes = w * _unit_phasors(omegas[:: max(1, freqs.size // 16)], n,
-                               sample_rate_hz)
-    for array in (projections, moments, probes):
+                _drive_sums(omega, omega * lag, plan.table[:, lo:lo + rows],
+                            *args))
+    for array in (projections, moments):
         array.flags.writeable = False
-    return _SweepResponse(projections, moments, weight, probes)
+    return _SweepResponse(projections, moments)
 
 
 def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
@@ -768,10 +803,18 @@ def _hann_sums(kappa: np.ndarray, count: int) -> np.ndarray:
     return sums * np.exp(1j * (count - 1) * x)
 
 
-def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
-                sample_rate_hz: float, switch: int, peak: float, bias: float,
-                input_power_w: float, w: np.ndarray,
-                orders: int) -> tuple[np.ndarray, np.ndarray]:
+def _hann_table(theta: np.ndarray, n: int, orders: int) -> np.ndarray:
+    """:func:`_hann_sums` ``T_p(k theta)`` of ``n`` samples at the orders
+    ``k = -orders .. orders + 2`` that :func:`_drive_sums` takes, one row
+    per ``theta``: ``T_p(-k)`` is the conjugate of ``T_p(k)``."""
+    window = _hann_sums(np.multiply.outer(theta, np.arange(orders + 3)), n)
+    return np.concatenate([window[:, :, orders:0:-1].conj(), window], axis=2)
+
+
+def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, window: np.ndarray,
+                n: int, sample_rate_hz: float, switch: int, peak: float,
+                bias: float, input_power_w: float,
+                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projections and ``c u`` moments of :func:`_sweep_response` at
     angular frequencies ``omega``: the whole trace in closed form as if
     both copies ran from sample 0, plus the head before sample ``switch``
@@ -780,19 +823,16 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, n: int,
     With ``theta = omega / fs``, both copies give the net phase ``A
     cos(theta j + phi)``, ``A = 2 peak sin(lag_phase / 2)`` and ``phi =
     -lag_phase / 2``, so ``c`` and ``c**2`` are Fourier series in ``theta
-    j``, whose orders ``-M .. M`` (``M = orders``) :func:`_drive_series`
-    gives.  So every sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta
-    j)`` under the Hann window ``w`` times a coefficient, which
-    :func:`_hann_sums` gives for ``k = 0 .. M + 2``; ``T_p(-k)`` is the
-    conjugate of ``T_p(k)``.  In the head only the clockwise copy runs
-    (``A = peak``, ``phi = -pi/2``): each sum adds ``sum_j w_j**p exp(i s
-    theta j) (c1_j**q - c2_j**q)`` there, with ``c1`` the intensity of that
-    copy and ``c2`` that of both, from one :func:`_unit_phasors` table.
+    j``, whose orders ``-M .. M`` :func:`_drive_series` gives.  So every
+    sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta j)`` under the Hann
+    window ``w`` times a coefficient, which ``window``, the
+    :func:`_hann_table` of these ``theta``, holds for ``k = -M .. M + 2``.
+    In the head only the clockwise copy runs (``A = peak``, ``phi =
+    -pi/2``): each sum adds ``sum_j w_j**p exp(i s theta j) (c1_j**q -
+    c2_j**q)`` there, with ``c1`` the intensity of that copy and ``c2``
+    that of both, from one :func:`_unit_phasors` table.
     """
-    theta = omega / sample_rate_hz
-    window = _hann_sums(np.multiply.outer(theta, np.arange(orders + 3)), n)
-    window = np.concatenate(
-        [window[:, :, orders:0:-1].conj(), window], axis=2)
+    orders = (window.shape[2] - 3) // 2
 
     def powers(phase):
         c = _port_intensity(bias + phase, input_power_w)

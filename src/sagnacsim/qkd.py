@@ -151,6 +151,29 @@ def _grid_size(lam: float) -> int:
     return min(_MAX_GRID, 1 << (2 * harmonics + 1).bit_length())
 
 
+@functools.lru_cache(maxsize=64)
+def _harmonic_plan(lam: float, dark: float, phase_noise_rad: float,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half of :func:`_outcome_probabilities` that no offset enters:
+    the kept harmonics ``k = 1 .. n``, their noise weights ``exp(-k^2
+    sigma^2 / 2)`` and the outcome table's Fourier coefficients of orders
+    ``0 .. n``, computed once per ``(lam, dark, phase_noise_rad)`` and
+    shared read-only."""
+    n_grid = _grid_size(lam)
+    grid = (2.0 * math.pi / n_grid) * np.arange(n_grid)
+    coeffs = np.fft.rfft(_outcome_table(grid, lam, dark), axis=0) / n_grid
+    k = np.arange(1, n_grid // 2)
+    weights = np.exp(-0.5 * (k * phase_noise_rad) ** 2)
+    kept = np.flatnonzero(
+        np.abs(coeffs[k]).max(axis=1) * weights > _HARMONIC_CUTOFF)
+    n_harmonics = int(kept[-1]) + 1 if kept.size else 0
+    plan = (k[:n_harmonics].copy(), weights[:n_harmonics].astype(complex),
+            coeffs[:n_harmonics + 1].copy())
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
 def _outcome_probabilities(delta, lam: float, dark: float,
                            phase_noise_rad: float = 0.0,
                            offset_means: Optional[OffsetMeans] = None,
@@ -163,29 +186,21 @@ def _outcome_probabilities(delta, lam: float, dark: float,
     The table is a smooth 2 pi-periodic function of the total phase, so its
     Fourier harmonic k is multiplied by ``exp(-k^2 sigma^2 / 2)`` under the
     noise and by the offset's mean of ``exp(1j k offset)``; harmonics whose
-    damped size falls below ``_HARMONIC_CUTOFF`` are dropped.  This is exact
-    to that cutoff unless a port's click probability is clipped at 1, which
-    takes ``lam`` above about ``ln(1 / dark)``, or the grid would exceed
-    ``_MAX_GRID``.  Without noise or offset the table is evaluated
-    directly, so an outcome that is impossible at a phase keeps probability
-    exactly 0.
+    damped size falls below ``_HARMONIC_CUTOFF`` are dropped
+    (:func:`_harmonic_plan`).  This is exact to that cutoff unless a port's
+    click probability is clipped at 1, which takes ``lam`` above about
+    ``ln(1 / dark)``, or the grid would exceed ``_MAX_GRID``.  Without
+    noise or offset the table is evaluated directly, so an outcome that is
+    impossible at a phase keeps probability exactly 0.
     """
     delta = np.asarray(delta, dtype=float)
     if phase_noise_rad == 0.0 and offset_means is None:
         return _outcome_table(delta, lam, dark)
-    n_grid = _grid_size(lam)
-    grid = (2.0 * math.pi / n_grid) * np.arange(n_grid)
-    coeffs = np.fft.rfft(_outcome_table(grid, lam, dark), axis=0) / n_grid
-    k = np.arange(1, n_grid // 2)
-    weights = np.exp(-0.5 * (k * phase_noise_rad) ** 2)
-    kept = np.flatnonzero(
-        np.abs(coeffs[k]).max(axis=1) * weights > _HARMONIC_CUTOFF)
-    n_harmonics = int(kept[-1]) + 1 if kept.size else 0
-    k, weights = k[:n_harmonics], weights[:n_harmonics].astype(complex)
+    k, weights, coeffs = _harmonic_plan(lam, dark, phase_noise_rad)
     if offset_means is not None:
-        weights *= offset_means(n_harmonics)
+        weights = weights * offset_means(k.size)
     shifts = np.exp(1j * np.multiply.outer(delta, k)) * weights
-    probs = coeffs[0].real + 2.0 * (shifts @ coeffs[1:n_harmonics + 1]).real
+    probs = coeffs[0].real + 2.0 * (shifts @ coeffs[1:]).real
     probs = np.maximum(probs, 0.0)
     return probs / probs.sum(axis=-1, keepdims=True)
 

@@ -20,7 +20,9 @@ library code must equal byte for byte.  The key window's totals are kept
 as fancy-indexed sums over its class counts, and the Welch spectrum and
 significance band as a window built afresh and boolean-mask copies, the
 references for the tally matrix, the cached Welch plan and the band
-slice, which must give identical values.
+slice, which must give identical values; so are the outcome
+probabilities of a round with their Fourier coefficients taken afresh, the
+reference for the cached harmonic plan.
 """
 from __future__ import annotations
 
@@ -375,6 +377,33 @@ def masked_significance(trace) -> tuple[float, float]:
     if peak == 0.0:
         return candidate, 0.0
     return candidate, peak / floor if floor > 0 else math.inf
+
+
+def fresh_outcome_probabilities(delta, lam: float, dark: float,
+                                phase_noise_rad: float = 0.0,
+                                offset_means=None) -> np.ndarray:
+    """:func:`sagnacsim.qkd._outcome_probabilities` with its grid
+    coefficients, kept harmonics and noise weights computed afresh on every
+    call."""
+    delta = np.asarray(delta, dtype=float)
+    if phase_noise_rad == 0.0 and offset_means is None:
+        return qkd._outcome_table(delta, lam, dark)
+    n_grid = qkd._grid_size(lam)
+    grid = (2.0 * math.pi / n_grid) * np.arange(n_grid)
+    coeffs = np.fft.rfft(qkd._outcome_table(grid, lam, dark),
+                         axis=0) / n_grid
+    k = np.arange(1, n_grid // 2)
+    weights = np.exp(-0.5 * (k * phase_noise_rad) ** 2)
+    kept = np.flatnonzero(
+        np.abs(coeffs[k]).max(axis=1) * weights > qkd._HARMONIC_CUTOFF)
+    n_harmonics = int(kept[-1]) + 1 if kept.size else 0
+    k, weights = k[:n_harmonics], weights[:n_harmonics].astype(complex)
+    if offset_means is not None:
+        weights *= offset_means(n_harmonics)
+    shifts = np.exp(1j * np.multiply.outer(delta, k)) * weights
+    probs = coeffs[0].real + 2.0 * (shifts @ coeffs[1:n_harmonics + 1]).real
+    probs = np.maximum(probs, 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 @dataclass

@@ -1,6 +1,9 @@
+import copy
 import json
 import math
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,10 @@ from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
 from sagnacsim.errors import ConfigError
 from sagnacsim.perception import MAX_TRACE_SAMPLES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from output_digests import CONFIGS  # noqa: E402
 
 
 class TestDefaults:
@@ -107,6 +114,33 @@ class TestRoundTrip:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")
+
+
+class TestEcho:
+    """The echo is a plain copy of the resolved config, equal, type for
+    type, to its JSON round trip, which it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_equals_the_json_round_trip(self, name):
+        cfg = parse_config_dict(CONFIGS[name])
+        echo = cfg.echo()
+        round_trip = json.loads(json.dumps(cfg.resolved))
+        assert echo == round_trip
+        assert repr(echo) == repr(round_trip)
+        assert json.dumps(echo, indent=2, sort_keys=True) == \
+            json.dumps(round_trip, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_changing_the_echo_leaves_resolved(self, name):
+        cfg = parse_config_dict(CONFIGS[name])
+        before = copy.deepcopy(cfg.resolved)
+        echo = cfg.echo()
+        echo["seed"] = -1
+        echo["channel"]["loss_db"] = -1.0
+        echo["disturbances"].append({"kind": "pzt"})
+        for entry in echo["disturbances"]:
+            entry["position_m"] = -1.0
+        assert cfg.resolved == before
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

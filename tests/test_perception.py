@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,6 +35,10 @@ from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
                      per_candidate_trace_nulls, point_by_point_sweep,
                      position_from_null, sampled_phase_means,
                      tone_amplitude, two_sided_position_span)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from output_digests import CONFIGS  # noqa: E402
 
 L = 30000.0
 N_FIBER = 1.468
@@ -742,10 +748,12 @@ class TestSweepResponse:
                 4.0 * event.params.peak_phase_rad, 10**6)
             patch.setattr(
                 perception, "_sampled_sums",
-                lambda omegas, lag, *args: perception._drive_sums(
-                    omegas, omegas * lag, *args, orders))
+                lambda omegas, lag, n, fs, *args: perception._drive_sums(
+                    omegas, omegas * lag,
+                    perception._hann_table(omegas / fs, n, orders), n, fs,
+                    *args))
             got = self.response(event, n, grid, bias, fs)
-        weight = want.weight
+        weight = np.hanning(n).sum()
         assert np.all(np.abs(got.projections - want.projections)
                       <= 1e-13 * DEFAULT_INPUT_POWER_W * weight)
         total = want.moments[0] + want.moments[2]
@@ -885,6 +893,92 @@ class TestSweepResponse:
         self.assert_matches_sampled(monkeypatch, event,
                                     ACCEPTANCE_GRID[::40], n)
         assert self.kernels_called(monkeypatch, event, n) == {branch}
+
+
+class TestSweepPlan:
+    """The cached plan of a sweep: the kernel table it holds for the whole
+    grid against the one each block computed for itself, and one plan for
+    every drive whose grid, trace length and kernel orders agree."""
+
+    FS = perception.DEFAULT_SAMPLE_RATE_HZ
+
+    @staticmethod
+    def plan_of(event, n=2000, grid=ACCEPTANCE_GRID, fs=FS):
+        return perception._sweep_plan(
+            np.asarray(grid, dtype=float).tobytes(), n, fs,
+            perception._kernel_orders(event.params.peak_phase_rad, n))
+
+    @pytest.mark.parametrize("peak", [0.06, 0.6, 6.0, 15.0])
+    def test_table_equals_each_blocks_own(self, peak):
+        n = 2000
+        event = pzt_event(5000.0, 3000.0, peak)
+        orders = perception._kernel_orders(peak, n)
+        table = self.plan_of(event, n).table
+        switch = math.ceil(perception._delay_lag_s(event, channel())
+                           * self.FS)
+        omegas = 2.0 * math.pi * ACCEPTANCE_GRID
+        for rows in (max(1, perception._BLOCK_ELEMENTS
+                         // (5 * (orders + 3) + switch)), 1, 7):
+            for lo in range(0, omegas.size, rows):
+                theta = omegas[lo:lo + rows] / self.FS
+                window = perception._hann_sums(
+                    np.multiply.outer(theta, np.arange(orders + 3)), n)
+                window = np.concatenate(
+                    [window[:, :, orders:0:-1].conj(), window], axis=2)
+                assert np.array_equal(table[:, lo:lo + rows], window)
+
+    @pytest.mark.parametrize("peak, n", [(0.6, 2000), (30.0, 2000),
+                                         (0.6, 16)],
+                             ids=["closed-form", "per-sample", "short"])
+    def test_cold_and_warm_responses_are_equal(self, peak, n):
+        event = pzt_event(5000.0, 3000.0, peak)
+        runs = []
+        for clear in (True, False):
+            if clear:
+                perception._sweep_plan.cache_clear()
+            response = perception._sweep_response(
+                event, channel(), ACCEPTANCE_GRID, n, self.FS,
+                DEFAULT_INPUT_POWER_W)
+            sweep = frequency_sweep(event, channel(), ACCEPTANCE_GRID,
+                                    duration_s=n / self.FS, seed=3)
+            runs.append((response, sweep))
+        (cold, cold_sweep), (warm, warm_sweep) = runs
+        assert np.array_equal(warm.projections, cold.projections)
+        assert np.array_equal(warm.moments, cold.moments)
+        assert np.array_equal(warm_sweep.amplitudes, cold_sweep.amplitudes)
+        assert warm_sweep.noise_floor_amplitude == \
+            cold_sweep.noise_floor_amplitude
+
+    def test_cached_arrays_are_read_only(self):
+        plan = self.plan_of(pzt_event(5000.0, 3000.0, 0.6))
+        response = perception._sweep_response(
+            pzt_event(5000.0, 3000.0, 0.6), channel(), ACCEPTANCE_GRID,
+            2000, self.FS, DEFAULT_INPUT_POWER_W)
+        assert self.plan_of(pzt_event(9000.0, 3000.0, 0.6)) is plan
+        for array in (plan.w, plan.probes, plan.table, response.projections,
+                      response.moments):
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+        assert self.plan_of(pzt_event(5000.0, 3000.0, 30.0)).table is None
+
+    def test_two_drives_of_a_scenario_share_one_plan(self):
+        script = parse_config_dict(CONFIGS["two_pzt"]).scenario
+        assert sorted(ev.position_m for ev in script.events) == \
+            [4000.0, 9000.0]
+        perception._sweep_plan.cache_clear()
+        for seed, event in enumerate(script.events):
+            acquire(event, script.channel, script.perception, seed)
+        info = perception._sweep_plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_grid_length_and_orders_each_key_a_plan(self):
+        perception._sweep_plan.cache_clear()
+        event = pzt_event(5000.0, 3000.0, 0.6)
+        for kwargs in ({}, {"grid": ACCEPTANCE_GRID[1:]}, {"n": 1999},
+                       {"fs": 2e5 + 1.0}):
+            self.plan_of(event, **kwargs)
+        self.plan_of(pzt_event(5000.0, 3000.0, 1.2))
+        assert perception._sweep_plan.cache_info().currsize == 5
 
 
 class TestHannSums:

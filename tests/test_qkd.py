@@ -18,7 +18,8 @@ from sagnacsim.qkd import (DetectorModel, QkdSettings, SiftedKeyRecord,
                            qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
-from oracles import (fancy_indexed_window_totals, per_round_window,
+from oracles import (fancy_indexed_window_totals,
+                     fresh_outcome_probabilities, per_round_window,
                      sampled_phase_means)
 
 SOURCE = SourceModel()
@@ -383,6 +384,40 @@ def _sampled(script, t0, n_samples):
     midpoints, as ``offset_means``."""
     return functools.partial(sampled_phase_means, script.events,
                              script.channel, t0, 1.0, n_samples)
+
+
+class TestHarmonicPlan:
+    """Offset class probabilities read from the cached harmonic plan
+    against those of tests/oracles.py, which takes the plan afresh."""
+
+    @pytest.mark.parametrize("lam, sigma", [
+        (None, qkd.CALIBRATED_PHASE_NOISE_RAD),
+        (1.0, qkd.CALIBRATED_PHASE_NOISE_RAD),
+        (10.0, qkd.CALIBRATED_PHASE_NOISE_RAD), (None, 0.0), (10.0, 0.0)],
+        ids=["defaults", "lam-1", "lam-10", "no-noise", "lam-10-no-noise"])
+    @pytest.mark.parametrize("window", list(_OFFSET_WINDOWS))
+    def test_identical_values(self, lam, sigma, window):
+        raw, t0 = _OFFSET_WINDOWS[window]
+        script = _script(raw)
+        if lam is None:  # the configured rate
+            lam = qkd._signal_rate(script.source, script.channel,
+                                   script.detector)
+        offset_means = _means(script, t0, 200_000)
+        delta = qkd._base_phase(qkd._ALICE_BASIS, qkd._ALICE_BIT,
+                                qkd._BOB_BASIS)
+        want = fresh_outcome_probabilities(delta, lam, 1e-6, sigma,
+                                           offset_means).ravel() / 8.0
+        for _ in range(2):  # the second call reads the cached plan
+            assert np.array_equal(
+                qkd._class_probabilities(lam, 1e-6, sigma, offset_means),
+                want)
+
+    def test_shared_read_only(self):
+        first = qkd._harmonic_plan(1.0, 1e-6, 0.4)
+        assert qkd._harmonic_plan(1.0, 1e-6, 0.4) is first
+        for array in first:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestCountEngine:
