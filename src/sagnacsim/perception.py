@@ -14,6 +14,12 @@ Key windows and sensing traces read the one phase of all events,
 :func:`window_phase_means`.  The controller and the CLI share three steps:
 :func:`sense` grades the loop from a given time on, :func:`acquire` records
 one event and :func:`locate` turns a record into a position.
+
+What a sweep or a Welch spectrum needs of no event, seed or sample, its
+windows, probes and kernel tables, is computed once per configuration by
+:func:`_sweep_plan` and :func:`_welch_plan` and shared read-only; only the
+drive's own sums are taken per sweep, and kept per run by the caller's
+``responses`` memo.
 """
 from __future__ import annotations
 
@@ -77,6 +83,11 @@ _MAX_SWEEP_WORK = 32_000_000
 #: grid points of :func:`_sweep_response`, each its samples or its
 #: kernels, and harmonics of :func:`_drive_means`, each its Fourier orders.
 _BLOCK_ELEMENTS = 16_000
+
+#: Most kernels of each Hann power a sweep plan keeps for its whole grid,
+#: 19 times the 293 x 47 of the README drive: a larger table, of a strong
+#: drive over a long grid, is taken block by block instead.
+_PLAN_KERNELS = 2**18
 
 #: Trace samples the per-sample sweep evaluates in the time the closed form
 #: takes for one kernel order.  On the 293-point grid (2-vCPU host) both
@@ -665,7 +676,8 @@ class _SweepPlan:
     ``probes`` ``w e`` for the :func:`_unit_phasors` rows ``e`` of the grid
     points whose median tone amplitude on the reference trace is the
     floor, and on the closed-form branch the whole grid's
-    :func:`_hann_table` (``None`` on the per-sample branch)."""
+    :func:`_hann_table` if it holds at most ``_PLAN_KERNELS`` kernels a
+    power (else ``None``, as on the per-sample branch)."""
 
     w: np.ndarray
     weight: float
@@ -693,6 +705,7 @@ def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float,
     probes = w * _unit_phasors(omegas[:: max(1, omegas.size // 16)], n,
                                sample_rate_hz)
     table = (None if orders is None
+             or omegas.size * (2 * orders + 3) > _PLAN_KERNELS
              else _hann_table(omegas / sample_rate_hz, n, orders))
     for array in (w, probes, table):
         if array is not None:
@@ -718,8 +731,8 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     instead (:func:`_sampled_sums`).  Either way the grid goes in blocks of
     whole points whose arrays hold at most ``_BLOCK_ELEMENTS`` elements: a
     point of the closed form holds ``5 (M + 3)`` kernels and ``switch``
-    head samples.  The window and the kernels come from
-    :func:`_sweep_plan`.
+    head samples.  The window, and the kernels unless there are too many
+    to keep, come from :func:`_sweep_plan`.
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
@@ -737,9 +750,10 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
         moments = np.empty((3, freqs.size))
         for lo in range(0, freqs.size, rows):
             omega = omegas[lo:lo + rows]
+            window = (_hann_table(omega / sample_rate_hz, n, orders)
+                      if plan.table is None else plan.table[:, lo:lo + rows])
             projections[lo:lo + rows], moments[:, lo:lo + rows] = (
-                _drive_sums(omega, omega * lag, plan.table[:, lo:lo + rows],
-                            *args))
+                _drive_sums(omega, omega * lag, window, *args))
     for array in (projections, moments):
         array.flags.writeable = False
     return _SweepResponse(projections, moments)

@@ -9,9 +9,12 @@ between the two ports after source attenuation, detector efficiency and
 dark counts.  :func:`simulate_window` accounts sifted bits and errors at
 count level, at a cost independent of ``pulses_per_window``; a
 disturbance's phase offset enters as its window means of
-``exp(1j k offset)``, one per harmonic of the click model.  A window's
-pulses stand in for a full second of 100 MHz operation; rates extrapolate
-as ``sifted_bits / pulses_sent * repetition_rate``.
+``exp(1j k offset)``, one per harmonic of the click model.  The click
+model's harmonics and noise weights depend on no offset, so
+:func:`_harmonic_plan` computes them once per ``(lam, dark,
+phase_noise_rad)`` and a disturbed window takes only its weighted shifts.
+A window's pulses stand in for a full second of 100 MHz operation; rates
+extrapolate as ``sifted_bits / pulses_sent * repetition_rate``.
 """
 from __future__ import annotations
 

@@ -932,22 +932,45 @@ class TestSweepPlan:
                              ids=["closed-form", "per-sample", "short"])
     def test_cold_and_warm_responses_are_equal(self, peak, n):
         event = pzt_event(5000.0, 3000.0, peak)
-        runs = []
-        for clear in (True, False):
-            if clear:
+
+        def response_and_sweep(cold):
+            if cold:
                 perception._sweep_plan.cache_clear()
             response = perception._sweep_response(
                 event, channel(), ACCEPTANCE_GRID, n, self.FS,
                 DEFAULT_INPUT_POWER_W)
-            sweep = frequency_sweep(event, channel(), ACCEPTANCE_GRID,
-                                    duration_s=n / self.FS, seed=3)
-            runs.append((response, sweep))
-        (cold, cold_sweep), (warm, warm_sweep) = runs
+            if cold:
+                perception._sweep_plan.cache_clear()
+            return response, frequency_sweep(
+                event, channel(), ACCEPTANCE_GRID, duration_s=n / self.FS,
+                seed=3)
+
+        (cold, cold_sweep), (warm, warm_sweep) = (response_and_sweep(True),
+                                                  response_and_sweep(False))
         assert np.array_equal(warm.projections, cold.projections)
         assert np.array_equal(warm.moments, cold.moments)
         assert np.array_equal(warm_sweep.amplitudes, cold_sweep.amplitudes)
         assert warm_sweep.noise_floor_amplitude == \
             cold_sweep.noise_floor_amplitude
+
+    @pytest.mark.parametrize("peak", [0.6, 15.0])
+    def test_kernels_past_the_plan_go_block_by_block(self, monkeypatch,
+                                                     peak):
+        event = pzt_event(5000.0, 3000.0, peak)
+        kept = perception._sweep_response(
+            event, channel(), ACCEPTANCE_GRID, 2000, self.FS,
+            DEFAULT_INPUT_POWER_W)
+        assert self.plan_of(event).table is not None
+        # The plan reads the bound, so its cached plans go first.
+        perception._sweep_plan.cache_clear()
+        monkeypatch.setattr(perception, "_PLAN_KERNELS", 0)
+        assert self.plan_of(event).table is None
+        blocks = perception._sweep_response(
+            event, channel(), ACCEPTANCE_GRID, 2000, self.FS,
+            DEFAULT_INPUT_POWER_W)
+        perception._sweep_plan.cache_clear()
+        assert np.array_equal(blocks.projections, kept.projections)
+        assert np.array_equal(blocks.moments, kept.moments)
 
     def test_cached_arrays_are_read_only(self):
         plan = self.plan_of(pzt_event(5000.0, 3000.0, 0.6))
