@@ -85,7 +85,7 @@ _MAX_SWEEP_WORK = 32_000_000
 _BLOCK_ELEMENTS = 16_000
 
 #: Most kernels of each Hann power a sweep plan keeps for its whole grid,
-#: 19 times the 293 x 47 of the README drive: a larger table, of a strong
+#: 36 times the 293 x 25 of the README drive: a larger table, of a strong
 #: drive over a long grid, is taken block by block instead.
 _PLAN_KERNELS = 2**18
 
@@ -675,9 +675,10 @@ class _SweepPlan:
     window ``w`` of an ``n``-sample trace and its ``weight``, the
     ``probes`` ``w e`` for the :func:`_unit_phasors` rows ``e`` of the grid
     points whose median tone amplitude on the reference trace is the
-    floor, and on the closed-form branch the whole grid's
-    :func:`_hann_table` if it holds at most ``_PLAN_KERNELS`` kernels a
-    power (else ``None``, as on the per-sample branch)."""
+    floor, and on the closed-form branch the kernels ``T_p(k theta)`` of
+    :func:`_drive_sums` at ``k = 0 .. M + 2`` over the whole grid, if they
+    are at most ``_PLAN_KERNELS`` a power (else ``None``, as on the
+    per-sample branch)."""
 
     w: np.ndarray
     weight: float
@@ -705,8 +706,9 @@ def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float,
     probes = w * _unit_phasors(omegas[:: max(1, omegas.size // 16)], n,
                                sample_rate_hz)
     table = (None if orders is None
-             or omegas.size * (2 * orders + 3) > _PLAN_KERNELS
-             else _hann_table(omegas / sample_rate_hz, n, orders))
+             or omegas.size * (orders + 3) > _PLAN_KERNELS
+             else _hann_sums(np.multiply.outer(omegas / sample_rate_hz,
+                                               np.arange(orders + 3)), n))
     for array in (w, probes, table):
         if array is not None:
             array.flags.writeable = False
@@ -750,10 +752,11 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
         moments = np.empty((3, freqs.size))
         for lo in range(0, freqs.size, rows):
             omega = omegas[lo:lo + rows]
-            window = (_hann_table(omega / sample_rate_hz, n, orders)
-                      if plan.table is None else plan.table[:, lo:lo + rows])
+            kernels = (plan.table[:, lo:lo + rows] if plan.table is not None
+                       else _hann_sums(np.multiply.outer(
+                           omega / sample_rate_hz, np.arange(orders + 3)), n))
             projections[lo:lo + rows], moments[:, lo:lo + rows] = (
-                _drive_sums(omega, omega * lag, window, *args))
+                _drive_sums(omega, omega * lag, kernels, *args))
     for array in (projections, moments):
         array.flags.writeable = False
     return _SweepResponse(projections, moments)
@@ -817,15 +820,7 @@ def _hann_sums(kappa: np.ndarray, count: int) -> np.ndarray:
     return sums * np.exp(1j * (count - 1) * x)
 
 
-def _hann_table(theta: np.ndarray, n: int, orders: int) -> np.ndarray:
-    """:func:`_hann_sums` ``T_p(k theta)`` of ``n`` samples at the orders
-    ``k = -orders .. orders + 2`` that :func:`_drive_sums` takes, one row
-    per ``theta``: ``T_p(-k)`` is the conjugate of ``T_p(k)``."""
-    window = _hann_sums(np.multiply.outer(theta, np.arange(orders + 3)), n)
-    return np.concatenate([window[:, :, orders:0:-1].conj(), window], axis=2)
-
-
-def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, window: np.ndarray,
+def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, kernels: np.ndarray,
                 n: int, sample_rate_hz: float, switch: int, peak: float,
                 bias: float, input_power_w: float,
                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -839,14 +834,17 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, window: np.ndarray,
     -lag_phase / 2``, so ``c`` and ``c**2`` are Fourier series in ``theta
     j``, whose orders ``-M .. M`` :func:`_drive_series` gives.  So every
     sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta j)`` under the Hann
-    window ``w`` times a coefficient, which ``window``, the
-    :func:`_hann_table` of these ``theta``, holds for ``k = -M .. M + 2``.
+    window ``w`` times a coefficient: ``kernels`` holds :func:`_hann_sums`
+    of these ``theta`` for ``k = 0 .. M + 2``, and ``T_p(-k)`` is the
+    conjugate of ``T_p(k)``.
     In the head only the clockwise copy runs (``A = peak``, ``phi =
     -pi/2``): each sum adds ``sum_j w_j**p exp(i s theta j) (c1_j**q -
     c2_j**q)`` there, with ``c1`` the intensity of that copy and ``c2``
     that of both, from one :func:`_unit_phasors` table.
     """
-    orders = (window.shape[2] - 3) // 2
+    orders = kernels.shape[2] - 3
+    window = np.concatenate(
+        [kernels[:, :, orders:0:-1].conj(), kernels], axis=2)
 
     def powers(phase):
         c = _port_intensity(bias + phase, input_power_w)

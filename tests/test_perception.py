@@ -749,9 +749,10 @@ class TestSweepResponse:
             patch.setattr(
                 perception, "_sampled_sums",
                 lambda omegas, lag, n, fs, *args: perception._drive_sums(
-                    omegas, omegas * lag,
-                    perception._hann_table(omegas / fs, n, orders), n, fs,
-                    *args))
+                    omegas, omegas * lag, perception._hann_sums(
+                        np.multiply.outer(omegas / fs,
+                                          np.arange(orders + 3)), n),
+                    n, fs, *args))
             got = self.response(event, n, grid, bias, fs)
         weight = np.hanning(n).sum()
         assert np.all(np.abs(got.projections - want.projections)
@@ -921,11 +922,9 @@ class TestSweepPlan:
                          // (5 * (orders + 3) + switch)), 1, 7):
             for lo in range(0, omegas.size, rows):
                 theta = omegas[lo:lo + rows] / self.FS
-                window = perception._hann_sums(
-                    np.multiply.outer(theta, np.arange(orders + 3)), n)
-                window = np.concatenate(
-                    [window[:, :, orders:0:-1].conj(), window], axis=2)
-                assert np.array_equal(table[:, lo:lo + rows], window)
+                assert np.array_equal(
+                    table[:, lo:lo + rows], perception._hann_sums(
+                        np.multiply.outer(theta, np.arange(orders + 3)), n))
 
     @pytest.mark.parametrize("peak, n", [(0.6, 2000), (30.0, 2000),
                                          (0.6, 16)],
