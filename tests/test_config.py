@@ -115,6 +115,12 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")
 
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError):
+            parse_config(path)
+
 
 class TestEcho:
     """The echo is a plain copy of the resolved config, equal, type for
@@ -141,12 +147,6 @@ class TestEcho:
         for entry in echo["disturbances"]:
             entry["position_m"] = -1.0
         assert cfg.resolved == before
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            parse_config(path)
 
 
 class TestTypedViews:
