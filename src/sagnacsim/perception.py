@@ -80,13 +80,13 @@ MAX_NOTCH_DEPTH_DB = 3000.0
 _MAX_SWEEP_WORK = 32_000_000
 
 #: Most elements a block of rows may hold, whole rows and at least one:
-#: grid points of :func:`_sweep_response`, each its samples or its
-#: kernels, and harmonics of :func:`_drive_means`, each its Fourier orders.
+#: grid points of :func:`_sampled_sums`, each its samples, and harmonics of
+#: :func:`_drive_means`, each its Fourier orders.
 _BLOCK_ELEMENTS = 16_000
 
-#: Most kernels of each Hann power a sweep plan keeps for its whole grid,
-#: 36 times the 293 x 25 of the README drive: a larger table, of a strong
-#: drive over a long grid, is taken block by block instead.
+#: Most kernels of each Hann power the closed-form sweep may take, all from
+#: its plan's table in one pass: 36 times the 293 x 25 of the README drive.
+#: A strong drive over a long grid that needs more is swept per sample.
 _PLAN_KERNELS = 2**18
 
 #: Trace samples the per-sample sweep evaluates in the time the closed form
@@ -426,18 +426,17 @@ def _drive_pieces(event: DisturbanceEvent, channel: LoopChannel, t0: float,
 
 
 def _drive_means(pieces: list[tuple[float, float, float, float]],
-                 n: int) -> np.ndarray:
+                 kept: list[int], n: int) -> np.ndarray:
     """Window means of ``exp(1j k A cos(theta))``, k = 1 .. n, over
     :func:`_drive_pieces`, 1 elsewhere in the window: each piece adds its
     share of ``sum_m i**m J_m(k A)`` (Jacobi–Anger, Abramowitz & Stegun
     9.1.42–45) times its mean of ``exp(i m theta)``, a ``sinc`` of its
     span.  :func:`_drive_series` gives the coefficients as those of ``cos``
-    plus ``i`` those of ``sin``, over the orders that
-    :func:`_bessel_orders` keeps for ``n A``."""
+    plus ``i`` those of ``sin``, over the orders ``-M .. M`` with ``M``
+    the piece's entry of ``kept``, :func:`_bessel_orders` of its ``n A``."""
     means = np.ones(n, dtype=complex)
     k = np.arange(1, n + 1)
-    for share, amplitude, theta, span in pieces:
-        orders = _bessel_orders(n * abs(amplitude), _PHASE_SAMPLES // 2)
+    for (share, amplitude, theta, span), orders in zip(pieces, kept):
         m = np.arange(-orders, orders + 1)
         piece = np.exp(1j * m * theta) * np.sinc(m * span / (2.0 * math.pi))
         rows = max(1, _BLOCK_ELEMENTS // (2 * orders + 1))
@@ -462,9 +461,10 @@ def window_phase_means(events: Sequence[DisturbanceEvent],
     """
     if len(events) == 1 and isinstance(events[0].params, PztParams):
         pieces = _drive_pieces(events[0], channel, t0, window_s)
-        if all(2 * _bessel_orders(n * abs(amplitude), _PHASE_SAMPLES // 2)
-               + 1 <= _PHASE_SAMPLES for _, amplitude, _, _ in pieces):
-            return _drive_means(pieces, n)
+        orders = [_bessel_orders(n * abs(amplitude), _PHASE_SAMPLES // 2)
+                  for _, amplitude, _, _ in pieces]
+        if all(2 * m + 1 <= _PHASE_SAMPLES for m in orders):
+            return _drive_means(pieces, orders, n)
     samples = min(n_pulses, _PHASE_SAMPLES)
     return _harmonic_means(loop_phase(
         t0 + (np.arange(samples) + 0.5) * (window_s / samples), events,
@@ -645,7 +645,8 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
                                          sample_rate_hz, input_power_w)
     response = responses[key]
     plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz,
-                       _kernel_orders(event.params.peak_phase_rad, n))
+                       _kernel_orders(event.params.peak_phase_rad, n,
+                                      freqs.size))
     projections = response.projections
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
@@ -676,9 +677,8 @@ class _SweepPlan:
     ``probes`` ``w e`` for the :func:`_unit_phasors` rows ``e`` of the grid
     points whose median tone amplitude on the reference trace is the
     floor, and on the closed-form branch the kernels ``T_p(k theta)`` of
-    :func:`_drive_sums` at ``k = 0 .. M + 2`` over the whole grid, if they
-    are at most ``_PLAN_KERNELS`` a power (else ``None``, as on the
-    per-sample branch)."""
+    :func:`_drive_sums` at ``k = 0 .. M + 2`` over the whole grid (``None``
+    on the per-sample branch)."""
 
     w: np.ndarray
     weight: float
@@ -686,13 +686,18 @@ class _SweepPlan:
     table: Optional[np.ndarray]
 
 
-def _kernel_orders(peak: float, n: int) -> Optional[int]:
+def _kernel_orders(peak: float, n: int, points: int) -> Optional[int]:
     """Fourier orders ``M`` of the closed-form sweep of a drive of ``peak``
-    rad over ``n``-sample traces, from :func:`_bessel_orders`, or ``None``
-    when the per-sample sweep is cheaper: a point of the closed form costs
-    about what ``_SAMPLES_PER_ORDER * (M + 3)`` samples cost one by one."""
+    rad over ``points`` grid points of ``n``-sample traces, from
+    :func:`_bessel_orders`, or ``None`` when the sweep is taken per sample:
+    when that is cheaper, since a point of the closed form costs about what
+    ``_SAMPLES_PER_ORDER * (M + 3)`` samples cost one by one, or when the
+    grid would need more than ``_PLAN_KERNELS`` kernels a power."""
     orders = _bessel_orders(4.0 * peak, n // _SAMPLES_PER_ORDER)
-    return None if _SAMPLES_PER_ORDER * (orders + 3) > n else orders
+    if (_SAMPLES_PER_ORDER * (orders + 3) > n
+            or points * (orders + 3) > _PLAN_KERNELS):
+        return None
+    return orders
 
 
 @functools.lru_cache(maxsize=16)
@@ -706,7 +711,6 @@ def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float,
     probes = w * _unit_phasors(omegas[:: max(1, omegas.size // 16)], n,
                                sample_rate_hz)
     table = (None if orders is None
-             or omegas.size * (orders + 3) > _PLAN_KERNELS
              else _hann_sums(np.multiply.outer(omegas / sample_rate_hz,
                                                np.arange(orders + 3)), n))
     for array in (w, probes, table):
@@ -727,36 +731,25 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     are the covariance of its noise.  The counterclockwise pass sees the
     drive from the first sample at or past its lag on, sample ``switch``.
 
-    :func:`_drive_sums` takes these sums in closed form over the Fourier
-    orders of :func:`_kernel_orders`, and adds the ``switch`` samples of
-    the head one by one; a drive too strong for it is evaluated per sample
-    instead (:func:`_sampled_sums`).  Either way the grid goes in blocks of
-    whole points whose arrays hold at most ``_BLOCK_ELEMENTS`` elements: a
-    point of the closed form holds ``5 (M + 3)`` kernels and ``switch``
-    head samples.  The window, and the kernels unless there are too many
-    to keep, come from :func:`_sweep_plan`.
+    :func:`_drive_sums` takes these sums in closed form for the whole grid
+    in one pass, over the Fourier orders of :func:`_kernel_orders` and the
+    kernel table of :func:`_sweep_plan`, and adds the ``switch`` samples of
+    the head one by one.  A drive that orders too many kernels for it is
+    evaluated per sample instead (:func:`_sampled_sums`).
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
     switch = int(np.count_nonzero(np.arange(n) / sample_rate_hz < lag))
     peak = event.params.peak_phase_rad
-    orders = _kernel_orders(peak, n)
+    orders = _kernel_orders(peak, n, freqs.size)
     plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz, orders)
     args = (n, sample_rate_hz, switch, peak, channel.bias_phase_rad,
             input_power_w, plan.w)
     if orders is None:
         projections, moments = _sampled_sums(omegas, lag, *args)
     else:
-        rows = max(1, _BLOCK_ELEMENTS // (5 * (orders + 3) + switch))
-        projections = np.empty(freqs.size, dtype=complex)
-        moments = np.empty((3, freqs.size))
-        for lo in range(0, freqs.size, rows):
-            omega = omegas[lo:lo + rows]
-            kernels = (plan.table[:, lo:lo + rows] if plan.table is not None
-                       else _hann_sums(np.multiply.outer(
-                           omega / sample_rate_hz, np.arange(orders + 3)), n))
-            projections[lo:lo + rows], moments[:, lo:lo + rows] = (
-                _drive_sums(omega, omega * lag, kernels, *args))
+        projections, moments = _drive_sums(omegas, omegas * lag, plan.table,
+                                           *args)
     for array in (projections, moments):
         array.flags.writeable = False
     return _SweepResponse(projections, moments)

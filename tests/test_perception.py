@@ -594,6 +594,20 @@ class TestBlockSweep:
             got.noise_floor_amplitude, want.noise_floor_amplitude, rtol=0,
             atol=1e-11 * np.finfo(float).eps * DEFAULT_INPUT_POWER_W)
 
+    def test_floor_reads_seventeen_fixed_points(self):
+        # The floor of the 293-point grid is the median tone amplitude of
+        # the drive-off reference trace at every 18th point from the first.
+        sweep = frequency_sweep(pzt_event(5000.0, 3000.0, 0.6), channel(),
+                                ACCEPTANCE_GRID, seed=11)
+        quiet = synthesize_trace(
+            (), channel(), 0.01, perception.DEFAULT_SAMPLE_RATE_HZ,
+            perception.DEFAULT_NOISE_SIGMA, seed=int(
+                np.random.default_rng(11).integers(0, perception.MAX_SEED)))
+        probes = ACCEPTANCE_GRID[18 * np.arange(17)]
+        assert probes[-1] == ACCEPTANCE_GRID[288]
+        want = np.median([measure_tone_amplitude(quiet, f) for f in probes])
+        assert sweep.noise_floor_amplitude == pytest.approx(want, rel=1e-12)
+
     def test_three_sample_sweep(self):
         self.assert_same_without_noise(pzt_event(5000.0, 500.0, 0.1),
                                        [2000.0, 2250.0, 2500.0, 2750.0],
@@ -624,12 +638,17 @@ class TestBlockSweep:
                     for i in range(got.shape[1])]
         assert min(p_values) > self.ALPHA, p_values
 
-    @pytest.mark.parametrize("block_samples", [16_000, 1],
-                             ids=["three-points-a-block", "a-point-a-block"])
+    @pytest.mark.parametrize("block_samples", [None, 16_000, 1],
+                             ids=["closed-form", "three-points-a-block",
+                                  "a-point-a-block"])
     def test_noise_at_null_peak_and_fold(self, monkeypatch, block_samples):
-        # 2000-sample traces; the smallest block holds one point, as a
-        # grid point of more than half the block's elements does.
-        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", block_samples)
+        # 2000-sample traces.  The closed form takes the grid in one pass;
+        # the per-sample branch, forced, takes it in blocks of whole
+        # points, the smallest of one point, as a grid point of more than
+        # half the block's elements does.
+        if block_samples is not None:
+            monkeypatch.setattr(perception, "_SAMPLES_PER_ORDER", 2001)
+            monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", block_samples)
         self.assert_same_distribution(pzt_event(5000.0, 500.0, 0.6),
                                       self.FIXED_POINTS, duration_s=0.01)
 
@@ -761,17 +780,19 @@ class TestSweepResponse:
         assert np.all(np.abs(got.moments - want.moments) <= 1e-12 * total)
         return got
 
-    def kernels_called(self, monkeypatch, event, n, fs=FS):
-        """Names of the kernels ``_sweep_response`` calls for ``event``."""
-        calls = set()
+    def kernels_called(self, monkeypatch, event, n, fs=FS,
+                       grid=ACCEPTANCE_GRID):
+        """Names of the kernels ``_sweep_response`` calls for ``event``,
+        each as often as it is called."""
+        calls = []
         with monkeypatch.context() as patch:
             for name in ("_drive_sums", "_sampled_sums"):
                 def spy(*args, _kernel=getattr(perception, name),
                         _name=name):
-                    calls.add(_name)
+                    calls.append(_name)
                     return _kernel(*args)
                 patch.setattr(perception, name, spy)
-            self.response(event, n, fs=fs)
+            self.response(event, n, grid, fs=fs)
         return calls
 
     @pytest.mark.parametrize("x", [1500.0, 5000.0, 9000.0, 13500.0,
@@ -781,8 +802,8 @@ class TestSweepResponse:
         # negative and every sample sees both copies.
         event = pzt_event(x, 3000.0, 0.6)
         self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 2000)
-        assert self.kernels_called(monkeypatch, event, 2000) == {
-            "_drive_sums"}
+        assert self.kernels_called(monkeypatch, event, 2000) == [
+            "_drive_sums"]
 
     def test_fold_points(self, monkeypatch):
         # At fs / 4 and fs / 8 a harmonic of the drive folds onto a
@@ -819,18 +840,20 @@ class TestSweepResponse:
         fs = 4e5
         assert perception._delay_lag_s(event, channel()) * fs > 40
         monkeypatch.setattr(perception, "_SAMPLES_PER_ORDER", 1)
-        assert self.kernels_called(monkeypatch, event, 40, fs) == {
-            "_drive_sums"}
+        assert self.kernels_called(monkeypatch, event, 40, fs) == [
+            "_drive_sums"]
         self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 40,
                                     fs=fs)
 
     def test_points_do_not_depend_on_their_block(self, monkeypatch):
+        # Per sample, forced: 8 points a block, then 1.
         event = pzt_event(1500.0, 3000.0, 0.6)
-        whole = self.response(event, 2000)
+        monkeypatch.setattr(perception, "_SAMPLES_PER_ORDER", 2001)
+        blocked = self.response(event, 2000)
         monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", 1)
         alone = self.response(event, 2000)
-        assert np.array_equal(alone.projections, whole.projections)
-        assert np.array_equal(alone.moments, whole.moments)
+        assert np.array_equal(alone.projections, blocked.projections)
+        assert np.array_equal(alone.moments, blocked.moments)
 
     def test_dark_bias_gives_exact_zeros(self, monkeypatch):
         with warnings.catch_warnings():
@@ -893,38 +916,54 @@ class TestSweepResponse:
         event = pzt_event(5000.0, 500.0, 30.0)
         self.assert_matches_sampled(monkeypatch, event,
                                     ACCEPTANCE_GRID[::40], n)
-        assert self.kernels_called(monkeypatch, event, n) == {branch}
+        assert self.kernels_called(monkeypatch, event, n) == [branch]
+
+    def test_closed_form_takes_the_grid_in_one_pass(self, monkeypatch):
+        # Whatever the block bound, which only the per-sample branch reads.
+        event = pzt_event(5000.0, 3000.0, 0.6)
+        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", 1)
+        assert self.kernels_called(monkeypatch, event, 2000) == [
+            "_drive_sums"]
+
+    @pytest.mark.parametrize("points, branch", [(293, "_drive_sums"),
+                                                (294, "_sampled_sums")])
+    def test_plan_kernel_bound_on_each_branch(self, monkeypatch, points,
+                                              branch):
+        # The README drive keeps 25 kernel orders a point; with the bound
+        # at 293 x 25, the acceptance grid takes exactly that many kernels
+        # a power, and one point more is past it.
+        event = pzt_event(5000.0, 3000.0, 0.6)
+        grid = 2000.0 + 250.0 * np.arange(points)
+        assert perception._kernel_orders(0.6, 2000, 293) + 3 == 25
+        monkeypatch.setattr(perception, "_PLAN_KERNELS", 293 * 25)
+        self.assert_matches_sampled(monkeypatch, event, grid, 2000)
+        assert self.kernels_called(monkeypatch, event, 2000,
+                                   grid=grid) == [branch]
 
 
 class TestSweepPlan:
     """The cached plan of a sweep: the kernel table it holds for the whole
-    grid against the one each block computed for itself, and one plan for
-    every drive whose grid, trace length and kernel orders agree."""
+    grid against the kernels computed afresh, and one plan for every drive
+    whose grid, trace length and kernel orders agree."""
 
     FS = perception.DEFAULT_SAMPLE_RATE_HZ
 
     @staticmethod
     def plan_of(event, n=2000, grid=ACCEPTANCE_GRID, fs=FS):
+        grid = np.asarray(grid, dtype=float)
         return perception._sweep_plan(
-            np.asarray(grid, dtype=float).tobytes(), n, fs,
-            perception._kernel_orders(event.params.peak_phase_rad, n))
+            grid.tobytes(), n, fs, perception._kernel_orders(
+                event.params.peak_phase_rad, n, grid.size))
 
     @pytest.mark.parametrize("peak", [0.06, 0.6, 6.0, 15.0])
-    def test_table_equals_each_blocks_own(self, peak):
+    def test_table_equals_the_whole_grids_kernels(self, peak):
         n = 2000
-        event = pzt_event(5000.0, 3000.0, peak)
-        orders = perception._kernel_orders(peak, n)
-        table = self.plan_of(event, n).table
-        switch = math.ceil(perception._delay_lag_s(event, channel())
-                           * self.FS)
-        omegas = 2.0 * math.pi * ACCEPTANCE_GRID
-        for rows in (max(1, perception._BLOCK_ELEMENTS
-                         // (5 * (orders + 3) + switch)), 1, 7):
-            for lo in range(0, omegas.size, rows):
-                theta = omegas[lo:lo + rows] / self.FS
-                assert np.array_equal(
-                    table[:, lo:lo + rows], perception._hann_sums(
-                        np.multiply.outer(theta, np.arange(orders + 3)), n))
+        orders = perception._kernel_orders(peak, n, ACCEPTANCE_GRID.size)
+        theta = 2.0 * math.pi * ACCEPTANCE_GRID / self.FS
+        assert np.array_equal(
+            self.plan_of(pzt_event(5000.0, 3000.0, peak), n).table,
+            perception._hann_sums(
+                np.multiply.outer(theta, np.arange(orders + 3)), n))
 
     @pytest.mark.parametrize("peak, n", [(0.6, 2000), (30.0, 2000),
                                          (0.6, 16)],
@@ -953,23 +992,26 @@ class TestSweepPlan:
             cold_sweep.noise_floor_amplitude
 
     @pytest.mark.parametrize("peak", [0.6, 15.0])
-    def test_kernels_past_the_plan_go_block_by_block(self, monkeypatch,
-                                                     peak):
+    def test_kernels_past_the_plan_are_sampled(self, monkeypatch, peak):
+        # One kernel a power past the bound: no table, and the response of
+        # the per-sample branch, forced here by the order cost.
         event = pzt_event(5000.0, 3000.0, peak)
-        kept = perception._sweep_response(
-            event, channel(), ACCEPTANCE_GRID, 2000, self.FS,
-            DEFAULT_INPUT_POWER_W)
-        assert self.plan_of(event).table is not None
-        # The plan reads the bound, so its cached plans go first.
-        perception._sweep_plan.cache_clear()
-        monkeypatch.setattr(perception, "_PLAN_KERNELS", 0)
+
+        def response():
+            return perception._sweep_response(
+                event, channel(), ACCEPTANCE_GRID, 2000, self.FS,
+                DEFAULT_INPUT_POWER_W)
+
+        orders = perception._kernel_orders(peak, 2000, ACCEPTANCE_GRID.size)
+        with monkeypatch.context() as patch:
+            patch.setattr(perception, "_SAMPLES_PER_ORDER", 2001)
+            sampled = response()
+        monkeypatch.setattr(perception, "_PLAN_KERNELS",
+                            ACCEPTANCE_GRID.size * (orders + 3) - 1)
         assert self.plan_of(event).table is None
-        blocks = perception._sweep_response(
-            event, channel(), ACCEPTANCE_GRID, 2000, self.FS,
-            DEFAULT_INPUT_POWER_W)
-        perception._sweep_plan.cache_clear()
-        assert np.array_equal(blocks.projections, kept.projections)
-        assert np.array_equal(blocks.moments, kept.moments)
+        past = response()
+        assert np.array_equal(past.projections, sampled.projections)
+        assert np.array_equal(past.moments, sampled.moments)
 
     def test_cached_arrays_are_read_only(self):
         plan = self.plan_of(pzt_event(5000.0, 3000.0, 0.6))
