@@ -42,8 +42,10 @@ _WM_GEOMETRY = _keys(PressureParams, drop=("mass_kg",))
 _PACKET = field_specs(SpectralPacket)
 
 _SECTIONS = {
-    "channel": _keys(LoopChannel, length_m=30000.0, intrinsic_delay_s=3e-13,
-                     loss_db=qkd.CALIBRATED_LOSS_DB),
+    # Perception and WM set their own bias and the key engine reads none,
+    # so the loop's bias is no config key.
+    "channel": _keys(LoopChannel, drop=("bias_phase_rad",), length_m=30000.0,
+                     intrinsic_delay_s=3e-13, loss_db=qkd.CALIBRATED_LOSS_DB),
     # omega0 = 2 pi c / wavelength_m is positive exactly when the
     # wavelength is.
     "packet": {"wavelength_m": _PACKET["omega0"]._replace(

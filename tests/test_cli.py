@@ -308,11 +308,14 @@ class TestWm:
                                           rel=1e-9)
             assert r1[3] == pytest.approx(r0[3], rel=1e-6)
 
-    def test_key_bias_does_not_reach_wm(self, tmp_path):
-        base = self.staircase(tmp_path, "base", {})
-        keyed = self.staircase(tmp_path, "keyed",
-                               {"channel": {"bias_phase_rad": math.pi}})
-        assert keyed == base
+    def test_channel_bias_is_unknown(self, tmp_path, capsys):
+        # WM biases the loop by wm.delta_bias_rad alone.
+        cfg = write_json(tmp_path / "keyed.json",
+                         {"channel": {"bias_phase_rad": math.pi}})
+        assert run_cli("wm", "--config", cfg, "--out-dir",
+                       str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["problems"] == ["channel.bias_phase_rad: unknown key"]
 
     def test_bad_masses_rejected(self, tmp_path):
         assert run_cli("wm", "--masses", "0.1,-0.2",
@@ -498,7 +501,8 @@ _BAD_CONFIGS = [
     ("perception.max_harmonics", '{"perception": {"max_harmonics": 1.5}}'),
     ("wm.samples_per_reading", '{"wm": {"samples_per_reading": 0.5}}'),
     ("channel.delay_shift_s", '{"channel": {"delay_shift_s": [1]}}'),
-    ("channel.bias_phase_rad", '{"channel": {"bias_phase_rad": "abc"}}'),
+    ("channel.intrinsic_delay_s",
+     '{"channel": {"intrinsic_delay_s": "abc"}}'),
     ("channel.length_m", '{"channel": {"length_m": 1e400}}'),
     ("perception.sense_duration_s",
      '{"perception": {"sense_duration_s": 1e308}}'),
