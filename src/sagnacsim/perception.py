@@ -85,8 +85,9 @@ _MAX_SWEEP_WORK = 32_000_000
 _BLOCK_ELEMENTS = 16_000
 
 #: Most kernels of each Hann power the closed-form sweep may take, all from
-#: its plan's table in one pass: 36 times the 293 x 25 of the README drive.
-#: A strong drive over a long grid that needs more is swept per sample.
+#: its plan's table in one pass: 36 times the 293 x 25 of the README drive,
+#: a 12.6 MB table whose pass allocates some 60 MB more.  A strong drive
+#: over a long grid that needs more is swept per sample.
 _PLAN_KERNELS = 2**18
 
 #: Trace samples the per-sample sweep evaluates in the time the closed form
@@ -616,8 +617,8 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     linearly, so a point is its noise-free projection plus one exact
     bivariate-normal draw (:func:`_correlated_normals`) from the second
     moments of the projection's noise.  :func:`_sweep_response` gives both
-    in closed form, with no per-sample arrays unless the drive is too
-    strong for it.  The seed fixes the drive-off reference
+    in closed form, with no per-sample arrays unless the drive needs too
+    many kernels for it.  The seed fixes the drive-off reference
     trace, whose tone amplitudes set the noise floor, and then one
     ``(points, 2)`` standard-normal draw.
 
