@@ -735,7 +735,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     :func:`_drive_sums` takes these sums in closed form for the whole grid
     in one pass, over the Fourier orders of :func:`_kernel_orders` and the
     kernel table of :func:`_sweep_plan`, and adds the ``switch`` samples of
-    the head one by one.  A drive that orders too many kernels for it is
+    the head one by one.  A drive that needs too many kernels for it is
     evaluated per sample instead (:func:`_sampled_sums`).
     """
     omegas = 2.0 * math.pi * freqs
