@@ -80,14 +80,16 @@ MAX_NOTCH_DEPTH_DB = 3000.0
 _MAX_SWEEP_WORK = 32_000_000
 
 #: Most elements a block of rows may hold, whole rows and at least one:
-#: grid points of :func:`_sampled_sums`, each its samples, and harmonics of
+#: grid points of :func:`_sampled_sums`, each its samples, grid points of
+#: the head of :func:`_drive_sums`, each its head samples, and harmonics of
 #: :func:`_drive_means`, each its Fourier orders.
 _BLOCK_ELEMENTS = 16_000
 
 #: Most kernels of each Hann power the closed-form sweep may take, all from
 #: its plan's table in one pass: 36 times the 293 x 25 of the README drive,
-#: a 12.6 MB table whose pass allocates some 60 MB more.  A strong drive
-#: over a long grid that needs more is swept per sample.
+#: a 12.6 MB table whose kernel pass allocates some 60 MB more (the head
+#: goes in blocks).  A strong drive over a long grid that needs more is
+#: swept per sample.
 _PLAN_KERNELS = 2**18
 
 #: Trace samples the per-sample sweep evaluates in the time the closed form
@@ -645,9 +647,7 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
         responses[key] = _sweep_response(event, channel, freqs, n,
                                          sample_rate_hz, input_power_w)
     response = responses[key]
-    plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz,
-                       _kernel_orders(event.params.peak_phase_rad, n,
-                                      freqs.size))
+    plan = response.plan
     projections = response.projections
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
@@ -665,10 +665,11 @@ class _SweepResponse:
     """The seed-free half of a sweep that depends on its drive, read-only
     so that sweeps sharing it cannot change it: ``projections`` and
     ``moments`` (of ``c u``: re re, re im, im im) hold one column per grid
-    point."""
+    point, and ``plan`` is the :class:`_SweepPlan` they were taken with."""
 
     projections: np.ndarray
     moments: np.ndarray
+    plan: _SweepPlan
 
 
 @dataclass(frozen=True)
@@ -735,8 +736,9 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     :func:`_drive_sums` takes these sums in closed form for the whole grid
     in one pass, over the Fourier orders of :func:`_kernel_orders` and the
     kernel table of :func:`_sweep_plan`, and adds the ``switch`` samples of
-    the head one by one.  A drive that needs too many kernels for it is
-    evaluated per sample instead (:func:`_sampled_sums`).
+    the head one by one, in blocks of whole points.  A drive that needs too
+    many kernels for it is evaluated per sample instead
+    (:func:`_sampled_sums`).
     """
     omegas = 2.0 * math.pi * freqs
     lag = _delay_lag_s(event, channel)
@@ -753,7 +755,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
                                            *args)
     for array in (projections, moments):
         array.flags.writeable = False
-    return _SweepResponse(projections, moments)
+    return _SweepResponse(projections, moments, plan)
 
 
 def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
@@ -834,7 +836,8 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, kernels: np.ndarray,
     In the head only the clockwise copy runs (``A = peak``, ``phi =
     -pi/2``): each sum adds ``sum_j w_j**p exp(i s theta j) (c1_j**q -
     c2_j**q)`` there, with ``c1`` the intensity of that copy and ``c2``
-    that of both, from one :func:`_unit_phasors` table.
+    that of both, from one :func:`_unit_phasors` table per block of whole
+    points of at most ``_BLOCK_ELEMENTS`` head samples.
     """
     orders = kernels.shape[2] - 3
     window = np.concatenate(
@@ -854,14 +857,18 @@ def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, kernels: np.ndarray,
     sums = [np.sum(series[q] * window[p, :, s:s + span], axis=-1)
             for q, p, s in terms]
     if switch > 0:
-        e = _unit_phasors(omega, switch, sample_rate_hz)
-        late = (e * np.exp(-1j * lag_phase)[:, None]).imag
-        head = np.subtract(powers(peak * e.imag),
-                           powers(peak * (e.imag - late)))
         w_head = w[:switch]
-        w_powers, e_powers = (1.0, w_head, w_head * w_head), (1.0, e, e * e)
-        for row, (q, p, s) in enumerate(terms):
-            sums[row] += np.sum(head[q] * w_powers[p] * e_powers[s], axis=-1)
+        w_powers = (1.0, w_head, w_head * w_head)
+        rows = max(1, _BLOCK_ELEMENTS // switch)
+        for lo in range(0, omega.size, rows):
+            e = _unit_phasors(omega[lo:lo + rows], switch, sample_rate_hz)
+            late = (e * np.exp(-1j * lag_phase[lo:lo + rows])[:, None]).imag
+            head = np.subtract(powers(peak * e.imag),
+                               powers(peak * (e.imag - late)))
+            e_powers = (1.0, e, e * e)
+            for row, (q, p, s) in enumerate(terms):
+                sums[row][lo:lo + rows] += np.sum(
+                    head[q] * w_powers[p] * e_powers[s], axis=-1)
     wce, c_sum, ccww, ccwe, cc, ccwwee = sums
     mu = window[1, :, orders + 1] / n  # mean(w e) over the trace
     # With u = w e - mu: Q0 = sum c^2 |u|^2, Q2 = sum c^2 u^2.

@@ -925,6 +925,38 @@ class TestSweepResponse:
         assert self.kernels_called(monkeypatch, event, 2000) == [
             "_drive_sums"]
 
+    def test_long_head_goes_in_bounded_blocks(self, monkeypatch):
+        # At 2 MHz a drive 1 m from the end of the loop starts the
+        # counterclockwise copy at sample 294 of 300: the head is nearly
+        # the whole trace.  Whatever the block bound, one pass takes the
+        # kernels, every head table holds at most _BLOCK_ELEMENTS samples
+        # but one row, and the points come out the same.
+        event = pzt_event(1.0, 3000.0, 0.6)
+        fs, n = 2e6, 300
+        switch = math.ceil(perception._delay_lag_s(event, channel()) * fs)
+        assert switch == 294
+        heads = []
+        unit_phasors = perception._unit_phasors
+
+        def spy(omegas, count, rate):
+            if count == switch:
+                heads.append(len(omegas) * count)
+            return unit_phasors(omegas, count, rate)
+
+        monkeypatch.setattr(perception, "_unit_phasors", spy)
+        want = self.assert_matches_sampled(monkeypatch, event,
+                                           ACCEPTANCE_GRID, n, fs=fs)
+        for bound in (3 * switch, 1, 10**9):
+            heads.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(perception, "_BLOCK_ELEMENTS", bound)
+                assert self.kernels_called(monkeypatch, event, n, fs) == [
+                    "_drive_sums"]
+                got = self.response(event, n, fs=fs)
+            assert heads and max(heads) <= max(bound, switch)
+            assert np.array_equal(got.projections, want.projections)
+            assert np.array_equal(got.moments, want.moments)
+
     @pytest.mark.parametrize("points, branch", [(293, "_drive_sums"),
                                                 (294, "_sampled_sums")])
     def test_plan_kernel_bound_on_each_branch(self, monkeypatch, points,
