@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from output_digests import RUNS, digest_runs, parsed_outputs  # noqa: E402
+from write_reference_outputs import move_lines  # noqa: E402
 
 REFERENCE = Path(__file__).parent / "data" / "reference_outputs.json"
 
@@ -68,3 +69,20 @@ def test_mismatches_name_each_kind_of_difference():
     bad = {"a": [1.0, 2.0 * (1 + 1e-8), "y", 1], "b": {"d": 1.0}}
     assert [p.split(":")[0] for p in _mismatches(bad, want)] == \
         ["$.a[0]", "$.a[1]", "$.a[2]", "$.a[3]", "$.b"]
+
+
+def test_move_lines_name_each_moved_value():
+    old = {"perceive.pzt": {"report.json": {"x": 1.5, "nulls": [1, 2],
+                                             "gone": True},
+                            "trace.txt": {"samples": 3}}}
+    new = {"perceive.pzt": {"report.json": {"x": 1.25, "nulls": [1],
+                                             "exit": 3}},
+           "wm.defaults": {"report.json": {"mass": 0.1}}}
+    assert list(move_lines(old, old)) == []
+    assert list(move_lines(old, new)) == [
+        "perceive.pzt/report.json x: 1.5 -> 1.25",
+        "perceive.pzt/report.json nulls[1]: 2 -> absent",
+        "perceive.pzt/report.json gone: true -> absent",
+        "perceive.pzt/report.json exit: absent -> 3",
+        'perceive.pzt/trace.txt: {"samples": 3} -> absent',
+        'wm.defaults/report.json: absent -> {"mass": 0.1}']
