@@ -26,9 +26,9 @@ C_VACUUM = 299792458.0
 DEFAULT_WAVELENGTH_M = 1550e-9
 
 #: Longest loop (m) the simulator takes: 10 000 km, some 330 times the
-#: paper's 30 km.  On far longer loops the transit phases leave the range
-#: where the sweep's closed-form noise moments keep any precision: with
-#: the README drive, a 1e20 m loop makes one negative.
+#: paper's 30 km.  There the transit phase ``omega n L / c`` of a 75 kHz
+#: sweep point, 2.3e4 rad, has a float spacing of 4e-12 rad; on far
+#: longer loops it loses all precision (at 1e20 m the spacing is 32 rad).
 MAX_LOOP_LENGTH_M = 1e7
 
 

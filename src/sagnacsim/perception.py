@@ -16,9 +16,9 @@ Key windows and sensing traces read the one phase of all events,
 one event and :func:`locate` turns a record into a position.
 
 What a sweep or a Welch spectrum needs of no event, seed or sample, its
-windows, probes and kernel tables, is computed once per configuration by
+windows and probes, is computed once per configuration by
 :func:`_sweep_plan` and :func:`_welch_plan` and shared read-only; only the
-drive's own sums are taken per sweep, and kept per run by the caller's
+drive's own series are taken per sweep, and kept per run by the caller's
 ``responses`` memo.
 """
 from __future__ import annotations
@@ -80,34 +80,13 @@ MAX_NOTCH_DEPTH_DB = 3000.0
 _MAX_SWEEP_WORK = 32_000_000
 
 #: Most elements a block of rows may hold, whole rows and at least one:
-#: grid points of :func:`_sampled_sums`, each its samples, grid points of
-#: the head of :func:`_drive_sums`, each its head samples, and harmonics of
+#: grid points of :func:`_sweep_response` and harmonics of
 #: :func:`_drive_means`, each its Fourier orders.
 _BLOCK_ELEMENTS = 16_000
-
-#: Most kernels of each Hann power the closed-form sweep may take, all from
-#: its plan's table in one pass: 36 times the 293 x 25 of the README drive,
-#: a 12.6 MB table whose kernel pass allocates some 60 MB more (the head
-#: goes in blocks).  A strong drive over a long grid that needs more is
-#: swept per sample.
-_PLAN_KERNELS = 2**18
-
-#: Trace samples the per-sample sweep evaluates in the time the closed form
-#: takes for one kernel order.  On the 293-point grid (2-vCPU host) both
-#: take about 41 ms for 2000-sample traces at 204-215 orders (9.2-9.7
-#: samples an order), and about 135 ms for 8000-sample traces at 689
-#: orders (11.6).
-_SAMPLES_PER_ORDER = 11
 
 #: Natural log of the Bessel bound below which a drive series drops a
 #: Fourier order: ``2**-60``, far below rounding.
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
-
-#: Weights of ``exp(i l beta j)``, ``l = -2 .. 2``, in the Hann window
-#: ``w_j = 0.5 - 0.5 cos(beta j)`` raised to the powers 0, 1 and 2.
-_HANN_POWERS = np.array([[0.0, 0.0, 1.0, 0.0, 0.0],
-                         [0.0, -0.25, 0.5, -0.25, 0.0],
-                         [0.0625, -0.25, 0.375, -0.25, 0.0625]])
 
 #: Shortest Welch segment; a sensing trace must hold at least one.
 _WELCH_MIN_SEGMENT = 64
@@ -116,7 +95,8 @@ _WELCH_MIN_SEGMENT = 64
 MAX_TRACE_SAMPLES = 2**22
 
 #: Most loop-phase samples a key window averages, and most Fourier orders
-#: ``2M + 1`` of its closed-form means.
+#: ``2M + 1`` of its closed-form means; a sweep's series takes ``M`` up to
+#: ``_PHASE_SAMPLES // 2`` (:func:`_sweep_orders`).
 _PHASE_SAMPLES = 2**16
 
 
@@ -217,13 +197,18 @@ class PerceptionSettings(Checked):
         """Why this perception cannot record dynamic ``event``, keyed by
         the parameter that sets its band, ``_BAND``: the band must pass
         :func:`_band_aliases` at the sample rate, and a transient's trace
-        may hold at most ``MAX_TRACE_SAMPLES`` samples."""
+        may hold at most ``MAX_TRACE_SAMPLES`` samples.  A drive's sweep
+        series may need at most ``_PHASE_SAMPLES // 2`` Fourier orders
+        (:func:`_sweep_orders`), a problem of its gain key."""
         key, band = event.params._BAND, event.params.band_hz
         value = getattr(event.params, key)
         if _band_aliases(band, self.sample_rate_hz):
             return [f"{key}: {value} puts the disturbance band at {band} "
                     f"Hz, not below half the perception sample_rate_hz "
                     f"{self.sample_rate_hz}"]
+        if isinstance(event.params, PztParams):
+            problem = _strong_drive_problem(event.params)
+            return [problem] if problem else []
         if key == "width_s":
             n = _sample_count(self.trace_duration_s(event.params),
                               self.sample_rate_hz)
@@ -611,18 +596,20 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     grid and record the measured tone amplitude at each point.
 
     Only sinusoidal (piezo) events can be swept, the grid must be strictly
-    ascending with at least 3 points, and its last point must lie below
-    half the sample rate; all three are checked before any trace is
-    synthesized.  Each amplitude has the distribution of
-    :func:`measure_tone_amplitude` at its frequency on :func:`synthesize_trace`
-    of the drive switched on at 0 s: the trace noise enters the projection
-    linearly, so a point is its noise-free projection plus one exact
-    bivariate-normal draw (:func:`_correlated_normals`) from the second
-    moments of the projection's noise.  :func:`_sweep_response` gives both
-    in closed form, with no per-sample arrays unless the drive needs too
-    many kernels for it.  The seed fixes the drive-off reference
-    trace, whose tone amplitudes set the noise floor, and then one
-    ``(points, 2)`` standard-normal draw.
+    ascending with at least 3 points, its last point must lie below half
+    the sample rate, and the drive may need at most ``_PHASE_SAMPLES //
+    2`` Fourier orders (:func:`_sweep_orders`); all four are checked
+    before any trace is synthesized.  Each point reads the settled drive
+    behind an ideal anti-alias filter, as a swept-sine instrument does:
+    the Hann-weighted tone of an ``n``-sample trace of the steady state
+    (:func:`_sweep_response`), so a point depends only on the drive's
+    strength and the lag between its copies, not on when it started.  The
+    trace noise enters the projection linearly, so a point is its
+    noise-free projection plus one exact bivariate-normal draw
+    (:func:`_correlated_normals`) from the second moments of the
+    projection's noise.  The seed fixes the drive-off reference trace,
+    whose tone amplitudes at fixed grid points set the noise floor, and
+    then one ``(points, 2)`` standard-normal draw.
 
     ``responses`` is a dict the caller owns, such as the memo of one
     scenario run: repeat sweeps of the same drive then compute their
@@ -634,6 +621,9 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     _check_sweep_grid(freqs)
     if _band_aliases(freqs[-1], sample_rate_hz):
         raise _aliasing_error(float(freqs[-1]), sample_rate_hz)
+    problem = _strong_drive_problem(event.params)
+    if problem:
+        raise ValueError(problem)
     rng = np.random.default_rng(seed)
     # Reference measurement with the drive off fixes the instrument floor.
     quiet = synthesize_trace(
@@ -675,207 +665,93 @@ class _SweepResponse:
 @dataclass(frozen=True)
 class _SweepPlan:
     """The half of a sweep that depends on no drive, read-only: the Hann
-    window ``w`` of an ``n``-sample trace and its ``weight``, the
+    window ``w`` of an ``n``-sample trace and its ``weight``, and the
     ``probes`` ``w e`` for the :func:`_unit_phasors` rows ``e`` of the grid
     points whose median tone amplitude on the reference trace is the
-    floor, and on the closed-form branch the kernels ``T_p(k theta)`` of
-    :func:`_drive_sums` at ``k = 0 .. M + 2`` over the whole grid (``None``
-    on the per-sample branch)."""
+    floor."""
 
     w: np.ndarray
     weight: float
     probes: np.ndarray
-    table: Optional[np.ndarray]
-
-
-def _kernel_orders(peak: float, n: int, points: int) -> Optional[int]:
-    """Fourier orders ``M`` of the closed-form sweep of a drive of ``peak``
-    rad over ``points`` grid points of ``n``-sample traces, from
-    :func:`_bessel_orders`, or ``None`` when the sweep is taken per sample:
-    when that is cheaper, since a point of the closed form costs about what
-    ``_SAMPLES_PER_ORDER * (M + 3)`` samples cost one by one, or when the
-    grid would need more than ``_PLAN_KERNELS`` kernels a power."""
-    orders = _bessel_orders(4.0 * peak, n // _SAMPLES_PER_ORDER)
-    if (_SAMPLES_PER_ORDER * (orders + 3) > n
-            or points * (orders + 3) > _PLAN_KERNELS):
-        return None
-    return orders
 
 
 @functools.lru_cache(maxsize=16)
-def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float,
-                orders: Optional[int]) -> _SweepPlan:
+def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float) -> _SweepPlan:
     """The :class:`_SweepPlan` of ``n``-sample sweeps over the grid whose
-    float64 bytes are ``grid``, with the kernels of ``orders`` from
-    :func:`_kernel_orders`, computed once per key and shared read-only."""
+    float64 bytes are ``grid``, computed once per key and shared
+    read-only."""
     omegas = 2.0 * math.pi * np.frombuffer(grid)
     w, weight = _hann(n)
     probes = w * _unit_phasors(omegas[:: max(1, omegas.size // 16)], n,
                                sample_rate_hz)
-    table = (None if orders is None
-             else _hann_sums(np.multiply.outer(omegas / sample_rate_hz,
-                                               np.arange(orders + 3)), n))
-    for array in (w, probes, table):
-        if array is not None:
-            array.flags.writeable = False
-    return _SweepPlan(w, weight, probes, table)
+    w.flags.writeable = probes.flags.writeable = False
+    return _SweepPlan(w, weight, probes)
+
+
+def _sweep_orders(peak: float) -> int:
+    """Fourier orders ``M`` of the sweep series of a drive of ``peak`` rad:
+    :func:`_bessel_orders` of the ``4 peak`` that ``c**2`` reaches, at
+    least 2, and ``_PHASE_SAMPLES // 2 + 1`` for a drive past that cap."""
+    return max(2, _bessel_orders(4.0 * peak, _PHASE_SAMPLES // 2))
+
+
+def _strong_drive_problem(params: PztParams) -> Optional[str]:
+    """Why a drive of ``params`` cannot be swept, as a problem of its gain
+    key, or ``None``: its series needs more than ``_PHASE_SAMPLES // 2``
+    Fourier orders, from about 6000 rad on."""
+    if _sweep_orders(params.peak_phase_rad) <= _PHASE_SAMPLES // 2:
+        return None
+    return (f"{params._GAIN}: {getattr(params, params._GAIN)} gives a "
+            f"{params.peak_phase_rad} rad drive, whose sweep needs more "
+            f"than {_PHASE_SAMPLES // 2} Fourier orders")
 
 
 def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
                     freqs: np.ndarray, n: int, sample_rate_hz: float,
                     input_power_w: float) -> _SweepResponse:
-    """Noise-free response of ``n``-sample sweep traces over ``freqs``.
+    """Noise-free response of ``n``-sample sweep traces over ``freqs``: the
+    settled drive, read behind an ideal anti-alias filter.
 
-    With ``c`` the noise-free port intensity of the drive switched on at
-    0 s, ``e`` the unit phasor of a grid point and ``u = w e - mean(w e)``
-    under the Hann window ``w``, each point keeps its projection ``sum c
-    u`` and the three second moments of ``c u``, which times ``sigma**2``
-    are the covariance of its noise.  The counterclockwise pass sees the
-    drive from the first sample at or past its lag on, sample ``switch``.
-
-    :func:`_drive_sums` takes these sums in closed form for the whole grid
-    in one pass, over the Fourier orders of :func:`_kernel_orders` and the
-    kernel table of :func:`_sweep_plan`, and adds the ``switch`` samples of
-    the head one by one, in blocks of whole points.  A drive that needs too
-    many kernels for it is evaluated per sample instead
-    (:func:`_sampled_sums`).
+    With both copies running, the net phase is ``A cos(omega t + phi)``,
+    ``A = 2 peak sin(omega lag / 2)`` and ``phi = -omega lag / 2``, so the
+    port intensity ``c`` and ``c**2`` are Fourier series in ``omega t``,
+    whose orders ``-M .. M`` (:func:`_sweep_orders`) :func:`_drive_series`
+    gives, in blocks of at most ``_BLOCK_ELEMENTS`` orders.  Under the Hann
+    window ``w`` and the unit phasor ``e`` of a point, only the order that
+    stands still in ``c e`` survives a sum over the trace: the projection
+    ``sum w c e`` is ``sum(w)`` times order -1 of ``c``, and with ``u = w
+    e``, ``sum c**2 |u|**2`` and ``sum c**2 u**2`` are ``sum(w**2)`` times
+    orders 0 and -2 of ``c**2``.  Their real and imaginary parts give the
+    three second moments of ``c u``, which times ``sigma**2`` are the
+    covariance of the point's noise.
     """
-    omegas = 2.0 * math.pi * freqs
-    lag = _delay_lag_s(event, channel)
-    switch = int(np.count_nonzero(np.arange(n) / sample_rate_hz < lag))
+    omega_lag = 2.0 * math.pi * freqs * _delay_lag_s(event, channel)
     peak = event.params.peak_phase_rad
-    orders = _kernel_orders(peak, n, freqs.size)
-    plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz, orders)
-    args = (n, sample_rate_hz, switch, peak, channel.bias_phase_rad,
-            input_power_w, plan.w)
-    if orders is None:
-        projections, moments = _sampled_sums(omegas, lag, *args)
-    else:
-        projections, moments = _drive_sums(omegas, omegas * lag, plan.table,
-                                           *args)
-    for array in (projections, moments):
-        array.flags.writeable = False
-    return _SweepResponse(projections, moments, plan)
-
-
-def _sampled_sums(omegas: np.ndarray, lag: float, n: int,
-                  sample_rate_hz: float, switch: int, peak: float,
-                  bias: float, input_power_w: float,
-                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections and ``c u`` moments of :func:`_sweep_response` at
-    angular frequencies ``omegas``, sample by sample, in blocks of whole
-    points of at most ``_BLOCK_ELEMENTS`` samples: one
-    :func:`_unit_phasors` table ``e`` per block gives the drive, the drive
-    ``lag`` seconds late (from sample ``switch`` on) and the projection."""
-    on = np.arange(n) >= switch
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    projections = np.empty(omegas.size, dtype=complex)
-    moments = np.empty((3, omegas.size))
-    for lo in range(0, omegas.size, rows):
-        omega = omegas[lo:lo + rows]
-        e = _unit_phasors(omega, n, sample_rate_hz)
-        delayed = (e * np.exp(-1j * omega * lag)[:, None]).imag
-        gpd = peak * (e.imag - delayed * on) + bias
-        c = _port_intensity(gpd, input_power_w)
-        projections[lo:lo + rows] = np.sum(
-            w * (c - c.mean(axis=1, keepdims=True)) * e, axis=1)
-        we = w * e
-        cu = c * (we - we.mean(axis=1, keepdims=True))
-        re, im = cu.real, cu.imag
-        moments[:, lo:lo + rows] = [np.einsum("ij,ij->i", re, re),
-                                    np.einsum("ij,ij->i", re, im),
-                                    np.einsum("ij,ij->i", im, im)]
-    return projections, moments
-
-
-def _hann_sums(kappa: np.ndarray, count: int) -> np.ndarray:
-    """``T_p = sum(w_j**p exp(i kappa j) for j < count)`` under the Hann
-    window ``w`` of ``count`` samples, one row per power ``p = 0, 1, 2``.
-
-    ``w**p`` is ``sum_l _HANN_POWERS[p, l] exp(i l beta j)``, ``l = -2 ..
-    2`` and ``beta = 2 pi / (count - 1)`` (F. J. Harris, Proc. IEEE 66, 51
-    (1978)), so ``T_p`` sums those weights times the Dirichlet kernels
-    ``D(y) = sum(exp(2i y j) for j < count) = exp(i (count - 1) y)
-    sin(count y) / sin(y)`` at ``y = x + l beta / 2``, with ``x`` the
-    half-angle ``kappa / 2`` reduced mod pi.  The five share one phase,
-    ``exp(i (count - 1) y) = (-1)**l exp(i (count - 1) x)``, so the sums
-    run over their real ratios ``sin(count y) / sin(y)``, ``count`` where
-    ``sin(y)`` is 0, and the phase multiplies the three.  Both sines of a
-    ratio are taken at the same ``y``: a ratio stays right where a shifted
-    kernel meets a multiple of pi, which sines of ``y`` built from those
-    of ``x`` by angle addition would not.
-    """
-    half = 0.5 * kappa
-    x = half - math.pi * np.rint(half / math.pi)
-    shifts = np.arange(-2, 3)
-    y = np.add.outer((math.pi / (count - 1)) * shifts, x)
-    sin_y = np.sin(y)
-    ratios = np.divide(np.sin(count * y), sin_y, where=sin_y != 0.0,
-                       out=np.full_like(y, float(count)))
-    sums = np.tensordot(_HANN_POWERS * (-1.0) ** shifts, ratios, axes=1)
-    return sums * np.exp(1j * (count - 1) * x)
-
-
-def _drive_sums(omega: np.ndarray, lag_phase: np.ndarray, kernels: np.ndarray,
-                n: int, sample_rate_hz: float, switch: int, peak: float,
-                bias: float, input_power_w: float,
-                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections and ``c u`` moments of :func:`_sweep_response` at
-    angular frequencies ``omega``: the whole trace in closed form as if
-    both copies ran from sample 0, plus the head before sample ``switch``
-    sample by sample.
-
-    With ``theta = omega / fs``, both copies give the net phase ``A
-    cos(theta j + phi)``, ``A = 2 peak sin(lag_phase / 2)`` and ``phi =
-    -lag_phase / 2``, so ``c`` and ``c**2`` are Fourier series in ``theta
-    j``, whose orders ``-M .. M`` :func:`_drive_series` gives.  So every
-    sum is one of ``T_p(k) = sum_j w_j**p exp(i k theta j)`` under the Hann
-    window ``w`` times a coefficient: ``kernels`` holds :func:`_hann_sums`
-    of these ``theta`` for ``k = 0 .. M + 2``, and ``T_p(-k)`` is the
-    conjugate of ``T_p(k)``.
-    In the head only the clockwise copy runs (``A = peak``, ``phi =
-    -pi/2``): each sum adds ``sum_j w_j**p exp(i s theta j) (c1_j**q -
-    c2_j**q)`` there, with ``c1`` the intensity of that copy and ``c2``
-    that of both, from one :func:`_unit_phasors` table per block of whole
-    points of at most ``_BLOCK_ELEMENTS`` head samples.
-    """
-    orders = kernels.shape[2] - 3
-    window = np.concatenate(
-        [kernels[:, :, orders:0:-1].conj(), kernels], axis=2)
+    orders = _sweep_orders(peak)
+    bias = channel.bias_phase_rad
 
     def powers(phase):
         c = _port_intensity(bias + phase, input_power_w)
         return c, c * c
 
-    series = _drive_series(powers, 2.0 * peak * np.sin(0.5 * lag_phase),
-                           orders, -0.5 * lag_phase)
-    # Sum w c e, sum c; sum c^2 w^2, sum c^2 w e, sum c^2 and
-    # sum c^2 w^2 e^2, with e^s = exp(i s theta j): c^q w^p e^s.
-    terms = ((0, 1, 1), (0, 0, 0), (1, 2, 0), (1, 1, 1), (1, 0, 0),
-             (1, 2, 2))
-    span = 2 * orders + 1
-    sums = [np.sum(series[q] * window[p, :, s:s + span], axis=-1)
-            for q, p, s in terms]
-    if switch > 0:
-        w_head = w[:switch]
-        w_powers = (1.0, w_head, w_head * w_head)
-        rows = max(1, _BLOCK_ELEMENTS // switch)
-        for lo in range(0, omega.size, rows):
-            e = _unit_phasors(omega[lo:lo + rows], switch, sample_rate_hz)
-            late = (e * np.exp(-1j * lag_phase[lo:lo + rows])[:, None]).imag
-            head = np.subtract(powers(peak * e.imag),
-                               powers(peak * (e.imag - late)))
-            e_powers = (1.0, e, e * e)
-            for row, (q, p, s) in enumerate(terms):
-                sums[row][lo:lo + rows] += np.sum(
-                    head[q] * w_powers[p] * e_powers[s], axis=-1)
-    wce, c_sum, ccww, ccwe, cc, ccwwee = sums
-    mu = window[1, :, orders + 1] / n  # mean(w e) over the trace
-    # With u = w e - mu: Q0 = sum c^2 |u|^2, Q2 = sum c^2 u^2.
-    q0 = (ccww - 2.0 * mu.conj() * ccwe + (mu * mu.conj()) * cc).real
-    q2 = ccwwee - 2.0 * mu * ccwe + mu * mu * cc.real
-    moments = [0.5 * (q0 + q2.real), 0.5 * q2.imag, 0.5 * (q0 - q2.real)]
-    return wce - c_sum.real * mu, np.array(moments)
+    # Orders -1 of c, 0 of c**2 and -2 of c**2, one row each.
+    picked = np.empty((3, freqs.size), dtype=complex)
+    rows = max(1, _BLOCK_ELEMENTS // (2 * orders + 1))
+    for lo in range(0, freqs.size, rows):
+        c, cc = _drive_series(
+            powers, 2.0 * peak * np.sin(0.5 * omega_lag[lo:lo + rows]),
+            orders, -0.5 * omega_lag[lo:lo + rows])
+        picked[:, lo:lo + rows] = (c[:, orders - 1], cc[:, orders],
+                                   cc[:, orders - 2])
+    plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz)
+    power = float(plan.w @ plan.w)
+    q0, q2 = power * picked[1].real, power * picked[2]
+    projections = plan.weight * picked[0]
+    moments = np.array([0.5 * (q0 + q2.real), 0.5 * q2.imag,
+                        0.5 * (q0 - q2.real)])
+    for array in (projections, moments):
+        array.flags.writeable = False
+    return _SweepResponse(projections, moments, plan)
 
 
 def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,

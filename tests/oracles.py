@@ -4,8 +4,11 @@ These deliberately avoid the closed forms under test: the port probability
 oracle integrates the spectral density numerically, and the Taylor bound
 evaluates position differences directly.  The small-signal tone amplitude
 is the first-order formula whose zeros define the null frequencies.  The
-swept-sine oracle is the point-by-point definition, with its own tone
-projection, that the block evaluation must equal to rounding.  The
+swept-sine response of a settled drive is kept twice: from Bessel values,
+the reference for the sweep's Fourier series to rounding, and point by
+point, a trace and its own tone projection per frequency, which the sweep
+must match away from the points where sampling folds the drive's
+harmonics onto its tone.  The
 per-round key oracle draws every BB84 round that the count-level engine
 summarizes in one multinomial draw, and the sampled window mean of the
 loop phase's harmonics is the reference for the closed-form means of a
@@ -32,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import jv
 
 from sagnacsim import perception, qkd
 from sagnacsim.disturbance import DisturbanceEvent, PztParams
@@ -169,31 +173,41 @@ def tone_amplitude(trace, frequency_hz: float) -> float:
     return 2.0 * abs(np.sum(w * x * phasor)) / w.sum()
 
 
-def hann_power_sums(kappa, n: int) -> np.ndarray:
-    """``sum(w_j**p exp(i kappa j) for j < n)`` for ``p = 0, 1, 2``, one
-    row per power, then the shape of ``kappa``: the ``n``-sample Hann
-    window ``w_j = 0.5 - 0.5 cos(2 pi j / (n - 1))`` and every phasor
-    ``exp(i kappa j)`` taken term by term in extended precision
-    (``np.longdouble``), as ``exp(i kappa s q) exp(i kappa r)`` for ``j = s
-    q + r`` with ``s = isqrt(n) + 1``."""
-    kappa = np.asarray(kappa, dtype=float)
-    step = math.isqrt(n) + 1
-    j = np.arange(n, dtype=np.longdouble)
-    w = 0.5 - 0.5 * np.cos(2.0 * np.arccos(np.longdouble(-1.0)) * j
-                           / (n - 1))
-    powers = np.stack([np.ones_like(w), w, w * w]).T
-    r = np.arange(step, dtype=np.longdouble)
+def steady_state_response(event, channel, frequencies_hz, n: int,
+                          input_power_w=DEFAULT_INPUT_POWER_W):
+    """The settled drive's Hann-weighted tone at each grid frequency, from
+    Bessel values (``scipy.special.jv``): ``(projections, moments)`` in the
+    layout of ``perception._SweepResponse`` for ``n``-sample traces.
 
-    def phasors(angle):
-        return np.cos(angle) + 1j * np.sin(angle)
-
-    flat = kappa.reshape(-1, 1).astype(np.longdouble)
-    sums = np.empty((flat.size, 3), dtype=complex)
-    for lo in range(0, flat.size, 256):
-        k = flat[lo:lo + 256]
-        e = phasors(k * (step * r))[:, :, None] * phasors(k * r)[:, None, :]
-        sums[lo:lo + 256] = e.reshape(k.size, -1)[:, :n] @ powers
-    return sums.T.reshape(3, *kappa.shape)
+    Both copies run, so the net phase is ``A cos(s + phi)`` in ``s = omega
+    t``, ``A = 2 peak sin(omega lag / 2)``, ``phi = -omega lag / 2`` and
+    ``lag = n (L - 2x) / c``.  With ``Y = b + A cos(s + phi)``, order ``m``
+    of ``cos Y`` is ``J_m(A) cos(b + m pi / 2) exp(i m phi)`` (Jacobi–
+    Anger), so order -1 of ``c = I0 (1 + cos Y)`` is ``-I0 sin(b) J_1(A)
+    exp(-i phi)``: a tone amplitude ``2 I0 |sin b| |J_1(A)|``.  Orders 0
+    and -2 of ``c**2 = I0**2 (1.5 + 2 cos Y + 0.5 cos 2Y)`` are ``I0**2
+    (1.5 + 2 J_0(A) cos b + 0.5 J_0(2A) cos 2b)`` and ``-I0**2 (2 J_2(A)
+    cos b + 0.5 J_2(2A) cos 2b) exp(-2i phi)``.  Under the Hann window
+    ``w`` the projection is ``sum(w)`` times order -1 of ``c``, and ``sum
+    c**2 |w e|**2`` and ``sum c**2 (w e)**2`` are ``sum(w**2)`` times
+    orders 0 and -2 of ``c**2``.
+    """
+    freqs = np.asarray(frequencies_hz, dtype=float)
+    lag = channel.refractive_index * (channel.length_m
+                                      - 2.0 * event.position_m) / C
+    omega_lag = 2.0 * math.pi * freqs * lag
+    a = 2.0 * event.params.peak_phase_rad * np.sin(0.5 * omega_lag)
+    turn = np.exp(0.5j * omega_lag)  # exp(-i phi)
+    b, i0 = channel.bias_phase_rad, input_power_w
+    c_tone = -i0 * math.sin(b) * jv(1, a) * turn
+    cc_mean = i0**2 * (1.5 + 2.0 * jv(0, a) * math.cos(b)
+                       + 0.5 * jv(0, 2.0 * a) * math.cos(2.0 * b))
+    cc_twice = -i0**2 * (2.0 * jv(2, a) * math.cos(b) + 0.5 * jv(
+        2, 2.0 * a) * math.cos(2.0 * b)) * turn**2
+    w = np.hanning(n)
+    q0, q2 = np.sum(w * w) * cc_mean, np.sum(w * w) * cc_twice
+    return w.sum() * c_tone, np.array([0.5 * (q0 + q2.real), 0.5 * q2.imag,
+                                       0.5 * (q0 - q2.real)])
 
 
 def point_by_point_sweep(event, channel, frequencies_hz, *,
@@ -201,9 +215,10 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
                          sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
                          noise_sigma=DEFAULT_NOISE_SIGMA,
                          input_power_w=DEFAULT_INPUT_POWER_W,
-                         seed=None) -> FrequencySweep:
-    """Swept-sine response one grid point at a time: a fresh drive event,
-    trace and tone measurement per frequency, then the drive-off floor."""
+                         seed=None, settle_s=1.0) -> FrequencySweep:
+    """Swept-sine response one grid point at a time: a fresh drive event
+    switched on at 0 s, a trace of it from ``settle_s`` on and its tone
+    measurement per frequency, then the drive-off floor."""
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
     rng = np.random.default_rng(seed)
@@ -216,7 +231,8 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
                                  start_s=0.0)
         trace = synthesize_trace(
             (point,), channel, duration_s, sample_rate_hz, noise_sigma,
-            seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
+            seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w,
+            start_s=settle_s)
         amps[i] = tone_amplitude(trace, f)
     quiet = synthesize_trace(
         (), channel, duration_s, sample_rate_hz, noise_sigma,

@@ -16,8 +16,7 @@ _GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0).tobytes()
 #: Arguments of one call of each cache keyed on values.
 VALUE_KEYED = {
     "fileio._flat_encoder": [(1,)],
-    "perception._sweep_plan": [(_GRID, 2000, 200e3, 22),
-                               (_GRID, 2000, 200e3, None)],
+    "perception._sweep_plan": [(_GRID, 2000, 200e3)],
     "perception._welch_plan": [(128, 200e3)],
     "qkd._harmonic_plan": [(1.0, 1e-6, 0.4)],
     "qkd._steady_class_probabilities": [(0.01, 1e-6, 0.4)],

@@ -569,6 +569,23 @@ class TestBadInput:
         assert any(p.startswith(f"{key}:") for p in record["problems"])
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["perceive", "integrated"])
+    def test_drive_too_strong_to_sweep_exits_2(self, tmp_path, capsys,
+                                               command):
+        # A 6100 rad drive: its sweep series would need more than 2**15
+        # Fourier orders.
+        cfg = write_json(tmp_path / "strong.json", {"disturbances": [
+            dict(_README_PZT, drive_amplitude_v=1.0,
+                 phase_gain_rad_per_v=6100.0)]})
+        assert run_cli(command, "--config", cfg,
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert record["problems"] == [
+            "disturbances[0].phase_gain_rad_per_v: 6100.0 gives a 6100.0 "
+            "rad drive, whose sweep needs more than 32768 Fourier orders"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, option, content",
                              list(_BAD_FILES.values()), ids=list(_BAD_FILES))
     def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys,

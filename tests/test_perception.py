@@ -31,10 +31,11 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   window_phase_means)
 
 from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
-                     fresh_welch_psd, hann_power_sums, masked_significance,
+                     fresh_welch_psd, masked_significance,
                      per_candidate_trace_nulls, point_by_point_sweep,
                      position_from_null, sampled_phase_means,
-                     tone_amplitude, two_sided_position_span)
+                     steady_state_response, tone_amplitude,
+                     two_sided_position_span)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -533,66 +534,66 @@ class TestReport:
 # The acceptance-4 grid: 293 points, 2 kHz to 75 kHz in 250 Hz steps.
 ACCEPTANCE_GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0)
 
+# The README drive: 1.2 V at 0.5 rad/V.
+README_PEAK_RAD = 0.6
 
-class TestBlockSweep:
-    """Without noise, the sweep equals the point-by-point definition to
-    rounding: every amplitude and the noise floor within 1e-11 of the
-    largest amplitude.  With noise, the amplitudes and the floor at fixed
-    grid points have the distribution of the definition."""
+
+def alias_points(grid, peak, fs=perception.DEFAULT_SAMPLE_RATE_HZ):
+    """Grid points where sampling folds a harmonic of the drive onto its
+    tone: the sampled drive repeats every ``q = fs / gcd(f, fs)`` samples,
+    so harmonics ``q - 1`` and ``q + 1`` fold onto ``f``, and a point is
+    taken where ``|J_(q-1)(2 peak)|``, the largest such harmonic can be,
+    exceeds 1e-6 of the intensity."""
+    q = np.array([fs / math.gcd(int(f), int(fs)) for f in grid])
+    return np.abs(jv(q - 1, 2.0 * peak)) > 1e-6
+
+
+class TestFrequencySweep:
+    """The sweep reads the settled drive behind an ideal anti-alias
+    filter.  Without noise it matches the point-by-point tone measurement
+    of traces of the settled drive within 1e-5 of its largest amplitude,
+    away from the points where sampling folds the drive's harmonics onto
+    the tone, and its noise floor to rounding.  With noise, amplitudes at
+    fixed grid points have the distribution of that measurement."""
 
     @staticmethod
-    def assert_same_without_noise(event, grid, **kwargs):
+    def assert_matches_settled_traces(event, grid, **kwargs):
         got = frequency_sweep(event, channel(), grid, noise_sigma=0.0,
                               **kwargs)
         want = point_by_point_sweep(event, channel(), grid, noise_sigma=0.0,
                                     **kwargs)
-        # The largest amplitude, or the rounding scale of the intensity
-        # where the response is exactly 0 (the midpoint).
-        scale = max(want.amplitudes.max(),
-                    np.finfo(float).eps * DEFAULT_INPUT_POWER_W)
-        atol = 1e-11 * scale
+        scale = want.amplitudes.max()
+        away = ~alias_points(got.frequencies_hz,
+                             event.params.peak_phase_rad)
         assert np.array_equal(got.frequencies_hz, want.frequencies_hz)
-        np.testing.assert_allclose(got.amplitudes, want.amplitudes,
-                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(got.amplitudes[away],
+                                   want.amplitudes[away], rtol=0,
+                                   atol=1e-5 * scale)
         np.testing.assert_allclose(got.noise_floor_amplitude,
-                                   want.noise_floor_amplitude,
-                                   rtol=0, atol=atol)
-        return got
+                                   want.noise_floor_amplitude, rtol=0,
+                                   atol=1e-11 * scale)
+        return got, away
 
-    @pytest.mark.parametrize("x, delta_d", [(7000.0, 0.08), (5000.0, 0.05)])
-    def test_acceptance_grid(self, x, delta_d):
-        self.assert_same_without_noise(pzt_event(x, 500.0, delta_d),
-                                       ACCEPTANCE_GRID, duration_s=0.01)
+    @pytest.mark.parametrize("x", [1000.0, 5000.0, 9000.0, 13000.0,
+                                   14500.0])
+    def test_readme_drive_matches_settled_traces(self, x):
+        _, away = self.assert_matches_settled_traces(
+            pzt_event(x, 3000.0, README_PEAK_RAD), ACCEPTANCE_GRID)
+        # 25, 40, 50 and 75 kHz repeat every 8, 5, 4 and 8 samples.
+        assert ACCEPTANCE_GRID[~away].tolist() == [25e3, 40e3, 50e3, 75e3]
 
-    @pytest.mark.parametrize("points", [3, 17, 40])
-    def test_grid_not_a_multiple_of_the_block(self, points):
-        grid = 3000.0 + 410.0 * np.arange(points)
-        self.assert_same_without_noise(pzt_event(4000.0, 500.0, 0.1), grid,
-                                       duration_s=0.0123)
+    def test_long_trace(self):
+        # 40 000 samples a trace.
+        self.assert_matches_settled_traces(
+            pzt_event(5000.0, 500.0, 0.1), [9000.0, 10250.0, 11500.0],
+            duration_s=0.2)
 
-    def test_block_of_one_point(self):
-        # 40 000 samples per trace: more than a block of the sampled loop
-        # holds.
-        self.assert_same_without_noise(pzt_event(5000.0, 500.0, 0.1),
-                                       [9000.0, 10250.0, 11500.0],
-                                       duration_s=0.2)
-
-    @pytest.mark.parametrize("x", [L / 2, 0.8 * L])
-    def test_midpoint_and_far_branch(self, x):
-        event = pzt_event(x, 500.0, 0.1)
-        grid = ACCEPTANCE_GRID[:50]
-        if x != L / 2:
-            self.assert_same_without_noise(event, grid)
-            return
-        # The drive cancels: each engine gives zero to its own rounding,
-        # which is below any scale taken from the response itself.
-        got, want = (sweep(event, channel(), grid, noise_sigma=0.0)
-                     for sweep in (frequency_sweep, point_by_point_sweep))
-        for sweep in (got, want):
-            assert sweep.amplitudes.max() < 1e-15 * DEFAULT_INPUT_POWER_W
-        np.testing.assert_allclose(
-            got.noise_floor_amplitude, want.noise_floor_amplitude, rtol=0,
-            atol=1e-11 * np.finfo(float).eps * DEFAULT_INPUT_POWER_W)
+    def test_midpoint_cancels_the_drive(self):
+        # Both copies cancel: every amplitude is zero to the rounding of
+        # the intensity.
+        sweep = frequency_sweep(pzt_event(L / 2, 500.0, 0.1), channel(),
+                                ACCEPTANCE_GRID, noise_sigma=0.0)
+        assert sweep.amplitudes.max() < 1e-15 * DEFAULT_INPUT_POWER_W
 
     def test_floor_reads_seventeen_fixed_points(self):
         # The floor of the 293-point grid is the median tone amplitude of
@@ -608,59 +609,30 @@ class TestBlockSweep:
         want = np.median([measure_tone_amplitude(quiet, f) for f in probes])
         assert sweep.noise_floor_amplitude == pytest.approx(want, rel=1e-12)
 
-    def test_three_sample_sweep(self):
-        self.assert_same_without_noise(pzt_event(5000.0, 500.0, 0.1),
-                                       [2000.0, 2250.0, 2500.0, 2750.0],
-                                       duration_s=1.5e-5)
-
-    # Two-sample Kolmogorov-Smirnov tests of the noisy sweep against the
-    # definition, each over its own fixed seeds: each amplitude of the grid
-    # and the floor must not be rejected at ALPHA.
+    # Two-sample Kolmogorov-Smirnov test of the noisy sweep against the
+    # point-by-point measurement, each over its own fixed seeds: each
+    # amplitude and the floor must not be rejected at ALPHA.
     ALPHA = 1e-3
     RUNS = 1000
     # At 5 km the first null lies at c / (n (L - 2x)), the peak at half of
-    # it; at 50 kHz, fs / 4, the third harmonic of the drive folds onto
-    # the tone.
+    # it.
     NULL_HZ = C_VACUUM / (N_FIBER * (L - 2 * 5000.0))
-    FIXED_POINTS = [NULL_HZ / 2, NULL_HZ, 50e3]
 
-    def assert_same_distribution(self, event, grid, **kwargs):
+    def test_noise_at_null_and_peak(self):
+        event = pzt_event(5000.0, 500.0, 0.6)
+        points = [self.NULL_HZ / 2, self.NULL_HZ, 37e3]
+
         def draws(sweep, seeds):
-            runs = [sweep(event, channel(), grid, seed=int(seed), **kwargs)
+            runs = [sweep(event, channel(), points, seed=int(seed))
                     for seed in seeds]
             return np.array([[*r.amplitudes, r.noise_floor_amplitude]
                              for r in runs])
 
         got = draws(frequency_sweep, range(self.RUNS))
-        want = draws(point_by_point_sweep,
-                     range(self.RUNS, 2 * self.RUNS))
+        want = draws(point_by_point_sweep, range(self.RUNS, 2 * self.RUNS))
         p_values = [ks_2samp(got[:, i], want[:, i]).pvalue
                     for i in range(got.shape[1])]
         assert min(p_values) > self.ALPHA, p_values
-
-    @pytest.mark.parametrize("block_samples", [None, 16_000, 1],
-                             ids=["closed-form", "three-points-a-block",
-                                  "a-point-a-block"])
-    def test_noise_at_null_peak_and_fold(self, monkeypatch, block_samples):
-        # 2000-sample traces.  The closed form takes the grid in one pass;
-        # the per-sample branch, forced, takes it in blocks of whole
-        # points, the smallest of one point, as a grid point of more than
-        # half the block's elements does.
-        if block_samples is not None:
-            monkeypatch.setattr(perception, "_SAMPLES_PER_ORDER", 2001)
-            monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", block_samples)
-        self.assert_same_distribution(pzt_event(5000.0, 500.0, 0.6),
-                                      self.FIXED_POINTS, duration_s=0.01)
-
-    @pytest.mark.parametrize("duration_s, delta_d", [(1.5e-5, 0.1),
-                                                     (8e-5, 0.6)],
-                             ids=["three-samples", "sixteen-samples"])
-    def test_noise_of_short_sweeps(self, duration_s, delta_d):
-        # Over 16 samples a tone turns a fifth of a cycle, so the real and
-        # imaginary noise differ in variance and correlate.
-        self.assert_same_distribution(pzt_event(5000.0, 500.0, delta_d),
-                                      [2000.0, 2250.0, 2500.0, 2750.0],
-                                      duration_s=duration_s)
 
     @pytest.mark.parametrize("noise_sigma, generators",
                              [(0.0019, 2), (0.0, 1)])
@@ -708,18 +680,30 @@ class TestBlockSweep:
         assert str(got.value) == ("sample rate 200000.0 Hz cannot represent "
                                   "a disturbance extending to 127500.0 Hz")
 
+    def test_strong_drive_rejected_before_any_trace(self, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("synthesized a trace")
+
+        monkeypatch.setattr(perception, "synthesize_trace", no_trace)
+        with pytest.raises(ValueError,
+                           match="^phase_gain_rad_per_v: 6100.0 gives a "
+                                 "6100.0 rad drive, whose sweep needs more "
+                                 "than 32768 Fourier orders$"):
+            frequency_sweep(pzt_event(5000.0, 500.0, 6100.0), channel(),
+                            ACCEPTANCE_GRID, seed=1)
+
     @pytest.mark.parametrize("grid, message", [
         ([3000.0, 2500.0, 4000.0], "strictly ascending"),
         ([2000.0, 2500.0, 2500.0, 3000.0], "strictly ascending"),
         ([2000.0, 2500.0], ">= 3 points"),
         ([[2000.0, 2500.0, 3000.0]], ">= 3 points"),
     ])
-    def test_grid_checked_before_any_block(self, monkeypatch, grid, message):
-        def no_block(*args, **kwargs):
-            raise AssertionError("evaluated a block")
+    def test_grid_checked_before_any_series(self, monkeypatch, grid,
+                                            message):
+        def no_series(*args, **kwargs):
+            raise AssertionError("took a drive series")
 
-        for kernel in ("_drive_sums", "_sampled_sums"):
-            monkeypatch.setattr(perception, kernel, no_block)
+        monkeypatch.setattr(perception, "_drive_series", no_series)
         with pytest.raises(ValueError, match=message):
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
 
@@ -741,134 +725,62 @@ class TestBlockSweep:
 
 
 class TestSweepResponse:
-    """The closed-form sweep response against the same response taken
-    sample by sample (``_sampled_sums``), each branch forced: every
-    projection within 1e-13 of ``I0 sum(w)``, and every second moment of
-    ``c u`` within 1e-12 of the point's total ``a + b``.  The per-sample
-    branch itself is held to the per-point sweep by the three- and
-    sixteen-sample sweeps of ``TestBlockSweep``, which take it."""
+    """The sweep's Fourier series against the settled drive's response
+    from Bessel values (:func:`steady_state_response`): every projection
+    within 1e-13 of ``I0 sum(w)`` and every second moment of ``c u``
+    within 1e-13 of ``I0**2 sum(w**2)``.  Bound: the cosines' arguments,
+    up to ``4 peak`` = 240 rad for the 60 rad drive, round by about 240
+    eps = 5e-14, and the FFT adds about eps log2(nodes); the worst seen is
+    1.6e-14."""
 
     FS = perception.DEFAULT_SAMPLE_RATE_HZ
 
-    def response(self, event, n, grid=ACCEPTANCE_GRID, bias=0.5 * math.pi,
-                 fs=FS):
+    def response(self, event, n=2000, grid=ACCEPTANCE_GRID,
+                 bias=0.5 * math.pi):
         return perception._sweep_response(
-            event, channel(bias), np.asarray(grid, dtype=float), n, fs,
+            event, channel(bias), np.asarray(grid, dtype=float), n, self.FS,
             DEFAULT_INPUT_POWER_W)
 
-    def assert_matches_sampled(self, monkeypatch, event, grid, n,
-                               bias=0.5 * math.pi, fs=FS):
-        with monkeypatch.context() as patch:
-            patch.setattr(perception, "_SAMPLES_PER_ORDER", n + 1)
-            want = self.response(event, n, grid, bias, fs)
-        with monkeypatch.context() as patch:
-            # Every drive to the closed form, whatever its orders cost.
-            orders = perception._bessel_orders(
-                4.0 * event.params.peak_phase_rad, 10**6)
-            patch.setattr(
-                perception, "_sampled_sums",
-                lambda omegas, lag, n, fs, *args: perception._drive_sums(
-                    omegas, omegas * lag, perception._hann_sums(
-                        np.multiply.outer(omegas / fs,
-                                          np.arange(orders + 3)), n),
-                    n, fs, *args))
-            got = self.response(event, n, grid, bias, fs)
-        weight = np.hanning(n).sum()
-        assert np.all(np.abs(got.projections - want.projections)
-                      <= 1e-13 * DEFAULT_INPUT_POWER_W * weight)
-        total = want.moments[0] + want.moments[2]
-        assert np.all(np.abs(got.moments - want.moments) <= 1e-12 * total)
+    def assert_matches_bessel(self, event, bias=0.5 * math.pi, n=2000):
+        got = self.response(event, n, bias=bias)
+        projections, moments = steady_state_response(
+            event, channel(bias), ACCEPTANCE_GRID, n)
+        w = np.hanning(n)
+        i0 = DEFAULT_INPUT_POWER_W
+        assert np.all(np.abs(got.projections - projections)
+                      <= 1e-13 * i0 * w.sum())
+        assert np.all(np.abs(got.moments - moments)
+                      <= 1e-13 * i0 * i0 * np.sum(w * w))
         return got
 
-    def kernels_called(self, monkeypatch, event, n, fs=FS,
-                       grid=ACCEPTANCE_GRID):
-        """Names of the kernels ``_sweep_response`` calls for ``event``,
-        each as often as it is called."""
-        calls = []
-        with monkeypatch.context() as patch:
-            for name in ("_drive_sums", "_sampled_sums"):
-                def spy(*args, _kernel=getattr(perception, name),
-                        _name=name):
-                    calls.append(_name)
-                    return _kernel(*args)
-                patch.setattr(perception, name, spy)
-            self.response(event, n, grid, fs=fs)
-        return calls
+    @pytest.mark.parametrize("peak", [README_PEAK_RAD, 60.0],
+                             ids=["readme", "60-rad"])
+    @pytest.mark.parametrize("x", [1000.0, 5000.0, 9000.0, 13000.0,
+                                   14500.0, 22000.0])
+    def test_matches_bessel_values(self, x, peak):
+        # Beyond the midpoint the lag is negative.
+        self.assert_matches_bessel(pzt_event(x, 3000.0, peak))
 
-    @pytest.mark.parametrize("x", [1500.0, 5000.0, 9000.0, 13500.0,
-                                   L / 2 - 1.0, L / 2, 22000.0, 28500.0])
-    def test_acceptance_grid(self, monkeypatch, x):
-        # The README drive, 0.6 rad; beyond the midpoint the lag is
-        # negative and every sample sees both copies.
-        event = pzt_event(x, 3000.0, 0.6)
-        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 2000)
-        assert self.kernels_called(monkeypatch, event, 2000) == [
-            "_drive_sums"]
-
-    def test_fold_points(self, monkeypatch):
-        # At fs / 4 and fs / 8 a harmonic of the drive folds onto a
-        # multiple of the sample rate: kernels at half-angles of pi.
-        self.assert_matches_sampled(
-            monkeypatch, pzt_event(5000.0, 500.0, 0.6),
-            [TestBlockSweep.NULL_HZ / 2, TestBlockSweep.NULL_HZ, 25e3, 50e3],
-            2000)
-
-    @pytest.mark.parametrize("n, x", [(3, 1500.0), (16, 5000.0)],
-                             ids=["three-samples-before-the-switch",
-                                  "sixteen-samples"])
-    def test_short_sweeps(self, monkeypatch, n, x):
-        # 3 samples end before the counterclockwise copy starts (a 132 us
-        # lag).
-        self.assert_matches_sampled(monkeypatch, pzt_event(x, 500.0, 0.6),
-                                    [2000.0, 2250.0, 2500.0, 2750.0], n)
-
-    def test_head_longer_than_the_kernels(self, monkeypatch):
-        # At 2 MHz the 132 us lag is 265 head samples, twice the 125
-        # kernels of a point of the 0.6 rad drive.
-        event = pzt_event(1500.0, 3000.0, 0.6)
-        fs = 2e6
-        lag = perception._delay_lag_s(event, channel())
-        assert math.ceil(lag * fs) == 265
-        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID,
-                                    2000, fs=fs)
-
-    def test_head_is_the_whole_trace(self, monkeypatch):
-        # At 400 kHz, 40 samples end before the counterclockwise copy
-        # starts.  At one sample an order the closed form takes them,
-        # 293 points in blocks of 96 (125 kernels and 40 head samples).
-        event = pzt_event(1500.0, 3000.0, 0.6)
-        fs = 4e5
-        assert perception._delay_lag_s(event, channel()) * fs > 40
-        monkeypatch.setattr(perception, "_SAMPLES_PER_ORDER", 1)
-        assert self.kernels_called(monkeypatch, event, 40, fs) == [
-            "_drive_sums"]
-        self.assert_matches_sampled(monkeypatch, event, ACCEPTANCE_GRID, 40,
-                                    fs=fs)
+    @pytest.mark.parametrize("bias", [1.0, math.pi])
+    def test_matches_bessel_values_off_quadrature(self, bias):
+        # Off quadrature the even orders of c enter c**2.
+        self.assert_matches_bessel(pzt_event(5000.0, 3000.0, 0.6), bias)
 
     def test_points_do_not_depend_on_their_block(self, monkeypatch):
-        # Per sample, forced: 8 points a block, then 1.
-        event = pzt_event(1500.0, 3000.0, 0.6)
-        monkeypatch.setattr(perception, "_SAMPLES_PER_ORDER", 2001)
-        blocked = self.response(event, 2000)
+        event = pzt_event(1500.0, 3000.0, 60.0)
+        blocked = self.response(event)
         monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", 1)
-        alone = self.response(event, 2000)
+        alone = self.response(event)
         assert np.array_equal(alone.projections, blocked.projections)
         assert np.array_equal(alone.moments, blocked.moments)
 
-    def test_dark_bias_gives_exact_zeros(self, monkeypatch):
+    def test_dark_bias_gives_exact_zeros(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = self.assert_matches_sampled(
-                monkeypatch, pzt_event(L / 2, 500.0, 0.6),
-                ACCEPTANCE_GRID[:20], 2000, bias=math.pi)
+            got = self.response(pzt_event(L / 2, 500.0, 0.6),
+                                grid=ACCEPTANCE_GRID[:20], bias=math.pi)
         assert np.all(got.projections == 0.0)
         assert np.all(got.moments == 0.0)
-
-    def test_long_trace(self, monkeypatch):
-        # 40 000 samples, more than a block of the per-sample path holds.
-        self.assert_matches_sampled(
-            monkeypatch, pzt_event(5000.0, 500.0, 0.1),
-            [9000.0, 10250.0, 11500.0], 40_000)
 
     @pytest.mark.parametrize("z", [0.0, 1e-3, 2.4, 120.0])
     def test_dropped_orders_are_negligible(self, z):
@@ -908,98 +820,30 @@ class TestSweepResponse:
         assert np.max(np.abs(c - want_c)) <= 1e-12 * i0
         assert np.max(np.abs(cc - want_cc)) <= 1e-12 * i0**2
 
-    @pytest.mark.parametrize("n, branch", [(2211, "_drive_sums"),
-                                           (2210, "_sampled_sums")])
-    def test_large_peak_on_each_branch(self, monkeypatch, n, branch):
-        # A 30 rad drive keeps orders -198 .. 198, 201 kernel orders of
-        # 11 samples each: the closed form from 2211 samples on.
-        event = pzt_event(5000.0, 500.0, 30.0)
-        self.assert_matches_sampled(monkeypatch, event,
-                                    ACCEPTANCE_GRID[::40], n)
-        assert self.kernels_called(monkeypatch, event, n) == [branch]
-
-    def test_closed_form_takes_the_grid_in_one_pass(self, monkeypatch):
-        # Whatever the block bound, which only the per-sample branch reads.
-        event = pzt_event(5000.0, 3000.0, 0.6)
-        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", 1)
-        assert self.kernels_called(monkeypatch, event, 2000) == [
-            "_drive_sums"]
-
-    def test_long_head_goes_in_bounded_blocks(self, monkeypatch):
-        # At 2 MHz a drive 1 m from the end of the loop starts the
-        # counterclockwise copy at sample 294 of 300: the head is nearly
-        # the whole trace.  Whatever the block bound, one pass takes the
-        # kernels, every head table holds at most _BLOCK_ELEMENTS samples
-        # but one row, and the points come out the same.
-        event = pzt_event(1.0, 3000.0, 0.6)
-        fs, n = 2e6, 300
-        switch = math.ceil(perception._delay_lag_s(event, channel()) * fs)
-        assert switch == 294
-        heads = []
-        unit_phasors = perception._unit_phasors
-
-        def spy(omegas, count, rate):
-            if count == switch:
-                heads.append(len(omegas) * count)
-            return unit_phasors(omegas, count, rate)
-
-        monkeypatch.setattr(perception, "_unit_phasors", spy)
-        want = self.assert_matches_sampled(monkeypatch, event,
-                                           ACCEPTANCE_GRID, n, fs=fs)
-        for bound in (3 * switch, 1, 10**9):
-            heads.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(perception, "_BLOCK_ELEMENTS", bound)
-                assert self.kernels_called(monkeypatch, event, n, fs) == [
-                    "_drive_sums"]
-                got = self.response(event, n, fs=fs)
-            assert heads and max(heads) <= max(bound, switch)
-            assert np.array_equal(got.projections, want.projections)
-            assert np.array_equal(got.moments, want.moments)
-
-    @pytest.mark.parametrize("points, branch", [(293, "_drive_sums"),
-                                                (294, "_sampled_sums")])
-    def test_plan_kernel_bound_on_each_branch(self, monkeypatch, points,
-                                              branch):
-        # The README drive keeps 25 kernel orders a point; with the bound
-        # at 293 x 25, the acceptance grid takes exactly that many kernels
-        # a power, and one point more is past it.
-        event = pzt_event(5000.0, 3000.0, 0.6)
-        grid = 2000.0 + 250.0 * np.arange(points)
-        assert perception._kernel_orders(0.6, 2000, 293) + 3 == 25
-        monkeypatch.setattr(perception, "_PLAN_KERNELS", 293 * 25)
-        self.assert_matches_sampled(monkeypatch, event, grid, 2000)
-        assert self.kernels_called(monkeypatch, event, 2000,
-                                   grid=grid) == [branch]
+    def test_order_cap(self):
+        # The series of c**2 reaches 4 peak: the cap of 2**15 orders falls
+        # at about 6020.8 rad, and past it the orders read one more.
+        cap = perception._PHASE_SAMPLES // 2
+        assert perception._sweep_orders(6020.0) <= cap
+        assert perception._sweep_orders(6021.0) == cap + 1
+        assert perception._sweep_orders(0.0) == 2
 
 
 class TestSweepPlan:
-    """The cached plan of a sweep: the kernel table it holds for the whole
-    grid against the kernels computed afresh, and one plan for every drive
-    whose grid, trace length and kernel orders agree."""
+    """The cached plan of a sweep, one for every drive whose grid, trace
+    length and sample rate agree, gives the responses and sweeps a fresh
+    one does."""
 
     FS = perception.DEFAULT_SAMPLE_RATE_HZ
 
     @staticmethod
-    def plan_of(event, n=2000, grid=ACCEPTANCE_GRID, fs=FS):
-        grid = np.asarray(grid, dtype=float)
-        return perception._sweep_plan(
-            grid.tobytes(), n, fs, perception._kernel_orders(
-                event.params.peak_phase_rad, n, grid.size))
+    def plan_of(n=2000, grid=ACCEPTANCE_GRID, fs=FS):
+        return perception._sweep_plan(np.asarray(grid, dtype=float).tobytes(),
+                                      n, fs)
 
-    @pytest.mark.parametrize("peak", [0.06, 0.6, 6.0, 15.0])
-    def test_table_equals_the_whole_grids_kernels(self, peak):
-        n = 2000
-        orders = perception._kernel_orders(peak, n, ACCEPTANCE_GRID.size)
-        theta = 2.0 * math.pi * ACCEPTANCE_GRID / self.FS
-        assert np.array_equal(
-            self.plan_of(pzt_event(5000.0, 3000.0, peak), n).table,
-            perception._hann_sums(
-                np.multiply.outer(theta, np.arange(orders + 3)), n))
-
-    @pytest.mark.parametrize("peak, n", [(0.6, 2000), (30.0, 2000),
+    @pytest.mark.parametrize("peak, n", [(0.6, 2000), (60.0, 2000),
                                          (0.6, 16)],
-                             ids=["closed-form", "per-sample", "short"])
+                             ids=["readme", "60-rad", "short"])
     def test_cold_and_warm_responses_are_equal(self, peak, n):
         event = pzt_event(5000.0, 3000.0, peak)
 
@@ -1023,39 +867,16 @@ class TestSweepPlan:
         assert warm_sweep.noise_floor_amplitude == \
             cold_sweep.noise_floor_amplitude
 
-    @pytest.mark.parametrize("peak", [0.6, 15.0])
-    def test_kernels_past_the_plan_are_sampled(self, monkeypatch, peak):
-        # One kernel a power past the bound: no table, and the response of
-        # the per-sample branch, forced here by the order cost.
-        event = pzt_event(5000.0, 3000.0, peak)
-
-        def response():
-            return perception._sweep_response(
-                event, channel(), ACCEPTANCE_GRID, 2000, self.FS,
-                DEFAULT_INPUT_POWER_W)
-
-        orders = perception._kernel_orders(peak, 2000, ACCEPTANCE_GRID.size)
-        with monkeypatch.context() as patch:
-            patch.setattr(perception, "_SAMPLES_PER_ORDER", 2001)
-            sampled = response()
-        monkeypatch.setattr(perception, "_PLAN_KERNELS",
-                            ACCEPTANCE_GRID.size * (orders + 3) - 1)
-        assert self.plan_of(event).table is None
-        past = response()
-        assert np.array_equal(past.projections, sampled.projections)
-        assert np.array_equal(past.moments, sampled.moments)
-
     def test_cached_arrays_are_read_only(self):
-        plan = self.plan_of(pzt_event(5000.0, 3000.0, 0.6))
+        plan = self.plan_of()
         response = perception._sweep_response(
             pzt_event(5000.0, 3000.0, 0.6), channel(), ACCEPTANCE_GRID,
             2000, self.FS, DEFAULT_INPUT_POWER_W)
-        assert self.plan_of(pzt_event(9000.0, 3000.0, 0.6)) is plan
-        for array in (plan.w, plan.probes, plan.table, response.projections,
+        assert response.plan is plan
+        for array in (plan.w, plan.probes, response.projections,
                       response.moments):
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
-        assert self.plan_of(pzt_event(5000.0, 3000.0, 30.0)).table is None
 
     def test_two_drives_of_a_scenario_share_one_plan(self):
         script = parse_config_dict(CONFIGS["two_pzt"]).scenario
@@ -1067,89 +888,17 @@ class TestSweepPlan:
         info = perception._sweep_plan.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
-    def test_grid_length_and_orders_each_key_a_plan(self):
+    def test_grid_length_and_rate_each_key_a_plan(self):
         perception._sweep_plan.cache_clear()
-        event = pzt_event(5000.0, 3000.0, 0.6)
         for kwargs in ({}, {"grid": ACCEPTANCE_GRID[1:]}, {"n": 1999},
                        {"fs": 2e5 + 1.0}):
-            self.plan_of(event, **kwargs)
-        self.plan_of(pzt_event(5000.0, 3000.0, 1.2))
-        assert perception._sweep_plan.cache_info().currsize == 5
-
-
-class TestHannSums:
-    """The closed-form window sums ``T_p(kappa)`` of the sweep against the
-    direct sum :func:`hann_power_sums`, within 1e-12 n plus what reducing
-    ``kappa / 2`` by ``m pi`` in floats costs: the half-angle moves by
-    about ``m eps``, and the phase of term ``j`` by ``2 j`` times that."""
-
-    @staticmethod
-    def assert_matches_direct(kappa, n):
-        got = perception._hann_sums(kappa, n)
-        want = hann_power_sums(kappa, n)
-        assert got.shape == want.shape == (3, *np.shape(kappa))
-        turns = np.abs(kappa) / (2.0 * math.pi)
-        tol = n * (1e-12 + n * np.finfo(float).eps * turns)
-        assert np.all(np.abs(got - want) <= tol)
-        return got
-
-    @staticmethod
-    def orders(theta, peak=0.6, n=2000):
-        """``k theta`` for the orders ``k = 0 .. M + 2`` that
-        ``_drive_sums`` takes for a drive of ``peak`` rad."""
-        most = perception._bessel_orders(
-            4.0 * peak, n // perception._SAMPLES_PER_ORDER)
-        return np.multiply.outer(theta, np.arange(most + 3))
-
-    def test_every_order_of_the_acceptance_grid(self):
-        n = 2000
-        kappa = self.orders(2 * math.pi * ACCEPTANCE_GRID / 200e3)
-        got = self.assert_matches_direct(kappa, n)
-        # Where k theta is a whole number of turns the half-angle reduces
-        # to exactly 0: at order 0, and at every fourth order at 50 kHz.
-        half = 0.5 * kappa
-        turns = half - math.pi * np.rint(half / math.pi) == 0.0
-        assert np.count_nonzero(turns) == 319
-        assert np.all(turns[ACCEPTANCE_GRID == 50e3, ::4])
-        assert np.all(got[0][turns] == n)
-
-    @pytest.mark.parametrize("miss", [1e-6, -1e-6, 1e-9])
-    def test_shifted_kernel_near_a_multiple_of_pi(self, miss):
-        # At order 3 of this drive the half-angle x lies pi / (n - 1) -
-        # miss short of a multiple of pi, so the kernel shifted by one Hann
-        # step nearly meets it: sin(n y) / sin(y) of two small numbers.
-        n, fs = 2000, 200e3
-        f_hz = fs * (1.0 - 1.0 / (n - 1) + miss / math.pi) / 3.0
-        kappa = self.orders(np.array([2 * math.pi * f_hz / fs]))
-        x = 1.5 * kappa[0, 1] - math.pi
-        assert abs(x + math.pi / (n - 1) - miss) < 1e-3 * abs(miss)
-        self.assert_matches_direct(kappa, n)
-
-    @pytest.mark.parametrize("n, step_hz", [(2001, 100.0), (1001, 200.0)])
-    def test_shifted_kernel_on_a_multiple_of_pi(self, n, step_hz):
-        # On these grids k theta / 2 + l pi / (n - 1), l != 0, is a whole
-        # number of half-turns at some orders, which the float sum misses
-        # only by rounding.
-        grid = np.arange(2000.0, 75000.0 + step_hz, step_hz)
-        kappa = self.orders(2 * math.pi * grid / 200e3, n=n)
-        half = 0.5 * kappa
-        x = half - math.pi * np.rint(half / math.pi)
-        hits = np.zeros(kappa.shape, dtype=bool)
-        for shift in (-2, -1, 1, 2):
-            y = x + shift * math.pi / (n - 1)
-            hits |= np.abs(y - math.pi * np.rint(y / math.pi)) < 1e-12
-        assert np.count_nonzero(hits) > 10
-        self.assert_matches_direct(kappa[hits], n)
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 16, 40])
-    def test_short_windows(self, n):
-        # Few samples: Hann steps of up to pi / 2 move a kernel's angle
-        # onto or past a multiple of pi.
-        kappa = np.array([0.0, 1e-9, 0.5 * math.pi, math.pi, 1.234,
-                          2.0 * math.pi / 3.0, 2.0 * math.pi, 3.0 * math.pi,
-                          2.0 * math.pi / (n - 1), math.pi / (n - 1),
-                          -4.0 * math.pi / (n - 1), 17.0])
-        self.assert_matches_direct(kappa, n)
+            self.plan_of(**kwargs)
+        # A drive of any strength shares the plan of its grid.
+        for peak in (0.6, 60.0):
+            perception._sweep_response(
+                pzt_event(5000.0, 3000.0, peak), channel(), ACCEPTANCE_GRID,
+                2000, self.FS, DEFAULT_INPUT_POWER_W)
+        assert perception._sweep_plan.cache_info().currsize == 4
 
 
 class TestCorrelatedNormals:

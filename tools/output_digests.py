@@ -26,8 +26,8 @@ from sagnacsim.fileio import read_trace  # noqa: E402
 # The README PZT scenario, the same drive at 4000 m from 3.5 s with a second
 # one at 9000 m from 0 s, the README drive at 32768 Hz (twice a period at
 # 2**16 samples a second), the README drive at a gain of 50 rad/V (a 60 rad
-# peak, strong enough that the sweep takes its per-sample branch), the
-# impact of the CLI tests, and a standing weight polled every 1.5 s with the
+# peak, whose sweep's lowest null lies below the in-loop floor, so perceive
+# exits 3), the impact of the CLI tests, and a standing weight polled every 1.5 s with the
 # default WM noise.
 PZT = {"kind": "pzt", "position_m": 5000.0, "start_s": 3.0,
        "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
