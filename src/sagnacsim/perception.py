@@ -689,10 +689,10 @@ def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float) -> _SweepPlan:
 
 
 def _sweep_orders(peak: float) -> int:
-    """Fourier orders ``M`` of the sweep series of a drive of ``peak`` rad:
-    :func:`_bessel_orders` of the ``4 peak`` that ``c**2`` reaches, at
-    least 2, and ``_PHASE_SAMPLES // 2 + 1`` for a drive past that cap."""
-    return max(2, _bessel_orders(4.0 * peak, _PHASE_SAMPLES // 2))
+    """Fourier orders ``M`` that ``c**2`` holds under a drive of ``peak``
+    rad: :func:`_bessel_orders` of the ``4 peak`` it reaches, and
+    ``_PHASE_SAMPLES // 2 + 1`` for a drive past that cap."""
+    return _bessel_orders(4.0 * peak, _PHASE_SAMPLES // 2)
 
 
 def _strong_drive_problem(params: PztParams) -> Optional[str]:
@@ -715,10 +715,13 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     With both copies running, the net phase is ``A cos(omega t + phi)``,
     ``A = 2 peak sin(omega lag / 2)`` and ``phi = -omega lag / 2``, so the
     port intensity ``c`` and ``c**2`` are Fourier series in ``omega t``,
-    whose orders ``-M .. M`` (:func:`_sweep_orders`) :func:`_drive_series`
-    gives, in blocks of at most ``_BLOCK_ELEMENTS`` orders.  Under the Hann
-    window ``w`` and the unit phasor ``e`` of a point, only the order that
-    stands still in ``c e`` survives a sum over the trace: the projection
+    of orders ``-M .. M`` (:func:`_sweep_orders`).  Only orders 0, -1 and
+    -2 are read, and no order of ``c**2`` folds onto them while
+    :func:`_drive_series` takes more than ``M + 2`` nodes, which ``(M +
+    2) // 2`` orders give; the grid goes in blocks of at most
+    ``_BLOCK_ELEMENTS`` orders.  Under the Hann window ``w`` and the unit
+    phasor ``e`` of a point, only the order that stands still in ``c e``
+    survives a sum over the trace: the projection
     ``sum w c e`` is ``sum(w)`` times order -1 of ``c``, and with ``u = w
     e``, ``sum c**2 |u|**2`` and ``sum c**2 u**2`` are ``sum(w**2)`` times
     orders 0 and -2 of ``c**2``.  Their real and imaginary parts give the
@@ -727,7 +730,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     """
     omega_lag = 2.0 * math.pi * freqs * _delay_lag_s(event, channel)
     peak = event.params.peak_phase_rad
-    orders = _sweep_orders(peak)
+    orders = max(2, (_sweep_orders(peak) + 2) // 2)
     bias = channel.bias_phase_rad
 
     def powers(phase):

@@ -826,7 +826,22 @@ class TestSweepResponse:
         cap = perception._PHASE_SAMPLES // 2
         assert perception._sweep_orders(6020.0) <= cap
         assert perception._sweep_orders(6021.0) == cap + 1
-        assert perception._sweep_orders(0.0) == 2
+
+    @pytest.mark.parametrize("peak", [1e-9, 0.6, 60.0])
+    def test_read_orders_take_no_fold(self, monkeypatch, peak):
+        # Orders 0, -1 and -2 from (M + 2) // 2 orders equal those from
+        # all M orders to rounding: nothing folds onto them.
+        event = pzt_event(5000.0, 3000.0, peak)
+        half = self.response(event)
+        m = perception._sweep_orders(peak)
+        monkeypatch.setattr(perception, "_sweep_orders",
+                            lambda peak: 2 * m + 2)
+        full = self.response(event)
+        i0, w = DEFAULT_INPUT_POWER_W, np.hanning(2000)
+        assert np.all(np.abs(half.projections - full.projections)
+                      <= 1e-14 * i0 * w.sum())
+        assert np.all(np.abs(half.moments - full.moments)
+                      <= 1e-14 * i0 * i0 * np.sum(w * w))
 
 
 class TestSweepPlan:
