@@ -76,7 +76,8 @@ MAX_NOTCH_DEPTH_DB = 3000.0
 
 
 #: Most scan points times sweep samples a sweep may evaluate: about 55
-#: times the default 293-point grid of 2000-sample traces.
+#: times the default 293-point grid of 2000-sample traces.  It bounds the
+#: scan points times the Fourier orders of a drive's sweep series too.
 _MAX_SWEEP_WORK = 32_000_000
 
 #: Most elements a block of rows may hold, whole rows and at least one:
@@ -153,12 +154,17 @@ class PerceptionSettings(Checked):
         if problems:
             raise ConfigError(problems)
 
-    def _scan_grid_problems(self) -> list[str]:
-        # The length and last value of scan_grid(), found without building
-        # it: np.arange fills start + i * ((start + step) - start).
+    def _scan_points(self) -> int:
+        """Length of :meth:`scan_grid`, found without building it,
+        ``math.inf`` past the float range."""
         steps = (self.scan_max_hz + self.scan_step_hz
                  - self.scan_min_hz) / self.scan_step_hz
-        points = math.ceil(steps) if math.isfinite(steps) else math.inf
+        return math.ceil(steps) if math.isfinite(steps) else math.inf
+
+    def _scan_grid_problems(self) -> list[str]:
+        # The last value of scan_grid(), found without building it:
+        # np.arange fills start + i * ((start + step) - start).
+        points = self._scan_points()
         if points < 3:
             return [f"scan_step_hz: {self.scan_step_hz} leaves {points} scan "
                     f"points from scan_min_hz to scan_max_hz; a sweep needs "
@@ -197,9 +203,9 @@ class PerceptionSettings(Checked):
         """Why this perception cannot record dynamic ``event``, keyed by
         the parameter that sets its band, ``_BAND``: the band must pass
         :func:`_band_aliases` at the sample rate, and a transient's trace
-        may hold at most ``MAX_TRACE_SAMPLES`` samples.  A drive's sweep
-        series may need at most ``_PHASE_SAMPLES // 2`` Fourier orders
-        (:func:`_sweep_orders`), a problem of its gain key."""
+        may hold at most ``MAX_TRACE_SAMPLES`` samples.  A drive must pass
+        :func:`_strong_drive_problem` over the scan grid, a problem of its
+        gain key."""
         key, band = event.params._BAND, event.params.band_hz
         value = getattr(event.params, key)
         if _band_aliases(band, self.sample_rate_hz):
@@ -207,7 +213,7 @@ class PerceptionSettings(Checked):
                     f"Hz, not below half the perception sample_rate_hz "
                     f"{self.sample_rate_hz}"]
         if isinstance(event.params, PztParams):
-            problem = _strong_drive_problem(event.params)
+            problem = _strong_drive_problem(event.params, self._scan_points())
             return [problem] if problem else []
         if key == "width_s":
             n = _sample_count(self.trace_duration_s(event.params),
@@ -621,7 +627,7 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     _check_sweep_grid(freqs)
     if _band_aliases(freqs[-1], sample_rate_hz):
         raise _aliasing_error(float(freqs[-1]), sample_rate_hz)
-    problem = _strong_drive_problem(event.params)
+    problem = _strong_drive_problem(event.params, freqs.size)
     if problem:
         raise ValueError(problem)
     rng = np.random.default_rng(seed)
@@ -695,15 +701,22 @@ def _sweep_orders(peak: float) -> int:
     return _bessel_orders(4.0 * peak, _PHASE_SAMPLES // 2)
 
 
-def _strong_drive_problem(params: PztParams) -> Optional[str]:
-    """Why a drive of ``params`` cannot be swept, as a problem of its gain
-    key, or ``None``: its series needs more than ``_PHASE_SAMPLES // 2``
-    Fourier orders, from about 6000 rad on."""
-    if _sweep_orders(params.peak_phase_rad) <= _PHASE_SAMPLES // 2:
+def _strong_drive_problem(params: PztParams, points: int) -> Optional[str]:
+    """Why a drive of ``params`` cannot be swept over ``points`` grid
+    points, as a problem of its gain key, or ``None``: its series needs
+    more than ``_PHASE_SAMPLES // 2`` Fourier orders ``M``, from about 6020
+    rad on, or the ``M + 3`` or so orders that :func:`_sweep_response`
+    takes a point come to more than ``_MAX_SWEEP_WORK`` over the grid."""
+    orders = _sweep_orders(params.peak_phase_rad)
+    if orders > _PHASE_SAMPLES // 2:
+        why = f"more than {_PHASE_SAMPLES // 2} Fourier orders"
+    elif points * (orders + 3) > _MAX_SWEEP_WORK:
+        why = (f"{orders + 3} Fourier orders at each of {points} scan "
+               f"points, more than {_MAX_SWEEP_WORK} in all")
+    else:
         return None
     return (f"{params._GAIN}: {getattr(params, params._GAIN)} gives a "
-            f"{params.peak_phase_rad} rad drive, whose sweep needs more "
-            f"than {_PHASE_SAMPLES // 2} Fourier orders")
+            f"{params.peak_phase_rad} rad drive, whose sweep needs {why}")
 
 
 def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,

@@ -1124,6 +1124,41 @@ class TestSettingsThatCannotSweep:
         # Fifty times the default grid's work still sweeps.
         assert PerceptionSettings(scan_step_hz=5.0).scan_grid().size == 14601
 
+    def test_drive_series_work_bounded(self, monkeypatch):
+        # The README drive keeps M = 22 orders, 25 a point: with the bound
+        # at 293 x 25 the default grid sweeps and one point more does not.
+        # The problem names the drive's gain, in settings and sweeps alike.
+        # 3-sample sweeps keep the samples rule out of play.
+        event = pzt_event(5000.0, 3000.0, 0.6)
+        assert perception._sweep_orders(0.6) == 22
+        monkeypatch.setattr(perception, "_MAX_SWEEP_WORK", 293 * 25)
+        short = 1.5e-5
+        assert PerceptionSettings(
+            sweep_duration_s=short).event_problems(event) == []
+        frequency_sweep(event, channel(), ACCEPTANCE_GRID, seed=1,
+                        duration_s=short)
+        wider = PerceptionSettings(sweep_duration_s=short,
+                                   scan_max_hz=75250.0)
+        want = ("phase_gain_rad_per_v: 0.6 gives a 0.6 rad drive, whose "
+                "sweep needs 25 Fourier orders at each of 294 scan points, "
+                "more than 7325 in all")
+        assert wider.event_problems(event) == [want]
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            frequency_sweep(event, channel(), wider.scan_grid(), seed=1,
+                            duration_s=short)
+
+    def test_fine_grid_of_short_sweeps_bounds_a_strong_drive(self):
+        # 3-sample sweeps over 2.4 million points pass the samples rule,
+        # and so do a weak drive's 9 orders a point; a 60 rad drive's 366
+        # would not.
+        settings = PerceptionSettings(sweep_duration_s=1.5e-5,
+                                      scan_step_hz=0.03)
+        assert settings.event_problems(pzt_event(5000.0, 3000.0, 1e-3)) == []
+        [problem] = settings.event_problems(pzt_event(5000.0, 3000.0, 60.0))
+        assert problem.startswith("phase_gain_rad_per_v: 60.0 gives a 60.0 "
+                                  "rad drive, whose sweep needs 366 Fourier "
+                                  "orders at each of 2433335 scan points")
+
     def test_endless_sweep_names_its_duration(self):
         for duration in (1e308, 100.0):
             with pytest.raises(ConfigError) as err:
