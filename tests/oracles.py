@@ -215,10 +215,11 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
                          sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
                          noise_sigma=DEFAULT_NOISE_SIGMA,
                          input_power_w=DEFAULT_INPUT_POWER_W,
-                         seed=None, settle_s=1.0) -> FrequencySweep:
+                         seed=None) -> FrequencySweep:
     """Swept-sine response one grid point at a time: a fresh drive event
-    switched on at 0 s, a trace of it from ``settle_s`` on and its tone
-    measurement per frequency, then the drive-off floor."""
+    switched on at 0 s, a trace of it from 1 s on, when both copies have
+    long been running, and its tone measurement per frequency, then the
+    drive-off floor."""
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
     rng = np.random.default_rng(seed)
@@ -232,7 +233,7 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
         trace = synthesize_trace(
             (point,), channel, duration_s, sample_rate_hz, noise_sigma,
             seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w,
-            start_s=settle_s)
+            start_s=1.0)
         amps[i] = tone_amplitude(trace, f)
     quiet = synthesize_trace(
         (), channel, duration_s, sample_rate_hz, noise_sigma,
