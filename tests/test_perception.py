@@ -575,7 +575,7 @@ class TestFrequencySweep:
         return got, away
 
     @pytest.mark.parametrize("x", [1000.0, 5000.0, 9000.0, 13000.0,
-                                   14500.0])
+                                   14500.0, 22000.0, 28500.0])
     def test_readme_drive_matches_settled_traces(self, x):
         _, away = self.assert_matches_settled_traces(
             pzt_event(x, 3000.0, README_PEAK_RAD), ACCEPTANCE_GRID)
@@ -755,22 +755,42 @@ class TestSweepResponse:
 
     @pytest.mark.parametrize("peak", [README_PEAK_RAD, 60.0],
                              ids=["readme", "60-rad"])
-    @pytest.mark.parametrize("x", [1000.0, 5000.0, 9000.0, 13000.0,
-                                   14500.0, 22000.0])
+    @pytest.mark.parametrize("x", [1000.0, 1500.0, 5000.0, 9000.0,
+                                   13000.0, 13500.0, 14500.0, 14999.0,
+                                   15000.0, 22000.0, 28500.0])
     def test_matches_bessel_values(self, x, peak):
-        # Beyond the midpoint the lag is negative.
+        # Beyond the midpoint the lag is negative; at it the drive cancels.
         self.assert_matches_bessel(pzt_event(x, 3000.0, peak))
+
+    @pytest.mark.parametrize("n", [16, 3],
+                             ids=["sixteen-samples", "three-samples"])
+    def test_short_sweeps(self, n):
+        # A 3-sample Hann window is [0, 1, 0]: one sample weighs the tone.
+        self.assert_matches_bessel(pzt_event(5000.0, 3000.0, 0.6), n=n)
 
     @pytest.mark.parametrize("bias", [1.0, math.pi])
     def test_matches_bessel_values_off_quadrature(self, bias):
         # Off quadrature the even orders of c enter c**2.
         self.assert_matches_bessel(pzt_event(5000.0, 3000.0, 0.6), bias)
 
-    def test_points_do_not_depend_on_their_block(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 3, 17, 40])
+    def test_points_do_not_depend_on_their_block(self, monkeypatch, rows):
+        # The 293 points are not a multiple of 3, 17 or 40 a block.
         event = pzt_event(1500.0, 3000.0, 60.0)
         blocked = self.response(event)
-        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS", 1)
+        orders = max(2, (perception._sweep_orders(60.0) + 2) // 2)
+        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS",
+                            rows * (2 * orders + 1))
+        sizes, drive_series = [], perception._drive_series
+
+        def sizing(f, amplitudes, *args):
+            sizes.append(amplitudes.size)
+            return drive_series(f, amplitudes, *args)
+
+        monkeypatch.setattr(perception, "_drive_series", sizing)
         alone = self.response(event)
+        whole, left = divmod(ACCEPTANCE_GRID.size, rows)
+        assert sizes == [rows] * whole + [left] * (left > 0)
         assert np.array_equal(alone.projections, blocked.projections)
         assert np.array_equal(alone.moments, blocked.moments)
 
