@@ -87,6 +87,13 @@ def _record_dicts(records) -> list[dict]:
             for r in records]
 
 
+def _located_dict(located: perception.LocalizationReport) -> dict:
+    """A localization report as a dict, its nulls a list of dicts, without
+    an ``asdict`` deep copy."""
+    return {**vars(located),
+            "nulls": [dict(vars(null)) for null in located.nulls]}
+
+
 def _log_dicts(log) -> list[dict]:
     return [{
         "time_s": rec.time_s,
@@ -133,7 +140,8 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
             write_trace(out["trace.txt"], data)
             report["trace_file"] = "trace.txt"
         located = perception.locate(data, script.channel, settings)
-        report["localization"] = None if located is None else asdict(located)
+        report["localization"] = (None if located is None
+                                  else _located_dict(located))
         if located is None:
             report["diagnostic"] = ("no null frequency reached the depth "
                                     "threshold")
@@ -156,7 +164,7 @@ def _cmd_localize(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
         raise SagnacSimError(
             "no null frequency found in the supplied trace")
     report["trace_file"] = str(args.trace)
-    report["localization"] = asdict(located)
+    report["localization"] = _located_dict(located)
     return (f"position_m={float(located.position_m)!r} "
             f"resolution_m={float(located.resolution_m)!r}")
 
@@ -215,7 +223,7 @@ def _cmd_integrated(args, cfg: ScenarioConfig, out: dict,
     report["summary"] = qkd.session_summary(result.key_records)
     report["wm_readings"] = result.wm_readings
     report["localization_reports"] = [
-        asdict(r) for r in result.localization_reports]
+        _located_dict(r) for r in result.localization_reports]
     report["event_log"] = entries
     report["final_mode"] = result.final_mode.value
     return (f"final_mode={result.final_mode.value} "

@@ -177,16 +177,24 @@ def impact_phase(t, params: ImpactParams, center_s: float = 0.0):
 
     Unit-peak Gaussian of width ``width_s`` scaled by
     ``impact_gain * m * sqrt(2 g h)``; identically zero beyond
-    :attr:`ImpactParams.reach_s` from the center.
+    :attr:`ImpactParams.reach_s` from the center.  The Gaussian is
+    evaluated only at the times within that reach, in any order, and every
+    other time gets an exact ``0.0``.  A scalar time stays a scalar:
+    numpy's scalar ``** 2``, a ``pow`` call, can round apart from the
+    square its arrays take.
     """
+    def pulse(dt):
+        return params.peak_phase_rad * np.exp(-0.5 * (dt / params.width_s)
+                                               ** 2)
+
     t = np.asarray(t, dtype=float)
     dt = t - center_s
-    out = np.where(
-        np.abs(dt) <= params.reach_s,
-        params.peak_phase_rad * np.exp(-0.5 * (dt / params.width_s) ** 2),
-        0.0,
-    )
-    return out if out.ndim else float(out)
+    near = np.abs(dt) <= params.reach_s
+    if not t.ndim:
+        return float(pulse(dt)) if near else 0.0
+    out = np.zeros(t.shape)
+    out[near] = pulse(dt[near])
+    return out
 
 
 def pressure_delay(params: PressureParams) -> float:

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -56,21 +57,33 @@ def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
         path, "\n".join([header, *map(repr, trace.samples.tolist())]) + "\n")
 
 
+#: The line breaks of ``str.splitlines`` that a text-mode file does not end
+#: a line at: it ends one only at "\n", "\r" and "\r\n".
+_SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: The first line of a text, as ``str.splitlines`` ends it.
+_FIRST_LINE = re.compile(f"[^\n\r{_SPLITLINES_ONLY}]*")
+
+
 def read_trace(path: str | Path) -> InterferenceTrace:
     """Read a trace written by :func:`write_trace`: the sample is the last
     field of each non-blank body line, so files with a leading time column
-    read the same.
+    read the same.  Lines end at the breaks ``str.splitlines`` honours.
+
+    The text is read once to check it and take the header line; the body
+    is parsed by :func:`_sample_column`.
 
     Raises :class:`ConfigError` naming the file when it is missing,
     unreadable or malformed.
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("#"):
+        text = path.read_text(encoding="utf-8")
+        header = _FIRST_LINE.match(text).group()
+        if not header.startswith("#"):
             raise ValueError("missing trace header line")
         meta = {}
-        for token in lines[0].lstrip("#").split():
+        for token in header.lstrip("#").split():
             key, sep, value = token.partition("=")
             if not sep:
                 raise ValueError(f"malformed header token {token!r}")
@@ -78,11 +91,7 @@ def read_trace(path: str | Path) -> InterferenceTrace:
         for required in ("sample_rate_hz", "i0_w"):
             if required not in meta:
                 raise ValueError(f"header missing {required}")
-        body = lines[1:]
-        try:
-            samples = _sample_column(body)
-        except ValueError:
-            raise ValueError(_first_bad_line(body)) from None
+        samples = _sample_column(path, text, len(header))
         if samples.size == 0:
             raise ValueError("trace has no samples")
         return InterferenceTrace(
@@ -95,22 +104,44 @@ def read_trace(path: str | Path) -> InterferenceTrace:
         raise ConfigError([f"{path}: {exc}"]) from exc
 
 
-def _sample_column(lines: Sequence[str]) -> np.ndarray:
-    """The last whitespace-separated field of each line of ``lines`` as
-    floats, in one ``np.loadtxt`` call.
+def _sample_column(path: Path, text: str, body_start: int) -> np.ndarray:
+    """The samples of the trace file at ``path``, whose text is ``text``
+    and whose body starts at ``body_start``.
+
+    Where the file is a regular one, which reads the same again, and its
+    text holds no line break but those a text-mode file ends a line at, one
+    :func:`_last_fields` pass reads it again from ``path`` past its header
+    line; otherwise, as for a pipe, it reads the ``str.splitlines`` body
+    lines.  A body of blank lines gives an empty array without that pass,
+    as loadtxt only warns on it.  A rejected body raises ``ValueError``
+    naming its first bad line.
+    """
+    if not text[body_start:].strip():
+        return np.empty(0)
+    try:
+        if path.is_file() and not any(map(text.__contains__,
+                                          _SPLITLINES_ONLY)):
+            return _last_fields(path, skiprows=1)
+        return _last_fields(text.splitlines()[1:])
+    except ValueError:
+        raise ValueError(_first_bad_line(text.splitlines()[1:])) from None
+
+
+def _last_fields(source, skiprows: int = 0) -> np.ndarray:
+    """The last whitespace-separated field of each line of ``source``, a
+    path or a list of lines, after its first ``skiprows`` lines, as floats
+    in one ``np.loadtxt`` call.
 
     Blank lines are skipped; any other line whose last field is not a float
     literal raises ``ValueError``, with ``comments=None`` also one starting
-    with '#'.  loadtxt only warns on input without data, so blank lines
-    alone give an empty array here.
+    with '#'.
     """
-    if not any(map(str.strip, lines)):
-        return np.empty(0)
-    return np.loadtxt(lines, usecols=-1, ndmin=1, comments=None)
+    return np.loadtxt(source, skiprows=skiprows, usecols=-1, ndmin=1,
+                      comments=None, encoding="utf-8")
 
 
 def _first_bad_line(body: Sequence[str]) -> str:
-    """Name the first line of a trace ``body`` that :func:`_sample_column`
+    """Name the first of the trace ``body`` lines that :func:`_last_fields`
     rejects, counting the header as file line 1.
 
     Lines are read independently, so a bisection of the body finds it,
@@ -120,7 +151,8 @@ def _first_bad_line(body: Sequence[str]) -> str:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _sample_column(body[lo:mid])
+            if any(map(str.strip, body[lo:mid])):
+                _last_fields(body[lo:mid])
             lo = mid
         except ValueError:
             hi = mid

@@ -885,6 +885,11 @@ def _local_minima(values: np.ndarray, start: int, stop: int) -> np.ndarray:
                                   & (mid < values[start + 1:stop + 1]))
 
 
+#: How far (dB) short of the threshold a notch's depth may be and still be
+#: taken with ``math.log10``: far beyond the rounding of either form.
+_DEPTH_MARGIN_DB = 1e-6
+
+
 def _notches(freqs: np.ndarray, spectrum: np.ndarray, refine: np.ndarray,
              minima: np.ndarray, references, max_k: int,
              depth_threshold_db: float, tolerance_hz: Callable[[], float],
@@ -893,13 +898,27 @@ def _notches(freqs: np.ndarray, spectrum: np.ndarray, refine: np.ndarray,
     their ``references`` entry (one for all, or one each) reaches the
     threshold, a zero value at exactly it: each at the parabola vertex
     through ``refine``, harmonics assigned at ``tolerance_hz()``, read only
-    once there is a notch.  Without one ``missing`` is logged."""
+    once there is a notch.  Without one ``missing`` is logged.
+
+    One vectorized test of the positive ratios ``reference / value``
+    drops the minima more than ``_DEPTH_MARGIN_DB`` too shallow; only the
+    rest have their depth ``10 log10(ratio)`` taken with ``math.log10``,
+    which decides at the threshold (and rejects a zero ratio).
+    """
+    values = spectrum[minima]
+    ratios = np.divide(references, values, out=np.full(values.shape, np.inf),
+                       where=values > 0)
+    # Capped in the float range, where a deeper threshold keeps only
+    # ratios that math.log10 then decides.
+    bound = 10.0 ** min(0.1 * (depth_threshold_db - _DEPTH_MARGIN_DB),
+                        308.0)
+    near = ~((ratios > 0.0) & (ratios < bound))
     found_f: list[float] = []
     found_d: list[float] = []
-    for i, reference in zip(minima.tolist(), np.broadcast_to(
-            references, minima.shape).tolist()):
-        depth_db = (10.0 * math.log10(reference / spectrum[i])
-                    if spectrum[i] > 0 else depth_threshold_db)
+    for i, ratio, value in zip(minima[near].tolist(), ratios[near].tolist(),
+                               values[near].tolist()):
+        depth_db = (10.0 * math.log10(ratio) if value > 0
+                    else depth_threshold_db)
         if depth_db < depth_threshold_db:
             continue
         found_f.append(float(_parabolic_vertex(
@@ -972,19 +991,25 @@ def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
 def _local_medians(psd: np.ndarray, centres: np.ndarray, lo: int,
                    half_window: int) -> np.ndarray:
     """Median of ``psd[max(lo, i - half_window):i + half_window + 1]`` for
-    each centre ``i``: whole windows in one call, the few cut off by ``lo``
-    or by the end of the spectrum one at a time."""
-    medians = np.empty(centres.size)
-    whole = ((centres - half_window >= lo)
-             & (centres + half_window < psd.size))
-    if whole.any():
-        windows = sliding_window_view(psd, 2 * half_window + 1)
-        medians[whole] = np.median(windows[centres[whole] - half_window],
-                                   axis=1)
-    for j in np.flatnonzero(~whole):
-        i = centres[j]
-        medians[j] = np.median(psd[max(lo, i - half_window):
-                                   i + half_window + 1])
+    each centre ``i``, as ``np.median`` gives it, from one sort.
+
+    The windows of ``psd[lo:]`` padded by ``half_window`` NaNs at each end
+    are sorted row by row, so the ``m`` values of a window cut off by
+    ``lo`` or by the end come first.  Their middle value, or the mean of
+    the middle two for an even ``m``, is the median; a NaN among them
+    sorts to their end and makes it NaN.
+    """
+    pad = np.full(half_window, np.nan)
+    rows = np.sort(np.concatenate([pad, psd[lo:], pad])[
+        np.add.outer(centres - lo, np.arange(2 * half_window + 1))], axis=1)
+    count = (np.minimum(centres + half_window + 1, psd.size)
+             - np.maximum(centres - half_window, lo))
+    index = np.arange(centres.size)
+    medians = rows[index, count // 2]
+    even = count % 2 == 0
+    medians[even] = (rows[index[even], count[even] // 2 - 1]
+                     + medians[even]) / 2
+    medians[np.isnan(rows[index, count - 1])] = np.nan
     return medians
 
 

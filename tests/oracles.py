@@ -19,8 +19,8 @@ bracketed root finding where the library takes closed forms, and the
 small-angle contrast ratio is the approximation the exact one is compared
 against.  The trace writer, reader and notch scan are kept here one
 sample, line or candidate at a time, as the references the whole-column
-library code must equal byte for byte.  The key window's totals are kept
-as fancy-indexed sums over its class counts, and the Welch spectrum and
+library code must equal byte for byte; so is an impact's pulse, taken at
+every time.  The key window's totals are kept as fancy-indexed sums over its class counts, and the Welch spectrum and
 significance band as a window built afresh and boolean-mask copies, the
 references for the tally matrix, the cached Welch plan and the band
 slice, which must give identical values; so are the outcome
@@ -344,6 +344,40 @@ def per_candidate_trace_nulls(trace, max_k: int,
     bin_hz = freqs[1] - freqs[0]
     return perception._assign_harmonics(found_f, found_d, max_k,
                                         tolerance_hz=2.0 * bin_hz)
+
+
+def per_candidate_notches(freqs, spectrum, refine, minima, references,
+                          max_k: int, depth_threshold_db: float,
+                          tolerance_hz: float):
+    """:func:`sagnacsim.perception._notches` one minimum at a time, with a
+    ``math.log10`` depth for each."""
+    found_f: list[float] = []
+    found_d: list[float] = []
+    for i, reference in zip(minima.tolist(), np.broadcast_to(
+            references, minima.shape).tolist()):
+        depth_db = (10.0 * math.log10(reference / spectrum[i])
+                    if spectrum[i] > 0 else depth_threshold_db)
+        if depth_db < depth_threshold_db:
+            continue
+        found_f.append(float(perception._parabolic_vertex(
+            freqs[i - 1], freqs[i], freqs[i + 1],
+            refine[i - 1], refine[i], refine[i + 1])))
+        found_d.append(float(depth_db))
+    return perception._assign_harmonics(found_f, found_d, max_k,
+                                        tolerance_hz)
+
+
+def where_impact_phase(t, params, center_s: float = 0.0):
+    """:func:`sagnacsim.disturbance.impact_phase` with the Gaussian taken
+    at every time and ``np.where`` zeroing it beyond the reach."""
+    t = np.asarray(t, dtype=float)
+    dt = t - center_s
+    out = np.where(
+        np.abs(dt) <= params.reach_s,
+        params.peak_phase_rad * np.exp(-0.5 * (dt / params.width_s) ** 2),
+        0.0,
+    )
+    return out if out.ndim else float(out)
 
 
 def fancy_indexed_window_totals(counts) -> tuple[int, int, int, int]:

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sagnacsim import cli, controller, optics, qkd
@@ -54,18 +57,21 @@ def pzt_config(tmp_path):
     })
 
 
+_IMPACT_CONFIG = {
+    "duration_s": 6.0,
+    "seed": 5,
+    "perception": {"noise_sigma": 0.0008, "sense_duration_s": 0.0256},
+    "disturbances": [
+        {"kind": "impact", "position_m": 5000.0, "start_s": 1.0,
+         "mass_kg": 0.1, "drop_height_m": 0.1, "width_s": 1e-5,
+         "impact_gain": 2.0},
+    ],
+}
+
+
 @pytest.fixture
 def impact_config(tmp_path):
-    return write_json(tmp_path / "impact.json", {
-        "duration_s": 6.0,
-        "seed": 5,
-        "perception": {"noise_sigma": 0.0008, "sense_duration_s": 0.0256},
-        "disturbances": [
-            {"kind": "impact", "position_m": 5000.0, "start_s": 1.0,
-             "mass_kg": 0.1, "drop_height_m": 0.1, "width_s": 1e-5,
-             "impact_gain": 2.0},
-        ],
-    })
+    return write_json(tmp_path / "impact.json", _IMPACT_CONFIG)
 
 
 class TestIntegrated:
@@ -600,6 +606,107 @@ class TestBadInput:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert any(str(path) in p for p in record["problems"])
+
+
+# Every line break str.splitlines honours, and last fields the reader
+# rejects: not float literals, or not finite.
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029"]
+_BAD_SAMPLES = ["abc", "1,5", "0x1", "#", "1_0", "\u0661", "--1", "nan",
+                "-inf", "1e400"]
+
+
+@dataclass(frozen=True)
+class _ReferenceTrace:
+    """The work directory, config path, trace header line and sample lines
+    of the impact reference's ``perceive`` trace, and the localization
+    ``localize --trace`` reads from it."""
+
+    work: Path
+    config: str
+    header: str
+    body: list[str] = field(repr=False)
+    localization: dict = field(repr=False)
+
+
+@pytest.fixture(scope="class")
+def impact_trace(tmp_path_factory) -> _ReferenceTrace:
+    work = tmp_path_factory.mktemp("drawn-traces")
+    cfg = write_json(work / "impact.json", _IMPACT_CONFIG)
+    assert run_cli("perceive", "--config", cfg, "--out-dir", str(work),
+                   "--quiet") == 0
+    assert run_cli("localize", "--config", cfg, "--trace",
+                   str(work / "trace.txt"), "--out-dir", str(work / "ref"),
+                   "--quiet") == 0
+    header, *body = (work / "trace.txt").read_text().splitlines()
+    report = strict_json((work / "ref" / "report.json").read_text())
+    assert report["localization"] is not None
+    return _ReferenceTrace(work, cfg, header, body, report["localization"])
+
+
+class TestLocalizeDrawnTraceFiles:
+    """``localize --trace`` in process on drawn trace files: the impact
+    reference's trace with drawn line breaks, a time column or not and a
+    final break or not, which localizes as that trace does; the same with
+    one bad sample, a byte that is not UTF-8, or no samples; and an empty
+    file.  A run exits 0 or 2 and warns of nothing; exit 2 prints exactly
+    one JSON diagnostic, naming the file; every report.json is standard
+    JSON."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["good", "malformed", "not-utf8",
+                                 "header-only", "empty"]),
+           breaks=st.lists(st.sampled_from(_LINE_BREAKS), min_size=1,
+                           max_size=3),
+           time_column=st.booleans(), final=st.booleans(),
+           bad=st.sampled_from(_BAD_SAMPLES), where=st.floats(0.0, 1.0))
+    @example(kind="good", breaks=["\n"], time_column=False, final=True,
+             bad="abc", where=0.0)
+    def test_exit_0_or_2_with_one_diagnostic(self, impact_trace, kind,
+                                             breaks, time_column, final,
+                                             bad, where):
+        ref = impact_trace
+        lines = ([f"{k} {v}" for k, v in enumerate(ref.body)] if time_column
+                 else list(ref.body))
+        if kind == "malformed":
+            lines[int(where * (len(lines) - 1))] += " " + bad
+        elif kind == "header-only":
+            lines = []
+        lines = [ref.header, *lines]
+        text = "".join(line + breaks[k % len(breaks)]
+                       for k, line in enumerate(lines))
+        if not final:
+            text = text[:-len(breaks[(len(lines) - 1) % len(breaks)])]
+        data = text.encode()
+        if kind == "not-utf8":
+            cut = len(ref.header) + int(where * (len(data)
+                                                 - len(ref.header)))
+            data = data[:cut] + b"\xff" + data[cut:]
+        elif kind == "empty":
+            data = b""
+        path, out = ref.work / "drawn.txt", ref.work / "out"
+        path.write_bytes(data)
+        (out / "report.json").unlink(missing_ok=True)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_cli("localize", "--config", ref.config,
+                           "--trace", str(path), "--out-dir", str(out),
+                           "--quiet")
+        assert [str(w.message) for w in caught] == []
+        if kind == "good":
+            assert (code, err.getvalue()) == (0, "")
+            report = strict_json((out / "report.json").read_text())
+            assert report["localization"] == ref.localization
+            return
+        assert code == 2
+        [line] = err.getvalue().splitlines()
+        record = strict_json(line)
+        assert record["error"] == "validation"
+        assert [p.startswith(f"{path}: ") for p in record["problems"]] == \
+            [True]
+        assert not (out / "report.json").exists()
 
 
 class TestRealPulseCounts:

@@ -13,6 +13,8 @@ from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    pressure_delay, pzt_phase,
                                    single_pass_phase)
 
+from oracles import where_impact_phase
+
 
 class TestPzt:
     def test_zero_at_origin(self):
@@ -83,6 +85,46 @@ class TestImpact:
         # direct evaluation of the amplitude law
         assert impact_phase(0.0, lo) == pytest.approx(
             5.0 * 0.1 * math.sqrt(2 * g0 * 0.1), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(offsets=st.lists(st.sampled_from([-1.0, 1.0, 0.0, -0.0])
+                            | st.floats(-8.0, 8.0), max_size=30),
+           center_s=st.sampled_from([0.0, 1.0, -2.5e-3])
+           | st.floats(-10.0, 10.0),
+           width_s=st.sampled_from([1e-5, 1e-3]) | st.floats(1e-9, 1.0),
+           shuffle=st.randoms(use_true_random=False))
+    def test_same_bytes_as_the_where_form(self, offsets, center_s, width_s,
+                                          shuffle):
+        # Offsets in reaches from the centre, unsorted, with points exactly
+        # at -reach, 0 and +reach where the centre is 0 and just outside.
+        p = ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=width_s)
+        reach = p.reach_s
+        t = [center_s + x * reach for x in offsets]
+        t += [reach, -reach, np.nextafter(reach, 1.0),
+              np.nextafter(-reach, -1.0)] if center_s == 0.0 else []
+        shuffle.shuffle(t)
+        got = impact_phase(np.array(t), p, center_s=center_s)
+        want = where_impact_phase(np.array(t), p, center_s=center_s)
+        assert got.tobytes() == want.tobytes()
+        for one in t[:3]:
+            value = impact_phase(one, p, center_s=center_s)
+            assert type(value) is float
+            assert value.hex() == where_impact_phase(
+                one, p, center_s=center_s).hex()
+
+    def test_impact_outside_the_trace_is_all_positive_zeros(self):
+        p = ImpactParams(mass_kg=0.1, drop_height_m=0.1)
+        t = np.arange(5120) / 200e3
+        for center_s in (-1.0, 1.0, -p.reach_s - 1e-9):
+            got = impact_phase(t, p, center_s=center_s)
+            assert got.tobytes() == where_impact_phase(
+                t, p, center_s=center_s).tobytes()
+            assert got.tobytes() == np.zeros(t.size).tobytes()
+        # A 2-D grid keeps its shape.
+        grid = t[:12].reshape(3, 4)
+        assert impact_phase(grid, p).tobytes() == where_impact_phase(
+            grid, p).tobytes()
+        assert impact_phase(grid, p).shape == (3, 4)
 
     @given(w=st.floats(min_value=1e-6, max_value=1e-3))
     @settings(max_examples=50, deadline=None)

@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -64,6 +66,12 @@ _EDGE_SAMPLES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                  1.7976931348623157e308, -1.0, 0.1, 5.645e-3]
 
 
+# Every line break str.splitlines honours: a text-mode file, which numpy's
+# loadtxt reads from a path, ends a line only at the first three.
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029"]
+
+
 class TestWholeColumnTraceText:
     """write_trace and read_trace against their per-sample and per-line
     forms in tests/oracles.py."""
@@ -118,26 +126,41 @@ class TestWholeColumnTraceText:
                          "#", "1e400", ".5", "+7", "0x1", "1,5", ""]),
         max_size=4), max_size=6),
         sep=st.sampled_from([" ", "\t", "  ", " \t "]),
-        end=st.sampled_from(["\n", "\r\n"]))
+        ends=st.lists(st.sampled_from(_LINE_BREAKS), min_size=1, max_size=3),
+        final=st.booleans())
+    @example(rows=[], sep=" ", ends=["\n"], final=False)
+    @example(rows=[["1.5"], ["2"]], sep=" ", ends=["\v"], final=True)
     def test_accepts_and_rejects_as_the_per_line_reader(self, tmp_path,
-                                                        rows, sep, end):
+                                                        rows, sep, ends,
+                                                        final):
+        # Line k ends with ends[k % len(ends)], the last one only if final:
+        # rows=[] is a file of the header alone.
+        lines = ["# sample_rate_hz=1000.0 i0_w=1.0",
+                 *(sep.join(row) for row in rows)]
+        text = "".join(line + ends[k % len(ends)]
+                       for k, line in enumerate(lines))
+        if not final:
+            text = text[:-len(ends[(len(lines) - 1) % len(ends)])]
         path = tmp_path / "trace.txt"
-        path.write_bytes(end.join(["# sample_rate_hz=1000.0 i0_w=1.0",
-                                   *(sep.join(row) for row in rows),
-                                   ""]).encode())
-        try:
-            want = per_line_read_trace(path)
-        except ConfigError:
-            with pytest.raises(ConfigError,
-                               match=re.escape(str(path))) as err:
-                read_trace(path)
-            # The file line of the first sample line float() cannot read.
-            bad = next((number for number, row in enumerate(rows, start=2)
-                        if _unreadable(sep.join(row))), None)
-            [problem] = err.value.problems
-            assert (f"{path}: line {bad}: " in problem) == (bad is not None)
-            return
-        got = read_trace(path)
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = per_line_read_trace(path)
+            except ConfigError:
+                with pytest.raises(ConfigError,
+                                   match=re.escape(str(path))) as err:
+                    read_trace(path)
+                # The file line of the first sample line float() cannot
+                # read, as str.splitlines numbers them.
+                bad = next((number for number, line in enumerate(
+                    text.splitlines()[1:], start=2) if _unreadable(line)),
+                           None)
+                [problem] = err.value.problems
+                assert (f"{path}: line {bad}: " in problem) == \
+                    (bad is not None)
+                return
+            got = read_trace(path)
         assert got.samples.tobytes() == want.samples.tobytes()
 
 
@@ -181,6 +204,18 @@ _TRACE_FILES = {
              [1.0, 2.0]),
     "blank-lines-between": (_HEADER + "0 1.0\n\n   \n0.001 2.0\n\n",
                             [1.0, 2.0]),
+    "header-only": (_HEADER.rstrip("\n"), _NO_SAMPLES),
+    "no-final-break": (_HEADER + "0 1.0\n0.001 2.0", [1.0, 2.0]),
+    "cr": ("# sample_rate_hz=1000.0 i0_w=1.0\r0 1.0\r0.001 2.0\r",
+           [1.0, 2.0]),
+    # Breaks only str.splitlines honours: each ends a line, not a field.
+    "vertical-tab": (_HEADER + "0 1.0\v0.001 2.0\n", [1.0, 2.0]),
+    "next-line": (_HEADER + "1.0\x852.0\u20283.0\u20294.0",
+                  [1.0, 2.0, 3.0, 4.0]),
+    "separators": (_HEADER + "1.0\x1c2.0\x1d3.0\x1e4.0\f",
+                   [1.0, 2.0, 3.0, 4.0]),
+    "bad-after-form-feed": (_HEADER + "1.0\f2.0 x\n",
+                            "line 3: value 'x' cannot be read as a float"),
 }
 
 
@@ -203,6 +238,22 @@ class TestReadTraceInputs:
             else:
                 assert read_trace(path).samples.tolist() == want
                 assert per_line_read_trace(path).samples.tolist() == want
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(),
+                        reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        # A pipe, as a shell's process substitution passes it, reads as
+        # empty a second time.
+        read_end, write_end = os.pipe()
+        os.write(write_end, (_HEADER + "0 1.0\n0.001 2.0\n").encode())
+        os.close(write_end)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = read_trace(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert trace.samples.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("value, as_float", [("1_0", 10.0),
                                                  ("\u0661", 1.0)])

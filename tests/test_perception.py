@@ -32,7 +32,8 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
 
 from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
                      fresh_welch_psd, masked_significance,
-                     per_candidate_trace_nulls, point_by_point_sweep,
+                     per_candidate_notches, per_candidate_trace_nulls,
+                     point_by_point_sweep,
                      position_from_null, sampled_phase_means,
                      steady_state_response, tone_amplitude,
                      two_sided_position_span)
@@ -1263,11 +1264,11 @@ class TestWelchPlan:
                 array[0] = 1.0
 
 
-def _nulls_or_error(find, trace, max_k, threshold_db):
-    """The repr of the nulls found, which pins every float bit, or the type
-    and message of the error raised."""
+def _nulls_or_error(find, *args):
+    """The repr of the nulls ``find(*args)`` finds, which pins every float
+    bit, or the type and message of the error raised."""
     try:
-        return repr(find(trace, max_k, threshold_db))
+        return repr(find(*args))
     except Exception as exc:  # noqa: BLE001 - compared, not handled
         return f"{type(exc).__name__}: {exc}"
 
@@ -1342,3 +1343,97 @@ class TestVectorizedNotchScan:
             assert _nulls_or_error(perception._nulls_from_trace, trace,
                                    max_k, threshold_db) == _nulls_or_error(
                 per_candidate_trace_nulls, trace, max_k, threshold_db)
+
+
+# Spectra with ties, zeros, infinities and NaNs, as a PSD's bins are never
+# negative.
+_SPECTRA = st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, math.inf,
+                                     math.nan]) | st.floats(0.0, 1e3),
+                    min_size=1, max_size=60)
+
+
+class TestOneSortLocalMedians:
+    """``_local_medians`` against one ``np.median`` per window."""
+
+    @staticmethod
+    def per_window(psd, centres, lo, half_window):
+        return np.array([np.median(psd[max(lo, i - half_window):
+                                       i + half_window + 1])
+                         for i in centres.tolist()])
+
+    @settings(max_examples=300, deadline=None)
+    @given(psd=_SPECTRA, lo=st.integers(0, 6),
+           half_window=st.integers(1, 12), data=st.data())
+    def test_equals_per_window_median(self, psd, lo, half_window, data):
+        psd = np.array(psd)
+        assume(lo < psd.size)
+        centres = np.array(data.draw(st.lists(
+            st.integers(lo, psd.size - 1), max_size=20)), dtype=np.intp)
+        got = perception._local_medians(psd, centres, lo, half_window)
+        assert got.tobytes() == self.per_window(psd, centres, lo,
+                                                half_window).tobytes()
+
+    def test_cut_windows_of_both_parities(self):
+        rng = np.random.default_rng(4)
+        psd = rng.exponential(size=40)
+        psd[[6, 37]] = np.nan
+        lo, half_window = 3, 5
+        centres = np.arange(lo, psd.size)
+        counts = (np.minimum(centres + half_window + 1, psd.size)
+                  - np.maximum(centres - half_window, lo))
+        # Windows cut by lo and by the end, of odd and of even length.
+        cut = counts < 2 * half_window + 1
+        assert {c % 2 for c in counts[cut & (centres < 20)]} == {0, 1}
+        assert {c % 2 for c in counts[cut & (centres > 20)]} == {0, 1}
+        got = perception._local_medians(psd, centres, lo, half_window)
+        assert got.tobytes() == self.per_window(psd, centres, lo,
+                                                half_window).tobytes()
+        assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+class TestRatioTestedNotches:
+    """``_notches`` against the per-minimum ``math.log10`` loop of
+    tests/oracles.py, with bit-equal depths."""
+
+    @staticmethod
+    def both(spectrum, references, threshold_db, max_k=3):
+        freqs = np.arange(spectrum.size) * 500.0
+        minima = perception._local_minima(spectrum, 1, spectrum.size - 1)
+        references = (references if np.ndim(references) == 0
+                      else np.resize(references, minima.size))
+        got = _nulls_or_error(
+            perception._notches, freqs, spectrum, spectrum, minima,
+            references, max_k, threshold_db, lambda: 1000.0, "none %s")
+        want = _nulls_or_error(
+            per_candidate_notches, freqs, spectrum, spectrum, minima,
+            references, max_k, threshold_db, 1000.0)
+        return got, want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(spectrum=_SPECTRA.filter(lambda v: len(v) >= 3),
+           references=st.floats(0.0, 1e4) | st.lists(
+               st.floats(0.0, 1e4) | st.sampled_from([math.inf, math.nan]),
+               min_size=1, max_size=8),
+           threshold_db=st.sampled_from([0.0, 3.0, 10.0, 3000.0, 4000.0])
+           | st.floats(-20.0, 40.0))
+    def test_same_nulls_and_depths(self, spectrum, references,
+                                   threshold_db):
+        got, want = self.both(np.array(spectrum), references, threshold_db)
+        assert got == want
+
+    @pytest.mark.parametrize("threshold_db", [10.0, 20.0, 6.0, 13.7])
+    def test_minima_at_and_next_to_the_threshold(self, threshold_db):
+        # Ratios whose depth is exactly the threshold and one float either
+        # side of it: math.log10 decides each as the loop does.
+        ratio = 10.0 ** (threshold_db / 10.0)
+        spectrum = np.array([9.0, 1.0, 9.0])
+        for r in (np.nextafter(ratio, 0.0), ratio,
+                  np.nextafter(ratio, 2.0 * ratio)):
+            got, want = self.both(spectrum, r, threshold_db)
+            assert got == want
+            depth_db = 10.0 * math.log10(r)
+            assert got == repr([NullFrequency(
+                frequency_hz=500.0, harmonic=1, depth_db=depth_db)]
+                if depth_db >= threshold_db else [])
+        assert 10.0 * math.log10(10.0) == 10.0
