@@ -70,8 +70,8 @@ def read_trace(path: str | Path) -> InterferenceTrace:
     field of each non-blank body line, so files with a leading time column
     read the same.  Lines end at the breaks ``str.splitlines`` honours.
 
-    The text is read once to check it and take the header line; the body
-    is parsed by :func:`_sample_column`.
+    The text is read to take the header line and to choose how
+    :func:`_sample_column` parses the body.
 
     Raises :class:`ConfigError` naming the file when it is missing,
     unreadable or malformed.
