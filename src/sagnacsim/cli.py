@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +198,7 @@ def _cmd_wm(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
                    [r.inferred_delay_s for r in readings],
                    [r.inferred_mass_kg for r in readings]])
     report["wm_readings"] = [
-        {"mass_kg": m, **asdict(r)} for m, r in zip(masses, readings)]
+        {"mass_kg": m, **vars(r)} for m, r in zip(masses, readings)]
     return " ".join(f"{r.inferred_delay_s:.3e}" for r in readings)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,7 +242,7 @@ class _ScenarioRunner:
         delay = _active_pressure_delay(script.events, self.t)
         reading = wm.read(self.wm_cal, script.wm, delay, script.packet,
                           script.channel, self.rng)
-        self.wm_readings.append({"time_s": self.t, **asdict(reading),
+        self.wm_readings.append({"time_s": self.t, **vars(reading),
                                  "true_delay_s": delay})
 
     def _sense(self) -> bool:

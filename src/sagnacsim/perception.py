@@ -19,7 +19,8 @@ What a sweep or a Welch spectrum needs of no event, seed or sample, its
 windows and probes, is computed once per configuration by
 :func:`_sweep_plan` and :func:`_welch_plan` and shared read-only; only the
 drive's own series are taken per sweep, and kept per run by the caller's
-``responses`` memo.
+``responses`` memo.  The Fourier rows of a drive's key-window means are
+kept per drive amplitude by :func:`_drive_rows`.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
                           single_pass_phase)
@@ -56,6 +56,13 @@ DEFAULT_NOISE_SIGMA = 0.0019
 #: the float range.
 MAX_INPUT_POWER_W = 1e6
 MAX_NOISE_SIGMA = 1e3
+
+#: Largest sample magnitude (W) a trace may hold, about 2e11 W: the port's
+#: peak ``2 I0`` at ``MAX_INPUT_POWER_W`` times a noise factor ``1 + sigma
+#: z`` at ``MAX_NOISE_SIGMA`` with ``|z| = 100``, which no normal draw
+#: reaches.  A synthesized trace always passes; a trace file past it is
+#: refused before any spectrum squares its samples.
+MAX_SAMPLE_W = 2.0 * MAX_INPUT_POWER_W * (1.0 + 100.0 * MAX_NOISE_SIGMA)
 
 #: Default sample rate able to probe nulls up to 50 kHz with margin.
 DEFAULT_SAMPLE_RATE_HZ = 200e3
@@ -244,8 +251,12 @@ class InterferenceTrace(Checked):
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must all be finite")
+        # Contiguous, for _welch_psd's view of its segments.
+        samples = np.ascontiguousarray(samples)
+        # One pass: NaN and infinity fail the comparison too.
+        if not np.all(np.abs(samples) <= MAX_SAMPLE_W):
+            raise ValueError(f"samples must all be finite and at most "
+                             f"{MAX_SAMPLE_W:g} W in magnitude")
         object.__setattr__(self, "samples", samples)
 
 
@@ -320,17 +331,34 @@ def _delay_lag_s(event: DisturbanceEvent, channel: LoopChannel) -> float:
     return channel.refractive_index * dx / C_VACUUM
 
 
+def _settled_drive(peak: float, omega_lag):
+    """``(A, phi)`` of a settled drive's net phase ``A cos(omega (t - s) +
+    phi)``, for its ``peak`` and ``omega lag`` (one value or an array):
+    ``A = 2 peak sin(omega lag / 2)`` and ``phi = -omega lag / 2``."""
+    half = 0.5 * omega_lag
+    return 2.0 * peak * np.sin(half), -half
+
+
 def nonreciprocal_phase(t, event: DisturbanceEvent, channel: LoopChannel):
     """Differential phase between the two directions, bias excluded.
 
     The clockwise wave sees the waveform at ``t`` and the counterclockwise
     wave sees it one path-difference transit later, so the net phase is
     ``w(t) - w(t - n (L - 2x) / c)``.  Zero for any constant waveform and
-    exactly zero at the loop midpoint.
+    exactly zero at the loop midpoint.  A drive whose two copies both run
+    at every ``t``, from ``start_s + max(0, lag)`` on, takes the settled
+    form of :func:`_settled_drive`, one cosine a sample.
     """
     lag = _delay_lag_s(event, channel)
-    return single_pass_phase(t, event) - single_pass_phase(
-        np.asarray(t, dtype=float) - lag, event)
+    t = np.asarray(t, dtype=float)
+    params = event.params
+    if (isinstance(params, PztParams) and t.size
+            and t.min() >= event.start_s + max(0.0, lag)):
+        omega = params.angular_frequency_rad_s
+        amplitude, phase = _settled_drive(params.peak_phase_rad, omega * lag)
+        out = amplitude * np.cos(omega * (t - event.start_s) + phase)
+        return out if out.ndim else float(out)
+    return single_pass_phase(t, event) - single_pass_phase(t - lag, event)
 
 
 def loop_phase(t, events: Sequence[DisturbanceEvent], channel: LoopChannel):
@@ -407,8 +435,7 @@ def _drive_pieces(event: DisturbanceEvent, channel: LoopChannel, t0: float,
     # (from, to, A, theta - omega (t - s))
     spans = ((s + min(0.0, lag), both, peak,
               -0.5 * math.pi if lag > 0.0 else 0.5 * math.pi - omega * lag),
-             (both, math.inf, 2.0 * peak * math.sin(0.5 * omega * lag),
-              -0.5 * omega * lag))
+             (both, math.inf, *_settled_drive(peak, omega * lag)))
     pieces = []
     for lo, hi, amplitude, phase in spans:
         lo, hi = max(lo, t0), min(hi, t0 + window_s)
@@ -425,20 +452,34 @@ def _drive_means(pieces: list[tuple[float, float, float, float]],
     :func:`_drive_pieces`, 1 elsewhere in the window: each piece adds its
     share of ``sum_m i**m J_m(k A)`` (Jacobi–Anger, Abramowitz & Stegun
     9.1.42–45) times its mean of ``exp(i m theta)``, a ``sinc`` of its
-    span.  :func:`_drive_series` gives the coefficients as those of ``cos``
-    plus ``i`` those of ``sin``, over the orders ``-M .. M`` with ``M``
-    the piece's entry of ``kept``, :func:`_bessel_orders` of its ``n A``."""
+    span.  The coefficients over the orders ``-M .. M``, with ``M`` the
+    piece's entry of ``kept``, :func:`_bessel_orders` of its ``n A``, come
+    from :func:`_drive_rows`, so the steady windows of a drive after the
+    first cost only their piece phasors and one product."""
     means = np.ones(n, dtype=complex)
-    k = np.arange(1, n + 1)
     for (share, amplitude, theta, span), orders in zip(pieces, kept):
         m = np.arange(-orders, orders + 1)
         piece = np.exp(1j * m * theta) * np.sinc(m * span / (2.0 * math.pi))
         rows = max(1, _BLOCK_ELEMENTS // (2 * orders + 1))
         for lo in range(0, n, rows):
-            cos, sin = _drive_series(lambda x: (np.cos(x), np.sin(x)),
-                                     amplitude * k[lo:lo + rows], orders)
-            means[lo:lo + rows] += share * ((cos + 1j * sin) @ piece - 1.0)
+            hi = min(n, lo + rows)
+            means[lo:hi] += share * (
+                _drive_rows(amplitude, orders, lo, hi) @ piece - 1.0)
     return means
+
+
+@functools.lru_cache(maxsize=16)
+def _drive_rows(amplitude: float, orders: int, lo: int,
+                hi: int) -> np.ndarray:
+    """Fourier orders ``-orders .. orders`` in ``t`` of ``exp(1j k A cos
+    t)`` for ``k = lo + 1 .. hi``, one row each: :func:`_drive_series`'s
+    coefficients of ``cos`` plus ``i`` those of ``sin``, computed once per
+    key and shared read-only."""
+    cos, sin = _drive_series(lambda x: (np.cos(x), np.sin(x)),
+                             amplitude * np.arange(lo + 1, hi + 1), orders)
+    rows = cos + 1j * sin
+    rows.flags.writeable = False
+    return rows
 
 
 def window_phase_means(events: Sequence[DisturbanceEvent],
@@ -489,9 +530,13 @@ def _aliasing_error(needed_hz: float, sample_rate_hz: float) -> AliasingError:
                          f"disturbance extending to {needed_hz} Hz")
 
 
-def _port_intensity(gpd, input_power_w: float):
-    """Noise-free reflected-port intensity ``I0 (1 + cos gpd)``."""
-    return input_power_w * (1.0 + np.cos(gpd))
+def _port_intensity(gpd, input_power_w: float, out=None):
+    """Noise-free reflected-port intensity ``I0 (1 + cos gpd)``, written
+    into the array ``out`` when given."""
+    c = np.cos(gpd, out=out)
+    c += 1.0
+    c *= input_power_w
+    return c
 
 
 def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
@@ -522,15 +567,17 @@ def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
                                start_s + n / sample_rate_hz, channel)
     if reaching:
         t = start_s + np.arange(n) / sample_rate_hz
-        samples = _port_intensity(
-            loop_phase(t, reaching, channel) + channel.bias_phase_rad,
-            input_power_w)
+        samples = loop_phase(t, reaching, channel)
+        samples += channel.bias_phase_rad
+        _port_intensity(samples, input_power_w, out=samples)
     else:
         samples = np.full(n, _port_intensity(channel.bias_phase_rad,
                                              input_power_w))
     if noise_sigma > 0.0:
-        z = np.random.default_rng(seed).standard_normal(n)
-        samples = samples * (1.0 + noise_sigma * z)
+        factor = np.random.default_rng(seed).standard_normal(n)
+        factor *= noise_sigma
+        factor += 1.0
+        samples *= factor
     return InterferenceTrace(
         sample_rate_hz=sample_rate_hz, samples=samples,
         input_power_w=input_power_w, noise_sigma=noise_sigma)
@@ -726,7 +773,8 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     settled drive, read behind an ideal anti-alias filter.
 
     With both copies running, the net phase is ``A cos(omega t + phi)``,
-    ``A = 2 peak sin(omega lag / 2)`` and ``phi = -omega lag / 2``, so the
+    ``A = 2 peak sin(omega lag / 2)`` and ``phi = -omega lag / 2``
+    (:func:`_settled_drive`), so the
     port intensity ``c`` and ``c**2`` are Fourier series in ``omega t``,
     of orders ``-M .. M`` (:func:`_sweep_orders`).  Only orders 0, -1 and
     -2 are read, and no order of ``c**2`` folds onto them while
@@ -754,9 +802,8 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     picked = np.empty((3, freqs.size), dtype=complex)
     rows = max(1, _BLOCK_ELEMENTS // (2 * orders + 1))
     for lo in range(0, freqs.size, rows):
-        c, cc = _drive_series(
-            powers, 2.0 * peak * np.sin(0.5 * omega_lag[lo:lo + rows]),
-            orders, -0.5 * omega_lag[lo:lo + rows])
+        amplitudes, phases = _settled_drive(peak, omega_lag[lo:lo + rows])
+        c, cc = _drive_series(powers, amplitudes, orders, phases)
         picked[:, lo:lo + rows] = (c[:, orders - 1], cc[:, orders],
                                    cc[:, orders - 2])
     plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz)
@@ -900,10 +947,10 @@ def _notches(freqs: np.ndarray, spectrum: np.ndarray, refine: np.ndarray,
     through ``refine``, harmonics assigned at ``tolerance_hz()``, read only
     once there is a notch.  Without one ``missing`` is logged.
 
-    One vectorized test of the positive ratios ``reference / value``
-    drops the minima more than ``_DEPTH_MARGIN_DB`` too shallow; only the
-    rest have their depth ``10 log10(ratio)`` taken with ``math.log10``,
-    which decides at the threshold (and rejects a zero ratio).
+    One vectorized test of the ratios ``reference / value`` drops the
+    minima more than ``_DEPTH_MARGIN_DB`` too shallow, a zero ratio (-inf
+    dB) among them; only the rest have their depth ``10 log10(ratio)``
+    taken with ``math.log10``, which decides at the threshold.
     """
     values = spectrum[minima]
     ratios = np.divide(references, values, out=np.full(values.shape, np.inf),
@@ -912,7 +959,7 @@ def _notches(freqs: np.ndarray, spectrum: np.ndarray, refine: np.ndarray,
     # ratios that math.log10 then decides.
     bound = 10.0 ** min(0.1 * (depth_threshold_db - _DEPTH_MARGIN_DB),
                         308.0)
-    near = ~((ratios > 0.0) & (ratios < bound))
+    near = ~(ratios < bound)
     found_f: list[float] = []
     found_d: list[float] = []
     for i, ratio, value in zip(minima[near].tolist(), ratios[near].tolist(),
@@ -967,23 +1014,30 @@ def _welch_plan(nperseg: int,
 
 
 def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged Hann-windowed power spectrum of a trace (Welch's method).
+    """Averaged Hann-windowed power spectrum of a trace (Welch's method,
+    P. D. Welch, IEEE Trans. Audio Electroacoust. AU-15, 70 (1967)).
 
     Segments overlap by half and each loses its mean; the periodic Hann
     window weighs them, and the one-sided density (``1 / (fs sum w^2)``,
     every bin but DC and an even segment's Nyquist bin doubled) is averaged
     over the segments.  The window and axis come from :func:`_welch_plan`.
+    Past the one copy that removes the means, each step works in place.
     """
     n = trace.samples.size
     nperseg = max(_WELCH_MIN_SEGMENT,
                   2 ** int(math.log2(2 * n / (_WELCH_SEGMENTS + 1))))
     nperseg = min(nperseg, n)
     w, scale, freqs = _welch_plan(nperseg, trace.sample_rate_hz)
-    segments = sliding_window_view(trace.samples, nperseg)[
-        ::nperseg - nperseg // 2]
+    # The segments as a view of the contiguous samples.
+    step, size = nperseg - nperseg // 2, trace.samples.itemsize
+    segments = np.ndarray(((n - nperseg) // step + 1, nperseg),
+                          buffer=trace.samples, strides=(size * step, size))
     segments = segments - segments.mean(axis=1, keepdims=True)
-    spectra = np.fft.rfft(w * segments, axis=1)
-    psd = (spectra.real ** 2 + spectra.imag ** 2) / scale
+    segments *= w
+    spectra = np.fft.rfft(segments, axis=1)
+    psd = np.square(spectra.real)
+    psd += np.square(spectra.imag, out=spectra.imag)
+    psd /= scale
     psd[:, 1:(nperseg + 1) // 2] *= 2.0
     return freqs, psd.mean(axis=0)
 

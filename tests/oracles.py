@@ -20,7 +20,9 @@ small-angle contrast ratio is the approximation the exact one is compared
 against.  The trace writer, reader and notch scan are kept here one
 sample, line or candidate at a time, as the references the whole-column
 library code must equal byte for byte; so is an impact's pulse, taken at
-every time.  The key window's totals are kept as fancy-indexed sums over its class counts, and the Welch spectrum and
+every time.  A drive's net phase is kept as the difference of its two
+copies at every time, the reference for the settled drive's one cosine
+to the rounding of their arguments.  The key window's totals are kept as fancy-indexed sums over its class counts, and the Welch spectrum and
 significance band as a window built afresh and boolean-mask copies, the
 references for the tally matrix, the cached Welch plan and the band
 slice, which must give identical values; so are the outcome
@@ -38,7 +40,8 @@ from scipy.optimize import brentq
 from scipy.special import jv
 
 from sagnacsim import perception, qkd
-from sagnacsim.disturbance import DisturbanceEvent, PztParams
+from sagnacsim.disturbance import (DisturbanceEvent, PztParams,
+                                   single_pass_phase)
 from sagnacsim.errors import (ConfigError, InsufficientDataError,
                              OutOfBranchError)
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
@@ -350,11 +353,13 @@ def per_candidate_notches(freqs, spectrum, refine, minima, references,
                           max_k: int, depth_threshold_db: float,
                           tolerance_hz: float):
     """:func:`sagnacsim.perception._notches` one minimum at a time, with a
-    ``math.log10`` depth for each."""
+    ``math.log10`` depth for each; a zero ratio is -inf dB, no notch."""
     found_f: list[float] = []
     found_d: list[float] = []
     for i, reference in zip(minima.tolist(), np.broadcast_to(
             references, minima.shape).tolist()):
+        if spectrum[i] > 0 and reference / spectrum[i] == 0.0:
+            continue
         depth_db = (10.0 * math.log10(reference / spectrum[i])
                     if spectrum[i] > 0 else depth_threshold_db)
         if depth_db < depth_threshold_db:
@@ -365,6 +370,16 @@ def per_candidate_notches(freqs, spectrum, refine, minima, references,
         found_d.append(float(depth_db))
     return perception._assign_harmonics(found_f, found_d, max_k,
                                         tolerance_hz)
+
+
+def two_copy_phase(t, event, channel):
+    """:func:`sagnacsim.perception.nonreciprocal_phase` as the two copies
+    of the single-pass waveform at every time, ``w(t) - w(t - lag)`` with
+    ``lag = n (L - 2x) / c``."""
+    t = np.asarray(t, dtype=float)
+    lag = channel.refractive_index * (channel.length_m
+                                      - 2.0 * event.position_m) / C
+    return single_pass_phase(t, event) - single_pass_phase(t - lag, event)
 
 
 def where_impact_phase(t, params, center_s: float = 0.0):

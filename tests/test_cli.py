@@ -9,6 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -928,6 +929,24 @@ class TestWmPollWork:
         assert record["error"] == "validation"
         assert [p.split(":")[0] for p in record["problems"]] == \
             ["wm.samples_per_reading"]
+
+
+def test_trace_past_the_sample_bound_exits_2_without_warnings(
+        tmp_path, capsys):
+    # Welch squares of 1e200 overflow; the trace is refused before them.
+    samples = 1e200 * (1.0 + np.random.default_rng(0).standard_normal(5120))
+    path = tmp_path / "huge.txt"
+    path.write_text("# sample_rate_hz=200000.0 i0_w=1.0\n" + "".join(
+        f"{v!r}\n" for v in samples.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("localize", "--trace", str(path),
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+    record = strict_json(capsys.readouterr().err)
+    assert record["error"] == "validation"
+    [problem] = record["problems"]
+    assert problem.startswith(f"{path}: samples must all be finite")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sagnacsim.errors import ConfigError
 from sagnacsim.fileio import (read_trace, write_columns, write_event_log,
                               write_report, write_trace)
-from sagnacsim.perception import InterferenceTrace
+from sagnacsim.perception import MAX_SAMPLE_W, InterferenceTrace
 
 from oracles import (per_line_read_trace, per_sample_write_trace,
                      two_column_write_trace)
@@ -61,9 +61,13 @@ class TestTraceFormat:
 # Finite float64 values of every magnitude, and the points where repr
 # changes notation (1e16, 1e-5) or reaches the subnormals.
 _EDGE_SAMPLES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
-                 2.225073858507201e-308, 1e16, 9999999999999998.0, 1e-5,
+                 2.225073858507201e-308, MAX_SAMPLE_W,
+                 float(np.nextafter(MAX_SAMPLE_W, 0.0)), 1e-5,
                  1.0000000000000001e-05, 9.999999999999999e-06, 1e-4,
-                 1.7976931348623157e308, -1.0, 0.1, 5.645e-3]
+                 -MAX_SAMPLE_W, -1.0, 0.1, 5.645e-3]
+
+#: Every sample a trace may hold.
+_SAMPLES = st.floats(-MAX_SAMPLE_W, MAX_SAMPLE_W)
 
 
 # Every line break str.splitlines honours: a text-mode file, which numpy's
@@ -78,8 +82,7 @@ class TestWholeColumnTraceText:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                            | st.sampled_from(_EDGE_SAMPLES),
+    @given(samples=st.lists(_SAMPLES | st.sampled_from(_EDGE_SAMPLES),
                             min_size=1, max_size=40),
            rate=st.floats(min_value=1e-3, max_value=1e12)
            | st.sampled_from([200e3, 3.0, 7e4, 1.0, 0.1, 44100.0]),
@@ -101,8 +104,7 @@ class TestWholeColumnTraceText:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                            | st.sampled_from(_EDGE_SAMPLES),
+    @given(samples=st.lists(_SAMPLES | st.sampled_from(_EDGE_SAMPLES),
                             min_size=1, max_size=40),
            rate=st.floats(min_value=1e-3, max_value=1e12)
            | st.sampled_from([200e3, 3.0, 7e4, 1.0, 0.1, 44100.0]))

@@ -36,7 +36,7 @@ from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
                      point_by_point_sweep,
                      position_from_null, sampled_phase_means,
                      steady_state_response, tone_amplitude,
-                     two_sided_position_span)
+                     two_copy_phase, two_sided_position_span)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -121,6 +121,108 @@ def drive(position_m=5000.0, start_s=3.0, f_hz=3000.0, peak_rad=0.6):
         position_m=position_m, start_s=start_s)
 
 
+def _lag(event):
+    return N_FIBER * (L - 2.0 * event.position_m) / C_VACUUM
+
+
+_SETTLED_DRIVES = {
+    "readme-5km": drive(),
+    "readme-25km": drive(position_m=25000.0),
+    "60-rad": drive(peak_rad=60.0),
+    "32768-hz": drive(f_hz=32768.0),
+    "from-11.7s-25km": drive(position_m=25000.0, start_s=11.7),
+}
+
+
+class TestSettledDrive:
+    """A drive whose two copies both run reads one cosine a sample, held
+    to the two-copy difference of tests/oracles.py; elsewhere it is that
+    difference.
+
+    Each form rounds the arguments it takes, which reach ``omega t``: the
+    times ``t`` and ``t - lag`` round at their own scale, not at that of
+    ``t - s``.  The copies weigh an argument's error by ``peak`` each and
+    the settled form by ``A <= 2 peak``, so the two differ by at most
+    about ``4 peak eps (|omega t| + |omega lag| + 2)``, the last terms for
+    the amplitude's own argument and the rounding of the sines."""
+
+    RATE = 200e3
+
+    @staticmethod
+    def bound(event, t):
+        params = event.params
+        omega = params.angular_frequency_rad_s
+        return 4.0 * params.peak_phase_rad * np.finfo(float).eps * (
+            np.abs(omega * t) + abs(omega * _lag(event)) + 2.0)
+
+    def settled_from(self, event):
+        return event.start_s + max(0.0, _lag(event))
+
+    @pytest.mark.parametrize("later_s", [0.0, 1e-3, 7.25])
+    @pytest.mark.parametrize("event", _SETTLED_DRIVES.values(),
+                             ids=_SETTLED_DRIVES)
+    def test_settled_phase_within_rounding(self, monkeypatch, event,
+                                           later_s):
+        t = self.settled_from(event) + later_s + np.arange(4000) / self.RATE
+
+        def two_copies(*args):
+            raise AssertionError("took the two-copy form")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(perception, "single_pass_phase", two_copies)
+            got = nonreciprocal_phase(t, event, channel())
+            scalar = nonreciprocal_phase(float(t[-1]), event, channel())
+        want = two_copy_phase(t, event, channel())
+        assert np.all(np.abs(got - want) <= self.bound(event, t))
+        assert type(scalar) is float and scalar == got[-1]
+
+    @pytest.mark.parametrize("later_s", [0.0, 1e-3, 7.25])
+    @pytest.mark.parametrize("event", _SETTLED_DRIVES.values(),
+                             ids=_SETTLED_DRIVES)
+    def test_noise_free_trace_within_rounding(self, event, later_s):
+        # The port adds the bias and takes a cosine, each rounding at the
+        # scale of the bias plus the phase, which is at most 2 peak.
+        start = self.settled_from(event) + later_s
+        trace = synthesize_trace((event,), channel(), 0.02, self.RATE, 0.0,
+                                 start_s=start)
+        t = start + np.arange(trace.samples.size) / self.RATE
+        bias = channel().bias_phase_rad
+        want = DEFAULT_INPUT_POWER_W * (1.0 + np.cos(
+            bias + two_copy_phase(t, event, channel())))
+        eps = np.finfo(float).eps
+        peak = event.params.peak_phase_rad
+        assert np.all(np.abs(trace.samples - want) <= DEFAULT_INPUT_POWER_W
+                      * (self.bound(event, t)
+                         + 2.0 * eps * (bias + 2.0 * peak + 4.0)))
+
+    @pytest.mark.parametrize("event", _SETTLED_DRIVES.values(),
+                             ids=_SETTLED_DRIVES)
+    def test_times_from_before_both_copies_take_two(self, event):
+        # One time a float before both copies run keeps the whole array
+        # on the two-copy form, with the oracle's very bytes; so does a
+        # trace that straddles the onset.
+        first = np.nextafter(self.settled_from(event), 0.0)
+        t = first + np.arange(4000) / self.RATE
+        assert nonreciprocal_phase(t, event, channel()).tobytes() == \
+            two_copy_phase(t, event, channel()).tobytes()
+        start = event.start_s - 0.005
+        trace = synthesize_trace((event,), channel(), 0.02, self.RATE, 0.0,
+                                 start_s=start)
+        t = start + np.arange(trace.samples.size) / self.RATE
+        want = DEFAULT_INPUT_POWER_W * (1.0 + np.cos(
+            channel().bias_phase_rad + two_copy_phase(t, event, channel())))
+        assert trace.samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("start_s", [0.0, 3.0])
+    def test_midpoint_is_exactly_zero(self, start_s):
+        event = drive(position_m=L / 2, start_s=start_s, peak_rad=60.0)
+        assert _lag(event) == 0.0
+        for t in (start_s + np.arange(4000) / self.RATE,
+                  start_s - 0.01 + np.arange(4000) / self.RATE,
+                  start_s + 7.25):
+            assert np.all(nonreciprocal_phase(t, event, channel()) == 0.0)
+
+
 class TestWindowPhaseMeans:
     """A drive window's closed-form means of ``exp(i k phase)`` against
     the midpoint average of the sampled loop phase."""
@@ -156,6 +258,26 @@ class TestWindowPhaseMeans:
             * params.angular_frequency_rad_s * params.peak_phase_rad \
             * window_s / (4.0 * self.SAMPLES**2)
         assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("event, reused", [
+        (drive(), True), (drive(position_m=25000.0), True),
+        (drive(peak_rad=300.0), False)],
+        ids=["readme-5km", "readme-25km", "300-rad"])
+    def test_cached_means_equal_cold_ones(self, event, reused):
+        # The onset window, then steady ones that read its rows; a 300 rad
+        # drive takes one row a block, more blocks than the cache holds,
+        # so each window computes its rows again.
+        windows = [(3.0, 1.0), (4.0, 1.0), (5.0, 1.0), (5.5, 0.25)]
+        perception._drive_rows.cache_clear()
+        warm = [window_phase_means((event,), channel(), t0, window_s,
+                                   200_000, self.K)
+                for t0, window_s in windows]
+        assert (perception._drive_rows.cache_info().hits > 0) == reused
+        for (t0, window_s), got in zip(windows, warm):
+            perception._drive_rows.cache_clear()
+            cold = window_phase_means((event,), channel(), t0, window_s,
+                                      200_000, self.K)
+            assert np.array_equal(got, cold)
 
     def test_midpoint_means_are_exactly_one(self):
         got = window_phase_means((drive(position_m=L / 2),), channel(),
@@ -331,6 +453,19 @@ class TestSynthesizeTrace:
             InterferenceTrace(1e3, np.array([]), 1.0)
         with pytest.raises(ValueError):
             InterferenceTrace(1e3, np.array([1.0, np.inf]), 1.0)
+
+    @pytest.mark.parametrize("sample", [
+        math.nan, math.inf, -math.inf, 1e200,
+        np.nextafter(perception.MAX_SAMPLE_W, math.inf),
+        -np.nextafter(perception.MAX_SAMPLE_W, math.inf)])
+    def test_samples_bounded_in_magnitude(self, sample):
+        bound = perception.MAX_SAMPLE_W
+        assert bound == 2.0 * perception.MAX_INPUT_POWER_W * (
+            1.0 + 100.0 * perception.MAX_NOISE_SIGMA)
+        kept = InterferenceTrace(1e3, np.array([bound, -bound]), 1.0)
+        assert kept.samples.tolist() == [bound, -bound]
+        with pytest.raises(ValueError, match="at most 2.00002e\\+11 W"):
+            InterferenceTrace(1e3, np.array([1.0, sample]), 1.0)
 
 
 class TestAcAmplitudeTheory:
@@ -1253,6 +1388,18 @@ class TestWelchPlan:
             assert _value_or_error(significance, trace) == \
                 _value_or_error(masked_significance, trace)
 
+    @pytest.mark.parametrize("n", [64, 777, 10000])
+    def test_strided_samples_read_as_contiguous_ones(self, n):
+        # The segments are a view of the trace's samples, which the trace
+        # holds contiguous whatever it was given.
+        every_third = np.random.default_rng(n).standard_normal(3 * n)[::3]
+        trace = InterferenceTrace(sample_rate_hz=200e3, input_power_w=1.0,
+                                  samples=every_third)
+        assert trace.samples.flags.c_contiguous
+        for got, want in zip(perception._welch_psd(trace),
+                             fresh_welch_psd(trace)):
+            assert np.array_equal(got, want)
+
     def test_cached_arrays_are_read_only(self):
         trace = InterferenceTrace(sample_rate_hz=200e3, samples=np.ones(777),
                                   input_power_w=1.0)
@@ -1421,6 +1568,13 @@ class TestRatioTestedNotches:
                                    threshold_db):
         got, want = self.both(np.array(spectrum), references, threshold_db)
         assert got == want
+
+    @pytest.mark.parametrize("spectrum, reference", [
+        ([1.0, 1.0, 2.0], 0.0), ([2.0, 2.0, 3.0], 5e-324)])
+    def test_zero_ratio_is_no_notch(self, spectrum, reference):
+        # 0 / 1 and the underflowing 5e-324 / 2 are -inf dB.
+        got, want = self.both(np.array(spectrum), reference, 10.0)
+        assert got == want == repr([])
 
     @pytest.mark.parametrize("threshold_db", [10.0, 20.0, 6.0, 13.7])
     def test_minima_at_and_next_to_the_threshold(self, threshold_db):
