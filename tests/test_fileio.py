@@ -58,8 +58,9 @@ class TestTraceFormat:
             read_trace("/nonexistent/trace.txt")
 
 
-# Finite float64 values of every magnitude, and the points where repr
-# changes notation (1e16, 1e-5) or reaches the subnormals.
+# Float64 values of every magnitude a trace may hold, up to MAX_SAMPLE_W
+# and its neighbour, and the points where repr changes notation (1e-5) or
+# reaches the subnormals.
 _EDGE_SAMPLES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                  2.225073858507201e-308, MAX_SAMPLE_W,
                  float(np.nextafter(MAX_SAMPLE_W, 0.0)), 1e-5,
