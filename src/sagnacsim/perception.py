@@ -387,11 +387,13 @@ def events_reaching(events: Sequence[DisturbanceEvent], t0: float, t1: float,
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=64)
 def _bessel_orders(z: float, most: int) -> int:
     """The first order ``m`` whose bound ``(z / 2)**m / m!`` on ``|J_m(z)|``
     is below ``2**-60``, by bisection: the bound rises from 1 up to ``m =
     z / 2`` and falls after it, so every higher order is below too.
-    ``most + 1`` when no order up to ``most`` is below."""
+    ``most + 1`` when no order up to ``most`` is below.  Computed once per
+    key: a drive's windows and sweeps ask again with the same ``z``."""
     log_half = math.log(0.5 * z) if z > 0.0 else -math.inf
     return bisect.bisect_left(
         range(most + 1), True,

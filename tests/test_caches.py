@@ -16,6 +16,7 @@ _GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0).tobytes()
 #: Arguments of one call of each cache keyed on values.
 VALUE_KEYED = {
     "fileio._flat_encoder": [(1,)],
+    "perception._bessel_orders": [(3.8276237805496392, 32768)],
     "perception._drive_rows": [(0.9569059451374098, 25, 0, 4)],
     "perception._sweep_plan": [(_GRID, 2000, 200e3)],
     "perception._welch_plan": [(128, 200e3)],
