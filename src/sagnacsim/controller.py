@@ -24,7 +24,7 @@ from .disturbance import (DisturbanceEvent, PressureParams, PztParams,
                           pressure_delay)
 from .errors import (Checked, ConfigError, HarmonicAmbiguityError,
                      InsufficientDataError, OutOfLoopError,
-                     UndefinedResolutionError, bounded, positive)
+                     UndefinedResolutionError, non_negative, positive)
 from .optics import LoopChannel, SpectralPacket
 from .perception import MAX_SEED, PerceptionSettings
 from .qkd import DetectorModel, QkdSettings, SourceModel
@@ -68,7 +68,7 @@ class ScenarioScript(Checked):
     packet: SpectralPacket
     events: tuple[DisturbanceEvent, ...]
     duration_s: float = positive()
-    seed: int = bounded(lambda v: v >= 0, ">= 0")
+    seed: int = non_negative()
     qkd: QkdSettings = field(default_factory=QkdSettings)
     perception: PerceptionSettings = field(default_factory=PerceptionSettings)
     wm: WmSettings = field(default_factory=WmSettings)

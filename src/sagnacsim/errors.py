@@ -2,11 +2,12 @@
 bounded dataclass fields whose violations they report."""
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import MISSING, field, fields
 from functools import cache, partial
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 
 class SagnacSimError(Exception):
@@ -63,15 +64,24 @@ _BOUND = "bound"
 _FLOAT_MAX = sys.float_info.max
 
 
-def bounded(test: Callable[[Any], bool], text: str, default=MISSING):
-    """A dataclass field whose value must pass ``test``; ``text`` completes
-    "must be ..." in the problem reported when it does not."""
-    return field(default=default, metadata={_BOUND: (test, text)})
+def interval_text(bound: tuple) -> str:
+    """A bound ``(lo, hi, ends)`` as its "must be ..." problem states it."""
+    lo, hi, ends = bound
+    if hi == math.inf:
+        return f">{'=' * (ends[0] == '[')} {lo}"
+    return f"within {ends[0]}{lo}, {hi}{ends[1]}"
 
 
-positive = partial(bounded, lambda v: v > 0, "> 0 (unit violation)")
-non_negative = partial(bounded, lambda v: v >= 0, ">= 0 (unit violation)")
-fraction = partial(bounded, lambda v: 0 <= v <= 1, "within [0, 1]")
+def within(lo, hi, default=MISSING, ends: str = "[]"):
+    """A dataclass field whose value must lie from ``lo`` to ``hi``, a
+    finite end taken in where ``ends`` holds its bracket, ``[`` or ``]``,
+    and left out where it holds ``(`` or ``)``."""
+    return field(default=default, metadata={_BOUND: (lo, hi, ends)})
+
+
+positive = partial(within, 0, math.inf, ends="()")
+non_negative = partial(within, 0, math.inf, ends="[)")
+fraction = partial(within, 0, 1)
 
 
 @cache
@@ -86,11 +96,12 @@ def _number_kind(value_type: type) -> Optional[type]:
 
 class FieldSpec(NamedTuple):
     """Declared type (``int`` or ``float``), default (``MISSING`` when
-    required) and bound of one numeric field."""
+    required) and bound, ``(lo, hi, ends)`` as :func:`within` takes them,
+    of one numeric field."""
 
     kind: type
     default: Any
-    bound: Optional[tuple[Callable[[Any], bool], str]]
+    bound: Optional[tuple[Any, Any, str]]
 
     def problem(self, value) -> Optional[str]:
         """Why ``value`` does not fit this field, or None when it does.
@@ -105,9 +116,14 @@ class FieldSpec(NamedTuple):
             return f"expected a number, got {value!r}"
         if not abs(value) <= _FLOAT_MAX:
             return f"expected a finite number, got {value!r}"
-        if self.bound is not None and not self.bound[0](value):
-            return f"must be {self.bound[1]}, got {value}"
-        return None
+        lo, hi, ends = self.bound or (-math.inf, math.inf, "()")
+        if (lo < value or lo == value and ends[0] == "[") and \
+                (value < hi or value == hi and ends[1] == "]"):
+            return None
+        # A real quantity at or below a zero end has the wrong sign.
+        note = " (unit violation)" if self.kind is float and value <= 0 == lo \
+            else ""
+        return f"must be {interval_text(self.bound)}{note}, got {value}"
 
 
 _KINDS = {"int": int, "float": float, int: int, float: float}

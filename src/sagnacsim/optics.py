@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import Checked, NoSignalError, bounded, non_negative, positive
+from .errors import Checked, NoSignalError, non_negative, positive, within
 
 #: Speed of light in vacuum (m/s), exact by definition.
 C_VACUUM = 299792458.0
@@ -69,10 +69,8 @@ class LoopChannel(Checked):
     propagation directions set by the modulators.
     """
 
-    length_m: float = bounded(lambda v: 0.0 < v <= MAX_LOOP_LENGTH_M,
-                              f"> 0 (unit violation) and <= "
-                              f"{MAX_LOOP_LENGTH_M:g}")
-    refractive_index: float = bounded(lambda v: v >= 1.0, ">= 1", 1.468)
+    length_m: float = within(0, MAX_LOOP_LENGTH_M, ends="(]")
+    refractive_index: float = within(1, math.inf, 1.468, ends="[)")
     intrinsic_delay_s: float = non_negative(0.0)
     delay_shift_s: float = 0.0
     bias_phase_rad: float = 0.0

@@ -37,8 +37,8 @@ from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
                           single_pass_phase)
 from .errors import (AliasingError, Checked, ConfigError,
                      HarmonicAmbiguityError, InsufficientDataError,
-                     OutOfLoopError, UndefinedResolutionError, bounded,
-                     non_negative, positive)
+                     OutOfLoopError, UndefinedResolutionError, non_negative,
+                     positive, within)
 from .optics import C_VACUUM, LoopChannel
 
 logger = logging.getLogger(__name__)
@@ -120,21 +120,16 @@ class PerceptionSettings(Checked):
     sample_rate_hz: float = positive(DEFAULT_SAMPLE_RATE_HZ)
     sense_duration_s: float = positive(0.05)
     sweep_duration_s: float = positive(0.01)
-    noise_sigma: float = bounded(lambda v: 0.0 <= v <= MAX_NOISE_SIGMA,
-                                 f"within [0, {MAX_NOISE_SIGMA}]",
-                                 DEFAULT_NOISE_SIGMA)
-    input_power_w: float = bounded(lambda v: 0.0 < v <= MAX_INPUT_POWER_W,
-                                   f"within (0, {MAX_INPUT_POWER_W}]",
-                                   DEFAULT_INPUT_POWER_W)
+    noise_sigma: float = within(0, MAX_NOISE_SIGMA, DEFAULT_NOISE_SIGMA)
+    input_power_w: float = within(0, MAX_INPUT_POWER_W, DEFAULT_INPUT_POWER_W,
+                                  ends="(]")
     bias_phase_rad: float = 0.5 * math.pi
     significance_threshold: float = positive(10.0)
     scan_min_hz: float = positive(2000.0)
     scan_max_hz: float = positive(75000.0)
     scan_step_hz: float = positive(250.0)
     max_harmonics: int = positive(3)
-    notch_depth_db: float = bounded(
-        lambda v: 0.0 < v <= MAX_NOTCH_DEPTH_DB,
-        f"within (0, {MAX_NOTCH_DEPTH_DB}]", 10.0)
+    notch_depth_db: float = within(0, MAX_NOTCH_DEPTH_DB, 10.0, ends="(]")
     freq_resolution_hz: float = positive(DEFAULT_FREQ_RESOLUTION_HZ)
     switch_dead_time_s: float = non_negative(1.0)
 

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (Checked, InsufficientDataError, bounded, fraction,
-                     non_negative, positive)
+from .errors import (Checked, InsufficientDataError, fraction, non_negative,
+                     positive, within)
 from .optics import LoopChannel, SpectralPacket, spectral_envelope
 
 #: One-pass loss budget (dB) that reproduces the reference 22.4 kbps sifted
@@ -86,13 +86,10 @@ class QkdSettings(Checked):
 
     window_s: float = positive(1.0)
     # The window's multinomial draw counts in 64-bit integers.
-    pulses_per_window: int = bounded(lambda v: 0 < v < 2**63,
-                                     "within [1, 2**63)", 200_000)
-    phase_noise_rad: float = bounded(
-        lambda v: 0.0 <= v <= MAX_PHASE_NOISE_RAD,
-        f"within [0, {MAX_PHASE_NOISE_RAD}]", CALIBRATED_PHASE_NOISE_RAD)
-    qber_threshold: float = bounded(lambda v: 0.0 < v < 1.0,
-                                    "within (0, 1)", 0.08)
+    pulses_per_window: int = within(1, 2**63, 200_000, ends="[)")
+    phase_noise_rad: float = within(0, MAX_PHASE_NOISE_RAD,
+                                    CALIBRATED_PHASE_NOISE_RAD)
+    qber_threshold: float = within(0, 1, 0.08, ends="()")
 
 
 @dataclass(frozen=True)

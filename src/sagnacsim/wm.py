@@ -25,7 +25,7 @@ import numpy as np
 
 from .disturbance import STANDARD_GRAVITY, PressureParams, pressure_delay
 from .errors import (Checked, ConfigError, NoSignalError, OutOfBranchError,
-                     ZeroWorkingPointError, bounded, non_negative, positive)
+                     ZeroWorkingPointError, non_negative, positive, within)
 from .optics import C_VACUUM, LoopChannel, SpectralPacket, port_powers
 
 
@@ -34,13 +34,12 @@ class WmSettings(Checked):
     """Working point and averaging of the WM readings, their poll interval
     and the pressure geometry that masses are inferred with."""
 
-    delta_epsilon_rad: float = bounded(lambda v: 0.0 < v < 0.5 * math.pi,
-                                       "within (0, pi/2)", math.pi / 6.0)
+    delta_epsilon_rad: float = within(0, 0.5 * math.pi, math.pi / 6.0,
+                                      ends="()")
     delta_bias_rad: float = 0.0
     input_power_w: float = positive(1.0)
     noise_sigma: float = non_negative(0.0019)
-    samples_per_reading: int = bounded(lambda v: 0 < v <= 2**20,
-                                       "within [1, 2**20]", 16)
+    samples_per_reading: int = within(1, 2**20, 16)
     poll_interval_s: float = positive(60.0)
     pressure: PressureParams = field(default_factory=PressureParams)
 

@@ -2,7 +2,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -13,11 +13,12 @@ from sagnacsim.config import parse_config, parse_config_dict
 from sagnacsim.controller import MAX_KEY_WINDOWS
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
-from sagnacsim.errors import ConfigError
+from sagnacsim.errors import ConfigError, interval_text
 from sagnacsim.perception import MAX_TRACE_SAMPLES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import config_table  # noqa: E402
 from output_digests import CONFIGS  # noqa: E402
 
 
@@ -295,3 +296,72 @@ class TestAnyConfig:
         cfg.scenario.wm
         cfg.scenario.perception
         assert parse_config_dict(cfg.echo()).resolved == cfg.resolved
+
+
+_BOUNDED = {key: spec for key, spec in config_table.config_keys()
+            if spec.bound is not None}
+
+
+def _edge_draws(spec):
+    """``(value, passes)`` at each finite end of ``spec``'s bound: the end,
+    which passes if and only if it is closed, the nearest value outside it,
+    which fails, and the nearest inside, which passes."""
+    lo, hi, ends = spec.bound
+    for end, closed, inward in ((lo, ends[0] == "[", 1),
+                                (hi, ends[1] == "]", -1)):
+        if math.isinf(end):
+            continue
+        end = spec.kind(end)
+        if spec.kind is int:
+            yield from ((end, closed), (end - inward, False),
+                        (end + inward, True))
+        else:
+            yield from ((end, closed),
+                        (math.nextafter(end, -inward * math.inf), False),
+                        (math.nextafter(end, inward * math.inf), True))
+
+
+class TestBoundEdges:
+    def test_every_bounded_key_is_drawn(self):
+        # All but the three phases and shifts that take any finite value.
+        assert len(_BOUNDED) == 50
+        assert {key for key, spec in config_table.config_keys()
+                if spec.bound is None} == {
+            "channel.delay_shift_s", "perception.bias_phase_rad",
+            "wm.delta_bias_rad"}
+
+    @pytest.mark.parametrize("key", list(_BOUNDED))
+    def test_edges_of_the_interval(self, key):
+        spec = _BOUNDED[key]
+        if spec.default is not MISSING:
+            assert spec.problem(spec.default) is None
+        draws = list(_edge_draws(spec))
+        assert draws
+        for value, passes in draws:
+            problem = spec.problem(value)
+            assert (problem is None) == passes, (value, problem)
+            if problem is not None:
+                assert problem.startswith(
+                    f"must be {interval_text(spec.bound)}")
+
+    def test_pulses_per_window_counts_in_64_bits(self):
+        spec = _BOUNDED["qkd.pulses_per_window"]
+        assert spec.problem(2**63 - 1) is None
+        assert spec.problem(2**63) == (
+            "must be within [1, 9223372036854775808), got "
+            "9223372036854775808")
+
+
+class TestConfigTable:
+    def test_readme_holds_the_rendered_table(self):
+        readme = config_table.README.read_text(encoding="utf-8")
+        assert config_table.split(readme)[1] == config_table.render()
+
+    @pytest.mark.parametrize("change", [
+        {"default": 0.09}, {"bound": (0, 0.5, "()")}])
+    def test_table_follows_a_changed_field(self, monkeypatch, change):
+        table = config_table.render()
+        keys = config_table._SECTIONS["qkd"]
+        monkeypatch.setitem(keys, "qber_threshold",
+                            keys["qber_threshold"]._replace(**change))
+        assert config_table.render() != table
