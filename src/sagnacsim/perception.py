@@ -87,6 +87,12 @@ MAX_NOTCH_DEPTH_DB = 3000.0
 #: scan points times the Fourier orders of a drive's sweep series too.
 _MAX_SWEEP_WORK = 32_000_000
 
+#: Most scan points a sweep may take, 112 times the default 293.  The
+#: harmonic vote of a null search is quadratic in notch candidates: on a
+#: 2-vCPU host, 146 001 points of 3-sample sweeps, which pass
+#: ``_MAX_SWEEP_WORK``, took 13 s to vote on.
+_MAX_SCAN_POINTS = 2**15
+
 #: Most elements a block of rows may hold, whole rows and at least one:
 #: grid points of :func:`_sweep_response` and harmonics of
 #: :func:`_drive_means`, each its Fourier orders.
@@ -181,6 +187,10 @@ class PerceptionSettings(Checked):
             return [f"scan_step_hz: {self.scan_step_hz} asks for "
                     f"{points:.12g} scan points of {samples} sweep samples "
                     f"each, more than {_MAX_SWEEP_WORK} samples in all"]
+        if points > _MAX_SCAN_POINTS:
+            return [f"scan_step_hz: {self.scan_step_hz} asks for "
+                    f"{points:.12g} scan points, more than "
+                    f"{_MAX_SCAN_POINTS}"]
         last = self.scan_min_hz + (points - 1) * (
             (self.scan_min_hz + self.scan_step_hz) - self.scan_min_hz)
         if _band_aliases(last, self.sample_rate_hz):

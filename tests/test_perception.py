@@ -1306,16 +1306,32 @@ class TestSettingsThatCannotSweep:
                             duration_s=short)
 
     def test_fine_grid_of_short_sweeps_bounds_a_strong_drive(self):
-        # 3-sample sweeps over 2.4 million points pass the samples rule,
-        # and so do a weak drive's 9 orders a point; a 60 rad drive's 366
-        # would not.
+        # 3-sample sweeps over 32 446 points, within the scan-point bound,
+        # pass the samples rule, and so do a weak drive's 9 orders a point;
+        # a 200 rad drive's 1127 would not.
         settings = PerceptionSettings(sweep_duration_s=1.5e-5,
-                                      scan_step_hz=0.03)
+                                      scan_step_hz=2.25)
         assert settings.event_problems(pzt_event(5000.0, 3000.0, 1e-3)) == []
-        [problem] = settings.event_problems(pzt_event(5000.0, 3000.0, 60.0))
-        assert problem.startswith("phase_gain_rad_per_v: 60.0 gives a 60.0 "
-                                  "rad drive, whose sweep needs 366 Fourier "
-                                  "orders at each of 2433335 scan points")
+        [problem] = settings.event_problems(pzt_event(5000.0, 3000.0, 200.0))
+        assert problem.startswith("phase_gain_rad_per_v: 200.0 gives a "
+                                  "200.0 rad drive, whose sweep needs 1127 "
+                                  "Fourier orders at each of 32446 scan "
+                                  "points")
+
+    def test_scan_points_bounded_on_short_sweeps(self):
+        # 3-sample sweeps keep the samples rules out of play; 2**15 points
+        # from 2000 Hz sweep and one more does not.
+        def settings_at(points):
+            return PerceptionSettings(sweep_duration_s=1.5e-5,
+                                      scan_max_hz=2000.0 + points - 1,
+                                      scan_step_hz=1.0)
+
+        assert settings_at(2**15).scan_grid().size == 2**15
+        with pytest.raises(ConfigError) as err:
+            settings_at(2**15 + 1)
+        [problem] = err.value.problems
+        assert problem == ("scan_step_hz: 1.0 asks for 32769 scan points, "
+                           "more than 32768")
 
     def test_endless_sweep_names_its_duration(self):
         for duration in (1e308, 100.0):
