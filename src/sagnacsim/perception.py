@@ -102,6 +102,10 @@ _BLOCK_ELEMENTS = 16_000
 #: Fourier order: ``2**-60``, far below rounding.
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
+#: Most values a block of :func:`_local_medians`' sorted windows holds,
+#: 32 MiB of floats.
+_MEDIAN_ELEMENTS = 2**22
+
 #: Shortest Welch segment; a sensing trace must hold at least one.
 _WELCH_MIN_SEGMENT = 64
 
@@ -1052,25 +1056,39 @@ def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
 def _local_medians(psd: np.ndarray, centres: np.ndarray, lo: int,
                    half_window: int) -> np.ndarray:
     """Median of ``psd[max(lo, i - half_window):i + half_window + 1]`` for
-    each centre ``i``, as ``np.median`` gives it, from one sort.
+    each centre ``i``, as ``np.median`` gives it, from one sort a block.
 
     The windows of ``psd[lo:]`` padded by ``half_window`` NaNs at each end
     are sorted row by row, so the ``m`` values of a window cut off by
     ``lo`` or by the end come first.  Their middle value, or the mean of
     the middle two for an even ``m``, is the median; a NaN among them
-    sorts to their end and makes it NaN.
+    sorts to their end and makes it NaN.  The rows are taken in blocks of
+    at most ``_MEDIAN_ELEMENTS`` values, and one row at least: a trace's
+    centres and window widths both grow with its length.
     """
+    medians = np.empty(centres.size)
+    if not centres.size:
+        # psd[lo:] may then be too short to hold one window.
+        return medians
     pad = np.full(half_window, np.nan)
-    rows = np.sort(np.concatenate([pad, psd[lo:], pad])[
-        np.add.outer(centres - lo, np.arange(2 * half_window + 1))], axis=1)
+    padded = np.concatenate([pad, psd[lo:], pad])
+    # Window j, centred on lo + j, as a view of the padded spectrum.
+    width, size = 2 * half_window + 1, padded.itemsize
+    windows = np.ndarray((padded.size - width + 1, width), buffer=padded,
+                         strides=(size, size))
     count = (np.minimum(centres + half_window + 1, psd.size)
              - np.maximum(centres - half_window, lo))
-    index = np.arange(centres.size)
-    medians = rows[index, count // 2]
-    even = count % 2 == 0
-    medians[even] = (rows[index[even], count[even] // 2 - 1]
-                     + medians[even]) / 2
-    medians[np.isnan(rows[index, count - 1])] = np.nan
+    block = max(1, _MEDIAN_ELEMENTS // windows.shape[1])
+    for start in range(0, centres.size, block):
+        part = slice(start, start + block)
+        rows = windows[centres[part] - lo]
+        rows.sort(axis=1)
+        index, n = np.arange(rows.shape[0]), count[part]
+        out = rows[index, n // 2]
+        even = n % 2 == 0
+        out[even] = (rows[index[even], n[even] // 2 - 1] + out[even]) / 2
+        out[np.isnan(rows[index, n - 1])] = np.nan
+        medians[part] = out
     return medians
 
 

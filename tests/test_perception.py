@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -1517,6 +1518,18 @@ _SPECTRA = st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, math.inf,
                     min_size=1, max_size=60)
 
 
+@st.composite
+def _median_windows(draw):
+    """``_local_medians`` arguments: a spectrum, centres from ``lo`` on,
+    ``lo`` and a half window."""
+    psd = np.array(draw(_SPECTRA))
+    lo = draw(st.integers(0, 6))
+    assume(lo < psd.size)
+    centres = np.array(draw(st.lists(st.integers(lo, psd.size - 1),
+                                     max_size=20)), dtype=np.intp)
+    return psd, centres, lo, draw(st.integers(1, 12))
+
+
 class TestOneSortLocalMedians:
     """``_local_medians`` against one ``np.median`` per window."""
 
@@ -1527,16 +1540,34 @@ class TestOneSortLocalMedians:
                          for i in centres.tolist()])
 
     @settings(max_examples=300, deadline=None)
-    @given(psd=_SPECTRA, lo=st.integers(0, 6),
-           half_window=st.integers(1, 12), data=st.data())
-    def test_equals_per_window_median(self, psd, lo, half_window, data):
-        psd = np.array(psd)
-        assume(lo < psd.size)
-        centres = np.array(data.draw(st.lists(
-            st.integers(lo, psd.size - 1), max_size=20)), dtype=np.intp)
-        got = perception._local_medians(psd, centres, lo, half_window)
-        assert got.tobytes() == self.per_window(psd, centres, lo,
-                                                half_window).tobytes()
+    @given(args=_median_windows())
+    def test_equals_per_window_median(self, args):
+        got = perception._local_medians(*args)
+        assert got.tobytes() == self.per_window(*args).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=_median_windows(), elements=st.integers(1, 60))
+    def test_blocks_of_rows_equal_one_block(self, args, elements):
+        # At most 60 values a block holds one or a few windows of up to 25.
+        one = perception._local_medians(*args)
+        with mock.patch.object(perception, "_MEDIAN_ELEMENTS", elements):
+            got = perception._local_medians(*args)
+        assert got.tobytes() == one.tobytes()
+
+    def test_working_set_bounded_on_a_long_trace(self):
+        # 17 495 minima with windows of 2049 bins: one block of all their
+        # rows held 287 MB, and the null search peaked at 575 MB.
+        rng = np.random.default_rng(1)
+        trace = InterferenceTrace(
+            sample_rate_hz=200e3, input_power_w=1e-3,
+            samples=1e-3 * (1.0 + 0.0019 * rng.standard_normal(2**20)))
+        tracemalloc.start()
+        try:
+            find_null_frequencies(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**27
 
     def test_cut_windows_of_both_parities(self):
         rng = np.random.default_rng(4)
