@@ -121,8 +121,8 @@ class FieldSpec(NamedTuple):
                 (value < hi or value == hi and ends[1] == "]"):
             return None
         # A real quantity at or below a zero end has the wrong sign.
-        note = " (unit violation)" if self.kind is float and value <= 0 == lo \
-            else ""
+        note = (" (unit violation)" if self.kind is float and value <= 0 == lo
+                else "")
         return f"must be {interval_text(self.bound)}{note}, got {value}"
 
 

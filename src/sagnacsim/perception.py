@@ -1078,7 +1078,7 @@ def _local_medians(psd: np.ndarray, centres: np.ndarray, lo: int,
                          strides=(size, size))
     count = (np.minimum(centres + half_window + 1, psd.size)
              - np.maximum(centres - half_window, lo))
-    block = max(1, _MEDIAN_ELEMENTS // windows.shape[1])
+    block = max(1, _MEDIAN_ELEMENTS // width)
     for start in range(0, centres.size, block):
         part = slice(start, start + block)
         rows = windows[centres[part] - lo]

@@ -58,5 +58,5 @@ def split(text: str) -> tuple[str, str, str]:
 
 
 if __name__ == "__main__":
-    head, _, tail = split(README.read_text())
-    README.write_text(head + render() + tail)
+    head, _, tail = split(README.read_text(encoding="utf-8"))
+    README.write_text(head + render() + tail, encoding="utf-8")
