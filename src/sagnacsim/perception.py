@@ -15,11 +15,12 @@ Key windows and sensing traces read the one phase of all events,
 :func:`sense` grades the loop from a given time on, :func:`acquire` records
 one event and :func:`locate` turns a record into a position.
 
-What a sweep or a Welch spectrum needs of no event, seed or sample, its
-windows and probes, is computed once per configuration by
-:func:`_sweep_plan` and :func:`_welch_plan` and shared read-only; only the
-drive's own series are taken per sweep, and kept per run by the caller's
-``responses`` memo.  The Fourier rows of a drive's key-window means are
+A sweep reads no samples: its points and its noise floor are closed
+forms in the Hann window's two sums (:func:`_hann_sums`), and only the
+drive's own series are taken per sweep, kept per run by the caller's
+``responses`` memo.  What a Welch spectrum needs of no event, seed or
+sample is computed once per configuration by :func:`_welch_plan` and
+shared read-only.  The Fourier rows of a drive's key-window means are
 kept per drive amplitude by :func:`_drive_rows`.
 """
 from __future__ import annotations
@@ -82,15 +83,14 @@ _SIGNIFICANCE_MIN_HZ = 50.0
 MAX_NOTCH_DEPTH_DB = 3000.0
 
 
-#: Most scan points times sweep samples a sweep may evaluate: about 55
-#: times the default 293-point grid of 2000-sample traces.  It bounds the
-#: scan points times the Fourier orders of a drive's sweep series too.
+#: Most scan points times Fourier orders a drive's sweep series may take
+#: (:func:`_strong_drive_problem`): the README drive takes 25 orders at
+#: each of the default 293 points, 7325 in all.
 _MAX_SWEEP_WORK = 32_000_000
 
 #: Most scan points a sweep may take, 112 times the default 293.  The
 #: harmonic vote of a null search is quadratic in notch candidates: on a
-#: 2-vCPU host, 146 001 points of 3-sample sweeps, which pass
-#: ``_MAX_SWEEP_WORK``, took 13 s to vote on.
+#: 2-vCPU host, 146 001 points took 13 s to vote on.
 _MAX_SCAN_POINTS = 2**15
 
 #: Most elements a block of rows may hold, whole rows and at least one:
@@ -109,7 +109,8 @@ _MEDIAN_ELEMENTS = 2**22
 #: Shortest Welch segment; a sensing trace must hold at least one.
 _WELCH_MIN_SEGMENT = 64
 
-#: Most samples a sensing or acquisition trace may hold: 21 s at 200 kHz.
+#: Most samples a sensing, acquisition or sweep trace may hold: 21 s at
+#: 200 kHz.
 MAX_TRACE_SAMPLES = 2**22
 
 #: Most loop-phase samples a key window averages, and most Fourier orders
@@ -150,19 +151,16 @@ class PerceptionSettings(Checked):
             problems.append("scan_min_hz: must be below scan_max_hz")
         else:
             problems += self._scan_grid_problems()
-        # A sensing trace is graded on Welch segments; a tone measurement's
-        # Hann window has weight from 3 samples on.
+        # A sensing trace is graded on Welch segments; a sweep's Hann
+        # window has weight from 3 samples on.
         for key, least in (("sense_duration_s", _WELCH_MIN_SEGMENT),
                            ("sweep_duration_s", 3)):
             n = _sample_count(getattr(self, key), self.sample_rate_hz)
-            if n < least:
+            if not least <= n <= MAX_TRACE_SAMPLES:
+                bound = (f"fewer than {least}" if n < least
+                         else f"more than {MAX_TRACE_SAMPLES}")
                 problems.append(f"{key}: holds {n} samples at sample_rate_hz "
-                                f"{self.sample_rate_hz}, fewer than {least}")
-        n = _sample_count(self.sense_duration_s, self.sample_rate_hz)
-        if n > MAX_TRACE_SAMPLES:
-            problems.append(f"sense_duration_s: holds {n} samples at "
-                            f"sample_rate_hz {self.sample_rate_hz}, more "
-                            f"than {MAX_TRACE_SAMPLES}")
+                                f"{self.sample_rate_hz}, {bound}")
         if problems:
             raise ConfigError(problems)
 
@@ -181,16 +179,6 @@ class PerceptionSettings(Checked):
             return [f"scan_step_hz: {self.scan_step_hz} leaves {points} scan "
                     f"points from scan_min_hz to scan_max_hz; a sweep needs "
                     f"at least 3"]
-        samples = _sample_count(self.sweep_duration_s, self.sample_rate_hz)
-        if 3 * samples > _MAX_SWEEP_WORK:
-            return [f"sweep_duration_s: {self.sweep_duration_s} holds "
-                    f"{samples} samples at sample_rate_hz "
-                    f"{self.sample_rate_hz}, so even a 3-point sweep asks "
-                    f"for more than {_MAX_SWEEP_WORK} samples in all"]
-        if points * samples > _MAX_SWEEP_WORK:
-            return [f"scan_step_hz: {self.scan_step_hz} asks for "
-                    f"{points:.12g} scan points of {samples} sweep samples "
-                    f"each, more than {_MAX_SWEEP_WORK} samples in all"]
         if points > _MAX_SCAN_POINTS:
             return [f"scan_step_hz: {self.scan_step_hz} asks for "
                     f"{points:.12g} scan points, more than "
@@ -284,9 +272,9 @@ class FrequencySweep:
     """Measured AC amplitude of the interferometer response versus drive
     frequency.
 
-    ``noise_floor_amplitude``, when present, is the tone amplitude measured
-    on a disturbance-free reference trace; a sweep whose typical response
-    does not stand clear of it carries no localizable structure.
+    ``noise_floor_amplitude``, when present, is the median tone amplitude
+    that the measurement noise alone gives a point; a sweep whose typical
+    response does not stand clear of it carries no localizable structure.
     """
 
     frequencies_hz: np.ndarray
@@ -594,58 +582,36 @@ def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
         input_power_w=input_power_w, noise_sigma=noise_sigma)
 
 
-def _hann(n: int) -> tuple[np.ndarray, float]:
-    """Hann window of ``n`` samples and its weight."""
-    w = np.hanning(n)
-    weight = w.sum()
-    if weight == 0.0:
+def _hann_sums(n: int) -> tuple[float, float]:
+    """``sum(w)`` and ``sum(w**2)`` of the ``n``-sample Hann window ``w_k =
+    (1 - cos(2 pi k / (n - 1))) / 2`` of ``np.hanning``: the cosines over a
+    period sum to 0 and their squares to half the period, and sample ``n -
+    1`` ends the period with a cosine of 1, so the sums are ``(n - 1) / 2``
+    and ``3 (n - 1) / 8``.  At ``n = 3`` the window is ``[0, 1, 0]`` and
+    both are 1; below 3 it has no weight and raises
+    :class:`InsufficientDataError`."""
+    if n < 3:
         raise InsufficientDataError(
             f"a {n}-sample trace has no weight under the Hann window")
-    return w, weight
-
-
-def _unit_phasors(omegas: np.ndarray, n: int,
-                  sample_rate_hz: float) -> np.ndarray:
-    """``exp(1j * omega * k / sample_rate_hz)`` for ``k < n``, one row per
-    angular frequency.
-
-    Sample ``k = step * j + r`` is a coarse phasor (every ``step``-th
-    sample) times a fine one (the first ``step`` samples), with
-    ``step = isqrt(n - 1) + 1``, so a row costs about ``2 sqrt(n)``
-    complex exponentials and ``n`` complex multiplies.
-    """
-    step = math.isqrt(n - 1) + 1
-    k = np.arange(step)
-    theta = np.asarray(omegas, dtype=float)[:, None] / sample_rate_hz
-    fine = np.exp(1j * theta * k)
-    coarse = np.exp(1j * theta * (step * k))
-    rows = coarse[:, :, None] * fine[:, None, :]
-    return rows.reshape(theta.shape[0], step * step)[:, :n]
-
-
-def _tone_amplitudes(samples: np.ndarray, probes: np.ndarray,
-                     weight: float) -> np.ndarray:
-    """``2 |sum(w e (x - mean x))| / sum(w)`` of ``samples`` ``x`` for
-    each row ``w e`` of ``probes``, ``e`` a :func:`_unit_phasors` row."""
-    # numpy's own loop, not BLAS: threaded OpenBLAS ran this zgemv in ms.
-    return 2.0 * np.abs(np.einsum("ij,j->i", probes,
-                                  samples - samples.mean())) / weight
+    return 0.5 * (n - 1), 1.0 if n == 3 else 0.375 * (n - 1)
 
 
 def measure_tone_amplitude(trace: InterferenceTrace,
                            frequency_hz: float) -> float:
     """Amplitude of the trace component at an arbitrary frequency.
 
-    Hann-weighted projection onto the exact tone (not a DFT bin), so there
-    is no scalloping bias; the mean is removed first to keep the large DC
-    term from leaking.  A trace of two samples has no Hann weight and
-    raises :class:`InsufficientDataError`.
+    ``2 |sum(w e (x - mean x))| / sum(w)`` of the samples ``x`` under the
+    Hann window ``w`` and the exact tone's phasors ``e`` (not a DFT bin),
+    so there is no scalloping bias; the mean is removed first to keep the
+    large DC term from leaking.  A trace of two samples has no Hann weight
+    and raises :class:`InsufficientDataError`.
     """
     n = trace.samples.size
-    w, weight = _hann(n)
-    probe = w * _unit_phasors([2.0 * math.pi * frequency_hz], n,
-                              trace.sample_rate_hz)
-    return float(_tone_amplitudes(trace.samples, probe, weight)[0])
+    weight, _ = _hann_sums(n)
+    phasors = np.exp(2j * math.pi * frequency_hz / trace.sample_rate_hz
+                     * np.arange(n))
+    x = trace.samples - trace.samples.mean()
+    return 2.0 * abs(np.sum(np.hanning(n) * x * phasors)) / weight
 
 
 def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
@@ -663,17 +629,19 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     ascending with at least 3 points, its last point must lie below half
     the sample rate, and the drive may need at most ``_PHASE_SAMPLES //
     2`` Fourier orders (:func:`_sweep_orders`); all four are checked
-    before any trace is synthesized.  Each point reads the settled drive
-    behind an ideal anti-alias filter, as a swept-sine instrument does:
-    the Hann-weighted tone of an ``n``-sample trace of the steady state
-    (:func:`_sweep_response`), so a point depends only on the drive's
-    strength and the lag between its copies, not on when it started.  The
-    trace noise enters the projection linearly, so a point is its
-    noise-free projection plus one exact bivariate-normal draw
+    first, and the trace must hold at least 3 samples.  Each point reads
+    the settled drive behind an ideal anti-alias filter, as a swept-sine
+    instrument does: the Hann-weighted tone of an ``n``-sample trace of
+    the steady state (:func:`_sweep_response`), so a point depends only on
+    the drive's strength and the lag between its copies, not on when it
+    started.  The trace noise enters the projection linearly, so a point
+    is its noise-free projection plus one exact bivariate-normal draw
     (:func:`_correlated_normals`) from the second moments of the
-    projection's noise.  The seed fixes the drive-off reference trace,
-    whose tone amplitudes at fixed grid points set the noise floor, and
-    then one ``(points, 2)`` standard-normal draw.
+    projection's noise; the seed fixes one ``(points, 2)`` standard-normal
+    draw.  The noise floor is the median tone amplitude of a drive-off
+    trace ``c0 (1 + sigma z)``, ``c0 = I0 (1 + cos b)`` at the bias ``b``:
+    each amplitude is Rayleigh, and its median is ``2 c0 sigma sqrt(
+    sum(w**2) ln 2) / sum(w)``, with no sample drawn.
 
     ``responses`` is a dict the caller owns, such as the memo of one
     scenario run: repeat sweeps of the same drive then compute their
@@ -688,12 +656,7 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     problem = _strong_drive_problem(event.params, freqs.size)
     if problem:
         raise ValueError(problem)
-    rng = np.random.default_rng(seed)
-    # Reference measurement with the drive off fixes the instrument floor.
-    quiet = synthesize_trace(
-        (), channel, duration_s, sample_rate_hz, noise_sigma,
-        seed=int(rng.integers(0, MAX_SEED)), input_power_w=input_power_w)
-    n = quiet.samples.size
+    n = _sample_count(duration_s, sample_rate_hz)
     if responses is None:
         responses = {}
     key = (event, channel, freqs.tobytes(), n, sample_rate_hz, input_power_w)
@@ -701,16 +664,17 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
         responses[key] = _sweep_response(event, channel, freqs, n,
                                          sample_rate_hz, input_power_w)
     response = responses[key]
-    plan = response.plan
     projections = response.projections
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
-            *response.moments, rng.standard_normal((freqs.size, 2)))
-    floor = float(np.median(_tone_amplitudes(quiet.samples, plan.probes,
-                                             plan.weight)))
+            *response.moments,
+            np.random.default_rng(seed).standard_normal((freqs.size, 2)))
+    c0 = float(_port_intensity(channel.bias_phase_rad, input_power_w))
+    floor = 2.0 * c0 * noise_sigma * math.sqrt(
+        response.power * math.log(2.0)) / response.weight
     return FrequencySweep(
         frequencies_hz=freqs,
-        amplitudes=2.0 * np.abs(projections) / plan.weight,
+        amplitudes=2.0 * np.abs(projections) / response.weight,
         noise_floor_amplitude=floor)
 
 
@@ -719,37 +683,13 @@ class _SweepResponse:
     """The seed-free half of a sweep that depends on its drive, read-only
     so that sweeps sharing it cannot change it: ``projections`` and
     ``moments`` (of ``c u``: re re, re im, im im) hold one column per grid
-    point, and ``plan`` is the :class:`_SweepPlan` they were taken with."""
+    point, taken under a Hann window of sums ``weight`` and ``power``
+    (:func:`_hann_sums`)."""
 
     projections: np.ndarray
     moments: np.ndarray
-    plan: _SweepPlan
-
-
-@dataclass(frozen=True)
-class _SweepPlan:
-    """The half of a sweep that depends on no drive, read-only: the Hann
-    window ``w`` of an ``n``-sample trace and its ``weight``, and the
-    ``probes`` ``w e`` for the :func:`_unit_phasors` rows ``e`` of the grid
-    points whose median tone amplitude on the reference trace is the
-    floor."""
-
-    w: np.ndarray
     weight: float
-    probes: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _sweep_plan(grid: bytes, n: int, sample_rate_hz: float) -> _SweepPlan:
-    """The :class:`_SweepPlan` of ``n``-sample sweeps over the grid whose
-    float64 bytes are ``grid``, computed once per key and shared
-    read-only."""
-    omegas = 2.0 * math.pi * np.frombuffer(grid)
-    w, weight = _hann(n)
-    probes = w * _unit_phasors(omegas[:: max(1, omegas.size // 16)], n,
-                               sample_rate_hz)
-    w.flags.writeable = probes.flags.writeable = False
-    return _SweepPlan(w, weight, probes)
+    power: float
 
 
 def _sweep_orders(peak: float) -> int:
@@ -800,6 +740,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     three second moments of ``c u``, which times ``sigma**2`` are the
     covariance of the point's noise.
     """
+    weight, power = _hann_sums(n)
     omega_lag = 2.0 * math.pi * freqs * _delay_lag_s(event, channel)
     peak = event.params.peak_phase_rad
     orders = max(2, (_sweep_orders(peak) + 2) // 2)
@@ -817,15 +758,13 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
         c, cc = _drive_series(powers, amplitudes, orders, phases)
         picked[:, lo:lo + rows] = (c[:, orders - 1], cc[:, orders],
                                    cc[:, orders - 2])
-    plan = _sweep_plan(freqs.tobytes(), n, sample_rate_hz)
-    power = float(plan.w @ plan.w)
     q0, q2 = power * picked[1].real, power * picked[2]
-    projections = plan.weight * picked[0]
+    projections = weight * picked[0]
     moments = np.array([0.5 * (q0 + q2.real), 0.5 * q2.imag,
                         0.5 * (q0 - q2.real)])
     for array in (projections, moments):
         array.flags.writeable = False
-    return _SweepResponse(projections, moments, plan)
+    return _SweepResponse(projections, moments, weight, power)
 
 
 def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,

@@ -213,6 +213,48 @@ def steady_state_response(event, channel, frequencies_hz, n: int,
                                        0.5 * (q0 - q2.real)])
 
 
+def rayleigh_floor(channel, n: int, noise_sigma: float,
+                   input_power_w=DEFAULT_INPUT_POWER_W) -> float:
+    """Median tone amplitude of the noise of an ``n``-sample drive-off
+    trace ``c0 (1 + sigma z)``, ``c0 = I0 (1 + cos b)``: under the Hann
+    window ``w`` the projection of ``c0 sigma z`` is complex normal with
+    ``E|.|**2 = (c0 sigma)**2 sum(w**2)``, so its amplitude ``2 |.| /
+    sum(w)`` is Rayleigh with median ``2 c0 sigma sqrt(sum(w**2) ln 2) /
+    sum(w)``, the window sums taken from ``np.hanning``."""
+    w = np.hanning(n)
+    c0 = input_power_w * (1.0 + math.cos(channel.bias_phase_rad))
+    return 2.0 * c0 * noise_sigma * math.sqrt(np.sum(w * w) * math.log(2.0)) \
+        / w.sum()
+
+
+def drawn_noise_floors(channel, frequencies_hz, seeds, *, duration_s=0.01,
+                       sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
+                       noise_sigma=DEFAULT_NOISE_SIGMA,
+                       input_power_w=DEFAULT_INPUT_POWER_W) -> np.ndarray:
+    """The noise floor drawn from samples, one for each of ``seeds``: the
+    median tone amplitude (:func:`tone_amplitude`, its Hann-weighted
+    phasors built once) of the drive-off trace of that seed at every
+    ``max(1, points // 16)``-th grid point, 17 points for the default
+    293-point grid."""
+    freqs = np.asarray(list(frequencies_hz), dtype=float)
+    probes = freqs[:: max(1, freqs.size // 16)]
+    floors = []
+    for seed in seeds:
+        quiet = synthesize_trace((), channel, duration_s, sample_rate_hz,
+                                 noise_sigma, seed=seed,
+                                 input_power_w=input_power_w)
+        if not floors:
+            n = quiet.samples.size
+            w = np.hanning(n)
+            times = np.arange(n) / sample_rate_hz
+            weighted = w * np.exp(-2j * math.pi * probes[:, None] * times)
+        x = quiet.samples - quiet.samples.mean()
+        # numpy's own loop: threaded BLAS was slower on this product.
+        projections = np.einsum("ij,j->i", weighted, x)
+        floors.append(np.median(2.0 * np.abs(projections) / w.sum()))
+    return np.array(floors)
+
+
 def point_by_point_sweep(event, channel, frequencies_hz, *,
                          duration_s=0.01,
                          sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
@@ -221,8 +263,8 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
                          seed=None) -> FrequencySweep:
     """Swept-sine response one grid point at a time: a fresh drive event
     switched on at 0 s, a trace of it from 1 s on, when both copies have
-    long been running, and its tone measurement per frequency, then the
-    drive-off floor."""
+    long been running, and its tone measurement per frequency, with the
+    noise floor of :func:`rayleigh_floor`."""
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
     rng = np.random.default_rng(seed)
@@ -238,11 +280,8 @@ def point_by_point_sweep(event, channel, frequencies_hz, *,
             seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w,
             start_s=1.0)
         amps[i] = tone_amplitude(trace, f)
-    quiet = synthesize_trace(
-        (), channel, duration_s, sample_rate_hz, noise_sigma,
-        seed=int(rng.integers(0, 2**31)), input_power_w=input_power_w)
-    probes = freqs[:: max(1, freqs.size // 16)]
-    floor = float(np.median([tone_amplitude(quiet, f) for f in probes]))
+    floor = rayleigh_floor(channel, trace.samples.size, noise_sigma,
+                           input_power_w)
     return FrequencySweep(frequencies_hz=freqs, amplitudes=amps,
                           noise_floor_amplitude=floor)
 

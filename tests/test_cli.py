@@ -838,9 +838,11 @@ _UNSWEEPABLE = {
     "two-sample-sweep": ("perception.sweep_duration_s", {
         "sweep_duration_s": 1e-5}),
     "730001-point-grid": ("perception.scan_step_hz", {"scan_step_hz": 0.1}),
-    # It passed the samples rules and voted on notches for minutes.
+    # Before the scan-point bound it voted on notches for minutes.
     "730001-point-grid-of-short-sweeps": ("perception.scan_step_hz", {
         "scan_step_hz": 0.1, "sweep_duration_s": 1.5e-5}),
+    "sweep-past-the-trace-bound": ("perception.sweep_duration_s", {
+        "sweep_duration_s": (2**22 + 1) / 200e3}),
     "overflowing-point-count": ("perception.scan_step_hz", {
         "scan_max_hz": 1e308, "scan_step_hz": 1e-300}),
     "grid-past-nyquist": ("perception.scan_max_hz", {

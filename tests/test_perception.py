@@ -1,8 +1,6 @@
 import math
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +19,8 @@ from sagnacsim.errors import (AliasingError, ConfigError,
 from sagnacsim import perception
 from sagnacsim.config import parse_config_dict
 from sagnacsim.optics import C_VACUUM, LoopChannel
-from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
+from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
+                                  InterferenceTrace,
                                   NullFrequency, PerceptionSettings, acquire,
                                   find_null_frequencies, frequency_sweep,
                                   locate, localization_report, localize,
@@ -31,17 +30,13 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, InterferenceTrace,
                                   significance, synthesize_trace,
                                   window_phase_means)
 
-from oracles import (ac_amplitude_theory, ac_power_at, first_order_span,
-                     fresh_welch_psd, masked_significance,
+from oracles import (ac_amplitude_theory, ac_power_at, drawn_noise_floors,
+                     first_order_span, fresh_welch_psd, masked_significance,
                      per_candidate_notches, per_candidate_trace_nulls,
                      point_by_point_sweep,
-                     position_from_null, sampled_phase_means,
+                     position_from_null, rayleigh_floor, sampled_phase_means,
                      steady_state_response, tone_amplitude,
                      two_copy_phase, two_sided_position_span)
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-from output_digests import CONFIGS  # noqa: E402
 
 L = 30000.0
 N_FIBER = 1.468
@@ -734,23 +729,36 @@ class TestFrequencySweep:
                                 ACCEPTANCE_GRID, noise_sigma=0.0)
         assert sweep.amplitudes.max() < 1e-15 * DEFAULT_INPUT_POWER_W
 
-    def test_floor_reads_seventeen_fixed_points(self):
-        # The floor of the 293-point grid is the median tone amplitude of
-        # the drive-off reference trace at every 18th point from the first.
+    @pytest.mark.parametrize("bias, n", [(0.5 * math.pi, 2000),
+                                         (1.0, 2000), (0.5 * math.pi, 3),
+                                         (0.5 * math.pi, 40_000)])
+    def test_floor_is_the_rayleigh_median(self, bias, n):
+        # The floor is the median amplitude of the drive-off noise, from
+        # the np.hanning sums, with no sample drawn and whatever the seed.
+        want = rayleigh_floor(channel(bias), n, DEFAULT_NOISE_SIGMA)
+        for seed in (11, 12):
+            sweep = frequency_sweep(
+                pzt_event(5000.0, 3000.0, 0.6), channel(bias),
+                ACCEPTANCE_GRID, duration_s=n / 200e3, seed=seed)
+            assert sweep.noise_floor_amplitude == pytest.approx(want,
+                                                                rel=1e-12)
+
+    def test_floor_is_the_median_of_drawn_floors(self):
+        # The floor the 17 probes drew from a drive-off trace is the
+        # median of 17 Rayleigh amplitudes, whose median is the closed
+        # form.  Over 2000 seeds the drawn floor has an SD of 0.17 of it,
+        # so the median of the draws has a standard error of about 1.25 x
+        # 0.17 / sqrt(2000) = 0.5 %: the bound is 2 %, four of them.
         sweep = frequency_sweep(pzt_event(5000.0, 3000.0, 0.6), channel(),
-                                ACCEPTANCE_GRID, seed=11)
-        quiet = synthesize_trace(
-            (), channel(), 0.01, perception.DEFAULT_SAMPLE_RATE_HZ,
-            perception.DEFAULT_NOISE_SIGMA, seed=int(
-                np.random.default_rng(11).integers(0, perception.MAX_SEED)))
-        probes = ACCEPTANCE_GRID[18 * np.arange(17)]
-        assert probes[-1] == ACCEPTANCE_GRID[288]
-        want = np.median([measure_tone_amplitude(quiet, f) for f in probes])
-        assert sweep.noise_floor_amplitude == pytest.approx(want, rel=1e-12)
+                                ACCEPTANCE_GRID, seed=1)
+        drawn = drawn_noise_floors(channel(), ACCEPTANCE_GRID,
+                                   range(1, 2001))
+        ratio = np.median(drawn) / sweep.noise_floor_amplitude
+        assert abs(ratio - 1.0) < 0.02, ratio
 
     # Two-sample Kolmogorov-Smirnov test of the noisy sweep against the
     # point-by-point measurement, each over its own fixed seeds: each
-    # amplitude and the floor must not be rejected at ALPHA.
+    # amplitude must not be rejected at ALPHA, and the floors agree.
     ALPHA = 1e-3
     RUNS = 1000
     # At 5 km the first null lies at c / (n (L - 2x)), the peak at half of
@@ -764,17 +772,20 @@ class TestFrequencySweep:
         def draws(sweep, seeds):
             runs = [sweep(event, channel(), points, seed=int(seed))
                     for seed in seeds]
-            return np.array([[*r.amplitudes, r.noise_floor_amplitude]
-                             for r in runs])
+            return (np.array([r.amplitudes for r in runs]),
+                    {r.noise_floor_amplitude for r in runs})
 
-        got = draws(frequency_sweep, range(self.RUNS))
-        want = draws(point_by_point_sweep, range(self.RUNS, 2 * self.RUNS))
+        got, got_floors = draws(frequency_sweep, range(self.RUNS))
+        want, [want_floor] = draws(point_by_point_sweep,
+                                   range(self.RUNS, 2 * self.RUNS))
         p_values = [ks_2samp(got[:, i], want[:, i]).pvalue
                     for i in range(got.shape[1])]
         assert min(p_values) > self.ALPHA, p_values
+        [floor] = got_floors
+        assert floor == pytest.approx(want_floor, rel=1e-12)
 
     @pytest.mark.parametrize("noise_sigma, generators",
-                             [(0.0019, 2), (0.0, 1)])
+                             [(0.0019, 1), (0.0, 0)])
     def test_at_most_two_generators(self, monkeypatch, noise_sigma,
                                     generators):
         built = []
@@ -933,6 +944,26 @@ class TestSweepResponse:
         assert np.array_equal(alone.projections, blocked.projections)
         assert np.array_equal(alone.moments, blocked.moments)
 
+    def test_response_arrays_are_read_only(self):
+        response = self.response(pzt_event(5000.0, 3000.0, 0.6))
+        for array in (response.projections, response.moments):
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 2000, 2001, 10**6])
+    def test_window_sums_are_the_hanning_sums(self, n):
+        # Bound: np.hanning rounds each of n terms and sums them, so its
+        # sums are good to a few n eps; the worst seen is 1.1e-16 at 10**6.
+        w = np.hanning(n)
+        weight, power = perception._hann_sums(n)
+        assert weight == pytest.approx(w.sum(), rel=1e-12, abs=0.0)
+        assert power == pytest.approx(np.sum(w * w), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_window_has_no_weight(self, n):
+        with pytest.raises(InsufficientDataError):
+            perception._hann_sums(n)
+
     def test_dark_bias_gives_exact_zeros(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1003,78 +1034,6 @@ class TestSweepResponse:
                       <= 1e-14 * i0 * i0 * np.sum(w * w))
 
 
-class TestSweepPlan:
-    """The cached plan of a sweep, one for every drive whose grid, trace
-    length and sample rate agree, gives the responses and sweeps a fresh
-    one does."""
-
-    FS = perception.DEFAULT_SAMPLE_RATE_HZ
-
-    @staticmethod
-    def plan_of(n=2000, grid=ACCEPTANCE_GRID, fs=FS):
-        return perception._sweep_plan(np.asarray(grid, dtype=float).tobytes(),
-                                      n, fs)
-
-    @pytest.mark.parametrize("peak, n", [(0.6, 2000), (60.0, 2000),
-                                         (0.6, 16)],
-                             ids=["readme", "60-rad", "short"])
-    def test_cold_and_warm_responses_are_equal(self, peak, n):
-        event = pzt_event(5000.0, 3000.0, peak)
-
-        def response_and_sweep(cold):
-            if cold:
-                perception._sweep_plan.cache_clear()
-            response = perception._sweep_response(
-                event, channel(), ACCEPTANCE_GRID, n, self.FS,
-                DEFAULT_INPUT_POWER_W)
-            if cold:
-                perception._sweep_plan.cache_clear()
-            return response, frequency_sweep(
-                event, channel(), ACCEPTANCE_GRID, duration_s=n / self.FS,
-                seed=3)
-
-        (cold, cold_sweep), (warm, warm_sweep) = (response_and_sweep(True),
-                                                  response_and_sweep(False))
-        assert np.array_equal(warm.projections, cold.projections)
-        assert np.array_equal(warm.moments, cold.moments)
-        assert np.array_equal(warm_sweep.amplitudes, cold_sweep.amplitudes)
-        assert warm_sweep.noise_floor_amplitude == \
-            cold_sweep.noise_floor_amplitude
-
-    def test_cached_arrays_are_read_only(self):
-        plan = self.plan_of()
-        response = perception._sweep_response(
-            pzt_event(5000.0, 3000.0, 0.6), channel(), ACCEPTANCE_GRID,
-            2000, self.FS, DEFAULT_INPUT_POWER_W)
-        assert response.plan is plan
-        for array in (plan.w, plan.probes, response.projections,
-                      response.moments):
-            with pytest.raises(ValueError):
-                array.flat[0] = 1.0
-
-    def test_two_drives_of_a_scenario_share_one_plan(self):
-        script = parse_config_dict(CONFIGS["two_pzt"]).scenario
-        assert sorted(ev.position_m for ev in script.events) == \
-            [4000.0, 9000.0]
-        perception._sweep_plan.cache_clear()
-        for seed, event in enumerate(script.events):
-            acquire(event, script.channel, script.perception, seed)
-        info = perception._sweep_plan.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-
-    def test_grid_length_and_rate_each_key_a_plan(self):
-        perception._sweep_plan.cache_clear()
-        for kwargs in ({}, {"grid": ACCEPTANCE_GRID[1:]}, {"n": 1999},
-                       {"fs": 2e5 + 1.0}):
-            self.plan_of(**kwargs)
-        # A drive of any strength shares the plan of its grid.
-        for peak in (0.6, 60.0):
-            perception._sweep_response(
-                pzt_event(5000.0, 3000.0, peak), channel(), ACCEPTANCE_GRID,
-                2000, self.FS, DEFAULT_INPUT_POWER_W)
-        assert perception._sweep_plan.cache_info().currsize == 4
-
-
 class TestCorrelatedNormals:
     # Unit draws g = (1, 0) and (0, 1) read off the columns of L.
     UNIT = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -1110,26 +1069,6 @@ class TestCorrelatedNormals:
         chol = self.factor(a, h, b)
         assert chol[1, 1] == 0.0
         assert np.all(np.isfinite(chol))
-
-
-class TestUnitPhasors:
-    FS = 200e3
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 40_000])
-    def test_matches_one_exponential_per_sample(self, n):
-        # Up to just below Nyquist, where the phase reaches pi n.
-        omegas = 2 * math.pi * np.array(
-            [0.0, 1.0, 2000.0, 12345.678, 75000.0,
-             np.nextafter(self.FS / 2, 0.0)])
-        got = perception._unit_phasors(omegas, n, self.FS)
-        assert got.shape == (omegas.size, n)
-        phase = omegas[:, None] * np.arange(n) / self.FS
-        want = np.exp(1j * phase)
-        # 1e-12, plus a few ulp of the phase: the float64 phase of the
-        # reference is itself only that good, which at 40 000 samples near
-        # Nyquist (phase 1.3e5 rad) is about 3e-11.
-        slack = 1e-12 + 4 * np.finfo(float).eps * phase
-        assert np.all(np.abs(got - want) <= slack)
 
 
 class TestMeasureToneAmplitude:
@@ -1278,16 +1217,34 @@ class TestSettingsThatCannotSweep:
         with pytest.raises(ConfigError) as err:
             PerceptionSettings(scan_step_hz=0.1)
         [problem] = err.value.problems
-        assert problem.startswith("scan_step_hz:")
-        assert "730001 scan points of 2000 sweep samples" in problem
-        # Fifty times the default grid's work still sweeps.
+        assert problem == ("scan_step_hz: 0.1 asks for 730001 scan points, "
+                           "more than 32768")
+        # Fifty times the default grid still sweeps.
         assert PerceptionSettings(scan_step_hz=5.0).scan_grid().size == 14601
+
+    def test_sweep_samples_bounded_as_a_trace(self):
+        # A sweep reads no samples, so its length is bounded only as a
+        # trace is: MAX_TRACE_SAMPLES sweeps without a warning over the
+        # default grid, and one sample more names sweep_duration_s.
+        most = perception.MAX_TRACE_SAMPLES
+        settings = PerceptionSettings(sweep_duration_s=most / 200e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = acquire(pzt_event(5000.0, 3000.0, 0.6), channel(),
+                            settings, seed=1)
+        assert sweep.amplitudes.size == 293
+        assert np.all(np.isfinite(sweep.amplitudes))
+        assert 0.0 < sweep.noise_floor_amplitude < np.median(sweep.amplitudes)
+        with pytest.raises(ConfigError) as err:
+            PerceptionSettings(sweep_duration_s=(most + 1) / 200e3)
+        assert err.value.problems == [
+            f"sweep_duration_s: holds {most + 1} samples at sample_rate_hz "
+            f"200000.0, more than {most}"]
 
     def test_drive_series_work_bounded(self, monkeypatch):
         # The README drive keeps M = 22 orders, 25 a point: with the bound
         # at 293 x 25 the default grid sweeps and one point more does not.
         # The problem names the drive's gain, in settings and sweeps alike.
-        # 3-sample sweeps keep the samples rule out of play.
         event = pzt_event(5000.0, 3000.0, 0.6)
         assert perception._sweep_orders(0.6) == 22
         monkeypatch.setattr(perception, "_MAX_SWEEP_WORK", 293 * 25)
@@ -1307,9 +1264,8 @@ class TestSettingsThatCannotSweep:
                             duration_s=short)
 
     def test_fine_grid_of_short_sweeps_bounds_a_strong_drive(self):
-        # 3-sample sweeps over 32 446 points, within the scan-point bound,
-        # pass the samples rule, and so do a weak drive's 9 orders a point;
-        # a 200 rad drive's 1127 would not.
+        # 32 446 points, within the scan-point bound, take a weak drive's
+        # 9 orders a point; a 200 rad drive's 1127 would not.
         settings = PerceptionSettings(sweep_duration_s=1.5e-5,
                                       scan_step_hz=2.25)
         assert settings.event_problems(pzt_event(5000.0, 3000.0, 1e-3)) == []
@@ -1320,8 +1276,7 @@ class TestSettingsThatCannotSweep:
                                   "points")
 
     def test_scan_points_bounded_on_short_sweeps(self):
-        # 3-sample sweeps keep the samples rules out of play; 2**15 points
-        # from 2000 Hz sweep and one more does not.
+        # 2**15 points from 2000 Hz sweep and one more does not.
         def settings_at(points):
             return PerceptionSettings(sweep_duration_s=1.5e-5,
                                       scan_max_hz=2000.0 + points - 1,

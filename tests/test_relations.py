@@ -98,6 +98,19 @@ def test_doubling_the_power_doubles_every_amplitude(x, gain):
 
 
 @DRAWS
+@given(x=st.integers(0, 30_000), gain=st.floats(0.01, 50.0),
+       sigma=st.floats(1e-6, 1.0))
+@example(x=5000, gain=0.5, sigma=PerceptionSettings.noise_sigma)
+def test_doubling_the_noise_doubles_the_floor(x, gain, sigma):
+    # Exact: the floor is the median amplitude of the noise alone, linear
+    # in sigma, and doubling a float scales it by a power of two.
+    single = sweep(drive(x, gain=gain), loop(), sigma)
+    double = sweep(drive(x, gain=gain), loop(), 2.0 * sigma)
+    assert double.noise_floor_amplitude == \
+        2.0 * single.noise_floor_amplitude
+
+
+@DRAWS
 @given(x=st.integers(0, 15_000), gain=st.floats(0.01, 50.0))
 @example(x=1000, gain=0.5)
 @example(x=1000, gain=50.0)
