@@ -14,7 +14,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,9 +30,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _replace_file(path: str | Path, text: str) -> Path:
-    """Write ``text`` as a new file at ``path``, after unlinking any file
-    there: on ext4 that costs far less than truncating a file in place.
+def _replace_file(path: str | Path, chunks: Iterable[str]) -> Path:
+    """Write the texts of ``chunks``, in order, as a new file at ``path``,
+    after unlinking any file there: on ext4 that costs far less than
+    truncating a file in place.
     So a symlink or hard link at ``path`` is replaced, and the file it
     shared is left as it was.
 
@@ -42,19 +43,28 @@ def _replace_file(path: str | Path, text: str) -> Path:
     path = Path(path)
     try:
         path.unlink(missing_ok=True)
-        path.write_text(text)
+        with path.open("w") as file:
+            for text in chunks:
+                file.write(text)
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     return path
 
 
+#: Most samples :func:`write_trace` formats at once.
+_TRACE_BLOCK = 2**16
+
+
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
-    """Write a trace as its metadata header line, then one sample a line."""
+    """Write a trace as its metadata header line, then one sample a line,
+    formatting at most ``_TRACE_BLOCK`` samples at once."""
     header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
               f"i0_w={_fmt(trace.input_power_w)} "
-              f"noise_sigma={_fmt(trace.noise_sigma)}")
-    return _replace_file(
-        path, "\n".join([header, *map(repr, trace.samples.tolist())]) + "\n")
+              f"noise_sigma={_fmt(trace.noise_sigma)}\n")
+    samples = trace.samples
+    blocks = ("\n".join(map(repr, samples[lo:lo + _TRACE_BLOCK].tolist()))
+              + "\n" for lo in range(0, samples.size, _TRACE_BLOCK))
+    return _replace_file(path, itertools.chain([header], blocks))
 
 
 #: The line breaks of ``str.splitlines`` that a text-mode file does not end
@@ -170,7 +180,7 @@ def write_columns(path: str | Path, header: Sequence[str],
     lines = [",".join(header)]
     for i in range(n):
         lines.append(",".join(_fmt(col[i]) for col in columns))
-    return _replace_file(path, "\n".join(lines) + "\n")
+    return _replace_file(path, ["\n".join(lines) + "\n"])
 
 
 def _non_finite_keys(value, where: str):
@@ -268,7 +278,7 @@ def write_report(path: str | Path, report: dict) -> Path:
     encode = (_indented if json.encoder.c_make_encoder is not None else
               functools.partial(json.dumps, indent=2, sort_keys=True,
                                 allow_nan=False))
-    return _replace_file(path, _json_text(path, encode, report) + "\n")
+    return _replace_file(path, [_json_text(path, encode, report) + "\n"])
 
 
 def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
@@ -276,6 +286,6 @@ def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
     ``json.dumps(entry, sort_keys=True)``."""
     encode = _c_encoder(", ") or functools.partial(
         json.dumps, sort_keys=True, allow_nan=False)
-    return _replace_file(path, _json_text(
+    return _replace_file(path, [_json_text(
         path, lambda items: "".join([encode(item) + "\n" for item in items]),
-        entries))
+        entries)])
