@@ -1,0 +1,98 @@
+"""Measure localization against ground truth and write the table as JSON.
+
+Usage: ``python3 tools/scorecard.py`` (no options).  It prints a fixed
+table and writes the same rows to ``scorecard.json`` in the working
+directory.  The runs are fixed, so two runs of the same code give the same
+bytes.
+
+Rows so far, the sweep path: the README drive (1.2 V at 0.5 rad/V, 3 kHz)
+switched on at 0 s at each position of ``POSITIONS_M`` on the default
+30 km loop, acquired with each seed of ``SEEDS`` through
+``perception.acquire`` and ``perception.locate`` at the default perception
+settings.  Each row gives the number located, the RMS and the mean of
+``position - truth`` over those, and the kinds of the others: ``none`` for
+no null found, else the exception's class name.
+"""
+from __future__ import annotations
+
+import json
+import math
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sagnacsim import perception  # noqa: E402
+from sagnacsim.config import parse_config_dict  # noqa: E402
+from sagnacsim.errors import SagnacSimError  # noqa: E402
+
+OUTPUT = "scorecard.json"
+
+README_DRIVE = {"kind": "pzt", "start_s": 0.0, "drive_amplitude_v": 1.2,
+                "frequency_hz": 3000.0, "phase_gain_rad_per_v": 0.5}
+POSITIONS_M = (1000.0, 5000.0, 9000.0, 13000.0, 14000.0, 14500.0, 14900.0)
+SEEDS = range(1, 9)
+
+
+def sweep_row(position_m: float) -> dict:
+    """Localization of the README drive at ``position_m`` over ``SEEDS``."""
+    script = parse_config_dict(
+        {"disturbances": [dict(README_DRIVE, position_m=position_m)]}).scenario
+    [event] = script.events
+    errors, fails = [], Counter()
+    for seed in SEEDS:
+        try:
+            data = perception.acquire(event, script.channel,
+                                      script.perception, seed)
+            located = perception.locate(data, script.channel,
+                                        script.perception)
+        except SagnacSimError as exc:
+            fails[type(exc).__name__] += 1
+            continue
+        if located is None:
+            fails["none"] += 1
+        else:
+            errors.append(located.position_m - position_m)
+    return {
+        "position_m": position_m,
+        "runs": len(SEEDS),
+        "located": len(errors),
+        "rms_error_m": (math.sqrt(math.fsum(e * e for e in errors)
+                                  / len(errors)) if errors else None),
+        "mean_error_m": math.fsum(errors) / len(errors) if errors else None,
+        "fails": dict(sorted(fails.items())),
+    }
+
+
+def scorecard() -> dict:
+    return {"sweep_path": [sweep_row(x) for x in POSITIONS_M]}
+
+
+def table(card: dict) -> str:
+    def metres(value):
+        return "-" if value is None else f"{value:+.4f}"
+
+    lines = ["sweep path: README drive from 0 s, 30 km loop, seeds "
+             f"{SEEDS.start}-{SEEDS.stop - 1}",
+             f"{'position_m':>10}  {'located':>7}  {'rms_error_m':>11}  "
+             f"{'mean_error_m':>12}  fails"]
+    for row in card["sweep_path"]:
+        fails = ", ".join(f"{kind} {count}"
+                          for kind, count in row["fails"].items()) or "-"
+        rms = "-" if row["rms_error_m"] is None else \
+            f"{row['rms_error_m']:.4f}"
+        located = f"{row['located']}/{row['runs']}"
+        lines.append(f"{row['position_m']:>10.0f}  {located:>7}  {rms:>11}  "
+                     f"{metres(row['mean_error_m']):>12}  {fails}")
+    return "\n".join(lines)
+
+
+def main() -> None:
+    card = scorecard()
+    print(table(card))
+    Path(OUTPUT).write_text(json.dumps(card, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
