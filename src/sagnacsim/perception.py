@@ -659,10 +659,10 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     n = _sample_count(duration_s, sample_rate_hz)
     if responses is None:
         responses = {}
-    key = (event, channel, freqs.tobytes(), n, sample_rate_hz, input_power_w)
+    key = (event, channel, freqs.tobytes(), n, input_power_w)
     if key not in responses:
         responses[key] = _sweep_response(event, channel, freqs, n,
-                                         sample_rate_hz, input_power_w)
+                                         input_power_w)
     response = responses[key]
     projections = response.projections
     if noise_sigma > 0.0:
@@ -718,7 +718,7 @@ def _strong_drive_problem(params: PztParams, points: int) -> Optional[str]:
 
 
 def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
-                    freqs: np.ndarray, n: int, sample_rate_hz: float,
+                    freqs: np.ndarray, n: int,
                     input_power_w: float) -> _SweepResponse:
     """Noise-free response of ``n``-sample sweep traces over ``freqs``: the
     settled drive, read behind an ideal anti-alias filter.

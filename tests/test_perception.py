@@ -883,12 +883,10 @@ class TestSweepResponse:
     eps = 5e-14, and the FFT adds about eps log2(nodes); the worst seen is
     1.6e-14."""
 
-    FS = perception.DEFAULT_SAMPLE_RATE_HZ
-
     def response(self, event, n=2000, grid=ACCEPTANCE_GRID,
                  bias=0.5 * math.pi):
         return perception._sweep_response(
-            event, channel(bias), np.asarray(grid, dtype=float), n, self.FS,
+            event, channel(bias), np.asarray(grid, dtype=float), n,
             DEFAULT_INPUT_POWER_W)
 
     def assert_matches_bessel(self, event, bias=0.5 * math.pi, n=2000):
@@ -952,17 +950,21 @@ class TestSweepResponse:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 2000, 2001, 10**6])
     def test_window_sums_are_the_hanning_sums(self, n):
-        # Bound: np.hanning rounds each of n terms and sums them, so its
-        # sums are good to a few n eps; the worst seen is 1.1e-16 at 10**6.
+        # Bound: np.hanning rounds each term and numpy sums pairwise, so
+        # its sums are good to about eps log2(n); the worst seen is
+        # 1.6e-16, at 10**6.
         w = np.hanning(n)
         weight, power = perception._hann_sums(n)
         assert weight == pytest.approx(w.sum(), rel=1e-12, abs=0.0)
         assert power == pytest.approx(np.sum(w * w), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_short_window_has_no_weight(self, n):
+    @pytest.mark.parametrize("duration_s", [1e-9, 5e-6, 1e-5],
+                             ids=["no-sample", "one-sample", "two-samples"])
+    def test_sweep_of_fewer_than_three_samples_has_no_weight(self,
+                                                            duration_s):
         with pytest.raises(InsufficientDataError):
-            perception._hann_sums(n)
+            frequency_sweep(pzt_event(5000.0, 3000.0, 0.6), channel(),
+                            ACCEPTANCE_GRID, duration_s=duration_s, seed=1)
 
     def test_dark_bias_gives_exact_zeros(self):
         with warnings.catch_warnings():
