@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +82,6 @@ def _base_report(cfg: ScenarioConfig) -> dict:
 _RECORD_FIELDS = tuple(f.name for f in fields(qkd.SiftedKeyRecord))
 
 
-def _record_dicts(records) -> list[dict]:
-    """Key window records as dicts, without an ``asdict`` deep copy."""
-    return [{name: getattr(r, name) for name in _RECORD_FIELDS}
-            for r in records]
-
-
 def _located_dict(located: perception.LocalizationReport) -> dict:
     """A localization report as a dict, its nulls a list of dicts, without
     an ``asdict`` deep copy."""
@@ -114,9 +109,8 @@ def _cmd_qkd(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     records = _run_session(cfg)
     summary = qkd.session_summary(records)
     write_columns(out["qber_windows.csv"], _RECORD_FIELDS,
-                  [[getattr(r, name) for r in records]
-                   for name in _RECORD_FIELDS])
-    report["qkd_windows"] = _record_dicts(records)
+                  map(attrgetter(*_RECORD_FIELDS), records))
+    report["qkd_windows"] = list(map(vars, records))
     report["summary"] = summary
     return (f"windows={summary['windows']} "
             f"rate={summary['mean_raw_rate_bps']:.1f} bps "
@@ -135,7 +129,7 @@ def _cmd_perceive(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
         if isinstance(data, perception.FrequencySweep):
             write_columns(out["amplitude_vs_frequency.csv"],
                           ["frequency_hz", "amplitude_w"],
-                          [data.frequencies_hz, data.amplitudes])
+                          zip(data.frequencies_hz, data.amplitudes))
         else:
             write_trace(out["trace.txt"], data)
             report["trace_file"] = "trace.txt"
@@ -192,11 +186,9 @@ def _cmd_wm(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     write_columns(out["icr_vs_mass.csv"],
                   ["mass_kg", "i_d_w", "icr", "delta_tau_s",
                    "inferred_mass_kg"],
-                  [masses,
-                   [r.disturbed_intensity_w for r in readings],
-                   [r.contrast_ratio for r in readings],
-                   [r.inferred_delay_s for r in readings],
-                   [r.inferred_mass_kg for r in readings]])
+                  [(m, r.disturbed_intensity_w, r.contrast_ratio,
+                    r.inferred_delay_s, r.inferred_mass_kg)
+                   for m, r in zip(masses, readings)])
     report["wm_readings"] = [
         {"mass_kg": m, **vars(r)} for m, r in zip(masses, readings)]
     return " ".join(f"{r.inferred_delay_s:.3e}" for r in readings)
@@ -209,17 +201,15 @@ def _cmd_integrated(args, cfg: ScenarioConfig, out: dict,
     write_event_log(out["event_log.jsonl"], entries)
     write_columns(out["qber_vs_time.csv"],
                   ["window_start_s", "qber_estimate", "raw_rate_bps"],
-                  [[r.window_start_s for r in result.key_records],
-                   [r.qber_estimate for r in result.key_records],
-                   [r.raw_rate_bps for r in result.key_records]])
+                  map(attrgetter("window_start_s", "qber_estimate",
+                                 "raw_rate_bps"), result.key_records))
     if result.wm_readings:
         write_columns(out["wm_readings.csv"],
                       ["time_s", "icr", "delta_tau_s", "inferred_mass_kg"],
-                      [[r["time_s"] for r in result.wm_readings],
-                       [r["contrast_ratio"] for r in result.wm_readings],
-                       [r["inferred_delay_s"] for r in result.wm_readings],
-                       [r["inferred_mass_kg"] for r in result.wm_readings]])
-    report["qkd_windows"] = _record_dicts(result.key_records)
+                      map(itemgetter("time_s", "contrast_ratio",
+                                     "inferred_delay_s", "inferred_mass_kg"),
+                          result.wm_readings))
+    report["qkd_windows"] = list(map(vars, result.key_records))
     report["summary"] = qkd.session_summary(result.key_records)
     report["wm_readings"] = result.wm_readings
     report["localization_reports"] = [
@@ -240,23 +230,17 @@ def _cmd_sweep(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     if not values:
         raise ConfigError(["--values: needs at least one value"])
     section, _, key = args.key.rpartition(".")
-    rows = []
+    swept = ("qber_pooled", "mean_raw_rate_bps", "sifted_bits")
+    points = []
     for value in values:
         resolved = cfg.echo()
         (resolved[section] if section else resolved)[key] = value
         summary = qkd.session_summary(
             _run_session(parse_config_dict(resolved)))
-        rows.append((value, summary["qber_pooled"],
-                     summary["mean_raw_rate_bps"], summary["sifted_bits"]))
-    write_columns(out["sweep.csv"],
-                  [args.key, "qber_pooled", "mean_raw_rate_bps",
-                   "sifted_bits"],
-                  [[r[i] for r in rows] for i in range(4)])
-    report["sweep"] = {
-        "key": args.key,
-        "points": [{"value": v, "qber_pooled": q, "mean_raw_rate_bps": rate,
-                    "sifted_bits": bits} for v, q, rate, bits in rows],
-    }
+        points.append({"value": value, **{k: summary[k] for k in swept}})
+    write_columns(out["sweep.csv"], [args.key, *swept],
+                  map(itemgetter("value", *swept), points))
+    report["sweep"] = {"key": args.key, "points": points}
     return f"swept {args.key} over {len(values)} values"
 
 

@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .errors import Checked, ConfigError, field_specs, non_negative, positive
-from .optics import C_VACUUM
+from .optics import C_VACUUM, MAX_DELAY_SHIFT_S
 
 #: Standard acceleration of gravity (m/s^2), exact by definition.
 STANDARD_GRAVITY = 9.80665
@@ -24,12 +24,6 @@ STANDARD_GRAVITY = 9.80665
 #: 0.6 rad for the README drive; the net phase of a scenario's events then
 #: stays far inside the float range.
 MAX_PEAK_PHASE_RAD = 1e9
-
-#: Longest group-delay shift (s) a standing weight may impose: 1 ns, 1e8
-#: times the shift of the default 100 g and about 1e6 times a quarter turn
-#: of the WM working point at 1550 nm.  Its phase ``omega0 tau`` then stays
-#: far inside the float range at any wavelength.
-MAX_DELAY_SHIFT_S = 1e-9
 
 
 class _Peaked(Checked):
@@ -117,7 +111,8 @@ class PressureParams(Checked):
     contact area) into an index change which accumulates into a group-delay
     shift over the pressed length.  That shift, :func:`pressure_delay`, is
     bounded by ``MAX_DELAY_SHIFT_S`` as a problem of the factor furthest
-    past its default, the contact area counting inversely.
+    past its default, the contact area counting inversely; the divisor of
+    :func:`wm.mass_from_delay` may not round to 0.
     """
 
     mass_kg: float = non_negative(0.1)
@@ -127,8 +122,14 @@ class PressureParams(Checked):
 
     def __post_init__(self):
         super().__post_init__()
+        specs = field_specs(PressureParams)
+        if self.stress_optic_per_pa * STANDARD_GRAVITY \
+                * self.pressed_length_m == 0.0:
+            key = min(("pressed_length_m", "stress_optic_per_pa"),
+                      key=lambda k: getattr(self, k) / specs[k].default)
+            raise ConfigError([f"{key}: {getattr(self, key)} leaves no "
+                               f"delay shift to infer a mass from"])
         if not pressure_delay(self) <= MAX_DELAY_SHIFT_S:
-            specs = field_specs(PressureParams)
             key = max(specs, key=lambda k: math.log(
                 getattr(self, k) / specs[k].default)
                 * (-1.0 if k == "contact_area_m2" else 1.0))

@@ -171,15 +171,14 @@ def _first_bad_line(body: Sequence[str]) -> str:
 
 
 def write_columns(path: str | Path, header: Sequence[str],
-                  columns: Sequence[Sequence]) -> Path:
-    """Write a plot-ready CSV: one header line, repr-formatted values."""
-    n = len(columns[0]) if columns else 0
-    for col in columns:
-        if len(col) != n:
-            raise ValueError("all columns must have the same length")
+                  rows: Iterable[Sequence]) -> Path:
+    """Write a plot-ready CSV: one header line, then one line per row of
+    repr-formatted values, each row one value per header field."""
     lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError("each row must have one value per header field")
+        lines.append(",".join(map(_fmt, row)))
     return _replace_file(path, ["\n".join(lines) + "\n"])
 
 

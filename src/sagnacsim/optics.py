@@ -31,6 +31,17 @@ DEFAULT_WAVELENGTH_M = 1550e-9
 #: longer loops it loses all precision (at 1e20 m the spacing is 32 rad).
 MAX_LOOP_LENGTH_M = 1e7
 
+#: Highest refractive index the simulator takes, some three times
+#: silicon's 3.48 at 1550 nm: the transit phase then keeps the precision
+#: ``MAX_LOOP_LENGTH_M`` gives it to within a factor of 7.
+MAX_REFRACTIVE_INDEX = 10.0
+
+#: Longest group-delay shift (s) the loop or a standing weight may carry:
+#: 1 ns, 1e8 times the shift of the default 100 g and about 1e6 times a
+#: quarter turn of the WM working point at 1550 nm.  Its phase ``omega0
+#: tau`` and the loop's total delay then stay inside the float range.
+MAX_DELAY_SHIFT_S = 1e-9
+
 
 def omega_from_wavelength(wavelength_m: float) -> float:
     """Angular optical frequency (rad/s) for a vacuum wavelength."""
@@ -70,9 +81,9 @@ class LoopChannel(Checked):
     """
 
     length_m: float = within(0, MAX_LOOP_LENGTH_M, ends="(]")
-    refractive_index: float = within(1, math.inf, 1.468, ends="[)")
+    refractive_index: float = within(1, MAX_REFRACTIVE_INDEX, 1.468)
     intrinsic_delay_s: float = non_negative(0.0)
-    delay_shift_s: float = 0.0
+    delay_shift_s: float = within(-MAX_DELAY_SHIFT_S, MAX_DELAY_SHIFT_S, 0.0)
     bias_phase_rad: float = 0.0
     loss_db: float = non_negative(0.0)
 

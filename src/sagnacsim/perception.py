@@ -30,7 +30,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,11 +50,11 @@ DEFAULT_INPUT_POWER_W = 5.645e-3
 #: Default relative intensity noise of the source (power fluctuation).
 DEFAULT_NOISE_SIGMA = 0.0019
 
-#: Largest input power (W) and relative intensity noise perception may
-#: assume, some 2e8 and 5e5 times the defaults.  Together they keep the
-#: samples of a trace near 1e10 W at most, so the squares that Welch
-#: spectra and sweeps take of sums over millions of samples stay far inside
-#: the float range.
+#: Largest input power (W) and relative intensity noise perception and WM
+#: may assume, some 2e8 and 5e5 times perception's defaults.  Together
+#: they keep the samples of a trace near 1e10 W at most, so the squares
+#: that Welch spectra and sweeps take of sums over millions of samples, and
+#: the sums of a WM reading's draws, stay far inside the float range.
 MAX_INPUT_POWER_W = 1e6
 MAX_NOISE_SIGMA = 1e3
 
@@ -629,19 +629,19 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     ascending with at least 3 points, its last point must lie below half
     the sample rate, and the drive may need at most ``_PHASE_SAMPLES //
     2`` Fourier orders (:func:`_sweep_orders`); all four are checked
-    first, and the trace must hold at least 3 samples.  Each point reads
-    the settled drive behind an ideal anti-alias filter, as a swept-sine
-    instrument does: the Hann-weighted tone of an ``n``-sample trace of
-    the steady state (:func:`_sweep_response`), so a point depends only on
-    the drive's strength and the lag between its copies, not on when it
-    started.  The trace noise enters the projection linearly, so a point
-    is its noise-free projection plus one exact bivariate-normal draw
-    (:func:`_correlated_normals`) from the second moments of the
-    projection's noise; the seed fixes one ``(points, 2)`` standard-normal
-    draw.  The noise floor is the median tone amplitude of a drive-off
-    trace ``c0 (1 + sigma z)``, ``c0 = I0 (1 + cos b)`` at the bias ``b``:
-    each amplitude is Rayleigh, and its median is ``2 c0 sigma sqrt(
-    sum(w**2) ln 2) / sum(w)``, with no sample drawn.
+    first, and the trace must hold 3 to ``MAX_TRACE_SAMPLES`` samples.
+    Each point reads the settled drive behind an ideal anti-alias filter,
+    as a swept-sine instrument does: the Hann-weighted tone of an
+    ``n``-sample trace of the steady state (:func:`_sweep_response`), so a
+    point depends only on the drive's strength and the lag between its
+    copies, not on when it started.  The trace noise enters the projection
+    linearly, so a point is its noise-free projection plus one exact
+    bivariate-normal draw (:func:`_correlated_normals`) from the second
+    moments of the projection's noise; the seed fixes one ``(points, 2)``
+    standard-normal draw.  The noise floor is the median tone amplitude of
+    a drive-off trace ``c0 (1 + sigma z)``, ``c0 = I0 (1 + cos b)`` at the
+    bias ``b``: each amplitude is Rayleigh, and its median is ``2 c0 sigma
+    sqrt(sum(w**2) ln 2) / sum(w)``, with no sample drawn.
 
     ``responses`` is a dict the caller owns, such as the memo of one
     scenario run: repeat sweeps of the same drive then compute their
@@ -657,39 +657,38 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     if problem:
         raise ValueError(problem)
     n = _sample_count(duration_s, sample_rate_hz)
+    if n > MAX_TRACE_SAMPLES:
+        raise ValueError(f"duration_s: {duration_s} s holds {n} samples at "
+                         f"sample_rate_hz {sample_rate_hz}, more than "
+                         f"{MAX_TRACE_SAMPLES}")
+    weight, power = _hann_sums(n)
     if responses is None:
         responses = {}
     key = (event, channel, freqs.tobytes(), n, input_power_w)
     if key not in responses:
         responses[key] = _sweep_response(event, channel, freqs, n,
                                          input_power_w)
-    response = responses[key]
-    projections = response.projections
+    projections, moments = responses[key]
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
-            *response.moments,
+            *moments,
             np.random.default_rng(seed).standard_normal((freqs.size, 2)))
     c0 = float(_port_intensity(channel.bias_phase_rad, input_power_w))
-    floor = 2.0 * c0 * noise_sigma * math.sqrt(
-        response.power * math.log(2.0)) / response.weight
+    floor = 2.0 * c0 * noise_sigma * math.sqrt(power * math.log(2.0)) / weight
     return FrequencySweep(
         frequencies_hz=freqs,
-        amplitudes=2.0 * np.abs(projections) / response.weight,
+        amplitudes=2.0 * np.abs(projections) / weight,
         noise_floor_amplitude=floor)
 
 
-@dataclass(frozen=True)
-class _SweepResponse:
+class _SweepResponse(NamedTuple):
     """The seed-free half of a sweep that depends on its drive, read-only
     so that sweeps sharing it cannot change it: ``projections`` and
     ``moments`` (of ``c u``: re re, re im, im im) hold one column per grid
-    point, taken under a Hann window of sums ``weight`` and ``power``
-    (:func:`_hann_sums`)."""
+    point."""
 
     projections: np.ndarray
     moments: np.ndarray
-    weight: float
-    power: float
 
 
 def _sweep_orders(peak: float) -> int:
@@ -764,7 +763,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
                         0.5 * (q0 - q2.real)])
     for array in (projections, moments):
         array.flags.writeable = False
-    return _SweepResponse(projections, moments, weight, power)
+    return _SweepResponse(projections, moments)
 
 
 def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,

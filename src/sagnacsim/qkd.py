@@ -47,6 +47,10 @@ CALIBRATED_PHASE_NOISE_RAD = 0.43723
 #: harmonic ``k`` of the grid.
 MAX_PHASE_NOISE_RAD = 1e6
 
+#: Longest key window (s) a session may take, a million times the default:
+#: the phase a drive sweeps over one window stays far inside the float range.
+MAX_WINDOW_S = 1e6
+
 #: Damped Fourier harmonics of the outcome probabilities smaller than this
 #: are dropped; the outcomes of a round sum to 1, so it is also relative.
 _HARMONIC_CUTOFF = 1e-18
@@ -84,7 +88,7 @@ class DetectorModel(Checked):
 class QkdSettings(Checked):
     """Key-session windowing, the phase noise and the breach threshold."""
 
-    window_s: float = positive(1.0)
+    window_s: float = within(0, MAX_WINDOW_S, 1.0, ends="(]")
     # The window's multinomial draw counts in 64-bit integers.
     pulses_per_window: int = within(1, 2**63, 200_000, ends="[)")
     phase_noise_rad: float = within(0, MAX_PHASE_NOISE_RAD,

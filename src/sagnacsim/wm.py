@@ -25,8 +25,9 @@ import numpy as np
 
 from .disturbance import STANDARD_GRAVITY, PressureParams, pressure_delay
 from .errors import (Checked, ConfigError, NoSignalError, OutOfBranchError,
-                     ZeroWorkingPointError, non_negative, positive, within)
+                     ZeroWorkingPointError, positive, within)
 from .optics import C_VACUUM, LoopChannel, SpectralPacket, port_powers
+from .perception import MAX_INPUT_POWER_W, MAX_NOISE_SIGMA
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class WmSettings(Checked):
     delta_epsilon_rad: float = within(0, 0.5 * math.pi, math.pi / 6.0,
                                       ends="()")
     delta_bias_rad: float = 0.0
-    input_power_w: float = positive(1.0)
-    noise_sigma: float = non_negative(0.0019)
+    input_power_w: float = within(0, MAX_INPUT_POWER_W, 1.0, ends="(]")
+    noise_sigma: float = within(0, MAX_NOISE_SIGMA, 0.0019)
     samples_per_reading: int = within(1, 2**20, 16)
     poll_interval_s: float = positive(60.0)
     pressure: PressureParams = field(default_factory=PressureParams)

@@ -323,12 +323,11 @@ def _edge_draws(spec):
 
 class TestBoundEdges:
     def test_every_bounded_key_is_drawn(self):
-        # All but the three phases and shifts that take any finite value.
-        assert len(_BOUNDED) == 50
+        # All but the two phases that take any finite value.
+        assert len(_BOUNDED) == 51
         assert {key for key, spec in config_table.config_keys()
                 if spec.bound is None} == {
-            "channel.delay_shift_s", "perception.bias_phase_rad",
-            "wm.delta_bias_rad"}
+            "perception.bias_phase_rad", "wm.delta_bias_rad"}
 
     @pytest.mark.parametrize("key", list(_BOUNDED))
     def test_edges_of_the_interval(self, key):

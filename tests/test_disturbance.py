@@ -174,6 +174,21 @@ class TestPressure:
             PressureParams(**fields)
         assert [p.split(":")[0] for p in info.value.problems] == [key]
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"pressed_length_m": 5e-324}, "pressed_length_m"),
+        ({"stress_optic_per_pa": 1e-320, "pressed_length_m": 1e-5},
+         "stress_optic_per_pa"),
+        ({"pressed_length_m": 1e-300, "stress_optic_per_pa": 1e-30},
+         "pressed_length_m")])
+    def test_geometry_that_infers_no_mass_names_the_smaller_factor(
+            self, fields, key):
+        # mass_from_delay divides by stress_optic_per_pa g pressed_length_m.
+        with pytest.raises(ConfigError) as info:
+            PressureParams(**fields)
+        assert info.value.problems == [
+            f"{key}: {fields[key]} leaves no delay shift to infer a mass "
+            f"from"]
+
     def test_half_kilogram(self):
         delay = pressure_delay(PressureParams(mass_kg=0.5))
         assert delay == pytest.approx(

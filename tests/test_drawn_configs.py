@@ -1,0 +1,122 @@
+"""Configs drawn at the edges of their keys' bounds end every subcommand
+cleanly: exit 0, or exit 2 or 3 with one JSON diagnostic, no warning, and
+standard JSON in every JSON file written."""
+import contextlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sagnacsim.cli import main
+
+from test_cli import strict_json
+from test_config import _edge_draws
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import config_table  # noqa: E402
+
+COMMANDS = ("qkd", "integrated", "perceive", "wm")
+
+#: One entry of each kind, 5 km along the loop and 1 s into the default
+#: 20 s run: the README drive, and the default impact and weight.
+ENTRIES = {
+    "pzt": {"kind": "pzt", "position_m": 5000.0, "start_s": 1.0,
+            "drive_amplitude_v": 1.2, "frequency_hz": 3000.0,
+            "phase_gain_rad_per_v": 0.5},
+    "impact": {"kind": "impact", "position_m": 5000.0, "start_s": 1.0},
+    "pressure": {"kind": "pressure", "position_m": 5000.0, "start_s": 1.0},
+}
+
+MAX = sys.float_info.max
+
+#: Values far from any default: the ends of the type's range and, for
+#: floats, the least positive one.  Zero is an edge of most bounds.
+EXTREMES = {float: (MAX, -MAX, 5e-324), int: (2**63, -2**63)}
+
+
+def _draws(spec) -> list:
+    """The edge draws of ``spec``'s bound (:func:`_edge_draws`), then the
+    extremes of its type."""
+    edges = [] if spec.bound is None else [v for v, _ in _edge_draws(spec)]
+    return edges + list(EXTREMES[spec.kind])
+
+
+def _keys_of(kind: str) -> list:
+    """``(dotted key, FieldSpec)`` of the keys a config with one ``kind``
+    entry can set."""
+    return [(key, spec) for key, spec in config_table.config_keys()
+            if not key.startswith("disturbances[")
+            or key.startswith(("disturbances[]", f"disturbances[{kind}]"))]
+
+
+@st.composite
+def drawn_configs(draw) -> dict:
+    """A config of one to three numeric keys, each at an edge of its bound
+    or at an extreme, with one disturbance entry."""
+    kind = draw(st.sampled_from(list(ENTRIES)))
+    chosen = draw(st.lists(st.sampled_from(_keys_of(kind)), min_size=1,
+                           max_size=3, unique_by=lambda item: item[0]))
+    config = {"disturbances": [dict(ENTRIES[kind])]}
+    for key, spec in chosen:
+        value = draw(st.sampled_from(_draws(spec)))
+        section, _, name = key.rpartition(".")
+        if not section:
+            config[name] = value
+        elif section.startswith("disturbances["):
+            config["disturbances"][0][name] = value
+        else:
+            config.setdefault(section, {})[name] = value
+    return config
+
+
+def run(command: str, config_path: Path, out_dir: Path):
+    """Exit code, stderr text and warnings of one in-process run."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(config_path), "--out-dir",
+                     str(out_dir), "--quiet"])
+    return code, stderr.getvalue(), caught
+
+
+def _pzt_with(**sections) -> dict:
+    """A config of the README drive and ``sections``."""
+    return {"disturbances": [ENTRIES["pzt"]], **sections}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=drawn_configs())
+# Draws that once warned or raised, each now refused where it enters.
+@example(config=_pzt_with(wm={"input_power_w": MAX}))
+@example(config=_pzt_with(wm={"noise_sigma": MAX}))
+@example(config=_pzt_with(wm={"pressed_length_m": 5e-324}))
+@example(config=_pzt_with(channel={"refractive_index": MAX}))
+@example(config=_pzt_with(channel={"intrinsic_delay_s": MAX,
+                                   "delay_shift_s": MAX}))
+@example(config=_pzt_with(qkd={"window_s": MAX}))
+def test_drawn_config_ends_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        for command in COMMANDS:
+            out_dir = Path(tmp) / command
+            code, stderr, caught = run(command, config_path, out_dir)
+            assert code in (0, 2, 3), (command, code)
+            assert [str(w.message) for w in caught] == [], command
+            if code == 0:
+                assert stderr == "", command
+            else:
+                [line] = stderr.splitlines()
+                assert "error" in strict_json(line), command
+            for path in out_dir.glob("*.json"):
+                strict_json(path.read_text())
+            for path in out_dir.glob("*.jsonl"):
+                for line in path.read_text().splitlines():
+                    strict_json(line)

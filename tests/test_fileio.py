@@ -299,14 +299,14 @@ class TestColumns:
     def test_attosecond_values_survive(self, tmp_path):
         delays = [9.813439002524874e-18, 1.9626878005049748e-17]
         path = write_columns(tmp_path / "cols.csv", ["mass_kg", "delay_s"],
-                             [[0.1, 0.2], delays])
+                             zip([0.1, 0.2], delays))
         lines = path.read_text().splitlines()
         assert lines[0] == "mass_kg,delay_s"
         parsed = [float(line.split(",")[1]) for line in lines[1:]]
         assert parsed == delays
 
     def test_none_becomes_nan(self, tmp_path):
-        path = write_columns(tmp_path / "cols.csv", ["a"], [[None, 1.0]])
+        path = write_columns(tmp_path / "cols.csv", ["a"], [[None], [1.0]])
         rows = path.read_text().splitlines()[1:]
         assert rows[0] == "nan"
 

@@ -873,6 +873,31 @@ class TestFrequencySweep:
         with pytest.raises(ValueError, match=message):
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
 
+    @pytest.mark.parametrize("duration_s, samples", [
+        (1e308, "inf"), (math.inf, "inf"),
+        ((2**22 + 1) / 200e3, str(2**22 + 1))])
+    def test_sample_count_bounded_where_it_enters(self, duration_s, samples):
+        # A count past the float range or past MAX_TRACE_SAMPLES is refused
+        # before any arithmetic on it, so it raises no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                frequency_sweep(pzt_event(5000.0), channel(),
+                                ACCEPTANCE_GRID, seed=1,
+                                duration_s=duration_s)
+        assert str(err.value) == (
+            f"duration_s: {duration_s} s holds {samples} samples at "
+            f"sample_rate_hz 200000.0, more than {2**22}")
+
+    def test_most_samples_sweep_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = frequency_sweep(pzt_event(5000.0), channel(),
+                                    ACCEPTANCE_GRID, seed=1,
+                                    duration_s=2**22 / 200e3)
+        assert np.all(np.isfinite(sweep.amplitudes))
+        assert 0.0 < sweep.noise_floor_amplitude
+
 
 class TestSweepResponse:
     """The sweep's Fourier series against the settled drive's response

@@ -23,6 +23,8 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     rows = json.loads(written)["sweep_path"]
     assert [row["position_m"] for row in rows] == list(scorecard.POSITIONS_M)
     for row in rows:
-        assert row["located"] + sum(row["fails"].values()) == row["runs"] == 8
+        assert (row["located"] + sum(row["fails"].values()) == row["runs"]
+                == 128)
         assert (row["rms_error_m"] is None) == (row["located"] == 0)
+        assert (row["mean_se_m"] is None) == (row["located"] < 2)
     assert printed.count("\n") == len(rows) + 2

@@ -9,14 +9,17 @@ Rows so far, the sweep path: the README drive (1.2 V at 0.5 rad/V, 3 kHz)
 switched on at 0 s at each position of ``POSITIONS_M`` on the default
 30 km loop, acquired with each seed of ``SEEDS`` through
 ``perception.acquire`` and ``perception.locate`` at the default perception
-settings.  Each row gives the number located, the RMS and the mean of
-``position - truth`` over those, and the kinds of the others: ``none`` for
-no null found, else the exception's class name.
+settings.  The runs of a position share one ``responses`` memo, so its
+noise-free sweep is computed once.  Each row gives the number located, the
+RMS and the mean of ``position - truth`` over those, the mean's standard
+error ``sd / sqrt(located)`` (sample SD, from 2 located on), and the kinds
+of the others: ``none`` for no null found, else the exception's class name.
 """
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import sys
 from collections import Counter
 from pathlib import Path
@@ -32,7 +35,7 @@ OUTPUT = "scorecard.json"
 README_DRIVE = {"kind": "pzt", "start_s": 0.0, "drive_amplitude_v": 1.2,
                 "frequency_hz": 3000.0, "phase_gain_rad_per_v": 0.5}
 POSITIONS_M = (1000.0, 5000.0, 9000.0, 13000.0, 14000.0, 14500.0, 14900.0)
-SEEDS = range(1, 9)
+SEEDS = range(1, 129)
 
 
 def sweep_row(position_m: float) -> dict:
@@ -40,11 +43,12 @@ def sweep_row(position_m: float) -> dict:
     script = parse_config_dict(
         {"disturbances": [dict(README_DRIVE, position_m=position_m)]}).scenario
     [event] = script.events
-    errors, fails = [], Counter()
+    errors, fails, responses = [], Counter(), {}
     for seed in SEEDS:
         try:
             data = perception.acquire(event, script.channel,
-                                      script.perception, seed)
+                                      script.perception, seed,
+                                      responses=responses)
             located = perception.locate(data, script.channel,
                                         script.perception)
         except SagnacSimError as exc:
@@ -61,6 +65,8 @@ def sweep_row(position_m: float) -> dict:
         "rms_error_m": (math.sqrt(math.fsum(e * e for e in errors)
                                   / len(errors)) if errors else None),
         "mean_error_m": math.fsum(errors) / len(errors) if errors else None,
+        "mean_se_m": (statistics.stdev(errors) / math.sqrt(len(errors))
+                      if len(errors) > 1 else None),
         "fails": dict(sorted(fails.items())),
     }
 
@@ -70,21 +76,21 @@ def scorecard() -> dict:
 
 
 def table(card: dict) -> str:
-    def metres(value):
-        return "-" if value is None else f"{value:+.4f}"
+    def metres(value, sign="+"):
+        return "-" if value is None else f"{value:{sign}.4f}"
 
     lines = ["sweep path: README drive from 0 s, 30 km loop, seeds "
              f"{SEEDS.start}-{SEEDS.stop - 1}",
              f"{'position_m':>10}  {'located':>7}  {'rms_error_m':>11}  "
-             f"{'mean_error_m':>12}  fails"]
+             f"{'mean_error_m':>12}  {'mean_se_m':>9}  fails"]
     for row in card["sweep_path"]:
         fails = ", ".join(f"{kind} {count}"
                           for kind, count in row["fails"].items()) or "-"
-        rms = "-" if row["rms_error_m"] is None else \
-            f"{row['rms_error_m']:.4f}"
         located = f"{row['located']}/{row['runs']}"
-        lines.append(f"{row['position_m']:>10.0f}  {located:>7}  {rms:>11}  "
-                     f"{metres(row['mean_error_m']):>12}  {fails}")
+        lines.append(f"{row['position_m']:>10.0f}  {located:>7}  "
+                     f"{metres(row['rms_error_m'], ''):>11}  "
+                     f"{metres(row['mean_error_m']):>12}  "
+                     f"{metres(row['mean_se_m'], ''):>9}  {fails}")
     return "\n".join(lines)
 
 
