@@ -34,11 +34,6 @@ from .wm import WmSettings
 #: Most key windows, :func:`qkd.window_count`, a run may hold.
 MAX_KEY_WINDOWS = 100_000
 
-#: Most ``wm.samples_per_reading`` summed over the WM polls a run may hold.
-#: A reading draws that many normals for each of its three intensities, so
-#: this allows about 1e8 draws, some 2.5 s at 24 ns a draw.
-MAX_WM_POLL_SAMPLES = 2**25
-
 
 class SystemMode(enum.Enum):
     KEY_DISTRIBUTION = "key_distribution"
@@ -94,17 +89,6 @@ class ScenarioScript(Checked):
                 f"qkd.window_s: {self.qkd.window_s} splits duration_s "
                 f"{self.duration_s} into {windows} key windows, more than "
                 f"{MAX_KEY_WINDOWS}")
-        else:
-            # One poll at most per window end, and a window ends before
-            # duration_s + window_s.
-            latest_end = self.duration_s + self.qkd.window_s
-            polls = math.floor(
-                min(windows, latest_end / self.wm.poll_interval_s))
-            if polls * self.wm.samples_per_reading > MAX_WM_POLL_SAMPLES:
-                problems.append(
-                    f"wm.samples_per_reading: {self.wm.samples_per_reading} "
-                    f"samples at each of up to {polls} WM polls are more "
-                    f"than {MAX_WM_POLL_SAMPLES} in all")
         if problems:
             raise ConfigError(problems)
 

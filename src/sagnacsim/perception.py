@@ -54,7 +54,7 @@ DEFAULT_NOISE_SIGMA = 0.0019
 #: may assume, some 2e8 and 5e5 times perception's defaults.  Together
 #: they keep the samples of a trace near 1e10 W at most, so the squares
 #: that Welch spectra and sweeps take of sums over millions of samples, and
-#: the sums of a WM reading's draws, stay far inside the float range.
+#: the intensities of a WM reading, stay far inside the float range.
 MAX_INPUT_POWER_W = 1e6
 MAX_NOISE_SIGMA = 1e3
 
@@ -172,8 +172,6 @@ class PerceptionSettings(Checked):
         return math.ceil(steps) if math.isfinite(steps) else math.inf
 
     def _scan_grid_problems(self) -> list[str]:
-        # The last value of scan_grid(), found without building it:
-        # np.arange fills start + i * ((start + step) - start).
         points = self._scan_points()
         if points < 3:
             return [f"scan_step_hz: {self.scan_step_hz} leaves {points} scan "
@@ -183,8 +181,7 @@ class PerceptionSettings(Checked):
             return [f"scan_step_hz: {self.scan_step_hz} asks for "
                     f"{points:.12g} scan points, more than "
                     f"{_MAX_SCAN_POINTS}"]
-        last = self.scan_min_hz + (points - 1) * (
-            (self.scan_min_hz + self.scan_step_hz) - self.scan_min_hz)
+        last = float(self.scan_grid()[-1])
         if _band_aliases(last, self.sample_rate_hz):
             return [f"scan_max_hz: the last scan point {last} Hz is not "
                     f"below half the sample_rate_hz {self.sample_rate_hz}"]

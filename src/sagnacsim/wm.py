@@ -168,20 +168,20 @@ def read(cal: WmCalibration, settings: WmSettings, delta_tau_s: float,
     ``settings.delta_epsilon_rad``.
 
     Each of the offset, disturbed and minimum intensities (drawn in that
-    order) is the mean of ``settings.samples_per_reading`` draws with
-    multiplicative Gaussian noise of ``settings.noise_sigma``, mirroring
-    averaged power readings; ``rng`` is untouched when that is zero.  The
-    averaged intensities invert through the contrast ratio to the delay
-    shift and, through ``settings.pressure``, to the applied mass.
+    order) is the mean of ``n = settings.samples_per_reading`` power
+    readings with multiplicative Gaussian noise of ``settings.noise_sigma``.
+    That mean is exactly normal with relative SD ``sigma / sqrt(n)``, so
+    each intensity takes one draw of ``rng``, and none when ``sigma`` is
+    zero.  The averaged intensities invert through the contrast ratio to
+    the delay shift and, through ``settings.pressure``, to the applied mass.
     """
     offset, sigma = settings.delta_epsilon_rad, settings.noise_sigma
+    spread = sigma / math.sqrt(settings.samples_per_reading)
 
     def measure(value: float) -> float:
         if sigma <= 0.0:
             return value
-        draws = value * (1.0 + sigma * rng.standard_normal(
-            settings.samples_per_reading))
-        return float(np.mean(draws))
+        return value * (1.0 + spread * rng.standard_normal())
 
     i1 = measure(disturbed_intensity(cal, offset, 0.0, packet, channel))
     i_d = measure(disturbed_intensity(cal, offset, delta_tau_s, packet,

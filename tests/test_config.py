@@ -211,7 +211,7 @@ def _impact(width_s):
 
 # Values bounding the work of a run, at the bound and one unit past it:
 # key windows of 1 s, sensing samples and impact trace samples at the
-# default 200 kHz, and WM draws per reading and over a run's polls.
+# default 200 kHz, and WM samples per reading.
 _WORK_BOUNDS = {
     "key-windows": ("qkd.window_s", *[{"duration_s": float(n)} for n in (
         MAX_KEY_WINDOWS, MAX_KEY_WINDOWS + 1)]),
@@ -223,11 +223,6 @@ _WORK_BOUNDS = {
         for n in (MAX_TRACE_SAMPLES, MAX_TRACE_SAMPLES + 1)]),
     "wm-draws": ("wm.samples_per_reading", *[
         {"wm": {"samples_per_reading": n}} for n in (2**20, 2**20 + 1)]),
-    # 32 and 33 polls of 2**20 samples, one after each 1 s key window.
-    "wm-poll-samples": ("wm.samples_per_reading", *[
-        {"duration_s": float(n), "wm": {"poll_interval_s": 1.0,
-                                        "samples_per_reading": 2**20}}
-        for n in (32, 33)]),
 }
 
 

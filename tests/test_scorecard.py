@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import scorecard  # noqa: E402
@@ -20,11 +22,18 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     first = run(tmp_path / "first", monkeypatch, capsys)
     assert run(tmp_path / "second", monkeypatch, capsys) == first
     printed, written = first
-    rows = json.loads(written)["sweep_path"]
+    card = json.loads(written)
+    rows = card["sweep_path"]
     assert [row["position_m"] for row in rows] == list(scorecard.POSITIONS_M)
     for row in rows:
         assert (row["located"] + sum(row["fails"].values()) == row["runs"]
                 == 128)
         assert (row["rms_error_m"] is None) == (row["located"] == 0)
         assert (row["mean_se_m"] is None) == (row["located"] < 2)
-    assert printed.count("\n") == len(rows) + 2
+    quasi_static = card["quasi_static"]
+    assert quasi_static["mass_kg"] == scorecard.WM_MASS_KG
+    assert quasi_static["runs"] == 400
+    assert quasi_static["sd_error_kg"] > 0.0
+    assert quasi_static["mean_se_kg"] == pytest.approx(
+        quasi_static["sd_error_kg"] / 400 ** 0.5)
+    assert printed.count("\n") == len(rows) + 5

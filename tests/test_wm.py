@@ -12,7 +12,7 @@ from sagnacsim.errors import (NoSignalError, OutOfBranchError,
 from sagnacsim.optics import LoopChannel, SpectralPacket, omega_from_wavelength
 from sagnacsim.wm import (WmSettings, calibrate, contrast_ratio,
                           disturbed_intensity, infer_delay, mass_from_delay,
-                          pressure_staircase, reflected_intensity)
+                          pressure_staircase, read, reflected_intensity)
 
 from oracles import (approx_contrast_ratio, exact_contrast_ratio,
                      root_found_null_angle, root_found_shift)
@@ -270,6 +270,46 @@ class TestMassFromDelay:
         m1 = mass_from_delay(2e-18, params)
         m5 = mass_from_delay(1e-17, params)
         assert m5 == pytest.approx(5 * m1, rel=1e-12)
+
+
+class TestRead:
+    PACKET = SpectralPacket(OMEGA, 2e11)
+    DELAY = pressure_delay(PressureParams(mass_kg=0.1))
+
+    def reading(self, samples, seed):
+        settings = WmSettings(samples_per_reading=samples)
+        cal = calibrate(make_channel(), self.PACKET, settings)
+        return read(cal, settings, self.DELAY, self.PACKET, make_channel(),
+                    np.random.default_rng(seed))
+
+    def noiseless(self):
+        settings = WmSettings(noise_sigma=0.0)
+        cal = calibrate(make_channel(), self.PACKET, settings)
+        offset = settings.delta_epsilon_rad
+        return [disturbed_intensity(cal, offset, d, self.PACKET,
+                                    make_channel()) for d in (0.0, self.DELAY)
+                ] + [cal.min_intensity_w]
+
+    @pytest.mark.parametrize("samples", [16, 2**20])
+    def test_each_average_is_one_draw(self, samples):
+        # Offset, disturbed and minimum intensities, in that order, each
+        # take one normal scaled by sigma / sqrt(samples).
+        sigma = WmSettings().noise_sigma
+        g = np.random.default_rng(5).standard_normal(3)
+        i1, i_d, imin = [value * (1 + sigma / math.sqrt(samples) * gk)
+                         for value, gk in zip(self.noiseless(), g)]
+        reading = self.reading(samples, 5)
+        assert reading.offset_intensity_w == i1
+        assert reading.disturbed_intensity_w == i_d
+        assert reading.contrast_ratio == contrast_ratio(i1, i_d, imin)
+
+    @pytest.mark.parametrize("samples", [1, 16, 2**20])
+    def test_offset_spread_falls_as_root_samples(self, samples):
+        offsets = [self.reading(samples, seed).offset_intensity_w
+                   for seed in range(2000)]
+        expected = (WmSettings().noise_sigma * self.noiseless()[0]
+                    / math.sqrt(samples))
+        assert np.std(offsets, ddof=1) == pytest.approx(expected, rel=0.05)
 
 
 class TestStaircase:

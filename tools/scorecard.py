@@ -14,6 +14,11 @@ noise-free sweep is computed once.  Each row gives the number located, the
 RMS and the mean of ``position - truth`` over those, the mean's standard
 error ``sd / sqrt(located)`` (sample SD, from 2 located on), and the kinds
 of the others: ``none`` for no null found, else the exception's class name.
+
+The quasi-static row: one weak-measurement reading of a ``WM_MASS_KG`` load
+at the default config, through ``wm.pressure_staircase``, with each seed of
+``WM_SEEDS``.  It gives the number of runs and the sample SD, the mean and
+the mean's standard error ``sd / sqrt(runs)`` of ``inferred - true`` mass.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sagnacsim import perception  # noqa: E402
+from sagnacsim import perception, wm  # noqa: E402
 from sagnacsim.config import parse_config_dict  # noqa: E402
 from sagnacsim.errors import SagnacSimError  # noqa: E402
 
@@ -36,6 +41,8 @@ README_DRIVE = {"kind": "pzt", "start_s": 0.0, "drive_amplitude_v": 1.2,
                 "frequency_hz": 3000.0, "phase_gain_rad_per_v": 0.5}
 POSITIONS_M = (1000.0, 5000.0, 9000.0, 13000.0, 14000.0, 14500.0, 14900.0)
 SEEDS = range(1, 129)
+WM_MASS_KG = 0.1
+WM_SEEDS = range(1, 401)
 
 
 def sweep_row(position_m: float) -> dict:
@@ -71,8 +78,21 @@ def sweep_row(position_m: float) -> dict:
     }
 
 
+def wm_row() -> dict:
+    """Mass error of one reading of ``WM_MASS_KG`` over ``WM_SEEDS``."""
+    script = parse_config_dict({}).scenario
+    errors = [wm.pressure_staircase([WM_MASS_KG], script.wm, script.channel,
+                                    script.packet, seed)[0].inferred_mass_kg
+              - WM_MASS_KG for seed in WM_SEEDS]
+    sd = statistics.stdev(errors)
+    return {"mass_kg": WM_MASS_KG, "runs": len(errors), "sd_error_kg": sd,
+            "mean_error_kg": math.fsum(errors) / len(errors),
+            "mean_se_kg": sd / math.sqrt(len(errors))}
+
+
 def scorecard() -> dict:
-    return {"sweep_path": [sweep_row(x) for x in POSITIONS_M]}
+    return {"sweep_path": [sweep_row(x) for x in POSITIONS_M],
+            "quasi_static": wm_row()}
 
 
 def table(card: dict) -> str:
@@ -91,6 +111,14 @@ def table(card: dict) -> str:
                      f"{metres(row['rms_error_m'], ''):>11}  "
                      f"{metres(row['mean_error_m']):>12}  "
                      f"{metres(row['mean_se_m'], ''):>9}  {fails}")
+    row = card["quasi_static"]
+    lines += [f"quasi-static: one WM reading of {row['mass_kg']} kg, default "
+              f"config, seeds {WM_SEEDS.start}-{WM_SEEDS.stop - 1}",
+              f"{'runs':>4}  {'sd_error_g':>10}  {'mean_error_g':>12}  "
+              f"{'mean_se_g':>9}",
+              f"{row['runs']:>4}  {1e3 * row['sd_error_kg']:>10.3f}  "
+              f"{1e3 * row['mean_error_kg']:>+12.3f}  "
+              f"{1e3 * row['mean_se_kg']:>9.3f}"]
     return "\n".join(lines)
 
 
