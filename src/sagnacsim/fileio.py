@@ -3,12 +3,11 @@
 Numeric values are written with shortest round-trip formatting (repr), so
 attosecond-scale quantities survive write-then-read exactly.  A trace is a
 header line, then one sample per line, sample k taken at k / sample_rate_hz.
-Reports and event logs hold the bytes ``json.dumps`` writes (sorted keys,
-the report indented by 2), through the stdlib's C encoder where it exists.
+Reports and event logs hold the bytes ``json.dumps`` writes with sorted
+keys, one line a report or log entry.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -213,78 +212,21 @@ def _json_text(path: str | Path, encode, value) -> str:
                              f"JSON cannot hold") from None
 
 
-def _c_encoder(item_separator: str):
-    """``json.dumps(value, sort_keys=True, allow_nan=False)`` with
-    ``item_separator`` between items, as one call of the stdlib's C
-    encoder; ``None`` where the C encoder is missing.  Values are trees, so
-    no circular check is made."""
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return None
-    encode = make(None, json.JSONEncoder().default,
-                  json.encoder.encode_basestring_ascii, None, ": ",
-                  item_separator, True, False, False)
-    return lambda value: "".join(encode(value, 0))
-
-
-@functools.lru_cache(maxsize=64)
-def _flat_encoder(depth: int):
-    """The C encoder of a container whose items sit ``depth`` indents in."""
-    return _c_encoder(",\n" + "  " * depth)
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def _indented(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` of
-    a dict, list or tuple ``depth`` indents in.
-
-    The C encoder writes a container of scalars in one call.  A container
-    that holds containers it writes with ``null`` in their place, and
-    Python puts them in, written one level deeper: JSON strings hold no raw
-    line break, so the separators' line breaks find the items.
-    """
-    encode = _flat_encoder(depth + 1)
-    is_dict = isinstance(value, dict)
-    items = value.values() if is_dict else value
-    if not any(map(isinstance, items, itertools.repeat(_CONTAINERS))):
-        text = encode(value)
-        if not value:
-            return text
-        body = text[1:-1]
-    else:
-        if is_dict:
-            text = encode({key: None if isinstance(item, _CONTAINERS)
-                           else item for key, item in value.items()})
-            items = [value[key] for key in sorted(value)]
-        else:
-            text = encode([None if isinstance(item, _CONTAINERS) else item
-                           for item in value])
-        separator = ",\n" + "  " * (depth + 1)
-        parts = text[1:-1].split(separator)
-        for i, item in enumerate(items):
-            if isinstance(item, _CONTAINERS):
-                parts[i] = parts[i][:-len("null")] + _indented(item,
-                                                               depth + 1)
-        body = separator.join(parts)
-    return f"{text[0]}\n{'  ' * (depth + 1)}{body}\n{'  ' * depth}{text[-1]}"
+#: The encoder of every JSON file: ``json.dumps(value, sort_keys=True,
+#: allow_nan=False)``, through the stdlib's C encoder where it exists.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def write_report(path: str | Path, report: dict) -> Path:
     """Write the single structured report document for a run:
-    ``json.dumps(report, indent=2, sort_keys=True)`` and a line break."""
-    encode = (_indented if json.encoder.c_make_encoder is not None else
-              functools.partial(json.dumps, indent=2, sort_keys=True,
-                                allow_nan=False))
-    return _replace_file(path, [_json_text(path, encode, report) + "\n"])
+    ``json.dumps(report, sort_keys=True)`` and a line break, one line."""
+    return _replace_file(path, [_json_text(path, _ENCODER.encode, report)
+                                + "\n"])
 
 
 def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
     """Write controller log entries as line-delimited JSON records, each
     ``json.dumps(entry, sort_keys=True)``."""
-    encode = _c_encoder(", ") or functools.partial(
-        json.dumps, sort_keys=True, allow_nan=False)
     return _replace_file(path, [_json_text(
-        path, lambda items: "".join([encode(item) + "\n" for item in items]),
-        entries)])
+        path, lambda items: "".join([_ENCODER.encode(item) + "\n"
+                                     for item in items]), entries)])
