@@ -24,6 +24,7 @@ import scipy
 from . import __version__, controller, perception, qkd, wm
 from .config import (ScenarioConfig, key_type, parse_config,
                      parse_config_dict)
+from .disturbance import pressure_delay
 from .errors import ConfigError, SagnacSimError
 from .fileio import (read_trace, write_columns, write_event_log,
                      write_report, write_trace)
@@ -173,9 +174,15 @@ def _cmd_wm(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
         if not masses or not all(0 < m < math.inf for m in masses):
             raise ConfigError(["--masses: needs finite positive "
                                "comma-separated values"])
+        top = wm.branch_top_delay(script.wm, script.packet)
         try:
             for mass in masses:
-                replace(script.wm.pressure, mass_kg=mass)
+                delay = pressure_delay(replace(script.wm.pressure,
+                                               mass_kg=mass))
+                if delay > top:
+                    raise ConfigError([f"{mass} puts the delay shift at "
+                                       f"{delay} s, past the WM branch top "
+                                       f"{top} s"])
         except ConfigError as exc:
             raise ConfigError([f"--masses: {p}" for p in exc.problems]) \
                 from None

@@ -154,6 +154,14 @@ def infer_delay(icr_value: float, delta_epsilon: float,
     return shift / omega0
 
 
+def branch_top_delay(settings: WmSettings, packet: SpectralPacket) -> float:
+    """The longest delay shift a reading inverts: at the phase shift
+    ``omega0 dt = delta_epsilon_rad`` the contrast ratio peaks at 1, and
+    past it folds back onto the branch, where :func:`infer_delay` would
+    read a shorter shift."""
+    return settings.delta_epsilon_rad / packet.omega0
+
+
 def mass_from_delay(delta_tau_s: float, params: PressureParams) -> float:
     """Applied mass implied by a delay shift under the pressure model."""
     return (delta_tau_s * params.contact_area_m2 * C_VACUUM

@@ -338,6 +338,52 @@ class TestWm:
         assert record["problems"][0].startswith("--masses:")
 
 
+
+class TestWmBranchTop:
+    """A load past the WM branch top, about 4.39 kg on the default
+    geometry, is refused: its contrast ratio would fold back onto the
+    branch and read a smaller mass."""
+
+    @staticmethod
+    def pressure(mass_kg, start_s=1.0):
+        return {"kind": "pressure", "position_m": 9000.0, "start_s": start_s,
+                "mass_kg": mass_kg}
+
+    @pytest.mark.parametrize("masses, key", [
+        ([6.0], "disturbances[0].mass_kg"),
+        # The running sum of the standing weights passes the top.
+        ([0.1, 3.0, 3.0, 0.1], "disturbances[2].mass_kg")])
+    def test_integrated_exits_2_naming_the_mass(self, tmp_path, capsys,
+                                                 masses, key):
+        cfg = write_json(tmp_path / "fold.json", {
+            "duration_s": 70.0,
+            "disturbances": [self.pressure(m) for m in masses]})
+        out = tmp_path / "out"
+        assert run_cli("integrated", "--config", cfg, "--out-dir", str(out),
+                       "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert [p.split(":")[0] for p in record["problems"]] == [key]
+        assert not (out / "report.json").exists()
+
+    def test_wm_masses_past_the_top_exit_2(self, tmp_path, capsys):
+        assert run_cli("wm", "--masses", "0.1,6", "--out-dir", str(tmp_path),
+                       "--quiet") == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["problems"] == [
+            "--masses: 6.0 puts the delay shift at 5.888063401514924e-16 s, "
+            "past the WM branch top 4.3085362296427973e-16 s"]
+
+    def test_load_below_the_top_reads_back(self, tmp_path):
+        cfg = write_json(tmp_path / "quiet.json", {"wm": {"noise_sigma": 0.0}})
+        out = tmp_path / "out"
+        assert run_cli("wm", "--config", cfg, "--masses", "4",
+                       "--out-dir", str(out), "--quiet") == 0
+        [reading] = json.loads(
+            (out / "report.json").read_text())["wm_readings"]
+        assert reading["inferred_mass_kg"] == pytest.approx(4.0, rel=0.01)
+
+
 class TestSweep:
     def test_loss_sweep_monotone_and_ordered(self, tmp_path):
         cfg = write_json(tmp_path / "base.json", {
