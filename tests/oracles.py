@@ -27,7 +27,9 @@ significance band as a window built afresh and boolean-mask copies, the
 references for the tally matrix, the cached Welch plan and the band
 slice, which must give identical values; so are the outcome
 probabilities of a round with their Fourier coefficients taken afresh, the
-reference for the cached harmonic plan.
+reference for the cached harmonic plan.  The Cramér–Rao bound on a drive's
+position from one sweep, which no library code computes, is the yardstick
+the localization error is measured against.
 """
 from __future__ import annotations
 
@@ -588,3 +590,36 @@ def sampled_phase_means(events, channel, t0, window_s, n_samples, n,
             total[k] += power.sum()
             power *= step
     return total / n_samples
+
+
+def sweep_position_bound(event, channel, settings) -> float:
+    """Cramér–Rao bound (m) on the position of drive ``event`` from one
+    noisy sweep over the scan grid of ``settings``, on its sense channel.
+
+    A sweep point is its noise-free projection ``p`` plus a bivariate
+    normal of covariance ``C = sigma**2 [[a, h], [h, b]]``, the moments of
+    ``perception._sweep_response``, so it carries ``d^T C^-1 d`` of Fisher
+    information about the position, ``d`` the derivative of ``(Re p, Im
+    p)``, here a central difference at ``x ± 1 cm``.  The position
+    dependence of ``C`` is left out, which makes the bound slightly loose,
+    and points with a singular ``C`` are skipped.
+    """
+    sense = settings.sense_channel(channel)
+    freqs = settings.scan_grid()
+    n = perception._sample_count(settings.sweep_duration_s,
+                                 settings.sample_rate_hz)
+
+    def response(position_m):
+        return perception._sweep_response(
+            replace(event, position_m=position_m), sense, freqs, n,
+            settings.input_power_w)
+
+    step = 0.01
+    d = (response(event.position_m + step).projections
+         - response(event.position_m - step).projections) / (2.0 * step)
+    a, h, b = settings.noise_sigma**2 * response(event.position_m).moments
+    det = a * b - h * h
+    keep = det > 0.0
+    info = (b * d.real**2 - 2.0 * h * d.real * d.imag
+            + a * d.imag**2)[keep] / det[keep]
+    return 1.0 / math.sqrt(math.fsum(info))

@@ -9,8 +9,10 @@ positions and loop lengths, for which ``L - 2x`` is exact, with and
 without noise at a fixed seed.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,8 @@ from sagnacsim.disturbance import DisturbanceEvent, PztParams
 from sagnacsim.optics import LoopChannel
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, PerceptionSettings,
                                   acquire, frequency_sweep, locate)
+
+from oracles import sweep_position_bound
 
 GRID = np.arange(2000.0, 75000.0 + 250.0, 250.0)
 SEED = 3
@@ -126,3 +130,34 @@ def test_mirror_positions_agree_to_rounding(x, gain):
     far = sweep(drive(30_000 - x, gain=gain), loop(), 0.0)
     assert np.all(np.abs(near.amplitudes - far.amplitudes)
                   <= 1e-13 * DEFAULT_INPUT_POWER_W)
+
+
+class TestSweepPositionBound:
+    """The sweep's information bound scales with the noise and not with
+    the source power: the noise is multiplicative, so the projection
+    scales as the power and its covariance as power and noise squared."""
+
+    SETTINGS = PerceptionSettings()
+
+    @pytest.mark.parametrize("x", [1000, 5000, 9000, 13000, 14000])
+    def test_doubling_the_noise_doubles_the_bound(self, x):
+        single = sweep_position_bound(drive(x), loop(), self.SETTINGS)
+        double = sweep_position_bound(drive(x), loop(), replace(
+            self.SETTINGS, noise_sigma=2.0 * self.SETTINGS.noise_sigma))
+        assert double == pytest.approx(2.0 * single, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x", [1000, 5000, 9000, 13000, 14000])
+    def test_doubling_the_power_leaves_the_bound(self, x):
+        single = sweep_position_bound(drive(x), loop(), self.SETTINGS)
+        double = sweep_position_bound(drive(x), loop(), replace(
+            self.SETTINGS, input_power_w=2.0 * self.SETTINGS.input_power_w))
+        assert double == pytest.approx(single, rel=1e-12, abs=0.0)
+
+    def test_bound_is_deterministic_and_flat_along_the_loop(self):
+        bounds = [sweep_position_bound(drive(x), loop(), self.SETTINGS)
+                  for x in (1000, 5000, 9000, 13000, 14000)]
+        assert bounds == [sweep_position_bound(drive(x), loop(),
+                                               self.SETTINGS)
+                          for x in (1000, 5000, 9000, 13000, 14000)]
+        # 3.27 mm from 1 to 9 km, 3.30 mm at 13 km, 3.62 mm at 14 km.
+        assert all(3.2e-3 < bound < 3.7e-3 for bound in bounds)

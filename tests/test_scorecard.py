@@ -23,17 +23,20 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     assert run(tmp_path / "second", monkeypatch, capsys) == first
     printed, written = first
     card = json.loads(written)
-    rows = card["sweep_path"]
-    assert [row["position_m"] for row in rows] == list(scorecard.POSITIONS_M)
-    for row in rows:
-        assert (row["located"] + sum(row["fails"].values()) == row["runs"]
-                == 128)
-        assert (row["rms_error_m"] is None) == (row["located"] == 0)
-        assert (row["mean_se_m"] is None) == (row["located"] < 2)
+    for path, runs in (("sweep_path", 128), ("trace_path", 64)):
+        rows = card[path]
+        assert [row["position_m"] for row in rows] == \
+            list(scorecard.POSITIONS_M)
+        for row in rows:
+            assert (row["located"] + sum(row["fails"].values())
+                    == row["runs"] == runs)
+            assert (row["rms_error_m"] is None) == (row["located"] == 0)
+            assert (row["mean_se_m"] is None) == (row["located"] < 2)
     quasi_static = card["quasi_static"]
     assert quasi_static["mass_kg"] == scorecard.WM_MASS_KG
     assert quasi_static["runs"] == 400
     assert quasi_static["sd_error_kg"] > 0.0
     assert quasi_static["mean_se_kg"] == pytest.approx(
         quasi_static["sd_error_kg"] / 400 ** 0.5)
-    assert printed.count("\n") == len(rows) + 5
+    assert printed.count("\n") == (len(card["sweep_path"])
+                                   + len(card["trace_path"]) + 7)

@@ -15,6 +15,11 @@ RMS and the mean of ``position - truth`` over those, the mean's standard
 error ``sd / sqrt(located)`` (sample SD, from 2 located on), and the kinds
 of the others: ``none`` for no null found, else the exception's class name.
 
+The trace-path rows: the default impact (0.1 kg dropped from 0.1 m, a
+10 us pulse at gain 10) at 1 s at each position of ``POSITIONS_M``,
+acquired with each seed of ``TRACE_SEEDS`` through the same two calls,
+with the same columns.
+
 The quasi-static row: one weak-measurement reading of a ``WM_MASS_KG`` load
 at the default config, through ``wm.pressure_staircase``, with each seed of
 ``WM_SEEDS``.  It gives the number of runs and the sample SD, the mean and
@@ -41,17 +46,20 @@ README_DRIVE = {"kind": "pzt", "start_s": 0.0, "drive_amplitude_v": 1.2,
                 "frequency_hz": 3000.0, "phase_gain_rad_per_v": 0.5}
 POSITIONS_M = (1000.0, 5000.0, 9000.0, 13000.0, 14000.0, 14500.0, 14900.0)
 SEEDS = range(1, 129)
+DEFAULT_IMPACT = {"kind": "impact", "start_s": 1.0}
+TRACE_SEEDS = range(1, 65)
 WM_MASS_KG = 0.1
 WM_SEEDS = range(1, 401)
 
 
-def sweep_row(position_m: float) -> dict:
-    """Localization of the README drive at ``position_m`` over ``SEEDS``."""
+def located_row(entry: dict, position_m: float, seeds: range) -> dict:
+    """Localization of the disturbance ``entry`` at ``position_m`` over
+    ``seeds``."""
     script = parse_config_dict(
-        {"disturbances": [dict(README_DRIVE, position_m=position_m)]}).scenario
+        {"disturbances": [dict(entry, position_m=position_m)]}).scenario
     [event] = script.events
     errors, fails, responses = [], Counter(), {}
-    for seed in SEEDS:
+    for seed in seeds:
         try:
             data = perception.acquire(event, script.channel,
                                       script.perception, seed,
@@ -67,7 +75,7 @@ def sweep_row(position_m: float) -> dict:
             errors.append(located.position_m - position_m)
     return {
         "position_m": position_m,
-        "runs": len(SEEDS),
+        "runs": len(seeds),
         "located": len(errors),
         "rms_error_m": (math.sqrt(math.fsum(e * e for e in errors)
                                   / len(errors)) if errors else None),
@@ -91,7 +99,10 @@ def wm_row() -> dict:
 
 
 def scorecard() -> dict:
-    return {"sweep_path": [sweep_row(x) for x in POSITIONS_M],
+    return {"sweep_path": [located_row(README_DRIVE, x, SEEDS)
+                           for x in POSITIONS_M],
+            "trace_path": [located_row(DEFAULT_IMPACT, x, TRACE_SEEDS)
+                           for x in POSITIONS_M],
             "quasi_static": wm_row()}
 
 
@@ -99,18 +110,22 @@ def table(card: dict) -> str:
     def metres(value, sign="+"):
         return "-" if value is None else f"{value:{sign}.4f}"
 
-    lines = ["sweep path: README drive from 0 s, 30 km loop, seeds "
-             f"{SEEDS.start}-{SEEDS.stop - 1}",
-             f"{'position_m':>10}  {'located':>7}  {'rms_error_m':>11}  "
-             f"{'mean_error_m':>12}  {'mean_se_m':>9}  fails"]
-    for row in card["sweep_path"]:
-        fails = ", ".join(f"{kind} {count}"
-                          for kind, count in row["fails"].items()) or "-"
-        located = f"{row['located']}/{row['runs']}"
-        lines.append(f"{row['position_m']:>10.0f}  {located:>7}  "
-                     f"{metres(row['rms_error_m'], ''):>11}  "
-                     f"{metres(row['mean_error_m']):>12}  "
-                     f"{metres(row['mean_se_m'], ''):>9}  {fails}")
+    lines = []
+    for path, title, seeds in (
+            ("sweep_path", "README drive from 0 s", SEEDS),
+            ("trace_path", "default impact at 1 s", TRACE_SEEDS)):
+        lines += [f"{path.replace('_', ' ')}: {title}, 30 km loop, seeds "
+                  f"{seeds.start}-{seeds.stop - 1}",
+                  f"{'position_m':>10}  {'located':>7}  {'rms_error_m':>11}  "
+                  f"{'mean_error_m':>12}  {'mean_se_m':>9}  fails"]
+        for row in card[path]:
+            fails = ", ".join(f"{kind} {count}"
+                              for kind, count in row["fails"].items()) or "-"
+            located = f"{row['located']}/{row['runs']}"
+            lines.append(f"{row['position_m']:>10.0f}  {located:>7}  "
+                         f"{metres(row['rms_error_m'], ''):>11}  "
+                         f"{metres(row['mean_error_m']):>12}  "
+                         f"{metres(row['mean_se_m'], ''):>9}  {fails}")
     row = card["quasi_static"]
     lines += [f"quasi-static: one WM reading of {row['mass_kg']} kg, default "
               f"config, seeds {WM_SEEDS.start}-{WM_SEEDS.stop - 1}",
