@@ -338,15 +338,14 @@ class TestWm:
         assert record["problems"][0].startswith("--masses:")
 
 
-
 class TestWmBranchTop:
     """A load past the WM branch top, about 4.39 kg on the default
     geometry, is refused: its contrast ratio would fold back onto the
     branch and read a smaller mass."""
 
     @staticmethod
-    def pressure(mass_kg, start_s=1.0):
-        return {"kind": "pressure", "position_m": 9000.0, "start_s": start_s,
+    def pressure(mass_kg):
+        return {"kind": "pressure", "position_m": 9000.0, "start_s": 1.0,
                 "mass_kg": mass_kg}
 
     @pytest.mark.parametrize("masses, key", [
