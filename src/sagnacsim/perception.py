@@ -247,8 +247,9 @@ class InterferenceTrace(Checked):
             raise ValueError("samples must be a non-empty 1-D sequence")
         # Contiguous, for _welch_psd's view of its segments.
         samples = np.ascontiguousarray(samples)
-        # One pass: NaN and infinity fail the comparison too.
-        if not np.all(np.abs(samples) <= MAX_SAMPLE_W):
+        # Two reductions: a NaN sample makes both NaN and fails them.
+        if not (samples.max() <= MAX_SAMPLE_W
+                and samples.min() >= -MAX_SAMPLE_W):
             raise ValueError(f"samples must all be finite and at most "
                              f"{MAX_SAMPLE_W:g} W in magnitude")
         object.__setattr__(self, "samples", samples)
@@ -357,10 +358,14 @@ def nonreciprocal_phase(t, event: DisturbanceEvent, channel: LoopChannel):
 
 def loop_phase(t, events: Sequence[DisturbanceEvent], channel: LoopChannel):
     """The loop's nonreciprocal phase at ``t``, bias excluded: the sum of
-    :func:`nonreciprocal_phase` over the dynamic ``events``, exactly zero
-    without one."""
-    return sum((nonreciprocal_phase(t, ev, channel) for ev in events
-                if ev.is_dynamic), np.zeros_like(np.asarray(t, dtype=float)))
+    :func:`nonreciprocal_phase` over the dynamic ``events``, the one
+    event's own phase when there is one, exactly zero without one."""
+    phases = (nonreciprocal_phase(t, ev, channel) for ev in events
+              if ev.is_dynamic)
+    first = next(phases, None)
+    if first is None:
+        return np.zeros_like(np.asarray(t, dtype=float))
+    return sum(phases, first)
 
 
 def events_reaching(events: Sequence[DisturbanceEvent], t0: float, t1: float,
@@ -547,8 +552,9 @@ def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
     with ``z`` the ``standard_normal`` draw of ``default_rng(seed)`` (none
     when ``sigma`` is 0), so a given seed gives the same trace.  The port
     formula of a trace no event reaches (:func:`events_reaching`) is
-    evaluated once.  Raises when the sample rate cannot cover twice the
-    bandwidth of any event or the trace would hold no sample.
+    evaluated once, and the noise draw's own buffer becomes its samples.
+    Raises when the sample rate cannot cover twice the bandwidth of any
+    event or the trace would hold no sample.
     """
     if duration_s <= 0 or sample_rate_hz <= 0:
         raise ValueError("duration_s and sample_rate_hz must be positive")
@@ -561,19 +567,24 @@ def synthesize_trace(events: Sequence[DisturbanceEvent], channel: LoopChannel,
             f"a {duration_s} s trace at {sample_rate_hz} Hz holds no sample")
     reaching = events_reaching(events, start_s,
                                start_s + n / sample_rate_hz, channel)
-    if reaching:
-        t = start_s + np.arange(n) / sample_rate_hz
-        samples = loop_phase(t, reaching, channel)
-        samples += channel.bias_phase_rad
-        _port_intensity(samples, input_power_w, out=samples)
-    else:
-        samples = np.full(n, _port_intensity(channel.bias_phase_rad,
-                                             input_power_w))
+    factor = None
     if noise_sigma > 0.0:
         factor = np.random.default_rng(seed).standard_normal(n)
         factor *= noise_sigma
         factor += 1.0
-        samples *= factor
+    if reaching:
+        t = np.arange(n, dtype=float)
+        t /= sample_rate_hz
+        t += start_s
+        samples = loop_phase(t, reaching, channel)
+        samples += channel.bias_phase_rad
+        _port_intensity(samples, input_power_w, out=samples)
+        if factor is not None:
+            samples *= factor
+    else:
+        c0 = _port_intensity(channel.bias_phase_rad, input_power_w)
+        samples = (np.full(n, c0) if factor is None
+                   else np.multiply(factor, c0, out=factor))
     return InterferenceTrace(
         sample_rate_hz=sample_rate_hz, samples=samples,
         input_power_w=input_power_w, noise_sigma=noise_sigma)
@@ -924,11 +935,24 @@ def _notches(freqs: np.ndarray, spectrum: np.ndarray, refine: np.ndarray,
     return _assign_harmonics(found_f, found_d, max_k, tolerance_hz())
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of the non-empty 1-D ``values``, bit for bit, from one
+    partition: the mean of the middle value, or of the middle two for an
+    even count, taken as ``np.mean`` takes it, a sum over a count; NaN when
+    a value is.  The partition also places the largest value last, where
+    a NaN sorts."""
+    lo, hi = (values.size - 1) // 2, values.size // 2 + 1
+    part = np.partition(values, (lo, hi - 1, -1))
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(np.add.reduce(part[lo:hi]) / (hi - lo))
+
+
 def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
                       depth_threshold_db: float) -> list[NullFrequency]:
     power = sweep.amplitudes ** 2
     freqs = sweep.frequencies_hz
-    reference = np.median(power)
+    reference = _median(power)
     if sweep.noise_floor_amplitude is not None:
         floor = sweep.noise_floor_amplitude ** 2
         if reference < 10.0 ** (depth_threshold_db / 10.0) * floor:
@@ -938,7 +962,7 @@ def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
     return _notches(
         freqs, power, power, _local_minima(power, 1, power.size - 1),
         reference, max_k, depth_threshold_db,
-        lambda: 2.0 * float(np.median(np.diff(freqs))),
+        lambda: 2.0 * _median(np.diff(freqs)),
         "no sweep minimum reaches %.1f dB below the median response")
 
 
@@ -967,7 +991,11 @@ def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
     window weighs them, and the one-sided density (``1 / (fs sum w^2)``,
     every bin but DC and an even segment's Nyquist bin doubled) is averaged
     over the segments.  The window and axis come from :func:`_welch_plan`.
-    Past the one copy that removes the means, each step works in place.
+    Past the one copy that removes the means, each step works in place,
+    and the means are plain sums over a count, as ``ndarray.mean`` takes
+    them.  The one-sided bins are doubled in the sum over the segments,
+    not in each: doubling is exact and commutes with every rounding of
+    the sum.
     """
     n = trace.samples.size
     nperseg = max(_WELCH_MIN_SEGMENT,
@@ -978,14 +1006,18 @@ def _welch_psd(trace: InterferenceTrace) -> tuple[np.ndarray, np.ndarray]:
     step, size = nperseg - nperseg // 2, trace.samples.itemsize
     segments = np.ndarray(((n - nperseg) // step + 1, nperseg),
                           buffer=trace.samples, strides=(size * step, size))
-    segments = segments - segments.mean(axis=1, keepdims=True)
+    means = np.add.reduce(segments, axis=1, keepdims=True)
+    means /= nperseg
+    segments = segments - means
     segments *= w
     spectra = np.fft.rfft(segments, axis=1)
     psd = np.square(spectra.real)
     psd += np.square(spectra.imag, out=spectra.imag)
     psd /= scale
-    psd[:, 1:(nperseg + 1) // 2] *= 2.0
-    return freqs, psd.mean(axis=0)
+    average = np.add.reduce(psd, axis=0)
+    average[1:(nperseg + 1) // 2] *= 2.0
+    average /= psd.shape[0]
+    return freqs, average
 
 
 def _local_medians(psd: np.ndarray, centres: np.ndarray, lo: int,
@@ -1140,14 +1172,15 @@ def significance(trace: InterferenceTrace) -> tuple[float, float]:
 
     Returns ``(candidate_frequency_hz, peak_to_floor_ratio)`` over the
     spectrum from ``_SIGNIFICANCE_MIN_HZ`` up, where the floor is the median
-    spectral power there.  A band with no power at all grades 0.
+    spectral power there (:func:`_median`).  A band with no power at all
+    grades 0.
     """
     freqs, psd = _welch_psd(trace)
     lo = int(np.searchsorted(freqs, _SIGNIFICANCE_MIN_HZ))
     if lo == freqs.size:
         raise InsufficientDataError("trace too short for a spectral estimate")
     band = psd[lo:]
-    floor = float(np.median(band))
+    floor = _median(band)
     idx = int(np.argmax(band))
     candidate = float(freqs[lo + idx])
     peak = float(band[idx])

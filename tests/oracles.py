@@ -29,7 +29,9 @@ slice, which must give identical values; so are the outcome
 probabilities of a round with their Fourier coefficients taken afresh, the
 reference for the cached harmonic plan.  The Cramér–Rao bound on a drive's
 position from one sweep, which no library code computes, is the yardstick
-the localization error is measured against.
+the localization error is measured against.  So is a key window's breach
+probability, a finite binomial sum that draws no window, for the breach
+rate of the key engine.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import stats
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -511,6 +514,47 @@ def fresh_outcome_probabilities(delta, lam: float, dark: float,
     probs = coeffs[0].real + 2.0 * (shifts @ coeffs[1:n_harmonics + 1]).real
     probs = np.maximum(probs, 0.0)
     return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def fresh_class_probabilities(script, offset_means=None) -> np.ndarray:
+    """The 32 outcome-class probabilities of a key window of ``script``
+    (choice-major, four click outcomes each) from
+    :func:`fresh_outcome_probabilities`, the 8 choices equally likely."""
+    lam = qkd._signal_rate(script.source, script.channel, script.detector) \
+        * qkd._spectral_gain(script.channel, script.packet)
+    return fresh_outcome_probabilities(
+        qkd._base_phase(qkd._ALICE_BASIS, qkd._ALICE_BIT, qkd._BOB_BASIS),
+        lam, script.detector.dark_count_prob_per_gate,
+        script.qkd.phase_noise_rad, offset_means).ravel() / 8.0
+
+
+def window_breach_probability(class_probabilities, n_pulses: int,
+                              threshold: float) -> float:
+    """Probability that a key window breaches, ``errors > threshold x
+    sifted``; a window without sifted bits is no breach, as in
+    :func:`sagnacsim.qkd.qber_threshold_check`.
+
+    A window is one multinomial draw of ``n_pulses`` rounds over the 32
+    ``class_probabilities`` (choice-major, four click outcomes each), so
+    its sifted count ``s`` is binomial in ``n_pulses`` at the sifted
+    classes' share, and given ``s`` its error count is binomial in ``s``
+    at the errors' share of those.  The breach probability is the finite
+    sum over ``s`` of ``P(s)`` times the chance of at least the least
+    breaching error count, which is found by the float division
+    ``errors / s > threshold`` the engine's estimate takes; ``s`` whose
+    ``P(s)`` underflows to 0 add nothing and are skipped.
+    """
+    probs = np.asarray(class_probabilities, dtype=float).reshape(-1, 4)
+    matched = np.flatnonzero(qkd._ALICE_BASIS == qkd._BOB_BASIS)
+    p_sifted = probs[matched, 1:3].sum()
+    p_error = probs[matched, 1 + qkd._ALICE_BIT[matched]].sum()
+    s = np.arange(1, n_pulses + 1)
+    p_s = stats.binom.pmf(s, n_pulses, p_sifted)
+    s, p_s = s[p_s > 0.0], p_s[p_s > 0.0]
+    least = np.floor(threshold * s).astype(np.int64) + 1
+    least[(least - 1) / s > threshold] -= 1
+    least[~(least / s > threshold)] += 1
+    return math.fsum(p_s * stats.binom.sf(least - 1, s, p_error / p_sifted))
 
 
 @dataclass

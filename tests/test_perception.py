@@ -1373,8 +1373,10 @@ class TestWelchPlan:
     """The cached Welch plan and the sliced significance band against the
     fresh window and boolean masks of tests/oracles.py."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 777, 5120, 10000,
-                                   12345])
+    # 47 and 63 samples make one segment each, whose significance bands
+    # hold an odd 23 and 31 bins.
+    @pytest.mark.parametrize("n", [1, 2, 3, 47, 63, 64, 65, 777, 5120,
+                                   10000, 12345])
     @pytest.mark.parametrize("rate", [200e3, 44100.0])
     def test_identical_values(self, n, rate):
         rng = np.random.default_rng(n)
@@ -1510,6 +1512,24 @@ def _median_windows(draw):
     centres = np.array(draw(st.lists(st.integers(lo, psd.size - 1),
                                      max_size=20)), dtype=np.intp)
     return psd, centres, lo, draw(st.integers(1, 12))
+
+
+class TestPartitionMedian:
+    """``_median``, which grades significance and sweeps, against
+    ``np.median``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, math.inf,
+                                            math.nan])
+                           | st.floats(-1e3, 1e3), min_size=1, max_size=60))
+    def test_same_bits_as_np_median(self, values):
+        values = np.array(values)
+        kept = values.copy()
+        got, want = perception._median(values), np.median(values)
+        assert type(got) is float
+        assert (math.isnan(got) and math.isnan(want)) or \
+            np.float64(got).tobytes() == want.tobytes()
+        assert values.tobytes() == kept.tobytes()
 
 
 class TestOneSortLocalMedians:

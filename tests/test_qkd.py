@@ -18,9 +18,9 @@ from sagnacsim.qkd import (DetectorModel, QkdSettings, SiftedKeyRecord,
                            qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
-from oracles import (fancy_indexed_window_totals,
+from oracles import (fancy_indexed_window_totals, fresh_class_probabilities,
                      fresh_outcome_probabilities, per_round_window,
-                     sampled_phase_means)
+                     sampled_phase_means, window_breach_probability)
 
 SOURCE = SourceModel()
 
@@ -529,3 +529,63 @@ class TestCountEngine:
         np.testing.assert_allclose(
             qkd._outcome_probabilities(delta, lam, 1e-6, sigma), reference,
             rtol=1e-9, atol=1e-15)
+
+
+class TestBreachProbability:
+    """The key engine's breach rate against the exact breach probability
+    of tests/oracles.py, fed the class probabilities of
+    ``fresh_outcome_probabilities`` at the default configuration."""
+
+    WINDOWS = 4000
+
+    @staticmethod
+    def oracle(script, offset_means=None):
+        return window_breach_probability(
+            fresh_class_probabilities(script, offset_means),
+            script.qkd.pulses_per_window, script.qkd.qber_threshold)
+
+    def breach_rate(self, script, t0, offset_means=None):
+        rng = np.random.default_rng(41)
+        breaches = 0
+        for _ in range(self.WINDOWS):
+            record, _ = simulate_window(
+                rng, script.qkd.pulses_per_window, t0, script.source,
+                script.channel, script.detector, script.packet,
+                script.qkd.phase_noise_rad, offset_means)
+            breaches += (record.qber_estimate is not None and
+                         qber_threshold_check(record,
+                                              script.qkd.qber_threshold))
+        return breaches / self.WINDOWS
+
+    @pytest.mark.parametrize("raw, t0, designed", [
+        ({}, 0.0, 0.1530),
+        # The README drive at 5 km, in the window from 5 s.
+        ({"disturbances": [_README_PZT]}, 5.0, 0.8944)],
+        ids=["quiet", "readme-pzt"])
+    def test_breach_rate_within_4_se_of_the_oracle(self, raw, t0,
+                                                   designed):
+        # 4 standard errors of 4000 windows: 0.023 quiet, 0.019 driven.
+        # The oracle reads the drive at 2**18 midpoints, the engine in
+        # closed form.
+        script = _script(raw)
+        driven = bool(script.events)
+        p = self.oracle(script, _sampled(script, t0, 2**18) if driven
+                        else None)
+        assert p == pytest.approx(designed, abs=5e-5)
+        rate = self.breach_rate(script, t0, _means(
+            script, t0, script.qkd.pulses_per_window) if driven else None)
+        assert abs(rate - p) <= 4.0 * math.sqrt(p * (1.0 - p)
+                                                / self.WINDOWS)
+
+    def test_threshold_ties_are_no_breach(self):
+        # 1 error in 25 sifted bits reads 0.04, which the float division
+        # puts at the threshold 0.04: no breach.  With every round sifted
+        # and an error share of 1/25, the window breaches only from 2
+        # errors on.
+        probs = np.zeros((8, 4))
+        matched = np.flatnonzero(qkd._ALICE_BASIS == qkd._BOB_BASIS)
+        probs[matched, 1 + qkd._ALICE_BIT[matched]] = 1.0 / 25 / 4
+        probs[matched, 2 - qkd._ALICE_BIT[matched]] = 24.0 / 25 / 4
+        p = stats.binom.sf(1, 25, 1.0 / 25)
+        assert window_breach_probability(probs.ravel(), 25, 0.04) == \
+            pytest.approx(p, rel=1e-12)

@@ -1,5 +1,6 @@
-"""Metamorphic relations of the swept-sine response: what the physics
-implies between two sweeps, with no oracle for either.
+"""Metamorphic relations of the swept-sine response, the sensing trace
+and the key window: what the physics implies between two runs, with no
+oracle for either.
 
 A sweep reads the settled drive, so it depends on the loop only through
 the lag ``n (L - 2x) / c`` between the drive's two copies, on the drive
@@ -7,6 +8,10 @@ only through its strength, and on the source power linearly.  Each
 relation is checked on fixed cases and on Hypothesis draws of whole-metre
 positions and loop lengths, for which ``L - 2x`` is exact, with and
 without noise at a fixed seed.
+
+A trace and a key window read the loop phase at their own times, so an
+event and the times that read it, shifted together, give the same values
+but for the rounding of those times.
 """
 import math
 from dataclasses import replace
@@ -16,10 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sagnacsim.disturbance import DisturbanceEvent, PztParams
+from sagnacsim.disturbance import DisturbanceEvent, ImpactParams, PztParams
 from sagnacsim.optics import LoopChannel
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, PerceptionSettings,
-                                  acquire, frequency_sweep, locate)
+                                  _delay_lag_s, acquire, frequency_sweep,
+                                  locate, synthesize_trace,
+                                  window_phase_means)
 
 from oracles import sweep_position_bound
 
@@ -35,6 +42,12 @@ def drive(position_m, start_s=0.0, gain=0.5):
         PztParams(drive_amplitude_v=1.2, frequency_hz=3000.0,
                   phase_gain_rad_per_v=gain),
         position_m=position_m, start_s=start_s)
+
+
+def impact(position_m, start_s):
+    """The default impact, 0.1 kg from 0.1 m, a 10 us pulse at gain 10."""
+    return DisturbanceEvent(ImpactParams(mass_kg=0.1, drop_height_m=0.1),
+                            position_m=position_m, start_s=start_s)
 
 
 def loop(length_m=30e3):
@@ -161,3 +174,99 @@ class TestSweepPositionBound:
                           for x in (1000, 5000, 9000, 13000, 14000)]
         # 3.27 mm from 1 to 9 km, 3.30 mm at 13 km, 3.62 mm at 14 km.
         assert all(3.2e-3 < bound < 3.7e-3 for bound in bounds)
+
+
+EPS = np.finfo(float).eps
+RATE = PerceptionSettings.sample_rate_hz
+
+
+def time_rounding(latest_s):
+    """How far apart two reads of one event-relative time may round when
+    every time involved is at most ``latest_s``: the sample or midpoint
+    time, the event's start and the late copy's ``t - lag`` each round
+    once, as do the differences taken of them, ``eps / 2`` of
+    ``latest_s`` each in either run."""
+    return 6.0 * EPS * latest_s
+
+
+def phase_rounding(event, latest_s):
+    """Bound on how far the net phase of ``event`` moves when its times
+    round apart by :func:`time_rounding`.
+
+    Each copy moves by its largest slope times the time error, and
+    rounds its own value: a drive's argument ``omega t`` at ``eps omega
+    latest_s``, and the settled and two-copy forms, which either run may
+    take, differ by ``4 peak eps (omega latest_s + omega |lag| + 2)``
+    (``TestSettledDrive`` in tests/test_perception.py).  A pulse's slope
+    is at most ``peak / width``, and a time that rounds across its reach
+    steps it by ``peak exp(-18)``.
+    """
+    params, dt = event.params, time_rounding(latest_s)
+    peak = params.peak_phase_rad
+    if isinstance(params, PztParams):
+        omega = params.angular_frequency_rad_s
+        lag = abs(_delay_lag_s(event, loop()))
+        return peak * (2.0 * omega * dt
+                       + 8.0 * EPS * (omega * latest_s + omega * lag + 2.0))
+    return peak * (2.0 * dt / params.width_s + 64.0 * EPS
+                   + 2.0 * math.exp(-18.0))
+
+
+@DRAWS
+@given(x=st.integers(0, 30_000), shift=st.floats(0.0, 1e3),
+       offset=st.floats(-0.01, 0.01), pulse=st.booleans())
+@example(x=5000, shift=7.25, offset=0.0, pulse=True)
+@example(x=5000, shift=7.25, offset=-0.005, pulse=False)
+def test_time_shift_moves_the_trace(x, shift, offset, pulse):
+    # An impact at 1 s or the README drive from 1 s, and a 10 ms trace
+    # from 5 ms before its onset plus ``offset``: a drive's trace may
+    # start before both copies run, or after.  The noise draw is the
+    # seed's in both runs, so a sample moves only with its port
+    # intensity, which rounds the bias plus the phase and its cosine.
+    event = impact(x, 1.0) if pulse else drive(x, start_s=1.0)
+    moved = replace(event, start_s=event.start_s + shift)
+    start = event.start_s - 0.005 + offset
+    noise = PerceptionSettings.noise_sigma
+    base, shifted = (synthesize_trace((ev,), loop(), 0.01, RATE, noise,
+                                      seed=SEED, start_s=s0)
+                     for ev, s0 in ((event, start), (moved, start + shift)))
+    latest = 1.02 + shift
+    bias, peak = loop().bias_phase_rad, event.params.peak_phase_rad
+    factor = 1.0 + noise * np.abs(
+        np.random.default_rng(SEED).standard_normal(base.samples.size))
+    bound = DEFAULT_INPUT_POWER_W * factor * (
+        phase_rounding(event, latest) + 4.0 * EPS * (bias + 2.0 * peak + 4.0))
+    assert np.all(np.abs(shifted.samples - base.samples) <= bound)
+
+
+@DRAWS
+@given(x=st.integers(0, 30_000), shift=st.floats(0.0, 1e3),
+       offset=st.floats(-1.0, 1.0), two=st.booleans())
+@example(x=5000, shift=7.25, offset=0.25, two=False)
+@example(x=5000, shift=7.25, offset=0.25, two=True)
+def test_time_shift_keeps_the_window_means(x, shift, offset, two):
+    # The README drive from 3 s, alone, takes the closed-form means; with
+    # a second drive from 3.4 s at 9 km the window averages 2**12
+    # midpoints of the loop phase.  The window [3 + offset, 4 + offset)
+    # may start before the drive or after.  A midpoint's phase moves by
+    # at most the phase rounding of each drive, harmonic k by k times
+    # that.  The closed form is the exact mean over the window, whose two
+    # ends move by the time rounding, which moves the mean by at most
+    # twice that each over the 1 s window; its piece phases' own rounding
+    # is averaged out over the drive's periods by the sinc of each order.
+    # The summed terms of either form round at some 2**-40 of their sum.
+    # The worst draws seen reach 1 % and 6 % of these bounds.
+    events = (drive(x, start_s=3.0),)
+    if two:
+        events += (drive(9000, start_s=3.4, gain=0.25),)
+    moved = tuple(replace(ev, start_s=ev.start_s + shift) for ev in events)
+    n, t0 = 25, 3.0 + offset
+    base, shifted = (window_phase_means(evs, loop(), s0, 1.0, 2**12, n)
+                     for evs, s0 in ((events, t0), (moved, t0 + shift)))
+    latest = 5.0 + shift  # no window end or drive start is later
+    if two:
+        bound = np.arange(1, n + 1) * sum(phase_rounding(ev, latest)
+                                          for ev in events)
+    else:
+        bound = 4.0 * time_rounding(latest)
+    assert np.all(np.abs(shifted - base) <= bound + 2.0**-40)

@@ -38,5 +38,15 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     assert quasi_static["sd_error_kg"] > 0.0
     assert quasi_static["mean_se_kg"] == pytest.approx(
         quasi_static["sd_error_kg"] / 400 ** 0.5)
+    false_alarms = card["false_alarms"]
+    assert false_alarms["runs"] == 40
+    assert 0 < false_alarms["breaches"] < false_alarms["windows"]
+    assert false_alarms["per_window"] == \
+        false_alarms["breaches"] / false_alarms["windows"]
+    assert false_alarms["oracle_per_window"] == pytest.approx(0.1530,
+                                                              abs=5e-5)
+    assert abs(false_alarms["per_window"]
+               - false_alarms["oracle_per_window"]) \
+        <= 4.0 * false_alarms["per_window_se"]
     assert printed.count("\n") == (len(card["sweep_path"])
-                                   + len(card["trace_path"]) + 7)
+                                   + len(card["trace_path"]) + 10)

@@ -1,4 +1,5 @@
-"""Measure localization against ground truth and write the table as JSON.
+"""Measure localization and false alarms against ground truth and write
+the table as JSON.
 
 Usage: ``python3 tools/scorecard.py`` (no options).  It prints a fixed
 table and writes the same rows to ``scorecard.json`` in the working
@@ -24,6 +25,14 @@ The quasi-static row: one weak-measurement reading of a ``WM_MASS_KG`` load
 at the default config, through ``wm.pressure_staircase``, with each seed of
 ``WM_SEEDS``.  It gives the number of runs and the sample SD, the mean and
 the mean's standard error ``sd / sqrt(runs)`` of ``inferred - true`` mass.
+
+The false-alarm row: the key windows and breaches of the quiet default
+20 s run (``controller.run_scenario``, as ``integrated`` takes it) with
+each seed of ``QUIET_SEEDS``, the breaches per window with their binomial
+standard error ``sqrt(p (1 - p) / windows)``, and the exact breach
+probability of a quiet window at the defaults,
+``tests/oracles.py::window_breach_probability``.  The breaches per window
+set how many sensing grades a quiet run takes.
 """
 from __future__ import annotations
 
@@ -34,10 +43,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from oracles import (fresh_class_probabilities,  # noqa: E402
+                     window_breach_probability)
 from sagnacsim import perception, wm  # noqa: E402
 from sagnacsim.config import parse_config_dict  # noqa: E402
+from sagnacsim.controller import EventKind, run_scenario  # noqa: E402
 from sagnacsim.errors import SagnacSimError  # noqa: E402
 
 OUTPUT = "scorecard.json"
@@ -50,6 +63,7 @@ DEFAULT_IMPACT = {"kind": "impact", "start_s": 1.0}
 TRACE_SEEDS = range(1, 65)
 WM_MASS_KG = 0.1
 WM_SEEDS = range(1, 401)
+QUIET_SEEDS = range(1, 41)
 
 
 def located_row(entry: dict, position_m: float, seeds: range) -> dict:
@@ -98,12 +112,32 @@ def wm_row() -> dict:
             "mean_se_kg": sd / math.sqrt(len(errors))}
 
 
+def false_alarm_row() -> dict:
+    """Breaches per window of quiet runs over ``QUIET_SEEDS`` against the
+    exact breach probability of a quiet window."""
+    windows = breaches = 0
+    for seed in QUIET_SEEDS:
+        result = run_scenario(parse_config_dict({"seed": seed}).scenario)
+        windows += len(result.key_records)
+        breaches += sum(record.kind is EventKind.BREACH_DETECTED
+                        for record in result.log)
+    script = parse_config_dict({}).scenario
+    rate = breaches / windows
+    return {"runs": len(QUIET_SEEDS), "windows": windows,
+            "breaches": breaches, "per_window": rate,
+            "per_window_se": math.sqrt(rate * (1.0 - rate) / windows),
+            "oracle_per_window": window_breach_probability(
+                fresh_class_probabilities(script),
+                script.qkd.pulses_per_window, script.qkd.qber_threshold)}
+
+
 def scorecard() -> dict:
     return {"sweep_path": [located_row(README_DRIVE, x, SEEDS)
                            for x in POSITIONS_M],
             "trace_path": [located_row(DEFAULT_IMPACT, x, TRACE_SEEDS)
                            for x in POSITIONS_M],
-            "quasi_static": wm_row()}
+            "quasi_static": wm_row(),
+            "false_alarms": false_alarm_row()}
 
 
 def table(card: dict) -> str:
@@ -134,6 +168,14 @@ def table(card: dict) -> str:
               f"{row['runs']:>4}  {1e3 * row['sd_error_kg']:>10.3f}  "
               f"{1e3 * row['mean_error_kg']:>+12.3f}  "
               f"{1e3 * row['mean_se_kg']:>9.3f}"]
+    row = card["false_alarms"]
+    lines += [f"false alarms: quiet default 20 s runs, seeds "
+              f"{QUIET_SEEDS.start}-{QUIET_SEEDS.stop - 1}",
+              f"{'windows':>7}  {'breaches':>8}  {'per_window':>10}  "
+              f"{'se':>6}  {'oracle':>6}",
+              f"{row['windows']:>7}  {row['breaches']:>8}  "
+              f"{row['per_window']:>10.4f}  {row['per_window_se']:>6.4f}  "
+              f"{row['oracle_per_window']:>6.4f}"]
     return "\n".join(lines)
 
 
