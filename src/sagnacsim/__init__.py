@@ -16,7 +16,7 @@ from .optics import (C_VACUUM, LoopChannel, PortProbabilities, PostSelection,
                      visibility_and_qber)
 from .perception import (FrequencySweep, InterferenceTrace,
                          LocalizationReport, NullFrequency,
-                         find_null_frequencies, frequency_sweep, localize,
+                         find_null_frequencies, frequency_sweep,
                          localization_report, loop_phase, resolution,
                          synthesize_trace)
 from .qkd import (DetectorModel, SiftedKeyRecord, SourceModel,

@@ -19,7 +19,6 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, controller, perception, qkd, wm
 from .config import (ScenarioConfig, key_type, parse_config,
@@ -74,7 +73,6 @@ def _base_report(cfg: ScenarioConfig) -> dict:
         "versions": {
             "sagnacsim": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
 

@@ -1100,23 +1100,6 @@ def find_null_frequencies(
     raise TypeError(f"cannot search for nulls in {type(data)!r}")
 
 
-def localize(null: NullFrequency, channel: LoopChannel) -> float:
-    """Position along the loop implied by a null frequency.
-
-    ``x = (L - k c / (n f)) / 2`` on the near branch.  Frequencies below
-    ``k c / (n L)`` would place the event outside the loop and raise.
-    """
-    floor_hz = null.harmonic * C_VACUUM / (channel.refractive_index
-                                           * channel.length_m)
-    if null.frequency_hz < floor_hz:
-        raise OutOfLoopError(
-            f"null at {null.frequency_hz:.1f} Hz (k={null.harmonic}) lies "
-            f"below the in-loop floor {floor_hz:.1f} Hz")
-    return float(0.5 * (channel.length_m
-                        - null.harmonic * C_VACUUM
-                        / (channel.refractive_index * null.frequency_hz)))
-
-
 def resolution(null: NullFrequency, channel: LoopChannel,
                delta_f_hz: float = DEFAULT_FREQ_RESOLUTION_HZ) -> float:
     """Position resolution set by the instrument frequency resolution.
@@ -1140,29 +1123,38 @@ def localization_report(nulls: Sequence[NullFrequency],
                         ) -> LocalizationReport:
     """Assemble the full report from a set of detected nulls.
 
-    The position comes from the lowest harmonic.  When several harmonics
-    were caught, the scatter (sample standard deviation) of their
-    fundamental-equivalent frequencies maps through the local slope
-    ``|dx/df| = c / (2 n f^2)`` at their mean into ``sigma_position_m``.
+    Every field follows from the delays ``tau_k = k / f_k`` of the nulls:
+    the lowest harmonic's ``tau`` gives the path ``c tau / n`` and the
+    near-branch position ``x = (L - c tau / n) / 2``.  A null below
+    ``k c / (n L)`` would place the event outside the loop and raises.
+    When several harmonics were caught, ``x`` being linear in ``tau`` maps
+    the scatter (sample standard deviation) of their delays exactly into
+    ``sigma_position_m = c / (2 n) SD(tau_k)``.
     """
     if not nulls:
         raise InsufficientDataError("no nulls to localize from")
     ordered = sorted(nulls, key=lambda nf: nf.harmonic)
     first = ordered[0]
-    x = localize(first, channel)
+    n = channel.refractive_index
+    floor_hz = first.harmonic * C_VACUUM / (n * channel.length_m)
+    if first.frequency_hz < floor_hz:
+        raise OutOfLoopError(
+            f"null at {first.frequency_hz:.1f} Hz (k={first.harmonic}) lies "
+            f"below the in-loop floor {floor_hz:.1f} Hz")
+    delays = np.array([nf.harmonic / nf.frequency_hz for nf in ordered])
+    path = C_VACUUM * float(delays[0]) / n
+    x = 0.5 * (channel.length_m - path)
     sigma = None
     if len(ordered) >= 2:
-        fundamentals = np.array([nf.frequency_hz / nf.harmonic
-                                 for nf in ordered])
-        mean = float(fundamentals.mean())
-        sigma = (C_VACUUM / (2.0 * channel.refractive_index * mean * mean)
-                 * float(fundamentals.std(ddof=1)))
+        # Shifted by the first delay, identical delays scatter by exactly 0.
+        sigma = (C_VACUUM / (2.0 * n)
+                 * float((delays - delays[0]).std(ddof=1)))
     return LocalizationReport(
         nulls=tuple(ordered),
         position_m=x,
         resolution_m=resolution(first, channel, delta_f_hz),
         sigma_position_m=sigma,
-        path_difference_m=channel.length_m - 2.0 * x,
+        path_difference_m=path,
         mirror_position_m=channel.length_m - x,
     )
 

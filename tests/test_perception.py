@@ -23,7 +23,7 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
                                   InterferenceTrace,
                                   NullFrequency, PerceptionSettings, acquire,
                                   find_null_frequencies, frequency_sweep,
-                                  locate, localization_report, localize,
+                                  locate, localization_report,
                                   loop_phase,
                                   measure_tone_amplitude,
                                   nonreciprocal_phase, resolution, sense,
@@ -562,25 +562,32 @@ class TestFindNulls:
 
 
 class TestLocalize:
+    """The position of a one-null report, the paper's null-to-position
+    formula."""
+
+    @staticmethod
+    def localize(null):
+        return localization_report([null], channel()).position_m
+
     def test_reference_null(self):
-        x = localize(NullFrequency(10210.0, 1, 20.0), channel())
+        x = self.localize(NullFrequency(10210.0, 1, 20.0))
         assert x == pytest.approx(4999.104, abs=0.01)
         assert x == pytest.approx(
             position_from_null(10210.0, 1, L, N_FIBER), rel=1e-12)
 
     def test_limit_is_midpoint(self):
-        x = localize(NullFrequency(1e12, 1, 20.0), channel())
+        x = self.localize(NullFrequency(1e12, 1, 20.0))
         assert x == pytest.approx(L / 2, rel=1e-6)
 
     def test_harmonic_consistency(self):
-        x1 = localize(NullFrequency(10210.0, 1, 20.0), channel())
-        x2 = localize(NullFrequency(20420.0, 2, 20.0), channel())
+        x1 = self.localize(NullFrequency(10210.0, 1, 20.0))
+        x2 = self.localize(NullFrequency(20420.0, 2, 20.0))
         assert x1 == pytest.approx(x2, rel=1e-12)
 
     def test_out_of_loop(self):
         floor = C_VACUUM / (N_FIBER * L)
         with pytest.raises(OutOfLoopError):
-            localize(NullFrequency(floor * 0.99, 1, 20.0), channel())
+            self.localize(NullFrequency(floor * 0.99, 1, 20.0))
 
 
 class TestResolution:
@@ -618,8 +625,8 @@ class TestResolution:
 
 
 class TestLocalizationError:
-    """The propagated uncertainty of a report, from the fundamental-
-    equivalent frequencies ``f / k`` of its nulls."""
+    """The propagated uncertainty of a report, from the delays ``k / f``
+    of its nulls."""
 
     @staticmethod
     def sigma(fundamentals_hz):
@@ -631,12 +638,12 @@ class TestLocalizationError:
         assert self.sigma([9000.0, 9000.0, 9000.0]) == 0.0
 
     def test_reference_value(self):
-        # two samples +-500 Hz around 10.21 kHz: sigma_f = c/(2 n f^2) * sd
+        # two samples +-500 Hz around 10.21 kHz: x is linear in the delay
+        # 1 / f, so sigma = c/(2 n) * SD(1 / f)
         samples = [10210.0 - 500.0, 10210.0 + 500.0]
-        sd = np.std(samples, ddof=1)
-        slope = C_VACUUM / (2 * N_FIBER * np.mean(samples) ** 2)
+        sd = np.std([1.0 / f for f in samples], ddof=1)
         got = self.sigma(samples)
-        assert got == pytest.approx(slope * sd, rel=1e-12)
+        assert got == pytest.approx(C_VACUUM / (2 * N_FIBER) * sd, rel=1e-12)
         # the anchor case: sigma_f = 500 Hz at 10.21 kHz maps to ~490 m
         anchor = C_VACUUM / (2 * N_FIBER * 10210.0 ** 2) * 500.0
         assert anchor == pytest.approx(489.7598416608877, rel=1e-12)

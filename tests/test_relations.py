@@ -12,6 +12,11 @@ without noise at a fixed seed.
 A trace and a key window read the loop phase at their own times, so an
 event and the times that read it, shifted together, give the same values
 but for the rounding of those times.
+
+A localization reads the delay ``tau = k / f`` of its nulls and places the
+event at ``x = (L - c tau / n) / 2``, so the same nulls relocated on a
+loop whose index or length is mis-set move it by the calibration budget:
+``(L - 2x) dn / (2 (n + dn))`` and ``dL / 2``.
 """
 import math
 from dataclasses import replace
@@ -22,10 +27,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sagnacsim.disturbance import DisturbanceEvent, ImpactParams, PztParams
-from sagnacsim.optics import LoopChannel
-from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, PerceptionSettings,
-                                  _delay_lag_s, acquire, frequency_sweep,
-                                  locate, synthesize_trace,
+from sagnacsim.optics import C_VACUUM, LoopChannel
+from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, NullFrequency,
+                                  PerceptionSettings, _delay_lag_s, acquire,
+                                  frequency_sweep, locate,
+                                  localization_report, synthesize_trace,
                                   window_phase_means)
 
 from oracles import sweep_position_bound
@@ -270,3 +276,78 @@ def test_time_shift_keeps_the_window_means(x, shift, offset, two):
     else:
         bound = 4.0 * time_rounding(latest)
     assert np.all(np.abs(shifted - base) <= bound + 2.0**-40)
+
+
+def mis_set(channel, dn=0.0, dl=0.0):
+    return replace(channel, refractive_index=channel.refractive_index + dn,
+                   length_m=channel.length_m + dl)
+
+
+def assert_calibration_budget(report, channel, relocate, dn, dl):
+    """``relocate(channel)``, the same nulls' report on a channel, moves by
+    the budget on the mis-set channels.
+
+    Each position ``(L - c tau / n) / 2`` rounds the path, the difference
+    and the loop length at ``eps / 2`` of ``L`` or less each, so two of
+    them and the budget's own few roundings stay within ``4 eps L``, as
+    does the length's shift with ``L + |dL|``.  ``sigma`` is ``c / (2 n)``
+    times the same SD of the delays, so its ratio rounds at some ``6 eps``
+    and with the length it does not move at all.
+    """
+    n, length = channel.refractive_index, channel.length_m
+    index = relocate(mis_set(channel, dn=dn))
+    shift = report.path_difference_m * dn / (2.0 * (n + dn))
+    assert abs(index.position_m - report.position_m - shift) \
+        <= 4.0 * EPS * length
+    longer = relocate(mis_set(channel, dl=dl))
+    assert abs(longer.position_m - report.position_m - 0.5 * dl) \
+        <= 4.0 * EPS * (length + abs(dl))
+    assert longer.path_difference_m == report.path_difference_m
+    assert longer.sigma_position_m == report.sigma_position_m
+    if report.sigma_position_m is None:
+        assert index.sigma_position_m is None
+    else:
+        scaled = report.sigma_position_m * n / (n + dn)
+        assert abs(index.sigma_position_m - scaled) <= 6.0 * EPS * scaled
+
+
+@DRAWS
+@given(length=st.integers(1000, 60_000), share=st.floats(0.0, 0.5),
+       jitters=st.lists(st.floats(-1e-4, 1e-4), min_size=1, max_size=4),
+       dn=st.floats(-1e-3, 1e-3), dl=st.floats(-10.0, 10.0))
+@example(length=30_000, share=1 / 6, jitters=[0.0, 1e-5, -2e-5], dn=1e-4,
+         dl=1.0)
+def test_mis_set_calibration_moves_the_report(length, share, jitters, dn,
+                                              dl):
+    # Harmonic k of a drive at x from 100 m to L/2 - 100 m, off its exact
+    # frequency k c / (n (L - 2x)) by up to 1e-4, so that the lowest one
+    # stays above the in-loop floor of every mis-set channel drawn.
+    channel = loop(length)
+    x = 100 + round(share * (length - 400))
+    fundamental = C_VACUUM / (channel.refractive_index * (length - 2 * x))
+    nulls = [NullFrequency(k * fundamental * (1.0 + jitter), k, 20.0)
+             for k, jitter in enumerate(jitters, start=1)]
+
+    def relocate(wrong):
+        return localization_report(nulls, wrong)
+
+    assert_calibration_budget(relocate(channel), channel, relocate, dn, dl)
+
+
+def test_located_nulls_do_not_depend_on_the_channel():
+    # The README drive at 5 km, acquired on the true loop with noise and
+    # located on mis-set ones: the nulls are the same, so the position
+    # moves by the budget, 0.68 m at dn = 1e-4 and 0.5 m at dL = 1 m.
+    config = PerceptionSettings()
+    data = acquire(drive(5000), loop(), config, SEED)
+    report = locate(data, loop(), config)
+    assert len(report.nulls) >= 2
+
+    def relocate(wrong):
+        located = locate(data, wrong, config)
+        assert located.nulls == report.nulls
+        return located
+
+    assert_calibration_budget(report, loop(), relocate, 1e-4, 1.0)
+    assert relocate(mis_set(loop(), dn=1e-4)).position_m \
+        - report.position_m == pytest.approx(0.681, abs=1e-3)

@@ -23,6 +23,9 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     assert run(tmp_path / "second", monkeypatch, capsys) == first
     printed, written = first
     card = json.loads(written)
+    channel = scorecard.parse_config_dict({}).scenario.channel
+    n, length = channel.refractive_index, channel.length_m
+    dn = scorecard.INDEX_ERROR
     for path, runs in (("sweep_path", 128), ("trace_path", 64)):
         rows = card[path]
         assert [row["position_m"] for row in rows] == \
@@ -32,6 +35,16 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
                     == row["runs"] == runs)
             assert (row["rms_error_m"] is None) == (row["located"] == 0)
             assert (row["mean_se_m"] is None) == (row["located"] < 2)
+            if row["located"] == 0:
+                assert row["index_shift_m"] is None
+                assert row["length_shift_m"] is None
+                continue
+            # The calibration budget of the mean located position.
+            mean_x = row["position_m"] + row["mean_error_m"]
+            assert row["index_shift_m"] == pytest.approx(
+                (length - 2.0 * mean_x) * dn / (2.0 * (n + dn)), rel=1e-9)
+            assert row["length_shift_m"] == pytest.approx(
+                0.5 * scorecard.LENGTH_ERROR_M, abs=1e-9)
     quasi_static = card["quasi_static"]
     assert quasi_static["mass_kg"] == scorecard.WM_MASS_KG
     assert quasi_static["runs"] == 400
@@ -48,5 +61,16 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     assert abs(false_alarms["per_window"]
                - false_alarms["oracle_per_window"]) \
         <= 4.0 * false_alarms["per_window_se"]
+    # The README drive at 5 km breaches its window from 5 s more often
+    # the higher its frequency, at 100 Hz barely more than a quiet one.
+    breaches = card["breaches"]
+    assert [row["frequency_hz"] for row in breaches] == \
+        list(scorecard.BREACH_FREQUENCIES_HZ)
+    per_window = [row["per_window"] for row in breaches]
+    assert per_window == sorted(per_window)
+    assert per_window == pytest.approx([0.1542, 0.1644, 0.2881, 0.8944],
+                                       abs=5e-5)
+    assert per_window[0] > false_alarms["oracle_per_window"]
     assert printed.count("\n") == (len(card["sweep_path"])
-                                   + len(card["trace_path"]) + 10)
+                                   + len(card["trace_path"])
+                                   + len(breaches) + 12)

@@ -21,6 +21,13 @@ The trace-path rows: the default impact (0.1 kg dropped from 0.1 m, a
 acquired with each seed of ``TRACE_SEEDS`` through the same two calls,
 with the same columns.
 
+Next to each located row, the calibration columns: the mean shift of
+``position_m`` when each run's own nulls are relocated
+(``perception.localization_report``, no new acquisition) on a channel
+whose group index is off by ``INDEX_ERROR`` and on one whose length is off
+by ``LENGTH_ERROR_M``.  Position is ``(L - c tau / n) / 2``, so these are
+``(L - 2x) dn / (2 (n + dn))`` and ``dL / 2`` of the located positions.
+
 The quasi-static row: one weak-measurement reading of a ``WM_MASS_KG`` load
 at the default config, through ``wm.pressure_staircase``, with each seed of
 ``WM_SEEDS``.  It gives the number of runs and the sample SD, the mean and
@@ -33,6 +40,11 @@ standard error ``sqrt(p (1 - p) / windows)``, and the exact breach
 probability of a quiet window at the defaults,
 ``tests/oracles.py::window_breach_probability``.  The breaches per window
 set how many sensing grades a quiet run takes.
+
+The breach rows: the exact breach probability of the key window
+``BREACH_WINDOW_S`` with the README drive at 5 km switched on at 3 s,
+at each frequency of ``BREACH_FREQUENCIES_HZ``, from the same oracle fed
+the window's means ``perception.window_phase_means``.
 """
 from __future__ import annotations
 
@@ -41,6 +53,8 @@ import math
 import statistics
 import sys
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +78,15 @@ TRACE_SEEDS = range(1, 65)
 WM_MASS_KG = 0.1
 WM_SEEDS = range(1, 401)
 QUIET_SEEDS = range(1, 41)
+INDEX_ERROR = 1e-4
+LENGTH_ERROR_M = 1.0
+BREACH_DRIVE = dict(README_DRIVE, position_m=5000.0, start_s=3.0)
+BREACH_WINDOW_S = 5.0
+BREACH_FREQUENCIES_HZ = (100.0, 300.0, 1000.0, 3000.0)
+
+
+def mean(values: list[float]):
+    return math.fsum(values) / len(values) if values else None
 
 
 def located_row(entry: dict, position_m: float, seeds: range) -> dict:
@@ -72,30 +95,39 @@ def located_row(entry: dict, position_m: float, seeds: range) -> dict:
     script = parse_config_dict(
         {"disturbances": [dict(entry, position_m=position_m)]}).scenario
     [event] = script.events
-    errors, fails, responses = [], Counter(), {}
+    channel = script.channel
+    mis_set = (replace(channel,
+                       refractive_index=channel.refractive_index + INDEX_ERROR),
+               replace(channel, length_m=channel.length_m + LENGTH_ERROR_M))
+    errors, shifts, fails, responses = [], ([], []), Counter(), {}
     for seed in seeds:
         try:
-            data = perception.acquire(event, script.channel,
-                                      script.perception, seed,
-                                      responses=responses)
-            located = perception.locate(data, script.channel,
-                                        script.perception)
+            data = perception.acquire(event, channel, script.perception,
+                                      seed, responses=responses)
+            located = perception.locate(data, channel, script.perception)
         except SagnacSimError as exc:
             fails[type(exc).__name__] += 1
             continue
         if located is None:
             fails["none"] += 1
-        else:
-            errors.append(located.position_m - position_m)
+            continue
+        errors.append(located.position_m - position_m)
+        for shifted, wrong in zip(shifts, mis_set):
+            shifted.append(perception.localization_report(
+                located.nulls, wrong,
+                script.perception.freq_resolution_hz).position_m
+                - located.position_m)
     return {
         "position_m": position_m,
         "runs": len(seeds),
         "located": len(errors),
         "rms_error_m": (math.sqrt(math.fsum(e * e for e in errors)
                                   / len(errors)) if errors else None),
-        "mean_error_m": math.fsum(errors) / len(errors) if errors else None,
+        "mean_error_m": mean(errors),
         "mean_se_m": (statistics.stdev(errors) / math.sqrt(len(errors))
                       if len(errors) > 1 else None),
+        "index_shift_m": mean(shifts[0]),
+        "length_shift_m": mean(shifts[1]),
         "fails": dict(sorted(fails.items())),
     }
 
@@ -131,13 +163,32 @@ def false_alarm_row() -> dict:
                 script.qkd.pulses_per_window, script.qkd.qber_threshold)}
 
 
+def breach_rows() -> list[dict]:
+    """Exact breach probability of the README drive's key window from
+    ``BREACH_WINDOW_S`` at each of ``BREACH_FREQUENCIES_HZ``."""
+    rows = []
+    for frequency_hz in BREACH_FREQUENCIES_HZ:
+        script = parse_config_dict({"disturbances": [
+            dict(BREACH_DRIVE, frequency_hz=frequency_hz)]}).scenario
+        means = partial(perception.window_phase_means, script.events,
+                        script.channel, BREACH_WINDOW_S, script.qkd.window_s,
+                        script.qkd.pulses_per_window)
+        rows.append({"frequency_hz": frequency_hz,
+                     "per_window": window_breach_probability(
+                         fresh_class_probabilities(script, means),
+                         script.qkd.pulses_per_window,
+                         script.qkd.qber_threshold)})
+    return rows
+
+
 def scorecard() -> dict:
     return {"sweep_path": [located_row(README_DRIVE, x, SEEDS)
                            for x in POSITIONS_M],
             "trace_path": [located_row(DEFAULT_IMPACT, x, TRACE_SEEDS)
                            for x in POSITIONS_M],
             "quasi_static": wm_row(),
-            "false_alarms": false_alarm_row()}
+            "false_alarms": false_alarm_row(),
+            "breaches": breach_rows()}
 
 
 def table(card: dict) -> str:
@@ -151,7 +202,8 @@ def table(card: dict) -> str:
         lines += [f"{path.replace('_', ' ')}: {title}, 30 km loop, seeds "
                   f"{seeds.start}-{seeds.stop - 1}",
                   f"{'position_m':>10}  {'located':>7}  {'rms_error_m':>11}  "
-                  f"{'mean_error_m':>12}  {'mean_se_m':>9}  fails"]
+                  f"{'mean_error_m':>12}  {'mean_se_m':>9}  "
+                  f"{'index_shift_m':>13}  {'length_shift_m':>14}  fails"]
         for row in card[path]:
             fails = ", ".join(f"{kind} {count}"
                               for kind, count in row["fails"].items()) or "-"
@@ -159,7 +211,9 @@ def table(card: dict) -> str:
             lines.append(f"{row['position_m']:>10.0f}  {located:>7}  "
                          f"{metres(row['rms_error_m'], ''):>11}  "
                          f"{metres(row['mean_error_m']):>12}  "
-                         f"{metres(row['mean_se_m'], ''):>9}  {fails}")
+                         f"{metres(row['mean_se_m'], ''):>9}  "
+                         f"{metres(row['index_shift_m']):>13}  "
+                         f"{metres(row['length_shift_m']):>14}  {fails}")
     row = card["quasi_static"]
     lines += [f"quasi-static: one WM reading of {row['mass_kg']} kg, default "
               f"config, seeds {WM_SEEDS.start}-{WM_SEEDS.stop - 1}",
@@ -176,6 +230,11 @@ def table(card: dict) -> str:
               f"{row['windows']:>7}  {row['breaches']:>8}  "
               f"{row['per_window']:>10.4f}  {row['per_window_se']:>6.4f}  "
               f"{row['oracle_per_window']:>6.4f}"]
+    lines += [f"breaches: README drive at 5 km from 3 s, key window from "
+              f"{BREACH_WINDOW_S:g} s, exact",
+              f"{'frequency_hz':>12}  {'per_window':>10}"]
+    lines += [f"{row['frequency_hz']:>12.0f}  {row['per_window']:>10.4f}"
+              for row in card["breaches"]]
     return "\n".join(lines)
 
 
