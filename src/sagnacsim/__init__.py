@@ -10,10 +10,8 @@ from types import ModuleType as _Module
 from .controller import EventKind, ScenarioScript, SystemMode, run_scenario
 from .disturbance import (DisturbanceEvent, ImpactParams, PressureParams,
                           PztParams, impact_phase, pressure_delay, pzt_phase)
-from .optics import (C_VACUUM, LoopChannel, PortProbabilities, PostSelection,
-                     SpectralPacket, omega_from_wavelength,
-                     post_selection_probabilities, relative_phase,
-                     visibility_and_qber)
+from .optics import (C_VACUUM, LoopChannel, SpectralPacket,
+                     omega_from_wavelength)
 from .perception import (FrequencySweep, InterferenceTrace,
                          LocalizationReport, NullFrequency,
                          find_null_frequencies, frequency_sweep,

@@ -30,6 +30,9 @@ from .fileio import (read_trace, write_columns, write_event_log,
 
 OUT_DIR_ENV = "SAGNACSIM_OUT_DIR"
 
+#: The standing weights (kg) ``wm`` measures without ``--masses``.
+_STAIRCASE_KG = (0.1, 0.2, 0.3, 0.4, 0.5)
+
 
 def _load_config(args) -> ScenarioConfig:
     if args.config:
@@ -172,20 +175,18 @@ def _cmd_wm(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
         if not masses or not all(0 < m < math.inf for m in masses):
             raise ConfigError(["--masses: needs finite positive "
                                "comma-separated values"])
-        top = wm.branch_top_delay(script.wm, script.packet)
-        try:
-            for mass in masses:
-                delay = pressure_delay(replace(script.wm.pressure,
-                                               mass_kg=mass))
-                if delay > top:
-                    raise ConfigError([f"{mass} puts the delay shift at "
-                                       f"{delay} s, past the WM branch top "
-                                       f"{top} s"])
-        except ConfigError as exc:
-            raise ConfigError([f"--masses: {p}" for p in exc.problems]) \
-                from None
+        for mass in masses:
+            try:
+                load = replace(script.wm.pressure, mass_kg=mass)
+            except ConfigError as exc:
+                raise ConfigError([f"--masses: {p}" for p in exc.problems]) \
+                    from None
+            if problem := wm.branch_top_problem(pressure_delay(load),
+                                                script.wm, script.packet):
+                raise ConfigError([f"--masses: {mass} puts the delay shift "
+                                   f"at {problem}"])
     else:
-        masses = [0.1, 0.2, 0.3, 0.4, 0.5]
+        masses = _STAIRCASE_KG
     readings = wm.pressure_staircase(masses, script.wm, script.channel,
                                      script.packet, seed=script.seed)
     write_columns(out["icr_vs_mass.csv"],
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "icr_vs_mass.csv")
     p.add_argument("--masses", default=None,
                    help="comma-separated masses in kg (default "
-                        "0.1,0.2,0.3,0.4,0.5)")
+                        f"{','.join(map(str, _STAIRCASE_KG))})")
     command("integrated", _cmd_integrated, "run the full workflow scenario",
             "event_log.jsonl", "qber_vs_time.csv", "wm_readings.csv")
     p = command("sweep", _cmd_sweep, "sweep one named config key",

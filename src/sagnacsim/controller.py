@@ -83,15 +83,16 @@ class ScenarioScript(Checked):
             if ev.is_dynamic:
                 problems += [f"disturbances[{i}].{p}"
                              for p in self.perception.event_problems(ev)]
-        top, delay = wm.branch_top_delay(self.wm, self.packet), 0.0
+        delay = 0.0
         for i, ev in enumerate(self.events):
             if isinstance(ev.params, PressureParams):
                 delay += pressure_delay(ev.params)
-                if delay > top:
+                problem = wm.branch_top_problem(delay, self.wm, self.packet)
+                if problem:
                     problems.append(
                         f"disturbances[{i}].mass_kg: {ev.params.mass_kg} "
                         f"brings the standing weights' delay shift to "
-                        f"{delay} s, past the WM branch top {top} s")
+                        f"{problem}")
                     break
         windows = qkd.window_count(self.duration_s, self.qkd.window_s)
         if windows > MAX_KEY_WINDOWS:

@@ -13,11 +13,16 @@ from typing import Union
 import numpy as np
 
 from .errors import Checked, ConfigError, field_specs, non_negative, positive
-from .optics import C_VACUUM, MAX_DELAY_SHIFT_S
+from .optics import C_VACUUM
 
 #: Standard acceleration of gravity (m/s^2), exact by definition.
 STANDARD_GRAVITY = 9.80665
 
+#: Longest group-delay shift (s) a standing weight may carry: 1 ns, 1e8
+#: times the shift of the default 100 g and about 1e6 times a quarter turn
+#: of the WM working point at 1550 nm.  Its phase ``omega0 tau`` then stays
+#: inside the float range.
+MAX_DELAY_SHIFT_S = 1e-9
 
 #: Largest peak phase (rad) a dynamic event may impose on one pass.  At
 #: 1550 nm it stretches the fiber's optical path by about 170 m, against

@@ -15,7 +15,7 @@ class SagnacSimError(Exception):
 
 
 class NoSignalError(SagnacSimError):
-    """Both output ports are dark; visibility and error rate are undefined."""
+    """The output port a measurement reads is dark."""
 
 
 class InsufficientDataError(SagnacSimError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import Checked, NoSignalError, non_negative, positive, within
+from .errors import Checked, non_negative, positive, within
 
 #: Speed of light in vacuum (m/s), exact by definition.
 C_VACUUM = 299792458.0
@@ -35,12 +35,6 @@ MAX_LOOP_LENGTH_M = 1e7
 #: silicon's 3.48 at 1550 nm: the transit phase then keeps the precision
 #: ``MAX_LOOP_LENGTH_M`` gives it to within a factor of 7.
 MAX_REFRACTIVE_INDEX = 10.0
-
-#: Longest group-delay shift (s) the loop or a standing weight may carry:
-#: 1 ns, 1e8 times the shift of the default 100 g and about 1e6 times a
-#: quarter turn of the WM working point at 1550 nm.  Its phase ``omega0
-#: tau`` and the loop's total delay then stay inside the float range.
-MAX_DELAY_SHIFT_S = 1e-9
 
 
 def omega_from_wavelength(wavelength_m: float) -> float:
@@ -74,8 +68,8 @@ class LoopChannel(Checked):
     """Physical state of the fiber loop.
 
     ``intrinsic_delay_s`` is the birefringence group delay between the two
-    polarization components over one pass; ``delay_shift_s`` is the
-    additional delay displacement imposed by a quasi-static disturbance.
+    polarization components over one pass; a standing weight's shift is
+    added to it where WM reads it (:mod:`sagnacsim.wm`).
     ``bias_phase_rad`` is the global phase difference between the two
     propagation directions set by the modulators.
     """
@@ -83,64 +77,8 @@ class LoopChannel(Checked):
     length_m: float = within(0, MAX_LOOP_LENGTH_M, ends="(]")
     refractive_index: float = within(1, MAX_REFRACTIVE_INDEX, 1.468)
     intrinsic_delay_s: float = non_negative(0.0)
-    delay_shift_s: float = within(-MAX_DELAY_SHIFT_S, MAX_DELAY_SHIFT_S, 0.0)
     bias_phase_rad: float = 0.0
     loss_db: float = non_negative(0.0)
-
-    @property
-    def total_delay_s(self) -> float:
-        return self.intrinsic_delay_s + self.delay_shift_s
-
-
-@dataclass(frozen=True)
-class PostSelection:
-    """Polarization analyzer setting.
-
-    The effective angle is always ``base_angle_rad + offset_rad``; the base
-    angle comes from calibration against the undisturbed loop and the offset
-    is the deliberate working-point detuning.
-    """
-
-    base_angle_rad: float
-    offset_rad: float = 0.0
-
-    @property
-    def angle_rad(self) -> float:
-        return self.base_angle_rad + self.offset_rad
-
-
-@dataclass(frozen=True)
-class PortProbabilities:
-    """Post-selection success probabilities at the two interferometer ports."""
-
-    reflected: float
-    transmitted: float
-
-    def __post_init__(self):
-        for name, p in (("reflected", self.reflected),
-                        ("transmitted", self.transmitted)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} probability out of range: {p}")
-        if self.reflected + self.transmitted > 1.0 + 1e-12:
-            raise ValueError(
-                "port probabilities sum above 1: "
-                f"{self.reflected} + {self.transmitted}")
-
-
-def relative_phase(channel: LoopChannel, packet: SpectralPacket) -> float:
-    """Relative phase between polarization components after one pass.
-
-    Equals the central frequency times the total birefringence delay,
-    ``omega0 * (intrinsic delay + disturbance delay shift)``.
-    """
-    return packet.omega0 * channel.total_delay_s
-
-
-def _clip_unit(p: float) -> float:
-    # Rounding can push an exact zero a few ulps negative (e.g. 1 + cos(pi)).
-    if -1e-12 < p < 0.0:
-        return 0.0
-    return min(p, 1.0) if p <= 1.0 + 1e-12 else p
 
 
 def spectral_envelope(packet: SpectralPacket, tau_s: float) -> float:
@@ -173,37 +111,3 @@ def port_powers(tau_s: float, packet: SpectralPacket, angle_rad: float,
     cos_d = math.cos(bias_phase_rad)
     return (0.25 * scale * (1.0 + cos_d) * spectral,
             0.25 * scale * (1.0 - cos_d) * spectral)
-
-
-def post_selection_probabilities(channel: LoopChannel, packet: SpectralPacket,
-                                 ps: PostSelection) -> PortProbabilities:
-    """Per-photon success probabilities after path and polarization
-    post-selection.
-
-    :func:`port_powers` at the channel's total delay and bias phase, so
-    ``phi`` is :func:`relative_phase`.  These are conditional
-    probabilities per photon entering the loop; source statistics, loss and
-    detector efficiency are applied downstream by the key-distribution
-    engine.
-    """
-    p_r, p_t = port_powers(channel.total_delay_s, packet, ps.angle_rad,
-                           channel.bias_phase_rad, 1.0)
-    return PortProbabilities(reflected=_clip_unit(p_r),
-                             transmitted=_clip_unit(p_t))
-
-
-def visibility_and_qber(p: PortProbabilities) -> tuple[float, float]:
-    """Interference visibility and the bit error rate it implies.
-
-    Visibility is the normalized port contrast ``(P_R - P_T)/(P_R + P_T)``
-    and the error rate is ``(1 - visibility)/2``.  For the closed-form port
-    probabilities the spectral factor cancels, so the visibility reduces to
-    the cosine of the global phase difference and is untouched by
-    quasi-static delay changes or the analyzer angle.
-    """
-    total = p.reflected + p.transmitted
-    if total <= 0.0:
-        raise NoSignalError(
-            "both ports are dark; visibility is undefined")
-    eta = (p.reflected - p.transmitted) / total
-    return eta, 0.5 * (1.0 - eta)

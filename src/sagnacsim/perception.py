@@ -270,14 +270,15 @@ class FrequencySweep:
     """Measured AC amplitude of the interferometer response versus drive
     frequency.
 
-    ``noise_floor_amplitude``, when present, is the median tone amplitude
-    that the measurement noise alone gives a point; a sweep whose typical
-    response does not stand clear of it carries no localizable structure.
+    ``noise_floor_amplitude`` is the median tone amplitude that the
+    measurement noise alone gives a point, 0.0 without noise; a sweep whose
+    typical response does not stand clear of it carries no localizable
+    structure.
     """
 
     frequencies_hz: np.ndarray
     amplitudes: np.ndarray
-    noise_floor_amplitude: Optional[float] = None
+    noise_floor_amplitude: float
 
     def __post_init__(self):
         f = np.asarray(self.frequencies_hz, dtype=float)
@@ -953,12 +954,11 @@ def _nulls_from_sweep(sweep: FrequencySweep, max_k: int,
     power = sweep.amplitudes ** 2
     freqs = sweep.frequencies_hz
     reference = _median(power)
-    if sweep.noise_floor_amplitude is not None:
-        floor = sweep.noise_floor_amplitude ** 2
-        if reference < 10.0 ** (depth_threshold_db / 10.0) * floor:
-            logger.info("sweep response sits at the instrument noise floor; "
-                        "no localizable structure")
-            return []
+    floor = sweep.noise_floor_amplitude ** 2
+    if reference < 10.0 ** (depth_threshold_db / 10.0) * floor:
+        logger.info("sweep response sits at the instrument noise floor; "
+                    "no localizable structure")
+        return []
     return _notches(
         freqs, power, power, _local_minima(power, 1, power.size - 1),
         reference, max_k, depth_threshold_db,

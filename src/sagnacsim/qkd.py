@@ -209,12 +209,11 @@ def _outcome_probabilities(delta, lam: float, dark: float,
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _spectral_gain(channel: LoopChannel, packet: SpectralPacket | None) -> float:
+def _spectral_gain(channel: LoopChannel, packet: SpectralPacket) -> float:
     # Port probabilities at the bright analyzer point sum to (1 + env)/2,
-    # which rescales the per-pulse detected rate for broadband packets.
-    if packet is None:
-        return 1.0
-    return 0.5 * (1.0 + spectral_envelope(packet, channel.total_delay_s))
+    # which rescales the per-pulse detected rate for broadband packets; a
+    # monochromatic packet's gain is exactly 1.
+    return 0.5 * (1.0 + spectral_envelope(packet, channel.intrinsic_delay_s))
 
 
 #: Alice basis, Alice bit and Bob basis of the 8 equally likely choices.
@@ -294,7 +293,7 @@ def _count_window(rng: np.random.Generator, n_pulses: int, lam: float,
 def simulate_window(rng: np.random.Generator, n_pulses: int,
                     window_start_s: float, source: SourceModel,
                     channel: LoopChannel, detector: DetectorModel,
-                    packet: SpectralPacket | None = None,
+                    packet: SpectralPacket,
                     phase_noise_rad: float = 0.0,
                     offset_means: Optional[OffsetMeans] = None,
                     ) -> tuple[SiftedKeyRecord, None]:
@@ -326,7 +325,7 @@ def simulate_window(rng: np.random.Generator, n_pulses: int,
 
 def run_session(duration_s: float, seed: int, source: SourceModel,
                 channel: LoopChannel, detector: DetectorModel,
-                packet: SpectralPacket | None = None,
+                packet: SpectralPacket,
                 settings: QkdSettings = QkdSettings(),
                 ) -> list[SiftedKeyRecord]:
     """Run a key session on the undisturbed loop and return its per-window

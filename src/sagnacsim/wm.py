@@ -27,7 +27,8 @@ from .disturbance import STANDARD_GRAVITY, PressureParams, pressure_delay
 from .errors import (Checked, ConfigError, NoSignalError, OutOfBranchError,
                      ZeroWorkingPointError, positive, within)
 from .optics import C_VACUUM, LoopChannel, SpectralPacket, port_powers
-from .perception import MAX_INPUT_POWER_W, MAX_NOISE_SIGMA
+from .perception import (DEFAULT_NOISE_SIGMA, MAX_INPUT_POWER_W,
+                         MAX_NOISE_SIGMA)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class WmSettings(Checked):
                                       ends="()")
     delta_bias_rad: float = 0.0
     input_power_w: float = within(0, MAX_INPUT_POWER_W, 1.0, ends="(]")
-    noise_sigma: float = within(0, MAX_NOISE_SIGMA, 0.0019)
+    noise_sigma: float = within(0, MAX_NOISE_SIGMA, DEFAULT_NOISE_SIGMA)
     samples_per_reading: int = within(1, 2**20, 16)
     poll_interval_s: float = positive(60.0)
     pressure: PressureParams = field(default_factory=PressureParams)
@@ -70,9 +71,8 @@ def reflected_intensity(epsilon_rad: float, channel: LoopChannel,
                         packet: SpectralPacket, delta_bias: float,
                         input_power_w: float,
                         delay_shift_s: float = 0.0) -> float:
-    """Reflected-port output power for an analyzer angle ``epsilon_rad``.
-
-    ``delay_shift_s`` replaces the channel's own delay shift.
+    """Reflected-port output power for an analyzer angle ``epsilon_rad``
+    with a quasi-static ``delay_shift_s`` on the channel's intrinsic delay.
     """
     return port_powers(channel.intrinsic_delay_s + delay_shift_s, packet,
                        epsilon_rad, delta_bias, input_power_w)[0]
@@ -85,17 +85,12 @@ def calibrate(channel: LoopChannel, packet: SpectralPacket,
 
     The intensity is a constant minus a non-negative multiple of
     ``cos 2(e - w0 tau)``, so its minimum sits at ``w0 tau`` (taken modulo
-    pi), the birefringence phase of the undisturbed loop.  Requires the
-    undisturbed loop (zero delay shift).
+    pi), the birefringence phase of the undisturbed loop.
     """
     bias, power = settings.delta_bias_rad, settings.input_power_w
     if 1.0 + math.cos(bias) < 1e-12:
         raise NoSignalError(
             "reflected port is dark at this bias phase; cannot calibrate")
-    if channel.delay_shift_s != 0.0:
-        raise ConfigError(["channel.delay_shift_s: calibration requires an "
-                           "undisturbed loop (0.0), got "
-                           f"{channel.delay_shift_s}"])
     phase = packet.omega0 * channel.intrinsic_delay_s
     if not math.isfinite(phase):
         raise ConfigError(["channel.intrinsic_delay_s: the birefringence "
@@ -154,12 +149,19 @@ def infer_delay(icr_value: float, delta_epsilon: float,
     return shift / omega0
 
 
-def branch_top_delay(settings: WmSettings, packet: SpectralPacket) -> float:
-    """The longest delay shift a reading inverts: at the phase shift
-    ``omega0 dt = delta_epsilon_rad`` the contrast ratio peaks at 1, and
-    past it folds back onto the branch, where :func:`infer_delay` would
-    read a shorter shift."""
-    return settings.delta_epsilon_rad / packet.omega0
+def branch_top_problem(delay_s: float, settings: WmSettings,
+                       packet: SpectralPacket) -> Optional[str]:
+    """What is wrong with a delay shift past the branch top, the longest
+    shift a reading inverts, or None for one it inverts.
+
+    At the phase shift ``omega0 dt = delta_epsilon_rad`` the contrast
+    ratio peaks at 1, and past it folds back onto the branch, where
+    :func:`infer_delay` would read a shorter shift.
+    """
+    top = settings.delta_epsilon_rad / packet.omega0
+    if delay_s > top:
+        return f"{delay_s} s, past the WM branch top {top} s"
+    return None
 
 
 def mass_from_delay(delta_tau_s: float, params: PressureParams) -> float:

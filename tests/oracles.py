@@ -594,7 +594,7 @@ def _draw_rounds(rng, n_pulses, window_start_s, window_s, lam, dark,
 
 
 def per_round_window(rng, n_pulses, window_start_s, window_s, source,
-                     channel, detector, packet=None, phase_noise_rad=0.0,
+                     channel, detector, packet, phase_noise_rad=0.0,
                      gpd_offset_fn=None):
     """:func:`sagnacsim.qkd.simulate_window` one round at a time: the
     window's record, totalled from the rounds, and the rounds."""

@@ -552,7 +552,7 @@ _BAD_CONFIGS = [
     ("wm.delta_epsilon_rad", '{"wm": {"delta_epsilon_rad": 2.0}}'),
     ("perception.max_harmonics", '{"perception": {"max_harmonics": 1.5}}'),
     ("wm.samples_per_reading", '{"wm": {"samples_per_reading": 0.5}}'),
-    ("channel.delay_shift_s", '{"channel": {"delay_shift_s": [1]}}'),
+    ("channel.loss_db", '{"channel": {"loss_db": [1]}}'),
     ("channel.intrinsic_delay_s",
      '{"channel": {"intrinsic_delay_s": "abc"}}'),
     ("channel.length_m", '{"channel": {"length_m": 1e400}}'),
@@ -838,13 +838,12 @@ class TestDroppedKeys:
 
 
 class TestDelayShift:
-    # Any nonzero shift is a valid channel, but the WM analyzer calibrates
-    # on the undisturbed loop.
+    # A standing weight is a pressure event; the loop's static delay is
+    # channel.intrinsic_delay_s alone, so the retired shift is no key.
     CONFIG = {"duration_s": 2.0, "channel": {"delay_shift_s": 1e-17}}
 
-    @pytest.mark.parametrize("command", ["wm", "integrated"])
-    def test_wm_paths_exit_2_naming_the_key(self, tmp_path, capsys,
-                                            command):
+    @pytest.mark.parametrize("command", ["qkd", "wm", "integrated"])
+    def test_retired_key_exits_2_naming_it(self, tmp_path, capsys, command):
         cfg = write_json(tmp_path / "shift.json", self.CONFIG)
         assert run_cli(command, "--config", cfg,
                        "--out-dir", str(tmp_path / "out"), "--quiet") == 2
@@ -852,6 +851,16 @@ class TestDelayShift:
         assert record["error"] == "validation"
         assert [p.split(":")[0] for p in record["problems"]] == \
             ["channel.delay_shift_s"]
+
+    # The same static delay, set as the loop's own, as README says.
+    def test_key_session_still_runs(self, tmp_path):
+        cfg = write_json(tmp_path / "summed.json", {
+            "duration_s": 2.0, "channel": {"intrinsic_delay_s": 1e-17}})
+        out = tmp_path / "out"
+        assert run_cli("qkd", "--config", cfg, "--out-dir", str(out),
+                       "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["summary"]["windows"] == 2
 
     # omega0 tau overflowed, and calibration exited 3 naming no key.
     @pytest.mark.parametrize("command", ["wm", "integrated"])
@@ -866,14 +875,6 @@ class TestDelayShift:
         assert [p.split(":")[0] for p in record["problems"]] == \
             ["channel.intrinsic_delay_s"]
         assert not (out / "report.json").exists()
-
-    def test_key_session_still_runs(self, tmp_path):
-        cfg = write_json(tmp_path / "shift.json", self.CONFIG)
-        out = tmp_path / "out"
-        assert run_cli("qkd", "--config", cfg, "--out-dir", str(out),
-                       "--quiet") == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["summary"]["windows"] == 2
 
 
 # Perception settings under which no frequency sweep can be made.

@@ -319,7 +319,7 @@ def _edge_draws(spec):
 class TestBoundEdges:
     def test_every_bounded_key_is_drawn(self):
         # All but the two phases that take any finite value.
-        assert len(_BOUNDED) == 51
+        assert len(_BOUNDED) == 50
         assert {key for key, spec in config_table.config_keys()
                 if spec.bound is None} == {
             "perception.bias_phase_rad", "wm.delta_bias_rad"}

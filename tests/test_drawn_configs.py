@@ -115,8 +115,7 @@ def _pzt_with(**sections) -> dict:
 @example(config=_pzt_with(wm={"noise_sigma": MAX}))
 @example(config=_pzt_with(wm={"pressed_length_m": 5e-324}))
 @example(config=_pzt_with(channel={"refractive_index": MAX}))
-@example(config=_pzt_with(channel={"intrinsic_delay_s": MAX,
-                                   "delay_shift_s": MAX}))
+@example(config=_pzt_with(channel={"intrinsic_delay_s": MAX}))
 @example(config=_pzt_with(qkd={"window_s": MAX}))
 def test_drawn_config_ends_cleanly(config):
     with tempfile.TemporaryDirectory() as tmp:

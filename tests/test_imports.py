@@ -55,16 +55,16 @@ EXPORTED = [
     "C_VACUUM", "DetectorModel", "DisturbanceEvent", "EventKind",
     "FrequencySweep", "ImpactParams", "InterferenceTrace",
     "LocalizationReport", "LoopChannel", "NullFrequency",
-    "PortProbabilities", "PostSelection", "PressureParams", "PztParams",
+    "PressureParams", "PztParams",
     "ScenarioScript", "SiftedKeyRecord", "SourceModel", "SpectralPacket",
     "SystemMode", "WmCalibration", "WmReading",
     "calibrate", "contrast_ratio", "disturbed_intensity",
     "find_null_frequencies", "frequency_sweep", "impact_phase",
     "infer_delay", "localization_report", "loop_phase",
     "mass_from_delay", "omega_from_wavelength",
-    "post_selection_probabilities", "pressure_delay", "pressure_staircase",
-    "pzt_phase", "qber_threshold_check", "relative_phase", "resolution",
-    "run_scenario", "run_session", "synthesize_trace", "visibility_and_qber",
+    "pressure_delay", "pressure_staircase",
+    "pzt_phase", "qber_threshold_check", "resolution",
+    "run_scenario", "run_session", "synthesize_trace",
 ]
 
 

@@ -1,7 +1,7 @@
 import functools
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,9 +10,8 @@ from scipy import stats
 from sagnacsim import perception, qkd
 from sagnacsim.config import parse_config_dict
 from sagnacsim.errors import InsufficientDataError
-from sagnacsim.optics import (LoopChannel, PostSelection, SpectralPacket,
-                             omega_from_wavelength,
-                             post_selection_probabilities, relative_phase)
+from sagnacsim.optics import (LoopChannel, SpectralPacket,
+                             omega_from_wavelength, port_powers)
 from sagnacsim.qkd import (DetectorModel, QkdSettings, SiftedKeyRecord,
                            SourceModel, fixed_phase_error_rate,
                            qber_threshold_check, run_session,
@@ -23,6 +22,9 @@ from oracles import (fancy_indexed_window_totals, fresh_class_probabilities,
                      sampled_phase_means, window_breach_probability)
 
 SOURCE = SourceModel()
+
+#: The monochromatic 1550 nm packet, whose spectral gain is exactly 1.
+PACKET = SpectralPacket.from_wavelength()
 
 
 def detector(dark=0.0):
@@ -65,7 +67,7 @@ class TestEncode:
                 assert math.cos(delta) == pytest.approx(0.0, abs=1e-15)
 
 
-def click_probabilities(delta, source, chan, det, packet=None):
+def click_probabilities(delta, source, chan, det, packet=PACKET):
     """The engine's per-pulse click probabilities at the two ports for a
     global phase difference ``delta``."""
     lam = (qkd._signal_rate(source, chan, det)
@@ -108,25 +110,25 @@ class TestClickProbabilities:
         chan = channel()
         dark = 1e-6
         lam = 0.1 * 10 ** (-1.65) * 0.2
-        bright = PostSelection(
-            base_angle_rad=relative_phase(chan, packet) - 0.5 * math.pi)
+        tau = chan.intrinsic_delay_s
+        bright = packet.omega0 * tau - 0.5 * math.pi
         for alice, bob in ((0.0, 0.0), (0.7, 0.2), (0.5 * math.pi, 0.0),
                            (math.pi, 0.3)):
-            ports = post_selection_probabilities(
-                replace(chan, bias_phase_rad=alice - bob), packet, bright)
+            reflected, transmitted = port_powers(tau, packet, bright,
+                                                 alice - bob, 1.0)
             p_r, p_t = click_probabilities(alice - bob, SOURCE, chan,
                                            detector(dark=dark), packet)
             assert p_r == pytest.approx(
-                1.0 - math.exp(-lam * ports.reflected) + dark, rel=1e-9)
+                1.0 - math.exp(-lam * reflected) + dark, rel=1e-9)
             assert p_t == pytest.approx(
-                1.0 - math.exp(-lam * ports.transmitted) + dark, rel=1e-9)
+                1.0 - math.exp(-lam * transmitted) + dark, rel=1e-9)
 
 
 class TestRunSession:
     def test_noise_free_error_floor(self):
         records = run_session(5.0, 11, SOURCE, channel(), detector(dark=0.0),
-                              settings=QkdSettings(pulses_per_window=100_000,
-                                                   phase_noise_rad=0.0))
+                              PACKET, QkdSettings(pulses_per_window=100_000,
+                                                  phase_noise_rad=0.0))
         assert len(records) == 5
         for r in records:
             assert r.errors == 0
@@ -134,21 +136,21 @@ class TestRunSession:
 
     def test_determinism(self):
         a = run_session(3.0, 17, SOURCE, channel(), detector(dark=1e-6),
-                        settings=QkdSettings(pulses_per_window=50_000,
-                                             phase_noise_rad=0.4))
+                        PACKET, QkdSettings(pulses_per_window=50_000,
+                                            phase_noise_rad=0.4))
         b = run_session(3.0, 17, SOURCE, channel(), detector(dark=1e-6),
-                        settings=QkdSettings(pulses_per_window=50_000,
-                                             phase_noise_rad=0.4))
+                        PACKET, QkdSettings(pulses_per_window=50_000,
+                                            phase_noise_rad=0.4))
         assert json.dumps([asdict(r) for r in a]) == \
             json.dumps([asdict(r) for r in b])
 
     def test_seed_changes_stream(self):
         a = run_session(2.0, 1, SOURCE, channel(), detector(dark=1e-6),
-                        settings=QkdSettings(pulses_per_window=200_000,
-                                             phase_noise_rad=0.0))
+                        PACKET, QkdSettings(pulses_per_window=200_000,
+                                            phase_noise_rad=0.0))
         b = run_session(2.0, 2, SOURCE, channel(), detector(dark=1e-6),
-                        settings=QkdSettings(pulses_per_window=200_000,
-                                             phase_noise_rad=0.0))
+                        PACKET, QkdSettings(pulses_per_window=200_000,
+                                            phase_noise_rad=0.0))
         assert [r.sifted_bits for r in a] != [r.sifted_bits for r in b]
 
     def test_sifting_soundness(self):
@@ -156,7 +158,7 @@ class TestRunSession:
         for start in (0.0, 1.0):
             record, log = per_round_window(
                 rng, 100_000, start, 1.0, SOURCE, channel(loss_db=3.0),
-                detector(dark=1e-5), phase_noise_rad=0.3)
+                detector(dark=1e-5), PACKET, phase_noise_rad=0.3)
             # replay: every sifted round had matching bases and exactly one
             # click; recount matches the record
             matched = log.alice_basis == log.bob_basis
@@ -171,8 +173,8 @@ class TestRunSession:
         # Absurd loss and no darks: no clicks at all.
         records = run_session(1.0, 3, SOURCE, channel(loss_db=300.0),
                               detector(dark=0.0),
-                              settings=QkdSettings(pulses_per_window=10_000,
-                                                   phase_noise_rad=0.0))
+                              PACKET, QkdSettings(pulses_per_window=10_000,
+                                                  phase_noise_rad=0.0))
         assert records[0].sifted_bits == 0
         assert records[0].qber_estimate is None
 
@@ -181,7 +183,7 @@ class TestRunSession:
         for loss in (10.0, 16.5, 25.0):
             records = run_session(1.0, 31, SOURCE, channel(loss_db=loss),
                                   detector(dark=1e-6),
-                                  settings=QkdSettings(
+                                  PACKET, QkdSettings(
                                       pulses_per_window=1_000_000,
                                       phase_noise_rad=0.0))
             rates.append(session_summary(records)["mean_raw_rate_bps"])
@@ -192,7 +194,7 @@ class TestRunSession:
         for mu in (0.05, 0.1, 0.2):
             src = SourceModel(mean_photon_number=mu)
             records = run_session(1.0, 37, src, channel(), detector(dark=1e-6),
-                                  settings=QkdSettings(
+                                  PACKET, QkdSettings(
                                       pulses_per_window=1_000_000,
                                       phase_noise_rad=0.0))
             rates.append(session_summary(records)["mean_raw_rate_bps"])
@@ -202,7 +204,7 @@ class TestRunSession:
         # With the signal extinguished, darks split evenly between ports.
         records = run_session(1.0, 41, SOURCE, channel(loss_db=300.0),
                               DetectorModel(dark_count_prob_per_gate=2e-4),
-                              settings=QkdSettings(
+                              PACKET, QkdSettings(
                                   pulses_per_window=2_000_000,
                                   phase_noise_rad=0.0))
         summary = session_summary(records)
@@ -222,8 +224,8 @@ class TestWindowCount:
 
     def test_session_runs_every_counted_window(self):
         records = run_session(4.05, 1, SOURCE, channel(), detector(),
-                              settings=QkdSettings(window_s=0.5,
-                                                   pulses_per_window=1000))
+                              PACKET, QkdSettings(window_s=0.5,
+                                                  pulses_per_window=1000))
         assert [r.window_start_s for r in records] == \
             [0.5 * i for i in range(9)]
 
@@ -240,7 +242,7 @@ class TestSteadyProbabilities:
     def test_quiet_session_computes_them_once(self):
         qkd._steady_class_probabilities.cache_clear()
         run_session(5.0, 3, SOURCE, channel(loss_db=7.25), detector(),
-                    settings=QkdSettings(pulses_per_window=1000))
+                    PACKET, QkdSettings(pulses_per_window=1000))
         info = qkd._steady_class_probabilities.cache_info()
         assert (info.misses, info.hits) == (1, 4)
 

@@ -71,6 +71,17 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     assert per_window == pytest.approx([0.1542, 0.1644, 0.2881, 0.8944],
                                        abs=5e-5)
     assert per_window[0] > false_alarms["oracle_per_window"]
+    # The smallest peak phase breaching that window with probability 0.9
+    # scales as 1 / |sin(pi f tau)|: one net amplitude for every row.
+    detectable = card["detectable"]
+    assert [row["frequency_hz"] for row in detectable] == \
+        list(scorecard.BREACH_FREQUENCIES_HZ)
+    for row in detectable:
+        assert abs(row["per_window"] - scorecard.DETECTION) \
+            <= scorecard.DETECTION_TOLERANCE
+        assert row["net_amplitude_rad"] == detectable[0]["net_amplitude_rad"]
+    assert [row["peak_phase_rad"] for row in detectable] == \
+        pytest.approx([15.7, 5.24, 1.60, 0.606], rel=5e-3)
     assert printed.count("\n") == (len(card["sweep_path"])
                                    + len(card["trace_path"])
-                                   + len(breaches) + 12)
+                                   + len(breaches) + len(detectable) + 14)

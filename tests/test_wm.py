@@ -6,13 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sagnacsim.config import parse_config_dict
 from sagnacsim.disturbance import PressureParams, pressure_delay
-from sagnacsim.errors import (NoSignalError, OutOfBranchError,
+from sagnacsim.errors import (ConfigError, NoSignalError, OutOfBranchError,
                               ZeroWorkingPointError)
 from sagnacsim.optics import LoopChannel, SpectralPacket, omega_from_wavelength
-from sagnacsim.wm import (WmSettings, calibrate, contrast_ratio,
-                          disturbed_intensity, infer_delay, mass_from_delay,
-                          pressure_staircase, read, reflected_intensity)
+from sagnacsim.wm import (WmSettings, branch_top_problem, calibrate,
+                          contrast_ratio, disturbed_intensity, infer_delay,
+                          mass_from_delay, pressure_staircase, read,
+                          reflected_intensity)
 
 from oracles import (approx_contrast_ratio, exact_contrast_ratio,
                      root_found_null_angle, root_found_shift)
@@ -68,11 +70,15 @@ class TestCalibrate:
             calibrate(make_channel(), SpectralPacket(OMEGA, 0.0),
                       WmSettings(delta_bias_rad=math.pi, input_power_w=1.0))
 
+    # WM calibrates on the undisturbed loop: a static shift is no channel
+    # field and no config key, only a standing weight's pressure event.
     def test_disturbed_channel_rejected(self):
-        channel = LoopChannel(length_m=30000.0, intrinsic_delay_s=3e-13,
-                              delay_shift_s=1e-17)
-        with pytest.raises(ValueError):
-            calibrate(channel, SpectralPacket(OMEGA, 0.0), SETTINGS)
+        with pytest.raises(TypeError):
+            LoopChannel(length_m=30000.0, intrinsic_delay_s=3e-13,
+                        delay_shift_s=1e-17)
+        with pytest.raises(ConfigError) as info:
+            parse_config_dict({"channel": {"delay_shift_s": 1e-17}})
+        assert info.value.problems == ["channel.delay_shift_s: unknown key"]
 
     @given(tau0=st.one_of(st.just(0.0),
                           st.floats(min_value=1e-16, max_value=1e-10)),
@@ -192,6 +198,15 @@ class TestInferDelay:
     def test_reference_inversion(self):
         icr = exact_contrast_ratio(9.81e-18, DEG30, OMEGA)
         assert abs(infer_delay(icr, DEG30, OMEGA) - 9.81e-18) < 1e-20
+
+    def test_branch_top_problem(self):
+        packet = SpectralPacket(OMEGA, 0.0)
+        top = SETTINGS.delta_epsilon_rad / OMEGA
+        assert branch_top_problem(top, SETTINGS, packet) is None
+        assert branch_top_problem(0.5 * top, SETTINGS, packet) is None
+        past = math.nextafter(top, math.inf)
+        assert branch_top_problem(past, SETTINGS, packet) == \
+            f"{past} s, past the WM branch top {top} s"
 
     @given(dtau=st.floats(min_value=1e-18, max_value=1e-16),
            eps_deg=st.floats(min_value=5.0, max_value=60.0))

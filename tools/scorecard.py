@@ -45,6 +45,16 @@ The breach rows: the exact breach probability of the key window
 ``BREACH_WINDOW_S`` with the README drive at 5 km switched on at 3 s,
 at each frequency of ``BREACH_FREQUENCIES_HZ``, from the same oracle fed
 the window's means ``perception.window_phase_means``.
+
+The detectable rows: the smallest peak phase at which that drive breaches
+the same window with probability ``DETECTION``, at each of those
+frequencies.  A settled drive of peak ``phi`` at frequency ``f`` nets the
+phase ``A cos(...)`` with ``A = 2 phi |sin(pi f tau)|`` across the loop's
+delay ``tau``, and the window holds whole periods, so the probability
+depends on ``A`` alone.  One bisection on ``A`` at the top frequency, to
+within ``DETECTION_TOLERANCE`` of ``DETECTION``, gives each row's peak
+``A / (2 |sin(pi f tau)|)``; each row states the oracle's probability at
+that peak.
 """
 from __future__ import annotations
 
@@ -66,6 +76,7 @@ from sagnacsim import perception, wm  # noqa: E402
 from sagnacsim.config import parse_config_dict  # noqa: E402
 from sagnacsim.controller import EventKind, run_scenario  # noqa: E402
 from sagnacsim.errors import SagnacSimError  # noqa: E402
+from sagnacsim.optics import C_VACUUM  # noqa: E402
 
 OUTPUT = "scorecard.json"
 
@@ -83,6 +94,8 @@ LENGTH_ERROR_M = 1.0
 BREACH_DRIVE = dict(README_DRIVE, position_m=5000.0, start_s=3.0)
 BREACH_WINDOW_S = 5.0
 BREACH_FREQUENCIES_HZ = (100.0, 300.0, 1000.0, 3000.0)
+DETECTION = 0.9
+DETECTION_TOLERANCE = 1e-3
 
 
 def mean(values: list[float]):
@@ -163,21 +176,58 @@ def false_alarm_row() -> dict:
                 script.qkd.pulses_per_window, script.qkd.qber_threshold)}
 
 
+def breach_probability(frequency_hz: float, **drive) -> float:
+    """Exact breach probability of the key window from ``BREACH_WINDOW_S``
+    with ``BREACH_DRIVE`` at ``frequency_hz``, its keys in ``drive`` set
+    anew."""
+    script = parse_config_dict({"disturbances": [
+        dict(BREACH_DRIVE, frequency_hz=frequency_hz, **drive)]}).scenario
+    means = partial(perception.window_phase_means, script.events,
+                    script.channel, BREACH_WINDOW_S, script.qkd.window_s,
+                    script.qkd.pulses_per_window)
+    return window_breach_probability(
+        fresh_class_probabilities(script, means),
+        script.qkd.pulses_per_window, script.qkd.qber_threshold)
+
+
 def breach_rows() -> list[dict]:
     """Exact breach probability of the README drive's key window from
     ``BREACH_WINDOW_S`` at each of ``BREACH_FREQUENCIES_HZ``."""
+    return [{"frequency_hz": frequency_hz,
+             "per_window": breach_probability(frequency_hz)}
+            for frequency_hz in BREACH_FREQUENCIES_HZ]
+
+
+def detectable_rows() -> list[dict]:
+    """The smallest peak phase at which ``BREACH_DRIVE`` breaches its key
+    window from ``BREACH_WINDOW_S`` with probability ``DETECTION``, at
+    each of ``BREACH_FREQUENCIES_HZ``, from one bisection on the net
+    amplitude."""
+    channel = parse_config_dict({}).scenario.channel
+    lag = channel.refractive_index * (
+        channel.length_m - 2.0 * BREACH_DRIVE["position_m"]) / C_VACUUM
+    volts = BREACH_DRIVE["drive_amplitude_v"]
+
+    def probability(frequency_hz, amplitude):
+        peak = amplitude / (2.0 * abs(math.sin(math.pi * frequency_hz * lag)))
+        return peak, breach_probability(frequency_hz,
+                                        phase_gain_rad_per_v=peak / volts)
+
+    lo, hi = 0.0, 2.0  # a net amplitude of 2 rad breaches almost surely
+    for _ in range(50):
+        amplitude = 0.5 * (lo + hi)
+        _, per_window = probability(BREACH_FREQUENCIES_HZ[-1], amplitude)
+        if abs(per_window - DETECTION) <= DETECTION_TOLERANCE:
+            break
+        lo, hi = (amplitude, hi) if per_window < DETECTION else (lo, amplitude)
+    else:
+        raise ValueError("the bisection found no net amplitude")
     rows = []
     for frequency_hz in BREACH_FREQUENCIES_HZ:
-        script = parse_config_dict({"disturbances": [
-            dict(BREACH_DRIVE, frequency_hz=frequency_hz)]}).scenario
-        means = partial(perception.window_phase_means, script.events,
-                        script.channel, BREACH_WINDOW_S, script.qkd.window_s,
-                        script.qkd.pulses_per_window)
+        peak, per_window = probability(frequency_hz, amplitude)
         rows.append({"frequency_hz": frequency_hz,
-                     "per_window": window_breach_probability(
-                         fresh_class_probabilities(script, means),
-                         script.qkd.pulses_per_window,
-                         script.qkd.qber_threshold)})
+                     "net_amplitude_rad": amplitude, "peak_phase_rad": peak,
+                     "per_window": per_window})
     return rows
 
 
@@ -188,7 +238,8 @@ def scorecard() -> dict:
                            for x in POSITIONS_M],
             "quasi_static": wm_row(),
             "false_alarms": false_alarm_row(),
-            "breaches": breach_rows()}
+            "breaches": breach_rows(),
+            "detectable": detectable_rows()}
 
 
 def table(card: dict) -> str:
@@ -235,6 +286,14 @@ def table(card: dict) -> str:
               f"{'frequency_hz':>12}  {'per_window':>10}"]
     lines += [f"{row['frequency_hz']:>12.0f}  {row['per_window']:>10.4f}"
               for row in card["breaches"]]
+    lines += [f"detectable: smallest peak phase of that drive breaching its "
+              f"window with probability {DETECTION:g}",
+              f"{'frequency_hz':>12}  {'net_amplitude_rad':>17}  "
+              f"{'peak_phase_rad':>14}  {'per_window':>10}"]
+    lines += [f"{row['frequency_hz']:>12.0f}  "
+              f"{row['net_amplitude_rad']:>17.4f}  "
+              f"{row['peak_phase_rad']:>14.4f}  {row['per_window']:>10.4f}"
+              for row in card["detectable"]]
     return "\n".join(lines)
 
 
