@@ -153,9 +153,6 @@ class _ScenarioRunner:
         self.key_records: list[qkd.SiftedKeyRecord] = []
         self.wm_readings: list[dict] = []
         self.reports: list[perception.LocalizationReport] = []
-        # Noise-free sweep responses of this run, shared by the repeat
-        # localizations of a drive (perception.frequency_sweep).
-        self.sweep_responses: dict = {}
         # When each drive was last swept.
         self.swept_at: dict[DisturbanceEvent, float] = {}
         self.wm_cal = wm.calibrate(script.channel, script.packet, script.wm)
@@ -272,8 +269,7 @@ class _ScenarioRunner:
         event = min(drives, key=lambda ev: self.swept_at.get(ev, -math.inf))
         self.swept_at[event] = self.t
         data = perception.acquire(event, script.channel, cfg,
-                                  int(self.rng.integers(0, MAX_SEED)),
-                                  responses=self.sweep_responses)
+                                  int(self.rng.integers(0, MAX_SEED)))
         self._advance(_SENSE)
         try:
             report = perception.locate(data, script.channel, cfg)

@@ -17,11 +17,11 @@ one event and :func:`locate` turns a record into a position.
 
 A sweep reads no samples: its points and its noise floor are closed
 forms in the Hann window's two sums (:func:`_hann_sums`), and only the
-drive's own series are taken per sweep, kept per run by the caller's
-``responses`` memo.  What a Welch spectrum needs of no event, seed or
-sample is computed once per configuration by :func:`_welch_plan` and
-shared read-only.  The Fourier rows of a drive's key-window means are
-kept per drive amplitude by :func:`_drive_rows`.
+drive's own series are taken, kept per drive by :func:`_sweep_response`.
+What a Welch spectrum needs of no event, seed or sample is computed once
+per configuration by :func:`_welch_plan` and shared read-only.  The
+Fourier rows of a drive's key-window means are kept per drive amplitude
+by :func:`_drive_rows`.
 """
 from __future__ import annotations
 
@@ -67,6 +67,12 @@ MAX_SAMPLE_W = 2.0 * MAX_INPUT_POWER_W * (1.0 + 100.0 * MAX_NOISE_SIGMA)
 
 #: Default sample rate able to probe nulls up to 50 kHz with margin.
 DEFAULT_SAMPLE_RATE_HZ = 200e3
+
+#: Sample rates (Hz) a trace may take.  A Welch segment of ``m < 2**63``
+#: samples has ``1 <= sum(w**2) <= m``, so its scale ``fs sum(w**2)`` lies
+#: in [1e-3, 1e32]; a bin's ``|sum w (x - mean)|**2 <= (2 m MAX_SAMPLE_W)**2
+#: < 2e61``, so a density, doubled and summed over segments, is below 1e84.
+SAMPLE_RATE_BOUNDS_HZ = (1e-3, 1e12)
 
 #: Default instrument frequency resolution (Hz) entering the resolution
 #: formula.
@@ -128,7 +134,8 @@ def _sample_count(duration_s: float, sample_rate_hz: float) -> int:
 
 @dataclass(frozen=True)
 class PerceptionSettings(Checked):
-    sample_rate_hz: float = positive(DEFAULT_SAMPLE_RATE_HZ)
+    sample_rate_hz: float = within(*SAMPLE_RATE_BOUNDS_HZ,
+                                   DEFAULT_SAMPLE_RATE_HZ)
     sense_duration_s: float = positive(0.05)
     sweep_duration_s: float = positive(0.01)
     noise_sigma: float = within(0, MAX_NOISE_SIGMA, DEFAULT_NOISE_SIGMA)
@@ -159,8 +166,9 @@ class PerceptionSettings(Checked):
             if not least <= n <= MAX_TRACE_SAMPLES:
                 bound = (f"fewer than {least}" if n < least
                          else f"more than {MAX_TRACE_SAMPLES}")
-                problems.append(f"{key}: holds {n} samples at sample_rate_hz "
-                                f"{self.sample_rate_hz}, {bound}")
+                problems.append(f"{key}: holds {n:.12g} samples at "
+                                f"sample_rate_hz {self.sample_rate_hz}, "
+                                f"{bound}")
         if problems:
             raise ConfigError(problems)
 
@@ -220,8 +228,8 @@ class PerceptionSettings(Checked):
             n = _sample_count(self.trace_duration_s(event.params),
                               self.sample_rate_hz)
             if n > MAX_TRACE_SAMPLES:
-                return [f"width_s: {value} asks for a trace of {n} samples "
-                        f"at the perception sample_rate_hz "
+                return [f"width_s: {value} asks for a trace of {n:.12g} "
+                        f"samples at the perception sample_rate_hz "
                         f"{self.sample_rate_hz}, more than "
                         f"{MAX_TRACE_SAMPLES}"]
         return []
@@ -235,7 +243,7 @@ class PerceptionSettings(Checked):
 class InterferenceTrace(Checked):
     """Uniformly sampled detector intensity with acquisition metadata."""
 
-    sample_rate_hz: float = positive()
+    sample_rate_hz: float = within(*SAMPLE_RATE_BOUNDS_HZ)
     samples: np.ndarray
     input_power_w: float = positive()
     noise_sigma: float = non_negative(0.0)
@@ -629,8 +637,7 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
                     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
                     noise_sigma: float = DEFAULT_NOISE_SIGMA,
                     input_power_w: float = DEFAULT_INPUT_POWER_W,
-                    seed: Optional[int] = None,
-                    responses: Optional[dict] = None) -> FrequencySweep:
+                    seed: Optional[int] = None) -> FrequencySweep:
     """Swept-sine response: re-drive the sinusoidal source over a frequency
     grid and record the measured tone amplitude at each point.
 
@@ -651,10 +658,6 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     a drive-off trace ``c0 (1 + sigma z)``, ``c0 = I0 (1 + cos b)`` at the
     bias ``b``: each amplitude is Rayleigh, and its median is ``2 c0 sigma
     sqrt(sum(w**2) ln 2) / sum(w)``, with no sample drawn.
-
-    ``responses`` is a dict the caller owns, such as the memo of one
-    scenario run: repeat sweeps of the same drive then compute their
-    response once, with the same results as without the dict.
     """
     if not isinstance(event.params, PztParams):
         raise ValueError("frequency sweeps require a sinusoidal drive")
@@ -667,17 +670,12 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
         raise ValueError(problem)
     n = _sample_count(duration_s, sample_rate_hz)
     if n > MAX_TRACE_SAMPLES:
-        raise ValueError(f"duration_s: {duration_s} s holds {n} samples at "
-                         f"sample_rate_hz {sample_rate_hz}, more than "
+        raise ValueError(f"duration_s: {duration_s} s holds {n:.12g} samples "
+                         f"at sample_rate_hz {sample_rate_hz}, more than "
                          f"{MAX_TRACE_SAMPLES}")
     weight, power = _hann_sums(n)
-    if responses is None:
-        responses = {}
-    key = (event, channel, freqs.tobytes(), n, input_power_w)
-    if key not in responses:
-        responses[key] = _sweep_response(event, channel, freqs, n,
-                                         input_power_w)
-    projections, moments = responses[key]
+    projections, moments = _sweep_response(event, channel, freqs.tobytes(),
+                                           n, input_power_w)
     if noise_sigma > 0.0:
         projections = projections + noise_sigma * _correlated_normals(
             *moments,
@@ -725,11 +723,13 @@ def _strong_drive_problem(params: PztParams, points: int) -> Optional[str]:
             f"{params.peak_phase_rad} rad drive, whose sweep needs {why}")
 
 
+@functools.lru_cache(maxsize=16)
 def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
-                    freqs: np.ndarray, n: int,
+                    grid: bytes, n: int,
                     input_power_w: float) -> _SweepResponse:
-    """Noise-free response of ``n``-sample sweep traces over ``freqs``: the
-    settled drive, read behind an ideal anti-alias filter.
+    """Noise-free response of ``n``-sample sweep traces over the grid whose
+    float bytes are ``grid``: the settled drive, read behind an ideal
+    anti-alias filter, computed once per key and shared read-only.
 
     With both copies running, the net phase is ``A cos(omega t + phi)``,
     ``A = 2 peak sin(omega lag / 2)`` and ``phi = -omega lag / 2``
@@ -748,6 +748,7 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     three second moments of ``c u``, which times ``sigma**2`` are the
     covariance of the point's noise.
     """
+    freqs = np.frombuffer(grid)
     weight, power = _hann_sums(n)
     omega_lag = 2.0 * math.pi * freqs * _delay_lag_s(event, channel)
     peak = event.params.peak_phase_rad
@@ -792,16 +793,14 @@ def _correlated_normals(a: np.ndarray, h: np.ndarray, b: np.ndarray,
 
 
 def acquire(event: DisturbanceEvent, channel: LoopChannel,
-            settings: PerceptionSettings, seed: Optional[int],
-            *, responses: Optional[dict] = None,
-            ) -> Union[FrequencySweep, InterferenceTrace]:
+            settings: PerceptionSettings,
+            seed: Optional[int]) -> Union[FrequencySweep, InterferenceTrace]:
     """Record dynamic ``event`` alone for null-frequency localization.
 
-    A drive is swept over the scan grid, sharing the noise-free responses
-    of ``responses`` (see :func:`frequency_sweep`).  A transient is
-    captured in one trace of :meth:`PerceptionSettings.trace_duration_s`
-    centred on its onset.  Both see the loop through
-    :meth:`PerceptionSettings.sense_channel`.
+    A drive is swept over the scan grid (:func:`frequency_sweep`).  A
+    transient is captured in one trace of
+    :meth:`PerceptionSettings.trace_duration_s` centred on its onset.  Both
+    see the loop through :meth:`PerceptionSettings.sense_channel`.
     """
     sense = settings.sense_channel(channel)
     if isinstance(event.params, PztParams):
@@ -810,8 +809,7 @@ def acquire(event: DisturbanceEvent, channel: LoopChannel,
             duration_s=settings.sweep_duration_s,
             sample_rate_hz=settings.sample_rate_hz,
             noise_sigma=settings.noise_sigma,
-            input_power_w=settings.input_power_w, seed=seed,
-            responses=responses)
+            input_power_w=settings.input_power_w, seed=seed)
     duration = settings.trace_duration_s(event.params)
     return synthesize_trace(
         (event,), sense, duration, settings.sample_rate_hz,

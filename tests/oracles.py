@@ -543,12 +543,27 @@ def window_breach_probability(class_probabilities, n_pulses: int,
     breaching error count, which is found by the float division
     ``errors / s > threshold`` the engine's estimate takes; ``s`` whose
     ``P(s)`` underflows to 0 add nothing and are skipped.
+
+    Only a window of ``s`` around the mode is summed, doubled in width
+    from 8 standard deviations until ``P(s)`` underflows to 0 at both of
+    its ends or they reach 1 and ``n_pulses``: ``P(s)`` falls away from
+    the mode on either side, so no ``s`` outside adds anything.  At 1e8
+    pulses the window holds some 2e4 counts, not 1e8.
     """
     probs = np.asarray(class_probabilities, dtype=float).reshape(-1, 4)
     matched = np.flatnonzero(qkd._ALICE_BASIS == qkd._BOB_BASIS)
     p_sifted = probs[matched, 1:3].sum()
     p_error = probs[matched, 1 + qkd._ALICE_BIT[matched]].sum()
-    s = np.arange(1, n_pulses + 1)
+    mode = math.floor((n_pulses + 1) * p_sifted)
+    width = max(8, math.ceil(
+        8.0 * math.sqrt(n_pulses * p_sifted * (1.0 - p_sifted))))
+    while True:
+        lo, hi = max(1, mode - width), min(n_pulses, mode + width)
+        ends = stats.binom.pmf([lo, hi], n_pulses, p_sifted)
+        if (lo == 1 or ends[0] == 0.0) and (hi == n_pulses or ends[1] == 0.0):
+            break
+        width *= 2
+    s = np.arange(lo, hi + 1)
     p_s = stats.binom.pmf(s, n_pulses, p_sifted)
     s, p_s = s[p_s > 0.0], p_s[p_s > 0.0]
     least = np.floor(threshold * s).astype(np.int64) + 1
@@ -649,13 +664,13 @@ def sweep_position_bound(event, channel, settings) -> float:
     and points with a singular ``C`` are skipped.
     """
     sense = settings.sense_channel(channel)
-    freqs = settings.scan_grid()
+    grid = settings.scan_grid().tobytes()
     n = perception._sample_count(settings.sweep_duration_s,
                                  settings.sample_rate_hz)
 
     def response(position_m):
         return perception._sweep_response(
-            replace(event, position_m=position_m), sense, freqs, n,
+            replace(event, position_m=position_m), sense, grid, n,
             settings.input_power_w)
 
     step = 0.01

@@ -10,11 +10,18 @@ import numpy as np
 import pytest
 
 import sagnacsim
+from sagnacsim.disturbance import DisturbanceEvent, PztParams
+from sagnacsim.optics import LoopChannel
 
 #: Arguments of one call of each cache keyed on values.
 VALUE_KEYED = {
     "perception._bessel_orders": [(3.8276237805496392, 32768)],
     "perception._drive_rows": [(0.9569059451374098, 25, 0, 4)],
+    "perception._sweep_response": [(
+        DisturbanceEvent(PztParams(drive_amplitude_v=1.2, frequency_hz=3e3),
+                         position_m=5000.0),
+        LoopChannel(length_m=30000.0, bias_phase_rad=0.5 * np.pi),
+        np.arange(2000.0, 3000.0, 250.0).tobytes(), 2000, 5.645e-3)],
     "perception._welch_plan": [(128, 200e3)],
     "qkd._harmonic_plan": [(1.0, 1e-6, 0.4)],
     "qkd._steady_class_probabilities": [(0.01, 1e-6, 0.4)],

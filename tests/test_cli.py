@@ -898,6 +898,11 @@ _UNSWEEPABLE = {
     # 10**(depth / 10) overflowed in the null search.
     "notch-past-the-float-range": ("perception.notch_depth_db", {
         "notch_depth_db": 1e6}),
+    # The Welch scale fs sum(w**2) overflowed, and every sensing grade was
+    # taken on a zeroed spectrum.
+    "rate-past-the-welch-scale": ("perception.sample_rate_hz", {
+        "sample_rate_hz": 1e306, "sense_duration_s": 1e-300,
+        "sweep_duration_s": 1e-300}),
 }
 
 
@@ -995,6 +1000,28 @@ def test_trace_past_the_sample_bound_exits_2_without_warnings(
     assert record["error"] == "validation"
     [problem] = record["problems"]
     assert problem.startswith(f"{path}: samples must all be finite")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("rate", ["1e308", "5e-324"])
+def test_trace_rate_past_its_bound_exits_2_without_warnings(
+        tmp_path, capsys, rate):
+    # The Welch scale overflowed at 1e308 and the bin step at 5e-324; the
+    # trace is refused before either.
+    samples = 1e-3 * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(
+        5120))
+    path = tmp_path / "rate.txt"
+    path.write_text(f"# sample_rate_hz={rate} i0_w=1.0\n" + "".join(
+        f"{v!r}\n" for v in samples.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("localize", "--trace", str(path),
+                       "--out-dir", str(tmp_path / "out"), "--quiet") == 2
+    record = strict_json(capsys.readouterr().err)
+    assert record["error"] == "validation"
+    assert record["problems"] == [
+        f"{path}: sample_rate_hz: must be within [0.001, 1000000000000.0], "
+        f"got {float(rate)}"]
     assert not (tmp_path / "out" / "report.json").exists()
 
 

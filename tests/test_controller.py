@@ -20,7 +20,7 @@ from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
 from sagnacsim.errors import (HarmonicAmbiguityError, OutOfLoopError,
                               UndefinedResolutionError)
 from sagnacsim.optics import LoopChannel, SpectralPacket
-from sagnacsim.perception import PerceptionSettings
+from sagnacsim.perception import PerceptionSettings, frequency_sweep
 from sagnacsim.qkd import DetectorModel, QkdSettings, SourceModel
 from sagnacsim.wm import WmSettings
 
@@ -361,66 +361,64 @@ README_PZT = {"duration_s": 12.0, "seed": 7, "disturbances": [
      "phase_gain_rad_per_v": 0.5}]}
 
 
-class TestSweepResponseMemo:
-    """A run computes the noise-free sweep response of a drive once and
-    shares it between that drive's localizations, and only within the
-    run."""
+class TestSweepResponseCache:
+    """The noise-free sweep response of a drive is computed once and shared
+    by every later sweep of it in the process, across localizations and
+    runs alike."""
 
     @pytest.fixture
-    def computed(self, monkeypatch):
-        """The event of each response computed, in order."""
-        events = []
-        response = perception._sweep_response
-
-        def counting(event, *args):
-            events.append(event)
-            return response(event, *args)
-
-        monkeypatch.setattr(perception, "_sweep_response", counting)
-        return events
-
-    def test_three_localizations_compute_one_response(self, computed,
-                                                      monkeypatch):
-        sweeps = []
-        sweep = perception.frequency_sweep
+    def sweeps(self, monkeypatch):
+        """Each sweep taken, as ``(args, kwargs, sweep, computed)`` in
+        order, ``computed`` the number of responses the cache computed for
+        it; the cache starts empty."""
+        perception._sweep_response.cache_clear()
+        info = perception._sweep_response.cache_info
+        taken = []
 
         def recording(*args, **kwargs):
-            sweeps.append((args, kwargs, sweep(*args, **kwargs)))
-            return sweeps[-1][2]
+            before = info().misses
+            got = frequency_sweep(*args, **kwargs)
+            taken.append((args, kwargs, got, info().misses - before))
+            return got
 
         monkeypatch.setattr(perception, "frequency_sweep", recording)
+        return taken
+
+    def test_three_localizations_compute_one_response(self, sweeps):
         script = parse_config_dict(README_PZT).scenario
         result = run_scenario(script)
         assert len(result.localization_reports) == 3
-        assert computed == [script.events[0]]
-        # Each sweep equals a fresh one of its seed, the later two taken
-        # from the memo after noisy sweeps used it.
-        assert len(sweeps) == 3
-        for args, kwargs, got in sweeps:
-            assert kwargs.pop("responses") is not None
-            want = sweep(*args, **kwargs)
+        assert [computed for *_, computed in sweeps] == [1, 0, 0]
+        assert {args[0] for args, *_ in sweeps} == {script.events[0]}
+        # Each sweep equals one of its seed whose response is computed
+        # afresh, the later two taken from the cache after noisy sweeps
+        # used it.
+        for args, kwargs, got, _ in sweeps:
+            perception._sweep_response.cache_clear()
+            want = frequency_sweep(*args, **kwargs)
             assert np.array_equal(got.amplitudes, want.amplitudes)
             assert got.noise_floor_amplitude == want.noise_floor_amplitude
 
-    def test_each_run_computes_its_own(self, computed):
+    def test_repeat_runs_compute_once_and_file_equal_reports(self, sweeps):
         script = parse_config_dict(README_PZT).scenario
         first, second = run_scenario(script), run_scenario(script)
-        assert len(computed) == 2
+        assert sum(computed for *_, computed in sweeps) == 1
+        assert len(sweeps) == 6
         assert second.localization_reports == first.localization_reports
 
-    def test_two_drives_get_separate_entries(self, computed):
+    def test_two_drives_compute_one_response_each(self, sweeps):
         # The far drive is localized until the near one starts; from then
         # on each localization sweeps the running drive swept least
         # recently, in either list order.
         near = strong_pzt(position_m=4000.0, start_s=3.5)
         far = strong_pzt(position_m=9000.0, start_s=0.0)
         for events in ([near, far], [far, near]):
-            computed.clear()
-            runner = _ScenarioRunner(base_script(events=events,
-                                                 duration=12.0))
-            result = runner.run()
-            assert computed == [far, near]
-            assert [key[0] for key in runner.sweep_responses] == [far, near]
+            perception._sweep_response.cache_clear()
+            sweeps.clear()
+            result = run_scenario(base_script(events=events, duration=12.0))
+            assert [args[0] for args, _, _, computed in sweeps
+                    if computed] == [far, near]
+            assert perception._sweep_response.cache_info().currsize == 2
             positions = sorted({round(r.position_m, -3)
                                 for r in result.localization_reports})
             assert positions == [4000.0, 9000.0]

@@ -881,7 +881,7 @@ class TestFrequencySweep:
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
 
     @pytest.mark.parametrize("duration_s, samples", [
-        (1e308, "inf"), (math.inf, "inf"),
+        (1e308, "inf"), (math.inf, "inf"), (1e290, "2e+295"),
         ((2**22 + 1) / 200e3, str(2**22 + 1))])
     def test_sample_count_bounded_where_it_enters(self, duration_s, samples):
         # A count past the float range or past MAX_TRACE_SAMPLES is refused
@@ -917,8 +917,10 @@ class TestSweepResponse:
 
     def response(self, event, n=2000, grid=ACCEPTANCE_GRID,
                  bias=0.5 * math.pi):
-        return perception._sweep_response(
-            event, channel(bias), np.asarray(grid, dtype=float), n,
+        # Computed afresh each call: the process cache is keyed on the
+        # inputs alone, so a patched helper would read a stale entry.
+        return perception._sweep_response.__wrapped__(
+            event, channel(bias), np.asarray(grid, dtype=float).tobytes(), n,
             DEFAULT_INPUT_POWER_W)
 
     def assert_matches_bessel(self, event, bias=0.5 * math.pi, n=2000):
@@ -1274,6 +1276,22 @@ class TestSettingsThatCannotSweep:
         assert err.value.problems == [
             f"sweep_duration_s: holds {most + 1} samples at sample_rate_hz "
             f"200000.0, more than {most}"]
+
+    def test_huge_sample_counts_print_in_12_digits(self):
+        # Counts past the float's integers print as it does, not as a
+        # 300-digit int.
+        with pytest.raises(ConfigError) as err:
+            PerceptionSettings(sense_duration_s=1e290)
+        assert err.value.problems == [
+            "sense_duration_s: holds 2e+295 samples at sample_rate_hz "
+            f"200000.0, more than {perception.MAX_TRACE_SAMPLES}"]
+        impact = DisturbanceEvent(
+            ImpactParams(mass_kg=0.1, drop_height_m=0.1, width_s=1e290),
+            position_m=5000.0)
+        assert PerceptionSettings().event_problems(impact) == [
+            "width_s: 1e+290 asks for a trace of 6.4e+296 samples at the "
+            "perception sample_rate_hz 200000.0, more than "
+            f"{perception.MAX_TRACE_SAMPLES}"]
 
     def test_drive_series_work_bounded(self, monkeypatch):
         # The README drive keeps M = 22 orders, 25 a point: with the bound

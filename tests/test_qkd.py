@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -578,6 +579,55 @@ class TestBreachProbability:
             script, t0, script.qkd.pulses_per_window) if driven else None)
         assert abs(rate - p) <= 4.0 * math.sqrt(p * (1.0 - p)
                                                 / self.WINDOWS)
+
+    @staticmethod
+    def every_count(class_probabilities, n_pulses, threshold):
+        """The oracle's sum taken over every sifted count 1 .. n_pulses."""
+        probs = np.asarray(class_probabilities).reshape(-1, 4)
+        matched = np.flatnonzero(qkd._ALICE_BASIS == qkd._BOB_BASIS)
+        p_sifted = probs[matched, 1:3].sum()
+        p_error = probs[matched, 1 + qkd._ALICE_BIT[matched]].sum()
+        s = np.arange(1, n_pulses + 1)
+        p_s = stats.binom.pmf(s, n_pulses, p_sifted)
+        s, p_s = s[p_s > 0.0], p_s[p_s > 0.0]
+        least = np.floor(threshold * s).astype(np.int64) + 1
+        least[(least - 1) / s > threshold] -= 1
+        least[~(least / s > threshold)] += 1
+        return math.fsum(p_s * stats.binom.sf(least - 1, s,
+                                              p_error / p_sifted))
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 25, 1000, 200_000])
+    @pytest.mark.parametrize("share", [None, 0.5, 1.0])
+    def test_window_of_sifted_counts_misses_none(self, n_pulses, share):
+        # The sifted counts left out of the window are those whose
+        # probability underflows, so the sum is the one over every count,
+        # bit for bit: quiet, and with half or all rounds sifted at an
+        # error share of 1/25.
+        probs = fresh_class_probabilities(_script({})).reshape(8, 4)
+        if share is not None:
+            matched = np.flatnonzero(qkd._ALICE_BASIS == qkd._BOB_BASIS)
+            probs = np.zeros((8, 4))
+            probs[:, 0] = (1.0 - share) / 8
+            probs[matched, 1 + qkd._ALICE_BIT[matched]] = share / 25 / 4
+            probs[matched, 2 - qkd._ALICE_BIT[matched]] = \
+                share * 24 / 25 / 4
+        probs = probs.ravel()
+        assert window_breach_probability(probs, n_pulses, 0.08) == \
+            self.every_count(probs, n_pulses, 0.08)
+
+    def test_window_of_1e8_pulses_stays_small(self):
+        # All 1e8 sifted counts would take 800 MB an array; the window
+        # holds some 2e4.  A quiet window that long breaches with
+        # probability 1.01e-96.
+        probs = fresh_class_probabilities(_script({}))
+        tracemalloc.start()
+        try:
+            p = window_breach_probability(probs, 10**8, 0.08)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == pytest.approx(1.012e-96, rel=1e-3)
+        assert peak < 8 * 2**20
 
     def test_threshold_ties_are_no_breach(self):
         # 1 error in 25 sifted bits reads 0.04, which the float division

@@ -178,6 +178,28 @@ class TestSweepPositionBound:
             self.SETTINGS, input_power_w=2.0 * self.SETTINGS.input_power_w))
         assert double == pytest.approx(single, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("x", [1000, 5000, 9000, 13000, 14000])
+    @pytest.mark.parametrize("peak", [0.005, 0.01])
+    def test_doubling_a_small_drive_halves_the_bound(self, x, peak):
+        # Information scales as peak**2 but for the J1 cubic term.  At the
+        # bias pi/2 a point's projection is J1(A) times a phasor, A = 2
+        # peak |sin(omega lag / 2)| <= 2 peak, and its noise covariance
+        # has the eigenvalues 1 + (1 - J0(2A)) / 2 -+ J2(2A) / 2 in units
+        # of its drive-off value.  To order A**2 the information is
+        # peak**2 K (1 - e) with K free of the drive: the derivative loses
+        # at most 3 A**2 / 4 of its square (J1'(A) >= 1/2 - 3 A**2 / 16,
+        # J1(A) >= A / 2 - A**3 / 16), and the eigenvalues lie in [1, 1 +
+        # 3 A**2 / 4], so 0 <= e <= 3 A**2 / 2 <= 6 peak**2.  The ratio
+        # 2 sqrt((1 - e(2 peak)) / (1 - e(peak))) then falls short of 2
+        # by at most 24 peak**2 and exceeds it by at most 6 peak**2.  The
+        # shortfall is 1.1e-4 and 4.4e-4 at 1-13 km, 18-19 % of that
+        # bound, and 26 % at 14 km, the worst case.
+        single = sweep_position_bound(drive(x, gain=peak / 1.2), loop(),
+                                      self.SETTINGS)
+        double = sweep_position_bound(drive(x, gain=2.0 * peak / 1.2),
+                                      loop(), self.SETTINGS)
+        assert abs(single / double - 2.0) <= 24.0 * peak**2
+
     def test_bound_is_deterministic_and_flat_along_the_loop(self):
         bounds = [sweep_position_bound(drive(x), loop(), self.SETTINGS)
                   for x in (1000, 5000, 9000, 13000, 14000)]

@@ -72,16 +72,24 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
                                        abs=5e-5)
     assert per_window[0] > false_alarms["oracle_per_window"]
     # The smallest peak phase breaching that window with probability 0.9
-    # scales as 1 / |sin(pi f tau)|: one net amplitude for every row.
+    # scales as 1 / |sin(pi f tau)|: one net amplitude for every row of a
+    # window length, smaller the more pulses a window holds.
     detectable = card["detectable"]
-    assert [row["frequency_hz"] for row in detectable] == \
-        list(scorecard.BREACH_FREQUENCIES_HZ)
-    for row in detectable:
-        assert abs(row["per_window"] - scorecard.DETECTION) \
-            <= scorecard.DETECTION_TOLERANCE
-        assert row["net_amplitude_rad"] == detectable[0]["net_amplitude_rad"]
+    assert [(row["pulses_per_window"], row["frequency_hz"])
+            for row in detectable] == [
+        (pulses, f) for pulses in scorecard.DETECTION_PULSES
+        for f in scorecard.BREACH_FREQUENCIES_HZ]
+    assert scorecard.DETECTION_PULSES == (200_000, 10**8)
+    rows = len(scorecard.BREACH_FREQUENCIES_HZ)
+    for first in range(0, len(detectable), rows):
+        for row in detectable[first:first + rows]:
+            assert abs(row["per_window"] - scorecard.DETECTION) \
+                <= scorecard.DETECTION_TOLERANCE
+            assert row["net_amplitude_rad"] == \
+                detectable[first]["net_amplitude_rad"]
     assert [row["peak_phase_rad"] for row in detectable] == \
-        pytest.approx([15.7, 5.24, 1.60, 0.606], rel=5e-3)
+        pytest.approx([15.7, 5.24, 1.60, 0.606, 9.1, 3.04, 0.924, 0.351],
+                      rel=5e-3)
     assert printed.count("\n") == (len(card["sweep_path"])
                                    + len(card["trace_path"])
                                    + len(breaches) + len(detectable) + 14)

@@ -10,11 +10,10 @@ Rows so far, the sweep path: the README drive (1.2 V at 0.5 rad/V, 3 kHz)
 switched on at 0 s at each position of ``POSITIONS_M`` on the default
 30 km loop, acquired with each seed of ``SEEDS`` through
 ``perception.acquire`` and ``perception.locate`` at the default perception
-settings.  The runs of a position share one ``responses`` memo, so its
-noise-free sweep is computed once.  Each row gives the number located, the
-RMS and the mean of ``position - truth`` over those, the mean's standard
-error ``sd / sqrt(located)`` (sample SD, from 2 located on), and the kinds
-of the others: ``none`` for no null found, else the exception's class name.
+settings.  Each row gives the number located, the RMS and the mean of
+``position - truth`` over those, the mean's standard error ``sd /
+sqrt(located)`` (sample SD, from 2 located on), and the kinds of the
+others: ``none`` for no null found, else the exception's class name.
 
 The trace-path rows: the default impact (0.1 kg dropped from 0.1 m, a
 10 us pulse at gain 10) at 1 s at each position of ``POSITIONS_M``,
@@ -48,13 +47,14 @@ the window's means ``perception.window_phase_means``.
 
 The detectable rows: the smallest peak phase at which that drive breaches
 the same window with probability ``DETECTION``, at each of those
-frequencies.  A settled drive of peak ``phi`` at frequency ``f`` nets the
-phase ``A cos(...)`` with ``A = 2 phi |sin(pi f tau)|`` across the loop's
-delay ``tau``, and the window holds whole periods, so the probability
-depends on ``A`` alone.  One bisection on ``A`` at the top frequency, to
-within ``DETECTION_TOLERANCE`` of ``DETECTION``, gives each row's peak
-``A / (2 |sin(pi f tau)|)``; each row states the oracle's probability at
-that peak.
+frequencies and each key window length of ``DETECTION_PULSES``.  A settled
+drive of peak ``phi`` at frequency ``f`` nets the phase ``A cos(...)``
+with ``A = 2 phi |sin(pi f tau)|`` across the loop's delay ``tau``, and
+the window holds whole periods, so the probability depends on ``A``
+alone.  One bisection on ``A`` at the top frequency, to within
+``DETECTION_TOLERANCE`` of ``DETECTION``, gives each row's peak ``A / (2
+|sin(pi f tau)|)``; each row states the oracle's probability at that
+peak.  A window length takes its own bisection.
 """
 from __future__ import annotations
 
@@ -77,6 +77,7 @@ from sagnacsim.config import parse_config_dict  # noqa: E402
 from sagnacsim.controller import EventKind, run_scenario  # noqa: E402
 from sagnacsim.errors import SagnacSimError  # noqa: E402
 from sagnacsim.optics import C_VACUUM  # noqa: E402
+from sagnacsim.qkd import QkdSettings  # noqa: E402
 
 OUTPUT = "scorecard.json"
 
@@ -96,6 +97,7 @@ BREACH_WINDOW_S = 5.0
 BREACH_FREQUENCIES_HZ = (100.0, 300.0, 1000.0, 3000.0)
 DETECTION = 0.9
 DETECTION_TOLERANCE = 1e-3
+DETECTION_PULSES = (QkdSettings.pulses_per_window, 10**8)
 
 
 def mean(values: list[float]):
@@ -112,11 +114,11 @@ def located_row(entry: dict, position_m: float, seeds: range) -> dict:
     mis_set = (replace(channel,
                        refractive_index=channel.refractive_index + INDEX_ERROR),
                replace(channel, length_m=channel.length_m + LENGTH_ERROR_M))
-    errors, shifts, fails, responses = [], ([], []), Counter(), {}
+    errors, shifts, fails = [], ([], []), Counter()
     for seed in seeds:
         try:
             data = perception.acquire(event, channel, script.perception,
-                                      seed, responses=responses)
+                                      seed)
             located = perception.locate(data, channel, script.perception)
         except SagnacSimError as exc:
             fails[type(exc).__name__] += 1
@@ -176,12 +178,16 @@ def false_alarm_row() -> dict:
                 script.qkd.pulses_per_window, script.qkd.qber_threshold)}
 
 
-def breach_probability(frequency_hz: float, **drive) -> float:
-    """Exact breach probability of the key window from ``BREACH_WINDOW_S``
-    with ``BREACH_DRIVE`` at ``frequency_hz``, its keys in ``drive`` set
-    anew."""
-    script = parse_config_dict({"disturbances": [
-        dict(BREACH_DRIVE, frequency_hz=frequency_hz, **drive)]}).scenario
+def breach_probability(frequency_hz: float,
+                       pulses: int = QkdSettings.pulses_per_window,
+                       **drive) -> float:
+    """Exact breach probability of the key window of ``pulses`` pulses
+    from ``BREACH_WINDOW_S`` with ``BREACH_DRIVE`` at ``frequency_hz``, its
+    keys in ``drive`` set anew."""
+    script = parse_config_dict({
+        "qkd": {"pulses_per_window": pulses},
+        "disturbances": [dict(BREACH_DRIVE, frequency_hz=frequency_hz,
+                              **drive)]}).scenario
     means = partial(perception.window_phase_means, script.events,
                     script.channel, BREACH_WINDOW_S, script.qkd.window_s,
                     script.qkd.pulses_per_window)
@@ -198,11 +204,11 @@ def breach_rows() -> list[dict]:
             for frequency_hz in BREACH_FREQUENCIES_HZ]
 
 
-def detectable_rows() -> list[dict]:
+def detectable_rows(pulses: int) -> list[dict]:
     """The smallest peak phase at which ``BREACH_DRIVE`` breaches its key
-    window from ``BREACH_WINDOW_S`` with probability ``DETECTION``, at
-    each of ``BREACH_FREQUENCIES_HZ``, from one bisection on the net
-    amplitude."""
+    window of ``pulses`` pulses from ``BREACH_WINDOW_S`` with probability
+    ``DETECTION``, at each of ``BREACH_FREQUENCIES_HZ``, from one bisection
+    on the net amplitude."""
     channel = parse_config_dict({}).scenario.channel
     lag = channel.refractive_index * (
         channel.length_m - 2.0 * BREACH_DRIVE["position_m"]) / C_VACUUM
@@ -210,7 +216,7 @@ def detectable_rows() -> list[dict]:
 
     def probability(frequency_hz, amplitude):
         peak = amplitude / (2.0 * abs(math.sin(math.pi * frequency_hz * lag)))
-        return peak, breach_probability(frequency_hz,
+        return peak, breach_probability(frequency_hz, pulses,
                                         phase_gain_rad_per_v=peak / volts)
 
     lo, hi = 0.0, 2.0  # a net amplitude of 2 rad breaches almost surely
@@ -225,7 +231,8 @@ def detectable_rows() -> list[dict]:
     rows = []
     for frequency_hz in BREACH_FREQUENCIES_HZ:
         peak, per_window = probability(frequency_hz, amplitude)
-        rows.append({"frequency_hz": frequency_hz,
+        rows.append({"pulses_per_window": pulses,
+                     "frequency_hz": frequency_hz,
                      "net_amplitude_rad": amplitude, "peak_phase_rad": peak,
                      "per_window": per_window})
     return rows
@@ -239,7 +246,8 @@ def scorecard() -> dict:
             "quasi_static": wm_row(),
             "false_alarms": false_alarm_row(),
             "breaches": breach_rows(),
-            "detectable": detectable_rows()}
+            "detectable": [row for pulses in DETECTION_PULSES
+                           for row in detectable_rows(pulses)]}
 
 
 def table(card: dict) -> str:
@@ -288,9 +296,11 @@ def table(card: dict) -> str:
               for row in card["breaches"]]
     lines += [f"detectable: smallest peak phase of that drive breaching its "
               f"window with probability {DETECTION:g}",
-              f"{'frequency_hz':>12}  {'net_amplitude_rad':>17}  "
-              f"{'peak_phase_rad':>14}  {'per_window':>10}"]
-    lines += [f"{row['frequency_hz']:>12.0f}  "
+              f"{'pulses':>9}  {'frequency_hz':>12}  "
+              f"{'net_amplitude_rad':>17}  {'peak_phase_rad':>14}  "
+              f"{'per_window':>10}"]
+    lines += [f"{row['pulses_per_window']:>9.0e}  "
+              f"{row['frequency_hz']:>12.0f}  "
               f"{row['net_amplitude_rad']:>17.4f}  "
               f"{row['peak_phase_rad']:>14.4f}  {row['per_window']:>10.4f}"
               for row in card["detectable"]]
