@@ -353,30 +353,6 @@ def window_count(duration_s: float, window_s: float) -> int:
     return max(0, math.ceil(windows)) if math.isfinite(windows) else math.inf
 
 
-def fixed_phase_error_rate(delta_rad: float, n_pulses: int, seed: int,
-                           source: SourceModel, channel: LoopChannel,
-                           detector: DetectorModel,
-                           phase_noise_rad: float = 0.0,
-                           ) -> tuple[Optional[float], int, int]:
-    """Error rate with the global phase difference pinned for every round.
-
-    The reflected port is the nominal outcome, so any transmitted-only click
-    counts as an error.  The click outcomes of all rounds are one
-    multinomial draw at :func:`_outcome_probabilities` of the pinned phase.
-    Returns ``(error_rate, errors, counted_rounds)`` with the rate absent
-    when no single-click rounds occurred.
-    """
-    rng = np.random.default_rng(seed)
-    probs = _outcome_probabilities(
-        delta_rad, _signal_rate(source, channel, detector),
-        detector.dark_count_prob_per_gate, phase_noise_rad)
-    _, errors, nominal, _ = (int(c) for c in rng.multinomial(n_pulses, probs))
-    counted = errors + nominal
-    if counted == 0:
-        return None, 0, 0
-    return errors / counted, errors, counted
-
-
 def qber_threshold_check(record: SiftedKeyRecord, threshold: float) -> bool:
     """True iff the window's error estimate strictly exceeds the threshold.
 

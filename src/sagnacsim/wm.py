@@ -67,17 +67,6 @@ class WmReading:
     inferred_mass_kg: float
 
 
-def reflected_intensity(epsilon_rad: float, channel: LoopChannel,
-                        packet: SpectralPacket, delta_bias: float,
-                        input_power_w: float,
-                        delay_shift_s: float = 0.0) -> float:
-    """Reflected-port output power for an analyzer angle ``epsilon_rad``
-    with a quasi-static ``delay_shift_s`` on the channel's intrinsic delay.
-    """
-    return port_powers(channel.intrinsic_delay_s + delay_shift_s, packet,
-                       epsilon_rad, delta_bias, input_power_w)[0]
-
-
 def calibrate(channel: LoopChannel, packet: SpectralPacket,
               settings: WmSettings) -> WmCalibration:
     """The analyzer angle minimizing the reflected output at the bias
@@ -99,8 +88,8 @@ def calibrate(channel: LoopChannel, packet: SpectralPacket,
     eps0 = phase % math.pi
     return WmCalibration(
         base_angle_rad=eps0,
-        min_intensity_w=reflected_intensity(eps0, channel, packet, bias,
-                                            power),
+        min_intensity_w=port_powers(channel.intrinsic_delay_s, packet, eps0,
+                                    bias, power)[0],
         input_power_w=power,
         bias_phase_rad=bias,
     )
@@ -109,10 +98,10 @@ def calibrate(channel: LoopChannel, packet: SpectralPacket,
 def disturbed_intensity(cal: WmCalibration, delta_epsilon: float,
                         delta_tau_s: float, packet: SpectralPacket,
                         channel: LoopChannel) -> float:
-    """Output power with the working offset and a delay shift applied."""
-    return reflected_intensity(cal.base_angle_rad + delta_epsilon, channel,
-                               packet, cal.bias_phase_rad, cal.input_power_w,
-                               delay_shift_s=delta_tau_s)
+    """Reflected-port power with the working offset and a delay shift."""
+    return port_powers(channel.intrinsic_delay_s + delta_tau_s, packet,
+                       cal.base_angle_rad + delta_epsilon, cal.bias_phase_rad,
+                       cal.input_power_w)[0]
 
 
 def contrast_ratio(i1_w: float, id_w: float, imin_w: float) -> float:

@@ -49,11 +49,11 @@ from sagnacsim.disturbance import (DisturbanceEvent, PztParams,
                                    single_pass_phase)
 from sagnacsim.errors import (ConfigError, InsufficientDataError,
                              OutOfBranchError)
+from sagnacsim.optics import port_powers
 from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
                                   DEFAULT_SAMPLE_RATE_HZ, FrequencySweep,
                                   InterferenceTrace, measure_tone_amplitude,
                                   synthesize_trace)
-from sagnacsim.wm import reflected_intensity
 
 C = 299792458.0
 
@@ -140,9 +140,9 @@ def root_found_null_angle(channel, packet, settings) -> float:
     symmetric finite difference ``I(e + h) - I(e - h)``, bracketed a quarter
     turn either side of ``omega0 * tau mod pi`` and polished to 1e-14 rad."""
     def intensity(eps: float) -> float:
-        return reflected_intensity(eps, channel, packet,
-                                   settings.delta_bias_rad,
-                                   settings.input_power_w)
+        return port_powers(channel.intrinsic_delay_s, packet, eps,
+                           settings.delta_bias_rad,
+                           settings.input_power_w)[0]
 
     guess = (packet.omega0 * channel.intrinsic_delay_s) % math.pi
     h = 0.01

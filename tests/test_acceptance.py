@@ -20,8 +20,8 @@ from sagnacsim.perception import (find_null_frequencies, frequency_sweep,
                                   localization_report, resolution,
                                   synthesize_trace)
 from sagnacsim.qkd import (CALIBRATED_PHASE_NOISE_RAD, DetectorModel,
-                           QkdSettings, SourceModel, fixed_phase_error_rate,
-                           run_session, session_summary)
+                           QkdSettings, SourceModel, run_session,
+                           session_summary, simulate_window)
 from sagnacsim.wm import WmSettings, infer_delay, pressure_staircase
 
 from oracles import (ac_power_at, exact_contrast_ratio, first_order_span,
@@ -60,8 +60,11 @@ def test_criterion_1_qber_formula_suite():
     for i, delta in enumerate((0.0, math.pi / 4, math.pi / 2,
                                3 * math.pi / 4, math.pi)):
         expected = 0.5 * (1.0 - math.cos(delta))
-        qber, errors, counted = fixed_phase_error_rate(
-            delta, 1_000_000, 100 + i, source, channel, detector)
+        record, _ = simulate_window(
+            np.random.default_rng(100 + i), 2_000_000, 0.0, source, channel,
+            detector, SpectralPacket(OMEGA),
+            offset_means=lambda n: np.exp(1j * delta * np.arange(1, n + 1)))
+        qber, counted = record.qber_estimate, record.sifted_bits
         if expected in (0.0, 1.0):
             ok = qber == expected
             band = 0.0

@@ -1,7 +1,8 @@
 """Configs drawn at the passing edges of their keys' bounds, with one key
 at an extreme, end every subcommand cleanly: exit 0, or exit 2 or 3 with
 one JSON diagnostic, no warning, and standard JSON in every JSON file
-written."""
+written.  So does a ``sweep`` of a drawn key over values drawn from the
+extremes of its type and the edges of its bound, passing or not."""
 import contextlib
 import io
 import json
@@ -92,15 +93,45 @@ def drawn_configs(draw) -> dict:
     return config
 
 
-def run(command: str, config_path: Path, out_dir: Path):
-    """Exit code, stderr text and warnings of one in-process run."""
+#: The keys ``sweep`` takes: every numeric key outside the disturbances.
+SWEEP_KEYS = [(key, spec) for key, spec in config_table.config_keys()
+              if not key.startswith("disturbances[")]
+
+
+@st.composite
+def drawn_sweeps(draw) -> tuple[str, list]:
+    """A swept key and one to three values, each an extreme of the key's
+    type or an edge draw of its bound (:func:`_edge_draws`), passing or
+    not."""
+    key, spec = draw(st.sampled_from(SWEEP_KEYS))
+    edges = [v for v, _ in _edge_draws(spec)] if spec.bound else []
+    values = draw(st.lists(st.sampled_from([*EXTREMES[spec.kind], *edges]),
+                           min_size=1, max_size=3))
+    return key, values
+
+
+def assert_ends_cleanly(argv: list, out_dir: Path) -> None:
+    """Run ``argv`` in-process into ``out_dir``: exit 0 with nothing on
+    stderr, or exit 2 or 3 with one JSON diagnostic, no warning, and
+    standard JSON in every JSON file written."""
+    command = argv[0]
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        code = main([command, "--config", str(config_path), "--out-dir",
-                     str(out_dir), "--quiet"])
-    return code, stderr.getvalue(), caught
+        code = main([*argv, "--out-dir", str(out_dir), "--quiet"])
+    assert code in (0, 2, 3), (command, code)
+    assert [str(w.message) for w in caught] == [], command
+    if code == 0:
+        assert stderr.getvalue() == "", command
+    else:
+        [line] = stderr.getvalue().splitlines()
+        assert "error" in strict_json(line), command
+    for path in out_dir.glob("*.json"):
+        strict_json(path.read_text())
+    for path in out_dir.glob("*.jsonl"):
+        for line in path.read_text().splitlines():
+            strict_json(line)
 
 
 def _pzt_with(**sections) -> dict:
@@ -122,17 +153,20 @@ def test_drawn_config_ends_cleanly(config):
         config_path = Path(tmp) / "config.json"
         config_path.write_text(json.dumps(config))
         for command in COMMANDS:
-            out_dir = Path(tmp) / command
-            code, stderr, caught = run(command, config_path, out_dir)
-            assert code in (0, 2, 3), (command, code)
-            assert [str(w.message) for w in caught] == [], command
-            if code == 0:
-                assert stderr == "", command
-            else:
-                [line] = stderr.splitlines()
-                assert "error" in strict_json(line), command
-            for path in out_dir.glob("*.json"):
-                strict_json(path.read_text())
-            for path in out_dir.glob("*.jsonl"):
-                for line in path.read_text().splitlines():
-                    strict_json(line)
+            assert_ends_cleanly([command, "--config", str(config_path)],
+                                Path(tmp) / command)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sweep=drawn_sweeps())
+# The values go in as one ``--values=...`` token: argparse reads a
+# separate token with a leading minus, such as ``-1.7976931348623157e+308``,
+# as an option and exits 2 with usage text, not with a JSON diagnostic.
+@example(sweep=("channel.loss_db", [-MAX]))
+@example(sweep=("qkd.pulses_per_window", [2**63, 1]))
+def test_drawn_sweep_ends_cleanly(sweep):
+    key, values = sweep
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_ends_cleanly(
+            ["sweep", "--key", key,
+             "--values=" + ",".join(map(repr, values))], Path(tmp) / "sweep")

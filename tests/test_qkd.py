@@ -14,8 +14,7 @@ from sagnacsim.errors import InsufficientDataError
 from sagnacsim.optics import (LoopChannel, SpectralPacket,
                              omega_from_wavelength, port_powers)
 from sagnacsim.qkd import (DetectorModel, QkdSettings, SiftedKeyRecord,
-                           SourceModel, fixed_phase_error_rate,
-                           qber_threshold_check, run_session,
+                           SourceModel, qber_threshold_check, run_session,
                            session_summary, simulate_window)
 
 from oracles import (fancy_indexed_window_totals, fresh_class_probabilities,
@@ -279,23 +278,34 @@ class TestTally:
 
 
 class TestFixedPhase:
+    """A window whose global phase offset is pinned at ``delta`` for every
+    round."""
+
+    @staticmethod
+    def pinned(delta, n_pulses, seed, chan, det, phase_noise_rad=0.0):
+        record, _ = simulate_window(
+            np.random.default_rng(seed), n_pulses, 0.0, SOURCE, chan, det,
+            PACKET, phase_noise_rad,
+            lambda n: np.exp(1j * delta * np.arange(1, n + 1)))
+        return record.qber_estimate, record.errors, record.sifted_bits
+
     def test_calibrated_noise_reproduces_operating_error_rate(self):
         from sagnacsim.qkd import CALIBRATED_PHASE_NOISE_RAD
-        qber, _, n = fixed_phase_error_rate(
-            0.0, 4_000_000, 5, SOURCE, channel(16.5), detector(dark=1e-6),
+        qber, _, n = self.pinned(
+            0.0, 4_000_000, 5, channel(16.5), detector(dark=1e-6),
             phase_noise_rad=CALIBRATED_PHASE_NOISE_RAD)
         assert abs(qber - 0.0476) < 3.0 * math.sqrt(0.0476 * 0.9524 / n)
 
     def test_quarter_turn_is_half_error(self):
-        qber, _, n = fixed_phase_error_rate(
-            0.5 * math.pi, 500_000, 7, SOURCE, channel(loss_db=0.0),
+        qber, _, n = self.pinned(
+            0.5 * math.pi, 500_000, 7, channel(loss_db=0.0),
             detector(dark=0.0))
         assert n > 1000
         assert abs(qber - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
     def test_zero_phase_is_error_free(self):
-        qber, errors, n = fixed_phase_error_rate(
-            0.0, 200_000, 7, SOURCE, channel(loss_db=0.0), detector(dark=0.0))
+        qber, errors, n = self.pinned(
+            0.0, 200_000, 7, channel(loss_db=0.0), detector(dark=0.0))
         assert errors == 0 and qber == 0.0 and n > 0
 
 

@@ -90,6 +90,35 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     assert [row["peak_phase_rad"] for row in detectable] == \
         pytest.approx([15.7, 5.24, 1.60, 0.606, 9.1, 3.04, 0.924, 0.351],
                       rel=5e-3)
-    assert printed.count("\n") == (len(card["sweep_path"])
-                                   + len(card["trace_path"])
-                                   + len(breaches) + len(detectable) + 14)
+    # The sweep's position bound is flat along the loop, and the null
+    # picker reaches a small share of it.
+    sweep = card["sweep_path"]
+    assert [row["bound_m"] for row in sweep] == pytest.approx(
+        [3.265e-3, 3.266e-3, 3.268e-3, 3.296e-3, 3.623e-3, 3.527e-3,
+         2.740e-3], rel=2e-4)
+    for row in sweep:
+        assert row["efficiency"] == (
+            None if row["located"] == 0
+            else pytest.approx(row["bound_m"] / row["rms_error_m"]))
+    assert [row["efficiency"] for row in sweep[:4]] == pytest.approx(
+        [0.005347, 0.01725, 0.04256, 0.1321], rel=1e-3)
+    # The default impact at 5 km does not show in its key window: the
+    # engine's means and the sampled ones give the quiet probability to
+    # 1.2e-4.
+    impact = card["impact"]
+    assert impact["peak_phase_rad"] == pytest.approx(1.4005, abs=5e-5)
+    assert impact["per_window"] == pytest.approx(0.153106, abs=5e-7)
+    assert impact["sampled_per_window"] == pytest.approx(
+        impact["per_window"], abs=1e-7)
+    assert 0.0 < impact["per_window"] - false_alarms["oracle_per_window"] \
+        < 1.2e-4
+    # The two-drive run localizes each drive in turn, each near its own.
+    two_drives = card["two_drives"]
+    assert two_drives["runs"] == 10
+    assert two_drives["failed"] == 0
+    assert two_drives["nearest"] == [{"position_m": 4000.0, "located": 17},
+                                     {"position_m": 9000.0, "located": 19}]
+    assert two_drives["located"] == 36
+    assert two_drives["max_error_m"] <= 0.52
+    assert printed.count("\n") == (len(sweep) + len(card["trace_path"])
+                                   + len(breaches) + len(detectable) + 20)

@@ -14,6 +14,9 @@ settings.  Each row gives the number located, the RMS and the mean of
 ``position - truth`` over those, the mean's standard error ``sd /
 sqrt(located)`` (sample SD, from 2 located on), and the kinds of the
 others: ``none`` for no null found, else the exception's class name.
+Each sweep row also gives the drive's Cramér–Rao bound on the position
+from one sweep, ``tests/oracles.py::sweep_position_bound``, and the
+efficiency ``bound / rms``, none where nothing is located.
 
 The trace-path rows: the default impact (0.1 kg dropped from 0.1 m, a
 10 us pulse at gain 10) at 1 s at each position of ``POSITIONS_M``,
@@ -45,6 +48,11 @@ The breach rows: the exact breach probability of the key window
 at each frequency of ``BREACH_FREQUENCIES_HZ``, from the same oracle fed
 the window's means ``perception.window_phase_means``.
 
+The impact row: the same probability for the key window from
+``IMPACT_WINDOW_S`` that ``IMPACT_EVENT`` reaches, the default impact at
+5 km, fed the engine's window means and, as their reference,
+``tests/oracles.py::sampled_phase_means`` at ``IMPACT_SAMPLES`` points.
+
 The detectable rows: the smallest peak phase at which that drive breaches
 the same window with probability ``DETECTION``, at each of those
 frequencies and each key window length of ``DETECTION_PULSES``.  A settled
@@ -55,6 +63,11 @@ alone.  One bisection on ``A`` at the top frequency, to within
 ``DETECTION_TOLERANCE`` of ``DETECTION``, gives each row's peak ``A / (2
 |sin(pi f tau)|)``; each row states the oracle's probability at that
 peak.  A window length takes its own bisection.
+
+The two-drive row: the localizations of the ``integrated.two_pzt``
+reference run (``tools/output_digests.py``) with each seed of
+``TWO_DRIVE_SEEDS``, each counted at the drive it lies nearest, the
+largest distance to that drive and the ``localization_failed`` events.
 """
 from __future__ import annotations
 
@@ -71,7 +84,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import (fresh_class_probabilities,  # noqa: E402
+                     sampled_phase_means, sweep_position_bound,
                      window_breach_probability)
+from output_digests import CONFIGS  # noqa: E402
 from sagnacsim import perception, wm  # noqa: E402
 from sagnacsim.config import parse_config_dict  # noqa: E402
 from sagnacsim.controller import EventKind, run_scenario  # noqa: E402
@@ -98,6 +113,10 @@ BREACH_FREQUENCIES_HZ = (100.0, 300.0, 1000.0, 3000.0)
 DETECTION = 0.9
 DETECTION_TOLERANCE = 1e-3
 DETECTION_PULSES = (QkdSettings.pulses_per_window, 10**8)
+IMPACT_EVENT = dict(DEFAULT_IMPACT, position_m=5000.0, start_s=1.5)
+IMPACT_WINDOW_S = 1.0
+IMPACT_SAMPLES = 2**22
+TWO_DRIVE_SEEDS = range(1, 11)
 
 
 def mean(values: list[float]):
@@ -111,8 +130,8 @@ def located_row(entry: dict, position_m: float, seeds: range) -> dict:
         {"disturbances": [dict(entry, position_m=position_m)]}).scenario
     [event] = script.events
     channel = script.channel
-    mis_set = (replace(channel,
-                       refractive_index=channel.refractive_index + INDEX_ERROR),
+    index = channel.refractive_index + INDEX_ERROR
+    mis_set = (replace(channel, refractive_index=index),
                replace(channel, length_m=channel.length_m + LENGTH_ERROR_M))
     errors, shifts, fails = [], ([], []), Counter()
     for seed in seeds:
@@ -147,6 +166,19 @@ def located_row(entry: dict, position_m: float, seeds: range) -> dict:
     }
 
 
+def sweep_row(position_m: float) -> dict:
+    """:func:`located_row` of the README drive at ``position_m`` over
+    ``SEEDS``, with the drive's position bound and the efficiency."""
+    row = located_row(README_DRIVE, position_m, SEEDS)
+    script = parse_config_dict({"disturbances": [
+        dict(README_DRIVE, position_m=position_m)]}).scenario
+    bound = sweep_position_bound(script.events[0], script.channel,
+                                 script.perception)
+    row["bound_m"] = bound
+    row["efficiency"] = bound / row["rms_error_m"] if row["located"] else None
+    return row
+
+
 def wm_row() -> dict:
     """Mass error of one reading of ``WM_MASS_KG`` over ``WM_SEEDS``."""
     script = parse_config_dict({}).scenario
@@ -178,6 +210,20 @@ def false_alarm_row() -> dict:
                 script.qkd.pulses_per_window, script.qkd.qber_threshold)}
 
 
+def window_breach(script, t0: float,
+                  phase_means=perception.window_phase_means,
+                  points: int | None = None) -> float:
+    """Exact breach probability of ``script``'s key window from ``t0``,
+    the means of its events' phase taken by ``phase_means`` at ``points``
+    times, the engine's means at its pulse count by default."""
+    settings = script.qkd
+    means = partial(phase_means, script.events, script.channel, t0,
+                    settings.window_s, points or settings.pulses_per_window)
+    return window_breach_probability(
+        fresh_class_probabilities(script, means),
+        settings.pulses_per_window, settings.qber_threshold)
+
+
 def breach_probability(frequency_hz: float,
                        pulses: int = QkdSettings.pulses_per_window,
                        **drive) -> float:
@@ -188,12 +234,7 @@ def breach_probability(frequency_hz: float,
         "qkd": {"pulses_per_window": pulses},
         "disturbances": [dict(BREACH_DRIVE, frequency_hz=frequency_hz,
                               **drive)]}).scenario
-    means = partial(perception.window_phase_means, script.events,
-                    script.channel, BREACH_WINDOW_S, script.qkd.window_s,
-                    script.qkd.pulses_per_window)
-    return window_breach_probability(
-        fresh_class_probabilities(script, means),
-        script.qkd.pulses_per_window, script.qkd.qber_threshold)
+    return window_breach(script, BREACH_WINDOW_S)
 
 
 def breach_rows() -> list[dict]:
@@ -238,16 +279,52 @@ def detectable_rows(pulses: int) -> list[dict]:
     return rows
 
 
+def impact_row() -> dict:
+    """Exact breach probability of the key window from ``IMPACT_WINDOW_S``
+    that ``IMPACT_EVENT`` reaches, from the engine's window means and from
+    ``IMPACT_SAMPLES`` sampled ones."""
+    script = parse_config_dict({"disturbances": [IMPACT_EVENT]}).scenario
+    return {"position_m": IMPACT_EVENT["position_m"],
+            "start_s": IMPACT_EVENT["start_s"],
+            "peak_phase_rad": script.events[0].params.peak_phase_rad,
+            "per_window": window_breach(script, IMPACT_WINDOW_S),
+            "sampled_per_window": window_breach(
+                script, IMPACT_WINDOW_S, sampled_phase_means, IMPACT_SAMPLES)}
+
+
+def two_drive_row() -> dict:
+    """Localizations of the ``integrated.two_pzt`` reference run over
+    ``TWO_DRIVE_SEEDS``, each counted at the drive it lies nearest."""
+    config = CONFIGS["two_pzt"]
+    drives = [entry["position_m"] for entry in config["disturbances"]]
+    nearest, errors, failed = Counter(), [], 0
+    for seed in TWO_DRIVE_SEEDS:
+        result = run_scenario(
+            parse_config_dict(dict(config, seed=seed)).scenario)
+        failed += sum(record.kind is EventKind.LOCALIZATION_FAILED
+                      for record in result.log)
+        for report in result.localization_reports:
+            drive = min(drives, key=lambda x: abs(report.position_m - x))
+            nearest[drive] += 1
+            errors.append(abs(report.position_m - drive))
+    return {"runs": len(TWO_DRIVE_SEEDS), "located": len(errors),
+            "failed": failed,
+            "nearest": [{"position_m": x, "located": nearest[x]}
+                        for x in drives],
+            "max_error_m": max(errors, default=None)}
+
+
 def scorecard() -> dict:
-    return {"sweep_path": [located_row(README_DRIVE, x, SEEDS)
-                           for x in POSITIONS_M],
+    return {"sweep_path": [sweep_row(x) for x in POSITIONS_M],
             "trace_path": [located_row(DEFAULT_IMPACT, x, TRACE_SEEDS)
                            for x in POSITIONS_M],
             "quasi_static": wm_row(),
             "false_alarms": false_alarm_row(),
             "breaches": breach_rows(),
             "detectable": [row for pulses in DETECTION_PULSES
-                           for row in detectable_rows(pulses)]}
+                           for row in detectable_rows(pulses)],
+            "impact": impact_row(),
+            "two_drives": two_drive_row()}
 
 
 def table(card: dict) -> str:
@@ -258,21 +335,28 @@ def table(card: dict) -> str:
     for path, title, seeds in (
             ("sweep_path", "README drive from 0 s", SEEDS),
             ("trace_path", "default impact at 1 s", TRACE_SEEDS)):
+        bounded = path == "sweep_path"
         lines += [f"{path.replace('_', ' ')}: {title}, 30 km loop, seeds "
                   f"{seeds.start}-{seeds.stop - 1}",
                   f"{'position_m':>10}  {'located':>7}  {'rms_error_m':>11}  "
                   f"{'mean_error_m':>12}  {'mean_se_m':>9}  "
-                  f"{'index_shift_m':>13}  {'length_shift_m':>14}  fails"]
+                  f"{'index_shift_m':>13}  {'length_shift_m':>14}  "
+                  + (f"{'bound_mm':>8}  {'efficiency':>10}  " if bounded
+                     else "") + "fails"]
         for row in card[path]:
             fails = ", ".join(f"{kind} {count}"
                               for kind, count in row["fails"].items()) or "-"
             located = f"{row['located']}/{row['runs']}"
+            bound = (f"{1e3 * row['bound_m']:>8.3f}  "
+                     f"{metres(row['efficiency'], ''):>10}  "
+                     if bounded else "")
             lines.append(f"{row['position_m']:>10.0f}  {located:>7}  "
                          f"{metres(row['rms_error_m'], ''):>11}  "
                          f"{metres(row['mean_error_m']):>12}  "
                          f"{metres(row['mean_se_m'], ''):>9}  "
                          f"{metres(row['index_shift_m']):>13}  "
-                         f"{metres(row['length_shift_m']):>14}  {fails}")
+                         f"{metres(row['length_shift_m']):>14}  "
+                         f"{bound}{fails}")
     row = card["quasi_static"]
     lines += [f"quasi-static: one WM reading of {row['mass_kg']} kg, default "
               f"config, seeds {WM_SEEDS.start}-{WM_SEEDS.stop - 1}",
@@ -304,6 +388,26 @@ def table(card: dict) -> str:
               f"{row['net_amplitude_rad']:>17.4f}  "
               f"{row['peak_phase_rad']:>14.4f}  {row['per_window']:>10.4f}"
               for row in card["detectable"]]
+    row = card["impact"]
+    lines += [f"impact: default impact at {row['position_m'] / 1e3:g} km at "
+              f"{row['start_s']:g} s, key window from {IMPACT_WINDOW_S:g} s, "
+              f"exact",
+              f"{'peak_phase_rad':>14}  {'per_window':>10}  "
+              f"{'sampled':>8}  {'quiet':>8}",
+              f"{row['peak_phase_rad']:>14.4f}  {row['per_window']:>10.6f}  "
+              f"{row['sampled_per_window']:>8.6f}  "
+              f"{card['false_alarms']['oracle_per_window']:>8.6f}"]
+    row = card["two_drives"]
+    drives = row["nearest"]
+    lines += [f"two drives: integrated.two_pzt, seeds "
+              f"{TWO_DRIVE_SEEDS.start}-{TWO_DRIVE_SEEDS.stop - 1}, "
+              f"localizations by nearest drive",
+              f"{'runs':>4}  {'located':>7}  {'failed':>6}  "
+              + "".join(f"{'at_%.0f_m' % d['position_m']:>9}  "
+                        for d in drives) + f"{'max_error_m':>11}",
+              f"{row['runs']:>4}  {row['located']:>7}  {row['failed']:>6}  "
+              + "".join(f"{d['located']:>9}  " for d in drives)
+              + f"{metres(row['max_error_m'], ''):>11}"]
     return "\n".join(lines)
 
 
