@@ -40,9 +40,7 @@ def _load_config(args) -> ScenarioConfig:
     else:
         cfg = parse_config_dict({})
     if args.seed is not None:
-        resolved = cfg.echo()
-        resolved["seed"] = args.seed
-        cfg = parse_config_dict(resolved)
+        cfg = parse_config_dict({**cfg.resolved, "seed": args.seed})
     return cfg
 
 
@@ -71,7 +69,7 @@ def _outputs(args, cfg: ScenarioConfig) -> dict[str, Path]:
 
 def _base_report(cfg: ScenarioConfig) -> dict:
     return {
-        "config": cfg.echo(),
+        "config": cfg.resolved,
         "seed": cfg.scenario.seed,
         "versions": {
             "sagnacsim": __version__,
@@ -238,11 +236,12 @@ def _cmd_sweep(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     section, _, key = args.key.rpartition(".")
     swept = ("qber_pooled", "mean_raw_rate_bps", "sifted_bits")
     points = []
+    resolved = cfg.resolved
     for value in values:
-        resolved = cfg.echo()
-        (resolved[section] if section else resolved)[key] = value
+        mapping = ({**resolved, section: {**resolved[section], key: value}}
+                   if section else {**resolved, key: value})
         summary = qkd.session_summary(
-            _run_session(parse_config_dict(resolved)))
+            _run_session(parse_config_dict(mapping)))
         points.append({"value": value, **{k: summary[k] for k in swept}})
     write_columns(out["sweep.csv"], [args.key, *swept],
                   map(itemgetter("value", *swept), points))
@@ -250,8 +249,16 @@ def _cmd_sweep(args, cfg: ScenarioConfig, out: dict, report: dict) -> str:
     return f"swept {args.key} over {len(values)} values"
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, its subcommands' too, that refuses a command line with a
+    :class:`ConfigError`: exit 2 and a JSON diagnostic, no usage text."""
+
+    def error(self, message):
+        raise ConfigError([message])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sagnacsim",
         description="Simulate and analyze the loop interferometer: key "
                     "distribution, disturbance perception, localization "
@@ -316,8 +323,8 @@ def main(argv=None) -> int:
     """Run one subcommand: once its output paths pass :func:`_outputs`, it
     fills in the base report of the resolved config, which is then written
     as ``report.json``, and returns the summary line."""
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _load_config(args)
         out = _outputs(args, cfg)
         report = _base_report(cfg)

@@ -1,4 +1,4 @@
-"""Scenario configuration: defaults, validation and echo.
+"""Scenario configuration: defaults, validation and the resolved mapping.
 
 Configs are JSON documents.  Every physical quantity carries its unit in
 the key name and no implicit unit conversion happens anywhere.  A section's
@@ -9,11 +9,13 @@ reference system's values that no field holds (the 30 km loop, a 20 s run,
 the default disturbance) and the keys named apart from their field.
 Parsing reports every key's problems at once; the checks across fields
 (scan range, events within the loop and the run) follow once they pass.
+A parse builds one resolved mapping, each key at its value or default,
+which every command reads and each report carries as it is.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from . import qkd
@@ -90,8 +92,6 @@ def _event(label: str, entry: dict) -> DisturbanceEvent:
 def _script(resolved: dict) -> ScenarioScript:
     """The typed scenario a resolved config describes."""
     packet, wm = resolved["packet"], resolved["wm"]
-    wm_settings = _build("wm.", WmSettings,
-                         {key: wm[key] for key in field_specs(WmSettings)})
     return ScenarioScript(
         **{name: _build(f"{name}.", cls, resolved[name]) for name, cls in (
             ("channel", LoopChannel), ("source", SourceModel),
@@ -104,31 +104,20 @@ def _script(resolved: dict) -> ScenarioScript:
                      for i, entry in enumerate(resolved["disturbances"])),
         duration_s=resolved["duration_s"],
         seed=resolved["seed"],
-        wm=replace(wm_settings, pressure=_build("wm.", PressureParams, {
-            key: wm[key] for key in _WM_GEOMETRY})),
+        wm=_build("wm.", WmSettings, {
+            **{key: wm[key] for key in field_specs(WmSettings)},
+            "pressure": _build("wm.", PressureParams, {
+                key: wm[key] for key in _WM_GEOMETRY})}),
     )
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated configuration with all defaults resolved, and the
-    typed scenario it describes."""
+    """A fully validated configuration with all defaults resolved, which no
+    caller changes, and the typed scenario it describes."""
 
     resolved: dict
     scenario: ScenarioScript
-
-    def echo(self) -> dict:
-        """A copy of ``resolved`` the caller may change: new dicts and
-        lists around the same numbers, strings and None."""
-        return _copied(self.resolved)
-
-
-def _copied(value):
-    if isinstance(value, dict):
-        return {key: _copied(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_copied(item) for item in value]
-    return value
 
 
 def _resolve(label: str, supplied: dict, keys: dict[str, FieldSpec],

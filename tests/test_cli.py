@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from sagnacsim import cli, controller, optics, qkd
 from sagnacsim.cli import main
+from sagnacsim.config import parse_config_dict
 from sagnacsim.fileio import read_trace
 
 from oracles import two_column_write_trace
@@ -115,7 +117,6 @@ class TestIntegrated:
         position = report["localization_reports"][0]["position_m"]
         assert abs(position - 5000.0) < 200.0
         # report is self-contained: the echoed config re-parses
-        from sagnacsim.config import parse_config_dict
         assert parse_config_dict(report["config"]).resolved == \
             report["config"]
 
@@ -1040,6 +1041,61 @@ def test_short_trace_ends_in_analysis_failure_without_warnings(
         "no null frequency found in the supplied trace"
 
 
+class TestBadCommandLine:
+    """A command line argparse refuses ends as one JSON diagnostic with
+    exit 2 and no usage text; ``--help`` and ``--version`` still exit 0."""
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["wm", "--bogus"], "unrecognized arguments: --bogus"),
+        (["localize"], "the following arguments are required: --trace"),
+        # A separate token with a leading minus reads as an option.
+        (["sweep", "--key", "channel.loss_db", "--values", "-1e-3"],
+         "argument --values: expected one argument"),
+        (["qkd", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ])
+    def test_exits_2_with_one_diagnostic(self, tmp_path, capsys, argv,
+                                         problem):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        record = strict_json(line)
+        assert (record["error"], record["problems"]) == \
+            ("validation", [problem])
+        assert "usage:" not in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["wm", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            run_cli(*argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestOverridesLeaveTheParsedConfig:
+    """``--seed`` and ``sweep`` parse a new mapping built around the
+    resolved one, and change none of its dicts and lists."""
+
+    @pytest.mark.parametrize("argv", [
+        ["qkd", "--seed", "9"],
+        ["sweep", "--key", "channel.loss_db", "--values", "10,20"],
+        ["sweep", "--key", "seed", "--values", "3,4"],
+    ])
+    def test_parsed_config_unchanged(self, tmp_path, monkeypatch, argv):
+        cfg = parse_config_dict({
+            "duration_s": 1.0, "qkd": {"pulses_per_window": 10000},
+            "disturbances": [{"kind": "pressure", "position_m": 700.0}]})
+        before = copy.deepcopy(cfg.resolved)
+        monkeypatch.setattr(cli, "parse_config", lambda path: cfg)
+        assert run_cli(*argv, "--config", "parsed.json", "--out-dir",
+                       str(tmp_path), "--quiet") == 0
+        assert cfg.resolved == before
+        report = strict_json((tmp_path / "report.json").read_text())
+        assert report["seed"] == (9 if "--seed" in argv else 1)
+
+
 class TestParserReuse:
     """main parses every call with one parser per process."""
 
@@ -1057,17 +1113,16 @@ class TestParserReuse:
                        "--out-dir", str(out["wm"])) == 0
         # Not quiet, so it prints its summary: one delay per default mass.
         assert len(capsys.readouterr().out.split()) == 5
-        with pytest.raises(SystemExit) as bad:
-            run_cli("wm", "--bogus", "--out-dir", str(tmp_path / "bad"))
-        assert bad.value.code == 2
+        assert run_cli("wm", "--bogus", "--out-dir",
+                       str(tmp_path / "bad")) == 2
         capsys.readouterr()
         # --trace is required, so a value left from an earlier call would
         # let this run.
-        with pytest.raises(SystemExit) as missing:
-            run_cli("localize", "--config", impact_config,
-                    "--out-dir", str(tmp_path / "missing"), "--quiet")
-        assert missing.value.code == 2
-        assert "--trace" in capsys.readouterr().err
+        assert run_cli("localize", "--config", impact_config,
+                       "--out-dir", str(tmp_path / "missing"),
+                       "--quiet") == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "--trace" in strict_json(line)["message"]
         assert run_cli("localize", "--config", impact_config, "--trace",
                        trace, "--out-dir", str(out["again"]),
                        "--quiet") == 0

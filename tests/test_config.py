@@ -101,7 +101,7 @@ class TestRoundTrip:
             "disturbances": [{"kind": "pressure", "position_m": 700.0,
                               "mass_kg": 0.3}],
         })
-        second = parse_config_dict(first.echo())
+        second = parse_config_dict(first.resolved)
         assert first.resolved == second.resolved
 
     def test_file_round_trip(self, tmp_path):
@@ -109,7 +109,7 @@ class TestRoundTrip:
         path.write_text(json.dumps({"duration_s": 3.0, "seed": 5}))
         cfg = parse_config(path)
         echo_path = tmp_path / "echo.json"
-        echo_path.write_text(json.dumps(cfg.echo()))
+        echo_path.write_text(json.dumps(cfg.resolved))
         assert parse_config(echo_path).resolved == cfg.resolved
 
     def test_missing_file(self):
@@ -124,13 +124,14 @@ class TestRoundTrip:
 
 
 class TestEcho:
-    """The echo is a plain copy of the resolved config, equal, type for
-    type, to its JSON round trip, which it replaced."""
+    """A report echoes the resolved config as it is: a mapping equal, type
+    for type, to its JSON round trip, that shares no dict or list with the
+    mapping parsed."""
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_equals_the_json_round_trip(self, name):
         cfg = parse_config_dict(CONFIGS[name])
-        echo = cfg.echo()
+        echo = cfg.resolved
         round_trip = json.loads(json.dumps(cfg.resolved))
         assert echo == round_trip
         assert repr(echo) == repr(round_trip)
@@ -138,15 +139,19 @@ class TestEcho:
             json.dumps(round_trip, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_changing_the_echo_leaves_resolved(self, name):
-        cfg = parse_config_dict(CONFIGS[name])
+    def test_changing_the_parsed_mapping_leaves_resolved(self, name):
+        # A mapping of every section and key, so each dict or list a parse
+        # kept from it is one that changes below.
+        raw = copy.deepcopy(parse_config_dict(CONFIGS[name]).resolved)
+        cfg = parse_config_dict(raw)
         before = copy.deepcopy(cfg.resolved)
-        echo = cfg.echo()
-        echo["seed"] = -1
-        echo["channel"]["loss_db"] = -1.0
-        echo["disturbances"].append({"kind": "pzt"})
-        for entry in echo["disturbances"]:
+        raw["seed"] = -1
+        for section in raw.values():
+            if isinstance(section, dict):
+                section.clear()
+        for entry in raw["disturbances"]:
             entry["position_m"] = -1.0
+        raw["disturbances"].append({"kind": "pzt"})
         assert cfg.resolved == before
 
 
@@ -290,7 +295,7 @@ class TestAnyConfig:
         cfg.scenario
         cfg.scenario.wm
         cfg.scenario.perception
-        assert parse_config_dict(cfg.echo()).resolved == cfg.resolved
+        assert parse_config_dict(cfg.resolved).resolved == cfg.resolved
 
 
 _BOUNDED = {key: spec for key, spec in config_table.config_keys()

@@ -1,8 +1,10 @@
 """Configs drawn at the passing edges of their keys' bounds, with one key
-at an extreme, end every subcommand cleanly: exit 0, or exit 2 or 3 with
-one JSON diagnostic, no warning, and standard JSON in every JSON file
-written.  So does a ``sweep`` of a drawn key over values drawn from the
-extremes of its type and the edges of its bound, passing or not."""
+at an extreme, end every subcommand cleanly, ``localize`` reading the trace
+``perceive`` writes of the CLI tests' impact reference: exit 0, or exit 2
+or 3 with one JSON diagnostic, no warning, and standard JSON in every JSON
+file written.  So does a ``sweep`` of a drawn key over values drawn from
+the extremes of its type and the edges of its bound, passing or not,
+joined to ``--values`` or in a separate token."""
 import contextlib
 import io
 import json
@@ -11,12 +13,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sagnacsim.cli import main
 
-from test_cli import strict_json
+from test_cli import _IMPACT_CONFIG, strict_json
 from test_config import _edge_draws
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -134,6 +137,18 @@ def assert_ends_cleanly(argv: list, out_dir: Path) -> None:
             strict_json(line)
 
 
+@pytest.fixture(scope="module")
+def impact_trace(tmp_path_factory) -> str:
+    """The path of the trace ``perceive`` writes of the CLI tests' impact
+    reference."""
+    work = tmp_path_factory.mktemp("impact-trace")
+    config = work / "impact.json"
+    config.write_text(json.dumps(_IMPACT_CONFIG))
+    assert main(["perceive", "--config", str(config), "--out-dir",
+                 str(work), "--quiet"]) == 0
+    return str(work / "trace.txt")
+
+
 def _pzt_with(**sections) -> dict:
     """A config of the README drive and ``sections``."""
     return {"disturbances": [ENTRIES["pzt"]], **sections}
@@ -148,25 +163,31 @@ def _pzt_with(**sections) -> dict:
 @example(config=_pzt_with(channel={"refractive_index": MAX}))
 @example(config=_pzt_with(channel={"intrinsic_delay_s": MAX}))
 @example(config=_pzt_with(qkd={"window_s": MAX}))
-def test_drawn_config_ends_cleanly(config):
+def test_drawn_config_ends_cleanly(impact_trace, config):
     with tempfile.TemporaryDirectory() as tmp:
         config_path = Path(tmp) / "config.json"
         config_path.write_text(json.dumps(config))
         for command in COMMANDS:
             assert_ends_cleanly([command, "--config", str(config_path)],
                                 Path(tmp) / command)
+        assert_ends_cleanly(["localize", "--config", str(config_path),
+                             "--trace", impact_trace],
+                            Path(tmp) / "localize")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(sweep=drawn_sweeps())
-# The values go in as one ``--values=...`` token: argparse reads a
-# separate token with a leading minus, such as ``-1.7976931348623157e+308``,
-# as an option and exits 2 with usage text, not with a JSON diagnostic.
-@example(sweep=("channel.loss_db", [-MAX]))
-@example(sweep=("qkd.pulses_per_window", [2**63, 1]))
-def test_drawn_sweep_ends_cleanly(sweep):
+@given(sweep=drawn_sweeps(), joined=st.booleans())
+@example(sweep=("channel.loss_db", [-MAX]), joined=True)
+@example(sweep=("qkd.pulses_per_window", [2**63, 1]), joined=True)
+# argparse reads a separate token with a leading minus, such as
+# ``-1.7976931348623157e+308``, as an option: the run exits 2 with one JSON
+# diagnostic, as for any command line it refuses.
+@example(sweep=("channel.loss_db", [-MAX]), joined=False)
+def test_drawn_sweep_ends_cleanly(sweep, joined):
     key, values = sweep
+    listed = ",".join(map(repr, values))
     with tempfile.TemporaryDirectory() as tmp:
         assert_ends_cleanly(
             ["sweep", "--key", key,
-             "--values=" + ",".join(map(repr, values))], Path(tmp) / "sweep")
+             *(["--values=" + listed] if joined else ["--values", listed])],
+            Path(tmp) / "sweep")
