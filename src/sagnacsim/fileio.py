@@ -1,8 +1,11 @@
 """Trace, report and columnar file formats.
 
-Numeric values are written with shortest round-trip formatting (repr), so
-attosecond-scale quantities survive write-then-read exactly.  A trace is a
-header line, then one sample per line, sample k taken at k / sample_rate_hz.
+Column and header values are written with shortest round-trip formatting
+(repr), so attosecond-scale quantities survive write-then-read exactly.  A
+trace is a header line, then one sample per line as its ``float.hex``
+literal, which round-trips every float64 exactly too and formats and parses
+faster than a decimal one; sample k was taken at k / sample_rate_hz.  The
+reader also reads the earlier decimal traces, a value by its own syntax.
 Reports and event logs hold the bytes ``json.dumps`` writes with sorted
 keys, one line a report or log entry.
 """
@@ -55,14 +58,16 @@ _TRACE_BLOCK = 2**16
 
 
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
-    """Write a trace as its metadata header line, then one sample a line,
-    formatting at most ``_TRACE_BLOCK`` samples at once."""
+    """Write a trace as its metadata header line, then one sample a line as
+    its ``float.hex`` literal, formatting at most ``_TRACE_BLOCK`` samples
+    at once."""
     header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
               f"i0_w={_fmt(trace.input_power_w)} "
               f"noise_sigma={_fmt(trace.noise_sigma)}\n")
     samples = trace.samples
-    blocks = ("\n".join(map(repr, samples[lo:lo + _TRACE_BLOCK].tolist()))
-              + "\n" for lo in range(0, samples.size, _TRACE_BLOCK))
+    blocks = ("\n".join(map(float.hex,
+                            samples[lo:lo + _TRACE_BLOCK].tolist())) + "\n"
+              for lo in range(0, samples.size, _TRACE_BLOCK))
     return _replace_file(path, itertools.chain([header], blocks))
 
 
@@ -73,14 +78,20 @@ _SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 #: The first line of a text, as ``str.splitlines`` ends it.
 _FIRST_LINE = re.compile(f"[^\n\r{_SPLITLINES_ONLY}]*")
 
+#: The keys a trace header may hold, each at most once.
+_HEADER_KEYS = ("sample_rate_hz", "i0_w", "noise_sigma")
+
 
 def read_trace(path: str | Path) -> InterferenceTrace:
     """Read a trace written by :func:`write_trace`: the sample is the last
     field of each non-blank body line, so files with a leading time column
     read the same.  Lines end at the breaks ``str.splitlines`` honours.
 
-    The text is read to take the header line and to choose how
-    :func:`_sample_column` parses the body.
+    Each value is read by its own syntax: one with the ``0x`` prefix, after
+    an optional sign, by ``float.fromhex``, any other as a decimal literal
+    by ``np.loadtxt``, so decimal files in the earlier format read as
+    before.  The header holds each of ``_HEADER_KEYS`` at most once and no
+    other key.
 
     Raises :class:`ConfigError` naming the file when it is missing,
     unreadable or malformed.
@@ -96,11 +107,16 @@ def read_trace(path: str | Path) -> InterferenceTrace:
             key, sep, value = token.partition("=")
             if not sep:
                 raise ValueError(f"malformed header token {token!r}")
+            if key not in _HEADER_KEYS:
+                raise ValueError(f"unknown header key in {token!r}, not "
+                                 f"one of {', '.join(_HEADER_KEYS)}")
+            if key in meta:
+                raise ValueError(f"repeated header key in {token!r}")
             meta[key] = float(value)
         for required in ("sample_rate_hz", "i0_w"):
             if required not in meta:
                 raise ValueError(f"header missing {required}")
-        samples = _sample_column(path, text, len(header))
+        samples = _sample_column(text, len(header))
         if samples.size == 0:
             raise ValueError("trace has no samples")
         return InterferenceTrace(
@@ -113,40 +129,61 @@ def read_trace(path: str | Path) -> InterferenceTrace:
         raise ConfigError([f"{path}: {exc}"]) from exc
 
 
-def _sample_column(path: Path, text: str, body_start: int) -> np.ndarray:
-    """The samples of the trace file at ``path``, whose text is ``text``
-    and whose body starts at ``body_start``.
+def _sample_column(text: str, body_start: int) -> np.ndarray:
+    """The samples of the trace text ``text``, whose body starts at
+    ``body_start``.
 
-    Where the file is a regular one, which reads the same again, and its
-    text holds no line break but those a text-mode file ends a line at, one
-    :func:`_last_fields` pass reads it again from ``path`` past its header
-    line; otherwise, as for a pipe, it reads the ``str.splitlines`` body
-    lines.  A body of blank lines gives an empty array without that pass,
-    as loadtxt only warns on it.  A rejected body raises ``ValueError``
+    A text whose only breaks are "\n" (reading in text mode has turned
+    "\r\n" and "\r" into it), and whose every body line is one hex
+    literal with the "0x" prefix, as :func:`write_trace` writes it, is read
+    by ``float.fromhex`` line by line.  A text ``float.fromhex`` reads
+    holds at most one "x", in that prefix, so when it reads every line, as
+    many "x" as lines make every line a hex literal, and no decimal one is
+    read as hex.  Any other text is read by :func:`_last_fields` over its
+    ``str.splitlines`` body lines.  A rejected body raises ``ValueError``
     naming its first bad line.
     """
-    if not text[body_start:].strip():
-        return np.empty(0)
+    if not any(map(text.__contains__, _SPLITLINES_ONLY)):
+        lines = text[body_start + 1:].split("\n")
+        if not lines[-1]:
+            lines.pop()
+        if text.count("x", body_start) == len(lines):
+            try:
+                return np.fromiter(map(float.fromhex, lines), float,
+                                   len(lines))
+            except (ValueError, OverflowError):
+                pass
+    body = text.splitlines()[1:]
     try:
-        if path.is_file() and not any(map(text.__contains__,
-                                          _SPLITLINES_ONLY)):
-            return _last_fields(path, skiprows=1)
-        return _last_fields(text.splitlines()[1:])
+        return _last_fields(body)
     except ValueError:
-        raise ValueError(_first_bad_line(text.splitlines()[1:])) from None
+        raise ValueError(_first_bad_line(body)) from None
 
 
-def _last_fields(source, skiprows: int = 0) -> np.ndarray:
-    """The last whitespace-separated field of each line of ``source``, a
-    path or a list of lines, after its first ``skiprows`` lines, as floats
-    in one ``np.loadtxt`` call.
+def _last_fields(lines: Sequence[str]) -> np.ndarray:
+    """The last whitespace-separated field of each non-blank line of
+    ``lines``, as floats: hex literals by ``float.fromhex``, the others in
+    one ``np.loadtxt`` call.
 
-    Blank lines are skipped; any other line whose last field is not a float
-    literal raises ``ValueError``, with ``comments=None`` also one starting
-    with '#'.
+    Only a hex literal holds an "x", in its "0x" prefix, and
+    ``float.fromhex`` refuses a text with an "x" anywhere else, so a field
+    holding one is read as hex and any other as decimal.  Any field that
+    is not a float literal raises ``ValueError``, also one starting with
+    '#' and a hex literal too large for a float.
     """
-    return np.loadtxt(source, skiprows=skiprows, usecols=-1, ndmin=1,
-                      comments=None, encoding="utf-8")
+    fields = [words[-1] for words in map(str.split, lines) if words]
+    hexed = np.array(["x" in field or "X" in field for field in fields],
+                     bool)
+    samples = np.empty(hexed.size)
+    if not hexed.all():
+        samples[~hexed] = np.loadtxt(list(itertools.compress(fields, ~hexed)),
+                                     ndmin=1, comments=None, encoding="utf-8")
+    try:
+        samples[hexed] = list(map(float.fromhex,
+                                  itertools.compress(fields, hexed)))
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+    return samples
 
 
 def _first_bad_line(body: Sequence[str]) -> str:
@@ -160,8 +197,7 @@ def _first_bad_line(body: Sequence[str]) -> str:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            if any(map(str.strip, body[lo:mid])):
-                _last_fields(body[lo:mid])
+            _last_fields(body[lo:mid])
             lo = mid
         except ValueError:
             hi = mid

@@ -20,8 +20,10 @@ small-angle contrast ratio is the approximation the exact one is compared
 against.  The trace writer, reader and notch scan are kept here one
 sample, line or candidate at a time, as the references the whole-column
 library code must equal byte for byte; so is an impact's pulse, taken at
-every time.  A drive's net phase is kept as the difference of its two
-copies at every time, the reference for the settled drive's one cosine
+every time.  The earlier decimal trace writers, one repr a line or two
+columns, write the files the reader must still read.  A drive's net
+phase is kept as the difference of its two copies at every time, the
+reference for the settled drive's one cosine
 to the rounding of their arguments.  The key window's totals are kept as fancy-indexed sums over its class counts, and the Welch spectrum and
 significance band as a window built afresh and boolean-mask copies, the
 references for the tally matrix, the cached Welch plan and the band
@@ -307,7 +309,17 @@ def _trace_header(trace) -> str:
 
 def per_sample_write_trace(path, trace) -> Path:
     """:func:`sagnacsim.fileio.write_trace` one sample at a time: every
-    value formatted on its own."""
+    value written on its own as its ``float.hex`` literal."""
+    path = Path(path)
+    lines = [_trace_header(trace)]
+    lines.extend(float(v).hex() for v in trace.samples)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def repr_write_trace(path, trace) -> Path:
+    """A trace in the earlier decimal one-column format: each sample the
+    ``repr`` of its float."""
     path = Path(path)
     lines = [_trace_header(trace)]
     lines.extend(_fmt(v) for v in trace.samples)
@@ -327,9 +339,30 @@ def two_column_write_trace(path, trace) -> Path:
     return path
 
 
+_HEX_PREFIXES = ("0x", "0X", "+0x", "+0X", "-0x", "-0X")
+
+
+def read_literal(value: str) -> float:
+    """One trace value by its own syntax: ``float.fromhex`` of a literal
+    that starts with a ``0x`` prefix, after an optional sign, and ``float``
+    of any other.  A hex literal too large for a float raises
+    ``ValueError``, as a malformed one does."""
+    if not value.startswith(_HEX_PREFIXES):
+        return float(value)
+    try:
+        return float.fromhex(value)
+    except OverflowError as exc:
+        raise ValueError(f"{value!r}: {exc}") from None
+
+
+_HEADER_KEYS = {"sample_rate_hz", "i0_w", "noise_sigma"}
+
+
 def per_line_read_trace(path) -> InterferenceTrace:
-    """:func:`sagnacsim.fileio.read_trace` one line at a time: ``float`` of
-    the last field of every non-blank body line."""
+    """:func:`sagnacsim.fileio.read_trace` one line at a time:
+    :func:`read_literal` of the last field of every non-blank body line,
+    under a header that holds each of its three keys at most once and no
+    other."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -340,6 +373,8 @@ def per_line_read_trace(path) -> InterferenceTrace:
             key, sep, value = token.partition("=")
             if not sep:
                 raise ValueError(f"malformed header token {token!r}")
+            if key not in _HEADER_KEYS or key in meta:
+                raise ValueError(f"bad header key in {token!r}")
             meta[key] = float(value)
         for required in ("sample_rate_hz", "i0_w"):
             if required not in meta:
@@ -347,7 +382,7 @@ def per_line_read_trace(path) -> InterferenceTrace:
         body = [ln for ln in lines[1:] if ln.strip()]
         if not body:
             raise ValueError("trace has no samples")
-        samples = np.array([float(ln.split()[-1]) for ln in body])
+        samples = np.array([read_literal(ln.split()[-1]) for ln in body])
         return InterferenceTrace(
             sample_rate_hz=meta["sample_rate_hz"],
             samples=samples,

@@ -659,8 +659,8 @@ class TestBadInput:
 # rejects: not float literals, or not finite.
 _LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
                 "\x85", "\u2028", "\u2029"]
-_BAD_SAMPLES = ["abc", "1,5", "0x1", "#", "1_0", "\u0661", "--1", "nan",
-                "-inf", "1e400"]
+_BAD_SAMPLES = ["abc", "1,5", "0x1.g", "0x1p1024", "#", "1_0", "\u0661",
+                "--1", "nan", "-inf", "1e400"]
 
 
 @dataclass(frozen=True)

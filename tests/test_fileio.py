@@ -18,7 +18,7 @@ from sagnacsim.fileio import (read_trace, write_columns, write_event_log,
 from sagnacsim.perception import MAX_SAMPLE_W, InterferenceTrace
 
 from oracles import (per_line_read_trace, per_sample_write_trace,
-                     two_column_write_trace)
+                     read_literal, repr_write_trace, two_column_write_trace)
 
 
 class TestTraceFormat:
@@ -65,6 +65,15 @@ class TestTraceFormat:
         header = path.read_text().splitlines()[0]
         assert header.startswith("#")
         assert "sample_rate_hz=" in header and "i0_w=" in header
+
+    def test_written_trace_reads_on_the_hex_path(self, tmp_path):
+        # write_trace's text, hex literals one a line, reads by
+        # float.fromhex line by line, without the per-field general path.
+        path = write_trace(tmp_path / "trace.txt", self.make_trace())
+        with mock.patch.object(fileio, "_last_fields",
+                               side_effect=AssertionError):
+            back = read_trace(path)
+        assert np.array_equal(back.samples, self.make_trace().samples)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -148,9 +157,24 @@ class TestWholeColumnTraceText:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=st.lists(_SAMPLES | st.sampled_from(_EDGE_SAMPLES),
+                            min_size=1, max_size=40))
+    @example(samples=_EDGE_SAMPLES)
+    def test_repr_files_read_back_exactly(self, tmp_path, samples):
+        # Format decision: files of one repr a line, which write_trace
+        # wrote before it wrote hex literals, read as the same trace.
+        trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
+                                  input_power_w=5.645e-3, noise_sigma=0.0019)
+        back = read_trace(repr_write_trace(tmp_path / "old.txt", trace))
+        assert back.samples.tobytes() == trace.samples.tobytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.lists(
         st.sampled_from(["0", "1.5", "-2e-3", "nan", "inf", "-0.0", "abc",
-                         "#", "1e400", ".5", "+7", "0x1", "1,5", ""]),
+                         "#", "1e400", ".5", "+7", "0x1", "1,5", "",
+                         "0x1.8p+1", "-0x0.0p+0", "+0X1P-3", "0x1p1024",
+                         "0x1.g", "0x", "0x1_0", "1e5"]),
         max_size=4), max_size=6),
         sep=st.sampled_from([" ", "\t", "  ", " \t "]),
         ends=st.lists(st.sampled_from(_LINE_BREAKS), min_size=1, max_size=3),
@@ -192,13 +216,13 @@ class TestWholeColumnTraceText:
 
 
 def _unreadable(line: str) -> bool:
-    """Whether a non-blank sample line has a last field float() cannot
-    read."""
+    """Whether a non-blank sample line has a last field the per-line
+    reader's read_literal cannot read."""
     fields = line.split()
     if not fields:
         return False
     try:
-        float(fields[-1])
+        read_literal(fields[-1])
     except ValueError:
         return True
     return False
@@ -243,6 +267,30 @@ _TRACE_FILES = {
                    [1.0, 2.0, 3.0, 4.0]),
     "bad-after-form-feed": (_HEADER + "1.0\f2.0 x\n",
                             "line 3: value 'x' cannot be read as a float"),
+    # A header holds each of its three keys at most once and no other.
+    "repeated-header-key": (
+        "# sample_rate_hz=200000 sample_rate_hz=100000 i0_w=0.005\n1.0\n",
+        "repeated header key in 'sample_rate_hz=100000'"),
+    "unknown-header-key": (
+        "# sample_rate_hz=1000.0 i0_w=1.0 noise_sgma=0.1\n1.0\n",
+        "unknown header key in 'noise_sgma=0.1'"),
+    # Hex literals, as write_trace writes them, in every layout.
+    "hex": (_HEADER + "0x1.8p+1\n-0x1p-3\n", [3.0, -0.125]),
+    "hex-no-final-break": (_HEADER + "0x1.8p+1\n-0x1p-3", [3.0, -0.125]),
+    "hex-blank-lines": (_HEADER + "0x1p0\n\n 0x1p1 \n", [1.0, 2.0]),
+    "hex-crlf": ("# sample_rate_hz=1000.0 i0_w=1.0\r\n0x1p0\r\n0x1p1\r\n",
+                 [1.0, 2.0]),
+    "hex-vertical-tab": (_HEADER + "0x1p0\v0x1p1\n", [1.0, 2.0]),
+    "hex-two-column": (_HEADER + "0 0x1p0\n0.001 0x1p1\n", [1.0, 2.0]),
+    "hex-signs-and-case": (_HEADER + "+0x1p0\n0X1P1\n-0X1p2\n",
+                           [1.0, 2.0, -4.0]),
+    "hex-overflow": (_HEADER + "0x1p0\n0x1p1024\n", "line 3: value "
+                     "'0x1p1024' cannot be read as a float"),
+    "hex-malformed": (_HEADER + "0x1p0\n0x1.g\n",
+                      "line 3: value '0x1.g' cannot be read as a float"),
+    "hex-malformed-after-form-feed": (
+        _HEADER + "0x1p0\f0x1p1 0x\n",
+        "line 3: value '0x' cannot be read as a float"),
 }
 
 
@@ -293,6 +341,71 @@ class TestReadTraceInputs:
         assert per_line_read_trace(path).samples.tolist() == [as_float]
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             read_trace(path)
+
+
+# Decimal literals whose text float.fromhex reads as another number.
+_NOT_HEX = {"0.5": 0.3125, "1e5": 485.0, "10": 16.0, "-1.5": -1.3125}
+
+
+class TestLiteralRule:
+    """Each value reads by its own syntax: a hex literal carries the 0x
+    prefix, and any other is a decimal literal, never a float.fromhex of
+    its text."""
+
+    def read(self, tmp_path, body: str) -> InterferenceTrace:
+        path = tmp_path / "trace.txt"
+        path.write_text(_HEADER + body, encoding="utf-8")
+        return read_trace(path)
+
+    @pytest.mark.parametrize("value", list(_NOT_HEX))
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_decimal_line_in_a_hex_body(self, tmp_path, value, where):
+        lines = ["0x1.8p+1", "-0x1p-3"]
+        lines.insert(where, value)
+        got = self.read(tmp_path, "\n".join(lines) + "\n").samples
+        want = [3.0, -0.125]
+        want.insert(where, float(value))
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got[where] != _NOT_HEX[value]
+
+    @pytest.mark.parametrize("time_column", [False, True])
+    @pytest.mark.parametrize("value, as_float", [
+        ("0x1.8p+1", 3.0), ("-0x0.0p+0", -0.0), ("0x0.0000000000001p-1022",
+                                                 5e-324)])
+    def test_hex_line_in_a_decimal_body(self, tmp_path, time_column, value,
+                                        as_float):
+        lines = ["0.5", "1e-3", value, "-2.5"]
+        if time_column:
+            lines = [f"{k / 1000.0!r} {v}" for k, v in enumerate(lines)]
+        got = self.read(tmp_path, "\n".join(lines) + "\n").samples
+        assert got.tobytes() == np.array([0.5, 1e-3, as_float,
+                                          -2.5]).tobytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0x1p1024"])
+    def test_non_finite_line_in_a_hex_body_refused(self, tmp_path, value):
+        # nan and inf read as their own values, which InterferenceTrace
+        # refuses; a hex literal past the float range names its line.
+        with pytest.raises(ConfigError) as err:
+            self.read(tmp_path, f"0x1p0\n{value}\n0x1p1\n")
+        [problem] = err.value.problems
+        if "0x" in value:
+            assert problem.endswith(f"line 3: value {value!r} cannot be "
+                                    f"read as a float")
+        else:
+            assert "samples must all be finite" in problem
+        with pytest.raises(ConfigError):
+            per_line_read_trace(tmp_path / "trace.txt")
+
+    def test_every_magnitude_round_trips_as_hex_lines(self, tmp_path):
+        # Subnormals, -0.0, and MAX_SAMPLE_W with its neighbour.
+        trace = InterferenceTrace(sample_rate_hz=200e3,
+                                  samples=_EDGE_SAMPLES, input_power_w=1.0,
+                                  noise_sigma=0.0)
+        path = write_trace(tmp_path / "trace.txt", trace)
+        assert path.read_text().splitlines()[1:] == \
+            [float.hex(v) for v in _EDGE_SAMPLES]
+        assert read_trace(path).samples.tobytes() == \
+            np.array(_EDGE_SAMPLES).tobytes()
 
 
 class TestColumns:
