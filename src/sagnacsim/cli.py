@@ -257,7 +257,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: every
+    ``parse_args`` call returns a fresh namespace, so calls share no
+    arguments."""
     parser = _Parser(
         prog="sagnacsim",
         description="Simulate and analyze the loop interferometer: key "
@@ -302,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help="comma-separated values to sweep")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use: every
-    ``parse_args`` call returns a fresh namespace, so calls share no
-    arguments."""
-    return build_parser()
 
 
 def _emit_error(kind: str, exc: Exception) -> None:

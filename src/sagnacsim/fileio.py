@@ -5,7 +5,8 @@ Column and header values are written with shortest round-trip formatting
 trace is a header line, then one sample per line as its ``float.hex``
 literal, which round-trips every float64 exactly too and formats and parses
 faster than a decimal one; sample k was taken at k / sample_rate_hz.  The
-reader also reads the earlier decimal traces, a value by its own syntax.
+reader reads header and sample values by one literal rule, a hex literal
+or an ASCII decimal one, so the earlier decimal traces read as before.
 Reports and event logs hold the bytes ``json.dumps`` writes with sorted
 keys, one line a report or log entry.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -71,15 +71,28 @@ def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
     return _replace_file(path, itertools.chain([header], blocks))
 
 
-#: The line breaks of ``str.splitlines`` that a text-mode file does not end
-#: a line at: it ends one only at "\n", "\r" and "\r\n".
-_SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-#: The first line of a text, as ``str.splitlines`` ends it.
-_FIRST_LINE = re.compile(f"[^\n\r{_SPLITLINES_ONLY}]*")
-
 #: The keys a trace header may hold, each at most once.
 _HEADER_KEYS = ("sample_rate_hz", "i0_w", "noise_sigma")
+
+
+def _literal(text: str) -> float:
+    """The float a trace value ``text`` spells: ``float.fromhex`` of a text
+    holding an "x" or "X", ``float`` of an ASCII text without "_".
+
+    Only a hex literal holds an "x", in its "0x" prefix, so no decimal
+    literal is read as hex (``float.fromhex("0.5")`` is 0.3125).  Any
+    other text raises ``ValueError``, also a hex literal past the float
+    range and the digit-group underscores and non-ASCII digits ``float``
+    reads but ``write_trace`` never writes.
+    """
+    try:
+        if "x" in text or "X" in text:
+            return float.fromhex(text)
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"value {text!r} cannot be read as a float")
 
 
 def read_trace(path: str | Path) -> InterferenceTrace:
@@ -87,19 +100,20 @@ def read_trace(path: str | Path) -> InterferenceTrace:
     field of each non-blank body line, so files with a leading time column
     read the same.  Lines end at the breaks ``str.splitlines`` honours.
 
-    Each value is read by its own syntax: one with the ``0x`` prefix, after
-    an optional sign, by ``float.fromhex``, any other as a decimal literal
-    by ``np.loadtxt``, so decimal files in the earlier format read as
-    before.  The header holds each of ``_HEADER_KEYS`` at most once and no
-    other key.
+    Header and sample values are read by :func:`_literal`, so decimal files
+    in the earlier format read as before.  A body of one hex literal a line,
+    as :func:`write_trace` writes it, is read by ``float.fromhex`` line by
+    line: a text ``float.fromhex`` reads holds at most one "x", so when it
+    reads every line, as many "x" as lines make every line a hex literal.
+    The header holds each of ``_HEADER_KEYS`` at most once and no other key.
 
     Raises :class:`ConfigError` naming the file when it is missing,
-    unreadable or malformed.
+    unreadable or malformed, and the line of a bad sample.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-        header = _FIRST_LINE.match(text).group()
+        header, *body = text.splitlines() or [""]
         if not header.startswith("#"):
             raise ValueError("missing trace header line")
         meta = {}
@@ -112,11 +126,14 @@ def read_trace(path: str | Path) -> InterferenceTrace:
                                  f"one of {', '.join(_HEADER_KEYS)}")
             if key in meta:
                 raise ValueError(f"repeated header key in {token!r}")
-            meta[key] = float(value)
+            try:
+                meta[key] = _literal(value)
+            except ValueError as exc:
+                raise ValueError(f"header token {token!r}: {exc}") from None
         for required in ("sample_rate_hz", "i0_w"):
             if required not in meta:
                 raise ValueError(f"header missing {required}")
-        samples = _sample_column(text, len(header))
+        samples = _samples(body, text.count("x", len(header)))
         if samples.size == 0:
             raise ValueError("trace has no samples")
         return InterferenceTrace(
@@ -129,80 +146,24 @@ def read_trace(path: str | Path) -> InterferenceTrace:
         raise ConfigError([f"{path}: {exc}"]) from exc
 
 
-def _sample_column(text: str, body_start: int) -> np.ndarray:
-    """The samples of the trace text ``text``, whose body starts at
-    ``body_start``.
-
-    A text whose only breaks are "\n" (reading in text mode has turned
-    "\r\n" and "\r" into it), and whose every body line is one hex
-    literal with the "0x" prefix, as :func:`write_trace` writes it, is read
-    by ``float.fromhex`` line by line.  A text ``float.fromhex`` reads
-    holds at most one "x", in that prefix, so when it reads every line, as
-    many "x" as lines make every line a hex literal, and no decimal one is
-    read as hex.  Any other text is read by :func:`_last_fields` over its
-    ``str.splitlines`` body lines.  A rejected body raises ``ValueError``
-    naming its first bad line.
-    """
-    if not any(map(text.__contains__, _SPLITLINES_ONLY)):
-        lines = text[body_start + 1:].split("\n")
-        if not lines[-1]:
-            lines.pop()
-        if text.count("x", body_start) == len(lines):
-            try:
-                return np.fromiter(map(float.fromhex, lines), float,
-                                   len(lines))
-            except (ValueError, OverflowError):
-                pass
-    body = text.splitlines()[1:]
-    try:
-        return _last_fields(body)
-    except ValueError:
-        raise ValueError(_first_bad_line(body)) from None
-
-
-def _last_fields(lines: Sequence[str]) -> np.ndarray:
-    """The last whitespace-separated field of each non-blank line of
-    ``lines``, as floats: hex literals by ``float.fromhex``, the others in
-    one ``np.loadtxt`` call.
-
-    Only a hex literal holds an "x", in its "0x" prefix, and
-    ``float.fromhex`` refuses a text with an "x" anywhere else, so a field
-    holding one is read as hex and any other as decimal.  Any field that
-    is not a float literal raises ``ValueError``, also one starting with
-    '#' and a hex literal too large for a float.
-    """
-    fields = [words[-1] for words in map(str.split, lines) if words]
-    hexed = np.array(["x" in field or "X" in field for field in fields],
-                     bool)
-    samples = np.empty(hexed.size)
-    if not hexed.all():
-        samples[~hexed] = np.loadtxt(list(itertools.compress(fields, ~hexed)),
-                                     ndmin=1, comments=None, encoding="utf-8")
-    try:
-        samples[hexed] = list(map(float.fromhex,
-                                  itertools.compress(fields, hexed)))
-    except OverflowError as exc:
-        raise ValueError(str(exc)) from None
-    return samples
-
-
-def _first_bad_line(body: Sequence[str]) -> str:
-    """Name the first of the trace ``body`` lines that :func:`_last_fields`
-    rejects, counting the header as file line 1.
-
-    Lines are read independently, so a bisection of the body finds it,
-    parsing about as many lines as the body holds.
-    """
-    lo, hi = 0, len(body)  # body[:lo] reads; the first bad line is before hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+def _samples(body: Sequence[str], xs: int) -> np.ndarray:
+    """The samples of the trace ``body`` lines, which hold ``xs`` "x": by
+    ``float.fromhex`` line by line when every line is a hex literal, else
+    the last field of each non-blank line by :func:`_literal`, a bad one
+    named by its file line, the header being line 1."""
+    if xs == len(body):
         try:
-            _last_fields(body[lo:mid])
-            lo = mid
-        except ValueError:
-            hi = mid
-    value = body[lo].split()[-1]
-    return f"line {lo + 2}: value {value!r} cannot be read as a float"
+            return np.fromiter(map(float.fromhex, body), float, len(body))
+        except (ValueError, OverflowError):
+            pass
+    samples = []
+    for number, line in enumerate(body, start=2):
+        if fields := line.split():
+            try:
+                samples.append(_literal(fields[-1]))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+    return np.array(samples, float)
 
 
 def write_columns(path: str | Path, header: Sequence[str],

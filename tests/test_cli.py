@@ -755,6 +755,26 @@ class TestLocalizeDrawnTraceFiles:
             [True]
         assert not (out / "report.json").exists()
 
+    def test_underscored_header_value_exits_2(self, impact_trace, capsys):
+        # float() reads 2_00000 as 200000; a header value follows the
+        # samples' literal rule, which refuses digit-group underscores.
+        ref = impact_trace
+        header = " ".join("sample_rate_hz=2_00000"
+                          if token.startswith("sample_rate_hz=") else token
+                          for token in ref.header.split())
+        path, out = ref.work / "underscored.txt", ref.work / "underscored"
+        path.write_text("\n".join([header, *ref.body]) + "\n",
+                        encoding="utf-8")
+        assert run_cli("localize", "--config", ref.config, "--trace",
+                       str(path), "--out-dir", str(out), "--quiet") == 2
+        [line] = capsys.readouterr().err.splitlines()
+        record = strict_json(line)
+        assert record["error"] == "validation"
+        [problem] = record["problems"]
+        assert problem.startswith(f"{path}: ")
+        assert "'sample_rate_hz=2_00000'" in problem
+        assert not (out / "report.json").exists()
+
 
 class TestRealPulseCounts:
     @pytest.mark.parametrize("command, events", [

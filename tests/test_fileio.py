@@ -68,12 +68,14 @@ class TestTraceFormat:
 
     def test_written_trace_reads_on_the_hex_path(self, tmp_path):
         # write_trace's text, hex literals one a line, reads by
-        # float.fromhex line by line, without the per-field general path.
+        # float.fromhex line by line, without the per-field general path:
+        # _literal reads the three header values and no sample.
         path = write_trace(tmp_path / "trace.txt", self.make_trace())
-        with mock.patch.object(fileio, "_last_fields",
-                               side_effect=AssertionError):
+        with mock.patch.object(fileio, "_literal",
+                               wraps=fileio._literal) as literal:
             back = read_trace(path)
         assert np.array_equal(back.samples, self.make_trace().samples)
+        assert literal.call_count == 3
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -341,6 +343,49 @@ class TestReadTraceInputs:
         assert per_line_read_trace(path).samples.tolist() == [as_float]
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             read_trace(path)
+
+    @pytest.mark.parametrize("header, want", [
+        ("# sample_rate_hz=2_00000 i0_w=1.0", "sample_rate_hz=2_00000"),
+        ("# sample_rate_hz=1000.0 i0_w=\u0661e-3", "i0_w=\u0661e-3"),
+        ("# sample_rate_hz=0x1.86ap+17 i0_w=1.0", 200000.0)])
+    def test_header_values_follow_the_sample_rule(self, tmp_path, header,
+                                                  want):
+        # float(), which the per-line reader's header uses, reads the
+        # first two and refuses the third; a header value is read as a
+        # sample value is, so the first two are refused naming their
+        # token and the hex literal reads.
+        path = tmp_path / "trace.txt"
+        path.write_text(header + "\n0x1p0\n", encoding="utf-8")
+        if isinstance(want, float):
+            assert read_trace(path).sample_rate_hz == want
+            return
+        with pytest.raises(ConfigError) as err:
+            read_trace(path)
+        [problem] = err.value.problems
+        assert problem.startswith(f"{path}: ") and repr(want) in problem
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tokens=st.lists(
+        st.tuples(st.sampled_from([*fileio._HEADER_KEYS, "noise_sgma"]),
+                  st.sampled_from(["1_0", "\u0661", "0x1p3", "nan", "-inf",
+                                   "1e400", "-1", "", "="])).map("=".join)
+        | st.sampled_from(["sample_rate_hz", "0x1p3"]), max_size=5))
+    @example(tokens=["sample_rate_hz=0x1p3", "i0_w=0x1p3",
+                     "sample_rate_hz=0x1p3"])
+    @example(tokens=["sample_rate_hz=0x1p3", "i0_w=0x1p3"])
+    def test_drawn_header_reads_or_is_refused(self, tmp_path, tokens):
+        # Every header reads as a trace or is refused naming the file.
+        path = tmp_path / "trace.txt"
+        path.write_text("# " + " ".join(tokens) + "\n0x1p0\n",
+                        encoding="utf-8")
+        try:
+            trace = read_trace(path)
+        except ConfigError as err:
+            [problem] = err.problems
+            assert problem.startswith(f"{path}: ")
+        else:
+            assert trace.samples.tolist() == [1.0]
 
 
 # Decimal literals whose text float.fromhex reads as another number.
