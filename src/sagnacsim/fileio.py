@@ -5,8 +5,11 @@ Column and header values are written with shortest round-trip formatting
 trace is a header line, then one sample per line as its ``float.hex``
 literal, which round-trips every float64 exactly too and formats and parses
 faster than a decimal one; sample k was taken at k / sample_rate_hz.  The
-reader reads header and sample values by one literal rule, a hex literal
-or an ASCII decimal one, so the earlier decimal traces read as before.
+writer builds the literals of a block of samples by array operations on
+their bit patterns, the bytes ``float.hex`` writes without one Python
+string a sample.  The reader reads header and sample values by one literal
+rule, a hex literal or an ASCII decimal one, so the earlier decimal traces
+read as before.
 Reports and event logs hold the bytes ``json.dumps`` writes with sorted
 keys, one line a report or log entry.
 """
@@ -56,17 +59,55 @@ def _replace_file(path: str | Path, chunks: Iterable[str]) -> Path:
 #: Most samples :func:`write_trace` formats at once.
 _TRACE_BLOCK = 2**16
 
+#: The row a sample's ``float.hex`` literal is built in: sign, lead digit,
+#: 13 hex digits, exponent sign, four exponent digits and a line break.
+_HEX_ROW = b"-0x0.0000000000000p+0000\n"
+
+
+def _hex_lines(block: np.ndarray) -> str:
+    """``"\\n".join(map(float.hex, block)) + "\\n"`` for a contiguous block
+    of finite float64 samples, built by array operations on their bits.
+
+    Each sample fills a copy of ``_HEX_ROW``: lead digit 1 if it is a normal
+    number, the last 13 of the 16 hex digits of its bits, and the sign and
+    digits of its exponent, the biased exponent less 1023, or -1022 for a
+    subnormal and 0 for a zero.  One boolean mask then drops what
+    ``float.hex`` leaves out: the sign of a positive sample, the leading
+    zeros of the exponent and the last 12 digits of a zero, ``0x0.0p+0``.
+    """
+    bits = block.view(np.uint64)
+    n = bits.size
+    rows = np.frombuffer(bytearray(_HEX_ROW * n), np.uint8).reshape(n, 25)
+    rows[:, 5:18] = np.frombuffer(
+        bits.astype(">u8").tobytes().hex().encode(),
+        np.uint8).reshape(n, 16)[:, 3:]
+    biased = (bits >> 52).astype(np.int16) & 0x7FF
+    zero = (bits << 1) == 0
+    rows[:, 3] += biased != 0
+    exponent = (np.maximum(biased, 1) - 1023) * ~zero
+    rows[:, 19] += (exponent < 0).view(np.uint8) << 1  # "+" to "-"
+    magnitude = np.abs(exponent)
+    keep = np.ones(rows.shape, bool)
+    keep[:, 0] = bits >> 63
+    keep[zero, 6:18] = False
+    for col, power in enumerate((1000, 100, 10), start=20):
+        keep[:, col] = magnitude >= power
+    for col, power in enumerate((1000, 100, 10, 1), start=20):
+        digit = magnitude // power
+        rows[:, col] += digit.astype(np.uint8)
+        magnitude -= digit * power
+    return rows[keep].tobytes().decode("ascii")
+
 
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
     """Write a trace as its metadata header line, then one sample a line as
-    its ``float.hex`` literal, formatting at most ``_TRACE_BLOCK`` samples
-    at once."""
+    its ``float.hex`` literal, formatted by :func:`_hex_lines` at most
+    ``_TRACE_BLOCK`` samples at once."""
     header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
               f"i0_w={_fmt(trace.input_power_w)} "
               f"noise_sigma={_fmt(trace.noise_sigma)}\n")
     samples = trace.samples
-    blocks = ("\n".join(map(float.hex,
-                            samples[lo:lo + _TRACE_BLOCK].tolist())) + "\n"
+    blocks = (_hex_lines(samples[lo:lo + _TRACE_BLOCK])
               for lo in range(0, samples.size, _TRACE_BLOCK))
     return _replace_file(path, itertools.chain([header], blocks))
 

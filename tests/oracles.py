@@ -355,6 +355,17 @@ def read_literal(value: str) -> float:
         raise ValueError(f"{value!r}: {exc}") from None
 
 
+def read_header_literal(value: str) -> float:
+    """One trace header value by the literal rule: a hex literal, known by
+    its ``0x`` prefix, by :func:`read_literal`, and any other only if it is
+    ASCII without ``_``, so the digit-group underscores and non-ASCII
+    digits ``float`` reads raise ``ValueError``."""
+    if not value.startswith(_HEX_PREFIXES) and (not value.isascii()
+                                                or "_" in value):
+        raise ValueError(f"{value!r} is not an ASCII decimal literal")
+    return read_literal(value)
+
+
 _HEADER_KEYS = {"sample_rate_hz", "i0_w", "noise_sigma"}
 
 
@@ -362,7 +373,7 @@ def per_line_read_trace(path) -> InterferenceTrace:
     """:func:`sagnacsim.fileio.read_trace` one line at a time:
     :func:`read_literal` of the last field of every non-blank body line,
     under a header that holds each of its three keys at most once and no
-    other."""
+    other, its values read by :func:`read_header_literal`."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -375,7 +386,7 @@ def per_line_read_trace(path) -> InterferenceTrace:
                 raise ValueError(f"malformed header token {token!r}")
             if key not in _HEADER_KEYS or key in meta:
                 raise ValueError(f"bad header key in {token!r}")
-            meta[key] = float(value)
+            meta[key] = read_header_literal(value)
         for required in ("sample_rate_hz", "i0_w"):
             if required not in meta:
                 raise ValueError(f"header missing {required}")

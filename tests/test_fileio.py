@@ -38,8 +38,9 @@ class TestTraceFormat:
         assert np.array_equal(back.samples, trace.samples)
 
     def test_working_set_bounded_on_a_long_trace(self, tmp_path):
-        # The samples are formatted in blocks of 2**16, a few MB of
-        # strings; formatted whole, 300 000 samples peaked at 31 MiB.
+        # The samples are formatted in blocks of 2**16, a few MB of arrays
+        # and text: this write peaks at 7.6 MiB of traced memory; formatted
+        # whole, 300 000 samples peaked at 31 MiB.
         samples = 5.645e-3 * (1.0 + 0.0019 * np.random.default_rng(
             5).standard_normal(300_000))
         trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
@@ -137,6 +138,32 @@ class TestWholeColumnTraceText:
         assert back.sample_rate_hz == rate
         assert back.input_power_w == power
         assert back.noise_sigma == noise
+
+    def test_same_bytes_as_per_sample_writer_across_a_block_edge(
+            self, tmp_path):
+        # 2**16 + 3 samples at the real block size: exponents of 1 to 4
+        # digits, +0 to -1022, of either sign, the zeros, the smallest and
+        # largest subnormal and MAX_SAMPLE_W, at the start, just before the
+        # block edge and across it to the end, among samples of every
+        # magnitude.
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                 -2.225073858507201e-308, MAX_SAMPLE_W, -MAX_SAMPLE_W]
+        for exponent in (0, 5, 37, -5, -50, -300, -1000, -1022):
+            edges += [1.25 * 2.0**exponent, -(2.0**exponent)]
+        rng = np.random.default_rng(7)
+        samples = (rng.uniform(-1.0, 1.0, 2**16 + 3)
+                   * 2.0**rng.integers(-1074, 38, 2**16 + 3))
+        block = fileio._TRACE_BLOCK
+        for at in (0, block - len(edges), samples.size - len(edges)):
+            samples[at:at + len(edges)] = edges
+        trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
+                                  input_power_w=5.645e-3, noise_sigma=0.0019)
+        assert block < samples.size < 2 * block
+        want = per_sample_write_trace(tmp_path / "oracle.txt",
+                                      trace).read_bytes()
+        path = write_trace(tmp_path / "new.txt", trace)
+        assert path.read_bytes() == want
+        assert read_trace(path).samples.tobytes() == samples.tobytes()
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -293,6 +320,14 @@ _TRACE_FILES = {
     "hex-malformed-after-form-feed": (
         _HEADER + "0x1p0\f0x1p1 0x\n",
         "line 3: value '0x' cannot be read as a float"),
+    # A header value is read as a sample value is: float() reads the first
+    # two and refuses the third, which reads as 200000.0 Hz.
+    "header-underscore": ("# sample_rate_hz=2_00000 i0_w=1.0\n0x1p0\n",
+                          "header token 'sample_rate_hz=2_00000'"),
+    "header-non-ascii-digit": (
+        "# sample_rate_hz=1000.0 i0_w=\u0661e-3\n0x1p0\n",
+        "header token 'i0_w=\u0661e-3'"),
+    "header-hex": ("# sample_rate_hz=0x1.86ap+17 i0_w=1.0\n0x1p0\n", [1.0]),
 }
 
 
@@ -313,8 +348,13 @@ class TestReadTraceInputs:
                 [problem] = err.value.problems
                 assert problem.startswith(f"{path}: ") and want in problem
             else:
-                assert read_trace(path).samples.tolist() == want
-                assert per_line_read_trace(path).samples.tolist() == want
+                got, oracle = read_trace(path), per_line_read_trace(path)
+                assert got.samples.tolist() == want
+                assert oracle.samples.tolist() == want
+                assert (got.sample_rate_hz, got.input_power_w,
+                        got.noise_sigma) == (oracle.sample_rate_hz,
+                                             oracle.input_power_w,
+                                             oracle.noise_sigma)
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(),
                         reason="needs /dev/fd")
@@ -343,26 +383,6 @@ class TestReadTraceInputs:
         assert per_line_read_trace(path).samples.tolist() == [as_float]
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             read_trace(path)
-
-    @pytest.mark.parametrize("header, want", [
-        ("# sample_rate_hz=2_00000 i0_w=1.0", "sample_rate_hz=2_00000"),
-        ("# sample_rate_hz=1000.0 i0_w=\u0661e-3", "i0_w=\u0661e-3"),
-        ("# sample_rate_hz=0x1.86ap+17 i0_w=1.0", 200000.0)])
-    def test_header_values_follow_the_sample_rule(self, tmp_path, header,
-                                                  want):
-        # float(), which the per-line reader's header uses, reads the
-        # first two and refuses the third; a header value is read as a
-        # sample value is, so the first two are refused naming their
-        # token and the hex literal reads.
-        path = tmp_path / "trace.txt"
-        path.write_text(header + "\n0x1p0\n", encoding="utf-8")
-        if isinstance(want, float):
-            assert read_trace(path).sample_rate_hz == want
-            return
-        with pytest.raises(ConfigError) as err:
-            read_trace(path)
-        [problem] = err.value.problems
-        assert problem.startswith(f"{path}: ") and repr(want) in problem
 
     @settings(max_examples=200, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
