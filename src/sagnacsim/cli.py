@@ -52,7 +52,8 @@ def _outputs(args, cfg: ScenarioConfig) -> dict[str, Path]:
     directory = Path(args.out_dir or cfg.resolved["out_dir"]
                      or os.environ.get(OUT_DIR_ENV) or ".")
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        if not directory.is_dir():
+            directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError([f"{directory}: {exc}"]) from exc
     if not os.access(directory, os.W_OK | os.X_OK):
@@ -258,10 +259,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use: every
-    ``parse_args`` call returns a fresh namespace, so calls share no
-    arguments."""
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and its subcommands' parsers by name,
+    built on first use: every ``parse_args`` call returns a fresh
+    namespace, so calls share no arguments."""
     parser = _Parser(
         prog="sagnacsim",
         description="Simulate and analyze the loop interferometer: key "
@@ -269,11 +271,12 @@ def _parser() -> argparse.ArgumentParser:
                     "and quasi-static sensing.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def command(name, fn, summary, *outputs):
         """A subcommand running ``fn``, which writes the files ``outputs``
         and ``report.json`` of the output directory."""
-        p = sub.add_parser(name, help=summary)
+        p = commands[name] = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn, outputs=(*outputs, "report.json"))
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None,
@@ -305,7 +308,20 @@ def _parser() -> argparse.ArgumentParser:
                    help="dotted config key, e.g. channel.loss_db")
     p.add_argument("--values", required=True,
                    help="comma-separated values to sweep")
-    return parser
+    return parser, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of the command line ``argv`` (``sys.argv[1:]`` when
+    None): a line whose first token names a subcommand is parsed by that
+    subcommand's parser alone, to the namespace the top-level parser gives
+    less ``command``; any other by the top-level parser, which handles
+    ``--help``, ``--version`` and an unknown first token."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
 
 
 def _emit_error(kind: str, exc: Exception) -> None:
@@ -320,7 +336,7 @@ def main(argv=None) -> int:
     fills in the base report of the resolved config, which is then written
     as ``report.json``, and returns the summary line."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         cfg = _load_config(args)
         out = _outputs(args, cfg)
         report = _base_report(cfg)

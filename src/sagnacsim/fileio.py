@@ -9,7 +9,9 @@ writer builds the literals of a block of samples by array operations on
 their bit patterns, the bytes ``float.hex`` writes without one Python
 string a sample.  The reader reads header and sample values by one literal
 rule, a hex literal or an ASCII decimal one, so the earlier decimal traces
-read as before.
+read as before.  Rows of one width, which the writer writes for positive
+normal samples whose exponents have one digit count, are read back by
+array operations on their bytes, without a string a line.
 Reports and event logs hold the bytes ``json.dumps`` writes with sorted
 keys, one line a report or log entry.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,12 +38,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _replace_file(path: str | Path, chunks: Iterable[str]) -> Path:
-    """Write the texts of ``chunks``, in order, as a new file at ``path``,
+def _replace_file(path: str | Path, chunks: Iterable[bytes]) -> Path:
+    """Write the bytes of ``chunks``, in order, as a new file at ``path``,
     after unlinking any file there: on ext4 that costs far less than
     truncating a file in place.
     So a symlink or hard link at ``path`` is replaced, and the file it
-    shared is left as it was.
+    shared is left as it was.  The chunks go straight to one file
+    descriptor: a text file object around it costs more than the write.
 
     Raises :class:`ConfigError` naming the path when it cannot be written,
     for example when it is a directory.
@@ -48,9 +52,13 @@ def _replace_file(path: str | Path, chunks: Iterable[str]) -> Path:
     path = Path(path)
     try:
         path.unlink(missing_ok=True)
-        with path.open("w") as file:
-            for text in chunks:
-                file.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            for chunk in chunks:
+                while chunk:
+                    chunk = chunk[os.write(fd, chunk):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     return path
@@ -64,9 +72,10 @@ _TRACE_BLOCK = 2**16
 _HEX_ROW = b"-0x0.0000000000000p+0000\n"
 
 
-def _hex_lines(block: np.ndarray) -> str:
-    """``"\\n".join(map(float.hex, block)) + "\\n"`` for a contiguous block
-    of finite float64 samples, built by array operations on their bits.
+def _hex_lines(block: np.ndarray) -> bytes:
+    """The ASCII bytes of ``"\\n".join(map(float.hex, block)) + "\\n"`` for
+    a contiguous block of finite float64 samples, built by array operations
+    on their bits.
 
     Each sample fills a copy of ``_HEX_ROW``: lead digit 1 if it is a normal
     number, the last 13 of the 16 hex digits of its bits, and the sign and
@@ -96,7 +105,7 @@ def _hex_lines(block: np.ndarray) -> str:
         digit = magnitude // power
         rows[:, col] += digit.astype(np.uint8)
         magnitude -= digit * power
-    return rows[keep].tobytes().decode("ascii")
+    return rows[keep].tobytes()
 
 
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
@@ -105,7 +114,7 @@ def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
     ``_TRACE_BLOCK`` samples at once."""
     header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
               f"i0_w={_fmt(trace.input_power_w)} "
-              f"noise_sigma={_fmt(trace.noise_sigma)}\n")
+              f"noise_sigma={_fmt(trace.noise_sigma)}\n").encode()
     samples = trace.samples
     blocks = (_hex_lines(samples[lo:lo + _TRACE_BLOCK])
               for lo in range(0, samples.size, _TRACE_BLOCK))
@@ -146,6 +155,10 @@ def read_trace(path: str | Path) -> InterferenceTrace:
     as :func:`write_trace` writes it, is read by ``float.fromhex`` line by
     line: a text ``float.fromhex`` reads holds at most one "x", so when it
     reads every line, as many "x" as lines make every line a hex literal.
+    A body of rows of one width after a header without other breaks, as
+    :func:`write_trace` writes positive normal samples whose exponents have
+    one digit count, is read by :func:`_hex_rows` without a string a line,
+    to the same values.
     The header holds each of ``_HEADER_KEYS`` at most once and no other key.
 
     Raises :class:`ConfigError` naming the file when it is missing,
@@ -154,27 +167,13 @@ def read_trace(path: str | Path) -> InterferenceTrace:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-        header, *body = text.splitlines() or [""]
-        if not header.startswith("#"):
-            raise ValueError("missing trace header line")
-        meta = {}
-        for token in header.lstrip("#").split():
-            key, sep, value = token.partition("=")
-            if not sep:
-                raise ValueError(f"malformed header token {token!r}")
-            if key not in _HEADER_KEYS:
-                raise ValueError(f"unknown header key in {token!r}, not "
-                                 f"one of {', '.join(_HEADER_KEYS)}")
-            if key in meta:
-                raise ValueError(f"repeated header key in {token!r}")
-            try:
-                meta[key] = _literal(value)
-            except ValueError as exc:
-                raise ValueError(f"header token {token!r}: {exc}") from None
-        for required in ("sample_rate_hz", "i0_w"):
-            if required not in meta:
-                raise ValueError(f"header missing {required}")
-        samples = _samples(body, text.count("x", len(header)))
+        header, _, rest = text.partition("\n")
+        samples = _hex_rows(rest) if header.splitlines() == [header] else None
+        if samples is None:
+            header, *body = text.splitlines() or [""]
+        meta = _header(header)
+        if samples is None:
+            samples = _samples(body, text.count("x", len(header)))
         if samples.size == 0:
             raise ValueError("trace has no samples")
         return InterferenceTrace(
@@ -185,6 +184,77 @@ def read_trace(path: str | Path) -> InterferenceTrace:
         )
     except (OSError, ValueError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
+
+
+def _header(header: str) -> dict[str, float]:
+    """The values of a trace ``header`` line by key, each read by
+    :func:`_literal`: each of ``_HEADER_KEYS`` at most once, the first two
+    required, and no other key."""
+    if not header.startswith("#"):
+        raise ValueError("missing trace header line")
+    meta = {}
+    for token in header.lstrip("#").split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"malformed header token {token!r}")
+        if key not in _HEADER_KEYS:
+            raise ValueError(f"unknown header key in {token!r}, not "
+                             f"one of {', '.join(_HEADER_KEYS)}")
+        if key in meta:
+            raise ValueError(f"repeated header key in {token!r}")
+        try:
+            meta[key] = _literal(value)
+        except ValueError as exc:
+            raise ValueError(f"header token {token!r}: {exc}") from None
+    for required in ("sample_rate_hz", "i0_w"):
+        if required not in meta:
+            raise ValueError(f"header missing {required}")
+    return meta
+
+
+#: The first four bytes of every row :func:`_hex_rows` reads.
+_ROW_HEAD = np.frombuffer(b"0x1.", np.uint8)
+
+
+def _hex_rows(body: str) -> np.ndarray | None:
+    """The samples of a trace ``body`` of rows of one width, each the
+    ``float.hex`` literal of a positive normal sample and a "\\n", as
+    :func:`write_trace` writes samples whose exponents have one digit count:
+    "0x1.", 13 hex digits, "p", an exponent sign and 1 to 4 exponent
+    digits; None for any other body.
+
+    The mirror of :func:`_hex_lines`: array operations on the rows' bytes
+    check every byte and build each sample's bits, the value
+    ``float.fromhex`` reads: the 13 digits are the low 52 bits, and the
+    exponent, from -1022 to 1023, plus 1023 is the 11 bits above them.
+    """
+    width = body.find("\n") + 1
+    if not 21 <= width <= 24 or len(body) % width or not body.isascii():
+        return None
+    rows = np.frombuffer(body.encode("ascii"), np.uint8).reshape(-1, width)
+    if (rows[:, -1] != ord("\n")).any() or (rows[:, 17] != ord("p")).any() \
+            or (rows[:, :4] != _ROW_HEAD).any():
+        return None
+    sign, digits = rows[:, 18], rows[:, 19:-1].astype(np.int16) - ord("0")
+    if ((sign != ord("+")) & (sign != ord("-"))).any() \
+            or ((digits < 0) | (digits > 9)).any():
+        return None
+    exponent = digits @ 10 ** np.arange(width - 21, -1, -1, dtype=np.int16)
+    exponent[sign == ord("-")] *= -1
+    if exponent.min() < -1022 or exponent.max() > 1023:
+        return None
+    hex16 = np.full((rows.shape[0], 16), ord("0"), np.uint8)
+    hex16[:, 3:] = rows[:, 4:17]
+    try:
+        mantissa = bytes.fromhex(hex16.tobytes().decode("ascii"))
+    except ValueError:
+        return None
+    # bytes.fromhex skips white space, so a row holding any reads short.
+    if len(mantissa) != 8 * rows.shape[0]:
+        return None
+    bits = np.frombuffer(mantissa, ">u8").astype(np.uint64)
+    bits |= (exponent + 1023).astype(np.uint64) << np.uint64(52)
+    return bits.view(np.float64)
 
 
 def _samples(body: Sequence[str], xs: int) -> np.ndarray:
@@ -216,7 +286,7 @@ def write_columns(path: str | Path, header: Sequence[str],
         if len(row) != len(header):
             raise ValueError("each row must have one value per header field")
         lines.append(",".join(map(_fmt, row)))
-    return _replace_file(path, ["\n".join(lines) + "\n"])
+    return _replace_file(path, [("\n".join(lines) + "\n").encode()])
 
 
 def _non_finite_keys(value, where: str):
@@ -258,8 +328,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 def write_report(path: str | Path, report: dict) -> Path:
     """Write the single structured report document for a run:
     ``json.dumps(report, sort_keys=True)`` and a line break, one line."""
-    return _replace_file(path, [_json_text(path, _ENCODER.encode, report)
-                                + "\n"])
+    return _replace_file(path, [(_json_text(path, _ENCODER.encode, report)
+                                 + "\n").encode()])
 
 
 def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
@@ -267,4 +337,4 @@ def write_event_log(path: str | Path, entries: Sequence[dict]) -> Path:
     ``json.dumps(entry, sort_keys=True)``."""
     return _replace_file(path, [_json_text(
         path, lambda items: "".join([_ENCODER.encode(item) + "\n"
-                                     for item in items]), entries)])
+                                     for item in items]), entries).encode()])

@@ -173,7 +173,13 @@ def read(cal: WmCalibration, settings: WmSettings, delta_tau_s: float,
     each intensity takes one draw of ``rng``, and none when ``sigma`` is
     zero.  The averaged intensities invert through the contrast ratio to
     the delay shift and, through ``settings.pressure``, to the applied mass.
+
+    A delay shift past the branch top, which the inversion would read as a
+    shorter one, raises :class:`OutOfBranchError` with the text of
+    :func:`branch_top_problem`, before any draw.
     """
+    if problem := branch_top_problem(delta_tau_s, settings, packet):
+        raise OutOfBranchError(problem)
     offset, sigma = settings.delta_epsilon_rad, settings.noise_sigma
     spread = sigma / math.sqrt(settings.samples_per_reading)
 

@@ -28,7 +28,7 @@ VALUE_KEYED = {
 }
 
 #: Caches keyed on types or on nothing.
-EXEMPT = {"cli._parser", "errors._number_kind", "errors.field_specs"}
+EXEMPT = {"cli._parsers", "errors._number_kind", "errors.field_specs"}
 
 
 def _caches() -> dict:

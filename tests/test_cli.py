@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sagnacsim import cli, controller, optics, qkd
 from sagnacsim.cli import main
 from sagnacsim.config import parse_config_dict
+from sagnacsim.errors import ConfigError
 from sagnacsim.fileio import read_trace
 
 from oracles import two_column_write_trace
@@ -25,7 +26,30 @@ from oracles import two_column_write_trace
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def parsed(parse, argv):
+    """What ``parse(argv)`` gives: its namespace as a dict less
+    ``command``, the problems of the :class:`ConfigError` it raises, or the
+    code it exits with and what it prints."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            args = vars(parse(argv))
+    except ConfigError as exc:
+        return exc.problems
+    except SystemExit as done:
+        return done.code, printed.getvalue()
+    args.pop("command", None)
+    return args
+
+
 def run_cli(*argv):
+    """``main(argv)``, once a command line that names a subcommand is seen
+    to parse alike through that subcommand's parser and the top-level
+    one."""
+    parser, commands = cli._parsers()
+    if argv and argv[0] in commands:
+        assert parsed(commands[argv[0]].parse_args, list(argv[1:])) == \
+            parsed(parser.parse_args, list(argv))
     return main(list(argv))
 
 
@@ -1061,6 +1085,10 @@ def test_short_trace_ends_in_analysis_failure_without_warnings(
         "no null frequency found in the supplied trace"
 
 
+_CHOICES = ("(choose from 'qkd', 'perceive', 'localize', 'wm', "
+            "'integrated', 'sweep')")
+
+
 class TestBadCommandLine:
     """A command line argparse refuses ends as one JSON diagnostic with
     exit 2 and no usage text; ``--help`` and ``--version`` still exit 0."""
@@ -1072,6 +1100,11 @@ class TestBadCommandLine:
         (["sweep", "--key", "channel.loss_db", "--values", "-1e-3"],
          "argument --values: expected one argument"),
         (["qkd", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        # A first token that names no command, which the top-level parser
+        # refuses.
+        (["bogus"], f"argument command: invalid choice: 'bogus' {_CHOICES}"),
+        (["--seed", "3", "qkd"],
+         f"argument command: invalid choice: '3' {_CHOICES}"),
     ])
     def test_exits_2_with_one_diagnostic(self, tmp_path, capsys, argv,
                                          problem):

@@ -1,13 +1,15 @@
 """Configs drawn at the passing edges of their keys' bounds, with one key
-at an extreme, end every subcommand cleanly, ``localize`` reading the trace
-``perceive`` writes of the CLI tests' impact reference: exit 0, or exit 2
-or 3 with one JSON diagnostic, no warning, and standard JSON in every JSON
-file written.  So does a ``sweep`` of a drawn key over values drawn from
-the extremes of its type and the edges of its bound, passing or not,
-joined to ``--values`` or in a separate token."""
+at an extreme, and configs drawn with every key inside its bound, end
+every subcommand cleanly, ``localize`` reading the trace ``perceive``
+writes of the CLI tests' impact reference: exit 0, or exit 2 or 3 with one
+JSON diagnostic, no warning, and standard JSON in every JSON file written.
+So does a ``sweep`` of a drawn key over values drawn from the extremes of
+its type and the edges of its bound, passing or not, joined to
+``--values`` or in a separate token."""
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -72,6 +74,28 @@ def _keys_of(kind: str) -> list:
             or key.startswith(("disturbances[]", f"disturbances[{kind}]"))]
 
 
+def _inside(spec) -> st.SearchStrategy:
+    """Values strictly inside ``spec``'s bound, or any finite value of a
+    key without one."""
+    lo, hi, _ = spec.bound or (-math.inf, math.inf, "()")
+    if spec.kind is int:
+        return st.integers(
+            min_value=None if lo == -math.inf else math.floor(lo) + 1,
+            max_value=None if hi == math.inf else math.ceil(hi) - 1)
+    return st.floats(min_value=None if lo == -math.inf else lo,
+                     max_value=None if hi == math.inf else hi,
+                     exclude_min=lo != -math.inf, exclude_max=hi != math.inf,
+                     allow_nan=False, allow_infinity=False)
+
+
+def _chosen_keys(draw) -> tuple[str, list]:
+    """A disturbance kind and one to three distinct keys a config with one
+    entry of that kind can set."""
+    kind = draw(st.sampled_from(KINDS))
+    return kind, draw(st.lists(st.sampled_from(_keys_of(kind)), min_size=1,
+                               max_size=3, unique_by=lambda item: item[0]))
+
+
 @st.composite
 def drawn_configs(draw) -> dict:
     """A config of one to three numeric keys with one disturbance entry:
@@ -79,13 +103,26 @@ def drawn_configs(draw) -> dict:
     bounds that pass.  A failing edge meets only its own bound, which
     ``test_config.TestBoundEdges`` checks key by key, so the one value a
     draw takes off the passing edges is an extreme."""
-    kind = draw(st.sampled_from(KINDS))
-    chosen = draw(st.lists(st.sampled_from(_keys_of(kind)), min_size=1,
-                           max_size=3, unique_by=lambda item: item[0]))
+    kind, chosen = _chosen_keys(draw)
+    return _config(kind, [
+        (key, draw(st.sampled_from(_passing(spec) if i else _probes(spec))))
+        for i, (key, spec) in enumerate(chosen)])
+
+
+@st.composite
+def inside_configs(draw) -> dict:
+    """A config of one to three numeric keys with one disturbance entry,
+    each key's value drawn inside its bound (:func:`_inside`)."""
+    kind, chosen = _chosen_keys(draw)
+    return _config(kind, [(key, draw(_inside(spec)))
+                          for key, spec in chosen])
+
+
+def _config(kind: str, values: list) -> dict:
+    """The config of one ``kind`` entry and the ``(dotted key, value)``
+    pairs ``values``."""
     config = {"disturbances": [dict(ENTRIES[kind])]}
-    for i, (key, spec) in enumerate(chosen):
-        value = draw(st.sampled_from(_passing(spec) if i
-                                     else _probes(spec)))
+    for key, value in values:
         section, _, name = key.rpartition(".")
         if not section:
             config[name] = value
@@ -164,6 +201,18 @@ def _pzt_with(**sections) -> dict:
 @example(config=_pzt_with(channel={"intrinsic_delay_s": MAX}))
 @example(config=_pzt_with(qkd={"window_s": MAX}))
 def test_drawn_config_ends_cleanly(impact_trace, config):
+    assert_every_command_ends_cleanly(config, impact_trace)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=inside_configs())
+def test_config_inside_the_bounds_ends_cleanly(impact_trace, config):
+    assert_every_command_ends_cleanly(config, impact_trace)
+
+
+def assert_every_command_ends_cleanly(config: dict, impact_trace: str):
+    """:func:`assert_ends_cleanly` for each of ``COMMANDS`` and for
+    ``localize`` of ``impact_trace``, all on ``config``."""
     with tempfile.TemporaryDirectory() as tmp:
         config_path = Path(tmp) / "config.json"
         config_path.write_text(json.dumps(config))

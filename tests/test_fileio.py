@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -328,6 +329,45 @@ _TRACE_FILES = {
         "# sample_rate_hz=1000.0 i0_w=\u0661e-3\n0x1p0\n",
         "header token 'i0_w=\u0661e-3'"),
     "header-hex": ("# sample_rate_hz=0x1.86ap+17 i0_w=1.0\n0x1p0\n", [1.0]),
+    "hex-trailing-blank-line": (_HEADER + "0x1p0\n0x1p1\n\n", [1.0, 2.0]),
+    # Rows of one width, which _hex_rows reads when every byte is as
+    # write_trace writes it, and hands back otherwise.
+    "rows": (_HEADER + "0x1.8000000000000p+1\n0x1.0000000000000p-3\n",
+             [3.0, 0.125]),
+    "rows-upper-case-digits": (_HEADER + "0x1.A000000000000p+1\n", [3.25]),
+    "rows-exponent-leading-zeros": (_HEADER + "0x1.0000000000000p+0001\n",
+                                    [2.0]),
+    "rows-upper-case-p": (_HEADER + "0x1.8000000000000P+1\n", [3.0]),
+    "rows-negative": (_HEADER + "-0x1.8000000000000p+1\n", [-3.0]),
+    "rows-subnormal": (_HEADER + "0x1.0000000000000p-1023\n", [2.0**-1023]),
+    "rows-past-the-range": (_HEADER + "0x1.0000000000000p+1024\n",
+                            "line 2: value '0x1.0000000000000p+1024' "
+                            "cannot be read as a float"),
+    "rows-space-in-digits": (_HEADER + "0x1.000000000000 p+1\n",
+                             "line 2: value 'p+1' cannot be read"),
+    "rows-two-spaces-in-digits": (_HEADER + "0x1.00000000000  p+1\n",
+                                  "line 2: value 'p+1' cannot be read"),
+    "rows-exponent-not-a-digit": (_HEADER + "0x1.8000000000000p+:\n",
+                                  "line 2: value '0x1.8000000000000p+:' "
+                                  "cannot be read as a float"),
+    "rows-no-final-break": (_HEADER + "0x1.8000000000000p+1\n"
+                            "0x1.0000000000000p-3", [3.0, 0.125]),
+    "rows-crlf-header": ("# sample_rate_hz=1000.0 i0_w=1.0\r\n"
+                         "0x1.8000000000000p+1\n", [3.0]),
+    # A break but "\n" in the header ends it, so the second key is a line
+    # of the body.
+    "rows-header-split-by-fs": ("# sample_rate_hz=1000.0\x1ci0_w=1.0\n"
+                                "0x1.8000000000000p+1\n",
+                                "header missing i0_w"),
+    # Each break but "\n" inside a hex line and at its end: float.fromhex
+    # strips the first three as white space, so only splitting at every
+    # break str.splitlines honours reads these as the samples they hold.
+    **{f"hex-{where}-{name}": (_HEADER + text.format(brk), [1.0, 2.0])
+       for name, brk in (("cr", "\r"), ("vt", "\v"), ("ff", "\f"),
+                         ("fs", "\x1c"), ("nel", "\x85"),
+                         ("ls", "\u2028"))
+       for where, text in (("inside", "0x1p0{0}0x1p1\n"),
+                           ("line-end", "0x1p0{0}\n0x1p1{0}"))},
 }
 
 
@@ -410,6 +450,57 @@ class TestReadTraceInputs:
 
 # Decimal literals whose text float.fromhex reads as another number.
 _NOT_HEX = {"0.5": 0.3125, "1e5": 485.0, "10": 16.0, "-1.5": -1.3125}
+
+
+class TestHexRows:
+    """``fileio._hex_rows`` reads a body of rows of one width to the values
+    ``float.fromhex`` reads line by line, or hands it back."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(exponents=st.sampled_from([(-9, -1), (0, 9), (-99, -10),
+                                      (10, 36), (-999, -100),
+                                      (-1022, -1000)]).flatmap(
+               lambda span: st.lists(st.integers(*span), min_size=1,
+                                     max_size=40)),
+           data=st.data())
+    def test_samples_of_one_width_read_by_array_operations(
+            self, tmp_path, exponents, data):
+        # Positive normal samples whose exponents have one digit count:
+        # write_trace writes them as rows of one width.
+        samples = [math.ldexp(1.0 + data.draw(st.integers(0, 2**52 - 1))
+                              / 2**52, e) for e in exponents]
+        trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
+                                  input_power_w=1.0, noise_sigma=0.0)
+        path = write_trace(tmp_path / "trace.txt", trace)
+        body = path.read_text().partition("\n")[2]
+        assert fileio._hex_rows(body).tobytes() == \
+            np.array(samples).tobytes()
+        with mock.patch.object(fileio, "_samples") as lines:
+            back = read_trace(path)
+        lines.assert_not_called()
+        assert back.samples.tobytes() == np.array(samples).tobytes()
+
+    @settings(max_examples=1000, derandomize=True)
+    @given(samples=st.lists(st.floats(min_value=2.0**-1022,
+                                      max_value=2.0**1023),
+                            min_size=1, max_size=6),
+           edits=st.lists(st.tuples(st.integers(0, 200), st.sampled_from(
+               "0123456789abcdefABCDEFxXpP+-. g\n\r\x1c\x85")),
+               max_size=2))
+    def test_reads_as_float_fromhex_or_hands_back(self, samples, edits):
+        # write_trace's rows, some of one width, with a byte or two
+        # replaced.
+        body = list("".join(float.hex(v) + "\n" for v in samples))
+        for at, char in edits:
+            body[at % len(body)] = char
+        body = "".join(body)
+        got = fileio._hex_rows(body)
+        if got is not None:
+            rows = body.split("\n")
+            assert rows.pop() == ""
+            assert got.tobytes() == np.array(
+                [float.fromhex(row) for row in rows]).tobytes()
 
 
 class TestLiteralRule:

@@ -353,6 +353,19 @@ class TestStaircase:
         for m, r in zip(masses, readings):
             assert abs(r.inferred_mass_kg - m) < 0.010
 
+    @pytest.mark.parametrize("mass", [4.5, 6.0, 8.0])
+    def test_mass_past_the_branch_top_raises(self, mass):
+        # Without this refusal these read, noiseless, as 4.28, 2.78 and
+        # 0.78 kg: the contrast ratio folds back onto the branch.
+        script = parse_config_dict({"wm": {"noise_sigma": 0.0}}).scenario
+        delay = pressure_delay(replace(script.wm.pressure, mass_kg=mass))
+        problem = branch_top_problem(delay, script.wm, script.packet)
+        assert problem is not None
+        with pytest.raises(OutOfBranchError) as err:
+            pressure_staircase([0.1, mass], script.wm, script.channel,
+                               script.packet, seed=1)
+        assert str(err.value) == problem
+
     def test_calibrates_at_the_wm_bias_not_the_channel_bias(self):
         packet = SpectralPacket(OMEGA, 2e11)
         settings = WmSettings(delta_bias_rad=0.7, noise_sigma=0.0)
