@@ -182,6 +182,8 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         problems.append(f"out_dir: expected a string, got {out_dir!r}")
+    elif out_dir is not None and "\0" in out_dir:
+        problems.append("out_dir: a path cannot hold a NUL character")
     resolved["out_dir"] = out_dir
     resolved["disturbances"] = _resolve_disturbances(
         raw.get("disturbances", []), problems)

@@ -2,16 +2,16 @@
 
 Column and header values are written with shortest round-trip formatting
 (repr), so attosecond-scale quantities survive write-then-read exactly.  A
-trace is a header line, then one sample per line as its ``float.hex``
-literal, which round-trips every float64 exactly too and formats and parses
-faster than a decimal one; sample k was taken at k / sample_rate_hz.  The
-writer builds the literals of a block of samples by array operations on
-their bit patterns, the bytes ``float.hex`` writes without one Python
-string a sample.  The reader reads header and sample values by one literal
-rule, a hex literal or an ASCII decimal one, so the earlier decimal traces
-read as before.  Rows of one width, which the writer writes for positive
-normal samples whose exponents have one digit count, are read back by
-array operations on their bytes, without a string a line.
+trace is a header line, then one row of 25 bytes a sample: the
+``float.fromhex`` literal that spells the sample's sign, exponent and 52
+low bits, ``+0x1.6c61522a6f3f5p-0008`` for 5.56e-3, and a line break, so
+every float64 round-trips exactly; sample k was taken at k /
+sample_rate_hz.  The writer builds the rows of a block of samples by array
+operations on their bit patterns, and the reader reads a body of rows back
+by array operations on the file's bytes, without a string a sample.  Any
+other body is read a line at a time by one literal rule for header and
+sample values, a hex literal or an ASCII decimal one, so the earlier hex
+and decimal traces read as before.
 Reports and event logs hold the bytes ``json.dumps`` writes with sorted
 keys, one line a report or log entry.
 """
@@ -67,50 +67,58 @@ def _replace_file(path: str | Path, chunks: Iterable[bytes]) -> Path:
 #: Most samples :func:`write_trace` formats at once.
 _TRACE_BLOCK = 2**16
 
-#: The row a sample's ``float.hex`` literal is built in: sign, lead digit,
-#: 13 hex digits, exponent sign, four exponent digits and a line break.
-_HEX_ROW = b"-0x0.0000000000000p+0000\n"
+#: The bytes of each sample's row: sign, "0x", lead digit, ".", 13 hex
+#: digits, "p", exponent sign, four exponent digits and a line break.
+_ROW_BYTES = 25
+
+#: The first five bytes of a row by ``2 * sign bit + lead digit``, each in a
+#: little-endian 8-byte word whose last three bytes the digits overwrite.
+_HEADS = np.frombuffer(b"".join(head.ljust(8, b"\0") for head in (
+    b"+0x0.", b"+0x1.", b"-0x0.", b"-0x1.")), "<u8")
+
+#: The last seven bytes of a row by biased exponent, after a zero byte that
+#: the last hex digit overwrites: "p-1022" for 0 (zeros and subnormals) and
+#: 1, the exponent less 1023 above, and eight zero bytes for 2047, which no
+#: finite sample has.
+_TAILS = np.frombuffer(b"".join(b"\0p%+05d\n" % exponent for exponent in (
+    -1022, *range(-1022, 1024))) + bytes(8), "<u8")
 
 
-def _hex_lines(block: np.ndarray) -> bytes:
-    """The ASCII bytes of ``"\\n".join(map(float.hex, block)) + "\\n"`` for
-    a contiguous block of finite float64 samples, built by array operations
-    on their bits.
+def _words(buffer, offset: int, n: int, stride: int = _ROW_BYTES):
+    """The ``n`` little-endian 8-byte words of ``buffer`` at ``offset``,
+    ``offset + stride``, ...: a view, writable when ``buffer`` is."""
+    return np.ndarray((n,), "<u8", buffer, offset, (stride,))
 
-    Each sample fills a copy of ``_HEX_ROW``: lead digit 1 if it is a normal
-    number, the last 13 of the 16 hex digits of its bits, and the sign and
-    digits of its exponent, the biased exponent less 1023, or -1022 for a
-    subnormal and 0 for a zero.  One boolean mask then drops what
-    ``float.hex`` leaves out: the sign of a positive sample, the leading
-    zeros of the exponent and the last 12 digits of a zero, ``0x0.0p+0``.
+
+def _hex_lines(block: np.ndarray) -> bytearray:
+    """The rows of a contiguous block of finite float64 samples, built by
+    array operations on their bits.
+
+    A row spells the sample's three bit fields as a ``float.fromhex``
+    literal: its sign, "0x", the lead digit 1 for a normal sample and 0 for
+    a subnormal or zero, ".", the 13 hex digits of the low 52 bits, "p",
+    and the exponent, the biased exponent less 1023 or -1022 for a biased
+    exponent of 0, as a sign and four digits, then "\\n":
+    ``+0x1.6c61522a6f3f5p-0008`` for 5.56e-3.  Each row is stored as four
+    overlapping 8-byte words: the head from ``_HEADS``, the tail from
+    ``_TAILS``, then two words of the hex digits, the second over the
+    tail's first byte.
     """
     bits = block.view(np.uint64)
     n = bits.size
-    rows = np.frombuffer(bytearray(_HEX_ROW * n), np.uint8).reshape(n, 25)
-    rows[:, 5:18] = np.frombuffer(
-        bits.astype(">u8").tobytes().hex().encode(),
-        np.uint8).reshape(n, 16)[:, 3:]
-    biased = (bits >> 52).astype(np.int16) & 0x7FF
-    zero = (bits << 1) == 0
-    rows[:, 3] += biased != 0
-    exponent = (np.maximum(biased, 1) - 1023) * ~zero
-    rows[:, 19] += (exponent < 0).view(np.uint8) << 1  # "+" to "-"
-    magnitude = np.abs(exponent)
-    keep = np.ones(rows.shape, bool)
-    keep[:, 0] = bits >> 63
-    keep[zero, 6:18] = False
-    for col, power in enumerate((1000, 100, 10), start=20):
-        keep[:, col] = magnitude >= power
-    for col, power in enumerate((1000, 100, 10, 1), start=20):
-        digit = magnitude // power
-        rows[:, col] += digit.astype(np.uint8)
-        magnitude -= digit * power
-    return rows[keep].tobytes()
+    rows = bytearray(_ROW_BYTES * n)
+    biased = bits >> 52 & 0x7FF
+    _words(rows, 0, n)[:] = _HEADS[bits >> 62 & 2 | (biased != 0)]
+    _words(rows, 17, n)[:] = _TAILS[biased]
+    digits = (bits << 12).astype(">u8").tobytes().hex().encode()
+    _words(rows, 5, n)[:] = _words(digits, 0, n, 16)
+    _words(rows, 10, n)[:] = _words(digits, 5, n, 16)
+    return rows
 
 
 def write_trace(path: str | Path, trace: InterferenceTrace) -> Path:
-    """Write a trace as its metadata header line, then one sample a line as
-    its ``float.hex`` literal, formatted by :func:`_hex_lines` at most
+    """Write a trace as its metadata header line, then one row of
+    ``_ROW_BYTES`` a sample, formatted by :func:`_hex_lines` at most
     ``_TRACE_BLOCK`` samples at once."""
     header = (f"# sample_rate_hz={_fmt(trace.sample_rate_hz)} "
               f"i0_w={_fmt(trace.input_power_w)} "
@@ -150,30 +158,31 @@ def read_trace(path: str | Path) -> InterferenceTrace:
     field of each non-blank body line, so files with a leading time column
     read the same.  Lines end at the breaks ``str.splitlines`` honours.
 
-    Header and sample values are read by :func:`_literal`, so decimal files
-    in the earlier format read as before.  A body of one hex literal a line,
-    as :func:`write_trace` writes it, is read by ``float.fromhex`` line by
-    line: a text ``float.fromhex`` reads holds at most one "x", so when it
-    reads every line, as many "x" as lines make every line a hex literal.
-    A body of rows of one width after a header without other breaks, as
-    :func:`write_trace` writes positive normal samples whose exponents have
-    one digit count, is read by :func:`_hex_rows` without a string a line,
-    to the same values.
-    The header holds each of ``_HEADER_KEYS`` at most once and no other key.
+    A body of whole rows under a header line that ends at the first "\\n",
+    as :func:`write_trace` writes it, is read from the file's bytes by
+    :func:`_hex_rows`.  Any other body, or one it hands back, is read line
+    by line, header and sample values by :func:`_literal`, to the values
+    ``float.fromhex`` reads from hex literals, so hex and decimal files in
+    the earlier formats read as before.  The header holds each of
+    ``_HEADER_KEYS`` at most once and no other key.
 
     Raises :class:`ConfigError` naming the file when it is missing,
     unreadable or malformed, and the line of a bad sample.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-        header, _, rest = text.partition("\n")
-        samples = _hex_rows(rest) if header.splitlines() == [header] else None
+        data = path.read_bytes()
+        end = data.find(b"\n") + 1
+        samples = None
+        if 0 < end < len(data) and (len(data) - end) % _ROW_BYTES == 0:
+            header = data[:end - 1].decode("utf-8")
+            if header.splitlines() == [header]:
+                samples = _hex_rows(memoryview(data)[end:])
         if samples is None:
-            header, *body = text.splitlines() or [""]
+            header, *body = data.decode("utf-8").splitlines() or [""]
         meta = _header(header)
         if samples is None:
-            samples = _samples(body, text.count("x", len(header)))
+            samples = _samples(body)
         if samples.size == 0:
             raise ValueError("trace has no samples")
         return InterferenceTrace(
@@ -212,61 +221,51 @@ def _header(header: str) -> dict[str, float]:
     return meta
 
 
-#: The first four bytes of every row :func:`_hex_rows` reads.
-_ROW_HEAD = np.frombuffer(b"0x1.", np.uint8)
+def _hex_rows(body) -> np.ndarray | None:
+    """The samples of a trace ``body``, bytes of whole rows as
+    :func:`_hex_lines` writes them, or None for a body with any row that
+    this function cannot read exactly.
 
-
-def _hex_rows(body: str) -> np.ndarray | None:
-    """The samples of a trace ``body`` of rows of one width, each the
-    ``float.hex`` literal of a positive normal sample and a "\\n", as
-    :func:`write_trace` writes samples whose exponents have one digit count:
-    "0x1.", 13 hex digits, "p", an exponent sign and 1 to 4 exponent
-    digits; None for any other body.
-
-    The mirror of :func:`_hex_lines`: array operations on the rows' bytes
-    check every byte and build each sample's bits, the value
-    ``float.fromhex`` reads: the 13 digits are the low 52 bits, and the
-    exponent, from -1022 to 1023, plus 1023 is the 11 bits above them.
+    The mirror of :func:`_hex_lines`, by array operations on words of the
+    rows: each head must be one of ``_HEADS``, each tail the one of
+    ``_TAILS`` for the exponent its digits spell, -1022 to 1023 after the
+    lead digit 1 and -1022 after the lead digit 0, and the 13 digits must
+    be hex digits, of either case.  Each sample's bits are then the value
+    ``float.fromhex`` reads from its row.
     """
-    width = body.find("\n") + 1
-    if not 21 <= width <= 24 or len(body) % width or not body.isascii():
+    n = len(body) // _ROW_BYTES
+    head = _words(body, 0, n) & 0xFF_FFFF_FFFF
+    sign, lead = head & 0xFF == ord("-"), head >> 24 & 0xFF == ord("1")
+    tail = _words(body, 17, n) >> 8
+    digits = tail >> 16
+    exponent = ((digits & 0xF) * 1000 + (digits >> 8 & 0xF) * 100
+                + (digits >> 16 & 0xF) * 10 + (digits >> 24 & 0xF))
+    exponent = exponent.astype(np.int64)
+    biased = np.where(lead, np.where(tail >> 8 & 0xFF == ord("-"),
+                                     1023 - exponent, 1023 + exponent), 0)
+    if (head != _HEADS[sign * 2 | lead]).any() \
+            or (tail != _TAILS.take(biased, mode="clip") >> 8).any():
         return None
-    rows = np.frombuffer(body.encode("ascii"), np.uint8).reshape(-1, width)
-    if (rows[:, -1] != ord("\n")).any() or (rows[:, 17] != ord("p")).any() \
-            or (rows[:, :4] != _ROW_HEAD).any():
-        return None
-    sign, digits = rows[:, 18], rows[:, 19:-1].astype(np.int16) - ord("0")
-    if ((sign != ord("+")) & (sign != ord("-"))).any() \
-            or ((digits < 0) | (digits > 9)).any():
-        return None
-    exponent = digits @ 10 ** np.arange(width - 21, -1, -1, dtype=np.int16)
-    exponent[sign == ord("-")] *= -1
-    if exponent.min() < -1022 or exponent.max() > 1023:
-        return None
-    hex16 = np.full((rows.shape[0], 16), ord("0"), np.uint8)
-    hex16[:, 3:] = rows[:, 4:17]
+    # The 13 digits and "000", the low 52 bits shifted to the top.
+    hex16 = np.empty((n, 2), "<u8")
+    hex16[:, 0] = _words(body, 5, n)
+    hex16[:, 1] = _words(body, 13, n) & 0xFF_FFFF_FFFF | 0x303030 << 40
     try:
-        mantissa = bytes.fromhex(hex16.tobytes().decode("ascii"))
+        mantissa = bytes.fromhex(str(hex16.data, "ascii"))
     except ValueError:
         return None
     # bytes.fromhex skips white space, so a row holding any reads short.
-    if len(mantissa) != 8 * rows.shape[0]:
+    if len(mantissa) != 8 * n:
         return None
-    bits = np.frombuffer(mantissa, ">u8").astype(np.uint64)
-    bits |= (exponent + 1023).astype(np.uint64) << np.uint64(52)
+    bits = np.frombuffer(mantissa, ">u8") >> 12
+    bits |= biased.astype(np.uint64) << 52 | sign.astype(np.uint64) << 63
     return bits.view(np.float64)
 
 
-def _samples(body: Sequence[str], xs: int) -> np.ndarray:
-    """The samples of the trace ``body`` lines, which hold ``xs`` "x": by
-    ``float.fromhex`` line by line when every line is a hex literal, else
-    the last field of each non-blank line by :func:`_literal`, a bad one
-    named by its file line, the header being line 1."""
-    if xs == len(body):
-        try:
-            return np.fromiter(map(float.fromhex, body), float, len(body))
-        except (ValueError, OverflowError):
-            pass
+def _samples(body: Sequence[str]) -> np.ndarray:
+    """The samples of the trace ``body`` lines: the last field of each
+    non-blank line by :func:`_literal`, a bad one named by its file line,
+    the header being line 1."""
     samples = []
     for number, line in enumerate(body, start=2):
         if fields := line.split():

@@ -38,6 +38,7 @@ rate of the key engine.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -307,9 +308,31 @@ def _trace_header(trace) -> str:
             f"noise_sigma={_fmt(trace.noise_sigma)}")
 
 
+def hex_row(value: float) -> str:
+    """One sample's trace row without its line break, from its bit fields:
+    sign, "0x", the lead digit 1 for a normal number and 0 for a subnormal
+    or zero, ".", the 13 hex digits of the low 52 bits, "p" and the
+    exponent, the biased exponent less 1023 or -1022 for a biased exponent
+    of 0, as a sign and four digits."""
+    [bits] = struct.unpack("<Q", struct.pack("<d", value))
+    biased = bits >> 52 & 0x7FF
+    return (f"{'-' if bits >> 63 else '+'}0x{int(biased != 0)}."
+            f"{bits & (1 << 52) - 1:013x}p{max(biased, 1) - 1023:+05d}")
+
+
 def per_sample_write_trace(path, trace) -> Path:
     """:func:`sagnacsim.fileio.write_trace` one sample at a time: every
-    value written on its own as its ``float.hex`` literal."""
+    value written on its own as its :func:`hex_row`."""
+    path = Path(path)
+    lines = [_trace_header(trace)]
+    lines.extend(hex_row(float(v)) for v in trace.samples)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def hex_line_write_trace(path, trace) -> Path:
+    """A trace in the earlier hex format: each sample its ``float.hex``
+    literal, of the width that literal has."""
     path = Path(path)
     lines = [_trace_header(trace)]
     lines.extend(float(v).hex() for v in trace.samples)

@@ -610,6 +610,8 @@ _BAD_CONFIGS = [
      '"mass_kg": 1e300}]}'),
     # The sweep's noise moments turned negative: perceive warned.
     ("channel.length_m", '{"channel": {"length_m": 1e300}}'),
+    # A path the operating system cannot take: mkdir raised ValueError.
+    ("out_dir", '{"out_dir": "a\\u0000b"}'),
 ]
 
 _HEADER = b"# sample_rate_hz=1000.0 i0_w=1.0\n"

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 import tracemalloc
@@ -18,8 +17,9 @@ from sagnacsim.fileio import (read_trace, write_columns, write_event_log,
                               write_report, write_trace)
 from sagnacsim.perception import MAX_SAMPLE_W, InterferenceTrace
 
-from oracles import (per_line_read_trace, per_sample_write_trace,
-                     read_literal, repr_write_trace, two_column_write_trace)
+from oracles import (hex_line_write_trace, hex_row, per_line_read_trace,
+                     per_sample_write_trace, read_literal, repr_write_trace,
+                     two_column_write_trace)
 
 
 class TestTraceFormat:
@@ -40,8 +40,8 @@ class TestTraceFormat:
 
     def test_working_set_bounded_on_a_long_trace(self, tmp_path):
         # The samples are formatted in blocks of 2**16, a few MB of arrays
-        # and text: this write peaks at 7.6 MiB of traced memory; formatted
-        # whole, 300 000 samples peaked at 31 MiB.
+        # and text: this write peaks at 4.1 MiB of traced memory; formatted
+        # whole, 300 000 samples peak at 18.6 MiB.
         samples = 5.645e-3 * (1.0 + 0.0019 * np.random.default_rng(
             5).standard_normal(300_000))
         trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
@@ -69,9 +69,9 @@ class TestTraceFormat:
         assert "sample_rate_hz=" in header and "i0_w=" in header
 
     def test_written_trace_reads_on_the_hex_path(self, tmp_path):
-        # write_trace's text, hex literals one a line, reads by
-        # float.fromhex line by line, without the per-field general path:
-        # _literal reads the three header values and no sample.
+        # write_trace's rows read by array operations, without the
+        # per-field general path: _literal reads the three header values
+        # and no sample.
         path = write_trace(tmp_path / "trace.txt", self.make_trace())
         with mock.patch.object(fileio, "_literal",
                                wraps=fileio._literal) as literal:
@@ -330,34 +330,61 @@ _TRACE_FILES = {
         "header token 'i0_w=\u0661e-3'"),
     "header-hex": ("# sample_rate_hz=0x1.86ap+17 i0_w=1.0\n0x1p0\n", [1.0]),
     "hex-trailing-blank-line": (_HEADER + "0x1p0\n0x1p1\n\n", [1.0, 2.0]),
-    # Rows of one width, which _hex_rows reads when every byte is as
-    # write_trace writes it, and hands back otherwise.
-    "rows": (_HEADER + "0x1.8000000000000p+1\n0x1.0000000000000p-3\n",
-             [3.0, 0.125]),
-    "rows-upper-case-digits": (_HEADER + "0x1.A000000000000p+1\n", [3.25]),
+    # Rows of 25 bytes, which _hex_rows reads when every row is one it can
+    # read exactly, and hands back to the line loop otherwise.
+    "rows": (_HEADER + "+0x1.8000000000000p+0001\n-0x1.0000000000000p-0003\n",
+             [3.0, -0.125]),
+    "rows-upper-case-digits": (_HEADER + "+0x1.A000000000000p+0001\n",
+                               [3.25]),
+    "rows-negative": (_HEADER + "-0x1.8000000000000p+0001\n", [-3.0]),
+    # A 24-byte line without a sign: the loop reads it.
     "rows-exponent-leading-zeros": (_HEADER + "0x1.0000000000000p+0001\n",
                                     [2.0]),
-    "rows-upper-case-p": (_HEADER + "0x1.8000000000000P+1\n", [3.0]),
-    "rows-negative": (_HEADER + "-0x1.8000000000000p+1\n", [-3.0]),
-    "rows-subnormal": (_HEADER + "0x1.0000000000000p-1023\n", [2.0**-1023]),
-    "rows-past-the-range": (_HEADER + "0x1.0000000000000p+1024\n",
-                            "line 2: value '0x1.0000000000000p+1024' "
+    "rows-upper-case-p": (_HEADER + "+0x1.8000000000000P+0001\n", [3.0]),
+    "rows-upper-case-x": (_HEADER + "+0X1.8000000000000p+0001\n", [3.0]),
+    "rows-zero": (_HEADER + "-0x0.0000000000000p-1022\n", [-0.0]),
+    "rows-zero-as-float-hex": (_HEADER + "+0x0.0000000000000p+0000\n",
+                               [0.0]),
+    "rows-subnormal": (_HEADER + "+0x0.0000000000001p-1022\n", [5e-324]),
+    "rows-lead-one-below-the-normals": (
+        _HEADER + "+0x1.0000000000000p-1023\n", [2.0**-1023]),
+    "rows-lead-zero-above-the-subnormals": (
+        _HEADER + "+0x0.8000000000000p+0002\n", [2.0]),
+    "rows-exponent-minus-zero": (_HEADER + "+0x1.8000000000000p-0000\n",
+                                 [1.5]),
+    "rows-no-sign": (_HEADER + "0x1.8000000000000p+00001\n", [3.0]),
+    "rows-past-the-range": (_HEADER + "+0x1.0000000000000p+1024\n",
+                            "line 2: value '+0x1.0000000000000p+1024' "
                             "cannot be read as a float"),
-    "rows-space-in-digits": (_HEADER + "0x1.000000000000 p+1\n",
-                             "line 2: value 'p+1' cannot be read"),
-    "rows-two-spaces-in-digits": (_HEADER + "0x1.00000000000  p+1\n",
-                                  "line 2: value 'p+1' cannot be read"),
-    "rows-exponent-not-a-digit": (_HEADER + "0x1.8000000000000p+:\n",
-                                  "line 2: value '0x1.8000000000000p+:' "
+    "rows-space-in-digits": (_HEADER + "+0x1.000000000000 p+0001\n",
+                             "line 2: value 'p+0001' cannot be read"),
+    "rows-two-spaces-in-digits": (_HEADER + "+0x1.00000000000  p+0001\n",
+                                  "line 2: value 'p+0001' cannot be read"),
+    # bytes.fromhex skips white space between digit pairs.
+    "rows-spaces-between-digit-pairs": (
+        _HEADER + "+0x1.0000000000  0p+0001\n",
+        "line 2: value '0p+0001' cannot be read"),
+    "rows-exponent-not-a-digit": (_HEADER + "+0x1.8000000000000p+000:\n",
+                                  "line 2: value '+0x1.8000000000000p+000:' "
                                   "cannot be read as a float"),
-    "rows-no-final-break": (_HEADER + "0x1.8000000000000p+1\n"
-                            "0x1.0000000000000p-3", [3.0, 0.125]),
+    "rows-no-final-break": (_HEADER + "+0x1.8000000000000p+0001\n"
+                            "+0x1.0000000000000p-0003", [3.0, 0.125]),
     "rows-crlf-header": ("# sample_rate_hz=1000.0 i0_w=1.0\r\n"
-                         "0x1.8000000000000p+1\n", [3.0]),
+                         "+0x1.8000000000000p+0001\n", [3.0]),
+    # A row of 25 bytes ending in "\r\n" and one of 24 bytes: their 50
+    # bytes divide by 25.
+    "rows-crlf": (_HEADER + "+0x1.8000000000000p+0001\r\n"
+                  "0x1.8000000000000p+0001\n", [3.0, 3.0]),
+    # Earlier traces: float.hex lines of their own width, and decimal.
+    "earlier-hex-lines": (_HEADER + "0x1.6c61522a6f3f5p-8\n-0x0.0p+0\n"
+                          "0x0.0000000000001p-1022\n",
+                          [0.00556, -0.0, 5e-324]),
+    "earlier-decimal": (_HEADER + "0.00556\n-0.0\n5e-324\n",
+                        [0.00556, -0.0, 5e-324]),
     # A break but "\n" in the header ends it, so the second key is a line
     # of the body.
     "rows-header-split-by-fs": ("# sample_rate_hz=1000.0\x1ci0_w=1.0\n"
-                                "0x1.8000000000000p+1\n",
+                                "+0x1.8000000000000p+0001\n",
                                 "header missing i0_w"),
     # Each break but "\n" inside a hex line and at its end: float.fromhex
     # strips the first three as white space, so only splitting at every
@@ -452,55 +479,102 @@ class TestReadTraceInputs:
 _NOT_HEX = {"0.5": 0.3125, "1e5": 485.0, "10": 16.0, "-1.5": -1.3125}
 
 
+# Biased exponents at the edges of each class of finite float64: zeros and
+# subnormals (0), exponents of 4, 3, 2 and 1 digits of either sign, the
+# samples on both sides of 2**-9 W (1013, 1014) and the largest (2046).
+_BIASED_EDGES = [0, 1, 23, 24, 923, 924, 1013, 1014, 1022, 1023, 1024, 1032,
+                 1033, 1122, 1123, 2022, 2023, 2046]
+
+#: Bit patterns of every class of finite float64.
+_FINITE_BITS = st.builds(
+    lambda sign, biased, low: sign << 63 | biased << 52 | low,
+    st.integers(0, 1),
+    st.sampled_from(_BIASED_EDGES) | st.integers(0, 2046),
+    st.sampled_from([0, 1, 2**51, 2**52 - 1]) | st.integers(0, 2**52 - 1))
+
+
+def _floats(bits) -> np.ndarray:
+    return np.array(bits, np.uint64).view(np.float64)
+
+
 class TestHexRows:
-    """``fileio._hex_rows`` reads a body of rows of one width to the values
-    ``float.fromhex`` reads line by line, or hands it back."""
+    """``fileio._hex_lines`` writes every finite sample as one row of
+    ``_ROW_BYTES`` that ``float.fromhex`` reads as the sample, and
+    ``fileio._hex_rows`` reads a body of such rows to the values
+    ``float.fromhex`` reads, or hands it back."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(exponents=st.sampled_from([(-9, -1), (0, 9), (-99, -10),
-                                      (10, 36), (-999, -100),
-                                      (-1022, -1000)]).flatmap(
-               lambda span: st.lists(st.integers(*span), min_size=1,
-                                     max_size=40)),
-           data=st.data())
-    def test_samples_of_one_width_read_by_array_operations(
-            self, tmp_path, exponents, data):
-        # Positive normal samples whose exponents have one digit count:
-        # write_trace writes them as rows of one width.
-        samples = [math.ldexp(1.0 + data.draw(st.integers(0, 2**52 - 1))
-                              / 2**52, e) for e in exponents]
-        trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
-                                  input_power_w=1.0, noise_sigma=0.0)
-        path = write_trace(tmp_path / "trace.txt", trace)
-        body = path.read_text().partition("\n")[2]
-        assert fileio._hex_rows(body).tobytes() == \
-            np.array(samples).tobytes()
-        with mock.patch.object(fileio, "_samples") as lines:
-            back = read_trace(path)
-        lines.assert_not_called()
-        assert back.samples.tobytes() == np.array(samples).tobytes()
+    @given(bits=st.lists(_FINITE_BITS, min_size=1, max_size=40))
+    @example(bits=[0, 1 << 63, 1, 2**52 - 1, 2**52, 1014 << 52,
+                   (1014 << 52) - 1, 2046 << 52 | 2**52 - 1])
+    def test_every_finite_sample_is_one_row_read_by_array_operations(
+            self, tmp_path, bits):
+        samples = _floats(bits)
+        body = bytes(fileio._hex_lines(samples))
+        rows = body.split(b"\n")
+        assert rows.pop() == b""
+        assert [len(row) + 1 for row in rows] == \
+            [fileio._ROW_BYTES] * samples.size
+        assert [row.decode() for row in rows] == list(map(hex_row, samples))
+        assert np.array([float.fromhex(row.decode()) for row in rows]
+                        ).tobytes() == samples.tobytes()
+        assert fileio._hex_rows(body).tobytes() == samples.tobytes()
+        # The samples a trace may hold, through the file.
+        kept = samples[np.abs(samples) <= MAX_SAMPLE_W]
+        if kept.size:
+            path = write_trace(tmp_path / "trace.txt", InterferenceTrace(
+                sample_rate_hz=200e3, samples=kept, input_power_w=1.0,
+                noise_sigma=0.0))
+            with mock.patch.object(fileio, "_samples") as lines:
+                back = read_trace(path)
+            lines.assert_not_called()
+            assert back.samples.tobytes() == kept.tobytes()
 
     @settings(max_examples=1000, derandomize=True)
-    @given(samples=st.lists(st.floats(min_value=2.0**-1022,
-                                      max_value=2.0**1023),
-                            min_size=1, max_size=6),
-           edits=st.lists(st.tuples(st.integers(0, 200), st.sampled_from(
-               "0123456789abcdefABCDEFxXpP+-. g\n\r\x1c\x85")),
-               max_size=2))
-    def test_reads_as_float_fromhex_or_hands_back(self, samples, edits):
-        # write_trace's rows, some of one width, with a byte or two
-        # replaced.
-        body = list("".join(float.hex(v) + "\n" for v in samples))
-        for at, char in edits:
-            body[at % len(body)] = char
-        body = "".join(body)
-        got = fileio._hex_rows(body)
+    @given(bits=st.lists(_FINITE_BITS, min_size=1, max_size=6),
+           edits=st.lists(st.tuples(
+               st.integers(0, 5),
+               # The sign, "0x", lead digit, ".", a digit, "p", the exponent
+               # sign, exponent digits and the line break, or any byte.
+               st.sampled_from([0, 1, 2, 3, 4, 9, 17, 18, 19, 20, 21, 22, 23,
+                                24]) | st.integers(0, 24),
+               st.sampled_from("0123456789abcdefABCDEFxXpP+-. g\n\r\x1c"
+                               "\x85")), max_size=2))
+    def test_reads_as_float_fromhex_or_hands_back(self, bits, edits):
+        # write_trace's rows with a byte or two replaced.
+        body = bytearray(fileio._hex_lines(_floats(bits)))
+        for row, column, char in edits:
+            body[row % len(bits) * fileio._ROW_BYTES + column] = ord(char)
+        got = fileio._hex_rows(bytes(body))
         if got is not None:
-            rows = body.split("\n")
+            rows = bytes(body).decode().split("\n")
             assert rows.pop() == ""
             assert got.tobytes() == np.array(
                 [float.fromhex(row) for row in rows]).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=st.lists(_SAMPLES | st.sampled_from(_EDGE_SAMPLES),
+                            min_size=1, max_size=40),
+           writer=st.sampled_from([hex_line_write_trace, repr_write_trace]))
+    @example(samples=_EDGE_SAMPLES, writer=hex_line_write_trace)
+    def test_earlier_traces_read_by_the_line_loop(self, tmp_path, samples,
+                                                  writer):
+        # Files of one float.hex literal a line, of its own width, as the
+        # writer wrote them before rows, and of one repr a line.  Only a
+        # body whose every line is a row, such as float.hex's literal of a
+        # negative subnormal, is read as rows.
+        trace = InterferenceTrace(sample_rate_hz=200e3, samples=samples,
+                                  input_power_w=5.645e-3, noise_sigma=0.0019)
+        path = writer(tmp_path / "old.txt", trace)
+        with mock.patch.object(fileio, "_samples",
+                               wraps=fileio._samples) as lines:
+            back = read_trace(path)
+        rows = path.read_text().splitlines()[1:] == list(map(hex_row,
+                                                             samples))
+        assert lines.call_count == (not rows)
+        assert back.samples.tobytes() == trace.samples.tobytes()
 
 
 class TestLiteralRule:
@@ -559,7 +633,7 @@ class TestLiteralRule:
                                   noise_sigma=0.0)
         path = write_trace(tmp_path / "trace.txt", trace)
         assert path.read_text().splitlines()[1:] == \
-            [float.hex(v) for v in _EDGE_SAMPLES]
+            [hex_row(v) for v in _EDGE_SAMPLES]
         assert read_trace(path).samples.tobytes() == \
             np.array(_EDGE_SAMPLES).tobytes()
 
