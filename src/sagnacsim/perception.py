@@ -16,8 +16,9 @@ Key windows and sensing traces read the one phase of all events,
 one event and :func:`locate` turns a record into a position.
 
 A sweep reads no samples: its points and its noise floor are closed
-forms in the Hann window's two sums (:func:`_hann_sums`), and only the
-drive's own series are taken, kept per drive by :func:`_sweep_response`.
+forms in the Hann window's two sums (:func:`_hann_sums`) and three Bessel
+orders of the drive (:func:`_bessel`), kept per drive by
+:func:`_sweep_response`.
 What a Welch spectrum needs of no event, seed or sample is computed once
 per configuration by :func:`_welch_plan` and shared read-only.  The
 Fourier rows of a drive's key-window means are kept per drive amplitude
@@ -89,19 +90,13 @@ _SIGNIFICANCE_MIN_HZ = 50.0
 MAX_NOTCH_DEPTH_DB = 3000.0
 
 
-#: Most scan points times Fourier orders a drive's sweep series may take
-#: (:func:`_strong_drive_problem`): the README drive takes 25 orders at
-#: each of the default 293 points, 7325 in all.
-_MAX_SWEEP_WORK = 32_000_000
-
 #: Most scan points a sweep may take, 112 times the default 293.  The
 #: harmonic vote of a null search is quadratic in notch candidates: on a
 #: 2-vCPU host, 146 001 points took 13 s to vote on.
 _MAX_SCAN_POINTS = 2**15
 
-#: Most elements a block of rows may hold, whole rows and at least one:
-#: grid points of :func:`_sweep_response` and harmonics of
-#: :func:`_drive_means`, each its Fourier orders.
+#: Most elements a block of :func:`_drive_means`' rows may hold, whole
+#: rows and at least one: a harmonic's row holds its Fourier orders.
 _BLOCK_ELEMENTS = 16_000
 
 #: Natural log of the Bessel bound below which a drive series drops a
@@ -120,8 +115,7 @@ _WELCH_MIN_SEGMENT = 64
 MAX_TRACE_SAMPLES = 2**22
 
 #: Most loop-phase samples a key window averages, and most Fourier orders
-#: ``2M + 1`` of its closed-form means; a sweep's series takes ``M`` up to
-#: ``_PHASE_SAMPLES // 2`` (:func:`_sweep_orders`).
+#: ``2M + 1`` of its closed-form means.
 _PHASE_SAMPLES = 2**16
 
 
@@ -172,15 +166,12 @@ class PerceptionSettings(Checked):
         if problems:
             raise ConfigError(problems)
 
-    def _scan_points(self) -> int:
-        """Length of :meth:`scan_grid`, found without building it,
-        ``math.inf`` past the float range."""
+    def _scan_grid_problems(self) -> list[str]:
+        # The length of scan_grid, found without building it, math.inf
+        # past the float range.
         steps = (self.scan_max_hz + self.scan_step_hz
                  - self.scan_min_hz) / self.scan_step_hz
-        return math.ceil(steps) if math.isfinite(steps) else math.inf
-
-    def _scan_grid_problems(self) -> list[str]:
-        points = self._scan_points()
+        points = math.ceil(steps) if math.isfinite(steps) else math.inf
         if points < 3:
             return [f"scan_step_hz: {self.scan_step_hz} leaves {points} scan "
                     f"points from scan_min_hz to scan_max_hz; a sweep needs "
@@ -212,18 +203,13 @@ class PerceptionSettings(Checked):
         """Why this perception cannot record dynamic ``event``, keyed by
         the parameter that sets its band, ``_BAND``: the band must pass
         :func:`_band_aliases` at the sample rate, and a transient's trace
-        may hold at most ``MAX_TRACE_SAMPLES`` samples.  A drive must pass
-        :func:`_strong_drive_problem` over the scan grid, a problem of its
-        gain key."""
+        may hold at most ``MAX_TRACE_SAMPLES`` samples."""
         key, band = event.params._BAND, event.params.band_hz
         value = getattr(event.params, key)
         if _band_aliases(band, self.sample_rate_hz):
             return [f"{key}: {value} puts the disturbance band at {band} "
                     f"Hz, not below half the perception sample_rate_hz "
                     f"{self.sample_rate_hz}"]
-        if isinstance(event.params, PztParams):
-            problem = _strong_drive_problem(event.params, self._scan_points())
-            return [problem] if problem else []
         if key == "width_s":
             n = _sample_count(self.trace_duration_s(event.params),
                               self.sample_rate_hz)
@@ -408,24 +394,6 @@ def _bessel_orders(z: float, most: int) -> int:
         key=lambda m: m * log_half - math.lgamma(m + 1.0) < _LOG_NEGLIGIBLE)
 
 
-def _drive_series(f, amplitudes, orders: int, phases=0.0) -> np.ndarray:
-    """Fourier orders ``-orders .. orders`` in ``t`` of ``f(A cos(t +
-    phi))``, along the last axis, for amplitudes ``A`` and phases ``phi``
-    broadcast together.  ``f`` maps the array of ``A cos(t + phi)`` to a
-    stack of real arrays of its shape, and the stack's axis leads the
-    result.
-
-    One real FFT at ``1 << (2 orders + 1).bit_length()`` equally spaced
-    ``t`` gives them, exact but for the higher orders that fold onto them,
-    which :func:`_bessel_orders` bounds.
-    """
-    nodes = 1 << (2 * orders + 1).bit_length()
-    t = (2.0 * math.pi / nodes) * np.arange(nodes)
-    x = np.expand_dims(amplitudes, -1) * np.cos(np.add.outer(phases, t))
-    coefs = np.fft.rfft(f(x), axis=-1)[..., :orders + 1] / nodes
-    return np.concatenate([coefs[..., orders:0:-1].conj(), coefs], axis=-1)
-
-
 def _drive_pieces(event: DisturbanceEvent, channel: LoopChannel, t0: float,
                   window_s: float) -> list[tuple[float, float, float, float]]:
     """The parts of ``[t0, t0 + window_s)`` where a drive's net phase is a
@@ -482,11 +450,21 @@ def _drive_means(pieces: list[tuple[float, float, float, float]],
 def _drive_rows(amplitude: float, orders: int, lo: int,
                 hi: int) -> np.ndarray:
     """Fourier orders ``-orders .. orders`` in ``t`` of ``exp(1j k A cos
-    t)`` for ``k = lo + 1 .. hi``, one row each: :func:`_drive_series`'s
-    coefficients of ``cos`` plus ``i`` those of ``sin``, computed once per
-    key and shared read-only."""
-    cos, sin = _drive_series(lambda x: (np.cos(x), np.sin(x)),
-                             amplitude * np.arange(lo + 1, hi + 1), orders)
+    t)`` for ``k = lo + 1 .. hi``, one row each, computed once per key and
+    shared read-only.
+
+    One real FFT each of ``cos`` and ``sin`` of ``k A cos t`` at ``1 << (2
+    orders + 1).bit_length()`` equally spaced ``t`` gives them, exact but
+    for the higher orders that fold onto them, which
+    :func:`_bessel_orders` bounds.
+    """
+    nodes = 1 << (2 * orders + 1).bit_length()
+    t = (2.0 * math.pi / nodes) * np.arange(nodes)
+    x = np.multiply.outer(amplitude * np.arange(lo + 1, hi + 1), np.cos(t))
+    coefs = np.fft.rfft((np.cos(x), np.sin(x)), axis=-1)[..., :orders + 1]
+    coefs /= nodes
+    cos, sin = np.concatenate([coefs[..., orders:0:-1].conj(), coefs],
+                              axis=-1)
     rows = cos + 1j * sin
     rows.flags.writeable = False
     return rows
@@ -643,9 +621,8 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
 
     Only sinusoidal (piezo) events can be swept, the grid must be strictly
     ascending with at least 3 points, its last point must lie below half
-    the sample rate, and the drive may need at most ``_PHASE_SAMPLES //
-    2`` Fourier orders (:func:`_sweep_orders`); all four are checked
-    first, and the trace must hold 3 to ``MAX_TRACE_SAMPLES`` samples.
+    the sample rate; all three are checked first, and the trace must hold
+    3 to ``MAX_TRACE_SAMPLES`` samples.
     Each point reads the settled drive behind an ideal anti-alias filter,
     as a swept-sine instrument does: the Hann-weighted tone of an
     ``n``-sample trace of the steady state (:func:`_sweep_response`), so a
@@ -665,9 +642,6 @@ def frequency_sweep(event: DisturbanceEvent, channel: LoopChannel,
     _check_sweep_grid(freqs)
     if _band_aliases(freqs[-1], sample_rate_hz):
         raise _aliasing_error(float(freqs[-1]), sample_rate_hz)
-    problem = _strong_drive_problem(event.params, freqs.size)
-    if problem:
-        raise ValueError(problem)
     n = _sample_count(duration_s, sample_rate_hz)
     if n > MAX_TRACE_SAMPLES:
         raise ValueError(f"duration_s: {duration_s} s holds {n:.12g} samples "
@@ -698,29 +672,61 @@ class _SweepResponse(NamedTuple):
     moments: np.ndarray
 
 
-def _sweep_orders(peak: float) -> int:
-    """Fourier orders ``M`` that ``c**2`` holds under a drive of ``peak``
-    rad: :func:`_bessel_orders` of the ``4 peak`` it reaches, and
-    ``_PHASE_SAMPLES // 2 + 1`` for a drive past that cap."""
-    return _bessel_orders(4.0 * peak, _PHASE_SAMPLES // 2)
+#: Nodes of :func:`_bessel`'s trapezoid rule over a period: it is exact
+#: but for the orders ``J_{64 - m}`` and above, below 1e-18 for ``|z| <
+#: _HANKEL_FROM``.
+_BESSEL_NODES = 64
+
+#: Least ``|z|`` whose Bessel values :func:`_bessel` takes from the Hankel
+#: expansion's first 27 terms: the first term left out is about 2e-20
+#: there (A&S 9.2.5).
+_HANKEL_FROM = 25.0
+
+#: The expansion's ``a_k = prod_{j <= k} (4 m**2 - (2j - 1)**2) / (k!
+#: 8**k)``, k = 0 .. 26, one row each, for orders m = 0, 1 and 2.
+_HANKEL = np.cumprod(np.vstack([np.ones(3), (
+    4.0 * np.arange(3) ** 2 - (2.0 * np.arange(1, 27)[:, None] - 1.0) ** 2)
+    / (8.0 * np.arange(1, 27)[:, None])]), axis=0)
 
 
-def _strong_drive_problem(params: PztParams, points: int) -> Optional[str]:
-    """Why a drive of ``params`` cannot be swept over ``points`` grid
-    points, as a problem of its gain key, or ``None``: its series needs
-    more than ``_PHASE_SAMPLES // 2`` Fourier orders ``M``, from about 6020
-    rad on, or the ``M + 3`` or so orders that :func:`_sweep_response`
-    takes a point come to more than ``_MAX_SWEEP_WORK`` over the grid."""
-    orders = _sweep_orders(params.peak_phase_rad)
-    if orders > _PHASE_SAMPLES // 2:
-        why = f"more than {_PHASE_SAMPLES // 2} Fourier orders"
-    elif points * (orders + 3) > _MAX_SWEEP_WORK:
-        why = (f"{orders + 3} Fourier orders at each of {points} scan "
-               f"points, more than {_MAX_SWEEP_WORK} in all")
-    else:
-        return None
-    return (f"{params._GAIN}: {getattr(params, params._GAIN)} gives a "
-            f"{params.peak_phase_rad} rad drive, whose sweep needs {why}")
+def _bessel(z: np.ndarray) -> np.ndarray:
+    """``J_0``, ``J_1`` and ``J_2`` of the real array ``z``, stacked on a
+    leading axis, within about 1e-15.
+
+    Below ``_HANKEL_FROM`` in ``|z|``, the trapezoid rule of ``J_m(z) =
+    mean(cos(m t - z sin t))`` over a period, at ``_BESSEL_NODES``
+    midpoints ``t``: the integrand is even in ``t`` and its sum with that
+    at ``pi - t`` is ``2 cos(m t) cos(z sin t)`` for even ``m`` and ``2
+    sin(m t) sin(z sin t)`` for odd ``m``, so the nodes in ``(0, pi / 2)``
+    give it, and ``cos 2t`` is odd about ``pi / 4``.  So ``J_m(0)`` is
+    exactly 1, 0 and 0.  From ``_HANKEL_FROM`` on, the Hankel expansion
+    ``J_m(x) = sqrt(2 / (pi x)) (P cos chi - Q sin chi)``, ``chi = x - pi
+    / 4 - m pi / 2`` (A&S 9.2.5), which is the real part of ``sqrt(2 /
+    (pi x)) exp(i chi) sum_k a_k (i / x)**k``, and ``J_m(-x) = (-1)**m
+    J_m(x)``.  ``exp(i chi)`` is ``exp(i x)`` of the argument itself
+    times a constant of the order, so no rounding of ``chi`` grows with
+    ``x``.
+    """
+    out = np.empty((3,) + z.shape)
+    near = np.abs(z) < _HANKEL_FROM
+    t = (2.0 * math.pi / _BESSEL_NODES) * (np.arange(_BESSEL_NODES // 4)
+                                           + 0.5)
+    u = np.multiply.outer(z[near], np.sin(t))
+    c, half = np.cos(u), _BESSEL_NODES // 8
+    out[:, near] = (4.0 / _BESSEL_NODES) * np.array([
+        c.sum(axis=-1), np.sin(u) @ np.sin(t),
+        (c[:, :half] - c[:, :half - 1:-1]) @ np.cos(2.0 * t[:half])])
+    if near.all():
+        return out
+    x = np.abs(z[~near])
+    series = 0.0
+    for a in _HANKEL[::-1]:  # Horner's rule in i / x
+        series = series * (1j / x) + a[:, None]
+    turn = np.exp(-0.25j * math.pi) * np.array([[1.0], [-1j], [-1.0]])
+    out[:, ~near] = (series * np.exp(1j * x) * turn).real * np.sqrt(
+        2.0 / (math.pi * x))
+    out[1, ~near] *= np.sign(z[~near])
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -731,44 +737,38 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     float bytes are ``grid``: the settled drive, read behind an ideal
     anti-alias filter, computed once per key and shared read-only.
 
-    With both copies running, the net phase is ``A cos(omega t + phi)``,
-    ``A = 2 peak sin(omega lag / 2)`` and ``phi = -omega lag / 2``
-    (:func:`_settled_drive`), so the
-    port intensity ``c`` and ``c**2`` are Fourier series in ``omega t``,
-    of orders ``-M .. M`` (:func:`_sweep_orders`).  Only orders 0, -1 and
-    -2 are read, and no order of ``c**2`` folds onto them while
-    :func:`_drive_series` takes more than ``M + 2`` nodes, which ``(M +
-    2) // 2`` orders give; the grid goes in blocks of at most
-    ``_BLOCK_ELEMENTS`` orders.  Under the Hann window ``w`` and the unit
+    With both copies running, the net phase is ``A cos(omega t + psi)``,
+    ``A = 2 peak sin(omega lag / 2)`` and ``psi = -omega lag / 2``
+    (:func:`_settled_drive`), so with ``Y = b + A cos(omega t + psi)`` the
+    port intensity ``c = I0 (1 + cos Y)`` and ``c**2 = I0**2 (3/2 + 2 cos
+    Y + cos(2Y) / 2)`` are Fourier series in ``omega t`` whose orders are
+    Bessel values (Jacobi–Anger, Abramowitz & Stegun 9.1.42–45, by
+    :func:`_bessel`): order -1 of ``c`` is ``-I0 sin b J_1(A) exp(-i
+    psi)``, and orders 0 and -2 of ``c**2`` are ``I0**2 (3/2 + 2 cos b
+    J_0(A) + cos 2b J_0(2A) / 2)`` and ``-I0**2 (2 cos b J_2(A) + cos 2b
+    J_2(2A) / 2) exp(-2i psi)``.  Under the Hann window ``w`` and the unit
     phasor ``e`` of a point, only the order that stands still in ``c e``
-    survives a sum over the trace: the projection
-    ``sum w c e`` is ``sum(w)`` times order -1 of ``c``, and with ``u = w
-    e``, ``sum c**2 |u|**2`` and ``sum c**2 u**2`` are ``sum(w**2)`` times
-    orders 0 and -2 of ``c**2``.  Their real and imaginary parts give the
-    three second moments of ``c u``, which times ``sigma**2`` are the
-    covariance of the point's noise.
+    survives a sum over the trace: the projection ``sum w c e`` is
+    ``sum(w)`` times order -1 of ``c``, and with ``u = w e``, ``sum c**2
+    |u|**2`` and ``sum c**2 u**2`` are ``sum(w**2)`` times orders 0 and -2
+    of ``c**2``.  Their real and imaginary parts give the three second
+    moments of ``c u``, which times ``sigma**2`` are the covariance of the
+    point's noise.
     """
     freqs = np.frombuffer(grid)
     weight, power = _hann_sums(n)
-    omega_lag = 2.0 * math.pi * freqs * _delay_lag_s(event, channel)
-    peak = event.params.peak_phase_rad
-    orders = max(2, (_sweep_orders(peak) + 2) // 2)
-    bias = channel.bias_phase_rad
-
-    def powers(phase):
-        c = _port_intensity(bias + phase, input_power_w)
-        return c, c * c
-
-    # Orders -1 of c, 0 of c**2 and -2 of c**2, one row each.
-    picked = np.empty((3, freqs.size), dtype=complex)
-    rows = max(1, _BLOCK_ELEMENTS // (2 * orders + 1))
-    for lo in range(0, freqs.size, rows):
-        amplitudes, phases = _settled_drive(peak, omega_lag[lo:lo + rows])
-        c, cc = _drive_series(powers, amplitudes, orders, phases)
-        picked[:, lo:lo + rows] = (c[:, orders - 1], cc[:, orders],
-                                   cc[:, orders - 2])
-    q0, q2 = power * picked[1].real, power * picked[2]
-    projections = weight * picked[0]
+    amplitudes, phases = _settled_drive(
+        event.params.peak_phase_rad,
+        2.0 * math.pi * freqs * _delay_lag_s(event, channel))
+    # Each order at A, then at 2A.
+    j0, j1, j2 = _bessel(np.array((amplitudes, 2.0 * amplitudes)))
+    bias, i0 = channel.bias_phase_rad, input_power_w
+    cos_b, cos_2b = math.cos(bias), math.cos(2.0 * bias)
+    turn = np.exp(-1j * phases)
+    projections = (-weight * i0 * math.sin(bias)) * j1[0] * turn
+    q0 = (power * i0 * i0) * (1.5 + 2.0 * cos_b * j0[0] + 0.5 * cos_2b * j0[1])
+    q2 = (-power * i0 * i0) * (2.0 * cos_b * j2[0]
+                               + 0.5 * cos_2b * j2[1]) * (turn * turn)
     moments = np.array([0.5 * (q0 + q2.real), 0.5 * q2.imag,
                         0.5 * (q0 - q2.real)])
     for array in (projections, moments):

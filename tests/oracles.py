@@ -4,20 +4,21 @@ These deliberately avoid the closed forms under test: the port probability
 oracle integrates the spectral density numerically, and the Taylor bound
 evaluates position differences directly.  The small-signal tone amplitude
 is the first-order formula whose zeros define the null frequencies.  The
-swept-sine response of a settled drive is kept twice: from Bessel values,
-the reference for the sweep's Fourier series to rounding, and point by
-point, a trace and its own tone projection per frequency, which the sweep
-must match away from the points where sampling folds the drive's
-harmonics onto its tone.  The
+swept-sine response of a settled drive is kept three times: from scipy's
+Bessel values and from the port intensity's own Fourier series, the
+references for the sweep's closed form to rounding, and point by point,
+a trace and its own tone projection per frequency, which the sweep must
+match away from the points where sampling folds the drive's harmonics
+onto its tone.  The
 per-round key oracle draws every BB84 round that the count-level engine
 summarizes in one multinomial draw, and the sampled window mean of the
 loop phase's harmonics is the reference for the closed-form means of a
-key window under a drive; the Fourier orders of a drive, which both of
-those closed forms read, are checked against ``scipy.special.jv`` in the
-tests themselves.  The WM null angle and delay inversion are found by
-bracketed root finding where the library takes closed forms, and the
-small-angle contrast ratio is the approximation the exact one is compared
-against.  The trace writer, reader and notch scan are kept here one
+key window under a drive; the Fourier orders of a drive, which those
+means and the series oracle read, are checked against
+``scipy.special.jv`` in the tests themselves.  The WM null angle and
+delay inversion are found by bracketed root finding where the library
+takes closed forms, and the small-angle contrast ratio is the
+approximation the exact one is compared against.  The trace writer, reader and notch scan are kept here one
 sample, line or candidate at a time, as the references the whole-column
 library code must equal byte for byte; so is an impact's pulse, taken at
 every time.  The earlier decimal trace writers, one repr a line or two
@@ -219,6 +220,49 @@ def steady_state_response(event, channel, frequencies_hz, n: int,
     q0, q2 = np.sum(w * w) * cc_mean, np.sum(w * w) * cc_twice
     return w.sum() * c_tone, np.array([0.5 * (q0 + q2.real), 0.5 * q2.imag,
                                        0.5 * (q0 - q2.real)])
+
+
+def drive_series(f, amplitudes, orders: int, phases=0.0) -> np.ndarray:
+    """Fourier orders ``-orders .. orders`` in ``t`` of ``f(A cos(t +
+    phi))``, along the last axis, for amplitudes ``A`` and phases ``phi``
+    broadcast together, from one real FFT at ``1 << (2 orders +
+    1).bit_length()`` equally spaced ``t``: exact but for the higher
+    orders that fold onto them.  ``f`` maps the array of ``A cos(t +
+    phi)`` to a stack of real arrays of its shape, and the stack's axis
+    leads the result."""
+    nodes = 1 << (2 * orders + 1).bit_length()
+    t = (2.0 * math.pi / nodes) * np.arange(nodes)
+    x = np.expand_dims(amplitudes, -1) * np.cos(np.add.outer(phases, t))
+    coefs = np.fft.rfft(f(x), axis=-1)[..., :orders + 1] / nodes
+    return np.concatenate([coefs[..., orders:0:-1].conj(), coefs], axis=-1)
+
+
+def fft_sweep_response(event, channel, frequencies_hz, n: int,
+                       input_power_w=DEFAULT_INPUT_POWER_W):
+    """:func:`steady_state_response` from the port intensity's own Fourier
+    series, with no Bessel value: :func:`drive_series` of ``c`` and
+    ``c**2`` over ``(M + 2) // 2`` orders, ``M`` the orders ``c**2`` holds
+    under the ``4 peak`` it reaches (``perception._bessel_orders``), so
+    that no order of ``c**2`` folds onto the orders 0, -1 and -2 read.
+    Its cost grows with the drive: about 1 s over 293 points at 6000
+    rad."""
+    freqs = np.asarray(frequencies_hz, dtype=float)
+    w = np.hanning(n)
+    lag = channel.refractive_index * (channel.length_m
+                                      - 2.0 * event.position_m) / C
+    half = math.pi * freqs * lag
+    peak = event.params.peak_phase_rad
+    orders = max(2, (perception._bessel_orders(4.0 * peak, 10**9) + 2) // 2)
+
+    def powers(phase):
+        c = input_power_w * (1.0 + np.cos(channel.bias_phase_rad + phase))
+        return c, c * c
+
+    c, cc = drive_series(powers, 2.0 * peak * np.sin(half), orders, -half)
+    q0, q2 = np.sum(w * w) * cc[:, orders].real, np.sum(w * w) * cc[
+        :, orders - 2]
+    return w.sum() * c[:, orders - 1], np.array([
+        0.5 * (q0 + q2.real), 0.5 * q2.imag, 0.5 * (q0 - q2.real)])
 
 
 def rayleigh_floor(channel, n: int, noise_sigma: float,

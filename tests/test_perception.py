@@ -5,14 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import welch
 from scipy.special import jv
 from scipy.stats import ks_2samp
 
-from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
-                                   PressureParams, PztParams)
+from sagnacsim.disturbance import (MAX_PEAK_PHASE_RAD, DisturbanceEvent,
+                                   ImpactParams, PressureParams, PztParams)
 from sagnacsim.errors import (AliasingError, ConfigError,
                               InsufficientDataError, OutOfLoopError,
                               UndefinedResolutionError)
@@ -31,6 +31,7 @@ from sagnacsim.perception import (DEFAULT_INPUT_POWER_W, DEFAULT_NOISE_SIGMA,
                                   window_phase_means)
 
 from oracles import (ac_amplitude_theory, ac_power_at, drawn_noise_floors,
+                     drive_series, fft_sweep_response,
                      first_order_span, fresh_welch_psd, masked_significance,
                      per_candidate_notches, per_candidate_trace_nulls,
                      point_by_point_sweep,
@@ -324,13 +325,13 @@ class TestWindowPhaseMeans:
 
     @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 7.3, 60.0, 1000.0])
     def test_jacobi_anger_coefficients_are_bessel_values(self, z):
-        # The window means read exp(i z cos t) as cos plus i sin.
+        # The window means read exp(i z cos t) as cos plus i sin: the row
+        # of harmonic 1 at amplitude z.
         orders = perception._bessel_orders(z, 10**6)
         m = np.arange(-orders, orders + 1)
-        cos, sin = perception._drive_series(
-            lambda x: (np.cos(x), np.sin(x)), z, orders)
-        np.testing.assert_allclose(cos + 1j * sin, 1j ** m * jv(m, z),
-                                   rtol=0.0, atol=1e-13)
+        [row] = perception._drive_rows.__wrapped__(z, orders, 0, 1)
+        np.testing.assert_allclose(row, 1j ** m * jv(m, z), rtol=0.0,
+                                   atol=1e-13)
 
 
 class TestSynthesizeTrace:
@@ -837,30 +838,18 @@ class TestFrequencySweep:
         assert str(got.value) == ("sample rate 200000.0 Hz cannot represent "
                                   "a disturbance extending to 127500.0 Hz")
 
-    def test_strong_drive_rejected_before_any_trace(self, monkeypatch):
-        def no_trace(*args, **kwargs):
-            raise AssertionError("synthesized a trace")
-
-        monkeypatch.setattr(perception, "synthesize_trace", no_trace)
-        with pytest.raises(ValueError,
-                           match="^phase_gain_rad_per_v: 6100.0 gives a "
-                                 "6100.0 rad drive, whose sweep needs more "
-                                 "than 32768 Fourier orders$"):
-            frequency_sweep(pzt_event(5000.0, 500.0, 6100.0), channel(),
-                            ACCEPTANCE_GRID, seed=1)
-
     @pytest.mark.parametrize("grid, message", [
         ([3000.0, 2500.0, 4000.0], "strictly ascending"),
         ([2000.0, 2500.0, 2500.0, 3000.0], "strictly ascending"),
         ([2000.0, 2500.0], ">= 3 points"),
         ([[2000.0, 2500.0, 3000.0]], ">= 3 points"),
     ])
-    def test_grid_checked_before_any_series(self, monkeypatch, grid,
-                                            message):
-        def no_series(*args, **kwargs):
-            raise AssertionError("took a drive series")
+    def test_grid_checked_before_any_bessel_value(self, monkeypatch, grid,
+                                                  message):
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("took a Bessel value")
 
-        monkeypatch.setattr(perception, "_drive_series", no_series)
+        monkeypatch.setattr(perception, "_bessel", no_bessel)
         with pytest.raises(ValueError, match=message):
             frequency_sweep(pzt_event(5000.0), channel(), grid, seed=1)
 
@@ -907,13 +896,16 @@ class TestFrequencySweep:
 
 
 class TestSweepResponse:
-    """The sweep's Fourier series against the settled drive's response
-    from Bessel values (:func:`steady_state_response`): every projection
-    within 1e-13 of ``I0 sum(w)`` and every second moment of ``c u``
-    within 1e-13 of ``I0**2 sum(w**2)``.  Bound: the cosines' arguments,
-    up to ``4 peak`` = 240 rad for the 60 rad drive, round by about 240
-    eps = 5e-14, and the FFT adds about eps log2(nodes); the worst seen is
-    1.6e-14."""
+    """The sweep's closed form against the settled drive's response from
+    scipy's Bessel values (:func:`steady_state_response`): every
+    projection within 1e-13 of ``I0 sum(w)`` and every second moment of
+    ``c u`` within 1e-13 of ``I0**2 sum(w**2)``.  Bound: ``_bessel`` is
+    within about 1e-15 of ``jv`` and the two formulas round alike; the
+    worst seen is 5.2e-16.  Against the port intensity's own Fourier
+    series (:func:`fft_sweep_response`) the bound is 1e-12: the series'
+    cosines take arguments up to ``2 peak``, about 12 000 rad at 6020 rad,
+    which round by about 1.3e-12 a node and average down over the nodes;
+    the worst seen is 6e-14."""
 
     def response(self, event, n=2000, grid=ACCEPTANCE_GRID,
                  bias=0.5 * math.pi):
@@ -955,27 +947,6 @@ class TestSweepResponse:
         # Off quadrature the even orders of c enter c**2.
         self.assert_matches_bessel(pzt_event(5000.0, 3000.0, 0.6), bias)
 
-    @pytest.mark.parametrize("rows", [1, 3, 17, 40])
-    def test_points_do_not_depend_on_their_block(self, monkeypatch, rows):
-        # The 293 points are not a multiple of 3, 17 or 40 a block.
-        event = pzt_event(1500.0, 3000.0, 60.0)
-        blocked = self.response(event)
-        orders = max(2, (perception._sweep_orders(60.0) + 2) // 2)
-        monkeypatch.setattr(perception, "_BLOCK_ELEMENTS",
-                            rows * (2 * orders + 1))
-        sizes, drive_series = [], perception._drive_series
-
-        def sizing(f, amplitudes, *args):
-            sizes.append(amplitudes.size)
-            return drive_series(f, amplitudes, *args)
-
-        monkeypatch.setattr(perception, "_drive_series", sizing)
-        alone = self.response(event)
-        whole, left = divmod(ACCEPTANCE_GRID.size, rows)
-        assert sizes == [rows] * whole + [left] * (left > 0)
-        assert np.array_equal(alone.projections, blocked.projections)
-        assert np.array_equal(alone.moments, blocked.moments)
-
     def test_response_arrays_are_read_only(self):
         response = self.response(pzt_event(5000.0, 3000.0, 0.6))
         for array in (response.projections, response.moments):
@@ -1016,8 +987,37 @@ class TestSweepResponse:
         if z > 0:  # a search capped below m stops one past the cap
             assert perception._bessel_orders(z, m - 2) == m - 1
 
+    @given(decade=st.integers(-9, 3), mantissa=st.floats(1.0, 6.02),
+           position=st.sampled_from([1000.0, 9000.0, 14999.0, L / 2, 15001.0,
+                                     22000.0, 29000.0]),
+           bias=st.floats(0.0, 2.0 * math.pi),
+           lo=st.floats(100.0, 50000.0), step=st.floats(1.0, 2000.0),
+           points=st.integers(3, 40), n=st.integers(3, 5000))
+    @example(decade=3, mantissa=6.02, position=1000.0, bias=0.5 * math.pi,
+             lo=2000.0, step=250.0, points=40, n=2000)
+    @example(decade=3, mantissa=6.02, position=22000.0, bias=1.0,
+             lo=60000.0, step=375.0, points=40, n=3)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_the_fourier_series(self, decade, mantissa, position,
+                                        bias, lo, step, points, n):
+        # Drives from 1e-9 to 6020 rad, a decade and a mantissa drawn.
+        event = DisturbanceEvent(
+            PztParams(drive_amplitude_v=1.0, frequency_hz=500.0,
+                      phase_gain_rad_per_v=mantissa * 10.0**decade),
+            position_m=position)
+        grid = lo + step * np.arange(points)
+        got = self.response(event, n, grid, bias)
+        projections, moments = fft_sweep_response(event, channel(bias), grid,
+                                                  n)
+        w = np.hanning(n)
+        i0 = DEFAULT_INPUT_POWER_W
+        assert np.all(np.abs(got.projections - projections)
+                      <= 1e-12 * i0 * w.sum())
+        assert np.all(np.abs(got.moments - moments)
+                      <= 1e-12 * i0 * i0 * np.sum(w * w))
+
     @pytest.mark.parametrize("bias", [0.5 * math.pi, math.pi])
-    def test_port_intensity_series_are_bessel_values(self, bias):
+    def test_fourier_series_oracle_is_bessel_values(self, bias):
         # With Y = b + A cos(s + phi), the order m coefficient of c =
         # I0 (1 + cos Y) is I0 (d_m0 + J_m(A) cos(b + m pi / 2)) and that
         # of c**2 = I0**2 (1.5 + 2 cos Y + 0.5 cos 2Y) is I0**2 (1.5 d_m0
@@ -1035,7 +1035,7 @@ class TestSweepResponse:
             c = i0 * (1.0 + np.cos(bias + x))
             return c, c * c
 
-        c, cc = perception._drive_series(powers, amplitudes, orders, phases)
+        c, cc = drive_series(powers, amplitudes, orders, phases)
         m = np.arange(-orders, orders + 1)
         a, turn = amplitudes[:, None], np.exp(1j * m * phases[:, None])
         quarter = m * (0.5 * math.pi)
@@ -1046,28 +1046,54 @@ class TestSweepResponse:
         assert np.max(np.abs(c - want_c)) <= 1e-12 * i0
         assert np.max(np.abs(cc - want_cc)) <= 1e-12 * i0**2
 
-    def test_order_cap(self):
-        # The series of c**2 reaches 4 peak: the cap of 2**15 orders falls
-        # at about 6020.8 rad, and past it the orders read one more.
-        cap = perception._PHASE_SAMPLES // 2
-        assert perception._sweep_orders(6020.0) <= cap
-        assert perception._sweep_orders(6021.0) == cap + 1
 
-    @pytest.mark.parametrize("peak", [1e-9, 0.6, 60.0])
-    def test_read_orders_take_no_fold(self, monkeypatch, peak):
-        # Orders 0, -1 and -2 from (M + 2) // 2 orders equal those from
-        # all M orders to rounding: nothing folds onto them.
-        event = pzt_event(5000.0, 3000.0, peak)
-        half = self.response(event)
-        m = perception._sweep_orders(peak)
-        monkeypatch.setattr(perception, "_sweep_orders",
-                            lambda peak: 2 * m + 2)
-        full = self.response(event)
-        i0, w = DEFAULT_INPUT_POWER_W, np.hanning(2000)
-        assert np.all(np.abs(half.projections - full.projections)
-                      <= 1e-14 * i0 * w.sum())
-        assert np.all(np.abs(half.moments - full.moments)
-                      <= 1e-14 * i0 * i0 * np.sum(w * w))
+class TestBessel:
+    """``perception._bessel`` against ``scipy.special.jv``: J_0, J_1 and
+    J_2 within 1.5e-14 absolute on [-5e4, 5e4], on both sides of the
+    switch from the trapezoid rule to the Hankel expansion at |z| = 25;
+    the worst seen is 7.8e-16."""
+
+    @staticmethod
+    def bessel(z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return perception._bessel(np.asarray(z, dtype=float))
+
+    @pytest.mark.parametrize("z", [
+        np.linspace(-5e4, 5e4, 100_001),
+        np.linspace(-30.0, 30.0, 6001),
+        np.nextafter(25.0, [0.0, 0.0, 50.0, 50.0]) * [1.0, -1.0, 1.0, -1.0],
+        np.array([25.0, -25.0]),
+        np.geomspace(1e-300, 5e4, 2000) * np.array([[1.0], [-1.0]]),
+    ], ids=["wide", "near-the-switch", "next-to-25", "at-25", "geometric"])
+    def test_matches_scipy(self, z):
+        got = self.bessel(z)
+        assert got.shape == (3,) + z.shape
+        for m in range(3):
+            assert np.max(np.abs(got[m] - jv(m, z))) <= 1.5e-14
+
+    def test_zero_is_exact(self):
+        got = self.bessel([0.0, -0.0])
+        assert got.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_orders_keep_their_parity_exactly(self):
+        # J_m(-z) = (-1)**m J_m(z) bit for bit on both sides of 25, so a
+        # drive's sweeps on either side of the midpoint take one A's
+        # values.
+        z = np.concatenate([np.linspace(0.0, 60.0, 6001),
+                            np.geomspace(1e-300, 4e9, 500)])
+        ahead, behind = self.bessel(z), self.bessel(-z)
+        assert np.array_equal(behind, ahead * [[1.0], [-1.0], [1.0]])
+
+    def test_finite_up_to_four_times_the_largest_peak(self):
+        # A sweep takes J at 2 A, up to 4 MAX_PEAK_PHASE_RAD.
+        top = 4.0 * MAX_PEAK_PHASE_RAD
+        z = np.concatenate([np.geomspace(5e4, top, 400), [top]])
+        z = np.concatenate([z, -z])
+        got = self.bessel(z)
+        assert np.all(np.isfinite(got))
+        for m in range(3):
+            assert np.max(np.abs(got[m] - jv(m, z))) <= 1.5e-14
 
 
 class TestCorrelatedNormals:
@@ -1219,8 +1245,8 @@ class TestSettingsThatCannotSweep:
     def test_counted_points_match_the_grid(self, lo, span, step):
         hi = lo + span
         points = np.arange(lo, hi + step, step).size
-        # A sample rate far above the grid and 3-sample sweeps keep the
-        # Nyquist and work rules out of play.
+        # A sample rate far above the grid keeps the Nyquist rule out of
+        # play.
         scan = dict(scan_min_hz=lo, scan_max_hz=hi, scan_step_hz=step,
                     sample_rate_hz=1e6, sweep_duration_s=3e-6,
                     sense_duration_s=1e-4)
@@ -1293,39 +1319,31 @@ class TestSettingsThatCannotSweep:
             "perception sample_rate_hz 200000.0, more than "
             f"{perception.MAX_TRACE_SAMPLES}"]
 
-    def test_drive_series_work_bounded(self, monkeypatch):
-        # The README drive keeps M = 22 orders, 25 a point: with the bound
-        # at 293 x 25 the default grid sweeps and one point more does not.
-        # The problem names the drive's gain, in settings and sweeps alike.
-        event = pzt_event(5000.0, 3000.0, 0.6)
-        assert perception._sweep_orders(0.6) == 22
-        monkeypatch.setattr(perception, "_MAX_SWEEP_WORK", 293 * 25)
-        short = 1.5e-5
-        assert PerceptionSettings(
-            sweep_duration_s=short).event_problems(event) == []
-        frequency_sweep(event, channel(), ACCEPTANCE_GRID, seed=1,
-                        duration_s=short)
-        wider = PerceptionSettings(sweep_duration_s=short,
-                                   scan_max_hz=75250.0)
-        want = ("phase_gain_rad_per_v: 0.6 gives a 0.6 rad drive, whose "
-                "sweep needs 25 Fourier orders at each of 294 scan points, "
-                "more than 7325 in all")
-        assert wider.event_problems(event) == [want]
-        with pytest.raises(ValueError, match=f"^{want}$"):
-            frequency_sweep(event, channel(), wider.scan_grid(), seed=1,
-                            duration_s=short)
-
-    def test_fine_grid_of_short_sweeps_bounds_a_strong_drive(self):
-        # 32 446 points, within the scan-point bound, take a weak drive's
-        # 9 orders a point; a 200 rad drive's 1127 would not.
-        settings = PerceptionSettings(sweep_duration_s=1.5e-5,
-                                      scan_step_hz=2.25)
-        assert settings.event_problems(pzt_event(5000.0, 3000.0, 1e-3)) == []
-        [problem] = settings.event_problems(pzt_event(5000.0, 3000.0, 200.0))
-        assert problem.startswith("phase_gain_rad_per_v: 200.0 gives a "
-                                  "200.0 rad drive, whose sweep needs 1127 "
-                                  "Fourier orders at each of 32446 scan "
-                                  "points")
+    @pytest.mark.parametrize("peak, scan", [
+        (200.0, dict(sweep_duration_s=1.5e-5, scan_step_hz=2.25)),
+        (7000.0, {})], ids=["200-rad-32446-points", "7000-rad-default"])
+    def test_strong_drives_sweep(self, peak, scan):
+        # A sweep's cost does not grow with its drive, so no drive
+        # strength is refused: 200 rad over 32 446 three-sample points and
+        # 7000 rad over the default grid sweep to the Bessel values.
+        settings = PerceptionSettings(**scan)
+        event = pzt_event(5000.0, 3000.0, peak)
+        assert settings.event_problems(event) == []
+        grid = settings.scan_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = frequency_sweep(event, channel(), grid,
+                                    duration_s=settings.sweep_duration_s,
+                                    noise_sigma=0.0)
+        n = perception._sample_count(settings.sweep_duration_s,
+                                     settings.sample_rate_hz)
+        projections, _ = steady_state_response(event, channel(), grid, n)
+        weight = np.hanning(n).sum()
+        assert sweep.amplitudes.size == grid.size
+        assert np.all(np.isfinite(sweep.amplitudes))
+        np.testing.assert_allclose(
+            sweep.amplitudes, 2.0 * np.abs(projections) / weight, rtol=0.0,
+            atol=2e-13 * DEFAULT_INPUT_POWER_W)
 
     def test_scan_points_bounded_on_short_sweeps(self):
         # 2**15 points from 2000 Hz sweep and one more does not.

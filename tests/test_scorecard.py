@@ -26,7 +26,8 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     channel = scorecard.parse_config_dict({}).scenario.channel
     n, length = channel.refractive_index, channel.length_m
     dn = scorecard.INDEX_ERROR
-    for path, runs in (("sweep_path", 128), ("trace_path", 64)):
+    for path, runs in (("sweep_path", 128), ("strong_sweep_path", 128),
+                       ("trace_path", 64)):
         rows = card[path]
         assert [row["position_m"] for row in rows] == \
             list(scorecard.POSITIONS_M)
@@ -96,10 +97,15 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
     assert [row["bound_m"] for row in sweep] == pytest.approx(
         [3.265e-3, 3.266e-3, 3.268e-3, 3.296e-3, 3.623e-3, 3.527e-3,
          2.740e-3], rel=2e-4)
-    for row in sweep:
+    # The 60 rad drive's rows have the same columns; what the null picker
+    # makes of its sweep, failures included, is recorded as it is.
+    strong = card["strong_sweep_path"]
+    for row in sweep + strong:
+        assert row["bound_m"] > 0.0
         assert row["efficiency"] == (
             None if row["located"] == 0
             else pytest.approx(row["bound_m"] / row["rms_error_m"]))
+    assert [sorted(row) for row in strong] == [sorted(row) for row in sweep]
     assert [row["efficiency"] for row in sweep[:4]] == pytest.approx(
         [0.005347, 0.01725, 0.04256, 0.1321], rel=1e-3)
     # The default impact at 5 km does not show in its key window: the
@@ -120,5 +126,6 @@ def test_two_runs_write_the_same_table(tmp_path, monkeypatch, capsys):
                                      {"position_m": 9000.0, "located": 19}]
     assert two_drives["located"] == 36
     assert two_drives["max_error_m"] <= 0.52
-    assert printed.count("\n") == (len(sweep) + len(card["trace_path"])
-                                   + len(breaches) + len(detectable) + 20)
+    assert printed.count("\n") == (len(sweep) + len(strong)
+                                   + len(card["trace_path"]) + len(breaches)
+                                   + len(detectable) + 22)

@@ -18,6 +18,10 @@ Each sweep row also gives the drive's Cramér–Rao bound on the position
 from one sweep, ``tests/oracles.py::sweep_position_bound``, and the
 efficiency ``bound / rms``, none where nothing is located.
 
+The strong-sweep rows: the same drive at ``STRONG_GAIN_RAD_PER_V`` (60
+rad), with the same positions, seeds and columns.  They record what the
+null picker makes of a strong drive's sweep, failures included.
+
 The trace-path rows: the default impact (0.1 kg dropped from 0.1 m, a
 10 us pulse at gain 10) at 1 s at each position of ``POSITIONS_M``,
 acquired with each seed of ``TRACE_SEEDS`` through the same two calls,
@@ -100,6 +104,7 @@ README_DRIVE = {"kind": "pzt", "start_s": 0.0, "drive_amplitude_v": 1.2,
                 "frequency_hz": 3000.0, "phase_gain_rad_per_v": 0.5}
 POSITIONS_M = (1000.0, 5000.0, 9000.0, 13000.0, 14000.0, 14500.0, 14900.0)
 SEEDS = range(1, 129)
+STRONG_GAIN_RAD_PER_V = 50.0
 DEFAULT_IMPACT = {"kind": "impact", "start_s": 1.0}
 TRACE_SEEDS = range(1, 65)
 WM_MASS_KG = 0.1
@@ -166,12 +171,12 @@ def located_row(entry: dict, position_m: float, seeds: range) -> dict:
     }
 
 
-def sweep_row(position_m: float) -> dict:
-    """:func:`located_row` of the README drive at ``position_m`` over
-    ``SEEDS``, with the drive's position bound and the efficiency."""
-    row = located_row(README_DRIVE, position_m, SEEDS)
+def sweep_row(position_m: float, drive: dict = README_DRIVE) -> dict:
+    """:func:`located_row` of ``drive`` at ``position_m`` over ``SEEDS``,
+    with the drive's position bound and the efficiency."""
+    row = located_row(drive, position_m, SEEDS)
     script = parse_config_dict({"disturbances": [
-        dict(README_DRIVE, position_m=position_m)]}).scenario
+        dict(drive, position_m=position_m)]}).scenario
     bound = sweep_position_bound(script.events[0], script.channel,
                                  script.perception)
     row["bound_m"] = bound
@@ -315,7 +320,9 @@ def two_drive_row() -> dict:
 
 
 def scorecard() -> dict:
+    strong = dict(README_DRIVE, phase_gain_rad_per_v=STRONG_GAIN_RAD_PER_V)
     return {"sweep_path": [sweep_row(x) for x in POSITIONS_M],
+            "strong_sweep_path": [sweep_row(x, strong) for x in POSITIONS_M],
             "trace_path": [located_row(DEFAULT_IMPACT, x, TRACE_SEEDS)
                            for x in POSITIONS_M],
             "quasi_static": wm_row(),
@@ -332,10 +339,13 @@ def table(card: dict) -> str:
         return "-" if value is None else f"{value:{sign}.4f}"
 
     lines = []
+    strong_peak = STRONG_GAIN_RAD_PER_V * README_DRIVE["drive_amplitude_v"]
     for path, title, seeds in (
             ("sweep_path", "README drive from 0 s", SEEDS),
+            ("strong_sweep_path", f"README drive at {strong_peak:g} rad from "
+             f"0 s", SEEDS),
             ("trace_path", "default impact at 1 s", TRACE_SEEDS)):
-        bounded = path == "sweep_path"
+        bounded = path != "trace_path"
         lines += [f"{path.replace('_', ' ')}: {title}, 30 km loop, seeds "
                   f"{seeds.start}-{seeds.stop - 1}",
                   f"{'position_m':>10}  {'located':>7}  {'rms_error_m':>11}  "
