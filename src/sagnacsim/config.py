@@ -6,23 +6,27 @@ keys are the ``int`` and ``float`` fields of the library types it
 configures, each with its field's type, default and bound: integer keys take
 integers only and every number must be finite.  This module adds only the
 reference system's values that no field holds (the 30 km loop, a 20 s run,
-the default disturbance) and the keys named apart from their field.
-Parsing reports every key's problems at once; the checks across fields
-(scan range, events within the loop and the run) follow once they pass.
+the default disturbance), the keys named apart from their field and the
+bound of ``packet.wavelength_m``, which configures the field ``omega0``.
+Parsing reports every key's problems at once, each found by
+:func:`errors.field_problems` as the library types find their own; the
+checks across fields (scan range, events within the loop and the run),
+which each type states in its ``problems()``, follow once they pass.
 A parse builds one resolved mapping, each key at its value or default,
 which every command reads and each report carries as it is.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
-from . import qkd
+from . import optics, qkd
 from .controller import ScenarioScript
 from .disturbance import (DisturbanceEvent, ImpactParams, PressureParams,
                           PztParams)
-from .errors import ConfigError, FieldSpec, field_specs
+from .errors import ConfigError, FieldSpec, field_problems, field_specs
 from .optics import DEFAULT_WAVELENGTH_M, LoopChannel, SpectralPacket
 from .perception import PerceptionSettings
 from .qkd import DetectorModel, QkdSettings, SourceModel
@@ -41,18 +45,16 @@ def _keys(cls, drop=(), **defaults) -> dict[str, FieldSpec]:
 
 # The pressure geometry WM inverts with; the mass is what WM measures.
 _WM_GEOMETRY = _keys(PressureParams, drop=("mass_kg",))
-_PACKET = field_specs(SpectralPacket)
 
 _SECTIONS = {
     # Perception and WM set their own bias and the key engine reads none,
     # so the loop's bias is no config key.
     "channel": _keys(LoopChannel, drop=("bias_phase_rad",), length_m=30000.0,
                      intrinsic_delay_s=3e-13, loss_db=qkd.CALIBRATED_LOSS_DB),
-    # omega0 = 2 pi c / wavelength_m is positive exactly when the
-    # wavelength is.
-    "packet": {"wavelength_m": _PACKET["omega0"]._replace(
-                   default=DEFAULT_WAVELENGTH_M),
-               "spectral_sigma_rad_per_s": _PACKET["sigma"]},
+    # omega0 = 2 pi c / wavelength_m is finite from MIN_WAVELENGTH_M on.
+    "packet": {"wavelength_m": FieldSpec(float, DEFAULT_WAVELENGTH_M, (
+                   optics.MIN_WAVELENGTH_M, math.inf, "[)")),
+               "spectral_sigma_rad_per_s": _keys(SpectralPacket)["sigma"]},
     "source": _keys(SourceModel),
     "detector": _keys(DetectorModel),
     "qkd": _keys(QkdSettings),
@@ -126,16 +128,8 @@ def _resolve(label: str, supplied: dict, keys: dict[str, FieldSpec],
     ``supplied`` in neither ``keys`` nor ``others`` is unknown."""
     for key in sorted(set(supplied) - set(keys) - set(others)):
         problems.append(f"{label}{key}: unknown key")
-    out = {}
-    for key, spec in keys.items():
-        value = supplied.get(key, spec.default)
-        if value is MISSING:
-            problems.append(f"{label}{key}: required value missing")
-            continue
-        problem = spec.problem(value)
-        if problem is not None:
-            problems.append(f"{label}{key}: {problem}")
-        out[key] = value
+    out = {key: supplied.get(key, spec.default) for key, spec in keys.items()}
+    problems += field_problems(keys, out, label)
     return out
 
 
@@ -190,7 +184,7 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
 
     if problems:
         raise ConfigError(problems)
-    # The checks across fields live on the library types.
+    # The checks across fields are the library types' problems().
     return ScenarioConfig(resolved=resolved, scenario=_script(resolved))
 
 

@@ -22,9 +22,9 @@ import numpy as np
 from . import perception, qkd, wm
 from .disturbance import (DisturbanceEvent, PressureParams, PztParams,
                           pressure_delay)
-from .errors import (Checked, ConfigError, HarmonicAmbiguityError,
-                     InsufficientDataError, OutOfLoopError,
-                     UndefinedResolutionError, non_negative, positive)
+from .errors import (Checked, HarmonicAmbiguityError, InsufficientDataError,
+                     OutOfLoopError, UndefinedResolutionError, non_negative,
+                     positive)
 from .optics import LoopChannel, SpectralPacket
 from .perception import MAX_SEED, PerceptionSettings
 from .qkd import DetectorModel, QkdSettings, SourceModel
@@ -68,8 +68,7 @@ class ScenarioScript(Checked):
     perception: PerceptionSettings = field(default_factory=PerceptionSettings)
     wm: WmSettings = field(default_factory=WmSettings)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def problems(self) -> list[str]:
         problems = []
         for i, ev in enumerate(self.events):
             if ev.start_s > self.duration_s:
@@ -100,8 +99,7 @@ class ScenarioScript(Checked):
                 f"qkd.window_s: {self.qkd.window_s} splits duration_s "
                 f"{self.duration_s} into {windows} key windows, more than "
                 f"{MAX_KEY_WINDOWS}")
-        if problems:
-            raise ConfigError(problems)
+        return problems
 
 
 @dataclass

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import Checked, ConfigError, field_specs, non_negative, positive
+from .errors import Checked, field_specs, non_negative, positive
 from .optics import C_VACUUM
 
 #: Standard acceleration of gravity (m/s^2), exact by definition.
@@ -36,12 +36,11 @@ class _Peaked(Checked):
     is bounded by ``MAX_PEAK_PHASE_RAD`` as a problem of the ``_GAIN`` key,
     and the event's band, ``band_hz``, is set by the ``_BAND`` key."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.peak_phase_rad <= MAX_PEAK_PHASE_RAD:
-            raise ConfigError([f"{self._GAIN}: {getattr(self, self._GAIN)} "
-                               f"puts the peak phase above "
-                               f"{MAX_PEAK_PHASE_RAD} rad"])
+    def problems(self) -> list[str]:
+        if self.peak_phase_rad <= MAX_PEAK_PHASE_RAD:
+            return []
+        return [f"{self._GAIN}: {getattr(self, self._GAIN)} puts the peak "
+                f"phase above {MAX_PEAK_PHASE_RAD} rad"]
 
 
 @dataclass(frozen=True)
@@ -125,21 +124,21 @@ class PressureParams(Checked):
     contact_area_m2: float = positive(1e-4)
     stress_optic_per_pa: float = positive(3e-12)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def problems(self) -> list[str]:
         specs = field_specs(PressureParams)
         if self.stress_optic_per_pa * STANDARD_GRAVITY \
                 * self.pressed_length_m == 0.0:
             key = min(("pressed_length_m", "stress_optic_per_pa"),
                       key=lambda k: getattr(self, k) / specs[k].default)
-            raise ConfigError([f"{key}: {getattr(self, key)} leaves no "
-                               f"delay shift to infer a mass from"])
+            return [f"{key}: {getattr(self, key)} leaves no delay shift to "
+                    f"infer a mass from"]
         if not pressure_delay(self) <= MAX_DELAY_SHIFT_S:
             key = max(specs, key=lambda k: math.log(
                 getattr(self, k) / specs[k].default)
                 * (-1.0 if k == "contact_area_m2" else 1.0))
-            raise ConfigError([f"{key}: {getattr(self, key)} puts the delay "
-                               f"shift above {MAX_DELAY_SHIFT_S} s"])
+            return [f"{key}: {getattr(self, key)} puts the delay shift "
+                    f"above {MAX_DELAY_SHIFT_S} s"]
+        return []
 
 
 DisturbanceParams = Union[PztParams, ImpactParams, PressureParams]

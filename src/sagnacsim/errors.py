@@ -107,8 +107,11 @@ class FieldSpec(NamedTuple):
         """Why ``value`` does not fit this field, or None when it does.
 
         ``int`` fields take integers only, ``float`` fields any real
-        number; either must be finite as a float.
+        number; either must be finite as a float.  ``MISSING``, no value
+        where the field has no default, fits no field.
         """
+        if value is MISSING:
+            return "required value missing"
         kind = _number_kind(type(value))
         if self.kind is int and kind is not int:
             return f"expected an integer, got {value!r}"
@@ -136,13 +139,24 @@ def field_specs(cls) -> dict[str, FieldSpec]:
             for f in fields(cls) if f.type in _KINDS}
 
 
+def field_problems(specs: dict, values: dict, label: str = "") -> list[str]:
+    """``label + key: problem`` for each of ``specs`` whose value in
+    ``values`` does not fit it, in the order of ``specs``."""
+    return [f"{label}{key}: {problem}" for key, spec in specs.items()
+            if (problem := spec.problem(values[key]))]
+
+
 class Checked:
     """Base of the dataclasses that check each ``int`` and ``float`` field
-    against its :class:`FieldSpec` on construction."""
+    against its :class:`FieldSpec` on construction and, once every field
+    fits, the rules across fields that :meth:`problems` states; either
+    list, if not empty, is raised as one :class:`ConfigError`."""
 
     def __post_init__(self):
-        problems = [f"{name}: {problem}"
-                    for name, spec in field_specs(type(self)).items()
-                    if (problem := spec.problem(getattr(self, name)))]
-        if problems:
+        if problems := (field_problems(field_specs(type(self)), vars(self))
+                        or self.problems()):
             raise ConfigError(problems)
+
+    def problems(self) -> list[str]:
+        """Why the fields, each of which fits, do not fit together."""
+        return []

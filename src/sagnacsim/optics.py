@@ -25,6 +25,12 @@ C_VACUUM = 299792458.0
 #: Operating vacuum wavelength of the shared laser source (m).
 DEFAULT_WAVELENGTH_M = 1550e-9
 
+#: Shortest vacuum wavelength (m) whose angular frequency
+#: :func:`omega_from_wavelength` keeps inside the float range, 2 pi c over
+#: the largest float, about 1.05e-299 m; one float below it ``omega0``
+#: overflows to infinity.
+MIN_WAVELENGTH_M = 2.0 * math.pi * C_VACUUM / math.nextafter(math.inf, 0.0)
+
 #: Longest loop (m) the simulator takes: 10 000 km, some 330 times the
 #: paper's 30 km.  There the transit phase ``omega n L / c`` of a 75 kHz
 #: sweep point, 2.3e4 rad, has a float spacing of 4e-12 rad; on far

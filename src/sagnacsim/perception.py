@@ -37,10 +37,9 @@ import numpy as np
 
 from .disturbance import (DisturbanceEvent, ImpactParams, PztParams,
                           single_pass_phase)
-from .errors import (AliasingError, Checked, ConfigError,
-                     HarmonicAmbiguityError, InsufficientDataError,
-                     OutOfLoopError, UndefinedResolutionError, non_negative,
-                     positive, within)
+from .errors import (AliasingError, Checked, HarmonicAmbiguityError,
+                     InsufficientDataError, OutOfLoopError,
+                     UndefinedResolutionError, non_negative, positive, within)
 from .optics import C_VACUUM, LoopChannel
 
 logger = logging.getLogger(__name__)
@@ -145,8 +144,7 @@ class PerceptionSettings(Checked):
     freq_resolution_hz: float = positive(DEFAULT_FREQ_RESOLUTION_HZ)
     switch_dead_time_s: float = non_negative(1.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def problems(self) -> list[str]:
         problems = []
         if self.scan_min_hz >= self.scan_max_hz:
             problems.append("scan_min_hz: must be below scan_max_hz")
@@ -163,8 +161,7 @@ class PerceptionSettings(Checked):
                 problems.append(f"{key}: holds {n:.12g} samples at "
                                 f"sample_rate_hz {self.sample_rate_hz}, "
                                 f"{bound}")
-        if problems:
-            raise ConfigError(problems)
+        return problems
 
     def _scan_grid_problems(self) -> list[str]:
         # The length of scan_grid, found without building it, math.inf
@@ -763,7 +760,10 @@ def _sweep_response(event: DisturbanceEvent, channel: LoopChannel,
     # Each order at A, then at 2A.
     j0, j1, j2 = _bessel(np.array((amplitudes, 2.0 * amplitudes)))
     bias, i0 = channel.bias_phase_rad, input_power_w
-    cos_b, cos_2b = math.cos(bias), math.cos(2.0 * bias)
+    # cos 2b by the double angle: 2 * bias overflows past half the float
+    # range, where bias itself is finite.
+    cos_b = math.cos(bias)
+    cos_2b = 2.0 * cos_b * cos_b - 1.0
     turn = np.exp(-1j * phases)
     projections = (-weight * i0 * math.sin(bias)) * j1[0] * turn
     q0 = (power * i0 * i0) * (1.5 + 2.0 * cos_b * j0[0] + 0.5 * cos_2b * j0[1])

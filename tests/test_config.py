@@ -3,6 +3,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,10 @@ from sagnacsim.config import parse_config, parse_config_dict
 from sagnacsim.controller import MAX_KEY_WINDOWS
 from sagnacsim.disturbance import (DisturbanceEvent, ImpactParams,
                                    PressureParams, PztParams)
-from sagnacsim.errors import ConfigError, interval_text
-from sagnacsim.perception import MAX_TRACE_SAMPLES
+from sagnacsim.errors import (ConfigError, field_problems, field_specs,
+                              interval_text)
+from sagnacsim.optics import MIN_WAVELENGTH_M, omega_from_wavelength
+from sagnacsim.perception import MAX_TRACE_SAMPLES, PerceptionSettings
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -364,3 +367,119 @@ class TestConfigTable:
         monkeypatch.setitem(keys, "qber_threshold",
                             keys["qber_threshold"]._replace(**change))
         assert config_table.render() != table
+
+
+# One key at a time set to each of these: the float range's ends, its
+# smallest subnormals, a value under the shortest wavelength, small
+# integers and the ends of a 64-bit integer.
+_LONE_VALUES = [sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324, 0,
+                1e-300, 1e300, 1, 3, 2**63, -2**63]
+
+# Every config key as a problem names it: an entry key as entry 0's.
+_PROBLEM_KEYS = {"disturbances[0]." + key.split(".")[1]
+                 if key.startswith("disturbances") else key
+                 for key, _ in config_table.config_keys()}
+
+
+def _lone_configs(key, value):
+    """The configs that set ``key`` alone to ``value``: one entry of its
+    kind for a ``disturbances[kind]`` key, one of each kind for a key
+    every entry has."""
+    if not key.startswith("disturbances"):
+        section, _, name = key.rpartition(".")
+        return [{section: {name: value}} if section else {name: value}]
+    kind, name = key[len("disturbances["):].split("].")
+    return [{"disturbances": [{"kind": k, "position_m": 1.0, name: value}]}
+            for k in ([kind] if kind else _KINDS)]
+
+
+class TestEveryKeyAlone:
+    @pytest.mark.parametrize("key", [key for key, _ in
+                                     config_table.config_keys()])
+    def test_every_problem_names_a_config_key(self, key):
+        for value in _LONE_VALUES:
+            for raw in _lone_configs(key, value):
+                try:
+                    parse_config_dict(raw)
+                except ConfigError as exc:
+                    assert exc.problems
+                    for problem in exc.problems:
+                        assert problem.split(":")[0] in _PROBLEM_KEYS, \
+                            (raw, problem)
+
+    # omega0 = 2 pi c / wavelength_m overflowed below the bound and was
+    # reported as packet.omega0, no config key.
+    @pytest.mark.parametrize("wavelength", [1e-300, 5e-324, math.nextafter(
+        MIN_WAVELENGTH_M, 0.0)])
+    def test_a_wavelength_below_the_bound_names_its_key(self, wavelength):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict({"packet": {"wavelength_m": wavelength}})
+        assert err.value.problems == [
+            f"packet.wavelength_m: must be >= {MIN_WAVELENGTH_M}, "
+            f"got {wavelength}"]
+
+    def test_the_bound_is_the_shortest_finite_wavelength(self):
+        assert omega_from_wavelength(MIN_WAVELENGTH_M) <= sys.float_info.max
+        assert omega_from_wavelength(
+            math.nextafter(MIN_WAVELENGTH_M, 0.0)) == math.inf
+        packet = parse_config_dict({"packet": {
+            "wavelength_m": MIN_WAVELENGTH_M}}).scenario.packet
+        assert packet.omega0 == omega_from_wavelength(MIN_WAVELENGTH_M)
+
+
+def _late_drive(**top_level):
+    """Parse a drive that starts 5 s into a 1 s run, with ``top_level``
+    keys besides."""
+    return parse_config_dict({"duration_s": 1.0, **top_level, "disturbances": [
+        {"kind": "pzt", "position_m": 1.0, "start_s": 5.0}]})
+
+
+# (construction, the key its broken rule names, a field that breaks it,
+# and a phrase of the rule's problem): each type's rules run only once its
+# every field fits.
+_RULE_AND_FIELD = {
+    "peak-phase": (partial(PztParams, drive_amplitude_v=1.0,
+                           frequency_hz=1.0, phase_gain_rad_per_v=2e9),
+                   "phase_gain_rad_per_v", {"frequency_hz": -1.0},
+                   "puts the peak phase above"),
+    "delay-shift": (partial(PressureParams, mass_kg=1e6,
+                            contact_area_m2=1e-30),
+                    "contact_area_m2", {"stress_optic_per_pa": -1.0},
+                    "puts the delay shift above"),
+    "scan-range": (partial(PerceptionSettings, scan_min_hz=9e4),
+                   "scan_min_hz", {"noise_sigma": -1.0},
+                   "must be below scan_max_hz"),
+    "event-start": (_late_drive, "disturbances[0].start_s", {"seed": -1},
+                    "beyond the scenario duration"),
+}
+
+
+class TestRulesOnceFieldsFit:
+    @pytest.mark.parametrize("build, rule_key, bad, text",
+                             list(_RULE_AND_FIELD.values()),
+                             ids=list(_RULE_AND_FIELD))
+    def test_a_bad_field_hides_the_rule(self, build, rule_key, bad, text):
+        with pytest.raises(ConfigError) as err:
+            build()
+        [problem] = err.value.problems
+        assert problem.startswith(f"{rule_key}: ") and text in problem
+        with pytest.raises(ConfigError) as err:
+            build(**bad)
+        [key] = bad
+        [problem] = err.value.problems
+        assert problem.startswith(f"{key}: must be ")
+
+    def test_field_problems_label_each_misfit_in_spec_order(self):
+        specs = field_specs(PressureParams)
+        values = {**vars(PressureParams()), "contact_area_m2": 0.0,
+                  "mass_kg": "x"}
+        assert field_problems(specs, values, "wm.") == [
+            "wm.mass_kg: expected a number, got 'x'",
+            "wm.contact_area_m2: must be > 0 (unit violation), got 0.0"]
+        assert field_problems(specs, vars(PressureParams())) == []
+        # A required key with no value, as a config without it resolves.
+        assert field_problems(field_specs(DisturbanceEvent), {
+            "position_m": MISSING, "start_s": -1.0}, "disturbances[0].") == [
+            "disturbances[0].position_m: required value missing",
+            "disturbances[0].start_s: must be >= 0 (unit violation), "
+            "got -1.0"]

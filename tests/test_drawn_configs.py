@@ -200,6 +200,8 @@ def _pzt_with(**sections) -> dict:
 @example(config=_pzt_with(channel={"refractive_index": MAX}))
 @example(config=_pzt_with(channel={"intrinsic_delay_s": MAX}))
 @example(config=_pzt_with(qkd={"window_s": MAX}))
+# A sensing bias whose double overflowed in the sweep's cos 2b.
+@example(config=_pzt_with(perception={"bias_phase_rad": MAX}))
 def test_drawn_config_ends_cleanly(impact_trace, config):
     assert_every_command_ends_cleanly(config, impact_trace)
 
